@@ -455,13 +455,6 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
 /// [`Automaton::executions`], in the same BFS order, with the kernel's
 /// parallel expansion, disk-backed spilling, and replay regeneration
 /// available.
-///
-/// Extending an execution is a couple of `Vec` pushes, far cheaper than
-/// decoding a spilled execution record, so the space overrides
-/// [`StateSpace::successor_at`] with a real indexed fast path: the
-/// `index`-th (action, target) pair in the deterministic
-/// `enabled`/`successors` order is looked up and only that one child is
-/// built.
 pub struct ExecutionSpace<'a, L> {
     automaton: &'a Automaton<L>,
     depth: usize,
@@ -494,30 +487,6 @@ where
                 ctx.push(extended);
             }
         }
-    }
-
-    fn successor_at(&self, exec: &Self::State, _depth: usize, index: usize) -> Option<Self::State> {
-        if exec.actions.len() >= self.depth {
-            return None;
-        }
-        let s = exec.last_state();
-        let mut pushed = 0usize;
-        for a in self.automaton.enabled(s) {
-            for t in self.automaton.successors(s, &a) {
-                if pushed == index {
-                    let mut extended = exec.clone();
-                    extended.states.push(t);
-                    extended.actions.push(a.clone());
-                    return Some(extended);
-                }
-                pushed += 1;
-            }
-        }
-        None
-    }
-
-    fn has_successor_fast_path(&self) -> bool {
-        true
     }
 }
 

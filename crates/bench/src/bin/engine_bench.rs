@@ -530,8 +530,7 @@ fn main() {
          (occupancy balance {balance:.2}); dedup on 128-bit fingerprints \
          (baseline retains full configuration clones). \
          Knobs: SLX_ENGINE_THREADS, SLX_ENGINE_SHARDS, SLX_ENGINE_MEM_BUDGET, \
-         SLX_ENGINE_SPILL_DIR, SLX_ENGINE_SPILL_CODEC, \
-         SLX_ENGINE_CHECKPOINT_DIR, SLX_ENGINE_CHECKPOINT_EVERY."
+         SLX_ENGINE_SPILL_DIR, SLX_ENGINE_SPILL_CODEC."
     );
     println!(
         "checkpoint arms: a durable commit is a few ms of fdatasync latency (the \

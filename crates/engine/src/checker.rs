@@ -4,6 +4,7 @@ use std::collections::hash_map::Entry;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use crate::checkpoint::{CheckpointStore, LoadedCheckpoint, RunHeader};
 use crate::codec::{DeltaCodec, StateCodec};
@@ -59,43 +60,75 @@ pub struct KernelOutcome<F> {
 /// Dedupes states on their 128-bit fingerprints only — the visited set
 /// holds 16-byte digests (plus a minimal depth in the DFS backend), never
 /// full states — and drives one of the [`Backend`]s over a [`StateSpace`].
+///
+/// Every `with_*` builder pins one setting; a setting left unpinned
+/// defers to its `SLX_ENGINE_*` environment variable, then to a default.
+/// [`Checker::resolve`] is where that precedence is decided, once per
+/// run.
 #[derive(Debug, Clone)]
 pub struct Checker {
     backend: Backend,
     config_budget: Option<usize>,
-    /// Explicit shard count for the BFS visited set; `None` defers to the
-    /// `SLX_ENGINE_SHARDS` environment variable, then to an autodetected
-    /// default sized to the thread count.
     shards: Option<usize>,
-    /// Explicit frontier memory budget in bytes: `Some(0)` pins spilling
-    /// off, `Some(n)` on; `None` defers to `SLX_ENGINE_MEM_BUDGET`.
+    /// `Some(0)` pins spilling off, `Some(n)` on.
     mem_budget: Option<usize>,
-    /// Explicit spill directory; `None` defers to `SLX_ENGINE_SPILL_DIR`,
-    /// then to the system temp directory.
     spill_dir: Option<PathBuf>,
-    /// Explicit spill-chunk record encoding; `None` defers to
-    /// `SLX_ENGINE_SPILL_CODEC` (`delta`, `plain`, or `replay`), then to
-    /// [`SpillCodec::Delta`].
     spill_codec: Option<SpillCodec>,
-    /// Explicit symmetry-reduction request: `Some(false)` pins reduction
-    /// off, `Some(true)` asks for it; `None` defers to
-    /// `SLX_ENGINE_SYMMETRY`. Reduction only activates on spaces that
-    /// advertise [`StateSpace::has_symmetry_reduction`].
     symmetry: Option<bool>,
-    /// Explicit checkpoint-store directory; `None` defers to
-    /// `SLX_ENGINE_CHECKPOINT_DIR` (checkpointing is off when neither is
-    /// set).
-    checkpoint_dir: Option<PathBuf>,
-    /// Explicit checkpoint cadence in BFS levels; `None` defers to
-    /// `SLX_ENGINE_CHECKPOINT_EVERY`, then to every level.
-    checkpoint_every: Option<usize>,
-    /// Directory holding the committed checkpoint a run should resume
-    /// from ([`Checker::resume`]); `None` starts fresh.
+    /// Checkpoint-store directory and cadence in BFS levels.
+    checkpoint: Option<(PathBuf, usize)>,
     resume_from: Option<PathBuf>,
-    /// Explicit fault-injection plan; `None` defers to
-    /// `SLX_ENGINE_FAULT_PLAN` (fault injection is off when neither is
-    /// set).
     fault_plan: Option<FaultPlan>,
+}
+
+/// Everything one run is configured by, as [`Checker::resolve`] decided
+/// it: each field is the builder's pin if there was one, else the
+/// `SLX_ENGINE_*` environment variable, else the default. Read-only — a
+/// run resolves its own; this is how callers and tests observe what a
+/// checker *will* do without running it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct RunConfig {
+    /// Worker threads (1 on the DFS backend).
+    pub threads: usize,
+    /// Requested BFS visited-set shard count, before rounding up to a
+    /// power of two: [`Checker::with_shards`], else `SLX_ENGINE_SHARDS`,
+    /// else four per thread (so the merge phase keeps every worker busy
+    /// even with uneven shard occupancy) capped at 256 — past that the
+    /// per-shard sets are too sparse to help; the explicit knobs go up
+    /// to 4096.
+    pub shards: usize,
+    /// Cap on states expanded ([`Checker::with_budget`]).
+    pub config_budget: Option<usize>,
+    /// Frontier memory budget in bytes; `None` means spilling is off
+    /// ([`Checker::with_mem_budget`], else `SLX_ENGINE_MEM_BUDGET`; `0`
+    /// in either pins it off).
+    pub mem_budget: Option<usize>,
+    /// Spill-chunk record encoding ([`Checker::with_spill_codec`], else
+    /// `SLX_ENGINE_SPILL_CODEC`, else delta).
+    pub spill_codec: SpillCodec,
+    /// Where spill files go ([`Checker::with_spill_dir`], else
+    /// `SLX_ENGINE_SPILL_DIR`, else the system temp directory). `None`
+    /// exactly when `mem_budget` is: a run that cannot spill looks
+    /// nothing up.
+    pub spill_dir: Option<PathBuf>,
+    /// Whether symmetry reduction is *asked for*
+    /// ([`Checker::with_symmetry`], else `SLX_ENGINE_SYMMETRY`); it only
+    /// activates on spaces advertising
+    /// [`StateSpace::has_symmetry_reduction`].
+    pub symmetry: bool,
+    /// Checkpoint-store directory and cadence in BFS levels
+    /// ([`Checker::with_checkpoint`] / [`Checker::resume`] only — there
+    /// is deliberately no environment variable: an ambient directory
+    /// would have every run in the process commit over one image).
+    pub checkpoint: Option<(PathBuf, usize)>,
+    /// Directory of the committed image to resume from
+    /// ([`Checker::resume`]).
+    pub resume_from: Option<PathBuf>,
+    /// Fault-injection plan ([`Checker::with_fault_plan`], else
+    /// `SLX_ENGINE_FAULT_PLAN`); `None` leaves every fault seam an
+    /// inline no-op.
+    pub fault_plan: Option<FaultPlan>,
 }
 
 /// Fingerprint of one exploration's identity: the space's Rust type name
@@ -123,10 +156,24 @@ const PAR_MIN_FRONTIER: usize = 128;
 const PAR_MIN_DEDUP: usize = 4096;
 
 impl Checker {
+    fn on(backend: Backend) -> Self {
+        Checker {
+            backend,
+            config_budget: None,
+            shards: None,
+            mem_budget: None,
+            spill_dir: None,
+            spill_codec: None,
+            symmetry: None,
+            checkpoint: None,
+            resume_from: None,
+            fault_plan: None,
+        }
+    }
+
     /// A checker on the parallel BFS backend, sized to the machine
     /// (`std::thread::available_parallelism`, overridable via the
-    /// `SLX_ENGINE_THREADS` environment variable; visited-set shard count
-    /// via `SLX_ENGINE_SHARDS`).
+    /// `SLX_ENGINE_THREADS` environment variable).
     ///
     /// # Panics
     ///
@@ -144,39 +191,15 @@ impl Checker {
     /// A checker on the parallel BFS backend with an explicit thread count.
     #[must_use]
     pub fn parallel_bfs(threads: usize) -> Self {
-        Checker {
-            backend: Backend::ParallelBfs {
-                threads: threads.max(1),
-            },
-            config_budget: None,
-            shards: None,
-            mem_budget: None,
-            spill_dir: None,
-            spill_codec: None,
-            symmetry: None,
-            checkpoint_dir: None,
-            checkpoint_every: None,
-            resume_from: None,
-            fault_plan: None,
-        }
+        Checker::on(Backend::ParallelBfs {
+            threads: threads.max(1),
+        })
     }
 
     /// A checker on the sequential DFS backend.
     #[must_use]
     pub fn sequential_dfs() -> Self {
-        Checker {
-            backend: Backend::SequentialDfs,
-            config_budget: None,
-            shards: None,
-            mem_budget: None,
-            spill_dir: None,
-            spill_codec: None,
-            symmetry: None,
-            checkpoint_dir: None,
-            checkpoint_every: None,
-            resume_from: None,
-            fault_plan: None,
-        }
+        Checker::on(Backend::SequentialDfs)
     }
 
     /// Caps the number of states expanded; hitting the cap marks the run
@@ -197,24 +220,6 @@ impl Checker {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
         self
-    }
-
-    /// The BFS visited-set shard count this checker will use with
-    /// `threads` workers: explicit [`Checker::with_shards`] value, else
-    /// `SLX_ENGINE_SHARDS`, else four shards per thread (so the merge
-    /// phase keeps every worker busy even with uneven shard occupancy),
-    /// capped at 256 on the autodetected path — past that the per-shard
-    /// sets are too sparse to help; the explicit knobs go up to 4096.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed `SLX_ENGINE_SHARDS` value (see
-    /// [`knobs::Knob::usize_value`]).
-    #[must_use]
-    pub fn resolve_shards(&self, threads: usize) -> usize {
-        self.shards
-            .or_else(|| knobs::SLX_ENGINE_SHARDS.usize_value())
-            .unwrap_or_else(|| threads.max(1).saturating_mul(4).min(256))
     }
 
     /// Bounds the BFS frontier's resident footprint to roughly `bytes`
@@ -254,10 +259,13 @@ impl Checker {
     /// [`SpillCodec::Plain`] (every record self-contained; the
     /// comparison arm), or [`SpillCodec::Replay`] (records store parent
     /// states plus child action indices and the replay *regenerates* the
-    /// children by re-expanding the parent — no per-child codec work;
-    /// the fastest arm wherever expansion is cheaper than decoding,
-    /// which the Figure 1a consensus workload's deep rows are). Verdicts,
-    /// findings, and every count except the spill-volume and
+    /// children by re-expanding the parent — no per-child codec work,
+    /// but one extra expansion per spilled parent, which has cost more
+    /// than the decoding it saves on every workload measured so far:
+    /// 1.1–1.4x delta's time on the deep consensus row and 1.4–1.7x on
+    /// the wide, dedup-free automata enumeration it was built for
+    /// (single traced runs; see EXPERIMENTS.md).
+    /// Verdicts, findings, and every count except the spill-volume and
     /// replay-accounting statistics are identical under all three.
     /// Without this knob the `SLX_ENGINE_SPILL_CODEC` environment
     /// variable (`delta` / `plain` / `replay`) is honored, falling back
@@ -266,26 +274,6 @@ impl Checker {
     pub fn with_spill_codec(mut self, codec: SpillCodec) -> Self {
         self.spill_codec = Some(codec);
         self
-    }
-
-    /// The spill-chunk record encoding this checker will use.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized `SLX_ENGINE_SPILL_CODEC` value: the
-    /// variable exists to pin comparison arms, and a typo silently
-    /// falling back to the default would make e.g. a "plain codec" CI
-    /// arm green-light while re-testing the delta path.
-    #[must_use]
-    pub fn resolve_spill_codec(&self) -> SpillCodec {
-        self.spill_codec
-            .or_else(|| match knobs::SLX_ENGINE_SPILL_CODEC.choice_value() {
-                Some("plain") => Some(SpillCodec::Plain),
-                Some("delta") => Some(SpillCodec::Delta),
-                Some("replay") => Some(SpillCodec::Replay),
-                _ => None,
-            })
-            .unwrap_or_default()
     }
 
     /// Pins symmetry reduction on or off: when on (and the space
@@ -305,43 +293,6 @@ impl Checker {
         self
     }
 
-    /// Whether this checker will *ask* for symmetry reduction (it still
-    /// only activates on spaces advertising the capability): the explicit
-    /// [`Checker::with_symmetry`] value, else `SLX_ENGINE_SYMMETRY`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized `SLX_ENGINE_SYMMETRY` value, for the
-    /// same reason [`Checker::resolve_spill_codec`] does: the variable
-    /// pins CI arms, and a typo silently meaning "off" would green-light
-    /// a "reduced" arm that re-tested the unreduced path.
-    #[must_use]
-    pub fn resolve_symmetry(&self) -> bool {
-        self.symmetry
-            .unwrap_or_else(|| knobs::SLX_ENGINE_SYMMETRY.flag_value().unwrap_or(false))
-    }
-
-    /// The frontier memory budget this checker will spill under, if any:
-    /// the explicit [`Checker::with_mem_budget`] value (`0` meaning
-    /// "never spill"), else a positive `SLX_ENGINE_MEM_BUDGET` (`0`
-    /// likewise pinning spilling off).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed `SLX_ENGINE_MEM_BUDGET` value (see
-    /// [`knobs::Knob::usize_value`]; zero is allowed here — it is the
-    /// documented "spilling off" pin, not a typo).
-    #[must_use]
-    pub fn resolve_mem_budget(&self) -> Option<usize> {
-        match self.mem_budget {
-            Some(0) => None,
-            Some(bytes) => Some(bytes),
-            None => knobs::SLX_ENGINE_MEM_BUDGET
-                .usize_value()
-                .filter(|&n| n > 0),
-        }
-    }
-
     /// Arms the deterministic fault-injection plane with an explicit
     /// [`FaultPlan`]: the BFS backend's spill, checkpoint, and retry
     /// paths then draw injected I/O faults (ENOSPC, EINTR, short and
@@ -356,45 +307,20 @@ impl Checker {
         self
     }
 
-    /// The fault-injection plane this checker will run under: armed with
-    /// the explicit [`Checker::with_fault_plan`] plan, else with a plan
-    /// parsed from `SLX_ENGINE_FAULT_PLAN`, else disarmed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed `SLX_ENGINE_FAULT_PLAN` value, for the same
-    /// reason [`Checker::resolve_spill_codec`] does: the variable pins
-    /// fault-soak CI arms, and a typo silently meaning "off" would
-    /// green-light a soak arm that injected nothing.
-    #[must_use]
-    pub fn resolve_fault_plane(&self) -> FaultPlane {
-        let plan = self.fault_plan.clone().or_else(|| {
-            knobs::SLX_ENGINE_FAULT_PLAN.text_value().map(|text| {
-                FaultPlan::parse(&text)
-                    .unwrap_or_else(|err| panic!("malformed SLX_ENGINE_FAULT_PLAN: {err}"))
-            })
-        });
-        match plan {
-            Some(plan) => FaultPlane::armed(plan),
-            None => FaultPlane::disabled(),
-        }
-    }
-
     /// Turns on crash-tolerant checkpointing: every `every_n_levels` BFS
     /// levels (clamped to at least 1) the checker commits its complete
     /// resumable image — visited digests, frontier, findings, counters,
-    /// and a validated run-config header — to `dir` with atomic
-    /// rename-commit semantics (see [`CheckpointStore`]). A later
-    /// [`Checker::resume`] on the same directory continues the run
+    /// and a validated run-config header — to `dir` (created if absent)
+    /// with atomic rename-commit semantics (see [`CheckpointStore`]). A
+    /// later [`Checker::resume`] on the same directory continues the run
     /// bit-identically in verdict, state counts, and truncation flags.
-    /// Without this knob the `SLX_ENGINE_CHECKPOINT_DIR` and
-    /// `SLX_ENGINE_CHECKPOINT_EVERY` environment variables are honored.
-    /// The DFS backend ignores checkpointing (its stack is depth-bounded
-    /// and never persisted).
+    /// This builder is the only way in: a checkpoint directory names one
+    /// run's image, so it is never taken from the environment. The DFS
+    /// backend ignores checkpointing (its stack is depth-bounded and
+    /// never persisted).
     #[must_use]
     pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, every_n_levels: usize) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        self.checkpoint_every = Some(every_n_levels.max(1));
+        self.checkpoint = Some((dir.into(), every_n_levels.max(1)));
         self
     }
 
@@ -404,68 +330,21 @@ impl Checker {
     /// configuration and the space + initial states handed to
     /// [`Checker::run`] — any mismatch is a hard error ([`RunHeader`]'s
     /// validation), never a silently different answer. Checkpointing
-    /// continues into the same directory unless
-    /// [`Checker::with_checkpoint`] pinned another one. Use
-    /// [`CheckpointStore::exists`] as the "resume or start fresh?" probe.
+    /// continues into the same directory, every level, unless
+    /// [`Checker::with_checkpoint`] pinned another directory or cadence.
+    /// Use [`CheckpointStore::exists`] as the "resume or start fresh?"
+    /// probe.
     ///
     /// Resuming requires the parallel BFS backend; the run panics on the
     /// DFS backend, which has no checkpoint store.
     #[must_use]
     pub fn resume(mut self, dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
-        if self.checkpoint_dir.is_none() {
-            self.checkpoint_dir = Some(dir.clone());
+        if self.checkpoint.is_none() {
+            self.checkpoint = Some((dir.clone(), 1));
         }
         self.resume_from = Some(dir);
         self
-    }
-
-    /// The checkpoint store this checker will commit through, if any:
-    /// the explicit [`Checker::with_checkpoint`] directory, else
-    /// `SLX_ENGINE_CHECKPOINT_DIR`; cadence from the explicit value, else
-    /// `SLX_ENGINE_CHECKPOINT_EVERY`, else every level. Creates the
-    /// directory if needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed `SLX_ENGINE_CHECKPOINT_EVERY` value (see
-    /// [`knobs::Knob::usize_value`]) or an uncreatable directory.
-    fn resolve_checkpoint(&self) -> Option<CheckpointStore> {
-        let dir = self
-            .checkpoint_dir
-            .clone()
-            .or_else(|| knobs::SLX_ENGINE_CHECKPOINT_DIR.path_value())?;
-        let every = self
-            .checkpoint_every
-            .or_else(|| knobs::SLX_ENGINE_CHECKPOINT_EVERY.usize_value())
-            .unwrap_or(1);
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|err| panic!("cannot create checkpoint dir {}: {err}", dir.display()));
-        Some(CheckpointStore::new(dir, every))
-    }
-
-    /// Resolves the spill configuration for one BFS run, creating the
-    /// spill directory if needed. Each of the two frontiers alive at a
-    /// time (level being consumed, level being built) keeps its encode
-    /// buffer below half the budget.
-    fn resolve_spill(&self) -> Option<SpillConfig> {
-        let budget = self.resolve_mem_budget()?;
-        let dir = self
-            .spill_dir
-            .clone()
-            .or_else(|| knobs::SLX_ENGINE_SPILL_DIR.path_value())
-            .unwrap_or_else(std::env::temp_dir);
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|err| panic!("cannot create spill dir {}: {err}", dir.display()));
-        // The 16-byte floor keeps a degenerate budget from flushing a
-        // chunk per record; it is low because records are small now that
-        // digests are not stored (a grid-walk record is two varint
-        // bytes), and the test suites rely on tiny budgets spilling.
-        Some(SpillConfig::new(
-            (budget / 2).max(16),
-            self.resolve_spill_codec(),
-            dir,
-        ))
     }
 
     /// The configured backend.
@@ -474,13 +353,75 @@ impl Checker {
         self.backend
     }
 
+    /// Decides every setting of the next run: the builder's pin if there
+    /// is one, else the `SLX_ENGINE_*` environment variable, else the
+    /// default (see [`RunConfig`] for each field's chain). Every run
+    /// calls this exactly once, and it is the only place a run reads the
+    /// environment. It touches no file system: directories are created
+    /// when the run sets up.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and the offending value, on a
+    /// malformed `SLX_ENGINE_SHARDS`, `SLX_ENGINE_MEM_BUDGET`,
+    /// `SLX_ENGINE_SPILL_CODEC`, `SLX_ENGINE_SYMMETRY` or
+    /// `SLX_ENGINE_FAULT_PLAN` that no builder pin shadows (see
+    /// [`knobs`]): these variables pin CI comparison arms, and a typo
+    /// silently meaning "default" would green-light an arm that
+    /// re-tested the wrong configuration.
+    #[must_use]
+    pub fn resolve(&self) -> RunConfig {
+        let threads = match self.backend {
+            Backend::ParallelBfs { threads } => threads,
+            Backend::SequentialDfs => 1,
+        };
+        let mem_budget = self
+            .mem_budget
+            .or_else(|| knobs::SLX_ENGINE_MEM_BUDGET.usize_value())
+            .filter(|&bytes| bytes > 0);
+        RunConfig {
+            threads,
+            shards: self
+                .shards
+                .or_else(|| knobs::SLX_ENGINE_SHARDS.usize_value())
+                .unwrap_or_else(|| threads.saturating_mul(4).min(256)),
+            config_budget: self.config_budget,
+            mem_budget,
+            spill_codec: self.spill_codec.unwrap_or_else(|| {
+                match knobs::SLX_ENGINE_SPILL_CODEC.choice_value() {
+                    Some("plain") => SpillCodec::Plain,
+                    Some("replay") => SpillCodec::Replay,
+                    _ => SpillCodec::Delta,
+                }
+            }),
+            spill_dir: mem_budget.map(|_| {
+                self.spill_dir
+                    .clone()
+                    .or_else(|| knobs::SLX_ENGINE_SPILL_DIR.path_value())
+                    .unwrap_or_else(std::env::temp_dir)
+            }),
+            symmetry: self
+                .symmetry
+                .or_else(|| knobs::SLX_ENGINE_SYMMETRY.flag_value())
+                .unwrap_or(false),
+            checkpoint: self.checkpoint.clone(),
+            resume_from: self.resume_from.clone(),
+            fault_plan: self.fault_plan.clone().or_else(|| {
+                knobs::SLX_ENGINE_FAULT_PLAN.text_value().map(|text| {
+                    FaultPlan::parse(&text)
+                        .unwrap_or_else(|err| panic!("malformed SLX_ENGINE_FAULT_PLAN: {err}"))
+                })
+            }),
+        }
+    }
+
     /// Explores the space exhaustively from `initial`.
     ///
     /// # Panics
     ///
-    /// Panics on an I/O failure the hardened spill/checkpoint paths
-    /// could not absorb (see [`Checker::try_run`] for the fallible
-    /// form and [`EngineError`] for what can go wrong).
+    /// Panics with the rendered [`EngineError`] on an I/O failure the
+    /// hardened spill/checkpoint paths could not absorb (see
+    /// [`Checker::try_run_observed`] for the fallible form).
     pub fn run<Sp>(&self, space: &Sp, initial: Vec<Sp::State>) -> KernelOutcome<Sp::Finding>
     where
         Sp: StateSpace + Sync,
@@ -490,30 +431,11 @@ impl Checker {
         self.run_until(space, initial, |_| false)
     }
 
-    /// [`Checker::run`], returning the typed [`EngineError`] instead of
-    /// panicking when the exploration's I/O gives out: transient spill
-    /// and checkpoint errors are retried with bounded backoff, an
-    /// out-of-space spill directory degrades to a capped resident
-    /// frontier, and only a fault that survives all of that surfaces
-    /// here — with the path and operation named, never a torn image or a
-    /// leaked spill file.
-    pub fn try_run<Sp>(
-        &self,
-        space: &Sp,
-        initial: Vec<Sp::State>,
-    ) -> Result<KernelOutcome<Sp::Finding>, EngineError>
-    where
-        Sp: StateSpace + Sync,
-        Sp::State: DeltaCodec,
-        Sp::Finding: StateCodec,
-    {
-        self.try_run_until(space, initial, |_| false)
-    }
-
     /// Explores the space from `initial`, stopping early once `stop`
     /// returns `true` on the findings accumulated so far. `stop` is
     /// invoked (in deterministic exploration order) after each expansion
-    /// that contributed at least one new finding.
+    /// that contributed at least one new finding. Panics like
+    /// [`Checker::run`].
     pub fn run_until<Sp>(
         &self,
         space: &Sp,
@@ -528,22 +450,6 @@ impl Checker {
         self.run_observed(space, initial, stop, |_, _| true)
     }
 
-    /// [`Checker::run_until`] in the fallible form: see
-    /// [`Checker::try_run`].
-    pub fn try_run_until<Sp>(
-        &self,
-        space: &Sp,
-        initial: Vec<Sp::State>,
-        stop: impl FnMut(&[Sp::Finding]) -> bool,
-    ) -> Result<KernelOutcome<Sp::Finding>, EngineError>
-    where
-        Sp: StateSpace + Sync,
-        Sp::State: DeltaCodec,
-        Sp::Finding: StateCodec,
-    {
-        self.try_run_observed(space, initial, stop, |_, _| true)
-    }
-
     /// [`Checker::run_until`] with a progress observer: `progress` is
     /// invoked with the current depth and a lifetime statistics snapshot
     /// (counters so far, `elapsed` filled in) at every BFS level boundary
@@ -554,7 +460,8 @@ impl Checker {
     /// and reports `stopped_early`, exactly like a firing stop predicate.
     /// A checkpointed run cancelled this way resumes from its last
     /// committed image; this is the long-running check service's
-    /// progress-streaming and per-request cancellation hook.
+    /// progress-streaming and per-request cancellation hook. Panics like
+    /// [`Checker::run`].
     pub fn run_observed<Sp>(
         &self,
         space: &Sp,
@@ -571,540 +478,699 @@ impl Checker {
             .unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// [`Checker::run_observed`] in the fallible form: see
-    /// [`Checker::try_run`].
+    /// The one run path: [`Checker::run_observed`], returning the typed
+    /// [`EngineError`] instead of panicking when the exploration's I/O
+    /// gives out. Transient spill and checkpoint errors are retried with
+    /// bounded backoff, an out-of-space spill directory degrades to a
+    /// capped resident frontier, and only a fault that survives all of
+    /// that — or a spill/checkpoint directory that cannot be created, or
+    /// an unusable image to resume from — surfaces here, with the path
+    /// and operation named, never a torn image or a leaked spill file.
+    /// Pass `|_| false` and `|_, _| true` for a plain exhaustive run.
     pub fn try_run_observed<Sp>(
         &self,
         space: &Sp,
         initial: Vec<Sp::State>,
-        stop: impl FnMut(&[Sp::Finding]) -> bool,
-        progress: impl FnMut(usize, &ExploreStats) -> bool,
+        mut stop: impl FnMut(&[Sp::Finding]) -> bool,
+        mut progress: impl FnMut(usize, &ExploreStats) -> bool,
     ) -> Result<KernelOutcome<Sp::Finding>, EngineError>
     where
         Sp: StateSpace + Sync,
         Sp::State: DeltaCodec,
         Sp::Finding: StateCodec,
     {
+        let config = self.resolve();
         match self.backend {
-            Backend::ParallelBfs { threads } => {
-                self.run_bfs(space, initial, threads, stop, progress)
+            Backend::ParallelBfs { .. } => {
+                let mut run = BfsRun::set_up(space, config, initial)?;
+                run.explore(&mut stop, &mut progress)?;
+                Ok(run.finish())
             }
             Backend::SequentialDfs => {
                 assert!(
-                    self.resume_from.is_none(),
+                    config.resume_from.is_none(),
                     "Checker::resume requires the parallel BFS backend: the DFS \
                      backend has no checkpoint store, so \"resuming\" it would \
                      silently restart from scratch"
                 );
                 // DFS never spills and never checkpoints, so it has no
                 // fallible I/O to report.
-                Ok(self.run_dfs(space, initial, stop, progress))
+                Ok(run_dfs(space, &config, initial, stop, progress))
             }
         }
     }
+}
 
-    fn run_bfs<Sp>(
-        &self,
-        space: &Sp,
+/// The lifetime part of every statistics report. A resumed run continues
+/// earlier segments whose wall-clock and fault counts its image carries
+/// (zero for a fresh run), while this segment's stopwatch and fault
+/// plane start at zero — so every report (checkpoint image, progress
+/// snapshot, final outcome) is the priors plus the segment's own, and
+/// derived rates divide lifetime configs by lifetime time instead of
+/// lying after a resume.
+struct Lifetime {
+    start: Stopwatch,
+    plane: FaultPlane,
+    prior_elapsed: Duration,
+    prior_faults: u64,
+    prior_retries: u64,
+}
+
+impl Lifetime {
+    fn stamp(&self, stats: &mut ExploreStats) {
+        stats.elapsed = self.prior_elapsed + self.start.elapsed();
+        stats.faults_injected = self.prior_faults + self.plane.faults_injected();
+        stats.io_retries = self.prior_retries + self.plane.io_retries();
+    }
+}
+
+/// The digest an *initial* state dedups on: canonical under symmetry
+/// reduction (recording the exact digest on the side, see
+/// [`BfsRun::exact_seen`]), exact otherwise. Successors get theirs at
+/// push time inside [`Expansion`].
+fn seed_digest<Sp: StateSpace + ?Sized>(
+    space: &Sp,
+    state: &Sp::State,
+    symmetry: bool,
+    exact_seen: &mut DetHashSet<u128>,
+) -> Digest {
+    if symmetry {
+        exact_seen.insert(space.digest(state).0);
+        space.canonical_digest(state)
+    } else {
+        space.digest(state)
+    }
+}
+
+/// Run set-up's spill half: creates the spill directory and sizes the
+/// chunks. Each of the two frontiers alive at a time (level being
+/// consumed, level being built) keeps its encode buffer below half the
+/// budget.
+fn open_spill(config: &RunConfig, plane: &FaultPlane) -> Result<Option<SpillConfig>, EngineError> {
+    let (Some(budget), Some(dir)) = (config.mem_budget, &config.spill_dir) else {
+        return Ok(None);
+    };
+    std::fs::create_dir_all(dir).map_err(|err| EngineError::SpillIo {
+        path: dir.clone(),
+        op: "create",
+        msg: err.to_string(),
+    })?;
+    // The 16-byte floor keeps a degenerate budget from flushing a chunk
+    // per record; it is low because records are small now that digests
+    // are not stored (a grid-walk record is two varint bytes), and the
+    // test suites rely on tiny budgets spilling.
+    let chunk_bytes = (budget / 2).max(16);
+    Ok(Some(
+        SpillConfig::new(chunk_bytes, config.spill_codec, dir.clone())
+            .with_fault_plane(plane.clone()),
+    ))
+}
+
+/// One BFS run's state: [`BfsRun::set_up`] → [`BfsRun::explore`], the
+/// level pipeline whose stages are the methods below → [`BfsRun::finish`].
+struct BfsRun<'a, Sp: StateSpace> {
+    space: &'a Sp,
+    config: RunConfig,
+    /// Whether symmetry reduction is *active*: asked for and advertised
+    /// by the space.
+    symmetry: bool,
+    /// At the top of the level loop, the level about to be expanded;
+    /// during a level's expansion, the next level being built. Declared
+    /// (so dropped) ahead of the visited sets, as the states were when
+    /// they were locals of one function: the allocator's heap trimming
+    /// proved sensitive to that order (2.4x the page faults on the
+    /// adversary's thousand small runs the other way round).
+    frontier: SpillFrontier<Sp::State>,
+    /// The spill settings every frontier of the run is built with.
+    spill: Option<SpillConfig>,
+    /// The checkpoint store and the run-config header every committed
+    /// image carries — and every resume is validated against.
+    checkpoint: Option<(CheckpointStore, RunHeader)>,
+    lifetime: Lifetime,
+    /// Fingerprint-only visited set, sharded by digest range. BFS
+    /// enqueues every state at its minimal depth by construction, so no
+    /// depth needs to be stored. Under symmetry reduction it holds
+    /// *canonical* digests — one entry per orbit.
+    visited: ShardedVisited,
+    /// Exact-digest side set, maintained only under symmetry reduction,
+    /// so `orbit_hits` can tell a *symmetry* dedup (canonical digest
+    /// seen, exact digest fresh — a distinct state collapsed into an
+    /// explored orbit) from an ordinary re-encounter of the same state.
+    /// Canonical and exact digests live in different hash domains, so
+    /// comparing their values is meaningless; a second set is the only
+    /// exact accounting.
+    exact_seen: DetHashSet<u128>,
+    depth: usize,
+    /// `shard_occupancy` counts digests *accepted by the deterministic
+    /// merge* (not raw set sizes): the batched path pre-inserts a whole
+    /// level before merging, so on an early stop the set itself may hold
+    /// successors the merge never reached — counting acceptances keeps
+    /// the reported occupancy identical across thread counts and dedup
+    /// paths.
+    stats: ExploreStats,
+    findings: Vec<Sp::Finding>,
+}
+
+impl<'a, Sp> BfsRun<'a, Sp>
+where
+    Sp: StateSpace + Sync,
+    Sp::State: DeltaCodec,
+    Sp::Finding: StateCodec,
+{
+    /// Opens the run's I/O seams — fault plane, spill directory,
+    /// checkpoint store — and installs its starting state: the committed
+    /// image when resuming, else the deduplicated `initial` states.
+    fn set_up(
+        space: &'a Sp,
+        config: RunConfig,
         initial: Vec<Sp::State>,
-        threads: usize,
-        mut stop: impl FnMut(&[Sp::Finding]) -> bool,
-        mut progress: impl FnMut(usize, &ExploreStats) -> bool,
-    ) -> Result<KernelOutcome<Sp::Finding>, EngineError>
-    where
-        Sp: StateSpace + Sync,
-        Sp::State: DeltaCodec,
-        Sp::Finding: StateCodec,
-    {
+    ) -> Result<Self, EngineError> {
         let start = Stopwatch::start();
-        // The fault-injection plane (disarmed outside the robustness
-        // suites — every seam is then an inline no-op) threads into the
-        // spill pool and the checkpoint store, the two places this run
-        // touches a file system.
-        let plane = self.resolve_fault_plane();
-        let spill = self
-            .resolve_spill()
-            .map(|config| config.with_fault_plane(plane.clone()));
-        let symmetry = self.resolve_symmetry() && space.has_symmetry_reduction();
-        // The checkpoint store (if any) and the run-config header every
-        // committed image carries — and every resume is validated
-        // against. Built only when checkpointing or resuming is active:
-        // the fingerprint digests the initial states, work a plain run
-        // never needs.
-        let store = self
-            .resolve_checkpoint()
-            .map(|store| store.with_fault_plane(plane.clone()));
-        // Fingerprint-only visited set, sharded by digest range. BFS
-        // enqueues every state at its minimal depth by construction, so no
-        // depth needs to be stored. Under symmetry reduction it holds
-        // *canonical* digests — one entry per orbit.
-        let mut visited = ShardedVisited::new(self.resolve_shards(threads));
-        let shard_count = visited.shard_count();
-        let header = (store.is_some() || self.resume_from.is_some()).then(|| RunHeader {
-            space_fingerprint: space_fingerprint(space, &initial),
-            codec: self.resolve_spill_codec(),
-            symmetry,
-            shards: shard_count,
-            config_budget: self.config_budget,
-            mem_budget: self.resolve_mem_budget(),
-        });
-        let mut stats = ExploreStats {
-            threads,
-            shards: shard_count,
-            mem_budget: self.resolve_mem_budget(),
-            symmetry,
-            ..ExploreStats::default()
-        };
-        let mut findings: Vec<Sp::Finding> = Vec::new();
-        // Exact-digest side set, maintained only under symmetry reduction,
-        // so `orbit_hits` can tell a *symmetry* dedup (canonical digest
-        // seen, exact digest fresh — a distinct state collapsed into an
-        // explored orbit) from an ordinary re-encounter of the same state.
-        // Canonical and exact digests live in different hash domains, so
-        // comparing their values is meaningless; a second set is the only
-        // exact accounting.
-        let mut exact_seen: DetHashSet<u128> = DetHashSet::default();
-        // Per-shard counts of digests *accepted by the deterministic
-        // merge* (not raw set sizes): the batched path pre-inserts a whole
-        // level before merging, so on an early stop the set itself may
-        // hold successors the merge never reached — counting acceptances
-        // keeps the reported occupancy identical across thread counts and
-        // dedup paths.
-        let mut occupancy = vec![0usize; shard_count];
-
-        // Parents re-expanded by replay regeneration across the whole run
-        // (a `Cell` so the per-level regenerator closures can share it
-        // with the loop below).
-        let replayed = std::cell::Cell::new(0usize);
-        let mut frontier: SpillFrontier<Sp::State> = SpillFrontier::new(spill.clone());
-        let mut depth: usize = 0;
-        // Wall-clock already spent by the segments a resumed run
-        // continues (zero for a fresh run). `stats.elapsed` always
-        // reports `prior_elapsed + start.elapsed()` — the *lifetime*
-        // wall-clock — so derived rates divide lifetime configs by
-        // lifetime time instead of lying after a resume.
-        let mut prior_elapsed = std::time::Duration::default();
-        // The level a resumed run re-entered at: its checkpoint is already
-        // on disk, so the cadence check below skips rewriting it.
-        let mut resumed_at: Option<usize> = None;
-        if let Some(dir) = &self.resume_from {
-            // Restore the committed image instead of seeding `initial`:
-            // visited set, exact-seen side set, findings, counters, and
-            // the frontier about to be expanded. The header validation
-            // inside `load` guarantees the image belongs to this exact
-            // space, configuration, and initial states.
-            let expected = header.as_ref().expect("resuming implies a header");
-            let loaded: LoadedCheckpoint<Sp::State, Sp::Finding> =
-                CheckpointStore::try_load(dir, expected)?;
-            visited = ShardedVisited::from_snapshot(loaded.visited);
-            exact_seen = loaded.exact_seen.into_iter().collect();
-            findings = loaded.findings;
-            depth = loaded.depth;
-            resumed_at = Some(depth);
-            occupancy.clone_from(&loaded.stats.shard_occupancy);
-            replayed.set(loaded.stats.replayed_parents);
-            prior_elapsed = loaded.stats.elapsed;
-            stats = ExploreStats {
-                threads,
-                shards: shard_count,
-                mem_budget: self.resolve_mem_budget(),
-                symmetry,
-                resumed_from_depth: Some(depth),
-                shard_occupancy: Vec::new(),
-                elapsed: std::time::Duration::default(),
-                ..loaded.stats
-            };
-            for state in loaded.frontier {
-                frontier.push(state)?;
+        // Disarmed outside the robustness suites: every seam is then an
+        // inline no-op.
+        let plane = config
+            .fault_plan
+            .clone()
+            .map_or_else(FaultPlane::disabled, FaultPlane::armed);
+        let spill = open_spill(&config, &plane)?;
+        let symmetry = config.symmetry && space.has_symmetry_reduction();
+        let visited = ShardedVisited::new(config.shards);
+        let checkpoint = match &config.checkpoint {
+            Some((dir, every)) => {
+                std::fs::create_dir_all(dir).map_err(|err| EngineError::CheckpointIo {
+                    path: dir.clone(),
+                    op: "create",
+                    msg: err.to_string(),
+                })?;
+                // Built only when checkpointing: the fingerprint digests
+                // the initial states, work a plain run never needs.
+                let header = RunHeader {
+                    space_fingerprint: space_fingerprint(space, &initial),
+                    codec: config.spill_codec,
+                    symmetry,
+                    shards: visited.shard_count(),
+                    config_budget: config.config_budget,
+                    mem_budget: config.mem_budget,
+                };
+                let store = CheckpointStore::new(dir.clone(), *every);
+                Some((store.with_fault_plane(plane.clone()), header))
             }
+            None => None,
+        };
+        // The header validation inside `try_load` guarantees the image
+        // belongs to this exact space, configuration, and initial states.
+        let image: Option<LoadedCheckpoint<Sp::State, Sp::Finding>> =
+            match (&config.resume_from, &checkpoint) {
+                (Some(dir), Some((_, header))) => Some(CheckpointStore::try_load(dir, header)?),
+                _ => None,
+            };
+        let mut run = BfsRun {
+            space,
+            symmetry,
+            frontier: SpillFrontier::new(spill.clone()),
+            spill,
+            checkpoint,
+            lifetime: Lifetime {
+                start,
+                plane,
+                prior_elapsed: Duration::ZERO,
+                prior_faults: 0,
+                prior_retries: 0,
+            },
+            visited,
+            exact_seen: DetHashSet::default(),
+            depth: 0,
+            stats: ExploreStats::default(),
+            findings: Vec::new(),
+            config,
+        };
+        match image {
+            Some(image) => run.restore(image)?,
+            None => run.seed(initial)?,
+        }
+        // This run's identity, over fresh counters and an image's alike.
+        run.stats.threads = run.config.threads;
+        run.stats.shards = run.visited.shard_count();
+        run.stats.mem_budget = run.config.mem_budget;
+        run.stats.symmetry = symmetry;
+        Ok(run)
+    }
+
+    /// Installs a committed image in place of the initial states: visited
+    /// set, exact-seen side set, findings, counters, and the frontier
+    /// about to be expanded. The lifetime totals its counters carry become
+    /// this segment's priors.
+    fn restore(
+        &mut self,
+        image: LoadedCheckpoint<Sp::State, Sp::Finding>,
+    ) -> Result<(), EngineError> {
+        self.visited = ShardedVisited::from_snapshot(image.visited);
+        self.exact_seen = image.exact_seen.into_iter().collect();
+        self.findings = image.findings;
+        self.depth = image.depth;
+        self.stats = image.stats;
+        self.stats.resumed_from_depth = Some(image.depth);
+        self.lifetime.prior_elapsed = self.stats.elapsed;
+        self.lifetime.prior_faults = self.stats.faults_injected;
+        self.lifetime.prior_retries = self.stats.io_retries;
+        for state in image.frontier {
+            self.frontier.push(state)?;
+        }
+        Ok(())
+    }
+
+    fn seed(&mut self, initial: Vec<Sp::State>) -> Result<(), EngineError> {
+        self.stats.shard_occupancy = vec![0; self.visited.shard_count()];
+        for state in initial {
+            let digest = seed_digest(self.space, &state, self.symmetry, &mut self.exact_seen);
+            if self.visited.insert(digest.0) {
+                self.stats.shard_occupancy[self.visited.shard_of(digest.0)] += 1;
+                self.frontier.push(state)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The level pipeline: checkpoint if due → observe → admit/truncate →
+    /// (per chunk: stream → expand → dedup → merge → push).
+    fn explore(
+        &mut self,
+        stop: &mut impl FnMut(&[Sp::Finding]) -> bool,
+        progress: &mut impl FnMut(usize, &ExploreStats) -> bool,
+    ) -> Result<(), EngineError> {
+        while !self.frontier.is_empty() {
+            self.checkpoint_if_due()?;
+            // Observe after the level's checkpoint (if any) committed: a
+            // cancellation here leaves the freshest durable image, so a
+            // cancelled-then-resumed run loses no work.
+            self.lifetime.stamp(&mut self.stats);
+            if !progress(self.depth, &self.stats) {
+                self.abandon();
+                break;
+            }
+            let Some(level) = self.admit() else {
+                break;
+            };
+            if self.expand_into_next(level, stop)? {
+                self.abandon();
+                break;
+            }
+            self.depth += 1;
+        }
+        Ok(())
+    }
+
+    /// Commits a checkpoint at the configured level-boundary cadence,
+    /// before any of this level's work: the image then means "about to
+    /// expand level `depth`", and a resume re-enters the loop right
+    /// here, recomputing the budget truncation and peak accounting from
+    /// restored state — so resume ≡ uninterrupted run, bit for bit. The
+    /// level a resume re-entered at already has its image on disk and is
+    /// skipped.
+    fn checkpoint_if_due(&mut self) -> Result<(), EngineError> {
+        let Some((store, header)) = &self.checkpoint else {
+            return Ok(());
+        };
+        let depth = self.depth;
+        if depth == 0
+            || !depth.is_multiple_of(store.every())
+            || self.stats.resumed_from_depth == Some(depth)
+        {
+            return Ok(());
+        }
+        let snapshot = self
+            .frontier
+            .snapshot_states(&regenerator(self.space, depth - 1))?;
+        let mut exact: Vec<u128> = self.exact_seen.iter().copied().collect();
+        exact.sort_unstable();
+        // Faults drawn *during* this commit land in the next image (and
+        // in the next live stamp), not this one.
+        self.lifetime.stamp(&mut self.stats);
+        // The image counts itself, so restoring it leaves the same
+        // lifetime total the uninterrupted run carries. (A failed commit
+        // fails the run, so the count is never wrong in a reported
+        // outcome.)
+        self.stats.checkpoints_written += 1;
+        // The commit is synchronous: a background-thread fdatasync was
+        // measured to *cost* throughput on single-core hosts (the
+        // committer steals scheduler slices from the exploration
+        // thread), and a detached writer outliving an unwound run is a
+        // hazard besides. The fdatasync is the whole cost — encode and
+        // snapshot measure as free on tmpfs.
+        let image = CheckpointStore::encode_image(
+            header,
+            depth,
+            &self.stats,
+            &self.findings,
+            &self.visited.snapshot(),
+            &exact,
+            &snapshot,
+        );
+        store.commit_bytes(&image)
+    }
+
+    /// Folds the spill I/O `self.frontier` performed into the statistics.
+    /// Every frontier passes through here exactly once, when it is
+    /// retired: consumed by [`BfsRun::admit`] (even if the budget then
+    /// truncates it to nothing) or dropped by [`BfsRun::abandon`].
+    fn retire_frontier(&mut self) {
+        let (stats, frontier) = (&mut self.stats, &self.frontier);
+        stats.spilled_chunks += frontier.spilled_chunks();
+        stats.spilled_bytes += frontier.spilled_bytes();
+        stats.peak_resident_bytes = stats.peak_resident_bytes.max(frontier.peak_window_bytes());
+        // A frontier that hit ENOSPC and finished resident-degraded
+        // counts its level once.
+        stats.degraded_levels += usize::from(frontier.degraded());
+    }
+
+    /// The run ends here by the caller's choice — a cancelling observer
+    /// (the built level dies unexpanded) or a firing stop predicate (the
+    /// half-built next level dies).
+    fn abandon(&mut self) {
+        self.stats.stopped_early = true;
+        self.retire_frontier();
+    }
+
+    /// Admits the level for expansion, leaving an empty next frontier in
+    /// its place. Budget: expand at most `allowed` more states, ever. The
+    /// truncation point is a state count, so it cuts the same frontier
+    /// prefix whether the tail is resident or spilled. `None` when the
+    /// budget leaves nothing to expand.
+    fn admit(&mut self) -> Option<SpillFrontier<Sp::State>> {
+        self.retire_frontier();
+        if let Some(budget) = self.config.config_budget {
+            let allowed = budget.saturating_sub(self.stats.configs);
+            if self.frontier.len() > allowed {
+                self.frontier.truncate(allowed);
+                self.stats.truncated = true;
+                if self.frontier.is_empty() {
+                    return None;
+                }
+            }
+        }
+        self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier.len());
+        let next = SpillFrontier::new(self.spill.clone());
+        Some(std::mem::replace(&mut self.frontier, next))
+    }
+
+    /// Streams `level` back chunk by chunk (one chunk, the whole level,
+    /// without a memory budget) and runs each through expand → dedup →
+    /// merge: the peak resident decoded state count stays bounded by the
+    /// chunk size while the next frontier spills its own cold chunks as
+    /// it grows. Chunks replay in frontier order, so the merge sees
+    /// exactly the sequence the unspilled kernel would. Returns whether
+    /// the stop predicate fired.
+    fn expand_into_next(
+        &mut self,
+        level: SpillFrontier<Sp::State>,
+        stop: &mut impl FnMut(&[Sp::Finding]) -> bool,
+    ) -> Result<bool, EngineError> {
+        // The parents of this level's states were expanded at the
+        // previous depth; replay regeneration must use the same depth to
+        // reproduce the push order the indices refer to
+        // (`saturating_sub`: the depth-0 frontier holds only literal
+        // records, so the value is never consulted there).
+        let regen = regenerator(self.space, self.depth.saturating_sub(1));
+        let mut chunks = level.into_chunks();
+        let mut stopped = false;
+        while !stopped {
+            let Some(chunk) = chunks.next_chunk(&regen)? else {
+                break;
+            };
+            self.stats.peak_resident_states = self.stats.peak_resident_states.max(chunk.len());
+            let threads = self.config.threads;
+            let expansions = expand_level(self.space, &chunk, self.depth, threads, self.symmetry);
+            let fresh = self.dedup_batched(&expansions);
+            stopped = self.merge(chunk, expansions, fresh.as_deref(), stop)?;
+        }
+        self.stats.replayed_parents += chunks.regenerated_parents();
+        Ok(stopped)
+    }
+
+    /// Large chunks dedup in parallel before the merge: successors are
+    /// routed to their shards in frontier order, then each worker inserts
+    /// its own contiguous shard range lock-free. Routing depends only on
+    /// digests and inserts follow frontier order within each shard, so
+    /// the fresh/duplicate bits — and everything downstream of them —
+    /// match the inline path exactly, for every thread, shard, and chunk
+    /// partition. `None` leaves the inserts to the merge.
+    fn dedup_batched(&mut self, expansions: &[Parts<Sp>]) -> Option<Vec<Vec<bool>>> {
+        let (threads, shard_count) = (self.config.threads, self.visited.shard_count());
+        let total_succs: usize = expansions.iter().map(|parts| parts.succs.len()).sum();
+        if threads > 1 && shard_count > 1 && total_succs >= PAR_MIN_DEDUP {
+            let mut batches: Vec<Vec<u128>> = vec![Vec::new(); shard_count];
+            for parts in expansions {
+                for (_, digest) in &parts.succs {
+                    batches[self.visited.shard_of(digest.0)].push(digest.0);
+                }
+            }
+            Some(self.visited.insert_batches(&batches, threads))
         } else {
-            for state in initial {
-                let digest = if symmetry {
-                    exact_seen.insert(space.digest(&state).0);
-                    space.canonical_digest(&state)
-                } else {
-                    space.digest(&state)
-                };
-                if visited.insert(digest.0) {
-                    occupancy[visited.shard_of(digest.0)] += 1;
-                    frontier.push(state)?;
-                }
-            }
+            None
         }
-        // Fault accounting already carried by the resumed image (zero for
-        // a fresh run): the plane's own counters start at zero each
-        // segment, so every report below adds them to these priors —
-        // exactly the `prior_elapsed` discipline, applied to fault
-        // counters.
-        let prior_faults = stats.faults_injected;
-        let prior_retries = stats.io_retries;
-        'levels: while !frontier.is_empty() {
-            // Commit a checkpoint at the configured level-boundary
-            // cadence, before any of this level's work: the image then
-            // means "about to expand level `depth`", and a resume
-            // re-enters the loop right here, recomputing the budget
-            // truncation and peak accounting below from restored state —
-            // so resume ≡ uninterrupted run, bit for bit. The level a
-            // resume re-entered at already has its image on disk and is
-            // skipped.
-            if let Some(store) = &store {
-                if depth > 0 && depth.is_multiple_of(store.every()) && resumed_at != Some(depth) {
-                    let parent_depth = depth - 1;
-                    let snapshot = frontier.snapshot_states(
-                        &|parent: &Sp::State, indices: &[usize], out: &mut Vec<Sp::State>| {
-                            regenerate(space, parent, parent_depth, indices, out);
-                        },
-                    )?;
-                    let mut exact: Vec<u128> = exact_seen.iter().copied().collect();
-                    exact.sort_unstable();
-                    let mut saved = stats.clone();
-                    saved.replayed_parents = replayed.get();
-                    saved.shard_occupancy.clone_from(&occupancy);
-                    // Lifetime wall-clock: the image carries everything
-                    // spent so far, across every earlier segment, so a
-                    // resume keeps accumulating instead of restarting
-                    // the clock (and the derived states/sec rate).
-                    saved.elapsed = prior_elapsed + start.elapsed();
-                    // The image counts itself, so restoring it leaves the
-                    // same lifetime total the uninterrupted run carries.
-                    saved.checkpoints_written += 1;
-                    // Lifetime fault accounting, like `elapsed` above.
-                    // Faults drawn *during* this commit land in the next
-                    // image (and in the live stats), not this one.
-                    saved.faults_injected = prior_faults + plane.faults_injected();
-                    saved.io_retries = prior_retries + plane.io_retries();
-                    // The commit is synchronous: a background-thread
-                    // fdatasync was measured to *cost* throughput on
-                    // single-core hosts (the committer steals scheduler
-                    // slices from the exploration thread), and a
-                    // detached writer outliving an unwound run is a
-                    // hazard besides. The fdatasync is the whole cost —
-                    // encode and snapshot measure as free on tmpfs.
-                    let image = CheckpointStore::encode_image(
-                        header.as_ref().expect("checkpointing implies a header"),
-                        depth,
-                        &saved,
-                        &findings,
-                        &visited.snapshot(),
-                        &exact,
-                        &snapshot,
-                    );
-                    store.commit_bytes(&image)?;
-                    stats.checkpoints_written += 1;
-                }
-            }
-            // Progress observation, after the level's checkpoint (if any)
-            // committed: a cancellation here leaves the freshest durable
-            // image, so a cancelled-then-resumed run loses no work.
-            stats.elapsed = prior_elapsed + start.elapsed();
-            stats.faults_injected = prior_faults + plane.faults_injected();
-            stats.io_retries = prior_retries + plane.io_retries();
-            if !progress(depth, &stats) {
-                stats.stopped_early = true;
-                break 'levels;
-            }
-            // Budget: expand at most `allowed` more states, ever. The
-            // truncation point is a state count, so it cuts the same
-            // frontier prefix whether the tail is resident or spilled.
-            // Accumulate the consumed frontier's spill accounting up
-            // front, so even a budget truncation to emptiness below
-            // reports the chunks this frontier already wrote.
-            stats.spilled_chunks += frontier.spilled_chunks();
-            stats.spilled_bytes += frontier.spilled_bytes();
-            stats.peak_resident_bytes = stats.peak_resident_bytes.max(frontier.peak_window_bytes());
-            // A frontier that hit ENOSPC and finished resident-degraded
-            // counts its level once, here, when the level is consumed.
-            stats.degraded_levels += usize::from(frontier.degraded());
-            if let Some(budget) = self.config_budget {
-                let allowed = budget.saturating_sub(stats.configs);
-                if frontier.len() > allowed {
-                    frontier.truncate(allowed);
-                    stats.truncated = true;
-                    if frontier.is_empty() {
-                        break;
-                    }
-                }
-            }
-            stats.peak_frontier = stats.peak_frontier.max(frontier.len());
-
-            // Replay-codec chunks regenerate their states by re-expanding
-            // the stored parents. The parents of this level's states were
-            // expanded at the previous depth; re-expansion must use the
-            // same depth to reproduce the push order the indices refer to
-            // (`saturating_sub`: the depth-0 frontier holds only literal
-            // records, so the value is never consulted there).
-            let parent_depth = depth.saturating_sub(1);
-            let regen = |parent: &Sp::State, indices: &[usize], out: &mut Vec<Sp::State>| {
-                replayed.set(replayed.get() + 1);
-                regenerate(space, parent, parent_depth, indices, out);
-            };
-
-            // Stream the level back chunk by chunk (one chunk, the whole
-            // level, without a memory budget): the peak resident decoded
-            // state count stays bounded by the chunk size while the next
-            // frontier spills its own cold chunks as it grows. Chunks
-            // replay in frontier order, so the merge below sees exactly
-            // the sequence the unspilled kernel would.
-            let mut next: SpillFrontier<Sp::State> = SpillFrontier::new(spill.clone());
-            let mut chunks = frontier.into_chunks();
-            // A parent's accepted successors, grouped so the frontier can
-            // store one replay record per parent (drained by
-            // `push_group`; reused across parents to avoid churn).
-            let mut accepted: Vec<Sp::State> = Vec::new();
-            let mut accepted_indices: Vec<usize> = Vec::new();
-            while let Some(chunk) = chunks.next_chunk(&regen)? {
-                stats.peak_resident_states = stats.peak_resident_states.max(chunk.len());
-                let expansions = expand_level(space, &chunk, depth, threads, symmetry);
-
-                // Large chunks dedup in parallel before the merge:
-                // successors are routed to their shards in frontier order,
-                // then each worker inserts its own contiguous shard range
-                // lock-free. Routing depends only on digests and inserts
-                // follow frontier order within each shard, so the
-                // fresh/duplicate bits — and everything downstream of
-                // them — match the inline path exactly, for every thread,
-                // shard, and chunk partition.
-                let total_succs: usize = expansions.iter().map(|parts| parts.succs.len()).sum();
-                let fresh: Option<Vec<Vec<bool>>> =
-                    if threads > 1 && shard_count > 1 && total_succs >= PAR_MIN_DEDUP {
-                        let mut batches: Vec<Vec<u128>> = vec![Vec::new(); shard_count];
-                        for parts in &expansions {
-                            for (_, digest) in &parts.succs {
-                                batches[visited.shard_of(digest.0)].push(digest.0);
-                            }
-                        }
-                        Some(visited.insert_batches(&batches, threads))
-                    } else {
-                        None
-                    };
-
-                // Deterministic merge, in frontier order, grouped by
-                // parent: a parent's accepted successors are handed to
-                // the next frontier as one contiguous run with their
-                // push-order action indices, so the replay codec can
-                // store a single (parent, indices) record per parent.
-                let mut cursors = vec![0usize; shard_count];
-                for (parts, parent) in expansions.into_iter().zip(chunk) {
-                    stats.configs += 1;
-                    stats.truncated |= parts.truncated;
-                    let had_findings = !parts.findings.is_empty();
-                    findings.extend(parts.findings);
-                    for (index, (succ, digest)) in parts.succs.into_iter().enumerate() {
-                        stats.transitions += 1;
-                        // Under symmetry, `digest` is canonical (computed
-                        // at push time); track the exact digest on the
-                        // side so a canonical dup whose exact digest is
-                        // fresh counts as an orbit collapse.
-                        let exact_fresh = symmetry && exact_seen.insert(space.digest(&succ).0);
-                        let shard = visited.shard_of(digest.0);
-                        let is_new = match &fresh {
-                            Some(bits) => {
-                                let bit = bits[shard][cursors[shard]];
-                                cursors[shard] += 1;
-                                bit
-                            }
-                            None => visited.insert(digest.0),
-                        };
-                        if is_new {
-                            occupancy[shard] += 1;
-                            accepted.push(succ);
-                            accepted_indices.push(index);
-                        } else {
-                            stats.dedup_hits += 1;
-                            if exact_fresh {
-                                stats.orbit_hits += 1;
-                            }
-                        }
-                    }
-                    next.push_group(parent, &mut accepted, &accepted_indices)?;
-                    accepted_indices.clear();
-                    if had_findings && stop(&findings) {
-                        stats.stopped_early = true;
-                        // The half-built next frontier dies here; count
-                        // the spill I/O it already performed (the
-                        // consumed frontier's was counted at level top).
-                        stats.spilled_chunks += next.spilled_chunks();
-                        stats.spilled_bytes += next.spilled_bytes();
-                        stats.peak_resident_bytes =
-                            stats.peak_resident_bytes.max(next.peak_window_bytes());
-                        stats.degraded_levels += usize::from(next.degraded());
-                        break 'levels;
-                    }
-                }
-            }
-            frontier = next;
-            depth += 1;
-        }
-
-        stats.replayed_parents = replayed.get();
-        stats.shard_occupancy = occupancy;
-        stats.elapsed = prior_elapsed + start.elapsed();
-        stats.faults_injected = prior_faults + plane.faults_injected();
-        stats.io_retries = prior_retries + plane.io_retries();
-        Ok(KernelOutcome { findings, stats })
     }
 
-    fn run_dfs<Sp>(
-        &self,
-        space: &Sp,
-        initial: Vec<Sp::State>,
-        mut stop: impl FnMut(&[Sp::Finding]) -> bool,
-        mut progress: impl FnMut(usize, &ExploreStats) -> bool,
-    ) -> KernelOutcome<Sp::Finding>
-    where
-        Sp: StateSpace + Sync,
-    {
-        let start = Stopwatch::start();
-        let symmetry = self.resolve_symmetry() && space.has_symmetry_reduction();
-        let mut stats = ExploreStats {
-            threads: 1,
-            shards: 1,
-            symmetry,
-            ..ExploreStats::default()
-        };
-        let mut findings: Vec<Sp::Finding> = Vec::new();
-        // Which expanded state (by fingerprint) contributed each finding,
-        // so a re-expansion can replace its earlier contribution.
-        let mut finding_owners: Vec<u128> = Vec::new();
-        let mut visited: DetHashMap<u128, u32> = DetHashMap::default();
-        // Exact-digest side set for `orbit_hits`; see `run_bfs`.
-        let mut exact_seen: DetHashSet<u128> = DetHashSet::default();
-        let mut stack: Vec<(Sp::State, Digest, usize)> = initial
-            .into_iter()
-            .map(|state| {
-                let digest = if symmetry {
-                    exact_seen.insert(space.digest(&state).0);
-                    space.canonical_digest(&state)
-                } else {
-                    space.digest(&state)
-                };
-                (state, digest, 0usize)
-            })
-            .collect();
-        let mut exp = Expansion::new_maybe_canonical(space, symmetry);
-
-        // DFS has no level boundaries; observe every 1024 expanded states
-        // instead (the configs count at the last observation).
-        let mut observed_at = 0usize;
-        while let Some((state, digest, depth)) = stack.pop() {
-            if stats.configs >= observed_at + 1024 {
-                observed_at = stats.configs;
-                stats.elapsed = start.elapsed();
-                if !progress(depth, &stats) {
-                    stats.stopped_early = true;
-                    break;
-                }
-            }
-            let reexpansion = match visited.entry(digest.0) {
-                // Already expanded at this depth or shallower: skip.
-                Entry::Occupied(seen) if *seen.get() <= depth as u32 => continue,
-                // Reached strictly shallower than before: re-expand so the
-                // explored set matches BFS (no configs increment — the
-                // state was already counted).
-                Entry::Occupied(mut seen) => {
-                    *seen.get_mut() = depth as u32;
-                    true
-                }
-                Entry::Vacant(slot) => {
-                    if self
-                        .config_budget
-                        .is_some_and(|budget| stats.configs >= budget)
-                    {
-                        stats.truncated = true;
-                        break;
-                    }
-                    slot.insert(depth as u32);
-                    stats.configs += 1;
-                    false
-                }
-            };
-
-            exp.reset();
-            space.expand(&state, depth, &mut exp);
-            stats.truncated |= exp.truncated;
-            if reexpansion && finding_owners.contains(&digest.0) {
-                // This shallower expansion supersedes the state's earlier
-                // one: drop the findings it contributed then, exactly as
-                // BFS (which expands each state once, at minimal depth)
-                // would never have recorded them.
-                let mut keep = 0;
-                for read in 0..finding_owners.len() {
-                    if finding_owners[read] != digest.0 {
-                        finding_owners.swap(keep, read);
-                        findings.swap(keep, read);
-                        keep += 1;
-                    }
-                }
-                finding_owners.truncate(keep);
-                findings.truncate(keep);
-            }
-            let had_findings = !exp.findings.is_empty();
-            finding_owners.extend(std::iter::repeat_n(digest.0, exp.findings.len()));
-            findings.append(&mut exp.findings);
-            for (succ, succ_digest) in exp.succs.drain(..) {
+    /// Deterministic merge, in frontier order, grouped by parent: a
+    /// parent's accepted successors are handed to the next frontier as
+    /// one contiguous run with their push-order action indices, so the
+    /// replay codec can store a single (parent, indices) record per
+    /// parent. Returns whether the stop predicate fired.
+    fn merge(
+        &mut self,
+        chunk: Vec<Sp::State>,
+        expansions: Vec<Parts<Sp>>,
+        fresh: Option<&[Vec<bool>]>,
+        stop: &mut impl FnMut(&[Sp::Finding]) -> bool,
+    ) -> Result<bool, EngineError> {
+        let (space, symmetry) = (self.space, self.symmetry);
+        let stats = &mut self.stats;
+        // Drained by `push_group`; reused across parents to avoid churn.
+        let mut accepted: Vec<Sp::State> = Vec::new();
+        let mut accepted_indices: Vec<usize> = Vec::new();
+        let mut cursors = vec![0usize; self.visited.shard_count()];
+        for (parts, parent) in expansions.into_iter().zip(chunk) {
+            stats.configs += 1;
+            stats.truncated |= parts.truncated;
+            let had_findings = !parts.findings.is_empty();
+            self.findings.extend(parts.findings);
+            for (index, (succ, digest)) in parts.succs.into_iter().enumerate() {
                 stats.transitions += 1;
-                let exact_fresh = symmetry && exact_seen.insert(space.digest(&succ).0);
-                if visited
-                    .get(&succ_digest.0)
-                    .is_some_and(|&seen| seen <= depth as u32 + 1)
-                {
+                // Under symmetry, `digest` is canonical (computed at push
+                // time); track the exact digest on the side so a
+                // canonical dup whose exact digest is fresh counts as an
+                // orbit collapse.
+                let exact_fresh = symmetry && self.exact_seen.insert(space.digest(&succ).0);
+                let shard = self.visited.shard_of(digest.0);
+                let is_new = match fresh {
+                    Some(bits) => {
+                        let bit = bits[shard][cursors[shard]];
+                        cursors[shard] += 1;
+                        bit
+                    }
+                    None => self.visited.insert(digest.0),
+                };
+                if is_new {
+                    stats.shard_occupancy[shard] += 1;
+                    accepted.push(succ);
+                    accepted_indices.push(index);
+                } else {
                     stats.dedup_hits += 1;
                     if exact_fresh {
                         stats.orbit_hits += 1;
                     }
-                } else {
-                    stack.push((succ, succ_digest, depth + 1));
                 }
             }
-            stats.peak_frontier = stats.peak_frontier.max(stack.len());
-            if had_findings && stop(&findings) {
-                stats.stopped_early = true;
-                break;
+            self.frontier
+                .push_group(parent, &mut accepted, &accepted_indices)?;
+            accepted_indices.clear();
+            if had_findings && stop(&self.findings) {
+                return Ok(true);
             }
         }
+        Ok(false)
+    }
 
-        // DFS never spills: the whole stack stays decoded and resident.
-        stats.peak_resident_states = stats.peak_frontier;
-        stats.shard_occupancy = vec![visited.len()];
-        stats.elapsed = start.elapsed();
-        KernelOutcome { findings, stats }
+    fn finish(mut self) -> KernelOutcome<Sp::Finding> {
+        self.lifetime.stamp(&mut self.stats);
+        KernelOutcome {
+            findings: self.findings,
+            stats: self.stats,
+        }
     }
 }
 
-/// Regenerates the `indices`-th pushed successors of `parent` (expanded
-/// at `parent_depth`) for a replay-codec record. Shared between the level
-/// loop's counting regenerator and the checkpoint snapshot's non-counting
-/// one, so taking a checkpoint never perturbs the run's replay
-/// accounting.
-fn regenerate<Sp>(
+/// One DFS run's state (the reference backend the differential suites
+/// hold the BFS kernel against).
+struct DfsRun<'a, Sp: StateSpace> {
+    space: &'a Sp,
+    /// Whether symmetry reduction is active; see [`BfsRun::symmetry`].
+    symmetry: bool,
+    /// The depth each state (by fingerprint) was last expanded at.
+    visited: DetHashMap<u128, u32>,
+    /// Exact-digest side set for `orbit_hits`; see
+    /// [`BfsRun::exact_seen`].
+    exact_seen: DetHashSet<u128>,
+    stack: Vec<(Sp::State, Digest, usize)>,
+    findings: Vec<Sp::Finding>,
+    /// Which expanded state (by fingerprint) contributed each finding,
+    /// so a re-expansion can replace its earlier contribution.
+    finding_owners: Vec<u128>,
+    stats: ExploreStats,
+}
+
+impl<Sp: StateSpace> DfsRun<'_, Sp> {
+    /// Records that the popped state is being expanded at `depth`, unless
+    /// it already was at this depth or shallower (`None`). `Some(true)`
+    /// is a re-expansion: reached strictly shallower than before, so the
+    /// explored set matches BFS (no configs increment — the state was
+    /// already counted).
+    fn enter(&mut self, digest: Digest, depth: usize) -> Option<bool> {
+        match self.visited.entry(digest.0) {
+            Entry::Occupied(seen) if *seen.get() <= depth as u32 => None,
+            Entry::Occupied(mut seen) => {
+                *seen.get_mut() = depth as u32;
+                Some(true)
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(depth as u32);
+                self.stats.configs += 1;
+                Some(false)
+            }
+        }
+    }
+
+    /// Folds in the expansion of the state `owner`, entered at `depth`:
+    /// findings first, then successors onto the stack. Returns whether it
+    /// contributed a finding.
+    fn absorb(
+        &mut self,
+        exp: &mut Expansion<Sp>,
+        owner: u128,
+        depth: usize,
+        reexpansion: bool,
+    ) -> bool {
+        self.stats.truncated |= exp.truncated;
+        if reexpansion {
+            // This shallower expansion supersedes the state's earlier
+            // one: drop the findings it contributed then, exactly as BFS
+            // (which expands each state once, at minimal depth) would
+            // never have recorded them.
+            let mut kept = self.finding_owners.iter().map(|&earlier| earlier != owner);
+            self.findings
+                .retain(|_| kept.next().expect("one owner per finding"));
+            self.finding_owners.retain(|&earlier| earlier != owner);
+        }
+        let had_findings = !exp.findings.is_empty();
+        self.finding_owners
+            .extend(std::iter::repeat_n(owner, exp.findings.len()));
+        self.findings.append(&mut exp.findings);
+        for (succ, succ_digest) in exp.succs.drain(..) {
+            self.stats.transitions += 1;
+            let exact_fresh = self.symmetry && self.exact_seen.insert(self.space.digest(&succ).0);
+            if self
+                .visited
+                .get(&succ_digest.0)
+                .is_some_and(|&seen| seen <= depth as u32 + 1)
+            {
+                self.stats.dedup_hits += 1;
+                if exact_fresh {
+                    self.stats.orbit_hits += 1;
+                }
+            } else {
+                self.stack.push((succ, succ_digest, depth + 1));
+            }
+        }
+        self.stats.peak_frontier = self.stats.peak_frontier.max(self.stack.len());
+        had_findings
+    }
+}
+
+fn run_dfs<Sp>(
     space: &Sp,
-    parent: &Sp::State,
+    config: &RunConfig,
+    initial: Vec<Sp::State>,
+    mut stop: impl FnMut(&[Sp::Finding]) -> bool,
+    mut progress: impl FnMut(usize, &ExploreStats) -> bool,
+) -> KernelOutcome<Sp::Finding>
+where
+    Sp: StateSpace + Sync,
+{
+    let symmetry = config.symmetry && space.has_symmetry_reduction();
+    let mut run = DfsRun {
+        space,
+        symmetry,
+        visited: DetHashMap::default(),
+        exact_seen: DetHashSet::default(),
+        stack: Vec::with_capacity(initial.len()),
+        findings: Vec::new(),
+        finding_owners: Vec::new(),
+        stats: ExploreStats {
+            threads: 1,
+            shards: 1,
+            symmetry,
+            ..ExploreStats::default()
+        },
+    };
+    let start = Stopwatch::start();
+    for state in initial {
+        let digest = seed_digest(space, &state, symmetry, &mut run.exact_seen);
+        run.stack.push((state, digest, 0));
+    }
+    let mut exp = Expansion::new_maybe_canonical(space, symmetry);
+
+    // DFS has no level boundaries; observe every 1024 expanded states
+    // instead (the configs count at the last observation).
+    let mut observed_at = 0usize;
+    while let Some((state, digest, depth)) = run.stack.pop() {
+        if run.stats.configs >= observed_at + 1024 {
+            observed_at = run.stats.configs;
+            run.stats.elapsed = start.elapsed();
+            if !progress(depth, &run.stats) {
+                run.stats.stopped_early = true;
+                break;
+            }
+        }
+        // The budget caps states *first* expanded; re-expansions are free.
+        let spent = config
+            .config_budget
+            .is_some_and(|budget| run.stats.configs >= budget);
+        if spent && !run.visited.contains_key(&digest.0) {
+            run.stats.truncated = true;
+            break;
+        }
+        let Some(reexpansion) = run.enter(digest, depth) else {
+            continue;
+        };
+        exp.reset();
+        space.expand(&state, depth, &mut exp);
+        if run.absorb(&mut exp, digest.0, depth, reexpansion) && stop(&run.findings) {
+            run.stats.stopped_early = true;
+            break;
+        }
+    }
+
+    // DFS never spills: the whole stack stays decoded and resident.
+    run.stats.peak_resident_states = run.stats.peak_frontier;
+    run.stats.shard_occupancy = vec![run.visited.len()];
+    run.stats.elapsed = start.elapsed();
+    KernelOutcome {
+        findings: run.findings,
+        stats: run.stats,
+    }
+}
+
+/// The replay codec's regenerator for records whose parents were expanded
+/// at `parent_depth`: one shared, digest-free expansion of the parent
+/// rebuilds every successor the record's push-order `indices` name — a
+/// parent is never re-expanded more than once per replayed record.
+fn regenerator<Sp>(
+    space: &Sp,
     parent_depth: usize,
-    indices: &[usize],
-    out: &mut Vec<Sp::State>,
-) where
+) -> impl Fn(&Sp::State, &[usize], &mut Vec<Sp::State>) + '_
+where
     Sp: StateSpace + ?Sized,
 {
-    // The indexed fast path rebuilds one child without the successor
-    // vector, but must still walk the preceding pushes; for multi-child
-    // groups one shared expansion does that walk once instead of once per
-    // index.
-    if space.has_successor_fast_path() && indices.len() == 1 {
-        for &index in indices {
-            let succ = space
-                .successor_at(parent, parent_depth, index)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "corrupt replay record: parent has no successor at \
-                         push index {index}"
-                    )
-                });
-            out.push(succ);
-        }
-    } else {
-        // One shared, digest-free expansion regenerates every index of
-        // this record: the fallback never re-expands a parent more than
-        // once per replayed record.
+    move |parent, indices, out| {
         let mut exp = Expansion::new_undigested(space);
         space.expand(parent, parent_depth, &mut exp);
         let total = exp.succs.len();
@@ -1466,35 +1532,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_codec_resolution() {
-        // The env knob (covered exhaustively in its own process-isolated
-        // suite, `tests/spill_codec_knob.rs`) outranks the default, so
-        // only assert the default when the environment is silent.
-        if std::env::var_os("SLX_ENGINE_SPILL_CODEC").is_none_or(|v| v.is_empty()) {
-            assert_eq!(
-                Checker::parallel_bfs(1).resolve_spill_codec(),
-                SpillCodec::Delta,
-                "delta is the default"
-            );
-        }
-        assert_eq!(
-            Checker::parallel_bfs(1)
-                .with_spill_codec(SpillCodec::Plain)
-                .resolve_spill_codec(),
-            SpillCodec::Plain
-        );
-        assert_eq!(
-            Checker::parallel_bfs(1)
-                .with_spill_codec(SpillCodec::Replay)
-                .resolve_spill_codec(),
-            SpillCodec::Replay
-        );
-    }
-
-    #[test]
     fn every_spill_codec_matches_the_resident_run() {
-        // GridWalk has no successor fast path, so the replay arm here
-        // exercises the full-expansion regeneration fallback.
         let space = grid(60);
         let resident = Checker::parallel_bfs(1)
             .with_mem_budget(0)
@@ -1527,72 +1565,6 @@ mod tests {
                 assert_eq!(spilled.stats.replayed_parents, 0, "{codec:?}");
             }
         }
-    }
-
-    #[test]
-    fn replay_fast_path_agrees_with_the_expand_fallback() {
-        /// GridWalk with a real indexed-successor fast path that mirrors
-        /// its expand push order.
-        struct FastGrid(GridWalk);
-        impl StateSpace for FastGrid {
-            type State = (u32, u32);
-            type Finding = (u32, u32);
-            fn digest(&self, state: &Self::State) -> Digest {
-                self.0.digest(state)
-            }
-            fn expand(&self, state: &Self::State, depth: usize, ctx: &mut Expansion<Self>) {
-                let mut inner = Expansion::new(&self.0);
-                self.0.expand(state, depth, &mut inner);
-                for finding in inner.findings {
-                    ctx.finding(finding);
-                }
-                for (succ, _) in inner.succs {
-                    ctx.push(succ);
-                }
-            }
-            fn has_successor_fast_path(&self) -> bool {
-                true
-            }
-            fn successor_at(
-                &self,
-                &(x, y): &Self::State,
-                _depth: usize,
-                index: usize,
-            ) -> Option<Self::State> {
-                if x == self.0.bound && y == self.0.bound {
-                    return None;
-                }
-                let mut succs = Vec::with_capacity(2);
-                if x < self.0.bound {
-                    succs.push((x + 1, y));
-                }
-                if y < self.0.bound {
-                    succs.push((x, y + 1));
-                }
-                succs.into_iter().nth(index)
-            }
-        }
-        let slow = grid(60);
-        let fast = FastGrid(grid(60));
-        let via_fallback = Checker::parallel_bfs(1)
-            .with_mem_budget(128)
-            .with_spill_codec(SpillCodec::Replay)
-            .run(&slow, vec![(0, 0)]);
-        let via_fast_path = Checker::parallel_bfs(1)
-            .with_mem_budget(128)
-            .with_spill_codec(SpillCodec::Replay)
-            .run(&fast, vec![(0, 0)]);
-        assert_eq!(via_fast_path.stats.configs, via_fallback.stats.configs);
-        assert_eq!(
-            via_fast_path.stats.dedup_hits,
-            via_fallback.stats.dedup_hits
-        );
-        assert_eq!(via_fast_path.findings, via_fallback.findings);
-        assert_eq!(
-            via_fast_path.stats.replayed_parents,
-            via_fallback.stats.replayed_parents
-        );
-        assert!(via_fast_path.stats.spilled_chunks >= 2);
     }
 
     /// GridWalk with its transpose symmetry made explicit: `(x, y)` and
@@ -1700,38 +1672,5 @@ mod tests {
             .run(&space, vec![(0, 1)]);
         assert_eq!(both.stats.configs, one.stats.configs);
         assert_eq!(both.findings, one.findings);
-    }
-
-    #[test]
-    fn symmetry_resolution() {
-        // The env knob (covered in the process-isolated differential
-        // suites) outranks the default, so only assert the default when
-        // the environment is silent.
-        if std::env::var_os("SLX_ENGINE_SYMMETRY").is_none_or(|v| v.is_empty()) {
-            assert!(
-                !Checker::parallel_bfs(1).resolve_symmetry(),
-                "unreduced is the default"
-            );
-        }
-        assert!(Checker::parallel_bfs(1)
-            .with_symmetry(true)
-            .resolve_symmetry());
-        // The explicit knob pins reference arms off even under
-        // SLX_ENGINE_SYMMETRY=1.
-        assert!(!Checker::parallel_bfs(1)
-            .with_symmetry(false)
-            .resolve_symmetry());
-    }
-
-    #[test]
-    fn mem_budget_zero_pins_spilling_off() {
-        let checker = Checker::parallel_bfs(1).with_mem_budget(0);
-        assert_eq!(checker.resolve_mem_budget(), None);
-        assert_eq!(
-            Checker::parallel_bfs(1)
-                .with_mem_budget(4096)
-                .resolve_mem_budget(),
-            Some(4096)
-        );
     }
 }

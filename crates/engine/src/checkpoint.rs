@@ -2,9 +2,8 @@
 //!
 //! Long exhaustive explorations are the workspace's whole product, and a
 //! crash at depth 30 of a day-long run must not mean starting over. At
-//! configurable level boundaries ([`crate::Checker::with_checkpoint`] /
-//! `SLX_ENGINE_CHECKPOINT_DIR` + `SLX_ENGINE_CHECKPOINT_EVERY`) the
-//! checker persists its complete resumable image through this store;
+//! configurable level boundaries ([`crate::Checker::with_checkpoint`])
+//! the checker persists its complete resumable image through this store;
 //! [`crate::Checker::resume`] reloads it and continues such that the
 //! resumed run is **bit-identical to the uninterrupted one** in verdict,
 //! findings, state counts (`configs`, `transitions`, `dedup_hits`,

@@ -110,23 +110,6 @@ pub static SLX_ENGINE_SYMMETRY: Knob = Knob {
     doc: "Dedup on canonical orbit digests when the space supports it",
 };
 
-/// Checkpoint-store directory (see [`crate::Checker::with_checkpoint`]);
-/// unset means checkpointing off.
-pub static SLX_ENGINE_CHECKPOINT_DIR: Knob = Knob {
-    name: "SLX_ENGINE_CHECKPOINT_DIR",
-    kind: KnobKind::Path,
-    default: "unset (checkpointing off)",
-    doc: "Directory for crash-tolerant checkpoint images",
-};
-
-/// Checkpoint cadence in BFS levels.
-pub static SLX_ENGINE_CHECKPOINT_EVERY: Knob = Knob {
-    name: "SLX_ENGINE_CHECKPOINT_EVERY",
-    kind: KnobKind::PositiveInt,
-    default: "1 (every level)",
-    doc: "Checkpoint commit cadence in BFS levels",
-};
-
 /// Parks a served check once it passes this many BFS levels — the
 /// check service's deterministic `kill -9` window for the CI crash probe.
 pub static SLX_SERVER_STALL_AFTER: Knob = Knob {
@@ -164,8 +147,6 @@ pub static REGISTRY: &[&Knob] = &[
     &SLX_ENGINE_SPILL_DIR,
     &SLX_ENGINE_SPILL_CODEC,
     &SLX_ENGINE_SYMMETRY,
-    &SLX_ENGINE_CHECKPOINT_DIR,
-    &SLX_ENGINE_CHECKPOINT_EVERY,
     &SLX_ENGINE_FAULT_PLAN,
     &SLX_SERVER_STALL_AFTER,
     &SLX_CKPT_RUN_STALL_AFTER,

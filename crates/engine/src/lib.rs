@@ -11,7 +11,10 @@
 //! - [`Checker`] — the driver, with a **fingerprint-only visited set**
 //!   (the search retains 16-byte digests, never full states), a
 //!   **frontier-based parallel BFS** backend with deterministic result
-//!   merging, and a sequential DFS fallback;
+//!   merging, and a sequential DFS fallback. Every setting is a builder
+//!   pin, else an `SLX_ENGINE_*` variable, else a default — decided in
+//!   one place, [`Checker::resolve`], whose [`RunConfig`] says what a run
+//!   will do;
 //! - [`ShardedVisited`] — the BFS visited set, sharded by digest range so
 //!   the dedup/merge phase parallelizes too (each worker owns a
 //!   contiguous shard range, lock-free); shard count via
@@ -36,9 +39,9 @@
 //!   (self-contained records, the comparison arm), and **replay**
 //!   (records store parent states plus child action indices, and the
 //!   replay *regenerates* spilled successors by re-expanding the parent
-//!   through [`StateSpace::successor_at`] — no per-child codec work at
-//!   all). Chunk order is deterministic and re-expansion is pure, so
-//!   spilling changes no verdict, finding, or statistic;
+//!   — no per-child codec work at all). Chunk order is deterministic and
+//!   re-expansion ([`StateSpace::expand`]) is pure, so spilling changes
+//!   no verdict, finding, or statistic;
 //! - [`Fingerprinter`] — a fast two-lane non-cryptographic hasher that
 //!   produces the 128-bit digests in one pass (replacing the SipHash
 //!   `DefaultHasher` helpers that used to be copy-pasted across the
@@ -47,8 +50,7 @@
 //!   transitions generated, dedup hit rate, peak frontier size,
 //!   states/sec, and truncation accounting;
 //! - [`CheckpointStore`] — crash-tolerant checkpoint/resume: at
-//!   configurable level boundaries ([`Checker::with_checkpoint`] or
-//!   `SLX_ENGINE_CHECKPOINT_DIR` / `SLX_ENGINE_CHECKPOINT_EVERY`) the BFS
+//!   configurable level boundaries ([`Checker::with_checkpoint`]) the BFS
 //!   backend commits its complete resumable image — visited digests,
 //!   frontier, findings, counters, and a validated run-config header —
 //!   with atomic rename semantics, and [`Checker::resume`] continues the
@@ -60,8 +62,8 @@
 //!   when disarmed). The hardened paths behind it retry transient
 //!   faults with bounded backoff, degrade gracefully when the spill
 //!   directory runs out of space, and surface anything unrecoverable as
-//!   a typed [`EngineError`] ([`Checker::try_run`]) — never a torn
-//!   checkpoint image or a leaked spill file.
+//!   a typed [`EngineError`] ([`Checker::try_run_observed`]) — never a
+//!   torn checkpoint image or a leaked spill file.
 //!
 //! The kernel is dependency-free and fully generic; `slx-explorer`,
 //! `slx-adversary`, and the `slx-core` grid drivers all layer on it.
@@ -92,7 +94,7 @@ mod spill;
 mod stats;
 mod visited;
 
-pub use checker::{Backend, Checker, KernelOutcome};
+pub use checker::{Backend, Checker, KernelOutcome, RunConfig};
 pub use checkpoint::CheckpointStore;
 pub use codec::{decode_slice_delta, encode_slice_delta, DeltaCodec, DeltaCtx, StateCodec};
 pub use detmap::{DetBuildHasher, DetHashMap, DetHashSet};

@@ -18,10 +18,11 @@ use crate::digest::Digest;
 /// reachability alike.
 ///
 /// `expand` must be a **pure function** of `(state, depth)`: the kernel's
-/// determinism guarantees (and, since the replay spill codec, its
-/// recompute-from-parent machinery — see [`crate::SpillCodec::Replay`])
-/// rely on a re-expansion producing the same successors in the same push
-/// order.
+/// determinism guarantees rely on it, and the replay spill codec
+/// ([`crate::SpillCodec::Replay`]) stores a spilled successor as its
+/// parent plus its position in the parent's push order, regenerating it
+/// by expanding the parent again — so a re-expansion must produce the
+/// same successors in the same push order.
 pub trait StateSpace {
     /// A state of the transition system. `Send + Sync` because the
     /// parallel BFS backend hands frontier slices to worker threads.
@@ -37,41 +38,6 @@ pub trait StateSpace {
 
     /// Enumerates `state`'s successors and findings into `ctx`.
     fn expand(&self, state: &Self::State, depth: usize, ctx: &mut Expansion<Self>);
-
-    /// Rebuilds the successor that [`StateSpace::expand`]`(state, depth)`
-    /// would emit at push position `index` (the expansion's push order
-    /// defines the action index), or `None` when the expansion pushes
-    /// fewer than `index + 1` successors.
-    ///
-    /// This is the indexed-successor capability behind the replay spill
-    /// codec ([`crate::SpillCodec::Replay`]): spilled successors are
-    /// stored as *(parent, action indices)* and regenerated here instead
-    /// of round-tripping through a byte decode. The default falls back to
-    /// a full (digest-free) expansion and picks the `index`-th push;
-    /// spaces whose successors can be built individually override this
-    /// **and** [`StateSpace::has_successor_fast_path`] together, and must
-    /// keep the override in lock-step with `expand`'s push order (the
-    /// replay differential suites pin exactly that agreement).
-    fn successor_at(&self, state: &Self::State, depth: usize, index: usize) -> Option<Self::State> {
-        let mut exp = Expansion::new_undigested(self);
-        self.expand(state, depth, &mut exp);
-        exp.succs.into_iter().nth(index).map(|(succ, _)| succ)
-    }
-
-    /// Whether [`StateSpace::successor_at`] is a real fast path (builds
-    /// only the requested child) rather than the full-expansion fallback.
-    ///
-    /// The replay codec regenerates a **single-child** record through
-    /// `successor_at` when this returns `true`; multi-child records —
-    /// and every record when this returns `false` — regenerate through
-    /// one shared digest-free expansion of the parent, because even a
-    /// real indexed fast path must re-walk the pushes preceding each
-    /// requested index, which the shared expansion does once. Either
-    /// way a parent is never expanded more than once per replayed
-    /// record.
-    fn has_successor_fast_path(&self) -> bool {
-        false
-    }
 
     /// Whether [`StateSpace::canonical_digest`] is a real orbit-collapsing
     /// canonicalizer rather than the [`StateSpace::digest`] fallback.

@@ -24,9 +24,9 @@
 //!   the comparison arm).
 //! - **Replay**: records store *(parent state, child action indices)*
 //!   instead of the children themselves, and the replay **regenerates**
-//!   the children by re-expanding the parent (see
-//!   [`crate::StateSpace::successor_at`]) — no per-child codec work at
-//!   all. One group record covers a parent's whole contiguous run of
+//!   the children by re-expanding the parent (one digest-free
+//!   [`crate::StateSpace::expand`] per record) — no per-child codec work
+//!   at all. One group record covers a parent's whole contiguous run of
 //!   spilled children; chunk-first parents stay self-contained while
 //!   subsequent parents delta-encode against their chunk predecessor, so
 //!   only parents ever touch the codec.
@@ -86,11 +86,11 @@ pub enum SpillCodec {
     Plain,
     /// Recompute-from-parent: a record stores a parent state plus the
     /// push-order indices of its spilled children, and the replay
-    /// regenerates the children by re-expanding the parent
-    /// ([`crate::StateSpace::successor_at`], falling back to one shared
-    /// digest-free expansion per record). Only parents are ever encoded
-    /// or decoded, which removes per-child codec work from the spill hot
-    /// path entirely — the classic external-memory reconstruction trade.
+    /// regenerates the children by re-expanding the parent (one shared
+    /// digest-free [`crate::StateSpace::expand`] per record). Only
+    /// parents are ever encoded or decoded, which removes per-child codec
+    /// work from the spill hot path entirely — the classic
+    /// external-memory reconstruction trade.
     Replay,
 }
 
@@ -1042,10 +1042,8 @@ impl<S: DeltaCodec + Clone> FrontierChunks<S> {
         }
     }
 
-    /// Parents re-expanded by replay regeneration so far (the checker
-    /// tracks its own count inside the regenerator; this accessor backs
-    /// the unit-level once-per-parent pins).
-    #[cfg(test)]
+    /// Parents re-expanded by replay regeneration so far — the source of
+    /// [`crate::ExploreStats::replayed_parents`].
     pub(crate) fn regenerated_parents(&self) -> usize {
         self.regenerated_parents
     }

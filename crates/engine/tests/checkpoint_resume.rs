@@ -458,7 +458,7 @@ fn a_failed_commit_never_tears_the_previous_image() {
         let result = cell_checker(0, SpillCodec::Delta, false)
             .with_checkpoint(&dir, 1)
             .with_fault_plan(plan)
-            .try_run(&grid(20), vec![(0, 0)]);
+            .try_run_observed(&grid(20), vec![(0, 0)], |_| false, |_, _| true);
         match result {
             Ok(out) => {
                 assert_eq!(out.findings, baseline.findings, "seed {seed}");

@@ -294,7 +294,7 @@ fn env_knobs_are_honored_and_dir_created_if_absent() {
     // No explicit knobs: budget and directory must come from the
     // environment.
     let checker = Checker::parallel_bfs(1);
-    assert_eq!(checker.resolve_mem_budget(), Some(256));
+    assert_eq!(checker.resolve().mem_budget, Some(256));
     let out = checker.run(&tree(9), vec![0]);
     assert!(
         out.stats.spilled_chunks >= 2,
@@ -402,7 +402,7 @@ fn injected_enospc_leaves_no_spill_files_behind() {
             .with_spill_dir(&dir)
             .with_spill_codec(codec)
             .with_fault_plan(plan)
-            .try_run(&tree(9), vec![0]);
+            .try_run_observed(&tree(9), vec![0], |_| false, |_, _| true);
         match result {
             Ok(out) => {
                 assert_eq!(out.findings, baseline.findings, "{codec:?}");
@@ -430,6 +430,92 @@ fn injected_enospc_leaves_no_spill_files_behind() {
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
+}
+
+#[test]
+fn a_cancelled_run_reports_the_spill_io_of_the_level_it_abandons() {
+    // Spill statistics count I/O performed, and a frontier's is counted
+    // when the frontier is retired — consumed, or dropped unexpanded.
+    // A cancelling observer drops a *fully built* level; the chunks that
+    // level wrote used to vanish from the report.
+    for codec in CODECS {
+        let dir = fresh_dir("cancel");
+        let checker = Checker::parallel_bfs(1)
+            .with_mem_budget(256)
+            .with_spill_dir(&dir)
+            .with_spill_codec(codec);
+        // Run A, to completion: what each level boundary had counted.
+        let mut counted: Vec<(usize, u64)> = Vec::new();
+        checker.run_observed(
+            &tree(9),
+            vec![0],
+            |_| false,
+            |depth, stats| {
+                assert_eq!(depth, counted.len(), "{codec:?}: one call per level");
+                counted.push((stats.spilled_chunks, stats.spilled_bytes));
+                true
+            },
+        );
+        // Level `k` is the first whose frontier spilled: its I/O shows up
+        // at boundary `k + 1`, once the level has been consumed.
+        let k = (0..counted.len() - 1)
+            .find(|&k| counted[k + 1].0 > counted[k].0)
+            .unwrap_or_else(|| panic!("{codec:?}: budget must force spilling"));
+        // Run B cancels at boundary `k`: the same frontier, retired
+        // without being expanded, must report the same I/O.
+        let cancelled = checker.run_observed(&tree(9), vec![0], |_| false, |depth, _| depth < k);
+        assert!(cancelled.stats.stopped_early, "{codec:?}");
+        assert_eq!(
+            (
+                cancelled.stats.spilled_chunks,
+                cancelled.stats.spilled_bytes
+            ),
+            counted[k + 1],
+            "{codec:?}: cancelling at level {k} dropped its frontier's spill I/O"
+        );
+        assert_eq!(dir_entries(&dir), Vec::<String>::new(), "{codec:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn an_uncreatable_directory_is_a_typed_error_from_the_fallible_core() {
+    // `try_run_observed` promises a typed `EngineError`, never a panic;
+    // directory creation used to panic inside it. A path below a regular
+    // file cannot be created by anyone, root included.
+    use slx_engine::EngineError;
+    let parent = fresh_dir("blocked");
+    std::fs::create_dir_all(&parent).unwrap();
+    let file = parent.join("regular-file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let below = file.join("dir");
+    let spilling = Checker::parallel_bfs(1)
+        .with_mem_budget(256)
+        .with_spill_dir(&below);
+    let checkpointing = Checker::parallel_bfs(1)
+        .with_mem_budget(0)
+        .with_checkpoint(&below, 1);
+    for (what, checker) in [("spill", spilling), ("checkpoint", checkpointing)] {
+        let err = checker
+            .try_run_observed(&tree(4), vec![0], |_| false, |_, _| true)
+            .expect_err("the directory cannot exist");
+        match (what, &err) {
+            ("spill", EngineError::SpillIo { path, op, .. })
+            | ("checkpoint", EngineError::CheckpointIo { path, op, .. }) => {
+                assert_eq!((path, *op), (&below, "create"), "{what}");
+            }
+            _ => panic!("{what}: unexpected failure class: {err}"),
+        }
+        let text = err.to_string();
+        assert!(text.contains(&below.display().to_string()), "{text}");
+        // The panicking conveniences render the same error.
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            checker.run(&tree(4), vec![0]);
+        }))
+        .expect_err("`run` panics where the core returns Err");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&text), "{what}");
+    }
+    std::fs::remove_dir_all(&parent).unwrap();
 }
 
 #[test]

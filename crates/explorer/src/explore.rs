@@ -134,38 +134,6 @@ where
             ctx.push(next);
         }
     }
-
-    /// The consensus/TM replay fast path: rebuilds only the `index`-th
-    /// pushed successor, stepping preceding schedulable processes just
-    /// far enough to classify them as push vs pruned violation — no
-    /// sibling digests, no successor vector, no findings re-recorded.
-    /// Must mirror `expand`'s push order exactly (the four-way replay
-    /// differential pins the agreement).
-    fn successor_at(&self, sys: &Self::State, depth: usize, index: usize) -> Option<Self::State> {
-        if depth >= self.depth {
-            return None;
-        }
-        let mut pushed = 0usize;
-        for &p in self.active {
-            if !sys.can_step(p) {
-                continue;
-            }
-            let mut next = sys.clone();
-            let effect = next.step(p).expect("steppable process steps");
-            if matches!(effect, StepEffect::Responded(_)) && !self.safety.allows(next.history()) {
-                continue; // expand prunes (and reports) this one
-            }
-            if pushed == index {
-                return Some(next);
-            }
-            pushed += 1;
-        }
-        None
-    }
-
-    fn has_successor_fast_path(&self) -> bool {
-        true
-    }
 }
 
 /// Explores **all schedules** of the `active` processes from `initial`
@@ -351,12 +319,6 @@ where
             }
         }
     }
-
-    // No `successor_at` fast path: the solo-progress pre-check dominates
-    // this space's expansion cost and would have to rerun on every
-    // indexed rebuild, so the replay codec's one-shared-expansion
-    // fallback (which runs it once per parent) is already the cheaper
-    // regeneration.
 }
 
 /// Verifies obstruction-freedom ((1,1)-freedom) exhaustively at small

@@ -80,34 +80,6 @@ where
             }
         }
     }
-
-    /// The valence replay fast path: rebuilds only the `index`-th pushed
-    /// successor (deciding steps are findings, not pushes, and stay
-    /// unrecorded here exactly as the replay requires). Must mirror
-    /// `expand`'s push order; the spilled-valence differential pins it.
-    fn successor_at(&self, sys: &Self::State, _depth: usize, index: usize) -> Option<Self::State> {
-        let mut pushed = 0usize;
-        for &p in self.active {
-            if !sys.can_step(p) {
-                continue;
-            }
-            let mut next = sys.clone();
-            match next.step(p).expect("steppable") {
-                StepEffect::Responded(Response::Decided(_)) => {}
-                _ => {
-                    if pushed == index {
-                        return Some(next);
-                    }
-                    pushed += 1;
-                }
-            }
-        }
-        None
-    }
-
-    fn has_successor_fast_path(&self) -> bool {
-        true
-    }
 }
 
 /// Computes the set of values decidable from `sys` by scheduling only the
