@@ -3,7 +3,7 @@
 //! The workspace keeps blocking primitives deliberately rare — the
 //! kernel's parallelism is scoped-thread fork/join with deterministic
 //! merges, and only two files own `Mutex`/`Condvar` state (the BFS
-//! worker result slot in `checker.rs`, the server's job queue and shared
+//! level window in `checker.rs`, the server's job queue and shared
 //! writers in `server.rs`). This pass pins that rarity and the local
 //! rules those two files follow:
 //!

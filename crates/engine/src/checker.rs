@@ -1,9 +1,10 @@
 //! The exploration driver: parallel frontier BFS and sequential DFS.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::checkpoint::{CheckpointStore, LoadedCheckpoint, RunHeader};
@@ -21,14 +22,18 @@ use crate::Digest;
 /// Exploration backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Frontier-based breadth-first search. Each BFS level is expanded by
-    /// up to `threads` workers pulling chunks from a shared queue, and
-    /// deduplicated against a [`ShardedVisited`] set whose shards are
-    /// owned by digest range (large levels dedup in parallel, lock-free).
-    /// Results are merged in frontier order and every digest's shard and
-    /// insert position depend only on the frontier contents, so
-    /// statistics, findings, and verdicts are deterministic regardless of
-    /// thread scheduling, thread count, and shard count.
+    /// Frontier-based breadth-first search. A level streams through a
+    /// bounded window: with one thread each parent is expanded and its
+    /// successors are deduplicated against the [`ShardedVisited`] set
+    /// before the next parent is touched; with more, up to `threads`
+    /// workers expand blocks of consecutive parents a few blocks ahead
+    /// of one merging thread, which dedups finished blocks strictly in
+    /// frontier order while later ones are still being expanded. A
+    /// duplicate successor therefore dies within a window of its birth,
+    /// and a level's successors are never all alive at once. Merge order
+    /// is frontier order and a digest's shard depends only on the digest,
+    /// so statistics, findings, and verdicts are deterministic regardless
+    /// of thread scheduling, thread count, and shard count.
     ParallelBfs {
         /// Worker threads (clamped to at least 1; with 1 the level loop
         /// runs inline with no thread spawns).
@@ -93,10 +98,10 @@ pub struct RunConfig {
     pub threads: usize,
     /// Requested BFS visited-set shard count, before rounding up to a
     /// power of two: [`Checker::with_shards`], else `SLX_ENGINE_SHARDS`,
-    /// else four per thread (so the merge phase keeps every worker busy
-    /// even with uneven shard occupancy) capped at 256 — past that the
-    /// per-shard sets are too sparse to help; the explicit knobs go up
-    /// to 4096.
+    /// else four per thread (a default from when the merge inserted
+    /// shard batches in parallel; one thread inserts now, so the count
+    /// only sets how many tables the digests spread over) capped at
+    /// 256; the explicit knobs go up to 4096.
     pub shards: usize,
     /// Cap on states expanded ([`Checker::with_budget`]).
     pub config_budget: Option<usize>,
@@ -146,14 +151,25 @@ fn space_fingerprint<Sp: StateSpace>(space: &Sp, initial: &[Sp::State]) -> u128 
     fp.digest().0
 }
 
-/// Minimum frontier size before a BFS level is worth spawning workers for:
-/// below this, thread startup dominates the expansion work.
-const PAR_MIN_FRONTIER: usize = 128;
+/// Consecutive parents a worker claims, expands and hands to the merge as
+/// one unit. Swept on `deep-par` (EXPERIMENTS.md, "Streaming level
+/// window"): 16–64 is a plateau; smaller blocks pay a lock hand-off and a
+/// wake-up per few parents, larger ones push the window's unmerged
+/// successors out of cache, which is the cost the window exists to avoid.
+const BLOCK_PARENTS: usize = 64;
 
-/// Minimum successors in a level before the dedup/merge phase is worth
-/// sharding across workers: below this, inserting into the shards inline
-/// (still deterministic, still sharded) beats spawning threads.
-const PAR_MIN_DEDUP: usize = 4096;
+/// Blocks per worker that may be expanded ahead of the merge: enough that
+/// a worker does not wait while the merge is busy with a neighbour's
+/// block (1 to 4 measure the same), few enough that the window stays a
+/// few hundred parents' successors.
+const WINDOW_BLOCKS_PER_THREAD: usize = 4;
+
+/// Minimum chunk size before it is worth spawning workers for: two
+/// blocks, since one block is one worker's work. At that size the scope
+/// (≈ 80 µs to spawn and join) breaks even on states costing ≈ 2 µs to
+/// expand and wins 1.5x at the ≈ 6 µs of the consensus spaces; cheaper
+/// states only lose microseconds on levels this small.
+const PAR_MIN_FRONTIER: usize = 2 * BLOCK_PARENTS;
 
 impl Checker {
     fn on(backend: Backend) -> Self {
@@ -212,8 +228,8 @@ impl Checker {
 
     /// Pins the BFS visited set to `shards` shards (rounded up to a power
     /// of two). Verdicts, findings, and counts are shard-count
-    /// independent; this knob only trades merge-phase parallelism against
-    /// per-shard footprint. Without it the count comes from the
+    /// independent; this knob only sets how many hash tables the digests
+    /// are spread over. Without it the count comes from the
     /// `SLX_ENGINE_SHARDS` environment variable, falling back to an
     /// autodetected default sized to the thread count.
     #[must_use]
@@ -595,11 +611,7 @@ struct BfsRun<'a, Sp: StateSpace> {
     /// by the space.
     symmetry: bool,
     /// At the top of the level loop, the level about to be expanded;
-    /// during a level's expansion, the next level being built. Declared
-    /// (so dropped) ahead of the visited sets, as the states were when
-    /// they were locals of one function: the allocator's heap trimming
-    /// proved sensitive to that order (2.4x the page faults on the
-    /// adversary's thousand small runs the other way round).
+    /// during a level's expansion, the next level being built.
     frontier: SpillFrontier<Sp::State>,
     /// The spill settings every frontier of the run is built with.
     spill: Option<SpillConfig>,
@@ -621,14 +633,19 @@ struct BfsRun<'a, Sp: StateSpace> {
     /// exact accounting.
     exact_seen: DetHashSet<u128>,
     depth: usize,
-    /// `shard_occupancy` counts digests *accepted by the deterministic
-    /// merge* (not raw set sizes): the batched path pre-inserts a whole
-    /// level before merging, so on an early stop the set itself may hold
-    /// successors the merge never reached — counting acceptances keeps
-    /// the reported occupancy identical across thread counts and dedup
-    /// paths.
+    /// `shard_occupancy` counts digests accepted by the merge. Only the
+    /// merging thread ever inserts, one successor at a time in frontier
+    /// order, so the counts always equal the set's own per-shard sizes —
+    /// on an early stop too: successors still in the window were
+    /// expanded but never inserted.
     stats: ExploreStats,
     findings: Vec<Sp::Finding>,
+    /// One parent's accepted successors and their push-order action
+    /// indices, on their way from the visited set to `push_group` (which
+    /// drains the states); fields so the buffers are reused across
+    /// parents.
+    accepted: Vec<Sp::State>,
+    accepted_indices: Vec<usize>,
 }
 
 impl<'a, Sp> BfsRun<'a, Sp>
@@ -702,6 +719,8 @@ where
             depth: 0,
             stats: ExploreStats::default(),
             findings: Vec::new(),
+            accepted: Vec::new(),
+            accepted_indices: Vec::new(),
             config,
         };
         match image {
@@ -752,7 +771,7 @@ where
     }
 
     /// The level pipeline: checkpoint if due → observe → admit/truncate →
-    /// (per chunk: stream → expand → dedup → merge → push).
+    /// (per chunk: stream back → window of expand → dedup → merge → push).
     fn explore(
         &mut self,
         stop: &mut impl FnMut(&[Sp::Finding]) -> bool,
@@ -874,12 +893,12 @@ where
     }
 
     /// Streams `level` back chunk by chunk (one chunk, the whole level,
-    /// without a memory budget) and runs each through expand → dedup →
-    /// merge: the peak resident decoded state count stays bounded by the
-    /// chunk size while the next frontier spills its own cold chunks as
-    /// it grows. Chunks replay in frontier order, so the merge sees
-    /// exactly the sequence the unspilled kernel would. Returns whether
-    /// the stop predicate fired.
+    /// without a memory budget) and drives each through the window: the
+    /// peak resident decoded state count stays bounded by the chunk size
+    /// while the next frontier spills its own cold chunks as it grows.
+    /// Chunks replay in frontier order, so the merge sees exactly the
+    /// sequence the unspilled kernel would. Returns whether the stop
+    /// predicate fired.
     fn expand_into_next(
         &mut self,
         level: SpillFrontier<Sp::State>,
@@ -898,96 +917,151 @@ where
                 break;
             };
             self.stats.peak_resident_states = self.stats.peak_resident_states.max(chunk.len());
-            let threads = self.config.threads;
-            let expansions = expand_level(self.space, &chunk, self.depth, threads, self.symmetry);
-            let fresh = self.dedup_batched(&expansions);
-            stopped = self.merge(chunk, expansions, fresh.as_deref(), stop)?;
+            stopped = if self.config.threads > 1 && chunk.len() >= PAR_MIN_FRONTIER {
+                self.stream_windowed(chunk, stop)?
+            } else {
+                self.stream_inline(chunk, stop)?
+            };
         }
         self.stats.replayed_parents += chunks.regenerated_parents();
         Ok(stopped)
     }
 
-    /// Large chunks dedup in parallel before the merge: successors are
-    /// routed to their shards in frontier order, then each worker inserts
-    /// its own contiguous shard range lock-free. Routing depends only on
-    /// digests and inserts follow frontier order within each shard, so
-    /// the fresh/duplicate bits — and everything downstream of them —
-    /// match the inline path exactly, for every thread, shard, and chunk
-    /// partition. `None` leaves the inserts to the merge.
-    fn dedup_batched(&mut self, expansions: &[Parts<Sp>]) -> Option<Vec<Vec<bool>>> {
-        let (threads, shard_count) = (self.config.threads, self.visited.shard_count());
-        let total_succs: usize = expansions.iter().map(|parts| parts.succs.len()).sum();
-        if threads > 1 && shard_count > 1 && total_succs >= PAR_MIN_DEDUP {
-            let mut batches: Vec<Vec<u128>> = vec![Vec::new(); shard_count];
-            for parts in expansions {
-                for (_, digest) in &parts.succs {
-                    batches[self.visited.shard_of(digest.0)].push(digest.0);
-                }
-            }
-            Some(self.visited.insert_batches(&batches, threads))
-        } else {
-            None
-        }
-    }
-
-    /// Deterministic merge, in frontier order, grouped by parent: a
-    /// parent's accepted successors are handed to the next frontier as
-    /// one contiguous run with their push-order action indices, so the
-    /// replay codec can store a single (parent, indices) record per
-    /// parent. Returns whether the stop predicate fired.
-    fn merge(
+    /// The window of one parent: expand it into the one reused
+    /// [`Expansion`], merge its successors, move on — nothing is
+    /// allocated per parent and a duplicate successor is dropped while
+    /// still in cache. Returns whether the stop predicate fired.
+    fn stream_inline(
         &mut self,
         chunk: Vec<Sp::State>,
-        expansions: Vec<Parts<Sp>>,
-        fresh: Option<&[Vec<bool>]>,
         stop: &mut impl FnMut(&[Sp::Finding]) -> bool,
     ) -> Result<bool, EngineError> {
-        let (space, symmetry) = (self.space, self.symmetry);
-        let stats = &mut self.stats;
-        // Drained by `push_group`; reused across parents to avoid churn.
-        let mut accepted: Vec<Sp::State> = Vec::new();
-        let mut accepted_indices: Vec<usize> = Vec::new();
-        let mut cursors = vec![0usize; self.visited.shard_count()];
-        for (parts, parent) in expansions.into_iter().zip(chunk) {
-            stats.configs += 1;
-            stats.truncated |= parts.truncated;
-            let had_findings = !parts.findings.is_empty();
-            self.findings.extend(parts.findings);
-            for (index, (succ, digest)) in parts.succs.into_iter().enumerate() {
-                stats.transitions += 1;
-                // Under symmetry, `digest` is canonical (computed at push
-                // time); track the exact digest on the side so a
-                // canonical dup whose exact digest is fresh counts as an
-                // orbit collapse.
-                let exact_fresh = symmetry && self.exact_seen.insert(space.digest(&succ).0);
-                let shard = self.visited.shard_of(digest.0);
-                let is_new = match fresh {
-                    Some(bits) => {
-                        let bit = bits[shard][cursors[shard]];
-                        cursors[shard] += 1;
-                        bit
-                    }
-                    None => self.visited.insert(digest.0),
-                };
-                if is_new {
-                    stats.shard_occupancy[shard] += 1;
-                    accepted.push(succ);
-                    accepted_indices.push(index);
-                } else {
-                    stats.dedup_hits += 1;
-                    if exact_fresh {
-                        stats.orbit_hits += 1;
-                    }
-                }
-            }
-            self.frontier
-                .push_group(parent, &mut accepted, &accepted_indices)?;
-            accepted_indices.clear();
-            if had_findings && stop(&self.findings) {
+        let space = self.space;
+        let mut exp = Expansion::new_maybe_canonical(space, self.symmetry);
+        for parent in chunk {
+            exp.reset();
+            space.expand(&parent, self.depth, &mut exp);
+            let truncated = exp.truncated;
+            let (succs, findings) = (exp.succs.drain(..), exp.findings.drain(..));
+            if self.merge_parent(Cow::Owned(parent), succs, findings, truncated, drop, stop)? {
                 return Ok(true);
             }
         }
         Ok(false)
+    }
+
+    /// The window of a few blocks per thread: workers claim blocks of
+    /// consecutive parents and expand them while this thread merges the
+    /// finished ones strictly in block order, so expansion overlaps the
+    /// sequential merge and no more than a [`Window`]'s worth of
+    /// successors is ever unmerged. Returns whether the stop predicate
+    /// fired.
+    fn stream_windowed(
+        &mut self,
+        chunk: Vec<Sp::State>,
+        stop: &mut impl FnMut(&[Sp::Finding]) -> bool,
+    ) -> Result<bool, EngineError> {
+        let (space, depth, symmetry) = (self.space, self.depth, self.symmetry);
+        let workers = self.config.threads.min(chunk.len().div_ceil(BLOCK_PARENTS));
+        let window = Window::new(&chunk, workers);
+        std::thread::scope(|scope| {
+            for worker in 0..workers {
+                let window = &window;
+                scope.spawn(move || {
+                    // A panicking expansion must not leave the merge
+                    // waiting for its block.
+                    let _close = CloseOnDrop {
+                        window,
+                        only_if_panicking: true,
+                    };
+                    window.expand_blocks(worker, space, depth, symmetry);
+                });
+            }
+            // However the merge ends — chunk done, stop fired, I/O error,
+            // panic — waiting workers are released before the scope joins.
+            let _close = CloseOnDrop {
+                window: &window,
+                only_if_panicking: false,
+            };
+            // `None`: chunk done, or a worker panicked (which the scope
+            // re-raises).
+            while let Some(block) = window.next_finished() {
+                if self.merge_block(&window, block, stop)? {
+                    return Ok(true);
+                }
+            }
+            Ok(false)
+        })
+    }
+
+    /// Merges one finished block, parent by parent, and hands the
+    /// successors it rejected back to the worker that built them.
+    /// Returns whether the stop predicate fired.
+    fn merge_block(
+        &mut self,
+        window: &Window<'_, Sp>,
+        block: Block<Sp>,
+        stop: &mut impl FnMut(&[Sp::Finding]) -> bool,
+    ) -> Result<bool, EngineError> {
+        let (mut succs, mut findings) = (block.succs.into_iter(), block.findings.into_iter());
+        let mut rejected = Vec::new();
+        for (parent, shape) in block.parents.iter().zip(block.shapes) {
+            let succs = succs.by_ref().take(shape.succs);
+            let findings = findings.by_ref().take(shape.findings);
+            let reject = |succ| rejected.push(succ);
+            let parent = Cow::Borrowed(parent);
+            if self.merge_parent(parent, succs, findings, shape.truncated, reject, stop)? {
+                return Ok(true);
+            }
+        }
+        window.hand_back(block.worker, rejected);
+        Ok(false)
+    }
+
+    /// Deterministic merge of one parent's expansion, in frontier order:
+    /// each successor is inserted into the visited set as it arrives (a
+    /// duplicate goes straight to `reject`), and the accepted ones are
+    /// handed to the next frontier as one contiguous run with their
+    /// push-order action indices, so the replay codec can store a single
+    /// (parent, indices) record per parent. Returns whether the stop
+    /// predicate fired.
+    fn merge_parent(
+        &mut self,
+        parent: Cow<'_, Sp::State>,
+        succs: impl Iterator<Item = (Sp::State, Digest)>,
+        findings: impl Iterator<Item = Sp::Finding>,
+        truncated: bool,
+        mut reject: impl FnMut(Sp::State),
+        stop: &mut impl FnMut(&[Sp::Finding]) -> bool,
+    ) -> Result<bool, EngineError> {
+        let stats = &mut self.stats;
+        stats.configs += 1;
+        stats.truncated |= truncated;
+        let findings_before = self.findings.len();
+        self.findings.extend(findings);
+        for (index, (succ, digest)) in succs.enumerate() {
+            stats.transitions += 1;
+            // Under symmetry, `digest` is canonical (computed at push
+            // time); track the exact digest on the side so a canonical
+            // dup whose exact digest is fresh counts as an orbit
+            // collapse.
+            let exact_fresh = self.symmetry && self.exact_seen.insert(self.space.digest(&succ).0);
+            if self.visited.insert(digest.0) {
+                stats.shard_occupancy[self.visited.shard_of(digest.0)] += 1;
+                self.accepted.push(succ);
+                self.accepted_indices.push(index);
+            } else {
+                stats.dedup_hits += 1;
+                if exact_fresh {
+                    stats.orbit_hits += 1;
+                }
+                reject(succ);
+            }
+        }
+        self.frontier
+            .push_group(parent, &mut self.accepted, &self.accepted_indices)?;
+        self.accepted_indices.clear();
+        Ok(self.findings.len() > findings_before && stop(&self.findings))
     }
 
     fn finish(mut self) -> KernelOutcome<Sp::Finding> {
@@ -1189,78 +1263,207 @@ where
     }
 }
 
-/// One state's expansion results, detached from the borrow of the space.
-struct Parts<Sp: StateSpace + ?Sized> {
+/// One block of consecutive parents with their expansions, flattened: a
+/// block costs three allocations however many parents it holds.
+struct Block<'c, Sp: StateSpace + ?Sized> {
+    /// The worker that expanded the block (and allocated its successors).
+    worker: usize,
+    parents: &'c [Sp::State],
+    /// Every parent's successors, in parent then push order.
     succs: Vec<(Sp::State, Digest)>,
+    /// Every parent's findings, likewise.
     findings: Vec<Sp::Finding>,
+    /// One per parent: how long its runs in `succs` and `findings` are.
+    shapes: Vec<Shape>,
+}
+
+/// What one parent's expansion contributed to its [`Block`].
+struct Shape {
+    succs: usize,
+    findings: usize,
     truncated: bool,
 }
 
-fn expand_one<Sp: StateSpace + ?Sized>(
-    space: &Sp,
-    state: &Sp::State,
-    depth: usize,
-    canonical: bool,
-) -> Parts<Sp> {
-    let mut exp = Expansion::new_maybe_canonical(space, canonical);
-    space.expand(state, depth, &mut exp);
-    Parts {
-        succs: exp.succs,
-        findings: exp.findings,
-        truncated: exp.truncated,
+impl<'c, Sp: StateSpace + ?Sized> Block<'c, Sp> {
+    /// Expands `parents` into one shared [`Expansion`], whose vectors
+    /// become the block's.
+    fn expand(
+        worker: usize,
+        space: &Sp,
+        parents: &'c [Sp::State],
+        depth: usize,
+        canonical: bool,
+    ) -> Self {
+        let mut exp = Expansion::new_maybe_canonical(space, canonical);
+        let mut shapes = Vec::with_capacity(parents.len());
+        for parent in parents {
+            let (succs, findings) = (exp.succs.len(), exp.findings.len());
+            exp.truncated = false;
+            space.expand(parent, depth, &mut exp);
+            shapes.push(Shape {
+                succs: exp.succs.len() - succs,
+                findings: exp.findings.len() - findings,
+                truncated: exp.truncated,
+            });
+        }
+        Block {
+            worker,
+            parents,
+            succs: exp.succs,
+            findings: exp.findings,
+            shapes,
+        }
     }
 }
 
-/// Expands every state of a BFS level, in parallel when the level is large
-/// enough to amortize thread startup. Workers pull chunk indices from a
-/// shared cursor (simple work stealing: fast chunks free a worker to steal
-/// the next), and results are reassembled in chunk order so the caller's
-/// merge is deterministic.
-fn expand_level<Sp>(
-    space: &Sp,
-    frontier: &[Sp::State],
-    depth: usize,
-    threads: usize,
-    canonical: bool,
-) -> Vec<Parts<Sp>>
-where
-    Sp: StateSpace + Sync,
-{
-    if threads <= 1 || frontier.len() < PAR_MIN_FRONTIER {
-        return frontier
-            .iter()
-            .map(|state| expand_one(space, state, depth, canonical))
-            .collect();
+/// One chunk's bounded expand-ahead window, shared by the workers that
+/// expand blocks and the one thread that merges them. Workers claim block
+/// indices from `cursor` but may not start block `k` until the merge has
+/// taken block `k - finished.len()`, so at most that many blocks (plus
+/// the one being merged) hold live successors, whatever the chunk's size.
+///
+/// Memory goes back where it came from: the merge hands the successors it
+/// rejected to the worker that allocated them, and the chunk's parents
+/// are dropped by the caller once the workers are gone. A thread freeing
+/// into an allocator arena another thread is allocating from is what the
+/// window otherwise spends its time on.
+struct Window<'c, Sp: StateSpace + ?Sized> {
+    chunk: &'c [Sp::State],
+    /// The next block to claim; block `k` is parents `k * BLOCK_PARENTS..`.
+    /// A ticket counter: it publishes no data (the chunk is immutable
+    /// and blocks change hands under `state`), hence `Relaxed`.
+    cursor: AtomicUsize,
+    state: Mutex<WindowState<'c, Sp>>,
+    /// A block was finished (the merge may be waiting for it).
+    landed: Condvar,
+    /// The merge took a block, or the window closed (workers may be
+    /// waiting for room).
+    room: Condvar,
+}
+
+struct WindowState<'c, Sp: StateSpace + ?Sized> {
+    /// Blocks the merge has taken so far, always in block order.
+    merged: usize,
+    /// Finished blocks awaiting their turn; block `k` lands in slot
+    /// `k % len`, free by the claim rule.
+    finished: Vec<Option<Block<'c, Sp>>>,
+    /// Per worker: the rejected successors of its merged blocks, one
+    /// vector per block, for it to drop.
+    rejected: Vec<Vec<Vec<Sp::State>>>,
+    /// No further blocks: the merge is over (chunk done, stop, error) or
+    /// a thread panicked.
+    closed: bool,
+}
+
+impl<'c, Sp: StateSpace + ?Sized> Window<'c, Sp> {
+    fn new(chunk: &'c [Sp::State], workers: usize) -> Self {
+        Window {
+            chunk,
+            cursor: AtomicUsize::new(0),
+            state: Mutex::new(WindowState {
+                merged: 0,
+                finished: (0..workers * WINDOW_BLOCKS_PER_THREAD)
+                    .map(|_| None)
+                    .collect(),
+                rejected: (0..workers).map(|_| Vec::new()).collect(),
+                closed: false,
+            }),
+            landed: Condvar::new(),
+            room: Condvar::new(),
+        }
     }
 
-    // Several chunks per worker so an uneven chunk doesn't serialize the
-    // level; at least 16 states per chunk so cursor traffic stays cheap.
-    let chunk_size = (frontier.len() / (threads * 4)).max(16);
-    let chunks: Vec<&[Sp::State]> = frontier.chunks(chunk_size).collect();
-    let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, Vec<Parts<Sp>>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
+    fn blocks(&self) -> usize {
+        self.chunk.len().div_ceil(BLOCK_PARENTS)
+    }
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(chunks.len()) {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(chunk) = chunks.get(index) else {
-                    break;
-                };
-                let parts: Vec<Parts<Sp>> = chunk
-                    .iter()
-                    .map(|state| expand_one(space, state, depth, canonical))
-                    .collect();
-                done.lock()
-                    .expect("no poisoned workers")
-                    .push((index, parts));
-            });
+    fn guard(&self) -> MutexGuard<'_, WindowState<'c, Sp>> {
+        self.state
+            .lock()
+            .expect("the window lock is never held across a panic")
+    }
+
+    /// A worker's loop: claim the next block, wait for the window to
+    /// reach it, drop what the merge handed back, expand, land; until the
+    /// chunk is exhausted or the window closes.
+    fn expand_blocks(&self, worker: usize, space: &Sp, depth: usize, canonical: bool) {
+        loop {
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= self.blocks() {
+                return;
+            }
+            let mut state = self.guard();
+            while !state.closed && index >= state.merged + state.finished.len() {
+                state = self.room.wait(state).expect("no poisoned window");
+            }
+            if state.closed {
+                return;
+            }
+            let handed_back = std::mem::take(&mut state.rejected[worker]);
+            drop(state);
+            drop(handed_back);
+
+            let start = index * BLOCK_PARENTS;
+            let end = self.chunk.len().min(start + BLOCK_PARENTS);
+            let block = Block::expand(worker, space, &self.chunk[start..end], depth, canonical);
+
+            let mut state = self.guard();
+            let slot = index % state.finished.len();
+            state.finished[slot] = Some(block);
+            drop(state);
+            self.landed.notify_one();
         }
-    });
+    }
 
-    let mut by_chunk = done.into_inner().expect("workers joined");
-    by_chunk.sort_by_key(|(index, _)| *index);
-    by_chunk.into_iter().flat_map(|(_, parts)| parts).collect()
+    /// The merge's side: the next block in block order, waiting for it to
+    /// land. `None` once every block has been taken — or the window was
+    /// closed under the merge's feet by a panicking worker.
+    fn next_finished(&self) -> Option<Block<'c, Sp>> {
+        let mut state = self.guard();
+        if state.merged == self.blocks() {
+            return None;
+        }
+        let slot = state.merged % state.finished.len();
+        loop {
+            if let Some(block) = state.finished[slot].take() {
+                state.merged += 1;
+                drop(state);
+                self.room.notify_all();
+                return Some(block);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.landed.wait(state).expect("no poisoned window");
+        }
+    }
+
+    /// Leaves `rejected` for `worker` to drop at its next claim (or, past
+    /// its last one, for whoever drops the window).
+    fn hand_back(&self, worker: usize, rejected: Vec<Sp::State>) {
+        self.guard().rejected[worker].push(rejected);
+    }
+
+    fn close(&self) {
+        self.guard().closed = true;
+        self.room.notify_all();
+        self.landed.notify_one();
+    }
+}
+
+/// Closes a [`Window`] when the holder leaves its scope — on every exit
+/// path, or only when it is unwinding.
+struct CloseOnDrop<'w, 'c, Sp: StateSpace + ?Sized> {
+    window: &'w Window<'c, Sp>,
+    only_if_panicking: bool,
+}
+
+impl<Sp: StateSpace + ?Sized> Drop for CloseOnDrop<'_, '_, Sp> {
+    fn drop(&mut self) {
+        if !self.only_if_panicking || std::thread::panicking() {
+            self.window.close();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -83,7 +83,7 @@ use std::path::{Path, PathBuf};
 use crate::codec::{DeltaCodec, DeltaCtx, StateCodec};
 use crate::digest::Fingerprinter;
 use crate::fault::{self, EngineError, FaultOp, FaultPlane};
-use crate::spill::SpillCodec;
+use crate::spill::{FrontierStates, SpillCodec};
 use crate::stats::ExploreStats;
 
 /// File-format magic: identifies a checkpoint file before anything is
@@ -325,7 +325,13 @@ impl CheckpointStore {
         frontier: &[S],
     ) {
         let buf = CheckpointStore::encode_image(
-            header, depth, stats, findings, visited, exact_seen, frontier,
+            header,
+            depth,
+            stats,
+            findings,
+            visited,
+            exact_seen,
+            &frontier.into(),
         );
         self.commit_bytes(&buf)
             .unwrap_or_else(|err| panic!("{err}"));
@@ -341,7 +347,7 @@ impl CheckpointStore {
         findings: &[F],
         visited: &[Vec<u128>],
         exact_seen: &[u128],
-        frontier: &[S],
+        frontier: &FrontierStates<'_, S>,
     ) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);

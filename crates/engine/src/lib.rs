@@ -10,14 +10,16 @@
 //!   [`Digest`];
 //! - [`Checker`] — the driver, with a **fingerprint-only visited set**
 //!   (the search retains 16-byte digests, never full states), a
-//!   **frontier-based parallel BFS** backend with deterministic result
-//!   merging, and a sequential DFS fallback. Every setting is a builder
+//!   **frontier-based parallel BFS** backend that streams each level
+//!   through a bounded expand → dedup → merge window with deterministic
+//!   result merging, and a sequential DFS fallback. Every setting is a builder
 //!   pin, else an `SLX_ENGINE_*` variable, else a default — decided in
 //!   one place, [`Checker::resolve`], whose [`RunConfig`] says what a run
 //!   will do;
-//! - [`ShardedVisited`] — the BFS visited set, sharded by digest range so
-//!   the dedup/merge phase parallelizes too (each worker owns a
-//!   contiguous shard range, lock-free); shard count via
+//! - [`ShardedVisited`] — the BFS visited set, sharded by digest range;
+//!   the kernel inserts successors one by one as its level window merges
+//!   them (batches can also be inserted a shard range per worker,
+//!   lock-free: [`ShardedVisited::insert_batches`]); shard count via
 //!   [`Checker::with_shards`] or `SLX_ENGINE_SHARDS`, and verdicts are
 //!   shard-count and thread-count independent by construction;
 //! - [`StateCodec`] / [`DeltaCodec`] + the **disk-backed frontier** —

@@ -84,9 +84,12 @@ pub trait StateSpace {
 
 /// Sink for one state's expansion: successors, findings, and truncation.
 ///
-/// Successor digests are computed eagerly at push time so the expensive
-/// hashing happens inside the (possibly parallel) expansion phase rather
-/// than the sequential merge phase.
+/// Successor digests are computed eagerly at push time: on the worker
+/// that built the successor, while it is still in that worker's cache,
+/// rather than on the one thread that merges — whose share of a level is
+/// then a set insert per successor. A checker keeps one `Expansion` per
+/// thread and resets or drains it between parents (the BFS window, the
+/// DFS loop), so the vectors are allocated once, not per state.
 pub struct Expansion<'sp, Sp: StateSpace + ?Sized> {
     space: &'sp Sp,
     pub(crate) succs: Vec<(Sp::State, Digest)>,
@@ -100,8 +103,8 @@ pub struct Expansion<'sp, Sp: StateSpace + ?Sized> {
     digests: bool,
     /// Whether pushes compute [`StateSpace::canonical_digest`] instead of
     /// the exact digest. Set by the checker when symmetry reduction is
-    /// active, so orbit collapse happens at push time — inside the
-    /// (possibly parallel) expansion phase — like ordinary digesting.
+    /// active, so orbit collapse happens at push time — on the expanding
+    /// worker — like ordinary digesting.
     canonical: bool,
 }
 
@@ -146,9 +149,8 @@ impl<'sp, Sp: StateSpace + ?Sized> Expansion<'sp, Sp> {
     ///
     /// `expand` implementations that know their branching factor up front
     /// (typically the number of schedulable processes) call this before
-    /// their push loop, so the successor vector — which starts empty on
-    /// every expansion — is sized in one allocation instead of growing
-    /// through the doubling ladder on the hot path.
+    /// their push loop, so a successor vector that is still growing is
+    /// sized in one allocation instead of through the doubling ladder.
     pub fn reserve(&mut self, additional: usize) {
         self.succs.reserve(additional);
     }

@@ -61,6 +61,7 @@
 //! file, deleted when the frontier (or its chunk iterator) is dropped —
 //! including on early stop and on panic unwind.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -559,10 +560,11 @@ impl<S: DeltaCodec + Clone> SpillFrontier<S> {
 
     /// Appends one parent's contiguous run of accepted successors:
     /// `children` (drained) with their push-order action `indices` in the
-    /// parent's expansion. The parent is taken by value (the checker owns
-    /// the consumed chunk and is done with it) so the replay codec can
-    /// keep it as a deferred record — and later as the next group's delta
-    /// anchor — without a clone.
+    /// parent's expansion. Only the replay codec keeps the parent — as a
+    /// deferred record, and later as the next group's delta anchor — so
+    /// it comes as a [`Cow`]: the checker's inline path is done with the
+    /// parent and hands it over, its windowed path lends it (workers are
+    /// still reading the chunk) and the replay arm alone pays a clone.
     ///
     /// Under [`SpillCodec::Replay`] the run is stored as one *(parent,
     /// indices)* group record — the children themselves are never
@@ -573,7 +575,7 @@ impl<S: DeltaCodec + Clone> SpillFrontier<S> {
     /// individually.
     pub(crate) fn push_group(
         &mut self,
-        parent: S,
+        parent: Cow<'_, S>,
         children: &mut Vec<S>,
         indices: &[usize],
     ) -> Result<(), EngineError> {
@@ -614,7 +616,7 @@ impl<S: DeltaCodec + Clone> SpillFrontier<S> {
                     spill.report_sonde(children.len());
                 }
                 spill.pending.push_back(ReplayMeta {
-                    parent: Some(parent),
+                    parent: Some(parent.into_owned()),
                     count: children.len(),
                 });
                 spill.pending_indices.extend(indices.iter().copied());
@@ -709,13 +711,13 @@ impl<S: DeltaCodec + Clone> SpillFrontier<S> {
         self.spill.as_ref().is_some_and(|spill| spill.degraded)
     }
 
-    /// A non-destructive copy of every state the frontier will replay, in
+    /// A non-destructive view of every state the frontier will replay, in
     /// push order — the checkpoint store's frontier image. Spilled chunks
     /// decode through the same record paths as
     /// [`FrontierChunks::next_chunk`], but with a fresh [`DeltaCtx`] and a
     /// caller-supplied regenerator, so snapshotting perturbs neither the
     /// frontier (still fully replayable afterwards) nor any replay
-    /// statistics; the decoded resident tail is then cloned directly.
+    /// statistics; the decoded resident tail is borrowed, not copied.
     ///
     /// Fails with [`EngineError::SpillIo`] if a spilled chunk cannot be
     /// read back past the bounded retry; panics (naming the file, chunk,
@@ -724,8 +726,9 @@ impl<S: DeltaCodec + Clone> SpillFrontier<S> {
     pub(crate) fn snapshot_states(
         &mut self,
         regen: &impl Regenerator<S>,
-    ) -> Result<Vec<S>, EngineError> {
-        let mut states: Vec<S> = Vec::with_capacity(self.len());
+    ) -> Result<FrontierStates<'_, S>, EngineError> {
+        let len = self.len();
+        let mut spilled: Vec<S> = Vec::new();
         if let Some(spill) = &mut self.spill {
             let mut ctx = DeltaCtx::new();
             let mut regenerated = 0usize;
@@ -746,13 +749,13 @@ impl<S: DeltaCodec + Clone> SpillFrontier<S> {
                     &mut ctx,
                     regen,
                     &mut regenerated,
-                    &mut states,
+                    &mut spilled,
                 );
             }
         }
-        states.extend_from_slice(&self.resident);
-        states.truncate(self.len());
-        Ok(states)
+        spilled.truncate(len);
+        let resident = &self.resident[..self.resident.len().min(len - spilled.len())];
+        Ok(FrontierStates { spilled, resident })
     }
 
     /// Consumes the frontier into its chunk replay. Chunks come back in
@@ -940,6 +943,39 @@ impl<S: DeltaCodec> SpillState<S> {
     }
 }
 
+/// A frontier's states in push order, for reading only: the spilled
+/// chunks decoded, then the decoded window borrowed where it lies.
+#[derive(Debug)]
+pub(crate) struct FrontierStates<'a, S> {
+    spilled: Vec<S>,
+    resident: &'a [S],
+}
+
+impl<S> FrontierStates<'_, S> {
+    pub(crate) fn len(&self) -> usize {
+        self.spilled.len() + self.resident.len()
+    }
+}
+
+#[cfg(test)]
+impl<'a, S> From<&'a [S]> for FrontierStates<'a, S> {
+    fn from(resident: &'a [S]) -> Self {
+        FrontierStates {
+            spilled: Vec::new(),
+            resident,
+        }
+    }
+}
+
+impl<'a, S> IntoIterator for &'a FrontierStates<'_, S> {
+    type Item = &'a S;
+    type IntoIter = std::iter::Chain<std::slice::Iter<'a, S>, std::slice::Iter<'a, S>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.spilled.iter().chain(self.resident)
+    }
+}
+
 /// Reads one committed chunk's bytes back through the fault plane's
 /// read seam, with bounded retry on transient errors; a persistent
 /// failure is a typed [`EngineError::SpillIo`] naming the file.
@@ -1092,13 +1128,23 @@ mod tests {
         (1000..1000 + n).collect()
     }
 
+    fn snapshot_vec<S: DeltaCodec + Clone>(
+        frontier: &mut SpillFrontier<S>,
+        regen: &impl Regenerator<S>,
+    ) -> Vec<S> {
+        let states = frontier.snapshot_states(regen).expect("snapshot read");
+        (&states).into_iter().cloned().collect()
+    }
+
     /// The grouped shape the checker pushes: parent `p` contributes
     /// children `10 * p + index` at the given action indices. The
     /// matching regenerator rebuilds exactly that.
     fn push_parent_groups(frontier: &mut SpillFrontier<u64>, groups: &[(u64, &[usize])]) {
         for &(parent, indices) in groups {
             let mut children: Vec<u64> = indices.iter().map(|&i| 10 * parent + i as u64).collect();
-            frontier.push_group(parent, &mut children, indices).unwrap();
+            frontier
+                .push_group(Cow::Owned(parent), &mut children, indices)
+                .unwrap();
         }
     }
 
@@ -1263,10 +1309,10 @@ mod tests {
             let mut children: Vec<Vec<u64>> = (0..3u64).map(|i| child_of(parent, i)).collect();
             let indices = [0usize, 1, 2];
             delta
-                .push_group(parent.clone(), &mut children.clone(), &indices)
+                .push_group(Cow::Borrowed(parent), &mut children.clone(), &indices)
                 .unwrap();
             replay
-                .push_group(parent.clone(), &mut children, &indices)
+                .push_group(Cow::Borrowed(parent), &mut children, &indices)
                 .unwrap();
         }
         assert!(delta.spilled_chunks() >= 2 && replay.spilled_chunks() >= 1);
@@ -1499,9 +1545,9 @@ mod tests {
                 (0..20u64).map(|p| (p, &[0usize, 1, 2][..])).collect();
             push_parent_groups(&mut frontier, &groups);
             assert!(frontier.spilled_chunks() >= 2, "{codec:?} must spill");
-            let snapshot = frontier.snapshot_states(&group_regen).unwrap();
+            let snapshot = snapshot_vec(&mut frontier, &group_regen);
             assert_eq!(snapshot.len(), frontier.len(), "{codec:?}");
-            let again = frontier.snapshot_states(&group_regen).unwrap();
+            let again = snapshot_vec(&mut frontier, &group_regen);
             assert_eq!(snapshot, again, "{codec:?}: snapshot is repeatable");
             let (replayed, _) = drain(frontier.into_chunks(), &group_regen);
             assert_eq!(snapshot, replayed, "{codec:?}");
@@ -1511,14 +1557,14 @@ mod tests {
         for s in states(10) {
             resident.push(s).unwrap();
         }
-        assert_eq!(resident.snapshot_states(&no_regen()).unwrap(), states(10));
+        assert_eq!(snapshot_vec(&mut resident, &no_regen()), states(10));
         // Truncation caps the snapshot exactly like the replay.
         let mut cut: SpillFrontier<u64> = SpillFrontier::new(Some(test_config(16)));
         for s in states(50) {
             cut.push(s).unwrap();
         }
         cut.truncate(13);
-        assert_eq!(cut.snapshot_states(&no_regen()).unwrap(), states(13));
+        assert_eq!(snapshot_vec(&mut cut, &no_regen()), states(13));
     }
 
     #[test]

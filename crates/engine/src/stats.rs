@@ -158,7 +158,8 @@ impl ExploreStats {
     /// Shard balance: the fullest shard's occupancy over the mean
     /// occupancy. `1.0` is perfect balance (also returned for empty or
     /// unsharded runs); values near the shard count mean one shard
-    /// received almost everything and the merge phase serialized.
+    /// received almost everything (a skewed digest, or a batch insert
+    /// that would serialize on it).
     #[must_use]
     pub fn shard_balance(&self) -> f64 {
         let max = self.shard_occupancy.iter().copied().max().unwrap_or(0);

@@ -6,10 +6,14 @@
 //! the shared set. [`ShardedVisited`] removes that bottleneck by splitting
 //! the digest space into a power-of-two number of shards, each an
 //! independent `HashSet` owning a contiguous digest range (the top bits of
-//! the 128-bit fingerprint select the shard). During the merge phase each
-//! worker thread owns a contiguous *range of shards*, so inserts proceed
-//! with no lock and no atomic traffic — ownership is by digest range, not
-//! by contention.
+//! the 128-bit fingerprint select the shard). A batch of inserts can be
+//! split so each worker thread owns a contiguous *range of shards* and
+//! inserts proceed with no lock and no atomic traffic — ownership is by
+//! digest range, not by contention ([`ShardedVisited::insert_batches`]).
+//! The BFS kernel itself has since stopped batching: once a level streams
+//! through a bounded window, a successor's insert is 1–2 % of its cost,
+//! so the merging thread inserts one digest at a time
+//! ([`ShardedVisited::insert`]) and the shards only bound table size.
 //!
 //! Determinism is preserved by construction: which shard a digest routes
 //! to depends only on the digest, and each shard's inserts are applied in

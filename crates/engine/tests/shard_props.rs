@@ -21,6 +21,10 @@
 //!    mid-exploration reports identical `ExploreStats` truncation
 //!    accounting (configs, truncated, transitions, dedup hits) for every
 //!    shard and thread count.
+//! 5. **Partition invariance of the level window**: however a level is
+//!    cut — into worker blocks, spilled chunks, or not at all — a stop
+//!    predicate firing mid-level and a cancelling observer leave the same
+//!    findings (order included) and the same counts.
 
 use std::collections::HashSet;
 
@@ -229,8 +233,8 @@ fn budget_truncation_is_identical_across_shard_and_thread_counts() {
 }
 
 /// A wide binary tree: level `d` holds `2^d` states, so deep bounds push
-/// thousands of successors per level — enough to cross the kernel's
-/// parallel-dedup threshold and exercise the sharded merge path for real.
+/// thousands of successors per level — dozens of worker blocks, so the
+/// multi-threaded runs merge from a full expand-ahead window.
 struct WideTree {
     bound: usize,
 }
@@ -258,9 +262,9 @@ impl StateSpace for WideTree {
 }
 
 /// A wide binary tree whose every depth-12 state reports a finding: the
-/// stop predicate fires mid-merge of a level wide enough to cross the
-/// parallel-dedup threshold, which is exactly where the batched path has
-/// pre-inserted successors the merge never reaches.
+/// stop predicate fires while merging the first block of a level 64
+/// blocks wide, which is exactly where the multi-threaded runs hold
+/// expanded successors the merge never reaches.
 struct StopTree;
 
 impl StateSpace for StopTree {
@@ -286,20 +290,20 @@ impl StateSpace for StopTree {
 
 #[test]
 fn early_stop_stats_are_thread_and_shard_independent() {
-    // Regression: the batched dedup path pre-inserts a whole level before
-    // the merge loop; an early stop mid-level must still report the same
-    // occupancy (and everything else) as the lazy inline path.
+    // Regression (from when a batched dedup pre-inserted the whole level
+    // before the merge loop): an early stop mid-level must report the
+    // same occupancy (and everything else) whether the successors past
+    // the stop were never expanded (1 thread) or expanded ahead in the
+    // window and discarded (more).
     let base = Checker::parallel_bfs(1)
         .with_shards(1)
         .run_until(&StopTree, vec![0], |f| f.len() >= 5);
     assert!(base.stats.stopped_early, "stop must fire");
-    // The stop fires while merging the 4096-wide depth-12 level, whose
-    // ~3x successors are what cross the kernel's 4096-successor
-    // parallel-dedup threshold for the multi-threaded runs below.
+    // The stop fires while merging the 4096-wide depth-12 level, which
+    // the multi-threaded runs below expand in blocks ahead of the merge.
     assert!(
         base.stats.peak_frontier >= 2048,
-        "stop must fire on a level wide enough for the batched path, \
-         got peak frontier {}",
+        "stop must fire on a level many blocks wide, got peak frontier {}",
         base.stats.peak_frontier
     );
     for threads in [2usize, 4, 8] {
@@ -316,23 +320,23 @@ fn early_stop_stats_are_thread_and_shard_independent() {
             assert_eq!(
                 out.stats.shard_occupancy.iter().sum::<usize>(),
                 base.stats.shard_occupancy.iter().sum::<usize>(),
-                "{label}: early-stop occupancy must not depend on the dedup path"
+                "{label}: early-stop occupancy must not depend on the window"
             );
         }
     }
 }
 
 #[test]
-fn parallel_sharded_dedup_matches_inline_path_on_wide_levels() {
+fn windowed_merge_matches_inline_path_on_wide_levels() {
     // Depth 13 → final levels are thousands wide, so with >1 thread the
-    // run crosses PAR_MIN_DEDUP and dedups via parallel shard batches,
-    // while the 1-thread run takes the inline path. Everything observable
-    // must agree.
+    // merge consumes blocks that workers expanded ahead of it, while the
+    // 1-thread run expands and merges one parent at a time. Everything
+    // observable must agree.
     let space = WideTree { bound: 13 };
     let inline = Checker::parallel_bfs(1).with_shards(1).run(&space, vec![0]);
     assert!(
         inline.stats.peak_frontier > 4096,
-        "space too small to cross the parallel-dedup threshold"
+        "space too small to fill the expand-ahead window"
     );
     for threads in [2usize, 4, 8] {
         for shards in [4usize, 16, 64] {
@@ -349,6 +353,100 @@ fn parallel_sharded_dedup_matches_inline_path_on_wide_levels() {
                 inline.stats.configs,
                 "{label}: occupancy must sum to the visited count"
             );
+        }
+    }
+}
+
+/// A grid walk whose diagonals report findings: level `d` is the
+/// diagonal `x + y = d`, `d + 1` wide up to the bound, so one run crosses
+/// levels shorter than a worker block (64 parents), levels too short to
+/// go parallel at all (< 128), and levels that are no multiple of the
+/// block size — and about one state in seven reports a finding, so a
+/// stop predicate counting findings fires in the middle of a level.
+struct FindingGrid {
+    bound: u32,
+}
+
+impl StateSpace for FindingGrid {
+    type State = (u32, u32);
+    type Finding = (u32, u32);
+
+    fn digest(&self, state: &Self::State) -> Digest {
+        digest128_of(state)
+    }
+
+    fn expand(&self, &(x, y): &Self::State, _depth: usize, ctx: &mut Expansion<Self>) {
+        if (x + 2 * y) % 7 == 3 {
+            ctx.finding((x, y));
+        }
+        if x < self.bound {
+            ctx.push((x + 1, y));
+        }
+        if y < self.bound {
+            ctx.push((x, y + 1));
+        }
+    }
+}
+
+#[test]
+fn level_partition_never_shows_in_an_early_stop_or_a_cancel() {
+    let space = FindingGrid { bound: 300 };
+    let level_starts: Vec<usize> = (0..=300usize).map(|d| d * (d + 1) / 2).collect();
+    // Stop arms: the predicate fires at parent 20 of the 75-wide level 74
+    // (merged inline whatever the thread count), at parent 7 of the
+    // 130-wide level 129 (first of its blocks of 64, 64 and 2), and at
+    // parent 169 of the 248-wide level 247 (third of 64, 64, 64 and 56).
+    // Cancel arms: the observer cancels at a level boundary below and
+    // one above the parallel threshold.
+    let stops = [400usize, 1_200, 4_400];
+    let cancels = [90usize, 250];
+    for arm in 0..stops.len() + cancels.len() {
+        let run = |threads: usize, shards: usize, mem_budget: usize| {
+            let checker = Checker::parallel_bfs(threads)
+                .with_shards(shards)
+                .with_symmetry(false)
+                .with_mem_budget(mem_budget);
+            if let Some(&count) = stops.get(arm) {
+                checker.run_until(&space, vec![(0, 0)], |found| found.len() >= count)
+            } else {
+                let at = cancels[arm - stops.len()];
+                checker.run_observed(&space, vec![(0, 0)], |_| false, |depth, _| depth < at)
+            }
+        };
+        for shards in [1usize, 8] {
+            let base = run(1, shards, 0);
+            assert!(base.stats.stopped_early, "arm {arm} must end early");
+            if arm < stops.len() {
+                assert!(
+                    !level_starts.contains(&base.stats.configs),
+                    "arm {arm}: the stop must fire inside a level, not at configs {}",
+                    base.stats.configs
+                );
+            }
+            for threads in [1usize, 2, 4] {
+                // 32 bytes: 16-byte chunks of two-byte records, so the
+                // spilled arm hands the window chunks of ~8 parents.
+                for mem_budget in [0usize, 32] {
+                    let out = run(threads, shards, mem_budget);
+                    let label = format!(
+                        "arm {arm}, {threads} threads, {shards} shards, mem budget {mem_budget}"
+                    );
+                    assert_eq!(out.findings, base.findings, "{label}");
+                    assert_eq!(out.stats.configs, base.stats.configs, "{label}");
+                    assert_eq!(out.stats.transitions, base.stats.transitions, "{label}");
+                    assert_eq!(out.stats.dedup_hits, base.stats.dedup_hits, "{label}");
+                    assert_eq!(
+                        out.stats.shard_occupancy, base.stats.shard_occupancy,
+                        "{label}"
+                    );
+                    assert_eq!(out.stats.peak_frontier, base.stats.peak_frontier, "{label}");
+                    assert_eq!(out.stats.truncated, base.stats.truncated, "{label}");
+                    assert_eq!(out.stats.stopped_early, base.stats.stopped_early, "{label}");
+                    if mem_budget > 0 {
+                        assert!(out.stats.spilled_chunks >= 2, "{label}: no spilling");
+                    }
+                }
+            }
         }
     }
 }

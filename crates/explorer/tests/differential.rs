@@ -9,11 +9,11 @@
 //! must report the same verdicts and counts.
 
 use slx_consensus::{CasConsensus, ConsWord, ObstructionFreeConsensus};
-use slx_engine::Checker;
+use slx_engine::{Checker, Digest, Expansion, KernelOutcome, StateSpace};
 use slx_explorer::baseline::{decidable_values_retained, explore_safety_retained};
 use slx_explorer::{decidable_values_with, explore_safety_with, history_digest};
-use slx_history::{Operation, ProcessId, Value, VarId};
-use slx_memory::{Memory, System};
+use slx_history::{Operation, ProcessId, Response, Value, VarId};
+use slx_memory::{Memory, StepEffect, System};
 use slx_safety::{ConsensusSafety, Opacity};
 use slx_tm::{GlobalVersionTm, TmWord};
 
@@ -716,4 +716,140 @@ fn backends_agree_on_injected_violation() {
     assert!(!bfs.holds());
     assert!(!dfs.holds());
     assert_eq!(bfs.configs, dfs.configs);
+}
+
+/// Every schedule of three obstruction-free consensus processes up to a
+/// depth bound, reporting each decision it passes as a finding (and
+/// exploring on): wide levels of kilobyte states with findings spread
+/// through them, which is what the level window is built for.
+struct DecisionSpace {
+    depth: usize,
+}
+
+impl StateSpace for DecisionSpace {
+    type State = System<ConsWord, ObstructionFreeConsensus>;
+    type Finding = (usize, Value);
+
+    fn digest(&self, sys: &Self::State) -> Digest {
+        sys.digest128()
+    }
+
+    fn expand(&self, sys: &Self::State, depth: usize, ctx: &mut Expansion<Self>) {
+        if depth >= self.depth {
+            ctx.mark_truncated();
+            return;
+        }
+        for proc in 0..3 {
+            if !sys.can_step(p(proc)) {
+                continue;
+            }
+            let mut next = sys.clone();
+            if let StepEffect::Responded(Response::Decided(value)) =
+                next.step(p(proc)).expect("steppable")
+            {
+                ctx.finding((depth, value));
+            }
+            ctx.push(next);
+        }
+    }
+}
+
+/// The level window's partition invariance on the consensus space: a
+/// stop predicate firing on a finding in the middle of a wide level, and
+/// an observer cancelling between two wide levels, must leave the same
+/// findings (order included) and counts whether the level was merged one
+/// parent at a time, from worker blocks, or from spilled chunks.
+#[test]
+fn level_window_partition_never_shows_on_consensus() {
+    let mut mem: Memory<ConsWord> = Memory::new();
+    let layout = ObstructionFreeConsensus::layout(&mut mem, 3, 16);
+    let procs = (0..3)
+        .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), 3))
+        .collect();
+    let mut sys = System::new(mem, procs);
+    for (i, value) in [1, 2, 2].into_iter().enumerate() {
+        sys.invoke(p(i), Operation::Propose(v(value))).unwrap();
+    }
+    let space = DecisionSpace { depth: 22 };
+
+    type Outcome = KernelOutcome<(usize, Value)>;
+    let stop_after = 240usize;
+    let cancel_at = 19usize;
+    let arms: [&dyn Fn(&Checker) -> Outcome; 2] = [
+        &|checker| checker.run_until(&space, vec![sys.clone()], |found| found.len() >= stop_after),
+        &|checker| {
+            checker.run_observed(
+                &space,
+                vec![sys.clone()],
+                |_| false,
+                |depth, _| depth < cancel_at,
+            )
+        },
+    ];
+    for (arm, run) in arms.iter().enumerate() {
+        for shards in [1usize, 8] {
+            let pinned = |threads: usize, mem_budget: usize| {
+                Checker::parallel_bfs(threads)
+                    .with_shards(shards)
+                    .with_symmetry(false)
+                    .with_mem_budget(mem_budget)
+            };
+            // The observer sees every level boundary: the reference run
+            // records them, so the arms can be checked to end where they
+            // are meant to.
+            let mut boundaries: Vec<usize> = Vec::new();
+            let exhaustive = pinned(1, 0).run_observed(
+                &space,
+                vec![sys.clone()],
+                |_| false,
+                |_, stats| {
+                    boundaries.push(stats.configs);
+                    true
+                },
+            );
+            let base = run(&pinned(1, 0));
+            assert!(base.stats.stopped_early, "arm {arm} must end early");
+            assert!(base.stats.configs < exhaustive.stats.configs, "arm {arm}");
+            let level = boundaries
+                .iter()
+                .rposition(|&start| start <= base.stats.configs)
+                .expect("level 0 starts at 0");
+            let width = boundaries[level + 1] - boundaries[level];
+            if arm == 0 {
+                assert!(
+                    base.stats.configs > boundaries[level]
+                        && width > 4 * 64
+                        && !width.is_multiple_of(64),
+                    "the stop must fire inside a level of several blocks and a \
+                     ragged tail, not at config {} of level {level} ({width} wide)",
+                    base.stats.configs - boundaries[level]
+                );
+            } else {
+                assert_eq!(base.stats.configs, boundaries[cancel_at], "cancel boundary");
+            }
+            for threads in [1usize, 2, 4] {
+                // 16 KiB: chunks of a few states, several per level.
+                for mem_budget in [0usize, 16 << 10] {
+                    let out = run(&pinned(threads, mem_budget));
+                    let label = format!(
+                        "arm {arm}, {threads} threads, {shards} shards, mem budget {mem_budget}"
+                    );
+                    assert_eq!(out.findings, base.findings, "{label}");
+                    assert_eq!(out.stats.configs, base.stats.configs, "{label}");
+                    assert_eq!(out.stats.transitions, base.stats.transitions, "{label}");
+                    assert_eq!(out.stats.dedup_hits, base.stats.dedup_hits, "{label}");
+                    assert_eq!(
+                        out.stats.shard_occupancy, base.stats.shard_occupancy,
+                        "{label}"
+                    );
+                    assert_eq!(out.stats.peak_frontier, base.stats.peak_frontier, "{label}");
+                    assert_eq!(out.stats.truncated, base.stats.truncated, "{label}");
+                    assert_eq!(out.stats.stopped_early, base.stats.stopped_early, "{label}");
+                    if mem_budget > 0 {
+                        assert!(out.stats.spilled_chunks >= 2, "{label}: no spilling");
+                    }
+                }
+            }
+        }
+    }
 }
