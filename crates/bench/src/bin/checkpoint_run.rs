@@ -26,29 +26,11 @@
 //! committed before the SIGKILL lands, so the resume path — not the
 //! fresh-start fallback — is what the diff exercises.
 
-use slx_core::consensus::{ConsWord, ObstructionFreeConsensus};
+use slx_bench::of_system;
 use slx_core::engine::{Checker, CheckpointStore};
 use slx_core::explorer::{explore_safety_with, history_digest};
-use slx_core::history::{Operation, ProcessId, Value};
-use slx_core::memory::{Memory, System};
+use slx_core::history::ProcessId;
 use slx_core::safety::ConsensusSafety;
-
-/// The Figure 1a anchor system (two proposers, inputs 1 and 2) — the
-/// same workload `engine_bench` measures.
-fn of_system(inputs: &[i64]) -> System<ConsWord, ObstructionFreeConsensus> {
-    let n = inputs.len();
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
-    let procs = (0..n)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), ProcessId::new(i), n))
-        .collect();
-    let mut sys = System::new(mem, procs);
-    for (i, &input) in inputs.iter().enumerate() {
-        sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(input)))
-            .unwrap();
-    }
-    sys
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);

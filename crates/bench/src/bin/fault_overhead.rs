@@ -15,7 +15,6 @@
 //! ratio (1.02x) of the other — a disabled plane costs nothing over an
 //! armed-but-silent one, and arming the schedule costs nothing over the
 //! inlined no-op — and both arms must report `faults_injected == 0`.
-//! One `BENCH_engine.json`-ready line is printed for the off arm.
 //!
 //! ```text
 //! cargo run --release -p slx-bench --bin fault_overhead \
@@ -24,11 +23,10 @@
 
 use std::time::Instant;
 
-use slx_core::consensus::{ConsWord, ObstructionFreeConsensus};
+use slx_bench::of_system;
 use slx_core::engine::{Checker, FaultPlan, SpillCodec};
 use slx_core::explorer::{explore_safety_with, history_digest, ExploreOutcome};
-use slx_core::history::{Operation, ProcessId, Value};
-use slx_core::memory::{Memory, System};
+use slx_core::history::ProcessId;
 use slx_core::safety::ConsensusSafety;
 
 /// Acceptance ratio for the smoke assertion, both directions.
@@ -36,22 +34,6 @@ const MAX_OVERHEAD: f64 = 1.02;
 
 /// Frontier budget forcing the depth-26 row through the spill seams.
 const SPILL_BUDGET: usize = 8 * 1024;
-
-/// The Figure 1a anchor system (see `engine_bench`).
-fn of_system(inputs: &[i64]) -> System<ConsWord, ObstructionFreeConsensus> {
-    let n = inputs.len();
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
-    let procs = (0..n)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), ProcessId::new(i), n))
-        .collect();
-    let mut sys = System::new(mem, procs);
-    for (i, &input) in inputs.iter().enumerate() {
-        sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(input)))
-            .unwrap();
-    }
-    sys
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -128,26 +110,6 @@ fn main() {
          {rate0_secs:.4}s — off/rate0 {off_x:.3}x, rate0/off {rate0_x:.3}x \
          (acceptance <= {MAX_OVERHEAD}x each way)",
         off.configs, off.stats.spilled_chunks,
-    );
-    println!(
-        "{{\"bench\":\"engine_bench\",\"workload\":\"fig1a-of-consensus\",\
-         \"depth\":{depth},\"arm\":\"fault-plane-off\",\"configs\":{},\
-         \"states_per_sec\":{:.0},\"secs\":{:.6},\"overhead_x\":{:.3},\
-         \"spilled_chunks\":{},\"spilled_bytes\":{},\"replayed_parents\":{},\
-         \"orbit_hits\":{},\"peak_resident_states\":{},\"peak_frontier\":{},\
-         \"threads\":{},\"shards\":{}}}",
-        off.configs,
-        off.configs as f64 / (off_secs / batch as f64),
-        off_secs / batch as f64,
-        off_x,
-        off.stats.spilled_chunks,
-        off.stats.spilled_bytes,
-        off.stats.replayed_parents,
-        off.stats.orbit_hits,
-        off.stats.peak_resident_states,
-        off.stats.peak_frontier,
-        off.stats.threads,
-        off.stats.shards,
     );
     assert!(
         off_x <= MAX_OVERHEAD && rate0_x <= MAX_OVERHEAD,

@@ -304,10 +304,10 @@ impl CheckpointStore {
     }
 
     /// Commits one checkpoint image with atomic rename semantics — the
-    /// synchronous [`CheckpointStore::encode_image`] +
-    /// [`CheckpointStore::commit_bytes`] pair. The checker instead
-    /// encodes inline and commits on a background thread, overlapping
-    /// the fdatasync latency with the next level's exploration.
+    /// [`CheckpointStore::encode_image`] +
+    /// [`CheckpointStore::commit_bytes`] pair the checker itself runs,
+    /// synchronously, at a level boundary (`BfsRun::checkpoint_if_due`
+    /// says why).
     ///
     /// # Panics
     ///

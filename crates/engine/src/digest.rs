@@ -145,18 +145,6 @@ pub fn digest128_of<T: Hash + ?Sized>(value: &T) -> Digest {
     fp.digest()
 }
 
-/// Fast 64-bit digest of any hashable value.
-///
-/// This is the shared replacement for the `DefaultHasher` digest closures
-/// that used to be duplicated in `slx-explorer`, `slx-core::grid`, and the
-/// benchmark harness.
-#[must_use]
-pub fn digest64_of<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut fp = Fingerprinter::new();
-    value.hash(&mut fp);
-    fp.finish()
-}
-
 /// Fast 64-bit digest of a sequence of hashable items (order-sensitive).
 #[must_use]
 pub fn digest64_of_iter<I>(items: I) -> u64
@@ -179,7 +167,10 @@ mod tests {
     #[test]
     fn digests_are_deterministic() {
         assert_eq!(digest128_of(&42u64), digest128_of(&42u64));
-        assert_eq!(digest64_of("abc"), digest64_of("abc"));
+        assert_eq!(
+            digest64_of_iter("abc".bytes()),
+            digest64_of_iter("abc".bytes())
+        );
     }
 
     #[test]

@@ -408,12 +408,6 @@ impl FaultPlane {
         })))
     }
 
-    /// Whether this plane can inject at all.
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Draws the schedule at one seam: `Some(kind)` means the caller
     /// must behave as if the operation failed that way. Inline and
     /// branch-free-cheap when disarmed.

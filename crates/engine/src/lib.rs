@@ -47,7 +47,7 @@
 //! - [`Fingerprinter`] — a fast two-lane non-cryptographic hasher that
 //!   produces the 128-bit digests in one pass (replacing the SipHash
 //!   `DefaultHasher` helpers that used to be copy-pasted across the
-//!   workspace — use [`digest64_of`] / [`digest64_of_iter`] instead);
+//!   workspace — use [`digest128_of`] / [`digest64_of_iter`] instead);
 //! - [`ExploreStats`] — built-in exploration statistics: states visited,
 //!   transitions generated, dedup hit rate, peak frontier size,
 //!   states/sec, and truncation accounting;
@@ -100,7 +100,7 @@ pub use checker::{Backend, Checker, KernelOutcome, RunConfig};
 pub use checkpoint::CheckpointStore;
 pub use codec::{decode_slice_delta, encode_slice_delta, DeltaCodec, DeltaCtx, StateCodec};
 pub use detmap::{DetBuildHasher, DetHashMap, DetHashSet};
-pub use digest::{digest128_of, digest64_of, digest64_of_iter, Digest, Fingerprinter};
+pub use digest::{digest128_of, digest64_of_iter, Digest, Fingerprinter};
 pub use fault::{EngineError, FaultKind, FaultOp, FaultPlan, FaultPlane};
 pub use space::{Expansion, StateSpace};
 pub use spill::SpillCodec;

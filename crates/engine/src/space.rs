@@ -66,20 +66,6 @@ pub trait StateSpace {
     fn canonical_digest(&self, state: &Self::State) -> Digest {
         self.digest(state)
     }
-
-    /// A member of `state`'s orbit chosen canonically (the same member
-    /// for every state of the orbit), for callers that need a
-    /// representative *state* rather than a digest — e.g. cross-run
-    /// cycle keys. The default returns the state unchanged, which is
-    /// correct for the identity symmetry group.
-    ///
-    /// Note this is **not** required to satisfy
-    /// `canonical_digest(s) == digest(orbit_representative(s))`: a space
-    /// may canonicalize digests over a projection (erasing fields its
-    /// digest mixes in) that no concrete representative state realizes.
-    fn orbit_representative(&self, state: &Self::State) -> Self::State {
-        state.clone()
-    }
 }
 
 /// Sink for one state's expansion: successors, findings, and truncation.

@@ -83,7 +83,8 @@ pub enum SpillCodec {
     #[default]
     Delta,
     /// Every record self-contained (the PR 3 baseline). Kept as the
-    /// comparison arm for `engine_bench` and the differential suites.
+    /// comparison arm for the differential suites and the repo
+    /// benchmark's `engine.spill.plain_x`.
     Plain,
     /// Recompute-from-parent: a record stores a parent state plus the
     /// push-order indices of its spilled children, and the replay

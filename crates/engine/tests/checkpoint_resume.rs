@@ -19,70 +19,10 @@ use slx_engine::{
     Checker, CheckpointStore, Digest, Expansion, ExploreStats, SpillCodec, StateSpace,
 };
 
+mod common;
+use common::{Rng, SymGrid, NEVER};
+
 const SEED: u64 = 0xC0FF_EE00_D15E_A5E5;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Transpose-symmetric grid walk with an injectable crash: `(x, y)` with
-/// moves +x/+y to a bound, a finding at the far corner, coordinate-sort
-/// canonicalization (sound: the dynamics and the finding are
-/// swap-invariant) — and a panic on the first expansion at `kill_depth`,
-/// standing in for the process dying mid-level.
-struct CrashyGrid {
-    bound: u32,
-    kill_depth: usize,
-}
-
-/// Disarmed value for [`CrashyGrid::kill_depth`].
-const NEVER: usize = usize::MAX;
-
-impl StateSpace for CrashyGrid {
-    type State = (u32, u32);
-    type Finding = (u32, u32);
-
-    fn digest(&self, state: &Self::State) -> Digest {
-        slx_engine::digest128_of(state)
-    }
-
-    fn expand(&self, &(x, y): &Self::State, depth: usize, ctx: &mut Expansion<Self>) {
-        assert!(depth < self.kill_depth, "injected crash at level {depth}");
-        if x == self.bound && y == self.bound {
-            ctx.finding((x, y));
-            return;
-        }
-        if x < self.bound {
-            ctx.push((x + 1, y));
-        }
-        if y < self.bound {
-            ctx.push((x, y + 1));
-        }
-    }
-
-    fn has_symmetry_reduction(&self) -> bool {
-        true
-    }
-
-    fn canonical_digest(&self, state: &Self::State) -> Digest {
-        self.digest(&self.orbit_representative(state))
-    }
-
-    fn orbit_representative(&self, &(x, y): &Self::State) -> Self::State {
-        (x.min(y), x.max(y))
-    }
-}
-
-fn grid(bound: u32) -> CrashyGrid {
-    CrashyGrid {
-        bound,
-        kill_depth: NEVER,
-    }
-}
 
 fn unique_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -133,10 +73,10 @@ fn killed_and_resumed_runs_match_uninterrupted_ones_across_the_matrix() {
         (128, SpillCodec::Delta),
         (128, SpillCodec::Replay),
     ];
-    let mut rng = SEED;
+    let mut rng = Rng(SEED);
     for (budget, codec) in arms {
         for symmetry in [false, true] {
-            let space = grid(40);
+            let space = SymGrid::new(40);
             let baseline = cell_checker(budget, codec, symmetry).run(&space, vec![(0, 0)]);
             assert_eq!(baseline.findings, vec![(40, 40)]);
             assert_eq!(baseline.stats.checkpoints_written, 0);
@@ -153,8 +93,8 @@ fn killed_and_resumed_runs_match_uninterrupted_ones_across_the_matrix() {
             // Cadence in [1, 3], kill somewhere past the first boundary
             // (so a committed checkpoint exists to resume from) and
             // before the run ends at depth 80.
-            let every = 1 + (splitmix64(&mut rng) % 3) as usize;
-            let kill = every + (splitmix64(&mut rng) as usize) % (78 - every);
+            let every = 1 + (rng.next() % 3) as usize;
+            let kill = every + (rng.next() as usize) % (78 - every);
             let dir = unique_dir("matrix");
             let label =
                 format!("{codec:?}/sym={symmetry}/budget={budget}/every={every}/kill={kill}");
@@ -165,7 +105,7 @@ fn killed_and_resumed_runs_match_uninterrupted_ones_across_the_matrix() {
                 cell_checker(budget, codec, symmetry)
                     .with_checkpoint(&dir, every)
                     .run(
-                        &CrashyGrid {
+                        &SymGrid {
                             bound: 40,
                             kill_depth: kill,
                         },
@@ -218,7 +158,7 @@ fn checkpointing_overhead_changes_no_verdict_or_count() {
     // a pure observer. Also pins the lifetime checkpoint count and that
     // a completed run leaves its last image on disk (callers own the
     // directory's lifecycle).
-    let space = grid(12);
+    let space = SymGrid::new(12);
     let off = cell_checker(128, SpillCodec::Delta, true).run(&space, vec![(0, 0)]);
     let dir = unique_dir("observer");
     let on = cell_checker(128, SpillCodec::Delta, true)
@@ -239,12 +179,12 @@ fn resumed_runs_keep_checkpointing_and_can_resume_again() {
     // in the same directory, and the lifetime checkpoint count carried
     // across both segments equals the uninterrupted run's.
     let dir = unique_dir("twice");
-    let baseline = cell_checker(128, SpillCodec::Delta, false).run(&grid(15), vec![(0, 0)]);
+    let baseline = cell_checker(128, SpillCodec::Delta, false).run(&SymGrid::new(15), vec![(0, 0)]);
     let ckpt_baseline = {
         let dir = unique_dir("twice-ref");
         let out = cell_checker(128, SpillCodec::Delta, false)
             .with_checkpoint(&dir, 2)
-            .run(&grid(15), vec![(0, 0)]);
+            .run(&SymGrid::new(15), vec![(0, 0)]);
         std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
         out
     };
@@ -257,7 +197,7 @@ fn resumed_runs_keep_checkpointing_and_can_resume_again() {
                 checker
             };
             checker.run(
-                &CrashyGrid {
+                &SymGrid {
                     bound: 15,
                     kill_depth: kill,
                 },
@@ -272,7 +212,7 @@ fn resumed_runs_keep_checkpointing_and_can_resume_again() {
     let finished = cell_checker(128, SpillCodec::Delta, false)
         .with_checkpoint(&dir, 2)
         .resume(&dir)
-        .run(&grid(15), vec![(0, 0)]);
+        .run(&SymGrid::new(15), vec![(0, 0)]);
     assert_eq!(finished.findings, baseline.findings);
     assert_eq!(
         identical_part(&finished.stats),
@@ -293,14 +233,14 @@ fn parallel_resume_matches_single_threaded_baseline() {
     // the 1-thread uninterrupted baseline.
     let baseline = Checker::parallel_bfs(1)
         .with_shards(8)
-        .run(&grid(40), vec![(0, 0)]);
+        .run(&SymGrid::new(40), vec![(0, 0)]);
     let dir = unique_dir("threads");
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         Checker::parallel_bfs(2)
             .with_shards(8)
             .with_checkpoint(&dir, 3)
             .run(
-                &CrashyGrid {
+                &SymGrid {
                     bound: 40,
                     kill_depth: 31,
                 },
@@ -311,7 +251,7 @@ fn parallel_resume_matches_single_threaded_baseline() {
     let resumed = Checker::parallel_bfs(2)
         .with_shards(8)
         .resume(&dir)
-        .run(&grid(40), vec![(0, 0)]);
+        .run(&SymGrid::new(40), vec![(0, 0)]);
     assert_eq!(resumed.findings, baseline.findings);
     assert_eq!(
         identical_part(&resumed.stats),
@@ -408,7 +348,7 @@ fn stale_staging_files_from_a_kill_mid_commit_are_reclaimed_on_resume() {
         cell_checker(0, SpillCodec::Delta, false)
             .with_checkpoint(&dir, 2)
             .run(
-                &CrashyGrid {
+                &SymGrid {
                     bound: 15,
                     kill_depth: 9,
                 },
@@ -419,11 +359,11 @@ fn stale_staging_files_from_a_kill_mid_commit_are_reclaimed_on_resume() {
     let tmp = dir.join("slx-checkpoint.bin.tmp");
     std::fs::write(&tmp, b"half-written staging garbage").expect("plant stale tmp");
 
-    let baseline = cell_checker(0, SpillCodec::Delta, false).run(&grid(15), vec![(0, 0)]);
+    let baseline = cell_checker(0, SpillCodec::Delta, false).run(&SymGrid::new(15), vec![(0, 0)]);
     let resumed = cell_checker(0, SpillCodec::Delta, false)
         .with_checkpoint(&dir, 2)
         .resume(&dir)
-        .run(&grid(15), vec![(0, 0)]);
+        .run(&SymGrid::new(15), vec![(0, 0)]);
     assert_eq!(resumed.findings, baseline.findings);
     assert_eq!(
         identical_part(&resumed.stats),
@@ -446,7 +386,7 @@ fn a_failed_commit_never_tears_the_previous_image() {
     // pressure, not just a planted panic between commits. Seed-pinned:
     // one worker thread makes every schedule's outcome deterministic.
     use slx_engine::{FaultKind, FaultOp, FaultPlan};
-    let baseline = cell_checker(0, SpillCodec::Delta, false).run(&grid(20), vec![(0, 0)]);
+    let baseline = cell_checker(0, SpillCodec::Delta, false).run(&SymGrid::new(20), vec![(0, 0)]);
     let mut failures = 0u32;
     let mut failures_with_an_image = 0u32;
     for seed in 0..16u64 {
@@ -458,7 +398,7 @@ fn a_failed_commit_never_tears_the_previous_image() {
         let result = cell_checker(0, SpillCodec::Delta, false)
             .with_checkpoint(&dir, 1)
             .with_fault_plan(plan)
-            .try_run_observed(&grid(20), vec![(0, 0)], |_| false, |_, _| true);
+            .try_run_observed(&SymGrid::new(20), vec![(0, 0)], |_| false, |_, _| true);
         match result {
             Ok(out) => {
                 assert_eq!(out.findings, baseline.findings, "seed {seed}");
@@ -478,7 +418,7 @@ fn a_failed_commit_never_tears_the_previous_image() {
                     failures_with_an_image += 1;
                     let resumed = cell_checker(0, SpillCodec::Delta, false)
                         .resume(&dir)
-                        .run(&grid(20), vec![(0, 0)]);
+                        .run(&SymGrid::new(20), vec![(0, 0)]);
                     assert_eq!(resumed.findings, baseline.findings, "seed {seed}");
                     assert_eq!(
                         identical_part(&resumed.stats),
@@ -526,13 +466,13 @@ fn mismatched_configurations_are_refused_not_resumed() {
     let dir = unique_dir("mismatch");
     let committed = cell_checker(128, SpillCodec::Delta, true)
         .with_checkpoint(&dir, 2)
-        .run(&grid(8), vec![(0, 0)]);
+        .run(&SymGrid::new(8), vec![(0, 0)]);
     assert!(committed.stats.checkpoints_written > 0);
 
     let message = expect_panic(|| {
         cell_checker(128, SpillCodec::Plain, true)
             .resume(&dir)
-            .run(&grid(8), vec![(0, 0)])
+            .run(&SymGrid::new(8), vec![(0, 0)])
     });
     assert!(
         message.contains("different configuration") && message.contains("spill codec"),
@@ -542,7 +482,7 @@ fn mismatched_configurations_are_refused_not_resumed() {
     let message = expect_panic(|| {
         cell_checker(128, SpillCodec::Delta, false)
             .resume(&dir)
-            .run(&grid(8), vec![(0, 0)])
+            .run(&SymGrid::new(8), vec![(0, 0)])
     });
     assert!(
         message.contains("different configuration") && message.contains("symmetry"),
@@ -553,7 +493,7 @@ fn mismatched_configurations_are_refused_not_resumed() {
         cell_checker(128, SpillCodec::Delta, true)
             .with_shards(16)
             .resume(&dir)
-            .run(&grid(8), vec![(0, 0)])
+            .run(&SymGrid::new(8), vec![(0, 0)])
     });
     assert!(
         message.contains("different configuration") && message.contains("shard count"),
@@ -564,7 +504,7 @@ fn mismatched_configurations_are_refused_not_resumed() {
     let message = expect_panic(|| {
         cell_checker(128, SpillCodec::Delta, true)
             .resume(&dir)
-            .run(&grid(8), vec![(1, 0)])
+            .run(&SymGrid::new(8), vec![(1, 0)])
     });
     assert!(
         message.contains("different configuration") && message.contains("state space"),
@@ -575,7 +515,7 @@ fn mismatched_configurations_are_refused_not_resumed() {
     // already at the final image, just finishes the tail).
     let resumed = cell_checker(128, SpillCodec::Delta, true)
         .resume(&dir)
-        .run(&grid(8), vec![(0, 0)]);
+        .run(&SymGrid::new(8), vec![(0, 0)]);
     assert_eq!(resumed.findings, committed.findings);
     std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
 }
@@ -587,7 +527,7 @@ fn resuming_without_a_checkpoint_or_on_dfs_fails_loudly() {
     let message = expect_panic(|| {
         cell_checker(0, SpillCodec::Delta, false)
             .resume(&dir)
-            .run(&grid(4), vec![(0, 0)])
+            .run(&SymGrid::new(4), vec![(0, 0)])
     });
     assert!(
         message.contains("cannot read checkpoint"),
@@ -596,7 +536,7 @@ fn resuming_without_a_checkpoint_or_on_dfs_fails_loudly() {
     let message = expect_panic(|| {
         Checker::sequential_dfs()
             .resume(&dir)
-            .run(&grid(4), vec![(0, 0)])
+            .run(&SymGrid::new(4), vec![(0, 0)])
     });
     assert!(
         message.contains("parallel BFS backend"),

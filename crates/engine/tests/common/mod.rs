@@ -4,6 +4,8 @@
 //! need lives here; not every harness uses every helper.
 #![allow(dead_code)]
 
+use slx_engine::{Digest, Expansion, StateSpace};
+
 /// SplitMix64, reimplemented locally (the engine crate is dependency-free
 /// and deliberately does not export a PRNG).
 pub struct Rng(pub u64);
@@ -38,5 +40,64 @@ impl Rng {
         for i in (1..items.len()).rev() {
             items.swap(i, self.below(i as u64 + 1) as usize);
         }
+    }
+}
+
+/// Transpose-symmetric grid walk: `(x, y)` with moves +x/+y to a bound,
+/// a finding at the far corner, coordinate-sort canonicalization (sound:
+/// the dynamics and the finding are swap-invariant) — and a panic on the
+/// first expansion at `kill_depth`, standing in for the process dying
+/// mid-level.
+pub struct SymGrid {
+    pub bound: u32,
+    pub kill_depth: usize,
+}
+
+/// Disarmed value for a fixture's `kill_depth`.
+pub const NEVER: usize = usize::MAX;
+
+impl SymGrid {
+    /// A grid that never crashes.
+    pub fn new(bound: u32) -> SymGrid {
+        SymGrid {
+            bound,
+            kill_depth: NEVER,
+        }
+    }
+
+    /// The member every state of `state`'s orbit canonicalizes to.
+    pub fn representative(&(x, y): &(u32, u32)) -> (u32, u32) {
+        (x.min(y), x.max(y))
+    }
+}
+
+impl StateSpace for SymGrid {
+    type State = (u32, u32);
+    type Finding = (u32, u32);
+
+    fn digest(&self, state: &Self::State) -> Digest {
+        slx_engine::digest128_of(state)
+    }
+
+    fn expand(&self, &(x, y): &Self::State, depth: usize, ctx: &mut Expansion<Self>) {
+        assert!(depth < self.kill_depth, "injected crash at level {depth}");
+        if x == self.bound && y == self.bound {
+            ctx.finding((x, y));
+            return;
+        }
+        if x < self.bound {
+            ctx.push((x + 1, y));
+        }
+        if y < self.bound {
+            ctx.push((x, y + 1));
+        }
+    }
+
+    fn has_symmetry_reduction(&self) -> bool {
+        true
+    }
+
+    fn canonical_digest(&self, state: &Self::State) -> Digest {
+        self.digest(&SymGrid::representative(state))
     }
 }

@@ -21,50 +21,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use slx_engine::{
-    Checker, CheckpointStore, Digest, EngineError, Expansion, ExploreStats, FaultKind, FaultOp,
-    FaultPlan, SpillCodec, StateSpace,
+    Checker, CheckpointStore, EngineError, ExploreStats, FaultKind, FaultOp, FaultPlan, SpillCodec,
 };
 
-/// Transpose-symmetric grid walk, the `checkpoint_resume` fixture
-/// without the crash switch: `(x, y)` with moves +x/+y to a bound, a
-/// finding at the far corner, coordinate-sort canonicalization.
-struct SymGrid {
-    bound: u32,
-}
-
-impl StateSpace for SymGrid {
-    type State = (u32, u32);
-    type Finding = (u32, u32);
-
-    fn digest(&self, state: &Self::State) -> Digest {
-        slx_engine::digest128_of(state)
-    }
-
-    fn expand(&self, &(x, y): &Self::State, _depth: usize, ctx: &mut Expansion<Self>) {
-        if x == self.bound && y == self.bound {
-            ctx.finding((x, y));
-            return;
-        }
-        if x < self.bound {
-            ctx.push((x + 1, y));
-        }
-        if y < self.bound {
-            ctx.push((x, y + 1));
-        }
-    }
-
-    fn has_symmetry_reduction(&self) -> bool {
-        true
-    }
-
-    fn canonical_digest(&self, state: &Self::State) -> Digest {
-        self.digest(&self.orbit_representative(state))
-    }
-
-    fn orbit_representative(&self, &(x, y): &Self::State) -> Self::State {
-        (x.min(y), x.max(y))
-    }
-}
+mod common;
+use common::SymGrid;
 
 fn unique_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -190,7 +151,7 @@ fn seeded_fault_schedules_never_change_the_verdict_or_tear_state() {
     for (budget, codec, bound, every) in arms {
         for symmetry in [false, true] {
             cell += 1;
-            let space = SymGrid { bound };
+            let space = SymGrid::new(bound);
             let baseline = cell_checker(1, budget, codec, symmetry).run(&space, vec![(0, 0)]);
             assert_eq!(baseline.findings, vec![(bound, bound)]);
             // The disabled-plane discipline: with no plan armed the new
@@ -342,7 +303,7 @@ fn enospc_on_the_spill_path_degrades_to_resident_levels() {
     // (levels fall back to resident once the disk "fills"), report the
     // degradation, and still match the fault-free run bit for bit.
     for codec in [SpillCodec::Plain, SpillCodec::Delta, SpillCodec::Replay] {
-        let space = SymGrid { bound: 40 };
+        let space = SymGrid::new(40);
         let baseline = cell_checker(1, 128, codec, false).run(&space, vec![(0, 0)]);
         let spill_dir = unique_dir("enospc");
         let plan = FaultPlan::seeded(0xD15C)

@@ -22,7 +22,6 @@
 //! - [`verify_solo_progress`] checks obstruction-freedom exhaustively: from
 //!   every reachable configuration, every pending process running alone
 //!   responds within a step budget.
-
 //!
 //! Since the `slx-engine` refactor, the enumerating checkers
 //! ([`explore_safety`], [`decidable_values`], [`verify_solo_progress`])

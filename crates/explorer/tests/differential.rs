@@ -34,15 +34,20 @@ fn cas_consensus_scenario() -> System<ConsWord, CasConsensus> {
 }
 
 fn of_consensus_scenario() -> System<ConsWord, ObstructionFreeConsensus> {
+    of_consensus_with_inputs(&[1, 2])
+}
+
+fn of_consensus_with_inputs(inputs: &[i64]) -> System<ConsWord, ObstructionFreeConsensus> {
+    let n = inputs.len();
     let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 16);
-    let procs = vec![
-        ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-        ObstructionFreeConsensus::new(layout, p(1), 2),
-    ];
+    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
+    let procs = (0..n)
+        .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), n))
+        .collect();
     let mut sys = System::new(mem, procs);
-    sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
-    sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
+    for (i, &input) in inputs.iter().enumerate() {
+        sys.invoke(p(i), Operation::Propose(v(input))).unwrap();
+    }
     sys
 }
 
@@ -588,21 +593,59 @@ fn backends_agree_on_tm_commit_race() {
     assert!(bfs.configs > 1, "the commit race must branch");
 }
 
+/// The kernel against the seed's retained-clone DFS, and checkpointing as
+/// a pure observer of the same runs: a committed image every `every`
+/// levels changes no verdict, count, or dedup accounting. The last row is
+/// one process count up (processes 1 and 2 interchangeable, still
+/// bivalent), at a cadence where several levels ride between commits.
 #[test]
 fn kernel_matches_retained_baseline_on_consensus() {
-    let sys = of_consensus_scenario();
-    let active = [p(0), p(1)];
     let safety = ConsensusSafety::new();
     // The retained baseline has no symmetry reduction: pin it off on the
     // kernel arm so the count comparison survives `SLX_ENGINE_SYMMETRY=1`
     // environments (the symmetry CI job).
     let checker = Checker::auto().with_symmetry(false);
-    for depth in [8usize, 14, 18] {
+    let rows: [(&[i64], usize, usize); 4] = [
+        (&[1, 2], 8, 4),
+        (&[1, 2], 14, 4),
+        (&[1, 2], 18, 4),
+        (&[1, 2, 2], 18, 8),
+    ];
+    for (inputs, depth, every) in rows {
+        let label = format!("inputs {inputs:?}, depth {depth}");
+        let sys = of_consensus_with_inputs(inputs);
+        let active: Vec<ProcessId> = (0..inputs.len()).map(p).collect();
         let engine = explore_safety_with(&checker, &sys, &active, depth, &safety, history_digest);
         let baseline = explore_safety_retained(&sys, &active, depth, &safety, history_digest);
-        assert_eq!(engine.holds(), baseline.holds(), "depth {depth}");
-        assert_eq!(engine.configs, baseline.configs, "depth {depth}");
-        assert_eq!(engine.truncated, baseline.truncated, "depth {depth}");
+        assert_eq!(engine.holds(), baseline.holds(), "{label}");
+        assert_eq!(engine.configs, baseline.configs, "{label}");
+        assert_eq!(engine.truncated, baseline.truncated, "{label}");
+
+        let dir = std::env::temp_dir().join(format!(
+            "slx-differential-ckpt-{}-{}-{depth}",
+            std::process::id(),
+            inputs.len()
+        ));
+        let observed = explore_safety_with(
+            &checker.clone().with_checkpoint(&dir, every),
+            &sys,
+            &active,
+            depth,
+            &safety,
+            history_digest,
+        );
+        std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
+        assert_eq!(observed.holds(), engine.holds(), "ckpt, {label}");
+        assert_eq!(observed.configs, engine.configs, "ckpt, {label}");
+        assert_eq!(
+            observed.stats.dedup_hits, engine.stats.dedup_hits,
+            "ckpt, {label}"
+        );
+        assert!(
+            observed.stats.checkpoints_written >= depth / every,
+            "ckpt, {label}: {} images",
+            observed.stats.checkpoints_written
+        );
     }
 }
 
@@ -761,15 +804,7 @@ impl StateSpace for DecisionSpace {
 /// parent at a time, from worker blocks, or from spilled chunks.
 #[test]
 fn level_window_partition_never_shows_on_consensus() {
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, 3, 16);
-    let procs = (0..3)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), 3))
-        .collect();
-    let mut sys = System::new(mem, procs);
-    for (i, value) in [1, 2, 2].into_iter().enumerate() {
-        sys.invoke(p(i), Operation::Propose(v(value))).unwrap();
-    }
+    let sys = of_consensus_with_inputs(&[1, 2, 2]);
     let space = DecisionSpace { depth: 22 };
 
     type Outcome = KernelOutcome<(usize, Value)>;

@@ -1,11 +1,18 @@
 //! Property-based tests of the core data structures and checkers.
 //!
-//! Requires the external `proptest` crate: enable the `proptest-tests`
-//! feature (and add the dev-dependency) in an environment with registry
-//! access. Compiled out by default so offline builds succeed.
-#![cfg(feature = "proptest-tests")]
+//! Every property runs on a fixed number of generated cases; case `seed`
+//! is drawn from a [`SmallRng`] seeded with `seed`, so a case is a pure
+//! function of its seed. A failing case names its seed and prints the
+//! generated input after the assertion's own panic message; to replay
+//! it alone, narrow the seed range in [`for_each_case`] to that seed.
+//! (There is no shrinking: the printed case is the counterexample.)
+//!
+//! The prefix-monotonicity and linearizability properties draw from the
+//! alphabet of the object they test (consensus, register, tm_op), so every
+//! generated history is in the checker's domain.
 
-use proptest::prelude::*;
+use std::fmt::Debug;
+
 use safety_liveness_exclusion::history::{
     Action, History, HistorySet, Operation, ProcessId, Response, Value, VarId,
 };
@@ -13,7 +20,7 @@ use safety_liveness_exclusion::liveness::{
     ExecutionView, KObstructionFreedom, LLockFreedom, LivenessProperty, LkFreedom, Lmax,
     ProgressKind,
 };
-use safety_liveness_exclusion::memory::Event;
+use safety_liveness_exclusion::memory::{Event, SmallRng};
 use safety_liveness_exclusion::safety::{
     ConsensusSafety, ConsensusSpec, KSetAgreementSafety, Linearizability, Opacity, RegisterSpec,
     SafetyProperty,
@@ -21,220 +28,362 @@ use safety_liveness_exclusion::safety::{
 
 const N: usize = 3;
 
-fn arb_action() -> impl Strategy<Value = Action> {
-    let proc = (0..N).prop_map(ProcessId::new);
-    let val = (0i64..3).prop_map(Value::new);
-    let op = prop_oneof![
-        val.clone().prop_map(Operation::Propose),
-        Just(Operation::TxStart),
-        Just(Operation::TxRead(VarId::new(0))),
-        val.clone()
-            .prop_map(|v| Operation::TxWrite(VarId::new(0), v)),
-        Just(Operation::TxCommit),
-    ];
-    let resp = prop_oneof![
-        val.clone().prop_map(Response::Decided),
-        val.prop_map(Response::ValueReturned),
-        Just(Response::Ok),
-        Just(Response::Committed),
-        Just(Response::Aborted),
-    ];
-    prop_oneof![
-        (proc.clone(), op).prop_map(|(p, o)| Action::invoke(p, o)),
-        (proc.clone(), resp).prop_map(|(p, r)| Action::respond(p, r)),
-        proc.prop_map(Action::crash),
-    ]
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// Runs `property` on [`CASES`] cases, case `seed` being `generate`
+/// applied to a generator seeded with `seed`.
+fn for_each_case<T: Debug>(generate: impl Fn(&mut SmallRng) -> T, property: impl Fn(&T)) {
+    for seed in 0..CASES {
+        let case = generate(&mut SmallRng::seed_from_u64(seed));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| property(&case)));
+        if let Err(panic) = outcome {
+            eprintln!("property failed at seed {seed} on case {case:?}");
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
-fn arb_history(max_len: usize) -> impl Strategy<Value = History> {
-    prop::collection::vec(arb_action(), 0..max_len).prop_map(History::from_actions)
+fn arb_value(rng: &mut SmallRng) -> Value {
+    Value::new(rng.gen_index(3) as i64)
 }
 
-/// Well-formed histories: generated by replaying random actions and
-/// keeping only the legal ones.
-fn arb_well_formed(max_len: usize) -> impl Strategy<Value = History> {
-    prop::collection::vec(arb_action(), 0..max_len).prop_map(|actions| {
-        let mut h = History::new();
-        for a in actions {
-            let mut candidate = h.clone();
-            candidate.push(a);
-            if candidate.is_well_formed() {
-                h = candidate;
-            }
-        }
-        h
-    })
+/// An object's invocation alphabet.
+type ArbOp = fn(&mut SmallRng) -> Operation;
+
+fn consensus_op(rng: &mut SmallRng) -> Operation {
+    Operation::Propose(arb_value(rng))
 }
 
-proptest! {
-    #[test]
-    fn projections_partition_actions(h in arb_history(24)) {
-        let total: usize = ProcessId::all(N).map(|p| h.projection(p).len()).sum();
-        prop_assert_eq!(total, h.len());
+fn register_op(rng: &mut SmallRng) -> Operation {
+    match rng.gen_index(2) {
+        0 => Operation::Read(VarId::new(0)),
+        _ => Operation::Write(VarId::new(0), arb_value(rng)),
     }
+}
 
-    #[test]
-    fn prefixes_are_prefixes(h in arb_history(16)) {
-        for p in h.prefixes() {
-            prop_assert!(p.is_prefix_of(&h));
-            prop_assert!(p.len() <= h.len());
+fn tm_op(rng: &mut SmallRng) -> Operation {
+    match rng.gen_index(4) {
+        0 => Operation::TxStart,
+        1 => Operation::TxRead(VarId::new(0)),
+        2 => Operation::TxWrite(VarId::new(0), arb_value(rng)),
+        _ => Operation::TxCommit,
+    }
+}
+
+/// Consensus and TM invocations interleaved: the structural properties
+/// hold on any history, whatever object it talks to.
+fn mixed_op(rng: &mut SmallRng) -> Operation {
+    match rng.gen_index(5) {
+        0 => consensus_op(rng),
+        _ => tm_op(rng),
+    }
+}
+
+fn any_response(rng: &mut SmallRng) -> Response {
+    match rng.gen_index(5) {
+        0 => Response::Decided(arb_value(rng)),
+        1 => Response::ValueReturned(arb_value(rng)),
+        2 => Response::Ok,
+        3 => Response::Committed,
+        _ => Response::Aborted,
+    }
+}
+
+/// A plausible response to `op` after `h`, so that allowed histories grow
+/// past a few actions: three times in four a `propose` returns the value
+/// already decided (if any) and a read returns the last value written
+/// (the initial 0 if none); a TM operation aborts one time in four. One
+/// time in eight the response is of any kind at all, since a checker
+/// must reject a mistyped history, not trip over it.
+fn arb_response(rng: &mut SmallRng, h: &History, op: Operation) -> Response {
+    if rng.gen_index(8) == 0 {
+        return any_response(rng);
+    }
+    if op.is_transactional() && rng.gen_index(4) == 0 {
+        return Response::Aborted;
+    }
+    let likely = |rng: &mut SmallRng, v: Option<Value>| match v {
+        Some(v) if rng.gen_index(4) != 0 => v,
+        _ => arb_value(rng),
+    };
+    match op {
+        Operation::Propose(_) => {
+            let decided = h.iter().find_map(|a| match a.as_respond() {
+                Some(Response::Decided(v)) => Some(v),
+                _ => None,
+            });
+            Response::Decided(likely(rng, decided))
         }
-    }
-
-    #[test]
-    fn concat_preserves_prefix(a in arb_history(8), b in arb_history(8)) {
-        let c = a.concat(&b);
-        prop_assert!(a.is_prefix_of(&c));
-        prop_assert_eq!(c.len(), a.len() + b.len());
-    }
-
-    #[test]
-    fn well_formedness_is_prefix_closed(h in arb_well_formed(24)) {
-        prop_assert!(h.is_well_formed());
-        for p in h.prefixes() {
-            prop_assert!(p.is_well_formed());
+        Operation::Read(_) | Operation::TxRead(_) => {
+            let written = h.iter().rev().find_map(|a| match a.as_invoke() {
+                Some(Operation::Write(_, v) | Operation::TxWrite(_, v)) => Some(v),
+                _ => None,
+            });
+            Response::ValueReturned(likely(rng, Some(written.unwrap_or(Value::new(0)))))
         }
+        Operation::TxCommit => Response::Committed,
+        _ => Response::Ok,
     }
+}
 
-    #[test]
-    fn calls_pending_consistency(h in arb_well_formed(24)) {
-        // Each process has at most one pending call and it is the last one.
-        for p in ProcessId::all(N) {
-            let pending_calls = h
-                .calls()
-                .into_iter()
-                .filter(|c| c.proc == p && c.resp.is_none())
-                .count();
-            prop_assert!(pending_calls <= 1);
-            prop_assert_eq!(pending_calls == 1, h.pending(p));
+/// Up to `max_len - 1` unconstrained actions (rarely well-formed).
+fn arb_history(rng: &mut SmallRng, max_len: usize) -> History {
+    let len = rng.gen_index(max_len);
+    History::from_actions((0..len).map(|_| {
+        let proc = ProcessId::new(rng.gen_index(N));
+        match rng.gen_index(3) {
+            0 => Action::invoke(proc, mixed_op(rng)),
+            1 => Action::respond(proc, any_response(rng)),
+            _ => Action::crash(proc),
         }
-    }
+    }))
+}
 
-    #[test]
-    fn history_set_algebra(
-        hs1 in prop::collection::vec(arb_history(6), 0..6),
-        hs2 in prop::collection::vec(arb_history(6), 0..6),
-    ) {
-        let a = HistorySet::from_histories(hs1);
-        let b = HistorySet::from_histories(hs2);
-        let i = a.intersection(&b);
-        let u = a.union(&b);
-        prop_assert!(i.is_subset(&a) && i.is_subset(&b));
-        prop_assert!(a.is_subset(&u) && b.is_subset(&u));
-        prop_assert_eq!(a.is_disjoint(&b), i.is_empty());
-        prop_assert!(u.prefix_closure().is_prefix_closed());
-    }
-
-    #[test]
-    fn consensus_safety_prefix_monotone(h in arb_well_formed(20)) {
-        prop_assert!(ConsensusSafety::new().prefix_monotone_on(&h));
-        prop_assert!(KSetAgreementSafety::new(2).prefix_monotone_on(&h));
-    }
-
-    #[test]
-    fn kset_weakens_with_k(h in arb_well_formed(20)) {
-        // k-set agreement safety is monotone in k.
-        for k in 1..3usize {
-            if KSetAgreementSafety::new(k).allows(&h) {
-                prop_assert!(KSetAgreementSafety::new(k + 1).allows(&h));
+/// Well-formed histories of up to `max_len - 1` actions, each extending
+/// a random live process legally: an idle process invokes an `arb_op`
+/// operation, a pending one gets its response, and either crashes one
+/// time in twelve. TM invocations follow the client discipline
+/// (`TxnView::client_well_formed`): outside a transaction the draw
+/// becomes `start()`, inside one a drawn `start()` becomes `tryC()`.
+fn arb_well_formed(rng: &mut SmallRng, max_len: usize, arb_op: ArbOp) -> History {
+    let mut h = History::new();
+    let mut pending: [Option<Operation>; N] = [None; N];
+    let mut in_txn = [false; N];
+    let mut live: Vec<usize> = (0..N).collect();
+    for _ in 0..rng.gen_index(max_len) {
+        if live.is_empty() {
+            break;
+        }
+        let slot = rng.gen_index(live.len());
+        let (i, proc) = (live[slot], ProcessId::new(live[slot]));
+        if rng.gen_index(12) == 0 {
+            h.push(Action::crash(proc));
+            live.swap_remove(slot);
+        } else if let Some(op) = pending[i].take() {
+            let resp = arb_response(rng, &h, op);
+            if op.is_transactional() && matches!(resp, Response::Committed | Response::Aborted) {
+                in_txn[i] = false;
             }
+            h.push(Action::respond(proc, resp));
+        } else {
+            let op = match arb_op(rng) {
+                op if !op.is_transactional() => op,
+                _ if !in_txn[i] => Operation::TxStart,
+                Operation::TxStart => Operation::TxCommit,
+                op => op,
+            };
+            in_txn[i] |= op == Operation::TxStart;
+            pending[i] = Some(op);
+            h.push(Action::invoke(proc, op));
         }
     }
+    h
+}
 
-    #[test]
-    fn consensus_linearizability_implies_agreement_validity(h in arb_well_formed(12)) {
-        // Only meaningful for pure consensus histories.
-        let consensus_only = h.iter().all(|a| match a {
-            Action::Invoke { op, .. } => op.is_propose(),
-            Action::Respond { resp, .. } => matches!(resp, Response::Decided(_)),
-            Action::Crash { .. } => true,
-        });
-        if consensus_only {
-            let lin = Linearizability::new(ConsensusSpec::new());
-            if lin.is_linearizable(&h) {
-                prop_assert!(ConsensusSafety::new().allows(&h));
+fn arb_indices(rng: &mut SmallRng, max_len: usize) -> Vec<usize> {
+    (0..rng.gen_index(max_len))
+        .map(|_| rng.gen_index(N))
+        .collect()
+}
+
+#[test]
+fn projections_partition_actions() {
+    for_each_case(
+        |rng| arb_history(rng, 24),
+        |h| {
+            let total: usize = ProcessId::all(N).map(|p| h.projection(p).len()).sum();
+            assert_eq!(total, h.len());
+        },
+    );
+}
+
+#[test]
+fn prefixes_are_prefixes() {
+    for_each_case(
+        |rng| arb_history(rng, 16),
+        |h| {
+            for p in h.prefixes() {
+                assert!(p.is_prefix_of(h));
+                assert!(p.len() <= h.len());
             }
-        }
-    }
+        },
+    );
+}
 
-    #[test]
-    fn register_linearizability_prefix_monotone(h in arb_well_formed(10)) {
-        let register_only = h.iter().all(|a| match a {
-            Action::Invoke { op, .. } => matches!(op, Operation::Read(_) | Operation::Write(_, _)),
-            Action::Respond { resp, .. } =>
-                matches!(resp, Response::ValueReturned(_) | Response::Ok),
-            Action::Crash { .. } => true,
-        });
-        if register_only {
-            let lin = Linearizability::new(RegisterSpec::new(1, Value::new(0)));
-            prop_assert!(lin.prefix_monotone_on(&h));
-        }
-    }
+#[test]
+fn concat_preserves_prefix() {
+    for_each_case(
+        |rng| (arb_history(rng, 8), arb_history(rng, 8)),
+        |(a, b)| {
+            let c = a.concat(b);
+            assert!(a.is_prefix_of(&c));
+            assert_eq!(c.len(), a.len() + b.len());
+        },
+    );
+}
 
-    #[test]
-    fn opacity_prefix_monotone_on_small_tm_histories(h in arb_well_formed(10)) {
-        let tm_only = h.iter().all(|a| match a {
-            Action::Invoke { op, .. } => op.is_transactional(),
-            Action::Respond { .. } => true,
-            Action::Crash { .. } => true,
-        });
-        if tm_only {
-            prop_assert!(Opacity::new(Value::new(0)).prefix_monotone_on(&h));
-        }
-    }
+#[test]
+fn well_formedness_is_prefix_closed() {
+    for_each_case(
+        |rng| arb_well_formed(rng, 24, mixed_op),
+        |h| {
+            assert!(h.is_well_formed());
+            for p in h.prefixes() {
+                assert!(p.is_well_formed());
+            }
+        },
+    );
+}
 
-    #[test]
-    fn lk_product_order_is_semantically_sound(
-        steps in prop::collection::vec(0usize..N, 0..12),
-        good in prop::collection::vec(0usize..N, 0..6),
-    ) {
-        // Build a synthetic execution and check: stronger (l,k) implies
-        // weaker (l,k) on it.
-        let mut events = Vec::new();
-        for i in 0..N {
-            events.push(Event::Invoked(ProcessId::new(i), Operation::TxCommit));
-        }
-        for s in steps {
-            events.push(Event::Stepped(ProcessId::new(s)));
-        }
-        for g in good {
-            events.push(Event::Responded(ProcessId::new(g), Response::Committed));
-            events.push(Event::Invoked(ProcessId::new(g), Operation::TxCommit));
-        }
-        let view = ExecutionView::new(&events, N, 0, ProgressKind::CommitOnly);
-        let grid = LkFreedom::grid(N);
-        for a in &grid {
-            for b in &grid {
-                if a.is_stronger_or_equal(b) && a.satisfied(&view) {
-                    prop_assert!(b.satisfied(&view), "{} ⊏ {} violated", a, b);
+#[test]
+fn calls_pending_consistency() {
+    for_each_case(
+        |rng| arb_well_formed(rng, 24, mixed_op),
+        |h| {
+            // Each process has at most one pending call and it is the last one.
+            for p in ProcessId::all(N) {
+                let pending_calls = h
+                    .calls()
+                    .into_iter()
+                    .filter(|c| c.proc == p && c.resp.is_none())
+                    .count();
+                assert!(pending_calls <= 1);
+                assert_eq!(pending_calls == 1, h.pending(p));
+            }
+        },
+    );
+}
+
+#[test]
+fn history_set_algebra() {
+    let arb_set = |rng: &mut SmallRng| {
+        let len = rng.gen_index(6);
+        HistorySet::from_histories((0..len).map(|_| arb_history(rng, 6)).collect::<Vec<_>>())
+    };
+    for_each_case(
+        |rng| (arb_set(rng), arb_set(rng)),
+        |(a, b)| {
+            let i = a.intersection(b);
+            let u = a.union(b);
+            assert!(i.is_subset(a) && i.is_subset(b));
+            assert!(a.is_subset(&u) && b.is_subset(&u));
+            assert_eq!(a.is_disjoint(b), i.is_empty());
+            assert!(u.prefix_closure().is_prefix_closed());
+        },
+    );
+}
+
+#[test]
+fn consensus_safety_prefix_monotone() {
+    for_each_case(
+        |rng| arb_well_formed(rng, 20, consensus_op),
+        |h| {
+            assert!(ConsensusSafety::new().prefix_monotone_on(h));
+            assert!(KSetAgreementSafety::new(2).prefix_monotone_on(h));
+        },
+    );
+}
+
+#[test]
+fn kset_weakens_with_k() {
+    for_each_case(
+        |rng| arb_well_formed(rng, 20, consensus_op),
+        |h| {
+            // k-set agreement safety is monotone in k.
+            for k in 1..3usize {
+                if KSetAgreementSafety::new(k).allows(h) {
+                    assert!(KSetAgreementSafety::new(k + 1).allows(h));
                 }
             }
-        }
-        // Lmax coincides with (n,n)-freedom.
-        prop_assert_eq!(
-            Lmax::new().satisfied(&view),
-            LkFreedom::new(N, N).satisfied(&view)
-        );
-        // l-lock-freedom = (l, n)-freedom when all steps counted.
-        for l in 1..=N {
-            prop_assert_eq!(
-                LLockFreedom::new(l).satisfied(&view),
-                LkFreedom::new(l, N).satisfied(&view)
+        },
+    );
+}
+
+#[test]
+fn consensus_linearizability_implies_agreement_validity() {
+    for_each_case(
+        |rng| arb_well_formed(rng, 12, consensus_op),
+        |h| {
+            if Linearizability::new(ConsensusSpec::new()).is_linearizable(h) {
+                assert!(ConsensusSafety::new().allows(h));
+            }
+        },
+    );
+}
+
+#[test]
+fn register_linearizability_prefix_monotone() {
+    for_each_case(
+        |rng| arb_well_formed(rng, 16, register_op),
+        |h| {
+            let lin = Linearizability::new(RegisterSpec::new(1, Value::new(0)));
+            assert!(lin.prefix_monotone_on(h));
+        },
+    );
+}
+
+#[test]
+fn opacity_prefix_monotone_on_small_tm_histories() {
+    for_each_case(
+        |rng| arb_well_formed(rng, 16, tm_op),
+        |h| assert!(Opacity::new(Value::new(0)).prefix_monotone_on(h)),
+    );
+}
+
+#[test]
+fn lk_product_order_is_semantically_sound() {
+    for_each_case(
+        |rng| (arb_indices(rng, 12), arb_indices(rng, 6)),
+        |(steps, good)| {
+            // Build a synthetic execution and check: stronger (l,k) implies
+            // weaker (l,k) on it.
+            let mut events = Vec::new();
+            for i in 0..N {
+                events.push(Event::Invoked(ProcessId::new(i), Operation::TxCommit));
+            }
+            for &s in steps {
+                events.push(Event::Stepped(ProcessId::new(s)));
+            }
+            for &g in good {
+                events.push(Event::Responded(ProcessId::new(g), Response::Committed));
+                events.push(Event::Invoked(ProcessId::new(g), Operation::TxCommit));
+            }
+            let view = ExecutionView::new(&events, N, 0, ProgressKind::CommitOnly);
+            let grid = LkFreedom::grid(N);
+            for a in &grid {
+                for b in &grid {
+                    if a.is_stronger_or_equal(b) && a.satisfied(&view) {
+                        assert!(b.satisfied(&view), "{a} ⊏ {b} violated");
+                    }
+                }
+            }
+            // Lmax coincides with (n,n)-freedom.
+            assert_eq!(
+                Lmax::new().satisfied(&view),
+                LkFreedom::new(N, N).satisfied(&view)
             );
-        }
-        // The paper's union remark (Section 5.1): on executions where
-        // every correct process is a stepper, (l,k)-freedom coincides with
-        // l-lock-freedom ∪ k-obstruction-freedom.
-        let steppers = view.steppers();
-        if view.correct().iter().all(|p| steppers.contains(p)) {
-            for lk in &grid {
-                prop_assert_eq!(
-                    lk.satisfied(&view),
-                    LLockFreedom::new(lk.l()).satisfied(&view)
-                        || KObstructionFreedom::new(lk.k()).satisfied(&view),
-                    "union remark fails at {}", lk
+            // l-lock-freedom = (l, n)-freedom when all steps counted.
+            for l in 1..=N {
+                assert_eq!(
+                    LLockFreedom::new(l).satisfied(&view),
+                    LkFreedom::new(l, N).satisfied(&view)
                 );
             }
-        }
-    }
+            // The paper's union remark (Section 5.1): on executions where
+            // every correct process is a stepper, (l,k)-freedom coincides with
+            // l-lock-freedom ∪ k-obstruction-freedom.
+            let steppers = view.steppers();
+            if view.correct().iter().all(|p| steppers.contains(p)) {
+                for lk in &grid {
+                    assert_eq!(
+                        lk.satisfied(&view),
+                        LLockFreedom::new(lk.l()).satisfied(&view)
+                            || KObstructionFreedom::new(lk.k()).satisfied(&view),
+                        "union remark fails at {lk}"
+                    );
+                }
+            }
+        },
+    );
 }
