@@ -309,15 +309,7 @@ mod tests {
         // Corollary 4.5 / Theorem 5.2, excluded side: the adversary keeps
         // the obstruction-free register consensus undecided for the whole
         // budget, with both processes stepping.
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-            ObstructionFreeConsensus::new(layout, p(1), 2),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
-        sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
+        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 64);
         let report = run_bivalence_adversary(&mut sys, &[p(0), p(1)], 150, 60_000);
         assert!(
             report.adversary_won(),
@@ -340,18 +332,7 @@ mod tests {
         // schedule must not change at all: same steps, same history, same
         // model-checking work.
         use slx_engine::SpillCodec;
-        let scenario = || {
-            let mut mem: Memory<ConsWord> = Memory::new();
-            let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
-            let procs = vec![
-                ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-                ObstructionFreeConsensus::new(layout, p(1), 2),
-            ];
-            let mut sys = System::new(mem, procs);
-            sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
-            sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
-            sys
-        };
+        let scenario = || ObstructionFreeConsensus::proposers(&[1, 2], 64);
         let mut resident_sys = scenario();
         let resident = run_bivalence_adversary_with(
             &Checker::parallel_bfs(1).with_mem_budget(0),
@@ -499,15 +480,7 @@ mod tests {
     fn equal_proposals_leave_adversary_powerless() {
         // With equal proposals the configuration is univalent from the
         // start; the adversary has nothing to preserve.
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-            ObstructionFreeConsensus::new(layout, p(1), 2),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p(0), Operation::Propose(v(5))).unwrap();
-        sys.invoke(p(1), Operation::Propose(v(5))).unwrap();
+        let mut sys = ObstructionFreeConsensus::proposers(&[5, 5], 64);
         let report = run_bivalence_adversary(&mut sys, &[p(0), p(1)], 50, 20_000);
         assert!(!report.adversary_won());
     }

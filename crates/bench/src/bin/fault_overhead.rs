@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use slx_bench::of_system;
+use slx_core::consensus::ObstructionFreeConsensus;
 use slx_core::engine::{Checker, FaultPlan, SpillCodec};
 use slx_core::explorer::{explore_safety_with, history_digest, ExploreOutcome};
 use slx_core::history::ProcessId;
@@ -45,7 +45,8 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(SPILL_BUDGET);
 
-    let sys = of_system(&[1, 2]);
+    // 16 rounds: ample for depth 26 at 2n + 2 steps a round.
+    let sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
     let active = [ProcessId::new(0), ProcessId::new(1)];
     let safety = ConsensusSafety::new();
     let off_checker = Checker::auto()

@@ -2,41 +2,17 @@
 //!
 //! The binaries in `src/bin` regenerate the paper's figure and the
 //! corollary demonstrations (`fig1`, `fig_gmax`, `fig_s`, `fig_sect6`,
-//! `fig_ablation`) and carry two CI probes: `checkpoint_run` (real
-//! SIGKILL crash/resume) and `fault_overhead` (a disabled fault plane
-//! costs ≤ 1.02x). Performance is measured by the repo benchmark in
-//! `benchmark/` (its own workspace), not here. See `EXPERIMENTS.md` at
-//! the workspace root for the mapping from paper claims to targets.
+//! `fig_ablation`) and carry one CI probe: `fault_overhead` (a disabled
+//! fault plane costs ≤ 1.02x). Performance is measured by the repo
+//! benchmark in `benchmark/` (its own workspace), not here. See
+//! `EXPERIMENTS.md` at the workspace root for the mapping from paper
+//! claims to targets.
 
 #![warn(missing_docs)]
 
-use slx_core::consensus::{ConsWord, ObstructionFreeConsensus};
-use slx_core::history::{Operation, ProcessId, Value, VarId};
+use slx_core::history::{ProcessId, VarId};
 use slx_core::memory::{FairRandom, Memory, RepeatTxn, System, WorkloadScheduler};
 use slx_core::tm::{AgpTm, GlobalVersionTm, LockTm, TmWord};
-
-/// The Figure 1a anchor system: `inputs.len()` obstruction-free-consensus
-/// proposers, one pending `propose` each, over 16 pre-allocated
-/// commit-adopt rounds.
-///
-/// 16 rounds is ample for the probes' depths (a round costs each process
-/// 2n + 2 steps) and keeps never-touched `⊥` registers a small share of
-/// every configuration: dead registers are a memcpy for a resident clone
-/// but per-object work for the spill codec.
-pub fn of_system(inputs: &[i64]) -> System<ConsWord, ObstructionFreeConsensus> {
-    let n = inputs.len();
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
-    let procs = (0..n)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), ProcessId::new(i), n))
-        .collect();
-    let mut sys = System::new(mem, procs);
-    for (i, &input) in inputs.iter().enumerate() {
-        sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(input)))
-            .expect("a fresh process accepts its first invocation");
-    }
-    sys
-}
 
 /// Builds an `AgpTm` system of `n` processes over one variable.
 pub fn agp_system(n: usize) -> System<TmWord, AgpTm> {
@@ -98,6 +74,5 @@ mod tests {
         let _ = aborts(sys.history());
         let _ = agp_system(2);
         let _ = lock_system(2);
-        assert_eq!(of_system(&[1, 2, 2]).history().len(), 3);
     }
 }

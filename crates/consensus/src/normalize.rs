@@ -293,28 +293,9 @@ pub fn permuted_of_system(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slx_history::{Operation, Value};
-    use slx_memory::Memory;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
-    }
-    fn v(x: i64) -> Value {
-        Value::new(x)
-    }
-
-    fn proposed_system(n: usize) -> System<ConsWord, ObstructionFreeConsensus> {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
-        let procs = (0..n)
-            .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), n))
-            .collect();
-        let mut sys = System::new(mem, procs);
-        for i in 0..n {
-            sys.invoke(p(i), Operation::Propose(v(i as i64 + 1)))
-                .unwrap();
-        }
-        sys
     }
 
     #[test]
@@ -327,7 +308,7 @@ mod tests {
         // (its own). Estimates stay {1, 2}, both climb one round per
         // lap, forever. Lap boundaries are raw-distinct (fresh rounds)
         // but identical modulo the round shift.
-        let mut sys = proposed_system(2);
+        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
         let lap = |sys: &mut System<ConsWord, ObstructionFreeConsensus>| {
             for i in [0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0] {
                 sys.step(p(i)).unwrap();
@@ -353,7 +334,7 @@ mod tests {
         // Drive an asymmetric schedule to a permutation-safe state: p0
         // writes A and is about to collect index 0; p1 still at
         // CheckDecision.
-        let mut sys = proposed_system(2);
+        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
         sys.step(p(0)).unwrap(); // CheckDecision -> Round(WriteA)
         sys.step(p(0)).unwrap(); // WriteA -> CollectA(0)
         let image = permuted_of_system(&sys, &[1, 0]);
@@ -370,11 +351,11 @@ mod tests {
         // Step p0 to CollectA(1) (mid-collect, j > 0): the canonical
         // digest must come from the tagged fallback domain and still
         // distinguish genuinely different mid-collect states.
-        let mut sys = proposed_system(2);
+        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
         for _ in 0..3 {
             sys.step(p(0)).unwrap(); // CheckDecision, WriteA, CollectA(0)->read
         }
-        let mut other = proposed_system(2);
+        let mut other = ObstructionFreeConsensus::proposers(&[1, 2], 16);
         for _ in 0..3 {
             other.step(p(1)).unwrap();
         }
@@ -394,7 +375,7 @@ mod tests {
         // collect has consumed. That is exactly why mid-collect states
         // are gated out of the sorted form; between checkpoints the
         // order-insensitive aggregates reconverge.)
-        let mut sys = proposed_system(3);
+        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2, 3], 16);
         sys.step(p(0)).unwrap(); // CheckDecision -> open round
         sys.step(p(0)).unwrap(); // WriteA: p0's value visible at a[0]
         sys.step(p(2)).unwrap(); // CheckDecision -> open round

@@ -3,7 +3,7 @@
 
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
 use slx_history::{Operation, ProcessId, Response, Value};
-use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect};
+use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect, System};
 
 use crate::adopt_commit::{AcNormalizedState, AcOutcome, AdoptCommit};
 use crate::word::ConsWord;
@@ -144,6 +144,28 @@ impl ObstructionFreeConsensus {
             pc: Pc::Idle,
             rounds_used: 0,
         }
+    }
+
+    /// A fresh system of `inputs.len()` proposers over `max_rounds`
+    /// pre-allocated rounds, process `i` pending on `Propose(inputs[i])`.
+    ///
+    /// A round costs each process `2n + 2` steps, so depth-bounded
+    /// explorations want few rounds: never-touched `⊥` registers are a
+    /// memcpy for a resident clone but per-object work for the spill
+    /// codec.
+    pub fn proposers(inputs: &[i64], max_rounds: usize) -> System<ConsWord, Self> {
+        let n = inputs.len();
+        let mut mem: Memory<ConsWord> = Memory::new();
+        let layout = Self::layout(&mut mem, n, max_rounds);
+        let procs = (0..n)
+            .map(|i| Self::new(layout.clone(), ProcessId::new(i), n))
+            .collect();
+        let mut sys = System::new(mem, procs);
+        for (i, &input) in inputs.iter().enumerate() {
+            sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(input)))
+                .expect("a fresh process accepts its first invocation");
+        }
+        sys
     }
 
     /// Commit-adopt rounds completed so far by this process.
@@ -462,7 +484,7 @@ impl Process<ConsWord> for ObstructionFreeConsensus {
 mod tests {
     use super::*;
     use slx_history::History;
-    use slx_memory::{FairRandom, RoundRobin, SoloScheduler, System};
+    use slx_memory::{FairRandom, RoundRobin, SoloScheduler};
     use slx_safety::{ConsensusSafety, SafetyProperty};
 
     fn v(x: i64) -> Value {
@@ -486,6 +508,29 @@ mod tests {
             Response::Decided(v) => Some(*v),
             _ => None,
         })
+    }
+
+    #[test]
+    fn proposers_is_the_hand_built_system() {
+        // Register allocation order feeds every digest, so the
+        // constructor must reproduce the spelled-out construction exactly.
+        let mut mem: Memory<ConsWord> = Memory::new();
+        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 16);
+        let procs = vec![
+            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
+            ObstructionFreeConsensus::new(layout, p(1), 2),
+        ];
+        let mut sys = System::new(mem, procs);
+        sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
+        sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
+        let built = ObstructionFreeConsensus::proposers(&[1, 2], 16);
+        assert_eq!(built, sys);
+        // `==` is configuration equality; the encoding also covers the
+        // history and the event log.
+        let (mut built_bytes, mut sys_bytes) = (Vec::new(), Vec::new());
+        built.encode(&mut built_bytes);
+        sys.encode(&mut sys_bytes);
+        assert_eq!(built_bytes, sys_bytes);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! it alone, narrow the seed range in [`for_each_case`] to that seed.
 
 use slx_consensus::{AcOutcome, AdoptCommit, ConsWord, ObstructionFreeConsensus};
-use slx_history::{Operation, ProcessId, Response, Value};
-use slx_memory::{Memory, SmallRng, System};
+use slx_history::{ProcessId, Response, Value};
+use slx_memory::{Memory, SmallRng};
 use slx_safety::{ConsensusSafety, SafetyProperty};
 
 /// Cases per property.
@@ -107,16 +107,7 @@ fn of_consensus_safe_under_random_schedules() {
         |rng| arb_case(rng, 2, 4, 200),
         |(proposals, schedule)| {
             let n = proposals.len();
-            let mut mem: Memory<ConsWord> = Memory::new();
-            let layout = ObstructionFreeConsensus::layout(&mut mem, n, 64);
-            let procs = (0..n)
-                .map(|i| ObstructionFreeConsensus::new(layout.clone(), ProcessId::new(i), n))
-                .collect();
-            let mut sys: System<ConsWord, ObstructionFreeConsensus> = System::new(mem, procs);
-            for (i, &v) in proposals.iter().enumerate() {
-                sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(v)))
-                    .unwrap();
-            }
+            let mut sys = ObstructionFreeConsensus::proposers(proposals, 64);
             for &i in schedule {
                 let q = ProcessId::new(i % n);
                 if sys.can_step(q) {

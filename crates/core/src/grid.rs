@@ -3,9 +3,9 @@
 use std::fmt;
 
 use slx_adversary::{run_bivalence_adversary, TmStarvation};
-use slx_consensus::{ConsWord, ObstructionFreeConsensus};
+use slx_consensus::ObstructionFreeConsensus;
 use slx_explorer::{explore_safety, history_digest, verify_solo_progress};
-use slx_history::{Operation, ProcessId, Value, VarId};
+use slx_history::{ProcessId, Value, VarId};
 use slx_liveness::LkFreedom;
 use slx_memory::{Memory, System};
 use slx_safety::ConsensusSafety;
@@ -193,18 +193,7 @@ pub fn consensus_grid_with(n: usize, cfg: GridConfig) -> Grid {
     let p1 = ProcessId::new(1);
 
     // White anchor (1,1): exhaustive safety + solo progress at small scope.
-    let build = || {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p0, 2),
-            ObstructionFreeConsensus::new(layout, p1, 2),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p0, Operation::Propose(Value::new(1))).unwrap();
-        sys.invoke(p1, Operation::Propose(Value::new(2))).unwrap();
-        sys
-    };
+    let build = || ObstructionFreeConsensus::proposers(&[1, 2], 64);
     let safety_out = explore_safety(
         &build(),
         &[p0, p1],

@@ -1,11 +1,10 @@
 //! Section 6: alternative restricted liveness families.
 
 use slx_adversary::run_bivalence_adversary;
-use slx_consensus::{ConsWord, ObstructionFreeConsensus};
+use slx_consensus::ObstructionFreeConsensus;
 use slx_explorer::verify_solo_progress;
-use slx_history::{Operation, ProcessId, Value};
+use slx_history::ProcessId;
 use slx_liveness::{ExecutionView, LivenessProperty, NxLiveness, ProgressKind, SFreedom};
-use slx_memory::{Memory, System};
 
 /// The S-freedom structure recalled in Section 6: the implementable
 /// members (from registers, for consensus) are exactly the singletons, and
@@ -99,18 +98,7 @@ impl Sect6ImplementabilityDemo {
 pub fn sect6_implementability_demo() -> Sect6ImplementabilityDemo {
     let p0 = ProcessId::new(0);
     let p1 = ProcessId::new(1);
-    let build = || {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p0, 2),
-            ObstructionFreeConsensus::new(layout, p1, 2),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p0, Operation::Propose(Value::new(1))).unwrap();
-        sys.invoke(p1, Operation::Propose(Value::new(2))).unwrap();
-        sys
-    };
+    let build = || ObstructionFreeConsensus::proposers(&[1, 2], 64);
 
     let solo_progress_ok = verify_solo_progress(&build(), &[p0, p1], 8, 400).is_none();
 

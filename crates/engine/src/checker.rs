@@ -1,7 +1,6 @@
-//! The exploration driver: parallel frontier BFS and sequential DFS.
+//! The exploration driver: a parallel frontier BFS.
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -9,7 +8,7 @@ use std::time::Duration;
 
 use crate::checkpoint::{CheckpointStore, LoadedCheckpoint, RunHeader};
 use crate::codec::{DeltaCodec, StateCodec};
-use crate::detmap::{DetHashMap, DetHashSet};
+use crate::detmap::DetHashSet;
 use crate::digest::Fingerprinter;
 use crate::fault::{EngineError, FaultPlan, FaultPlane};
 use crate::knobs;
@@ -18,37 +17,6 @@ use crate::spill::{SpillCodec, SpillConfig, SpillFrontier};
 use crate::stats::{ExploreStats, Stopwatch};
 use crate::visited::ShardedVisited;
 use crate::Digest;
-
-/// Exploration backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Frontier-based breadth-first search. A level streams through a
-    /// bounded window: with one thread each parent is expanded and its
-    /// successors are deduplicated against the [`ShardedVisited`] set
-    /// before the next parent is touched; with more, up to `threads`
-    /// workers expand blocks of consecutive parents a few blocks ahead
-    /// of one merging thread, which dedups finished blocks strictly in
-    /// frontier order while later ones are still being expanded. A
-    /// duplicate successor therefore dies within a window of its birth,
-    /// and a level's successors are never all alive at once. Merge order
-    /// is frontier order and a digest's shard depends only on the digest,
-    /// so statistics, findings, and verdicts are deterministic regardless
-    /// of thread scheduling, thread count, and shard count.
-    ParallelBfs {
-        /// Worker threads (clamped to at least 1; with 1 the level loop
-        /// runs inline with no thread spawns).
-        threads: usize,
-    },
-    /// Sequential depth-first search. Uses the same fingerprint-only
-    /// visited set; states reached again at a strictly smaller depth are
-    /// re-expanded (replacing their earlier findings), so the set of
-    /// explored states, `configs`, and the finding multiset all equal the
-    /// BFS backend's on any depth-bounded space. DFS may conservatively
-    /// report `truncated` where BFS does not (a state first met at the
-    /// horizon via a long path is later re-expanded shallower), and its
-    /// `transitions`/`dedup_hits` counters include re-expansions.
-    SequentialDfs,
-}
 
 /// Result of a [`Checker`] run: everything the spaces reported, plus
 /// exploration statistics.
@@ -60,11 +28,22 @@ pub struct KernelOutcome<F> {
     pub stats: ExploreStats,
 }
 
-/// The exploration driver.
+/// The exploration driver: a frontier-based breadth-first search over a
+/// [`StateSpace`].
 ///
 /// Dedupes states on their 128-bit fingerprints only — the visited set
-/// holds 16-byte digests (plus a minimal depth in the DFS backend), never
-/// full states — and drives one of the [`Backend`]s over a [`StateSpace`].
+/// holds 16-byte digests, never full states. A level streams through a
+/// bounded window: with one thread each parent is expanded and its
+/// successors are deduplicated against the [`ShardedVisited`] set before
+/// the next parent is touched; with more, up to `threads` workers expand
+/// blocks of consecutive parents a few blocks ahead of one merging
+/// thread, which dedups finished blocks strictly in frontier order while
+/// later ones are still being expanded. A duplicate successor therefore
+/// dies within a window of its birth, and a level's successors are never
+/// all alive at once. Merge order is frontier order and a digest's shard
+/// depends only on the digest, so statistics, findings, and verdicts are
+/// deterministic regardless of thread scheduling, thread count, and
+/// shard count.
 ///
 /// Every `with_*` builder pins one setting; a setting left unpinned
 /// defers to its `SLX_ENGINE_*` environment variable, then to a default.
@@ -72,7 +51,9 @@ pub struct KernelOutcome<F> {
 /// run.
 #[derive(Debug, Clone)]
 pub struct Checker {
-    backend: Backend,
+    /// Worker threads, at least 1; with 1 the level loop runs inline
+    /// with no thread spawns.
+    threads: usize,
     config_budget: Option<usize>,
     shards: Option<usize>,
     /// `Some(0)` pins spilling off, `Some(n)` on.
@@ -94,7 +75,8 @@ pub struct Checker {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct RunConfig {
-    /// Worker threads (1 on the DFS backend).
+    /// Worker threads ([`Checker::parallel_bfs`], or [`Checker::auto`]'s
+    /// `SLX_ENGINE_THREADS` / autodetection).
     pub threads: usize,
     /// Requested BFS visited-set shard count, before rounding up to a
     /// power of two: [`Checker::with_shards`], else `SLX_ENGINE_SHARDS`,
@@ -172,9 +154,11 @@ const WINDOW_BLOCKS_PER_THREAD: usize = 4;
 const PAR_MIN_FRONTIER: usize = 2 * BLOCK_PARENTS;
 
 impl Checker {
-    fn on(backend: Backend) -> Self {
+    /// A checker with an explicit thread count (clamped to at least 1).
+    #[must_use]
+    pub fn parallel_bfs(threads: usize) -> Self {
         Checker {
-            backend,
+            threads: threads.max(1),
             config_budget: None,
             shards: None,
             mem_budget: None,
@@ -187,7 +171,7 @@ impl Checker {
         }
     }
 
-    /// A checker on the parallel BFS backend, sized to the machine
+    /// A checker sized to the machine
     /// (`std::thread::available_parallelism`, overridable via the
     /// `SLX_ENGINE_THREADS` environment variable).
     ///
@@ -202,20 +186,6 @@ impl Checker {
             .usize_value()
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Checker::parallel_bfs(threads)
-    }
-
-    /// A checker on the parallel BFS backend with an explicit thread count.
-    #[must_use]
-    pub fn parallel_bfs(threads: usize) -> Self {
-        Checker::on(Backend::ParallelBfs {
-            threads: threads.max(1),
-        })
-    }
-
-    /// A checker on the sequential DFS backend.
-    #[must_use]
-    pub fn sequential_dfs() -> Self {
-        Checker::on(Backend::SequentialDfs)
     }
 
     /// Caps the number of states expanded; hitting the cap marks the run
@@ -252,8 +222,7 @@ impl Checker {
     /// `SLX_ENGINE_MEM_BUDGET` environment variable; without this knob
     /// that variable supplies the budget. Spill files go to
     /// [`Checker::with_spill_dir`], else `SLX_ENGINE_SPILL_DIR`, else the
-    /// system temp directory. The DFS backend never spills (its stack is
-    /// depth-bounded, not level-width-bounded).
+    /// system temp directory.
     #[must_use]
     pub fn with_mem_budget(mut self, bytes: usize) -> Self {
         self.mem_budget = Some(bytes);
@@ -310,7 +279,7 @@ impl Checker {
     }
 
     /// Arms the deterministic fault-injection plane with an explicit
-    /// [`FaultPlan`]: the BFS backend's spill, checkpoint, and retry
+    /// [`FaultPlan`]: the run's spill, checkpoint, and retry
     /// paths then draw injected I/O faults (ENOSPC, EINTR, short and
     /// torn transfers) from the plan's seeded schedule. This is the
     /// robustness suites' hook; production runs never set it. It
@@ -331,9 +300,7 @@ impl Checker {
     /// later [`Checker::resume`] on the same directory continues the run
     /// bit-identically in verdict, state counts, and truncation flags.
     /// This builder is the only way in: a checkpoint directory names one
-    /// run's image, so it is never taken from the environment. The DFS
-    /// backend ignores checkpointing (its stack is depth-bounded and
-    /// never persisted).
+    /// run's image, so it is never taken from the environment.
     #[must_use]
     pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, every_n_levels: usize) -> Self {
         self.checkpoint = Some((dir.into(), every_n_levels.max(1)));
@@ -350,9 +317,6 @@ impl Checker {
     /// [`Checker::with_checkpoint`] pinned another directory or cadence.
     /// Use [`CheckpointStore::exists`] as the "resume or start fresh?"
     /// probe.
-    ///
-    /// Resuming requires the parallel BFS backend; the run panics on the
-    /// DFS backend, which has no checkpoint store.
     #[must_use]
     pub fn resume(mut self, dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
@@ -361,12 +325,6 @@ impl Checker {
         }
         self.resume_from = Some(dir);
         self
-    }
-
-    /// The configured backend.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Decides every setting of the next run: the builder's pin if there
@@ -387,20 +345,16 @@ impl Checker {
     /// re-tested the wrong configuration.
     #[must_use]
     pub fn resolve(&self) -> RunConfig {
-        let threads = match self.backend {
-            Backend::ParallelBfs { threads } => threads,
-            Backend::SequentialDfs => 1,
-        };
         let mem_budget = self
             .mem_budget
             .or_else(|| knobs::SLX_ENGINE_MEM_BUDGET.usize_value())
             .filter(|&bytes| bytes > 0);
         RunConfig {
-            threads,
+            threads: self.threads,
             shards: self
                 .shards
                 .or_else(|| knobs::SLX_ENGINE_SHARDS.usize_value())
-                .unwrap_or_else(|| threads.saturating_mul(4).min(256)),
+                .unwrap_or_else(|| self.threads.saturating_mul(4).min(256)),
             config_budget: self.config_budget,
             mem_budget,
             spill_codec: self.spill_codec.unwrap_or_else(|| {
@@ -470,8 +424,7 @@ impl Checker {
     /// invoked with the current depth and a lifetime statistics snapshot
     /// (counters so far, `elapsed` filled in) at every BFS level boundary
     /// — after the level's checkpoint (if due) has committed, so a
-    /// cancellation never outruns the last durable image — and
-    /// periodically (every 1024 expansions) on the DFS backend. Returning
+    /// cancellation never outruns the last durable image. Returning
     /// `false` cancels the run: it stops before expanding further states
     /// and reports `stopped_early`, exactly like a firing stop predicate.
     /// A checkpointed run cancelled this way resumes from its last
@@ -515,25 +468,9 @@ impl Checker {
         Sp::State: DeltaCodec,
         Sp::Finding: StateCodec,
     {
-        let config = self.resolve();
-        match self.backend {
-            Backend::ParallelBfs { .. } => {
-                let mut run = BfsRun::set_up(space, config, initial)?;
-                run.explore(&mut stop, &mut progress)?;
-                Ok(run.finish())
-            }
-            Backend::SequentialDfs => {
-                assert!(
-                    config.resume_from.is_none(),
-                    "Checker::resume requires the parallel BFS backend: the DFS \
-                     backend has no checkpoint store, so \"resuming\" it would \
-                     silently restart from scratch"
-                );
-                // DFS never spills and never checkpoints, so it has no
-                // fallible I/O to report.
-                Ok(run_dfs(space, &config, initial, stop, progress))
-            }
-        }
+        let mut run = BfsRun::set_up(space, self.resolve(), initial)?;
+        run.explore(&mut stop, &mut progress)?;
+        Ok(run.finish())
     }
 }
 
@@ -557,24 +494,6 @@ impl Lifetime {
         stats.elapsed = self.prior_elapsed + self.start.elapsed();
         stats.faults_injected = self.prior_faults + self.plane.faults_injected();
         stats.io_retries = self.prior_retries + self.plane.io_retries();
-    }
-}
-
-/// The digest an *initial* state dedups on: canonical under symmetry
-/// reduction (recording the exact digest on the side, see
-/// [`BfsRun::exact_seen`]), exact otherwise. Successors get theirs at
-/// push time inside [`Expansion`].
-fn seed_digest<Sp: StateSpace + ?Sized>(
-    space: &Sp,
-    state: &Sp::State,
-    symmetry: bool,
-    exact_seen: &mut DetHashSet<u128>,
-) -> Digest {
-    if symmetry {
-        exact_seen.insert(space.digest(state).0);
-        space.canonical_digest(state)
-    } else {
-        space.digest(state)
     }
 }
 
@@ -761,7 +680,16 @@ where
     fn seed(&mut self, initial: Vec<Sp::State>) -> Result<(), EngineError> {
         self.stats.shard_occupancy = vec![0; self.visited.shard_count()];
         for state in initial {
-            let digest = seed_digest(self.space, &state, self.symmetry, &mut self.exact_seen);
+            // An initial state dedups on its canonical digest under
+            // symmetry reduction (recording the exact one on the side,
+            // see `exact_seen`), on its exact digest otherwise.
+            // Successors get theirs at push time inside `Expansion`.
+            let digest = if self.symmetry {
+                self.exact_seen.insert(self.space.digest(&state).0);
+                self.space.canonical_digest(&state)
+            } else {
+                self.space.digest(&state)
+            };
             if self.visited.insert(digest.0) {
                 self.stats.shard_occupancy[self.visited.shard_of(digest.0)] += 1;
                 self.frontier.push(state)?;
@@ -1073,166 +1001,6 @@ where
     }
 }
 
-/// One DFS run's state (the reference backend the differential suites
-/// hold the BFS kernel against).
-struct DfsRun<'a, Sp: StateSpace> {
-    space: &'a Sp,
-    /// Whether symmetry reduction is active; see [`BfsRun::symmetry`].
-    symmetry: bool,
-    /// The depth each state (by fingerprint) was last expanded at.
-    visited: DetHashMap<u128, u32>,
-    /// Exact-digest side set for `orbit_hits`; see
-    /// [`BfsRun::exact_seen`].
-    exact_seen: DetHashSet<u128>,
-    stack: Vec<(Sp::State, Digest, usize)>,
-    findings: Vec<Sp::Finding>,
-    /// Which expanded state (by fingerprint) contributed each finding,
-    /// so a re-expansion can replace its earlier contribution.
-    finding_owners: Vec<u128>,
-    stats: ExploreStats,
-}
-
-impl<Sp: StateSpace> DfsRun<'_, Sp> {
-    /// Records that the popped state is being expanded at `depth`, unless
-    /// it already was at this depth or shallower (`None`). `Some(true)`
-    /// is a re-expansion: reached strictly shallower than before, so the
-    /// explored set matches BFS (no configs increment — the state was
-    /// already counted).
-    fn enter(&mut self, digest: Digest, depth: usize) -> Option<bool> {
-        match self.visited.entry(digest.0) {
-            Entry::Occupied(seen) if *seen.get() <= depth as u32 => None,
-            Entry::Occupied(mut seen) => {
-                *seen.get_mut() = depth as u32;
-                Some(true)
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(depth as u32);
-                self.stats.configs += 1;
-                Some(false)
-            }
-        }
-    }
-
-    /// Folds in the expansion of the state `owner`, entered at `depth`:
-    /// findings first, then successors onto the stack. Returns whether it
-    /// contributed a finding.
-    fn absorb(
-        &mut self,
-        exp: &mut Expansion<Sp>,
-        owner: u128,
-        depth: usize,
-        reexpansion: bool,
-    ) -> bool {
-        self.stats.truncated |= exp.truncated;
-        if reexpansion {
-            // This shallower expansion supersedes the state's earlier
-            // one: drop the findings it contributed then, exactly as BFS
-            // (which expands each state once, at minimal depth) would
-            // never have recorded them.
-            let mut kept = self.finding_owners.iter().map(|&earlier| earlier != owner);
-            self.findings
-                .retain(|_| kept.next().expect("one owner per finding"));
-            self.finding_owners.retain(|&earlier| earlier != owner);
-        }
-        let had_findings = !exp.findings.is_empty();
-        self.finding_owners
-            .extend(std::iter::repeat_n(owner, exp.findings.len()));
-        self.findings.append(&mut exp.findings);
-        for (succ, succ_digest) in exp.succs.drain(..) {
-            self.stats.transitions += 1;
-            let exact_fresh = self.symmetry && self.exact_seen.insert(self.space.digest(&succ).0);
-            if self
-                .visited
-                .get(&succ_digest.0)
-                .is_some_and(|&seen| seen <= depth as u32 + 1)
-            {
-                self.stats.dedup_hits += 1;
-                if exact_fresh {
-                    self.stats.orbit_hits += 1;
-                }
-            } else {
-                self.stack.push((succ, succ_digest, depth + 1));
-            }
-        }
-        self.stats.peak_frontier = self.stats.peak_frontier.max(self.stack.len());
-        had_findings
-    }
-}
-
-fn run_dfs<Sp>(
-    space: &Sp,
-    config: &RunConfig,
-    initial: Vec<Sp::State>,
-    mut stop: impl FnMut(&[Sp::Finding]) -> bool,
-    mut progress: impl FnMut(usize, &ExploreStats) -> bool,
-) -> KernelOutcome<Sp::Finding>
-where
-    Sp: StateSpace + Sync,
-{
-    let symmetry = config.symmetry && space.has_symmetry_reduction();
-    let mut run = DfsRun {
-        space,
-        symmetry,
-        visited: DetHashMap::default(),
-        exact_seen: DetHashSet::default(),
-        stack: Vec::with_capacity(initial.len()),
-        findings: Vec::new(),
-        finding_owners: Vec::new(),
-        stats: ExploreStats {
-            threads: 1,
-            shards: 1,
-            symmetry,
-            ..ExploreStats::default()
-        },
-    };
-    let start = Stopwatch::start();
-    for state in initial {
-        let digest = seed_digest(space, &state, symmetry, &mut run.exact_seen);
-        run.stack.push((state, digest, 0));
-    }
-    let mut exp = Expansion::new_maybe_canonical(space, symmetry);
-
-    // DFS has no level boundaries; observe every 1024 expanded states
-    // instead (the configs count at the last observation).
-    let mut observed_at = 0usize;
-    while let Some((state, digest, depth)) = run.stack.pop() {
-        if run.stats.configs >= observed_at + 1024 {
-            observed_at = run.stats.configs;
-            run.stats.elapsed = start.elapsed();
-            if !progress(depth, &run.stats) {
-                run.stats.stopped_early = true;
-                break;
-            }
-        }
-        // The budget caps states *first* expanded; re-expansions are free.
-        let spent = config
-            .config_budget
-            .is_some_and(|budget| run.stats.configs >= budget);
-        if spent && !run.visited.contains_key(&digest.0) {
-            run.stats.truncated = true;
-            break;
-        }
-        let Some(reexpansion) = run.enter(digest, depth) else {
-            continue;
-        };
-        exp.reset();
-        space.expand(&state, depth, &mut exp);
-        if run.absorb(&mut exp, digest.0, depth, reexpansion) && stop(&run.findings) {
-            run.stats.stopped_early = true;
-            break;
-        }
-    }
-
-    // DFS never spills: the whole stack stays decoded and resident.
-    run.stats.peak_resident_states = run.stats.peak_frontier;
-    run.stats.shard_occupancy = vec![run.visited.len()];
-    run.stats.elapsed = start.elapsed();
-    KernelOutcome {
-        findings: run.findings,
-        stats: run.stats,
-    }
-}
-
 /// The replay codec's regenerator for records whose parents were expanded
 /// at `parent_depth`: one shared, digest-free expansion of the parent
 /// rebuilds every successor the record's push-order `indices` name — a
@@ -1518,16 +1286,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_and_dfs_agree_on_configs_and_findings() {
-        for bound in [1, 3, 8, 20] {
-            let bfs = Checker::parallel_bfs(2).run(&grid(bound), vec![(0, 0)]);
-            let dfs = Checker::sequential_dfs().run(&grid(bound), vec![(0, 0)]);
-            assert_eq!(bfs.stats.configs, dfs.stats.configs, "bound {bound}");
-            assert_eq!(bfs.findings, dfs.findings, "bound {bound}");
-        }
-    }
-
-    #[test]
     fn parallel_threads_match_single_thread() {
         // Big enough to cross PAR_MIN_FRONTIER on middle levels.
         let space = grid(300);
@@ -1569,8 +1327,6 @@ mod tests {
         let out = Checker::parallel_bfs(1).run_until(&Chain, vec![0], |fs| fs.len() >= 3);
         assert!(out.stats.stopped_early);
         assert_eq!(out.findings, vec![0, 1, 2]);
-        let dfs = Checker::sequential_dfs().run_until(&Chain, vec![0], |fs| fs.len() >= 3);
-        assert_eq!(dfs.findings, vec![0, 1, 2]);
     }
 
     #[test]
@@ -1595,40 +1351,6 @@ mod tests {
         let out = Checker::parallel_bfs(1).run(&Bounded, vec![0]);
         assert!(out.stats.truncated);
         assert_eq!(out.stats.configs, 2usize.pow(5) - 1);
-    }
-
-    #[test]
-    fn dfs_reexpansion_does_not_duplicate_findings() {
-        // Diamond with unequal path lengths: A->B->D and A->C->E->D. DFS
-        // pushes B then C; popping C first reaches D at depth 3, then the
-        // B path re-reaches it at depth 2 and re-expands. D's finding must
-        // appear once, as in BFS.
-        struct Diamond;
-        impl StateSpace for Diamond {
-            type State = u8;
-            type Finding = u8;
-            fn digest(&self, s: &u8) -> Digest {
-                digest128_of(s)
-            }
-            fn expand(&self, &s: &u8, _d: usize, ctx: &mut Expansion<Self>) {
-                match s {
-                    0 => {
-                        ctx.push(1); // B (popped after C)
-                        ctx.push(2); // C
-                    }
-                    1 => ctx.push(4),
-                    2 => ctx.push(3),
-                    3 => ctx.push(4),
-                    4 => ctx.finding(4),
-                    _ => {}
-                }
-            }
-        }
-        let bfs = Checker::parallel_bfs(1).run(&Diamond, vec![0]);
-        let dfs = Checker::sequential_dfs().run(&Diamond, vec![0]);
-        assert_eq!(bfs.findings, vec![4]);
-        assert_eq!(dfs.findings, vec![4], "re-expansion must not duplicate");
-        assert_eq!(bfs.stats.configs, dfs.stats.configs);
     }
 
     #[test]
@@ -1825,21 +1547,6 @@ mod tests {
         );
         assert_eq!(full.stats.orbit_hits, 0, "no orbit hits when off");
         assert!(reduced.stats.orbit_hits <= reduced.stats.dedup_hits);
-    }
-
-    #[test]
-    fn symmetry_reduced_dfs_matches_reduced_bfs() {
-        let space = SymmetricGrid(grid(8));
-        let bfs = Checker::parallel_bfs(1)
-            .with_symmetry(true)
-            .run(&space, vec![(0, 0)]);
-        let dfs = Checker::sequential_dfs()
-            .with_symmetry(true)
-            .run(&space, vec![(0, 0)]);
-        assert_eq!(bfs.stats.configs, dfs.stats.configs);
-        assert_eq!(bfs.findings, dfs.findings);
-        assert!(dfs.stats.symmetry);
-        assert!(dfs.stats.orbit_hits > 0);
     }
 
     #[test]

@@ -119,15 +119,6 @@ pub static SLX_SERVER_STALL_AFTER: Knob = Knob {
     doc: "slx_server crash probe: park runs after this many levels",
 };
 
-/// Parks the `checkpoint_run` probe binary after this many BFS levels —
-/// the engine-level `kill -9` window.
-pub static SLX_CKPT_RUN_STALL_AFTER: Knob = Knob {
-    name: "SLX_CKPT_RUN_STALL_AFTER",
-    kind: KnobKind::PositiveInt,
-    default: "unset (never stall)",
-    doc: "checkpoint_run crash probe: park after this many levels",
-};
-
 /// Seeded fault-injection plan (see [`crate::FaultPlan`]); unset means
 /// the fault plane is disarmed and every seam is a no-op.
 pub static SLX_ENGINE_FAULT_PLAN: Knob = Knob {
@@ -149,7 +140,6 @@ pub static REGISTRY: &[&Knob] = &[
     &SLX_ENGINE_SYMMETRY,
     &SLX_ENGINE_FAULT_PLAN,
     &SLX_SERVER_STALL_AFTER,
-    &SLX_CKPT_RUN_STALL_AFTER,
 ];
 
 impl Knob {

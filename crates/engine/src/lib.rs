@@ -9,13 +9,12 @@
 //!   successor enumeration ([`StateSpace::expand`]), and a 128-bit state
 //!   [`Digest`];
 //! - [`Checker`] — the driver, with a **fingerprint-only visited set**
-//!   (the search retains 16-byte digests, never full states), a
-//!   **frontier-based parallel BFS** backend that streams each level
-//!   through a bounded expand → dedup → merge window with deterministic
-//!   result merging, and a sequential DFS fallback. Every setting is a builder
-//!   pin, else an `SLX_ENGINE_*` variable, else a default — decided in
-//!   one place, [`Checker::resolve`], whose [`RunConfig`] says what a run
-//!   will do;
+//!   (the search retains 16-byte digests, never full states) and a
+//!   **frontier-based parallel BFS** that streams each level through a
+//!   bounded expand → dedup → merge window with deterministic result
+//!   merging. Every setting is a builder pin, else an `SLX_ENGINE_*`
+//!   variable, else a default — decided in one place,
+//!   [`Checker::resolve`], whose [`RunConfig`] says what a run will do;
 //! - [`ShardedVisited`] — the BFS visited set, sharded by digest range;
 //!   the kernel inserts successors one by one as its level window merges
 //!   them (batches can also be inserted a shard range per worker,
@@ -52,8 +51,8 @@
 //!   transitions generated, dedup hit rate, peak frontier size,
 //!   states/sec, and truncation accounting;
 //! - [`CheckpointStore`] — crash-tolerant checkpoint/resume: at
-//!   configurable level boundaries ([`Checker::with_checkpoint`]) the BFS
-//!   backend commits its complete resumable image — visited digests,
+//!   configurable level boundaries ([`Checker::with_checkpoint`]) the
+//!   run commits its complete resumable image — visited digests,
 //!   frontier, findings, counters, and a validated run-config header —
 //!   with atomic rename semantics, and [`Checker::resume`] continues the
 //!   run bit-identically in verdict, state counts, and truncation flags;
@@ -96,7 +95,7 @@ mod spill;
 mod stats;
 mod visited;
 
-pub use checker::{Backend, Checker, KernelOutcome, RunConfig};
+pub use checker::{Checker, KernelOutcome, RunConfig};
 pub use checkpoint::CheckpointStore;
 pub use codec::{decode_slice_delta, encode_slice_delta, DeltaCodec, DeltaCtx, StateCodec};
 pub use detmap::{DetBuildHasher, DetHashMap, DetHashSet};

@@ -25,7 +25,7 @@ use crate::digest::Digest;
 /// same successors in the same push order.
 pub trait StateSpace {
     /// A state of the transition system. `Send + Sync` because the
-    /// parallel BFS backend hands frontier slices to worker threads.
+    /// parallel BFS hands frontier slices to worker threads.
     type State: Clone + Send + Sync;
     /// What an expansion can report to the caller: a safety violation, a
     /// decidable value, a starvation witness…
@@ -74,8 +74,8 @@ pub trait StateSpace {
 /// that built the successor, while it is still in that worker's cache,
 /// rather than on the one thread that merges — whose share of a level is
 /// then a set insert per successor. A checker keeps one `Expansion` per
-/// thread and resets or drains it between parents (the BFS window, the
-/// DFS loop), so the vectors are allocated once, not per state.
+/// thread and resets or drains it between parents (the BFS window), so
+/// the vectors are allocated once, not per state.
 pub struct Expansion<'sp, Sp: StateSpace + ?Sized> {
     space: &'sp Sp,
     pub(crate) succs: Vec<(Sp::State, Digest)>,

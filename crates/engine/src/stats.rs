@@ -54,7 +54,7 @@ pub struct ExploreStats {
     /// asked for it **and** the space advertised
     /// [`crate::StateSpace::has_symmetry_reduction`]).
     pub symmetry: bool,
-    /// Largest BFS frontier (or DFS stack) observed.
+    /// Largest BFS frontier observed.
     pub peak_frontier: usize,
     /// Largest number of decoded frontier states resident in memory at
     /// once while expanding a level. Without a memory budget this equals
@@ -82,8 +82,7 @@ pub struct ExploreStats {
     pub replayed_parents: usize,
     /// The frontier memory budget that was active, if any (the resolved
     /// [`crate::Checker::with_mem_budget`] / `SLX_ENGINE_MEM_BUDGET`
-    /// value). `None` for unbudgeted runs and for the DFS backend, which
-    /// never spills.
+    /// value). `None` for unbudgeted runs.
     pub mem_budget: Option<usize>,
     /// Whether any expansion reported truncation (horizon or budget hit):
     /// if `false`, the exploration was exhaustive.
@@ -113,9 +112,9 @@ pub struct ExploreStats {
     /// persistent out-of-space error and degraded gracefully instead of
     /// failing the run.
     pub degraded_levels: usize,
-    /// Worker threads used by the backend.
+    /// Worker threads used by the run.
     pub threads: usize,
-    /// Visited-set shards used by the backend (1 for DFS).
+    /// Visited-set shards used by the run.
     pub shards: usize,
     /// Distinct digests accepted into each visited-set shard by the
     /// deterministic merge, in shard order. Deterministic for a given

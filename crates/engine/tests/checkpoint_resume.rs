@@ -521,7 +521,7 @@ fn mismatched_configurations_are_refused_not_resumed() {
 }
 
 #[test]
-fn resuming_without_a_checkpoint_or_on_dfs_fails_loudly() {
+fn resuming_without_a_checkpoint_fails_loudly() {
     let dir = unique_dir("absent");
     assert!(!CheckpointStore::exists(&dir));
     let message = expect_panic(|| {
@@ -532,15 +532,6 @@ fn resuming_without_a_checkpoint_or_on_dfs_fails_loudly() {
     assert!(
         message.contains("cannot read checkpoint"),
         "missing store: {message}"
-    );
-    let message = expect_panic(|| {
-        Checker::sequential_dfs()
-            .resume(&dir)
-            .run(&SymGrid::new(4), vec![(0, 0)])
-    });
-    assert!(
-        message.contains("parallel BFS backend"),
-        "DFS resume: {message}"
     );
     std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
 }

@@ -133,17 +133,8 @@ fn consensus_states_round_trip() {
     for case in 0..18 {
         // Obstruction-free consensus: long adoptive runs under contention
         // exercise deep AdoptCommit sub-machine states.
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 16);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-            ObstructionFreeConsensus::new(layout, p(1), 2),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p(0), Operation::Propose(Value::new(rng.below(100) as i64)))
-            .unwrap();
-        sys.invoke(p(1), Operation::Propose(Value::new(rng.below(100) as i64)))
-            .unwrap();
+        let inputs = [rng.below(100) as i64, rng.below(100) as i64];
+        let mut sys = ObstructionFreeConsensus::proposers(&inputs, 16);
         checked += walk_and_check(&mut sys, &mut rng, 40, &format!("of-consensus case {case}"));
 
         // CAS consensus: short wait-free runs, including decided states.
@@ -265,15 +256,7 @@ fn sibling_deltas_are_much_smaller_than_plain_records() {
     let mut total_plain = 0usize;
     let mut total_delta = 0usize;
     for _ in 0..10 {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 16);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-            ObstructionFreeConsensus::new(layout, p(1), 2),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p(0), Operation::Propose(Value::new(1))).unwrap();
-        sys.invoke(p(1), Operation::Propose(Value::new(2))).unwrap();
+        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
         for _ in 0..30 {
             let steppable = sys.steppable();
             if steppable.is_empty() {
@@ -339,15 +322,7 @@ fn overlong_varints_fail_cleanly_at_every_layer() {
 fn truncated_delta_encodings_fail_cleanly() {
     // Every strict prefix of a delta record must decode to None against
     // the same predecessor — same totality law as the plain codec.
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 8);
-    let procs = vec![
-        ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-        ObstructionFreeConsensus::new(layout, p(1), 2),
-    ];
-    let mut sys = System::new(mem, procs);
-    sys.invoke(p(0), Operation::Propose(Value::new(1))).unwrap();
-    sys.invoke(p(1), Operation::Propose(Value::new(2))).unwrap();
+    let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 8);
     let prev = sys.clone();
     for _ in 0..3 {
         sys.step(p(0)).unwrap();

@@ -125,12 +125,11 @@ fn accepted() -> Vec<Row> {
         row(&[(CODEC, "replay")], pin_plain, codec, Plain),
         row(&[(CODEC, "delta")], pin_replay, codec, Replay),
         // Threads: read by `Checker::auto` only; an explicit count never
-        // consults the variable, and DFS is one thread.
+        // consults the variable.
         row(&[(THREADS, "3")], Checker::auto, threads, 3),
         row(&[(THREADS, "")], Checker::auto, threads, machine),
         row(&[], Checker::auto, threads, machine),
         row(&[(THREADS, "3")], bfs1, threads, 1),
-        row(&[(THREADS, "3")], Checker::sequential_dfs, threads, 1),
         // Shards: variable, else four per thread; the builder wins.
         row(&[(SHARDS, "16")], bfs1, shards, 16),
         row(&[(SHARDS, "16")], || bfs1().with_shards(4), shards, 4),

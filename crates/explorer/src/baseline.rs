@@ -1,12 +1,14 @@
 //! The pre-engine ("retained clone") reference implementations.
 //!
-//! These are the seed's single-threaded search loops, kept verbatim for
-//! two jobs: (1) the benchmark harness measures the `slx-engine` kernel's
-//! states/sec against them, and (2) the differential test suite checks the
-//! kernel reproduces their verdicts exactly. They deduplicate on a
-//! set of **fully retained** `(System, digest)` clones — the memory
-//! and hashing cost the fingerprint-based kernel removes — and should not
-//! be used by new checkers.
+//! These are the seed's single-threaded search loops, kept verbatim as
+//! the exact-state oracle: the differential test suites check the
+//! `slx-engine` kernel reproduces their verdicts and counts exactly, and
+//! the repo benchmark derives its expected verdicts from them
+//! (`benchmark/src/reference.rs`). They share none of the kernel's
+//! search machinery — no fingerprints, no canonical digests, no
+//! `Expansion` — and deduplicate on a set of **fully retained** `(System, digest)` clones,
+//! the memory and hashing cost the fingerprint-based kernel removes, so
+//! they should not be used by new checkers.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hash;

@@ -2,9 +2,9 @@
 //!
 //! Since the `slx-engine` refactor these searches run on the shared
 //! exploration kernel: configurations are deduplicated by 128-bit
-//! fingerprint (no retained clones), levels are expanded by the parallel
-//! BFS backend when the machine has cores to spare, and every outcome
-//! carries the kernel's [`ExploreStats`].
+//! fingerprint (no retained clones), levels are expanded in parallel
+//! when the machine has cores to spare, and every outcome carries the
+//! kernel's [`ExploreStats`].
 
 use std::hash::Hash;
 
@@ -147,7 +147,7 @@ where
 /// digest the search is exact, not heuristic.
 ///
 /// Runs on [`Checker::auto`] (parallel BFS sized to the machine); use
-/// [`explore_safety_with`] to pin a backend.
+/// [`explore_safety_with`] to pin a checker.
 pub fn explore_safety<W, P, S>(
     initial: &System<W, P>,
     active: &[ProcessId],
@@ -163,8 +163,9 @@ where
     explore_safety_with(&Checker::auto(), initial, active, depth, safety, digest)
 }
 
-/// [`explore_safety`] on an explicit kernel backend (differential tests
-/// pit the parallel BFS and sequential DFS backends against each other).
+/// [`explore_safety`] on an explicit checker (the differential tests pin
+/// thread, shard, spill and symmetry settings against each other and
+/// against the retained-clone oracle in [`crate::baseline`]).
 pub fn explore_safety_with<W, P, S>(
     checker: &Checker,
     initial: &System<W, P>,
@@ -340,9 +341,8 @@ where
     verify_solo_progress_with(&Checker::auto(), initial, active, depth, solo_budget)
 }
 
-/// [`verify_solo_progress`] on an explicit kernel backend (the symmetry
-/// differential suite pins backends and reduction settings against each
-/// other).
+/// [`verify_solo_progress`] on an explicit checker (the symmetry
+/// differential suite pins reduction settings against each other).
 pub fn verify_solo_progress_with<W, P>(
     checker: &Checker,
     initial: &System<W, P>,
@@ -407,15 +407,7 @@ mod tests {
 
     #[test]
     fn of_consensus_safe_under_all_schedules_small_scope() {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 8);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-            ObstructionFreeConsensus::new(layout, p(1), 2),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
-        sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
+        let sys = ObstructionFreeConsensus::proposers(&[1, 2], 8);
         let active = [p(0), p(1)];
         let out = explore_safety(&sys, &active, 26, &ConsensusSafety::new(), consensus_digest);
         assert!(out.holds(), "violations: {:?}", out.violations);
@@ -475,15 +467,7 @@ mod tests {
 
     #[test]
     fn solo_progress_holds_for_of_consensus() {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 16);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-            ObstructionFreeConsensus::new(layout, p(1), 2),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
-        sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
+        let sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
         let cex = verify_solo_progress(&sys, &[p(0), p(1)], 14, 200);
         assert!(
             cex.is_none(),

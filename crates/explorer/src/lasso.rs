@@ -78,39 +78,16 @@ impl CycleWitness {
     }
 }
 
-/// Runs `scheduler` on `sys` and watches for a repeat of the combined
-/// (system configuration, scheduler state). On a repeat, returns the
-/// lasso; returns `None` if `max_events` elapse first or the run halts.
+/// Runs `scheduler` on `sys` and watches for a repeat of a
+/// caller-supplied **key** of the combined (system configuration,
+/// scheduler state). On a repeat, returns the lasso; returns `None` if
+/// `max_events` elapse first or the run halts. The scheduler must be
+/// deterministic for the witness to be meaningful.
 ///
-/// The scheduler must be deterministic for the witness to be meaningful;
-/// the `Clone + Eq + Hash` bounds let the detector key on its state
-/// exactly. This variant **retains full configuration clones** in its seen
-/// map — it is the exact-comparison baseline the differential tests pin
-/// the fingerprint-based [`run_until_cycle_keyed`] against, the same way
-/// the exploration kernel is pinned against the retained-clone explorer.
-/// Prefer [`run_until_cycle_keyed`] for long runs: it retains 16-byte
-/// digests instead of configurations.
-pub fn run_until_cycle<W, P, S>(
-    sys: &mut System<W, P>,
-    scheduler: &mut S,
-    max_events: u64,
-) -> Option<CycleWitness>
-where
-    W: Word,
-    P: Process<W> + Clone + Eq + Hash,
-    S: Scheduler<W, P> + Clone + Eq + Hash,
-{
-    run_until_cycle_keyed_retained(sys, scheduler, max_events, |sys, sched| {
-        (sys.clone(), sched.clone())
-    })
-}
-
-/// Like [`run_until_cycle`], but detects repeats of a caller-supplied
-/// **key** instead of the raw configuration, and retains only the
-/// 128-bit fingerprint of each key (via [`slx_engine::digest128_of`]) —
-/// the same fingerprint-only discipline as the exploration kernel's
-/// visited set, so arbitrarily long stems cost 16 bytes per distinct key
-/// instead of a retained clone.
+/// Only the 128-bit fingerprint of each key is retained (via
+/// [`slx_engine::digest128_of`]) — the same fingerprint-only discipline
+/// as the exploration kernel's visited set, so arbitrarily long stems
+/// cost 16 bytes per distinct key instead of a retained clone.
 ///
 /// Keying is how cycles *modulo a symmetry* are found: algorithms whose
 /// per-iteration state grows by a uniform shift (the TM version counter,
@@ -287,7 +264,10 @@ mod tests {
         );
         sys.invoke(p(0), Operation::Propose(Value::new(0))).unwrap();
         let mut sched = AlwaysP0;
-        let w = run_until_cycle(&mut sys, &mut sched, 100).expect("cycle exists");
+        let w = run_until_cycle_keyed_retained(&mut sys, &mut sched, 100, |sys, sched| {
+            (sys.clone(), sched.clone())
+        })
+        .expect("cycle exists");
         assert_eq!(w.cycle.len(), 3);
         assert_eq!(w.cycle_steppers(), vec![p(0)]);
         assert!(!w.cycle_has_good_response(|_| true));
@@ -337,6 +317,9 @@ mod tests {
         let mut sys = System::new(mem, vec![Finisher { remaining: 0 }]);
         sys.invoke(p(0), Operation::Propose(Value::new(0))).unwrap();
         let mut sched = StepOnce;
-        assert!(run_until_cycle(&mut sys, &mut sched, 100).is_none());
+        let witness = run_until_cycle_keyed_retained(&mut sys, &mut sched, 100, |sys, sched| {
+            (sys.clone(), sched.clone())
+        });
+        assert!(witness.is_none());
     }
 }

@@ -16,9 +16,9 @@
 //!   fingerprints of the keys, like the kernel's visited set: a genuine
 //!   lasso, i.e. a witness of an infinite execution (used to prove
 //!   liveness violations: if no good response occurs on the cycle, the
-//!   infinite execution starves everyone on it). [`run_until_cycle`] and
-//!   [`run_until_cycle_keyed_retained`] are the retained-map baselines
-//!   the differential tests pin it against;
+//!   infinite execution starves everyone on it).
+//!   [`run_until_cycle_keyed_retained`] is the retained-key oracle the
+//!   differential tests pin it against;
 //! - [`verify_solo_progress`] checks obstruction-freedom exhaustively: from
 //!   every reachable configuration, every pending process running alone
 //!   responds within a step budget.
@@ -26,10 +26,9 @@
 //! Since the `slx-engine` refactor, the enumerating checkers
 //! ([`explore_safety`], [`decidable_values`], [`verify_solo_progress`])
 //! all run on the shared exploration kernel: a fingerprint-only visited
-//! set (no retained configuration clones), a parallel frontier-BFS backend
-//! with deterministic merging, and a sequential DFS fallback. The seed's
-//! retained-clone loops survive in [`baseline`] for benchmarking and
-//! differential testing.
+//! set (no retained configuration clones) under a parallel frontier BFS
+//! with deterministic merging. The seed's retained-clone loops survive in
+//! [`baseline`] as the exact-state oracle of the differential suites.
 
 #![warn(missing_docs)]
 
@@ -42,7 +41,5 @@ pub use explore::{
     explore_safety, explore_safety_observed, explore_safety_with, history_digest,
     verify_solo_progress, verify_solo_progress_with, ExploreOutcome, SoloCounterexample,
 };
-pub use lasso::{
-    run_until_cycle, run_until_cycle_keyed, run_until_cycle_keyed_retained, CycleWitness,
-};
+pub use lasso::{run_until_cycle_keyed, run_until_cycle_keyed_retained, CycleWitness};
 pub use valence::{decidable_values, decidable_values_with, DecidableSet};

@@ -105,7 +105,7 @@ where
     decidable_values_with(&Checker::auto(), sys, active, budget)
 }
 
-/// [`decidable_values`] on an explicit kernel backend/checker. The
+/// [`decidable_values`] on an explicit checker. The
 /// bivalence adversary reuses one checker across its thousands of valence
 /// queries.
 pub fn decidable_values_with<W, P>(
@@ -192,15 +192,7 @@ mod tests {
 
     #[test]
     fn of_consensus_initial_config_is_bivalent() {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 32);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
-            ObstructionFreeConsensus::new(layout, p(1), 2),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
-        sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
+        let sys = ObstructionFreeConsensus::proposers(&[1, 2], 32);
         let d = decidable_values(&sys, &[p(0), p(1)], 50_000);
         assert!(d.bivalent(), "{d:?}");
     }
@@ -214,19 +206,5 @@ mod tests {
         sys.invoke(p(1), Operation::Propose(v(5))).unwrap();
         let d = decidable_values(&sys, &[p(0), p(1)], 10_000);
         assert_eq!(d.values, BTreeSet::from([v(5)]));
-    }
-
-    #[test]
-    fn backends_agree_on_valence() {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let obj = CasConsensus::alloc(&mut mem);
-        let mut sys = System::new(mem, vec![CasConsensus::new(obj), CasConsensus::new(obj)]);
-        sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
-        sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
-        sys.step(p(0)).unwrap();
-        let bfs = decidable_values_with(&Checker::parallel_bfs(2), &sys, &[p(0), p(1)], 10_000);
-        let dfs = decidable_values_with(&Checker::sequential_dfs(), &sys, &[p(0), p(1)], 10_000);
-        assert_eq!(bfs.values, dfs.values);
-        assert_eq!(bfs.configs, dfs.configs);
     }
 }

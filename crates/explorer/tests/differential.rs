@@ -1,19 +1,21 @@
-//! Differential tests of the `slx-engine` kernel backends.
+//! Differential tests of the `slx-engine` kernel.
 //!
-//! The parallel BFS and sequential DFS backends must report identical
-//! `holds()` verdicts and visited-configuration counts on the workspace's
-//! seed scenarios (register consensus and transactional memory), and both
-//! must reproduce the retained-clone baseline implementation exactly.
-//! Since the sharded-visited-set refactor the BFS pins extend to a full
-//! determinism matrix: every {thread count} × {shard count} combination
-//! must report the same verdicts and counts.
+//! The kernel must reproduce the exact retained-clone oracle
+//! (`slx_explorer::baseline`) — `holds()` verdicts, visited-configuration
+//! counts and truncation — on the workspace's seed scenarios (register
+//! and CAS consensus, a violating scenario, transactional memory), and
+//! do so across a full determinism matrix: every {thread count} ×
+//! {shard count} × {spill codec} combination must report the same
+//! verdicts and counts.
 
 use slx_consensus::{CasConsensus, ConsWord, ObstructionFreeConsensus};
-use slx_engine::{Checker, Digest, Expansion, KernelOutcome, StateSpace};
+use std::hash::Hash;
+
+use slx_engine::{Checker, DeltaCodec, Digest, Expansion, KernelOutcome, StateCodec, StateSpace};
 use slx_explorer::baseline::{decidable_values_retained, explore_safety_retained};
-use slx_explorer::{decidable_values_with, explore_safety_with, history_digest};
+use slx_explorer::{decidable_values_with, explore_safety_with, history_digest, ExploreOutcome};
 use slx_history::{Operation, ProcessId, Response, Value, VarId};
-use slx_memory::{Memory, StepEffect, System};
+use slx_memory::{Memory, Process, StepEffect, System};
 use slx_safety::{ConsensusSafety, Opacity};
 use slx_tm::{GlobalVersionTm, TmWord};
 
@@ -34,21 +36,7 @@ fn cas_consensus_scenario() -> System<ConsWord, CasConsensus> {
 }
 
 fn of_consensus_scenario() -> System<ConsWord, ObstructionFreeConsensus> {
-    of_consensus_with_inputs(&[1, 2])
-}
-
-fn of_consensus_with_inputs(inputs: &[i64]) -> System<ConsWord, ObstructionFreeConsensus> {
-    let n = inputs.len();
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
-    let procs = (0..n)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), n))
-        .collect();
-    let mut sys = System::new(mem, procs);
-    for (i, &input) in inputs.iter().enumerate() {
-        sys.invoke(p(i), Operation::Propose(v(input))).unwrap();
-    }
-    sys
+    ObstructionFreeConsensus::proposers(&[1, 2], 16)
 }
 
 /// Runs one operation on `proc` to completion (solo), so TM scenarios can
@@ -87,9 +75,8 @@ fn tm_scenario() -> System<TmWord, GlobalVersionTm> {
 /// both seed scenarios (register consensus and the TM commit race), every
 /// combination of {1, 2, 4, 8} worker threads × {1, 4, 16} visited-set
 /// shards must produce the *same verdict and the same visited-config
-/// count* as the single-thread single-shard run — and so must the
-/// sequential DFS backend. Exploration results depend on the model, never
-/// on the machine.
+/// count* as the single-thread single-shard run. Exploration results
+/// depend on the model, never on the machine.
 #[test]
 fn verdicts_and_counts_are_thread_and_shard_count_independent() {
     let consensus = of_consensus_scenario();
@@ -151,28 +138,6 @@ fn verdicts_and_counts_are_thread_and_shard_count_independent() {
             assert_eq!(t.truncated, tm_base.truncated, "tm, {label}");
         }
     }
-
-    // The DFS backend closes the matrix: same verdicts and counts again.
-    let c_dfs = explore_safety_with(
-        &Checker::sequential_dfs(),
-        &consensus,
-        &active,
-        14,
-        &consensus_safety,
-        history_digest,
-    );
-    assert_eq!(c_dfs.holds(), consensus_base.holds());
-    assert_eq!(c_dfs.configs, consensus_base.configs);
-    let t_dfs = explore_safety_with(
-        &Checker::sequential_dfs(),
-        &tm,
-        &active,
-        20,
-        &tm_safety,
-        history_digest,
-    );
-    assert_eq!(t_dfs.holds(), tm_base.holds());
-    assert_eq!(t_dfs.configs, tm_base.configs);
 }
 
 /// The disk-backed-frontier determinism pin: on both seed scenarios,
@@ -512,92 +477,70 @@ fn valence_verdicts_are_thread_and_shard_count_independent() {
     }
 }
 
-#[test]
-fn backends_agree_on_cas_consensus() {
-    let sys = cas_consensus_scenario();
-    let active = [p(0), p(1)];
-    let safety = ConsensusSafety::new();
-    let bfs = explore_safety_with(
-        &Checker::parallel_bfs(2),
-        &sys,
-        &active,
-        16,
-        &safety,
-        history_digest,
-    );
-    let dfs = explore_safety_with(
-        &Checker::sequential_dfs(),
-        &sys,
-        &active,
-        16,
-        &safety,
-        history_digest,
-    );
-    assert_eq!(bfs.holds(), dfs.holds());
-    assert_eq!(bfs.configs, dfs.configs);
-    assert!(bfs.holds());
+/// A broken "consensus" that decides its own proposal at once: the
+/// scenario whose verdict is *false*.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Selfish {
+    pending: Option<Value>,
 }
 
-#[test]
-fn backends_agree_on_of_consensus() {
-    let sys = of_consensus_scenario();
-    let active = [p(0), p(1)];
-    let safety = ConsensusSafety::new();
-    for depth in [8usize, 14, 20] {
-        let bfs = explore_safety_with(
-            &Checker::parallel_bfs(2),
-            &sys,
-            &active,
-            depth,
-            &safety,
-            history_digest,
-        );
-        let dfs = explore_safety_with(
-            &Checker::sequential_dfs(),
-            &sys,
-            &active,
-            depth,
-            &safety,
-            history_digest,
-        );
-        assert_eq!(bfs.holds(), dfs.holds(), "depth {depth}");
-        assert_eq!(bfs.configs, dfs.configs, "depth {depth}");
-        assert!(bfs.holds(), "depth {depth}");
+impl Process<ConsWord> for Selfish {
+    fn on_invoke(&mut self, op: Operation) {
+        if let Operation::Propose(v) = op {
+            self.pending = Some(v);
+        }
+    }
+    fn has_step(&self) -> bool {
+        self.pending.is_some()
+    }
+    fn step(&mut self, _mem: &mut Memory<ConsWord>) -> StepEffect {
+        let v = self.pending.take().expect("pending");
+        StepEffect::Responded(Response::Decided(v))
     }
 }
 
-#[test]
-fn backends_agree_on_tm_commit_race() {
-    let sys = tm_scenario();
-    let active = [p(0), p(1)];
-    let safety = Opacity::new(v(0));
-    let bfs = explore_safety_with(
-        &Checker::parallel_bfs(2),
-        &sys,
-        &active,
-        20,
-        &safety,
-        history_digest,
-    );
-    let dfs = explore_safety_with(
-        &Checker::sequential_dfs(),
-        &sys,
-        &active,
-        20,
-        &safety,
-        history_digest,
-    );
-    assert_eq!(bfs.holds(), dfs.holds());
-    assert_eq!(bfs.configs, dfs.configs);
-    assert!(bfs.holds(), "global-version TM commits must stay opaque");
-    assert!(bfs.configs > 1, "the commit race must branch");
+impl StateCodec for Selfish {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.pending.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(Selfish {
+            pending: Option::decode(input)?,
+        })
+    }
+}
+
+impl DeltaCodec for Selfish {}
+
+/// One consensus scenario, kernel against the exact retained-clone
+/// oracle: verdict, visited-configuration count, truncation. Returns the
+/// kernel's outcome.
+fn assert_matches_retained<P>(
+    checker: &Checker,
+    sys: &System<ConsWord, P>,
+    active: &[ProcessId],
+    depth: usize,
+    label: &str,
+) -> ExploreOutcome
+where
+    P: Process<ConsWord> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
+{
+    let safety = ConsensusSafety::new();
+    let engine = explore_safety_with(checker, sys, active, depth, &safety, history_digest);
+    let baseline = explore_safety_retained(sys, active, depth, &safety, history_digest);
+    assert_eq!(engine.holds(), baseline.holds(), "{label}");
+    assert_eq!(engine.configs, baseline.configs, "{label}");
+    assert_eq!(engine.truncated, baseline.truncated, "{label}");
+    engine
 }
 
 /// The kernel against the seed's retained-clone DFS, and checkpointing as
 /// a pure observer of the same runs: a committed image every `every`
-/// levels changes no verdict, count, or dedup accounting. The last row is
-/// one process count up (processes 1 and 2 interchangeable, still
-/// bivalent), at a cadence where several levels ride between commits.
+/// levels changes no verdict, count, or dedup accounting. The last
+/// obstruction-free row is one process count up (processes 1 and 2
+/// interchangeable, still bivalent), at a cadence where several levels
+/// ride between commits. Wait-free CAS consensus and a violating
+/// scenario close the table.
 #[test]
 fn kernel_matches_retained_baseline_on_consensus() {
     let safety = ConsensusSafety::new();
@@ -605,21 +548,19 @@ fn kernel_matches_retained_baseline_on_consensus() {
     // kernel arm so the count comparison survives `SLX_ENGINE_SYMMETRY=1`
     // environments (the symmetry CI job).
     let checker = Checker::auto().with_symmetry(false);
-    let rows: [(&[i64], usize, usize); 4] = [
+    let rows: [(&[i64], usize, usize); 5] = [
         (&[1, 2], 8, 4),
         (&[1, 2], 14, 4),
         (&[1, 2], 18, 4),
+        (&[1, 2], 20, 4),
         (&[1, 2, 2], 18, 8),
     ];
     for (inputs, depth, every) in rows {
         let label = format!("inputs {inputs:?}, depth {depth}");
-        let sys = of_consensus_with_inputs(inputs);
+        let sys = ObstructionFreeConsensus::proposers(inputs, 16);
         let active: Vec<ProcessId> = (0..inputs.len()).map(p).collect();
-        let engine = explore_safety_with(&checker, &sys, &active, depth, &safety, history_digest);
-        let baseline = explore_safety_retained(&sys, &active, depth, &safety, history_digest);
-        assert_eq!(engine.holds(), baseline.holds(), "{label}");
-        assert_eq!(engine.configs, baseline.configs, "{label}");
-        assert_eq!(engine.truncated, baseline.truncated, "{label}");
+        let engine = assert_matches_retained(&checker, &sys, &active, depth, &label);
+        assert!(engine.holds(), "{label}");
 
         let dir = std::env::temp_dir().join(format!(
             "slx-differential-ckpt-{}-{}-{depth}",
@@ -647,6 +588,18 @@ fn kernel_matches_retained_baseline_on_consensus() {
             observed.stats.checkpoints_written
         );
     }
+
+    let active = [p(0), p(1)];
+    let cas = assert_matches_retained(&checker, &cas_consensus_scenario(), &active, 16, "cas");
+    assert!(cas.holds());
+    let mut selfish = System::new(
+        Memory::new(),
+        vec![Selfish { pending: None }, Selfish { pending: None }],
+    );
+    selfish.invoke(p(0), Operation::Propose(v(1))).unwrap();
+    selfish.invoke(p(1), Operation::Propose(v(2))).unwrap();
+    let violating = assert_matches_retained(&checker, &selfish, &active, 4, "selfish");
+    assert!(!violating.holds(), "disagreement must be found");
 }
 
 #[test]
@@ -661,6 +614,8 @@ fn kernel_matches_retained_baseline_on_tm() {
     let baseline = explore_safety_retained(&sys, &active, 20, &safety, history_digest);
     assert_eq!(engine.holds(), baseline.holds());
     assert_eq!(engine.configs, baseline.configs);
+    assert!(engine.holds(), "global-version TM commits must stay opaque");
+    assert!(engine.configs > 1, "the commit race must branch");
 }
 
 #[test]
@@ -697,68 +652,6 @@ fn valence_matches_retained_baseline_across_budgets() {
             }
         }
     }
-}
-
-#[test]
-fn backends_agree_on_injected_violation() {
-    // A scenario whose verdict is *false*: both backends must find it.
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    struct Selfish {
-        pending: Option<Value>,
-    }
-    impl slx_memory::Process<ConsWord> for Selfish {
-        fn on_invoke(&mut self, op: Operation) {
-            if let Operation::Propose(v) = op {
-                self.pending = Some(v);
-            }
-        }
-        fn has_step(&self) -> bool {
-            self.pending.is_some()
-        }
-        fn step(&mut self, _mem: &mut Memory<ConsWord>) -> slx_memory::StepEffect {
-            let v = self.pending.take().expect("pending");
-            slx_memory::StepEffect::Responded(slx_history::Response::Decided(v))
-        }
-    }
-    impl slx_engine::StateCodec for Selfish {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.pending.encode(out);
-        }
-        fn decode(input: &mut &[u8]) -> Option<Self> {
-            Some(Selfish {
-                pending: Option::decode(input)?,
-            })
-        }
-    }
-    impl slx_engine::DeltaCodec for Selfish {}
-    let mem: Memory<ConsWord> = Memory::new();
-    let mut sys = System::new(
-        mem,
-        vec![Selfish { pending: None }, Selfish { pending: None }],
-    );
-    sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
-    sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
-    let active = [p(0), p(1)];
-    let safety = ConsensusSafety::new();
-    let bfs = explore_safety_with(
-        &Checker::parallel_bfs(2),
-        &sys,
-        &active,
-        4,
-        &safety,
-        history_digest,
-    );
-    let dfs = explore_safety_with(
-        &Checker::sequential_dfs(),
-        &sys,
-        &active,
-        4,
-        &safety,
-        history_digest,
-    );
-    assert!(!bfs.holds());
-    assert!(!dfs.holds());
-    assert_eq!(bfs.configs, dfs.configs);
 }
 
 /// Every schedule of three obstruction-free consensus processes up to a
@@ -804,7 +697,7 @@ impl StateSpace for DecisionSpace {
 /// parent at a time, from worker blocks, or from spilled chunks.
 #[test]
 fn level_window_partition_never_shows_on_consensus() {
-    let sys = of_consensus_with_inputs(&[1, 2, 2]);
+    let sys = ObstructionFreeConsensus::proposers(&[1, 2, 2], 16);
     let space = DecisionSpace { depth: 22 };
 
     type Outcome = KernelOutcome<(usize, Value)>;

@@ -5,8 +5,8 @@
 //! reduction on and off — only the visited-configuration counts shrink.
 //! These suites pin that equivalence across the full execution matrix
 //! the kernel supports: {1, 2, 4} worker threads × {resident, plain,
-//! delta, replay} spill arms, plus the sequential DFS backend, on both
-//! seed scenarios (register consensus and the TM commit race).
+//! delta, replay} spill arms, on both seed scenarios (register consensus
+//! and the TM commit race).
 
 use slx_consensus::{CasConsensus, ConsWord, ObstructionFreeConsensus};
 use slx_engine::{Checker, SpillCodec};
@@ -30,17 +30,7 @@ fn v(x: i64) -> Value {
 /// identities (a permuted state swaps who holds which value), equal
 /// inputs leave whole orbits to collapse.
 fn of_consensus_scenario(inputs: &[i64]) -> System<ConsWord, ObstructionFreeConsensus> {
-    let n = inputs.len();
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
-    let procs = (0..n)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), n))
-        .collect();
-    let mut sys = System::new(mem, procs);
-    for (i, &input) in inputs.iter().enumerate() {
-        sys.invoke(p(i), Operation::Propose(v(input))).unwrap();
-    }
-    sys
+    ObstructionFreeConsensus::proposers(inputs, 16)
 }
 
 fn cas_consensus_scenario() -> System<ConsWord, CasConsensus> {
@@ -218,22 +208,6 @@ fn symmetry_preserves_safety_verdicts_across_spill_and_thread_matrix() {
             assert_eq!(t.stats.orbit_hits, tm_on.stats.orbit_hits, "tm, {label}");
         }
     }
-
-    // The DFS backend closes the matrix: same quotient, same verdicts.
-    let dfs = Checker::sequential_dfs().with_symmetry(true);
-    let c_dfs = explore_safety_with(
-        &dfs,
-        &consensus,
-        &active,
-        14,
-        &consensus_safety,
-        history_digest,
-    );
-    assert_eq!(c_dfs.holds(), consensus_off.holds());
-    assert_eq!(c_dfs.configs, consensus_on.configs);
-    let t_dfs = explore_safety_with(&dfs, &tm, &active, 20, &tm_safety, history_digest);
-    assert_eq!(t_dfs.holds(), tm_off.holds());
-    assert_eq!(t_dfs.configs, tm_on.configs);
 }
 
 /// Three fully symmetric processes collapse much harder than two: the

@@ -8,7 +8,7 @@
 //! 600 cases across the three workloads, all deterministic.
 
 use slx_consensus::{
-    canonical_of_digest, permutation_safe, permuted_of_system, ConsWord, ObstructionFreeConsensus,
+    canonical_of_digest, permutation_safe, permuted_of_system, ObstructionFreeConsensus,
 };
 use slx_history::{Operation, ProcessId, Value, VarId};
 use slx_memory::{Memory, System};
@@ -51,20 +51,6 @@ fn v(x: i64) -> Value {
     Value::new(x)
 }
 
-fn of_system(inputs: &[i64]) -> System<ConsWord, ObstructionFreeConsensus> {
-    let n = inputs.len();
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
-    let procs = (0..n)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), n))
-        .collect();
-    let mut sys = System::new(mem, procs);
-    for (i, &input) in inputs.iter().enumerate() {
-        sys.invoke(p(i), Operation::Propose(v(input))).unwrap();
-    }
-    sys
-}
-
 /// Step a uniformly random pending process, if any; returns whether a
 /// step happened.
 fn step_random<W, P>(sys: &mut System<W, P>, rng: &mut Rng, n: usize) -> bool
@@ -94,7 +80,7 @@ fn consensus_canonical_digest_is_permutation_invariant_at_safe_states() {
     for _case in 0..200 {
         let n = 2 + rng.below(2) as usize; // 2 or 3 processes
         let inputs: Vec<i64> = (0..n).map(|_| 1 + rng.below(2) as i64).collect();
-        let mut sys = of_system(&inputs);
+        let mut sys = ObstructionFreeConsensus::proposers(&inputs, 16);
         let steps = rng.below(30) as usize;
         for _ in 0..steps {
             if !step_random(&mut sys, &mut rng, n) {
@@ -130,7 +116,7 @@ fn consensus_canonical_digest_is_permutation_invariant_at_safe_states() {
 fn consensus_canonical_digest_is_round_shift_invariant_across_laps() {
     let mut rng = Rng(0xcafe_f00d);
     let digest_after = |laps: usize| {
-        let mut sys = of_system(&[1, 2]);
+        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
         for _ in 0..laps {
             for i in [0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0] {
                 sys.step(p(i)).unwrap();

@@ -12,18 +12,16 @@
 //!   smoke target.
 //! - `of-consensus-safety` — the Figure 1a anchor: obstruction-free
 //!   consensus (two proposers, inputs 1 and 2) checked for consensus
-//!   safety to `depth` schedule steps. The same workload as the
-//!   `checkpoint_run` CI probe.
+//!   safety to `depth` schedule steps.
 //!
 //! Tests register extra scenarios (e.g. deliberately slow spaces for
 //! cancellation coverage) through [`ScenarioRegistry::register`].
 
 use std::sync::Arc;
 
-use slx_core::consensus::{ConsWord, ObstructionFreeConsensus};
+use slx_core::consensus::ObstructionFreeConsensus;
 use slx_core::explorer::{explore_safety_observed, history_digest};
-use slx_core::history::{Operation, ProcessId, Value};
-use slx_core::memory::{Memory, System};
+use slx_core::history::ProcessId;
 use slx_core::safety::ConsensusSafety;
 use slx_engine::{Checker, DetHashMap, Digest, Expansion, ExploreStats, StateSpace};
 
@@ -147,23 +145,8 @@ impl Scenario for GridScenario {
 }
 
 /// The Figure 1a anchor workload (two proposers, inputs 1 and 2) under
-/// consensus safety — identical to the `checkpoint_run` probe's system.
+/// consensus safety.
 struct OfConsensusSafety;
-
-fn of_system(inputs: &[i64]) -> System<ConsWord, ObstructionFreeConsensus> {
-    let n = inputs.len();
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
-    let procs = (0..n)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), ProcessId::new(i), n))
-        .collect();
-    let mut sys = System::new(mem, procs);
-    for (i, &input) in inputs.iter().enumerate() {
-        sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(input)))
-            .expect("proposer invocation");
-    }
-    sys
-}
 
 impl Scenario for OfConsensusSafety {
     fn run(
@@ -172,7 +155,7 @@ impl Scenario for OfConsensusSafety {
         checker: Checker,
         progress: &mut dyn FnMut(usize, &ExploreStats) -> bool,
     ) -> ScenarioRun {
-        let sys = of_system(&[1, 2]);
+        let sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
         let active = [ProcessId::new(0), ProcessId::new(1)];
         let safety = ConsensusSafety::new();
         let depth = usize::try_from(req.depth).unwrap_or(usize::MAX);

@@ -19,16 +19,7 @@ fn p(i: usize) -> ProcessId {
 #[test]
 fn of_consensus_safe_under_random_crashes() {
     for seed in 0..20 {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 3, 64);
-        let procs = (0..3)
-            .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), 3))
-            .collect();
-        let mut sys: System<ConsWord, ObstructionFreeConsensus> = System::new(mem, procs);
-        for i in 0..3 {
-            sys.invoke(p(i), Operation::Propose(Value::new(i as i64)))
-                .unwrap();
-        }
+        let mut sys = ObstructionFreeConsensus::proposers(&[0, 1, 2], 64);
         let mut sched = RandomCrashes::new(FairRandom::new(seed), seed, 20, 1);
         sys.run(&mut sched, 50_000);
         assert!(
@@ -54,14 +45,7 @@ fn of_consensus_tolerates_planned_mid_round_crashes() {
     // the remaining one must still decide and agree with any prior
     // decision.
     for crash_at in [1u64, 3, 5, 9, 15] {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
-        let procs = (0..2)
-            .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), 2))
-            .collect();
-        let mut sys: System<ConsWord, ObstructionFreeConsensus> = System::new(mem, procs);
-        sys.invoke(p(0), Operation::Propose(Value::new(1))).unwrap();
-        sys.invoke(p(1), Operation::Propose(Value::new(2))).unwrap();
+        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 64);
         let mut sched = CrashPlan::new(RoundRobin::new(), vec![(crash_at, p(0))]);
         sys.run(&mut sched, 50_000);
         assert!(

@@ -16,19 +16,8 @@ use safety_liveness_exclusion::safety::{
 use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm, LockTm, TmWord};
 
 fn consensus_history(seed: u64, n: usize) -> History {
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 64);
-    let procs = (0..n)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), ProcessId::new(i), n))
-        .collect();
-    let mut sys = System::new(mem, procs);
-    for i in 0..n {
-        sys.invoke(
-            ProcessId::new(i),
-            Operation::Propose(Value::new(i as i64 * 10)),
-        )
-        .unwrap();
-    }
+    let inputs: Vec<i64> = (0..n as i64).map(|i| i * 10).collect();
+    let mut sys = ObstructionFreeConsensus::proposers(&inputs, 64);
     sys.run(&mut FairRandom::new(seed), 30_000);
     sys.history().clone()
 }
