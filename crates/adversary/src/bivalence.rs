@@ -11,7 +11,7 @@ use slx_consensus::{ConsWord, ObstructionFreeConsensus, OfNormalizedState};
 use slx_engine::{Checker, DeltaCodec};
 use slx_explorer::decidable_values_with;
 use slx_history::{History, ProcessId, Value};
-use slx_memory::{Decision, Process, Scheduler, StepEffect, System, Word};
+use slx_memory::{Decision, Event, Process, Scheduler, StepEffect, System, Word};
 
 /// Report of a [`run_bivalence_adversary`] run.
 #[derive(Debug, Clone)]
@@ -28,6 +28,9 @@ pub struct BivalenceReport {
     pub bivalent_throughout: bool,
     /// The driven history.
     pub history: History,
+    /// The execution log of the steps the adversary scheduled (the
+    /// invocations before the run were the caller's to log).
+    pub events: Vec<Event>,
     /// Total configurations model-checked across all valence queries — the
     /// work the exploration kernel discharged for this run.
     pub valence_configs: u64,
@@ -95,6 +98,7 @@ where
         decided: false,
         bivalent_throughout: true,
         history: History::new(),
+        events: Vec::new(),
         valence_configs: 0,
     };
 
@@ -118,7 +122,8 @@ where
             let d = decidable_values_with(checker, &next, active, valence_budget);
             report.valence_configs += d.configs as u64;
             if d.bivalent() {
-                *sys = next;
+                sys.apply(Decision::Step(p), &mut report.events)
+                    .expect("steppable");
                 report.steps += 1;
                 report.step_counts[p.index()] += 1;
                 moved = true;

@@ -174,8 +174,9 @@ mod tests {
     fn run_violates_13_freedom() {
         let mut sys = agp_system(3);
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
-        sys.run(&mut adv, 3000);
-        let view = ExecutionView::second_half(sys.events(), 3, ProgressKind::CommitOnly);
+        let mut log = Vec::new();
+        sys.run_logged(&mut adv, 3000, &mut log);
+        let view = ExecutionView::second_half(&log, 3, ProgressKind::CommitOnly);
         // Three steppers, zero commits: (1,3)-freedom fails...
         assert!(!LkFreedom::new(1, 3).satisfied(&view));
         // ...while (2,2)-freedom holds vacuously (3 steppers > k = 2).

@@ -253,8 +253,9 @@ mod tests {
     fn starvation_run_violates_local_progress_and_22_freedom() {
         let mut sys = gv_system();
         let mut adv = TmStarvation::new(p(0), p(1), x0());
-        sys.run(&mut adv, 5000);
-        let view = ExecutionView::second_half(sys.events(), 2, ProgressKind::CommitOnly);
+        let mut log = Vec::new();
+        sys.run_logged(&mut adv, 5000, &mut log);
+        let view = ExecutionView::second_half(&log, 2, ProgressKind::CommitOnly);
         // Local progress (Lmax for TM) fails: the victim is correct but
         // never commits.
         assert!(!Lmax::new().satisfied(&view));

@@ -242,7 +242,7 @@ pub fn permutation_safe(sys: &System<ConsWord, ObstructionFreeConsensus>) -> boo
 /// (its state retargeted via
 /// [`ObstructionFreeConsensus::retargeted`]) and every commit-adopt
 /// register column moves with its owner, while the decision register
-/// stays put. History and events are dropped.
+/// stays put. The history is dropped.
 ///
 /// This is the concrete permutation action [`canonical_of_digest`]
 /// quotients by; the symmetry property suites build images with it and

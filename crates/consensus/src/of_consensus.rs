@@ -526,7 +526,7 @@ mod tests {
         let built = ObstructionFreeConsensus::proposers(&[1, 2], 16);
         assert_eq!(built, sys);
         // `==` is configuration equality; the encoding also covers the
-        // history and the event log.
+        // history.
         let (mut built_bytes, mut sys_bytes) = (Vec::new(), Vec::new());
         built.encode(&mut built_bytes);
         sys.encode(&mut sys_bytes);

@@ -10,7 +10,9 @@
 
 use slx_history::{Operation, ProcessId, Value, VarId};
 use slx_liveness::{ExecutionView, LivenessProperty, LkFreedom, ProgressKind};
-use slx_memory::{FairRandom, Memory, RepeatTxn, System, WorkloadScheduler};
+use slx_memory::{
+    Decision, Event, FairRandom, Memory, Process, RepeatTxn, System, WorkloadScheduler,
+};
 use slx_safety::{Opacity, SafetyProperty};
 use slx_tm::{GlobalVersionTm, LockTm, TmWord};
 
@@ -44,32 +46,52 @@ impl BlockingDemo {
     }
 }
 
+/// Drives the crash pattern on `sys` and returns its execution log:
+/// process 1 starts a transaction, takes one step (the lock TM's TAS
+/// acquires the lock) and crashes; process 2 then runs a closed-loop
+/// workload alone for `events` events.
+fn crash_then_run_survivor<P: Process<TmWord>>(
+    sys: &mut System<TmWord, P>,
+    events: u64,
+) -> Vec<Event> {
+    let p0 = ProcessId::new(0);
+    let p1 = ProcessId::new(1);
+    let x = VarId::new(0);
+    let mut log = Vec::new();
+    for decision in [
+        Decision::Invoke(p0, Operation::TxStart),
+        Decision::Step(p0),
+        Decision::Crash(p0),
+    ] {
+        sys.apply(decision, &mut log)
+            .expect("a fresh process starts, steps and crashes");
+    }
+    let workload = RepeatTxn::new(2, vec![x], vec![x], None);
+    let mut sched = WorkloadScheduler::new(2, workload, FairRandom::restricted(3, vec![p1]));
+    sys.run_logged(&mut sched, events, &mut log);
+    log
+}
+
+fn commits<P: Process<TmWord>>(sys: &System<TmWord, P>) -> u64 {
+    sys.history()
+        .iter()
+        .filter(|a| a.as_respond().is_some_and(|r| r.is_commit()))
+        .count() as u64
+}
+
 /// Runs the crash experiment: process 1 acquires whatever its TM needs
 /// for a transaction and crashes mid-flight; process 2 then runs a full
 /// closed-loop workload alone.
 pub fn blocking_demo(events: u64) -> BlockingDemo {
-    let p0 = ProcessId::new(0);
-    let p1 = ProcessId::new(1);
-    let x = VarId::new(0);
-
     // --- Lock TM: crash the lock holder. ---
     let mut mem: Memory<TmWord> = Memory::new();
     let (lock, store) = LockTm::alloc(&mut mem, 1);
     let procs = (0..2).map(|_| LockTm::new(lock, store, 1)).collect();
     let mut sys: System<TmWord, LockTm> = System::new(mem, procs);
-    sys.invoke(p0, Operation::TxStart).expect("invoke");
-    sys.step(p0).expect("step"); // TAS: lock acquired
-    sys.crash(p0).expect("crash");
-    let workload = RepeatTxn::new(2, vec![x], vec![x], None);
-    let mut sched = WorkloadScheduler::new(2, workload, FairRandom::restricted(3, vec![p1]));
-    sys.run(&mut sched, events);
-    let lock_commits = sys
-        .history()
-        .iter()
-        .filter(|a| a.as_respond().is_some_and(|r| r.is_commit()))
-        .count() as u64;
+    let log = crash_then_run_survivor(&mut sys, events);
+    let lock_commits = commits(&sys);
     let lock_opaque = Opacity::new(Value::new(0)).allows(sys.history());
-    let view = ExecutionView::second_half(sys.events(), 2, ProgressKind::CommitOnly);
+    let view = ExecutionView::second_half(&log, 2, ProgressKind::CommitOnly);
     let lock_violates_11 = !LkFreedom::new(1, 1).satisfied(&view);
 
     // --- Lock-free TM: same crash pattern. ---
@@ -77,18 +99,9 @@ pub fn blocking_demo(events: u64) -> BlockingDemo {
     let c = GlobalVersionTm::alloc(&mut mem, 1);
     let procs = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
     let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
-    sys.invoke(p0, Operation::TxStart).expect("invoke");
-    sys.step(p0).expect("step");
-    sys.crash(p0).expect("crash");
-    let workload = RepeatTxn::new(2, vec![x], vec![x], None);
-    let mut sched = WorkloadScheduler::new(2, workload, FairRandom::restricted(3, vec![p1]));
-    sys.run(&mut sched, events);
-    let free_commits = sys
-        .history()
-        .iter()
-        .filter(|a| a.as_respond().is_some_and(|r| r.is_commit()))
-        .count() as u64;
-    let view = ExecutionView::second_half(sys.events(), 2, ProgressKind::CommitOnly);
+    let log = crash_then_run_survivor(&mut sys, events);
+    let free_commits = commits(&sys);
+    let view = ExecutionView::second_half(&log, 2, ProgressKind::CommitOnly);
     let free_1n = LkFreedom::new(1, 2).satisfied(&view);
 
     BlockingDemo {

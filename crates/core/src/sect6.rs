@@ -3,8 +3,9 @@
 use slx_adversary::run_bivalence_adversary;
 use slx_consensus::ObstructionFreeConsensus;
 use slx_explorer::verify_solo_progress;
-use slx_history::ProcessId;
+use slx_history::{Operation, ProcessId, Value};
 use slx_liveness::{ExecutionView, LivenessProperty, NxLiveness, ProgressKind, SFreedom};
+use slx_memory::{Decision, Memory, System};
 
 /// The S-freedom structure recalled in Section 6: the implementable
 /// members (from registers, for consensus) are exactly the singletons, and
@@ -98,17 +99,28 @@ impl Sect6ImplementabilityDemo {
 pub fn sect6_implementability_demo() -> Sect6ImplementabilityDemo {
     let p0 = ProcessId::new(0);
     let p1 = ProcessId::new(1);
-    let build = || ObstructionFreeConsensus::proposers(&[1, 2], 64);
+    // `ObstructionFreeConsensus::proposers(&[1, 2], 64)` with the two
+    // proposals driven here, so that the execution log the liveness views
+    // read opens with them: both processes are pending, not inactive.
+    let mut mem = Memory::new();
+    let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
+    let procs = [p0, p1].map(|p| ObstructionFreeConsensus::new(layout.clone(), p, 2));
+    let mut sys = System::new(mem, procs.to_vec());
+    let mut log = Vec::new();
+    for (p, input) in [(p0, 1), (p1, 2)] {
+        let propose = Operation::Propose(Value::new(input));
+        sys.apply(Decision::Invoke(p, propose), &mut log)
+            .expect("a fresh process accepts its first invocation");
+    }
 
-    let solo_progress_ok = verify_solo_progress(&build(), &[p0, p1], 8, 400).is_none();
+    let solo_progress_ok = verify_solo_progress(&sys, &[p0, p1], 8, 400).is_none();
 
-    let mut sys = build();
     let report = run_bivalence_adversary(&mut sys, &[p0, p1], 60, 40_000);
     let mut nx1_violated = false;
     let mut s2_violated = false;
     if report.adversary_won() {
-        // Rebuild the events from the driven system for liveness views.
-        let view = ExecutionView::new(sys.events(), 2, 0, ProgressKind::AnyResponse);
+        log.extend(report.events);
+        let view = ExecutionView::new(&log, 2, 0, ProgressKind::AnyResponse);
         nx1_violated = !NxLiveness::new(2, 1).satisfied(&view);
         s2_violated = !SFreedom::new([2]).satisfied(&view);
     }

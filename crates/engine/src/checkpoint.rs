@@ -13,7 +13,7 @@
 //! performed* and may legitimately differ across a resume: the rebuilt
 //! frontier re-chunks from scratch.
 //!
-//! # On-disk layout (format version 3)
+//! # On-disk layout (format version 4)
 //!
 //! One file, `slx-checkpoint.bin`, inside the checkpoint directory. All
 //! integers use the [`crate::StateCodec`] wire format (LEB128 varints,
@@ -35,6 +35,9 @@
 //!                      (faults_injected / io_retries / degraded_levels,
 //!                      added in format version 3)
 //! findings             count, then each via StateCodec
+//!                      (format version 4: a `slx_memory::System` record,
+//!                      here and in the frontier, no longer carries a
+//!                      per-step event log)
 //! visited set          per shard: digest count, then the digests
 //!                      sorted ascending (shards own contiguous digest
 //!                      ranges in shard order, so the whole section is
@@ -97,7 +100,9 @@ const MAGIC: &[u8; 8] = b"SLXCKPT\0";
 /// restarting the clock. Version 3 added the lifetime fault-plane
 /// counters (`faults_injected`/`io_retries`/`degraded_levels`) so a
 /// resume keeps reporting the faults absorbed by earlier segments.
-const FORMAT_VERSION: u64 = 3;
+/// Version 4 took the per-step event log out of every
+/// `slx_memory::System` record (frontier and findings).
+const FORMAT_VERSION: u64 = 4;
 
 /// The checkpoint file inside a store directory. The store is a single
 /// file: one atomic rename commits the whole image.
@@ -828,17 +833,24 @@ mod tests {
         write_sample(&store, SpillCodec::Delta);
         let path = CheckpointStore::file_path(&dir);
         let bytes = std::fs::read(&path).unwrap();
-        // Rebuild the file with a bumped version varint (FORMAT_VERSION
-        // is small enough to be a single byte) and a recomputed checksum.
-        let mut body = bytes[..bytes.len() - 16].to_vec();
-        assert_eq!(body[MAGIC.len()], FORMAT_VERSION as u8);
-        body[MAGIC.len()] = 0x7f;
-        let mut fp = Fingerprinter::new();
-        fp.write(&body);
-        body.extend_from_slice(&fp.digest().0.to_le_bytes());
-        std::fs::write(&path, &body).unwrap();
-        let message = load_panic_message(&dir, &sample_header(SpillCodec::Delta));
-        assert!(message.contains("format version 127"), "{message}");
+        // Rebuild the file with another version varint (FORMAT_VERSION
+        // is small enough to be a single byte) and a recomputed
+        // checksum: a future version, and the previous one (3, whose
+        // `System` records carried an event log this build cannot read).
+        assert_eq!(bytes[MAGIC.len()], FORMAT_VERSION as u8);
+        for foreign in [0x7f, 3] {
+            let mut body = bytes[..bytes.len() - 16].to_vec();
+            body[MAGIC.len()] = foreign;
+            let mut fp = Fingerprinter::new();
+            fp.write(&body);
+            body.extend_from_slice(&fp.digest().0.to_le_bytes());
+            std::fs::write(&path, &body).unwrap();
+            let message = load_panic_message(&dir, &sample_header(SpillCodec::Delta));
+            assert!(
+                message.contains(&format!("format version {foreign}")),
+                "{message}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -510,7 +510,7 @@ impl<T: DeltaCodec + PartialEq + Clone> DeltaCodec for Vec<T> {
 /// gap-sentinel framing needs only **one** compare pass (this helper sits
 /// on the spill push path, where every pushed state walks it) — this is
 /// the skip/copy core every slice-shaped layer codec (`Vec`, histories,
-/// event logs, memory object pools) delegates to. Decode with
+/// memory object pools) delegates to. Decode with
 /// [`decode_slice_delta`].
 pub fn encode_slice_delta<T: DeltaCodec + PartialEq>(items: &[T], prev: &[T], out: &mut Vec<u8>) {
     let len = u32::try_from(items.len()).expect("frontier states are far below 2^32 elements");

@@ -156,10 +156,13 @@ where
     })
 }
 
-/// The shared drive loop: runs the scheduler one decision at a time,
-/// handing `(system, scheduler, events-so-far)` to `record` after every
-/// event batch. `record` returns `Some(first)` when the current key was
-/// first seen at event index `first`, which closes the lasso.
+/// The shared drive loop: applies the scheduler's decisions one at a
+/// time into its own execution log, handing `(system, scheduler,
+/// events-so-far)` to `record` after each. `record` returns `Some(first)`
+/// when the current key was first seen at event index `first`, which
+/// closes the lasso — unless nothing was logged since (idle steps only):
+/// an empty cycle is not an infinite execution, and the pair is stuck
+/// there for good, so that ends the search like a halt.
 fn run_cycle_loop<W, P, S>(
     sys: &mut System<W, P>,
     scheduler: &mut S,
@@ -171,38 +174,21 @@ where
     P: Process<W>,
     S: Scheduler<W, P>,
 {
-    use slx_memory::Decision;
-
-    let start_events = sys.events().len();
+    let mut log = Vec::new();
     // Seed the map with the starting key (trivially not a repeat).
     let _ = record(sys, scheduler, 0);
 
     for _ in 0..max_events {
-        match scheduler.decide(sys) {
-            Decision::Halt => return None,
-            Decision::Invoke(p, op) => {
-                if sys.invoke(p, op).is_err() {
-                    return None;
-                }
-            }
-            Decision::Step(p) => {
-                if sys.step(p).is_err() {
-                    return None;
-                }
-            }
-            Decision::Crash(p) => {
-                if sys.crash(p).is_err() {
-                    return None;
-                }
-            }
+        let decision = scheduler.decide(sys);
+        if !matches!(sys.apply(decision, &mut log), Ok(true)) {
+            return None;
         }
-        let now = sys.events().len() - start_events;
-        if let Some(first) = record(sys, scheduler, now) {
-            let events = &sys.events()[start_events..];
-            return Some(CycleWitness {
-                stem: events[..first].to_vec(),
-                cycle: events[first..now].to_vec(),
-            });
+        if let Some(first) = record(sys, scheduler, log.len()) {
+            if first == log.len() {
+                return None;
+            }
+            let cycle = log.split_off(first);
+            return Some(CycleWitness { stem: log, cycle });
         }
     }
     None
@@ -321,5 +307,39 @@ mod tests {
             (sys.clone(), sched.clone())
         });
         assert!(witness.is_none());
+    }
+
+    /// Never has a step; stepping it anyway is idle.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Sleeper;
+
+    impl slx_memory::Process<i64> for Sleeper {
+        fn on_invoke(&mut self, _op: Operation) {}
+        fn has_step(&self) -> bool {
+            false
+        }
+        fn step(&mut self, _mem: &mut Memory<i64>) -> StepEffect {
+            StepEffect::Idle
+        }
+    }
+
+    /// Steps p1 without asking whether it can.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct StepBlindly;
+
+    impl slx_memory::Scheduler<i64, Sleeper> for StepBlindly {
+        fn decide(&mut self, _sys: &System<i64, Sleeper>) -> Decision {
+            Decision::Step(p(0))
+        }
+    }
+
+    #[test]
+    fn idle_steps_yield_no_empty_cycle() {
+        // The key repeats after an idle step with nothing logged in
+        // between: that is a stuck run, not a lasso with an empty cycle.
+        let key = |sys: &System<i64, Sleeper>, sched: &StepBlindly| (sys.clone(), sched.clone());
+        let mut sys = System::new(Memory::new(), vec![Sleeper]);
+        assert!(run_until_cycle_keyed(&mut sys, &mut StepBlindly, 100, key).is_none());
+        assert!(run_until_cycle_keyed_retained(&mut sys, &mut StepBlindly, 100, key).is_none());
     }
 }

@@ -52,6 +52,16 @@ fn complete_op(sys: &mut System<TmWord, GlobalVersionTm>, proc: ProcessId, op: O
     panic!("operation did not complete within 100 solo steps");
 }
 
+/// The frontier budget of the tests that must spill: 64 bytes (32-byte
+/// chunks) is below one self-contained mid-exploration `System` record
+/// and holds only a few delta-encoded siblings or replay records (a
+/// parent plus child indices), so every level past the first few spills
+/// at least two chunks under each of the three chunk codecs — CI re-runs
+/// this suite with `SLX_ENGINE_SPILL_CODEC=plain` and `=replay` —
+/// including the narrow TM commit-race levels, whose records are the
+/// smallest.
+const TINY_BUDGET: usize = 64;
+
 /// Two global-version TM transactions, both having read and written `x`
 /// and both with a pending `tryC`: exploring the commit interleavings is
 /// the TM seed scenario.
@@ -174,13 +184,6 @@ fn spill_and_in_memory_runs_are_byte_identical() {
     assert_eq!(consensus_base.stats.spilled_chunks, 0);
     assert!(consensus_base.configs > 100, "scenario must branch");
 
-    // A quarter KiB (128-byte chunks): a self-contained mid-exploration
-    // `System` record is one-to-several hundred bytes and a
-    // delta-encoded sibling a few dozen, so every level past the first
-    // few spills at least two chunks — including the narrow TM
-    // commit-race levels, whose records the delta codec shrinks the
-    // most.
-    const TINY_BUDGET: usize = 256;
     for threads in [1usize, 4] {
         for shards in [1usize, 16] {
             for mem_budget in [0usize, TINY_BUDGET] {
@@ -259,7 +262,7 @@ fn spill_and_in_memory_runs_are_byte_identical() {
 /// self-contained records, and replay recompute-from-parent records —
 /// must produce verdicts, visited-config counts, findings, truncation,
 /// and dedup accounting identical to the fully-resident run, across the
-/// 256-byte budget matrix of {1, 4} worker threads. Replay must actually
+/// 64-byte budget matrix of {1, 4} worker threads. Replay must actually
 /// regenerate (its whole point), the other codecs must never, and the
 /// spill-volume ordering (replay < delta < plain) must hold on the
 /// sibling-heavy consensus levels.
@@ -289,7 +292,6 @@ fn replay_delta_plain_and_resident_runs_agree() {
     );
     assert_eq!(consensus_base.stats.replayed_parents, 0);
 
-    const TINY_BUDGET: usize = 256;
     let mut consensus_bytes = std::collections::HashMap::new();
     for codec in [SpillCodec::Replay, SpillCodec::Delta, SpillCodec::Plain] {
         for threads in [1usize, 4] {
@@ -354,7 +356,7 @@ fn replay_delta_plain_and_resident_runs_agree() {
             }
         }
         // The spill-volume comparison needs chunks that actually hold
-        // several records: at the 256-byte matrix budget every ~230-byte
+        // several records: at the 64-byte matrix budget every
         // consensus record is its own (self-contained) chunk, where delta
         // degenerates to plain by design. 512-byte chunks restore the
         // sibling chains while still forcing every arm (including the

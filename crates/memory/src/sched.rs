@@ -199,10 +199,10 @@ mod tests {
         let mut sys = three_proc_system();
         invoke_all(&mut sys);
         let p1 = ProcessId::new(1);
-        let stats = sys.run(&mut SoloScheduler::new(p1), 1000);
+        let mut log = Vec::new();
+        let stats = sys.run_logged(&mut SoloScheduler::new(p1), 1000, &mut log);
         assert_eq!(stats.responses, 1);
-        assert!(sys
-            .events()
+        assert!(log
             .iter()
             .filter_map(|e| match e {
                 crate::system::Event::Stepped(p) => Some(*p),
@@ -217,9 +217,10 @@ mod tests {
         invoke_all(&mut sys);
         let active = vec![ProcessId::new(0), ProcessId::new(2)];
         let mut sched = FairRandom::restricted(42, active.clone());
-        let stats = sys.run(&mut sched, 1000);
+        let mut log = Vec::new();
+        let stats = sys.run_logged(&mut sched, 1000, &mut log);
         assert_eq!(stats.responses, 2);
-        for e in sys.events() {
+        for e in &log {
             if let crate::system::Event::Stepped(p) = e {
                 assert!(active.contains(p));
             }
@@ -231,8 +232,9 @@ mod tests {
         let run = |seed| {
             let mut sys = three_proc_system();
             invoke_all(&mut sys);
-            sys.run(&mut FairRandom::new(seed), 1000);
-            sys.events().to_vec()
+            let mut log = Vec::new();
+            sys.run_logged(&mut FairRandom::new(seed), 1000, &mut log);
+            log
         };
         assert_eq!(run(7), run(7));
     }

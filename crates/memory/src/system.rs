@@ -9,13 +9,19 @@ use crate::base::{Memory, Word};
 use crate::process::{Process, StepEffect};
 use crate::sched::{Decision, Scheduler};
 
-/// One entry of the execution log.
+/// One entry of an execution log.
 ///
 /// Where the [`History`] records only external actions (invocations,
-/// responses, crashes), the execution log additionally records which process
+/// responses, crashes), an execution log additionally records which process
 /// took each computation step. Liveness properties of Section 5 quantify
 /// over *steps* ("at most k processes take infinitely many steps"), so they
-/// are evaluated on this log, not on the history alone.
+/// are evaluated on such a log, not on the history alone.
+///
+/// A log belongs to whoever **drives** the execution, not to the
+/// [`System`]: a configuration is memory, process states and flags (plus
+/// the history safety is judged on), and carries no record of how it was
+/// reached. The driver passes its own `Vec<Event>` to [`System::apply`]
+/// (or [`System::run_logged`]), the only code that appends to one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {
     /// An invocation was delivered to a process.
@@ -27,43 +33,6 @@ pub enum Event {
     /// A process took one computation step (possibly the one that produced
     /// a response; in that case both events are logged, step first).
     Stepped(ProcessId),
-}
-
-impl StateCodec for Event {
-    #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Event::Invoked(p, op) => {
-                out.push(0);
-                p.encode(out);
-                op.encode(out);
-            }
-            Event::Responded(p, resp) => {
-                out.push(1);
-                p.encode(out);
-                resp.encode(out);
-            }
-            Event::Crashed(p) => {
-                out.push(2);
-                p.encode(out);
-            }
-            Event::Stepped(p) => {
-                out.push(3);
-                p.encode(out);
-            }
-        }
-    }
-
-    #[inline]
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(match u8::decode(input)? {
-            0 => Event::Invoked(ProcessId::decode(input)?, Operation::decode(input)?),
-            1 => Event::Responded(ProcessId::decode(input)?, Response::decode(input)?),
-            2 => Event::Crashed(ProcessId::decode(input)?),
-            3 => Event::Stepped(ProcessId::decode(input)?),
-            _ => return None,
-        })
-    }
 }
 
 /// Errors from driving a [`System`].
@@ -117,11 +86,13 @@ pub struct RunStats {
     pub halted: bool,
 }
 
-/// A complete simulated system: shared memory, `n` processes, the history
-/// so far, and the execution log.
+/// A complete simulated system: shared memory, `n` processes and the
+/// history so far.
 ///
 /// `System` is `Clone + Eq + Hash` when the process type is, which is what
-/// allows `slx-explorer` to enumerate configurations exactly.
+/// allows `slx-explorer` to enumerate configurations exactly. The history
+/// rides along outside `Eq`/`Hash` (safety is judged on it); the step-level
+/// execution log does not — see [`Event`].
 #[derive(Debug, Clone)]
 pub struct System<W: Word, P> {
     memory: Memory<W>,
@@ -129,7 +100,6 @@ pub struct System<W: Word, P> {
     pending: Vec<bool>,
     crashed: Vec<bool>,
     history: History,
-    events: Vec<Event>,
 }
 
 impl<W: Word, P: Process<W>> System<W, P> {
@@ -143,7 +113,6 @@ impl<W: Word, P: Process<W>> System<W, P> {
             pending: vec![false; n],
             crashed: vec![false; n],
             history: History::new(),
-            events: Vec::new(),
         }
     }
 
@@ -155,11 +124,6 @@ impl<W: Word, P: Process<W>> System<W, P> {
     /// The history so far.
     pub fn history(&self) -> &History {
         &self.history
-    }
-
-    /// The execution log so far.
-    pub fn events(&self) -> &[Event] {
-        &self.events
     }
 
     /// Read-only view of the shared memory.
@@ -227,7 +191,6 @@ impl<W: Word, P: Process<W>> System<W, P> {
         self.pending[i] = true;
         self.procs[i].on_invoke(op);
         self.history.push(Action::invoke(p, op));
-        self.events.push(Event::Invoked(p, op));
         Ok(())
     }
 
@@ -251,15 +214,9 @@ impl<W: Word, P: Process<W>> System<W, P> {
         if applied > 1 {
             return Err(SystemError::AtomicityViolation { proc: p, applied });
         }
-        match effect {
-            StepEffect::Idle => {}
-            StepEffect::Ran => self.events.push(Event::Stepped(p)),
-            StepEffect::Responded(resp) => {
-                self.events.push(Event::Stepped(p));
-                self.pending[i] = false;
-                self.history.push(Action::respond(p, resp));
-                self.events.push(Event::Responded(p, resp));
-            }
+        if let StepEffect::Responded(resp) = effect {
+            self.pending[i] = false;
+            self.history.push(Action::respond(p, resp));
         }
         Ok(effect)
     }
@@ -274,15 +231,14 @@ impl<W: Word, P: Process<W>> System<W, P> {
             self.crashed[i] = true;
             self.procs[i].on_crash();
             self.history.push(Action::crash(p));
-            self.events.push(Event::Crashed(p));
         }
         Ok(())
     }
 
     /// A copy of the system with the memory words and process states
     /// transformed — the normalization hook for cycle detection modulo a
-    /// symmetry (see [`Memory::map_words`]). History and events are
-    /// dropped (configuration comparison ignores them anyway).
+    /// symmetry (see [`Memory::map_words`]). The history is dropped
+    /// (configuration comparison ignores it anyway).
     pub fn transformed(
         &self,
         f_word: impl FnMut(&W) -> W,
@@ -294,7 +250,6 @@ impl<W: Word, P: Process<W>> System<W, P> {
             pending: self.pending.clone(),
             crashed: self.crashed.clone(),
             history: History::new(),
-            events: Vec::new(),
         }
     }
 
@@ -305,7 +260,7 @@ impl<W: Word, P: Process<W>> System<W, P> {
     /// its own-identity fields, e.g. `me = perm[me]` — and the memory
     /// rebuilt object-by-object via [`Memory::map_objects`], where
     /// per-process register contents move to their permuted columns.
-    /// History and events are dropped, like [`System::transformed`].
+    /// The history is dropped, like [`System::transformed`].
     ///
     /// This is the process-permutation symmetry hook: canonicalizers and
     /// the symmetry property suites build the π-image of a configuration
@@ -346,8 +301,47 @@ impl<W: Word, P: Process<W>> System<W, P> {
             pending,
             crashed,
             history: History::new(),
-            events: Vec::new(),
         }
+    }
+
+    /// Applies one scheduling decision and appends what happened to the
+    /// driver's `log`: an invocation logs [`Event::Invoked`]; a step logs
+    /// [`Event::Stepped`] unless the process was idle, then
+    /// [`Event::Responded`] if it produced a response; a crash logs
+    /// [`Event::Crashed`] unless the process had already crashed.
+    /// Returns `Ok(false)` for [`Decision::Halt`], which applies nothing.
+    ///
+    /// This is the one place a [`Decision`] is dispatched and an
+    /// [`Event`] is made, so every driver's log agrees with the history.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`System::invoke`], [`System::step`] or [`System::crash`]
+    /// reports for the decision; nothing is logged then.
+    pub fn apply(&mut self, decision: Decision, log: &mut Vec<Event>) -> Result<bool, SystemError> {
+        match decision {
+            Decision::Halt => return Ok(false),
+            Decision::Invoke(p, op) => {
+                self.invoke(p, op)?;
+                log.push(Event::Invoked(p, op));
+            }
+            Decision::Step(p) => match self.step(p)? {
+                StepEffect::Idle => {}
+                StepEffect::Ran => log.push(Event::Stepped(p)),
+                StepEffect::Responded(resp) => {
+                    log.push(Event::Stepped(p));
+                    log.push(Event::Responded(p, resp));
+                }
+            },
+            Decision::Crash(p) => {
+                let alive = !self.is_crashed(p);
+                self.crash(p)?;
+                if alive {
+                    log.push(Event::Crashed(p));
+                }
+            }
+        }
+        Ok(true)
     }
 
     /// Drives the system with `scheduler` until it halts, the event budget
@@ -355,39 +349,33 @@ impl<W: Word, P: Process<W>> System<W, P> {
     /// (which is treated as a halt — schedulers observe the system and
     /// should not make invalid decisions, but adversaries may race a crash).
     pub fn run<S: Scheduler<W, P>>(&mut self, scheduler: &mut S, max_events: u64) -> RunStats {
+        self.run_logged(scheduler, max_events, &mut Vec::new())
+    }
+
+    /// [`System::run`], appending the execution log of the run to the
+    /// caller's `log` — what liveness evaluation
+    /// (`slx_liveness::ExecutionView`) reads.
+    pub fn run_logged<S: Scheduler<W, P>>(
+        &mut self,
+        scheduler: &mut S,
+        max_events: u64,
+        log: &mut Vec<Event>,
+    ) -> RunStats {
+        let start = log.len();
         let mut stats = RunStats::default();
         for _ in 0..max_events {
-            match scheduler.decide(self) {
-                Decision::Halt => {
-                    stats.halted = true;
-                    break;
-                }
-                Decision::Invoke(p, op) => {
-                    if self.invoke(p, op).is_err() {
-                        stats.halted = true;
-                        break;
-                    }
-                    stats.invocations += 1;
-                }
-                Decision::Step(p) => match self.step(p) {
-                    Ok(StepEffect::Responded(_)) => {
-                        stats.steps += 1;
-                        stats.responses += 1;
-                    }
-                    Ok(StepEffect::Ran) => stats.steps += 1,
-                    Ok(StepEffect::Idle) => {}
-                    Err(_) => {
-                        stats.halted = true;
-                        break;
-                    }
-                },
-                Decision::Crash(p) => {
-                    if self.crash(p).is_err() {
-                        stats.halted = true;
-                        break;
-                    }
-                    stats.crashes += 1;
-                }
+            let decision = scheduler.decide(self);
+            if !matches!(self.apply(decision, log), Ok(true)) {
+                stats.halted = true;
+                break;
+            }
+        }
+        for event in &log[start..] {
+            match event {
+                Event::Invoked(..) => stats.invocations += 1,
+                Event::Responded(..) => stats.responses += 1,
+                Event::Crashed(_) => stats.crashes += 1,
+                Event::Stepped(_) => stats.steps += 1,
             }
         }
         stats
@@ -396,7 +384,7 @@ impl<W: Word, P: Process<W>> System<W, P> {
 
 impl<W: Word, P: std::hash::Hash> System<W, P> {
     /// A cheap 128-bit fingerprint of the *configuration* (memory, process
-    /// states, pending/crashed flags — history and events excluded, like
+    /// states, pending/crashed flags — history excluded, like
     /// [`Eq`]). This is what lets `slx-engine` deduplicate explored
     /// configurations without retaining a clone of every system.
     pub fn digest128(&self) -> slx_engine::Digest {
@@ -414,11 +402,9 @@ impl<W: Word + StateCodec, P: StateCodec> StateCodec for System<W, P> {
         self.procs.encode(out);
         self.pending.encode(out);
         self.crashed.encode(out);
-        // History and events are excluded from `Eq`/`Hash`, but findings
-        // clone the history and liveness views read the event log, so a
-        // spilled configuration must carry both verbatim.
+        // The history is excluded from `Eq`/`Hash`, but findings clone
+        // it, so a spilled configuration must carry it verbatim.
         self.history.encode(out);
-        self.events.encode(out);
     }
 
     #[inline]
@@ -429,20 +415,15 @@ impl<W: Word + StateCodec, P: StateCodec> StateCodec for System<W, P> {
             pending: Vec::decode(input)?,
             crashed: Vec::decode(input)?,
             history: History::decode(input)?,
-            events: Vec::decode(input)?,
         })
     }
 }
-
-// One-byte events keep the self-contained default; event *logs* delta as
-// slices through `Vec`'s hooks inside `System`'s delta below.
-impl DeltaCodec for Event {}
 
 impl<W: Word + DeltaCodec, P: DeltaCodec + PartialEq + Clone> DeltaCodec for System<W, P> {
     /// Consecutive spill records are sibling configurations of one BFS
     /// level, typically one scheduled step apart: each field deltas
     /// against its counterpart — memory and process pools
-    /// element-sparsely, history and event log by shared prefix — so an
+    /// element-sparsely, history by shared prefix — so an
     /// unchanged field costs its two-varint slice-delta header and one
     /// compare pass. (No field bitmap: pre-comparing the O(n) fields to
     /// save those header bytes was measured to cost more encode time
@@ -465,7 +446,6 @@ impl<W: Word + DeltaCodec, P: DeltaCodec + PartialEq + Clone> DeltaCodec for Sys
             self.crashed.encode_delta(Some(&prev.crashed), out);
         }
         self.history.encode_delta(Some(&prev.history), out);
-        self.events.encode_delta(Some(&prev.events), out);
     }
 
     fn decode_delta(prev: Option<&Self>, input: &mut &[u8], ctx: &mut DeltaCtx) -> Option<Self> {
@@ -494,14 +474,13 @@ impl<W: Word + DeltaCodec, P: DeltaCodec + PartialEq + Clone> DeltaCodec for Sys
             pending,
             crashed,
             history: History::decode_delta(Some(&prev.history), input, ctx)?,
-            events: Vec::decode_delta(Some(&prev.events), input, ctx)?,
         })
     }
 }
 
 impl<W: Word, P: PartialEq> PartialEq for System<W, P> {
     fn eq(&self, other: &Self) -> bool {
-        // Histories/events are deliberately excluded: two configurations
+        // Histories are deliberately excluded: two configurations
         // with the same memory and process states behave identically in the
         // future, which is the equivalence exploration needs.
         self.memory == other.memory
@@ -574,24 +553,131 @@ mod tests {
     #[test]
     fn invoke_step_respond_cycle() {
         let mut sys = writer_system();
+        let mut log = Vec::new();
         let p0 = ProcessId::new(0);
         assert!(!sys.is_pending(p0));
-        sys.invoke(p0, w(4)).unwrap();
+        assert_eq!(sys.apply(Decision::Invoke(p0, w(4)), &mut log), Ok(true));
         assert!(sys.is_pending(p0));
         assert!(sys.can_step(p0));
-        let eff = sys.step(p0).unwrap();
-        assert_eq!(eff, StepEffect::Responded(Response::Ok));
+        assert_eq!(sys.apply(Decision::Step(p0), &mut log), Ok(true));
         assert!(!sys.is_pending(p0));
         assert_eq!(sys.history().len(), 2);
         assert!(sys.history().is_well_formed());
+        // An idle step, a halt and a rejected decision log nothing.
+        assert_eq!(sys.apply(Decision::Step(p0), &mut log), Ok(true));
+        assert_eq!(sys.apply(Decision::Halt, &mut log), Ok(false));
+        let p9 = ProcessId::new(9);
         assert_eq!(
-            sys.events(),
-            &[
+            sys.apply(Decision::Crash(p9), &mut log),
+            Err(SystemError::NoSuchProcess(p9))
+        );
+        assert_eq!(
+            log,
+            [
                 Event::Invoked(p0, w(4)),
                 Event::Stepped(p0),
                 Event::Responded(p0, Response::Ok)
             ]
         );
+    }
+
+    /// Replays a fixed list of decisions, then halts.
+    struct Script(std::vec::IntoIter<Decision>);
+
+    impl Scheduler<i64, Writer> for Script {
+        fn decide(&mut self, _sys: &System<i64, Writer>) -> Decision {
+            self.0.next().unwrap_or(Decision::Halt)
+        }
+    }
+
+    #[test]
+    fn recrashing_a_crashed_process_counts_one_crash() {
+        let mut sys = writer_system();
+        let mut log = Vec::new();
+        let p0 = ProcessId::new(0);
+        let script = vec![
+            Decision::Invoke(p0, w(1)),
+            Decision::Crash(p0),
+            Decision::Crash(p0),
+        ];
+        let stats = sys.run_logged(&mut Script(script.into_iter()), 10, &mut log);
+        assert_eq!(
+            stats,
+            RunStats {
+                invocations: 1,
+                crashes: 1,
+                halted: true,
+                ..RunStats::default()
+            }
+        );
+        let crash_actions = sys
+            .history()
+            .iter()
+            .filter(|a| matches!(a, Action::Crash { .. }));
+        assert_eq!(crash_actions.count(), 1);
+        assert_eq!(log, [Event::Invoked(p0, w(1)), Event::Crashed(p0)]);
+    }
+
+    /// Spins through three local states forever without touching memory.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Spinner(u8);
+
+    impl Process<i64> for Spinner {
+        fn on_invoke(&mut self, _op: Operation) {}
+        fn has_step(&self) -> bool {
+            true
+        }
+        fn step(&mut self, _mem: &mut Memory<i64>) -> StepEffect {
+            self.0 = (self.0 + 1) % 3;
+            StepEffect::Ran
+        }
+    }
+
+    impl StateCodec for Spinner {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(input: &mut &[u8]) -> Option<Self> {
+            u8::decode(input).map(Spinner)
+        }
+    }
+
+    impl DeltaCodec for Spinner {}
+
+    #[test]
+    fn encoded_size_does_not_grow_with_steps() {
+        // Nothing a step changes here is unbounded — three local states,
+        // no primitive applied, no external action — so the record and
+        // the delta against the predecessor stay the size they were
+        // before the first step. (A per-step log inside the state grew
+        // both by one entry per step.)
+        let encoded_len = |sys: &System<i64, Spinner>| {
+            let mut out = Vec::new();
+            sys.encode(&mut out);
+            out.len()
+        };
+        let delta_len = |sys: &System<i64, Spinner>, prev: &System<i64, Spinner>| {
+            let mut out = Vec::new();
+            sys.encode_delta(Some(prev), &mut out);
+            out.len()
+        };
+        let p0 = ProcessId::new(0);
+        let mut sys = System::new(Memory::new(), vec![Spinner(0)]);
+        let plain = encoded_len(&sys);
+        let mut first_delta = None;
+        for steps in 1..=100 {
+            let prev = sys.clone();
+            sys.step(p0).unwrap();
+            if [1, 10, 100].contains(&steps) {
+                assert_eq!(encoded_len(&sys), plain, "after {steps} steps");
+                let delta = delta_len(&sys, &prev);
+                assert_eq!(
+                    delta,
+                    *first_delta.get_or_insert(delta),
+                    "after {steps} steps"
+                );
+            }
+        }
     }
 
     #[test]

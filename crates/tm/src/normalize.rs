@@ -195,8 +195,8 @@ pub fn canonical_agp_digest(sys: &System<TmWord, AgpTm>) -> Digest {
 /// The π-image of a [`GlobalVersionTm`] configuration: process `i` moves
 /// to slot `perm[i]`. Processes hold no identity-dependent state and the
 /// shared CAS stays put, so only the pending/crashed flags and the
-/// process states move. History and events are dropped. Used by the
-/// symmetry property suites.
+/// process states move. The history is dropped. Used by the symmetry
+/// property suites.
 ///
 /// # Panics
 /// If `perm` is not a permutation of `0..n`.
@@ -209,8 +209,8 @@ pub fn permuted_global_version(
 
 /// The π-image of an [`AgpTm`] configuration: process `i` moves to slot
 /// `perm[i]` (re-indexed via [`AgpTm::retargeted`]) and the timestamp
-/// snapshot's slots move with their owners; the CAS stays put. History
-/// and events are dropped. Used by the symmetry property suites.
+/// snapshot's slots move with their owners; the CAS stays put. The
+/// history is dropped. Used by the symmetry property suites.
 ///
 /// # Panics
 /// If `perm` is not a permutation of `0..n`.

@@ -11,7 +11,7 @@ use safety_liveness_exclusion::history::{Action, History, Operation, ProcessId, 
 use safety_liveness_exclusion::liveness::{
     ExecutionView, KObstructionFreedom, LivenessProperty, ProgressKind,
 };
-use safety_liveness_exclusion::memory::{Memory, RoundRobin, SoloScheduler, System};
+use safety_liveness_exclusion::memory::{Decision, Memory, RoundRobin, SoloScheduler, System};
 use safety_liveness_exclusion::safety::{ConsensusSafety, SafetyProperty};
 
 fn main() {
@@ -54,20 +54,25 @@ fn main() {
         ObstructionFreeConsensus::new(layout, p2, 2),
     ];
     let mut sys = System::new(mem, procs);
-    sys.invoke(p1, Operation::Propose(Value::new(7))).unwrap();
-    sys.invoke(p2, Operation::Propose(Value::new(9))).unwrap();
+    // The driver keeps the execution log (who stepped when): liveness is
+    // judged on it, and a configuration does not carry one.
+    let mut log = Vec::new();
+    for (p, v) in [(p1, 7), (p2, 9)] {
+        let propose = Operation::Propose(Value::new(v));
+        sys.apply(Decision::Invoke(p, propose), &mut log).unwrap();
+    }
 
     // Run p1 alone first (obstruction-freedom: it must decide) ...
-    sys.run(&mut SoloScheduler::new(p1), 10_000);
+    sys.run_logged(&mut SoloScheduler::new(p1), 10_000, &mut log);
     // ... then let p2 catch up.
-    sys.run(&mut RoundRobin::new(), 10_000);
+    sys.run_logged(&mut RoundRobin::new(), 10_000, &mut log);
 
     println!("register-only obstruction-free consensus run:");
     println!("history       : {}", sys.history());
     println!("safe (A&V)    : {}", safety.allows(sys.history()));
 
     // Liveness: evaluate 1-obstruction-freedom on the recorded execution.
-    let view = ExecutionView::new(sys.events(), 2, 0, ProgressKind::AnyResponse);
+    let view = ExecutionView::new(&log, 2, 0, ProgressKind::AnyResponse);
     let of = KObstructionFreedom::new(1);
     println!("{}: {}\n", of.name(), of.satisfied(&view));
 

@@ -38,7 +38,8 @@ fn main() {
     println!("=== §4.1 starvation strategy vs lock-free opaque TM ===");
     let mut sys = gv_system();
     let mut adv = TmStarvation::new(victim, committer, VarId::new(0));
-    sys.run(&mut adv, 4000);
+    let mut log = Vec::new();
+    sys.run_logged(&mut adv, 4000, &mut log);
     println!("committer rounds (commits): {}", adv.rounds());
     println!("victim ever committed?    : {}", adv.lost());
     println!(
@@ -46,7 +47,7 @@ fn main() {
         certify_unique_writes(sys.history(), Value::new(0))
     );
 
-    let view = ExecutionView::second_half(sys.events(), 2, ProgressKind::CommitOnly);
+    let view = ExecutionView::second_half(&log, 2, ProgressKind::CommitOnly);
     for prop in [LkFreedom::new(1, 2), LkFreedom::new(2, 2)] {
         println!("{:<18}: {}", prop.name(), prop.satisfied(&view));
     }
