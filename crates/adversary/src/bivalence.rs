@@ -371,7 +371,7 @@ mod tests {
         let mut mem: Memory<ConsWord> = Memory::new();
         let layout = ObstructionFreeConsensus::layout(&mut mem, 2, max_rounds);
         let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
+            ObstructionFreeConsensus::new(layout, p(0), 2),
             ObstructionFreeConsensus::new(layout, p(1), 2),
         ];
         System::new(mem, procs)
@@ -450,7 +450,7 @@ mod tests {
         let mut mem: Memory<ConsWord> = Memory::new();
         let layout = ObstructionFreeConsensus::layout(&mut mem, 3, 64);
         let procs = (0..3)
-            .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), 3))
+            .map(|i| ObstructionFreeConsensus::new(layout, p(i), 3))
             .collect();
         let mut sys = System::new(mem, procs);
         let mut sched = BivalenceScheduler::new(vec![(p(1), v(1)), (p(2), v(2))], 60_000);

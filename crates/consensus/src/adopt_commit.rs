@@ -2,7 +2,7 @@
 
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
 use slx_history::Value;
-use slx_memory::{Memory, ObjId, PrimOutcome, Primitive};
+use slx_memory::{Memory, ObjId, ObjRun, PrimOutcome, Primitive};
 
 use crate::word::ConsWord;
 
@@ -60,8 +60,8 @@ enum Pc {
 /// primitives regardless of scheduling.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdoptCommit {
-    a: Vec<ObjId>,
-    b: Vec<ObjId>,
+    a: ObjRun,
+    b: ObjRun,
     me: usize,
     input: Value,
     pc: Pc,
@@ -74,16 +74,17 @@ pub struct AdoptCommit {
 
 impl AdoptCommit {
     /// Allocates the shared registers for one commit-adopt object shared by
-    /// `n` processes. Call once; hand the returned ids to every
+    /// `n` processes. Call once; hand the returned runs to every
     /// participant.
-    pub fn alloc(mem: &mut Memory<ConsWord>, n: usize) -> (Vec<ObjId>, Vec<ObjId>) {
-        let a = (0..n).map(|_| mem.alloc_register(ConsWord::Bot)).collect();
-        let b = (0..n).map(|_| mem.alloc_register(ConsWord::Bot)).collect();
-        (a, b)
+    pub fn alloc(mem: &mut Memory<ConsWord>, n: usize) -> (ObjRun, ObjRun) {
+        (
+            mem.alloc_registers(n, ConsWord::Bot),
+            mem.alloc_registers(n, ConsWord::Bot),
+        )
     }
 
     /// Starts participation of process index `me` with input `input`.
-    pub fn new(a: Vec<ObjId>, b: Vec<ObjId>, me: usize, input: Value) -> Self {
+    pub fn new(a: ObjRun, b: ObjRun, me: usize, input: Value) -> Self {
         assert_eq!(a.len(), b.len(), "register arrays must have equal length");
         assert!(me < a.len(), "participant index out of range");
         AdoptCommit {
@@ -139,7 +140,7 @@ impl AdoptCommit {
     #[must_use]
     pub fn retargeted(&self, me: usize) -> Self {
         assert!(me < self.a.len(), "participant index out of range");
-        AdoptCommit { me, ..self.clone() }
+        AdoptCommit { me, ..*self }
     }
 
     fn read(&self, mem: &mut Memory<ConsWord>, obj: ObjId) -> ConsWord {
@@ -154,13 +155,16 @@ impl AdoptCommit {
         let n = self.a.len();
         match self.pc {
             Pc::WriteA => {
-                mem.apply(Primitive::Write(self.a[self.me], ConsWord::Val(self.input)))
-                    .expect("register allocated");
+                mem.apply(Primitive::Write(
+                    self.a.at(self.me),
+                    ConsWord::Val(self.input),
+                ))
+                .expect("register allocated");
                 self.pc = Pc::CollectA(0);
                 None
             }
             Pc::CollectA(j) => {
-                let w = self.read(mem, self.a[j]);
+                let w = self.read(mem, self.a.at(j));
                 if let Some(v) = w.value() {
                     if v != self.input {
                         self.all_a_equal = false;
@@ -175,13 +179,13 @@ impl AdoptCommit {
             }
             Pc::WriteB => {
                 let entry = ConsWord::Flagged(self.all_a_equal, self.input);
-                mem.apply(Primitive::Write(self.b[self.me], entry))
+                mem.apply(Primitive::Write(self.b.at(self.me), entry))
                     .expect("register allocated");
                 self.pc = Pc::CollectB(0);
                 None
             }
             Pc::CollectB(j) => {
-                let w = self.read(mem, self.b[j]);
+                let w = self.read(mem, self.b.at(j));
                 if let ConsWord::Flagged(flag, v) = w {
                     self.any_b = true;
                     self.min_b_seen = Some(match self.min_b_seen {
@@ -217,16 +221,14 @@ impl AdoptCommit {
 
 impl StateCodec for AdoptCommit {
     fn encode(&self, out: &mut Vec<u8>) {
-        // Register arrays are allocated as consecutive runs; collapse
-        // them (see `slx_memory::encode_objid_run`).
-        slx_memory::encode_objid_run(&self.a, out);
-        slx_memory::encode_objid_run(&self.b, out);
+        self.a.encode(out);
+        self.b.encode(out);
         self.encode_locals(out);
     }
 
     fn decode(bytes: &mut &[u8]) -> Option<Self> {
-        let a = slx_memory::decode_objid_run(bytes)?;
-        let b = slx_memory::decode_objid_run(bytes)?;
+        let a = ObjRun::decode(bytes)?;
+        let b = ObjRun::decode(bytes)?;
         AdoptCommit::decode_locals(a, b, bytes)
     }
 }
@@ -256,7 +258,7 @@ impl AdoptCommit {
         self.min_b_seen.encode(out);
     }
 
-    fn decode_locals(a: Vec<ObjId>, b: Vec<ObjId>, bytes: &mut &[u8]) -> Option<AdoptCommit> {
+    fn decode_locals(a: ObjRun, b: ObjRun, bytes: &mut &[u8]) -> Option<AdoptCommit> {
         let me = usize::decode(bytes)?;
         let input = Value::decode(bytes)?;
         let pc = match u8::decode(bytes)? {
@@ -266,6 +268,11 @@ impl AdoptCommit {
             3 => Pc::CollectB(usize::decode(bytes)?),
             _ => return None,
         };
+        // What `new` asserts and `step` indexes by.
+        let n = a.len();
+        if b.len() != n || me >= n || matches!(pc, Pc::CollectA(j) | Pc::CollectB(j) if j >= n) {
+            return None;
+        }
         Some(AdoptCommit {
             a,
             b,
@@ -293,8 +300,8 @@ impl DeltaCodec for AdoptCommit {
         let same_regs = self.a == prev.a && self.b == prev.b;
         out.push(u8::from(same_regs));
         if !same_regs {
-            slx_memory::encode_objid_run(&self.a, out);
-            slx_memory::encode_objid_run(&self.b, out);
+            self.a.encode(out);
+            self.b.encode(out);
         }
         self.encode_locals(out);
     }
@@ -304,11 +311,8 @@ impl DeltaCodec for AdoptCommit {
             return Self::decode(input);
         };
         let (a, b) = match u8::decode(input)? {
-            1 => (prev.a.clone(), prev.b.clone()),
-            0 => (
-                slx_memory::decode_objid_run(input)?,
-                slx_memory::decode_objid_run(input)?,
-            ),
+            1 => (prev.a, prev.b),
+            0 => (ObjRun::decode(input)?, ObjRun::decode(input)?),
             _ => return None,
         };
         AdoptCommit::decode_locals(a, b, input)
@@ -341,7 +345,7 @@ mod tests {
         let mut parts: Vec<AdoptCommit> = inputs
             .iter()
             .enumerate()
-            .map(|(i, &x)| AdoptCommit::new(a.clone(), b.clone(), i, v(x)))
+            .map(|(i, &x)| AdoptCommit::new(a, b, i, v(x)))
             .collect();
         let mut outcomes: Vec<Option<AcOutcome>> = vec![None; n];
         for i in schedule {

@@ -49,11 +49,7 @@ pub fn grouped_kset(
         .map(|i| {
             let g = i % k;
             let within = groups[g].iter().position(|&m| m == i).expect("member");
-            ObstructionFreeConsensus::new(
-                layouts[g].clone(),
-                ProcessId::new(within),
-                groups[g].len(),
-            )
+            ObstructionFreeConsensus::new(layouts[g], ProcessId::new(within), groups[g].len())
         })
         .collect()
 }

@@ -112,7 +112,7 @@ pub fn round_shift_key(sys: &System<ConsWord, ObstructionFreeConsensus>) -> OfRo
     let mut window: Vec<ConsWord> = Vec::new();
     for r in base..=top {
         if let Some((a, b)) = layout.round_registers(r) {
-            window.extend(a.iter().chain(b).map(|&id| read(id)));
+            window.extend(a.iter().chain(b.iter()).map(read));
         }
     }
 
@@ -155,10 +155,10 @@ pub fn round_shift_key(sys: &System<ConsWord, ObstructionFreeConsensus>) -> OfRo
 ///
 /// The per-process signature is (pending, crashed, `me`-erased
 /// normalized state, own register columns of the live window); shared
-/// state enters as the decision register. The `rounds_used` and
-/// primitive-application counters are deliberately absent — like
-/// history, they never influence future behaviour — which collapses
-/// states that differ only in how they were scheduled.
+/// state enters as the decision register. The primitive-application
+/// counter is deliberately absent — like history, it never influences
+/// future behaviour — which collapses states that differ only in how
+/// they were scheduled.
 #[must_use]
 pub fn canonical_of_digest(sys: &System<ConsWord, ObstructionFreeConsensus>) -> Digest {
     // This runs once per *generated* state on the kernel's hot path, so
@@ -194,7 +194,7 @@ pub fn canonical_of_digest(sys: &System<ConsWord, ObstructionFreeConsensus>) -> 
             // permutation.
             for r in base..=top {
                 match layout.round_registers(r) {
-                    Some((a, b)) => (read(a[i]), read(b[i])).hash(&mut h),
+                    Some((a, b)) => (read(a.at(i)), read(b.at(i))).hash(&mut h),
                     None => (ConsWord::Bot, ConsWord::Bot).hash(&mut h),
                 }
             }
@@ -255,11 +255,10 @@ pub fn permuted_of_system(
     sys: &System<ConsWord, ObstructionFreeConsensus>,
     perm: &[usize],
 ) -> System<ConsWord, ObstructionFreeConsensus> {
-    let layout = sys
+    let layout = *sys
         .process(ProcessId::new(0))
         .expect("at least one process")
-        .shared_layout()
-        .clone();
+        .shared_layout();
     let n = perm.len();
     let mut inverse = vec![usize::MAX; n];
     for (i, &target) in perm.iter().enumerate() {
@@ -271,9 +270,9 @@ pub fn permuted_of_system(
     let mut source: DetHashMap<usize, ObjId> = DetHashMap::default();
     for r in 0..layout.max_rounds() {
         let (a, b) = layout.round_registers(r).expect("round in range");
-        for j in 0..n {
-            source.insert(a[j].index(), a[inverse[j]]);
-            source.insert(b[j].index(), b[inverse[j]]);
+        for (j, &from) in inverse.iter().enumerate() {
+            source.insert(a.at(j).index(), a.at(from));
+            source.insert(b.at(j).index(), b.at(from));
         }
     }
     sys.permuted(

@@ -3,7 +3,7 @@
 
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
 use slx_history::{Operation, ProcessId, Response, Value};
-use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect, System};
+use slx_memory::{Memory, ObjId, ObjRun, PrimOutcome, Primitive, Process, StepEffect, System};
 
 use crate::adopt_commit::{AcNormalizedState, AcOutcome, AdoptCommit};
 use crate::word::ConsWord;
@@ -12,38 +12,17 @@ use crate::word::ConsWord;
 /// a decision register and `max_rounds` pre-allocated commit-adopt
 /// objects.
 ///
-/// The per-round register ids live in one shared flat `Arc` slice (`2n`
-/// ids per round: the `a` array then the `b` array) instead of the
-/// earlier `Vec<(Vec, Vec)>` of vectors: the exploration kernel clones
-/// every process — hence its layout — once per generated successor, and
-/// the disk-backed frontier decodes one per restored state, so the
-/// nested shape cost ~130 heap allocations per clone where this one
-/// costs a reference-count bump (and a single allocation per decode).
-// `Hash` stays derived (it hashes the slice contents): the manual
-// `PartialEq` only adds a pointer-identity fast path, and pointer
-// equality implies content equality, so `a == b ⇒ hash(a) == hash(b)`
-// still holds.
-#[allow(clippy::derived_hash_with_manual_eq)]
-#[derive(Debug, Clone, Eq, Hash)]
+/// Which registers round `r` uses is part of the program, not of the
+/// configuration, so the table is not stored: the rounds' registers are
+/// one consecutive run (`2n` per round: the `a` array then the `b`
+/// array) and round `r`'s arrays are offsets into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Layout {
     decision: ObjId,
     /// Participants per commit-adopt object.
     n: usize,
-    /// `a`-then-`b` register ids, `2n` per round.
-    regs: std::sync::Arc<[ObjId]>,
-}
-
-impl PartialEq for Layout {
-    fn eq(&self, other: &Self) -> bool {
-        // Pointer-identical slices (every clone of one layout — i.e. all
-        // processes of a configuration and all its exploration
-        // descendants) short-circuit the element walk: the kernel
-        // compares sibling configurations per spilled record, where
-        // walking `2n × max_rounds` ids dominates the whole encode.
-        self.decision == other.decision
-            && self.n == other.n
-            && (std::sync::Arc::ptr_eq(&self.regs, &other.regs) || self.regs == other.regs)
-    }
+    /// `a`-then-`b` registers, `2n` per round.
+    regs: ObjRun,
 }
 
 impl Layout {
@@ -56,10 +35,11 @@ impl Layout {
     /// The `(a, b)` register arrays of round `r`'s commit-adopt object,
     /// or `None` past the pre-allocated rounds.
     #[must_use]
-    pub fn round_registers(&self, r: usize) -> Option<(&[ObjId], &[ObjId])> {
+    pub fn round_registers(&self, r: usize) -> Option<(ObjRun, ObjRun)> {
         let start = r.checked_mul(2 * self.n)?;
-        let round = self.regs.get(start..start + 2 * self.n)?;
-        Some((&round[..self.n], &round[self.n..]))
+        let a = self.regs.sub(start, self.n)?;
+        let b = self.regs.sub(start.checked_add(self.n)?, self.n)?;
+        Some((a, b))
     }
 
     /// Pre-allocated rounds.
@@ -111,25 +91,16 @@ pub struct ObstructionFreeConsensus {
     est: Value,
     round: usize,
     pc: Pc,
-    /// Completed commit-adopt rounds (exposed for step-complexity benches).
-    rounds_used: u64,
 }
 
 impl ObstructionFreeConsensus {
     /// Allocates the shared registers: 1 decision register plus
     /// `max_rounds` commit-adopt objects of `2n` registers each.
     pub fn layout(mem: &mut Memory<ConsWord>, n: usize, max_rounds: usize) -> Layout {
-        let decision = mem.alloc_register(ConsWord::Bot);
-        let mut regs = Vec::with_capacity(max_rounds * 2 * n);
-        for _ in 0..max_rounds {
-            let (a, b) = AdoptCommit::alloc(mem, n);
-            regs.extend(a);
-            regs.extend(b);
-        }
         Layout {
-            decision,
+            decision: mem.alloc_register(ConsWord::Bot),
             n,
-            regs: regs.into(),
+            regs: mem.alloc_registers(max_rounds * 2 * n, ConsWord::Bot),
         }
     }
 
@@ -142,7 +113,6 @@ impl ObstructionFreeConsensus {
             est: Value::new(0),
             round: 0,
             pc: Pc::Idle,
-            rounds_used: 0,
         }
     }
 
@@ -158,7 +128,7 @@ impl ObstructionFreeConsensus {
         let mut mem: Memory<ConsWord> = Memory::new();
         let layout = Self::layout(&mut mem, n, max_rounds);
         let procs = (0..n)
-            .map(|i| Self::new(layout.clone(), ProcessId::new(i), n))
+            .map(|i| Self::new(layout, ProcessId::new(i), n))
             .collect();
         let mut sys = System::new(mem, procs);
         for (i, &input) in inputs.iter().enumerate() {
@@ -166,11 +136,6 @@ impl ObstructionFreeConsensus {
                 .expect("a fresh process accepts its first invocation");
         }
         sys
-    }
-
-    /// Commit-adopt rounds completed so far by this process.
-    pub fn rounds_used(&self) -> u64 {
-        self.rounds_used
     }
 
     /// The round this process is currently working in.
@@ -231,64 +196,36 @@ impl StateCodec for Layout {
     fn encode(&self, out: &mut Vec<u8>) {
         self.decision.encode(out);
         self.n.encode(out);
-        // Layouts allocate their registers in one consecutive run, which
-        // this collapses to three varints — the layout rides along with
-        // every spilled configuration, twice per two-process system.
-        slx_memory::encode_objid_run(&self.regs, out);
+        self.regs.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let decision = ObjId::decode(input)?;
         let n = usize::decode(input)?;
-        let regs = slx_memory::decode_objid_run(input)?;
-        if n > 0 && !regs.len().is_multiple_of(2 * n) {
+        let regs = ObjRun::decode(input)?;
+        if n > 0 && !regs.len().is_multiple_of(n.checked_mul(2)?) {
             return None;
         }
-        Some(Layout {
-            decision,
-            n,
-            regs: regs.into(),
-        })
+        Some(Layout { decision, n, regs })
     }
 }
 
 impl DeltaCodec for Layout {
     /// Every process of a configuration — and every sibling in a chunk —
     /// runs over the *same* layout, so the common case is one marker
-    /// byte, and the decode side restores the `Arc` sharing the
-    /// in-memory kernel enjoys (the whole reason clones of this type are
-    /// a refcount bump) instead of re-materializing the register slice
-    /// per record.
+    /// byte.
     fn encode_delta(&self, prev: Option<&Self>, out: &mut Vec<u8>) {
-        let same = prev.is_some_and(|prev| {
-            self.decision == prev.decision
-                && self.n == prev.n
-                && (std::sync::Arc::ptr_eq(&self.regs, &prev.regs) || self.regs == prev.regs)
-        });
+        let same = prev == Some(self);
         out.push(u8::from(same));
         if !same {
             self.encode(out);
         }
     }
 
-    fn decode_delta(prev: Option<&Self>, input: &mut &[u8], ctx: &mut DeltaCtx) -> Option<Self> {
+    fn decode_delta(prev: Option<&Self>, input: &mut &[u8], _ctx: &mut DeltaCtx) -> Option<Self> {
         match u8::decode(input)? {
-            1 => prev.cloned(),
-            0 => {
-                let decision = ObjId::decode(input)?;
-                let n = usize::decode(input)?;
-                // Self-contained (chunk-first) records intern the slice:
-                // every chunk of a replay shares one allocation instead
-                // of materializing `2n × max_rounds` ids per chunk.
-                let before = *input;
-                let regs = slx_memory::decode_objid_run(input)?;
-                if n > 0 && !regs.len().is_multiple_of(2 * n) {
-                    return None;
-                }
-                let key = &before[..before.len() - input.len()];
-                let regs: std::sync::Arc<[ObjId]> = ctx.intern(key, regs.into());
-                Some(Layout { decision, n, regs })
-            }
+            1 => prev.copied(),
+            0 => Self::decode(input),
             _ => None,
         }
     }
@@ -313,7 +250,6 @@ impl StateCodec for ObstructionFreeConsensus {
                 v.encode(out);
             }
         }
-        self.rounds_used.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
@@ -336,7 +272,6 @@ impl StateCodec for ObstructionFreeConsensus {
             est,
             round,
             pc,
-            rounds_used: u64::decode(input)?,
         })
     }
 }
@@ -372,7 +307,6 @@ impl DeltaCodec for ObstructionFreeConsensus {
                 v.encode(out);
             }
         }
-        self.rounds_used.encode(out);
     }
 
     fn decode_delta(prev: Option<&Self>, input: &mut &[u8], ctx: &mut DeltaCtx) -> Option<Self> {
@@ -404,7 +338,6 @@ impl DeltaCodec for ObstructionFreeConsensus {
             est,
             round,
             pc,
-            rounds_used: u64::decode(input)?,
         })
     }
 }
@@ -451,19 +384,14 @@ impl Process<ConsWord> for ObstructionFreeConsensus {
                         self.layout.max_rounds()
                     )
                 });
-                let (a, b) = (a.to_vec(), b.to_vec());
                 self.pc = Pc::Round(AdoptCommit::new(a, b, self.me.index(), self.est));
                 StepEffect::Ran
             }
             Pc::Round(mut ac) => {
                 match ac.step(mem) {
                     None => self.pc = Pc::Round(ac),
-                    Some(AcOutcome::Commit(v)) => {
-                        self.rounds_used += 1;
-                        self.pc = Pc::WriteDecision(v);
-                    }
+                    Some(AcOutcome::Commit(v)) => self.pc = Pc::WriteDecision(v),
                     Some(AcOutcome::Adopt(v)) => {
-                        self.rounds_used += 1;
                         self.est = v;
                         self.round += 1;
                         self.pc = Pc::CheckDecision;
@@ -498,7 +426,7 @@ mod tests {
         let mut mem: Memory<ConsWord> = Memory::new();
         let layout = ObstructionFreeConsensus::layout(&mut mem, n, 64);
         let procs = (0..n)
-            .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), n))
+            .map(|i| ObstructionFreeConsensus::new(layout, p(i), n))
             .collect();
         System::new(mem, procs)
     }
@@ -517,7 +445,7 @@ mod tests {
         let mut mem: Memory<ConsWord> = Memory::new();
         let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 16);
         let procs = vec![
-            ObstructionFreeConsensus::new(layout.clone(), p(0), 2),
+            ObstructionFreeConsensus::new(layout, p(0), 2),
             ObstructionFreeConsensus::new(layout, p(1), 2),
         ];
         let mut sys = System::new(mem, procs);

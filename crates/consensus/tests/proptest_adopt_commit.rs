@@ -51,7 +51,7 @@ fn run_ac(inputs: &[i64], schedule: &[usize]) -> Vec<AcOutcome> {
     let mut parts: Vec<AdoptCommit> = inputs
         .iter()
         .enumerate()
-        .map(|(i, &x)| AdoptCommit::new(a.clone(), b.clone(), i, Value::new(x)))
+        .map(|(i, &x)| AdoptCommit::new(a, b, i, Value::new(x)))
         .collect();
     let mut outcomes: Vec<Option<AcOutcome>> = vec![None; n];
     for &i in schedule {

@@ -104,7 +104,7 @@ pub fn sect6_implementability_demo() -> Sect6ImplementabilityDemo {
     // read opens with them: both processes are pending, not inactive.
     let mut mem = Memory::new();
     let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
-    let procs = [p0, p1].map(|p| ObstructionFreeConsensus::new(layout.clone(), p, 2));
+    let procs = [p0, p1].map(|p| ObstructionFreeConsensus::new(layout, p, 2));
     let mut sys = System::new(mem, procs.to_vec());
     let mut log = Vec::new();
     for (p, input) in [(p0, 1), (p1, 2)] {

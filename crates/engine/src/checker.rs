@@ -662,7 +662,7 @@ where
         &mut self,
         image: LoadedCheckpoint<Sp::State, Sp::Finding>,
     ) -> Result<(), EngineError> {
-        self.visited = ShardedVisited::from_snapshot(image.visited);
+        self.visited = image.visited;
         self.exact_seen = image.exact_seen.into_iter().collect();
         self.findings = image.findings;
         self.depth = image.depth;

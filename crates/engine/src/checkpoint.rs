@@ -13,7 +13,7 @@
 //! performed* and may legitimately differ across a resume: the rebuilt
 //! frontier re-chunks from scratch.
 //!
-//! # On-disk layout (format version 4)
+//! # On-disk layout (format version 5)
 //!
 //! One file, `slx-checkpoint.bin`, inside the checkpoint directory. All
 //! integers use the [`crate::StateCodec`] wire format (LEB128 varints,
@@ -22,7 +22,7 @@
 //!
 //! ```text
 //! magic                "SLXCKPT\0" (8 bytes)
-//! version              varint — FORMAT_VERSION (1)
+//! version              varint — `FORMAT_VERSION`
 //! run-config header    space fingerprint (u128), spill codec tag (u8),
 //!                      symmetry (bool), shard count, config budget,
 //!                      mem budget
@@ -37,7 +37,10 @@
 //! findings             count, then each via StateCodec
 //!                      (format version 4: a `slx_memory::System` record,
 //!                      here and in the frontier, no longer carries a
-//!                      per-step event log)
+//!                      per-step event log; format version 5: an
+//!                      obstruction-free-consensus process names its
+//!                      registers as `(first id, length)` runs and no
+//!                      longer carries a completed-rounds counter)
 //! visited set          per shard: digest count, then the digests
 //!                      sorted ascending (shards own contiguous digest
 //!                      ranges in shard order, so the whole section is
@@ -88,6 +91,7 @@ use crate::digest::Fingerprinter;
 use crate::fault::{self, EngineError, FaultOp, FaultPlane};
 use crate::spill::{FrontierStates, SpillCodec};
 use crate::stats::ExploreStats;
+use crate::visited::ShardedVisited;
 
 /// File-format magic: identifies a checkpoint file before anything is
 /// decoded.
@@ -101,8 +105,11 @@ const MAGIC: &[u8; 8] = b"SLXCKPT\0";
 /// counters (`faults_injected`/`io_retries`/`degraded_levels`) so a
 /// resume keeps reporting the faults absorbed by earlier segments.
 /// Version 4 took the per-step event log out of every
-/// `slx_memory::System` record (frontier and findings).
-const FORMAT_VERSION: u64 = 4;
+/// `slx_memory::System` record (frontier and findings). Version 5 made
+/// every register table of an obstruction-free-consensus process a
+/// `(first id, length)` run and dropped the process's completed-rounds
+/// counter.
+const FORMAT_VERSION: u64 = 5;
 
 /// The checkpoint file inside a store directory. The store is a single
 /// file: one atomic rename commits the whole image.
@@ -240,8 +247,8 @@ pub(crate) struct LoadedCheckpoint<S, F> {
     pub(crate) stats: ExploreStats,
     /// Findings accumulated before the checkpoint.
     pub(crate) findings: Vec<F>,
-    /// Per-shard sorted visited digests.
-    pub(crate) visited: Vec<Vec<u128>>,
+    /// The visited set, rebuilt from the per-shard digest section.
+    pub(crate) visited: ShardedVisited,
     /// The exact-digest side set of symmetry runs (empty otherwise).
     pub(crate) exact_seen: Vec<u128>,
     /// The frontier about to be expanded, in push order.
@@ -553,6 +560,17 @@ impl CheckpointStore {
             }
             visited.push(shard);
         }
+        // The header's count is the one already validated against this
+        // run; the section must agree with it and route every digest to
+        // the shard that stores it.
+        let visited =
+            ShardedVisited::from_snapshot(visited).filter(|set| set.shard_count() == header.shards);
+        let Some(visited) = visited else {
+            return Err(corrupt(
+                &path,
+                "visited digests do not belong to their shards",
+            ));
+        };
         let Some(exact_count) = usize::decode(&mut input) else {
             return Err(corrupt(&path, "unreadable exact-seen count"));
         };
@@ -693,7 +711,7 @@ mod tests {
             7,
             &sample_stats(),
             &[11, 22],
-            &[vec![1, 2], vec![1 << 100], vec![], vec![3 << 125]],
+            &[vec![1, 2], vec![1 << 126], vec![], vec![3 << 126]],
             &[5, 6],
             &[100, 101, 102],
         );
@@ -711,7 +729,7 @@ mod tests {
             assert_eq!(loaded.depth, 7, "{codec:?}");
             assert_eq!(loaded.stats, sample_stats(), "{codec:?}");
             assert_eq!(loaded.findings, vec![11, 22], "{codec:?}");
-            assert_eq!(loaded.visited[1], vec![1u128 << 100], "{codec:?}");
+            assert_eq!(loaded.visited.snapshot()[1], [1u128 << 126], "{codec:?}");
             assert_eq!(loaded.exact_seen, vec![5, 6], "{codec:?}");
             assert_eq!(loaded.frontier, vec![100, 101, 102], "{codec:?}");
             std::fs::remove_dir_all(&dir).unwrap();
@@ -835,10 +853,10 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         // Rebuild the file with another version varint (FORMAT_VERSION
         // is small enough to be a single byte) and a recomputed
-        // checksum: a future version, and the previous one (3, whose
-        // `System` records carried an event log this build cannot read).
+        // checksum: a future version, and the previous one (whose
+        // consensus records this build cannot read).
         assert_eq!(bytes[MAGIC.len()], FORMAT_VERSION as u8);
-        for foreign in [0x7f, 3] {
+        for foreign in [0x7f, FORMAT_VERSION as u8 - 1] {
             let mut body = bytes[..bytes.len() - 16].to_vec();
             body[MAGIC.len()] = foreign;
             let mut fp = Fingerprinter::new();

@@ -61,9 +61,6 @@
 //! explicit `cargo run -p slx-analyze -- --bless` regeneration. See
 //! EXPERIMENTS.md, "Wire-schema manifest", for the audit workflow.
 
-use crate::detmap::DetHashMap;
-use std::any::{Any, TypeId};
-
 /// A state that can be serialized into (and restored from) a
 /// self-delimiting binary encoding, enabling the [`crate::Checker`] to
 /// spill cold frontier chunks to disk under a memory budget.
@@ -316,55 +313,17 @@ impl<T: StateCodec> StateCodec for Option<T> {
     }
 }
 
-/// Per-replay decode context: an intern table rebuilding shared immutable
-/// sub-structures.
-///
-/// The in-memory kernel shares big immutable pieces of sibling states —
-/// the consensus `Layout`'s `Arc<[ObjId]>` register slice above all — by
-/// reference-count bumps. A plain per-record decode re-materializes each
-/// of them from scratch, which is most of the spill arm's overhead.
-/// Within one chunk the delta chain restores sharing for free (an
-/// "unchanged" field decodes as a clone of the predecessor's), but the
-/// first record of every chunk is self-contained; the intern table closes
-/// that last gap. Keyed by the encoded bytes of the sub-structure (plus
-/// its type), it hands every later self-contained decode in the same
-/// replay the first decode's allocation.
-///
-/// One `DeltaCtx` lives for one chunk replay (see
-/// `crate::spill::FrontierChunks`), so nothing interned outlives the
-/// frontier it came from.
+/// Per-replay decode context handed down every
+/// [`DeltaCodec::decode_delta`] call. It carries nothing: a state's
+/// fields decode from the record and its chunk predecessor alone.
 #[derive(Debug, Default)]
-pub struct DeltaCtx {
-    interned: DetHashMap<TypeId, InternedByKey>,
-}
-
-/// One type's interned values, keyed by their encoded bytes.
-type InternedByKey = DetHashMap<Box<[u8]>, Box<dyn Any>>;
+pub struct DeltaCtx;
 
 impl DeltaCtx {
-    /// An empty context.
+    /// The context of one chunk replay.
     #[must_use]
     pub fn new() -> Self {
-        DeltaCtx::default()
-    }
-
-    /// Returns the canonical copy of `fresh` for `key` (its encoded
-    /// bytes), registering `fresh` as the canonical copy on first sight.
-    /// Intern only cheaply clonable shared handles (`Arc`/`Rc` values):
-    /// the hit path clones the stored canonical value.
-    pub fn intern<T: Clone + 'static>(&mut self, key: &[u8], fresh: T) -> T {
-        let by_type = self.interned.entry(TypeId::of::<T>()).or_default();
-        if let Some(hit) = by_type.get(key).and_then(|b| b.downcast_ref::<T>()) {
-            return hit.clone();
-        }
-        by_type.insert(key.into(), Box::new(fresh.clone()));
-        fresh
-    }
-
-    /// Interned entries (for tests and diagnostics).
-    #[must_use]
-    pub fn interned_count(&self) -> usize {
-        self.interned.values().map(DetHashMap::len).sum()
+        DeltaCtx
     }
 }
 
@@ -377,9 +336,7 @@ impl DeltaCtx {
 /// [`DeltaCodec`] exploits exactly that — [`DeltaCodec::encode_delta`]
 /// receives the previously pushed record and may collapse unchanged
 /// fields to a few skip/copy varints, and [`DeltaCodec::decode_delta`]
-/// rebuilds them as clones of the predecessor's fields (restoring the
-/// `Arc` sharing the in-memory kernel enjoys) with a [`DeltaCtx`] intern
-/// table for sharing across self-contained records.
+/// rebuilds them as clones of the predecessor's fields.
 ///
 /// `prev = None` means the record must be **self-contained** (the spill
 /// path passes `None` for the first record of every chunk, which is what
@@ -761,20 +718,5 @@ mod tests {
             decode_slice_delta::<u64>(&prev, &mut input, &mut DeltaCtx::new()),
             None
         );
-    }
-
-    #[test]
-    fn intern_table_shares_one_allocation_per_key() {
-        use std::sync::Arc;
-        let mut ctx = DeltaCtx::new();
-        let first: Arc<[u64]> = ctx.intern(b"key", Arc::from(vec![1u64, 2, 3]));
-        let second: Arc<[u64]> = ctx.intern(b"key", Arc::from(vec![1u64, 2, 3]));
-        assert!(Arc::ptr_eq(&first, &second), "same key must share");
-        let other: Arc<[u64]> = ctx.intern(b"other", Arc::from(vec![9u64]));
-        assert!(!Arc::ptr_eq(&first, &other));
-        // Same bytes, different type: kept apart.
-        let as_u8: Arc<[u8]> = ctx.intern(b"key", Arc::from(vec![7u8]));
-        assert_eq!(&*as_u8, &[7u8]);
-        assert_eq!(ctx.interned_count(), 3);
     }
 }

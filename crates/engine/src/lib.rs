@@ -35,8 +35,7 @@
 //!   **delta** (the default — sibling states share layouts, memory
 //!   words, and history prefixes, so unchanged fields collapse to
 //!   skip/copy varints on the wire and decode as clones of the
-//!   predecessor's fields, with a per-replay [`DeltaCtx`] intern table
-//!   restoring `Arc` sharing across chunk boundaries), **plain**
+//!   predecessor's fields), **plain**
 //!   (self-contained records, the comparison arm), and **replay**
 //!   (records store parent states plus child action indices, and the
 //!   replay *regenerates* spilled successors by re-expanding the parent

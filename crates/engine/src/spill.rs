@@ -32,9 +32,7 @@
 //!   only parents ever touch the codec.
 //!
 //! The first record of every chunk is self-contained, so chunks decode
-//! independently and replay order stays deterministic; on decode, a
-//! per-replay [`crate::DeltaCtx`] intern table restores the `Arc` sharing
-//! between records that a per-field materialization would lose.
+//! independently and replay order stays deterministic.
 //!
 //! The chunk window is **lazily encoded, byte-exact at the boundary**:
 //! pushes stay decoded until the window's estimated record bytes (state
@@ -1009,9 +1007,7 @@ pub(crate) struct FrontierChunks<S> {
     /// (no-spill mode), yielded after the file chunks.
     resident: Option<Vec<S>>,
     spill: Option<SpillState<S>>,
-    /// Per-replay intern table: self-contained chunk-first records
-    /// rebuild their shared sub-structures through it, so records in
-    /// different chunks of one replay share allocations again.
+    /// The decode context of this replay.
     ctx: DeltaCtx,
     next_chunk: usize,
     /// States still to yield (pre-capped by any truncation).

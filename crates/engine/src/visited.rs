@@ -118,22 +118,17 @@ impl ShardedVisited {
             .collect()
     }
 
-    /// Rebuilds a visited set from a [`ShardedVisited::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard count is not a power of two in `[1, 4096]` or
-    /// if any digest is routed to the wrong shard — both indicate a
-    /// corrupt or foreign snapshot, and restoring it silently would
-    /// corrupt every later dedup verdict.
+    /// Rebuilds a visited set from a [`ShardedVisited::snapshot`], or
+    /// `None` if the shard count is not a power of two in `[1, 4096]` or
+    /// any digest sits in a shard it does not route to — both indicate a
+    /// corrupt or foreign snapshot, and restoring it would corrupt every
+    /// later dedup verdict.
     #[must_use]
-    pub fn from_snapshot(shards: Vec<Vec<u128>>) -> Self {
+    pub fn from_snapshot(shards: Vec<Vec<u128>>) -> Option<Self> {
         let count = shards.len();
-        assert!(
-            count.is_power_of_two() && count <= MAX_SHARDS,
-            "corrupt visited snapshot: shard count {count} is not a power \
-             of two in [1, {MAX_SHARDS}]"
-        );
+        if !count.is_power_of_two() || count > MAX_SHARDS {
+            return None;
+        }
         let set = ShardedVisited {
             shards: shards
                 .iter()
@@ -141,18 +136,11 @@ impl ShardedVisited {
                 .collect(),
             shard_bits: count.trailing_zeros(),
         };
-        for (shard, digests) in shards.iter().enumerate() {
-            for &digest in digests {
-                assert_eq!(
-                    set.shard_of(digest),
-                    shard,
-                    "corrupt visited snapshot: digest {digest:#034x} stored \
-                     in shard {shard} routes to shard {}",
-                    set.shard_of(digest)
-                );
-            }
-        }
-        set
+        let routed = shards
+            .iter()
+            .enumerate()
+            .all(|(shard, digests)| digests.iter().all(|&d| set.shard_of(d) == shard));
+        routed.then_some(set)
     }
 
     /// Inserts one pre-routed batch per shard, in batch order, and returns
@@ -284,7 +272,7 @@ mod tests {
                 assert_eq!(set.shard_of(d), shard);
             }
         }
-        let restored = ShardedVisited::from_snapshot(snap.clone());
+        let restored = ShardedVisited::from_snapshot(snap.clone()).expect("a faithful snapshot");
         assert_eq!(restored.len(), set.len());
         assert_eq!(restored.occupancy(), set.occupancy());
         assert_eq!(restored.snapshot(), snap);
@@ -296,9 +284,9 @@ mod tests {
     #[test]
     fn from_snapshot_rejects_misrouted_digests_and_bad_shard_counts() {
         let misrouted = vec![vec![u128::MAX], Vec::new()];
-        assert!(std::panic::catch_unwind(|| ShardedVisited::from_snapshot(misrouted)).is_err());
+        assert!(ShardedVisited::from_snapshot(misrouted).is_none());
         let bad_count = vec![Vec::new(); 3];
-        assert!(std::panic::catch_unwind(|| ShardedVisited::from_snapshot(bad_count)).is_err());
+        assert!(ShardedVisited::from_snapshot(bad_count).is_none());
     }
 
     #[test]

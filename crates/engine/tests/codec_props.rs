@@ -17,14 +17,14 @@
 //! 3. **Encode determinism**: re-encoding produces identical bytes (chunk
 //!    boundaries — hence spill determinism — depend on this).
 
-use slx_consensus::{CasConsensus, ConsWord, ObstructionFreeConsensus};
+use slx_consensus::{AdoptCommit, CasConsensus, ConsWord, ObstructionFreeConsensus, OfLayout};
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
 use slx_history::{Operation, ProcessId, Value, VarId};
-use slx_memory::{Memory, System, Word};
+use slx_memory::{Memory, ObjRun, System, Word};
 use slx_tm::{AgpTm, GlobalVersionTm, TmWord};
 
 mod common;
-use common::Rng;
+use common::{off_base_proposers, Rng};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -139,7 +139,7 @@ fn consensus_states_round_trip() {
         // Obstruction-free consensus: long adoptive runs under contention
         // exercise deep AdoptCommit sub-machine states.
         let inputs = [rng.below(100) as i64, rng.below(100) as i64];
-        let mut sys = ObstructionFreeConsensus::proposers(&inputs, 16);
+        let mut sys = off_base_proposers(&inputs, 16);
         checked += walk_and_check(&mut sys, &mut rng, 40, &format!("of-consensus case {case}"));
 
         // CAS consensus: short wait-free runs, including decided states.
@@ -261,7 +261,7 @@ fn sibling_deltas_are_much_smaller_than_plain_records() {
     let mut total_plain = 0usize;
     let mut total_delta = 0usize;
     for _ in 0..10 {
-        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
+        let mut sys = off_base_proposers(&[1, 2], 16);
         for _ in 0..30 {
             let steppable = sys.steppable();
             if steppable.is_empty() {
@@ -327,7 +327,7 @@ fn overlong_varints_fail_cleanly_at_every_layer() {
 fn truncated_delta_encodings_fail_cleanly() {
     // Every strict prefix of a delta record must decode to None against
     // the same predecessor — same totality law as the plain codec.
-    let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 8);
+    let mut sys = off_base_proposers(&[1, 2], 8);
     let prev = sys.clone();
     for _ in 0..3 {
         sys.step(p(0)).unwrap();
@@ -367,4 +367,54 @@ fn truncated_system_encodings_fail_cleanly() {
             "prefix of length {cut} must not decode"
         );
     }
+}
+
+/// `decode` of the bytes `parts` concatenates to.
+fn decode_parts<T: StateCodec>(parts: &[usize]) -> Option<T> {
+    let mut buf = Vec::new();
+    for part in parts {
+        part.encode(&mut buf);
+    }
+    T::decode(&mut buf.as_slice())
+}
+
+#[test]
+fn register_runs_that_cannot_exist_do_not_decode() {
+    // A run is two varints whatever its length, so nothing about the
+    // input's size bounds it: what decode must refuse is a run whose ids
+    // would wrap.
+    assert_eq!(decode_parts::<ObjRun>(&[usize::MAX, 2]), None);
+    assert_eq!(decode_parts::<ObjRun>(&[1, usize::MAX]), None);
+    let run = decode_parts::<ObjRun>(&[usize::MAX - 2, 2]).expect("ends below the wrap");
+    assert_eq!(run.at(1).index(), usize::MAX - 1);
+
+    // A layout is (decision, n, run): the run is `2n` registers a round.
+    assert!(decode_parts::<OfLayout>(&[1, 3, 2, 12]).is_some());
+    assert!(decode_parts::<OfLayout>(&[1, 3, 2, 13]).is_none());
+    assert!(decode_parts::<OfLayout>(&[1, usize::MAX, 2, 12]).is_none());
+
+    // A commit-adopt participant is (a, b, me, input, pc, flags…) and
+    // indexes both runs by `me` and by its collect position.
+    let mut mem: Memory<ConsWord> = Memory::new();
+    mem.alloc_tas();
+    let (a, b) = AdoptCommit::alloc(&mut mem, 2);
+    let mut ac = AdoptCommit::new(a, b, 1, Value::new(5));
+    ac.step(&mut mem); // WriteA -> CollectA(0)
+    let mut bytes = Vec::new();
+    ac.encode(&mut bytes);
+    assert_eq!(bytes[..8], [1, 2, 3, 2, 1, 10, 1, 0], "a, b, me, input, pc");
+    let patched = |at: usize, byte: u8| {
+        let mut mutant = bytes.clone();
+        mutant[at] = byte;
+        AdoptCommit::decode(&mut mutant.as_slice())
+    };
+    assert_eq!(
+        patched(4, 1),
+        Some(ac.clone()),
+        "the unpatched bytes decode"
+    );
+    assert_eq!(patched(4, 2), None, "me >= n");
+    assert_eq!(patched(3, 3), None, "the arrays differ in length");
+    assert_eq!(patched(7, 2), None, "collect position >= n");
+    assert!(patched(7, 1).is_some());
 }

@@ -4,7 +4,32 @@
 //! need lives here; not every harness uses every helper.
 #![allow(dead_code)]
 
+use slx_consensus::{ConsWord, ObstructionFreeConsensus};
 use slx_engine::{Digest, Expansion, StateSpace};
+use slx_history::{Operation, ProcessId, Value};
+use slx_memory::{Memory, System};
+
+/// [`ObstructionFreeConsensus::proposers`] over a memory whose first
+/// object is somebody else's, so that no register run starts at object 0
+/// — where an offset mistaken for an id reads the same.
+pub fn off_base_proposers(
+    inputs: &[i64],
+    max_rounds: usize,
+) -> System<ConsWord, ObstructionFreeConsensus> {
+    let n = inputs.len();
+    let mut mem: Memory<ConsWord> = Memory::new();
+    mem.alloc_tas();
+    let layout = ObstructionFreeConsensus::layout(&mut mem, n, max_rounds);
+    let procs = (0..n)
+        .map(|i| ObstructionFreeConsensus::new(layout, ProcessId::new(i), n))
+        .collect();
+    let mut sys = System::new(mem, procs);
+    for (i, &input) in inputs.iter().enumerate() {
+        sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(input)))
+            .expect("a fresh process accepts its first invocation");
+    }
+    sys
+}
 
 /// SplitMix64, reimplemented locally (the engine crate is dependency-free
 /// and deliberately does not export a PRNG).

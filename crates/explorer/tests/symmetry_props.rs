@@ -4,11 +4,13 @@
 //! symmetry reduction rests on: canonical digests must be invariant
 //! under process permutations (at permutation-safe configurations for
 //! consensus, everywhere for the TM workloads) and under the uniform
-//! shifts (rounds, versions) the normal forms quotient away. Roughly
-//! 600 cases across the three workloads, all deterministic.
+//! shifts (rounds, versions) the normal forms quotient away. Consensus
+//! runs at n = 2, 3 and 4 over registers that do not start at object 0;
+//! roughly 3,500 checked configurations across the three workloads, all
+//! deterministic.
 
 use slx_consensus::{
-    canonical_of_digest, permutation_safe, permuted_of_system, ObstructionFreeConsensus,
+    canonical_of_digest, permutation_safe, permuted_of_system, ConsWord, ObstructionFreeConsensus,
 };
 use slx_history::{Operation, ProcessId, Value, VarId};
 use slx_memory::{Memory, System};
@@ -67,45 +69,127 @@ where
     true
 }
 
-/// Random walks over the consensus protocol: at every
-/// permutation-safe configuration reached, the canonical digest must
-/// agree with the digest of every permuted image. Mid-collect
-/// configurations are exempt (the sorted form is gated off there — see
-/// `slx_consensus::permutation_safe`); the walk must still encounter
-/// plenty of safe ones for the test to mean anything.
+/// [`ObstructionFreeConsensus::proposers`] over a memory whose first
+/// object is somebody else's: no register run starts at object 0, where
+/// an offset mistaken for an id reads the same.
+fn of_system(inputs: &[i64]) -> System<ConsWord, ObstructionFreeConsensus> {
+    let n = inputs.len();
+    let mut mem: Memory<ConsWord> = Memory::new();
+    mem.alloc_tas();
+    let layout = ObstructionFreeConsensus::layout(&mut mem, n, 16);
+    let procs = (0..n)
+        .map(|i| ObstructionFreeConsensus::new(layout, p(i), n))
+        .collect();
+    let mut sys = System::new(mem, procs);
+    for (i, &input) in inputs.iter().enumerate() {
+        sys.invoke(p(i), Operation::Propose(v(input))).unwrap();
+    }
+    sys
+}
+
+fn inverse(perm: &[usize]) -> Vec<usize> {
+    let mut inv = vec![0; perm.len()];
+    for (i, &target) in perm.iter().enumerate() {
+        inv[target] = i;
+    }
+    inv
+}
+
+/// Random walks over the consensus protocol at n = 2, 3 and 4, every
+/// configuration on the way checked against a random permuted image. At
+/// a permutation-safe configuration the canonical digest must agree with
+/// the image's. A mid-collect configuration is on the other side of the
+/// boundary (the sorted form is gated off there — see
+/// `slx_consensus::permutation_safe`): its image is mid-collect too, and
+/// permuting back restores it exactly. The walks must encounter plenty
+/// of both at every n for the test to mean anything.
 #[test]
 fn consensus_canonical_digest_is_permutation_invariant_at_safe_states() {
     let mut rng = Rng(0x0f_5ee_d00);
-    let mut safe_states = 0usize;
-    for _case in 0..200 {
-        let n = 2 + rng.below(2) as usize; // 2 or 3 processes
+    // Per n: (safe, mid-collect) configurations checked.
+    let mut seen = [(0usize, 0usize); 5];
+    for _case in 0..150 {
+        let n = 2 + rng.below(3) as usize;
         let inputs: Vec<i64> = (0..n).map(|_| 1 + rng.below(2) as i64).collect();
-        let mut sys = ObstructionFreeConsensus::proposers(&inputs, 16);
-        let steps = rng.below(30) as usize;
-        for _ in 0..steps {
+        let mut sys = of_system(&inputs);
+        for step in 0..rng.below(40) {
             if !step_random(&mut sys, &mut rng, n) {
                 break;
             }
-        }
-        if !permutation_safe(&sys) {
-            continue;
-        }
-        safe_states += 1;
-        let canonical = canonical_of_digest(&sys);
-        for _ in 0..3 {
             let perm = rng.perm(n);
             let image = permuted_of_system(&sys, &perm);
+            let label = format!("inputs {inputs:?}, step {step}, perm {perm:?}");
+            let safe = permutation_safe(&sys);
+            assert_eq!(safe, permutation_safe(&image), "{label}");
+            if safe {
+                assert_eq!(
+                    canonical_of_digest(&sys),
+                    canonical_of_digest(&image),
+                    "{label}"
+                );
+                seen[n].0 += 1;
+            } else {
+                // (An image restarts the primitive counter, so compare
+                // against the identity image.)
+                let back = permuted_of_system(&image, &inverse(&perm));
+                let identity: Vec<usize> = (0..n).collect();
+                assert_eq!(back, permuted_of_system(&sys, &identity), "{label}");
+                seen[n].1 += 1;
+            }
+        }
+    }
+    for (n, &(safe, mid_collect)) in seen.iter().enumerate().skip(2) {
+        assert!(
+            safe >= 100 && mid_collect >= 100,
+            "n = {n}: the walks must hit plenty of configurations on both \
+             sides of the boundary (got {safe} safe, {mid_collect} mid-collect)"
+        );
+    }
+}
+
+/// What the sorted form claims, followed across the boundary: from a
+/// configuration and its image, let one process at a time run until the
+/// configuration is permutation-safe again (its twin doing the same in
+/// the image). Inside the burst both sides are mid-collect; when it ends
+/// both are safe and their canonical digests agree — the whole-array
+/// aggregates a collect leaves behind do not depend on column order.
+#[test]
+fn consensus_images_reconverge_after_every_collect() {
+    let mut rng = Rng(0xb0_0b5_7ed);
+    let mut bursts = [0usize; 5];
+    for _case in 0..120 {
+        let n = 2 + rng.below(3) as usize;
+        let inputs: Vec<i64> = (0..n).map(|_| 1 + rng.below(2) as i64).collect();
+        let perm = rng.perm(n);
+        let mut sys = of_system(&inputs);
+        let mut image = permuted_of_system(&sys, &perm);
+        for burst in 0..12 {
+            let pending: Vec<usize> = (0..n).filter(|&i| sys.is_pending(p(i))).collect();
+            if pending.is_empty() {
+                break;
+            }
+            let i = pending[rng.below(pending.len() as u64) as usize];
+            let label = format!("inputs {inputs:?}, perm {perm:?}, burst {burst} of p{i}");
+            loop {
+                sys.step(p(i)).unwrap();
+                image.step(p(perm[i])).unwrap();
+                let safe = permutation_safe(&sys);
+                assert_eq!(safe, permutation_safe(&image), "{label}");
+                if safe {
+                    break;
+                }
+            }
             assert_eq!(
-                canonical,
+                canonical_of_digest(&sys),
                 canonical_of_digest(&image),
-                "inputs {inputs:?}, {steps} steps, perm {perm:?}"
+                "{label}"
             );
+            bursts[n] += 1;
         }
     }
     assert!(
-        safe_states >= 80,
-        "the walk must hit plenty of permutation-safe states \
-         (got {safe_states}/200)"
+        bursts[2..].iter().all(|&b| b >= 200),
+        "bursts per n: {bursts:?}"
     );
 }
 
@@ -116,7 +200,7 @@ fn consensus_canonical_digest_is_permutation_invariant_at_safe_states() {
 fn consensus_canonical_digest_is_round_shift_invariant_across_laps() {
     let mut rng = Rng(0xcafe_f00d);
     let digest_after = |laps: usize| {
-        let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
+        let mut sys = of_system(&[1, 2]);
         for _ in 0..laps {
             for i in [0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0] {
                 sys.step(p(i)).unwrap();

@@ -46,58 +46,74 @@ impl StateCodec for ObjId {
     }
 }
 
-/// Encodes a slice of object ids compactly: layouts allocate registers in
-/// consecutive runs, so most slices collapse to `(tag, first, len)`
-/// instead of one varint per id — a measurable win on the disk-backed
-/// frontier, which round-trips every spilled configuration's register
-/// arrays. Non-consecutive slices fall back to the plain list encoding.
-/// Decode with [`decode_objid_run`].
-pub fn encode_objid_run(ids: &[ObjId], out: &mut Vec<u8>) {
-    let consecutive = ids.windows(2).all(|w| w[1].0 == w[0].0.wrapping_add(1));
-    if consecutive && !ids.is_empty() {
-        out.push(1);
-        ids[0].0.encode(out);
-        ids.len().encode(out);
-    } else {
-        out.push(0);
-        ids.len().encode(out);
-        for id in ids {
-            id.encode(out);
-        }
+/// A run of consecutively allocated base objects: the `len` ids
+/// `first, first + 1, …`.
+///
+/// [`Memory`] hands out ids in allocation order, so an array of registers
+/// allocated together ([`Memory::alloc_registers`]) *is* such a run, and
+/// an algorithm that keeps one holds two words — copied, compared and
+/// hashed as two words — where a `Vec<ObjId>` is a heap block per clone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ObjRun {
+    first: usize,
+    len: usize,
+}
+
+impl ObjRun {
+    /// Number of objects in the run.
+    #[must_use]
+    pub const fn len(self) -> usize {
+        self.len
+    }
+
+    /// Whether the run holds no object.
+    #[must_use]
+    pub const fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th object of the run.
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    #[must_use]
+    pub fn at(self, i: usize) -> ObjId {
+        assert!(
+            i < self.len,
+            "index {i} out of range for a run of {}",
+            self.len
+        );
+        ObjId(self.first + i)
+    }
+
+    /// The `len` objects from position `start` on, or `None` if they do
+    /// not all lie inside this run.
+    #[must_use]
+    pub fn sub(self, start: usize, len: usize) -> Option<ObjRun> {
+        (start.checked_add(len)? <= self.len).then_some(ObjRun {
+            first: self.first + start,
+            len,
+        })
+    }
+
+    /// The run's ids in order.
+    pub fn iter(self) -> impl Iterator<Item = ObjId> {
+        (self.first..self.first + self.len).map(ObjId)
     }
 }
 
-/// Largest run length [`decode_objid_run`] will materialize: far above
-/// any real memory's object count, low enough that a corrupt length
-/// prefix fails with `None` instead of an unbounded allocation (the
-/// run encoding is three varints regardless of `len`, so the usual
-/// cap-by-input-length defense cannot apply).
-const MAX_OBJID_RUN: usize = 1 << 20;
+impl StateCodec for ObjRun {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.first.encode(out);
+        self.len.encode(out);
+    }
 
-/// Decoding counterpart of [`encode_objid_run`].
-pub fn decode_objid_run(input: &mut &[u8]) -> Option<Vec<ObjId>> {
-    match u8::decode(input)? {
-        1 => {
-            let first = usize::decode(input)?;
-            let len = usize::decode(input)?;
-            // Reject absurd lengths and runs that would wrap (encode
-            // never produces either) so ids stay unique and allocation
-            // stays bounded on malformed input.
-            if len > MAX_OBJID_RUN {
-                return None;
-            }
-            first.checked_add(len)?;
-            Some((first..first + len).map(ObjId).collect())
-        }
-        0 => {
-            let len = usize::decode(input)?;
-            let mut ids = Vec::with_capacity(len.min(input.len()));
-            for _ in 0..len {
-                ids.push(ObjId::decode(input)?);
-            }
-            Some(ids)
-        }
-        _ => None,
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let first = usize::decode(input)?;
+        let len = usize::decode(input)?;
+        // `at`, `sub` and `iter` add below `first + len` unchecked.
+        first.checked_add(len)?;
+        Some(ObjRun { first, len })
     }
 }
 
@@ -358,6 +374,14 @@ impl<W: Word> Memory<W> {
     /// Allocates a snapshot object with `n` components all equal to `init`.
     pub fn alloc_snapshot(&mut self, n: usize, init: W) -> ObjId {
         self.push(BaseObject::Snapshot(vec![init; n]))
+    }
+
+    /// Allocates `n` registers, each initialized to `init`, as one run.
+    pub fn alloc_registers(&mut self, n: usize, init: W) -> ObjRun {
+        let first = self.objects.len();
+        self.objects
+            .extend(std::iter::repeat_n(BaseObject::Register(init), n));
+        ObjRun { first, len: n }
     }
 
     fn push(&mut self, o: BaseObject<W>) -> ObjId {
@@ -624,6 +648,43 @@ mod tests {
         assert_eq!(m.apply(Primitive::Read(r)).unwrap(), PrimOutcome::Value(5));
         m.apply(Primitive::Write(r, 9)).unwrap();
         assert_eq!(m.apply(Primitive::Read(r)).unwrap(), PrimOutcome::Value(9));
+    }
+
+    #[test]
+    fn register_runs_are_consecutive_and_never_overlap() {
+        let mut m: Memory<i64> = Memory::new();
+        let a = m.alloc_registers(3, 0);
+        let between = m.alloc_cas(0);
+        let b = m.alloc_registers(2, 0);
+        let ids: Vec<ObjId> = a.iter().chain([between]).chain(b.iter()).collect();
+        assert_eq!(ids, (0..6).map(ObjId).collect::<Vec<_>>());
+        assert_eq!((a.len(), b.len(), m.len()), (3, 2, 6));
+        assert_eq!(b.at(1), ObjId(5));
+        // A write through one run is invisible through the other.
+        m.apply(Primitive::Write(b.at(0), 7)).unwrap();
+        for id in a.iter() {
+            assert_eq!(m.apply(Primitive::Read(id)).unwrap(), PrimOutcome::Value(0));
+        }
+        assert!(m.alloc_registers(0, 0).is_empty());
+    }
+
+    #[test]
+    fn sub_runs_stay_inside_their_run() {
+        let mut m: Memory<i64> = Memory::new();
+        m.alloc_tas();
+        let run = m.alloc_registers(6, 0);
+        let tail = run.sub(4, 2).expect("in range");
+        assert_eq!(tail.iter().collect::<Vec<_>>(), vec![ObjId(5), ObjId(6)]);
+        assert_eq!(run.sub(6, 0).map(ObjRun::len), Some(0));
+        assert_eq!(run.sub(5, 2), None);
+        assert_eq!(run.sub(usize::MAX, 2), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn run_index_past_the_end_panics() {
+        let mut m: Memory<i64> = Memory::new();
+        let _ = m.alloc_registers(2, 0).at(2);
     }
 
     #[test]

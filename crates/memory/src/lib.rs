@@ -47,10 +47,7 @@ mod system;
 mod workload;
 
 pub use atomic_proc::{AtomicKind, AtomicObjectProcess};
-pub use base::{
-    decode_objid_run, encode_objid_run, BaseObject, Memory, MemoryError, ObjId, PrimOutcome,
-    Primitive, Word,
-};
+pub use base::{BaseObject, Memory, MemoryError, ObjId, ObjRun, PrimOutcome, Primitive, Word};
 pub use crash_injector::{CrashPlan, RandomCrashes};
 pub use process::{Process, StepEffect};
 pub use register_proc::RegisterProcess;

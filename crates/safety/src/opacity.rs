@@ -1,13 +1,12 @@
 //! Opacity of transactional memory (Guerraoui & Kapalka), as defined in
 //! Section 4.1 of the paper.
 
-use std::collections::{BTreeMap, HashSet}; // det-lint: allow (membership-only memo; iteration order never observed)
+use std::collections::BTreeMap;
 
-use slx_history::{
-    History, Response, Transaction, TransactionStatus, TxnEvent, TxnView, Value, VarId,
-};
+use slx_history::{History, Transaction, TransactionStatus, TxnEvent, TxnView, Value, VarId};
 
 use crate::property::SafetyProperty;
+use crate::serializability::{replay, serialization_exists};
 
 /// Final-state opacity: there exist a completion `comp(h)` and a sequential
 /// history `s` equivalent to it, preserving real-time order and respecting
@@ -33,9 +32,6 @@ impl FinalStateOpacity {
     pub fn is_opaque(&self, h: &History) -> bool {
         let view = TxnView::parse(h);
         let txns = view.transactions();
-        if txns.len() > 63 {
-            panic!("opacity checker supports at most 63 transactions");
-        }
         // Completion choices: a transaction whose tryC() is pending may
         // complete with C or A; every other live transaction aborts.
         let commit_pending: Vec<usize> = txns
@@ -70,82 +66,12 @@ impl FinalStateOpacity {
     /// Searches for a legal serialization of all transactions respecting
     /// real-time precedence, given the chosen completion.
     fn serializable(&self, view: &TxnView, committed: &[bool]) -> bool {
-        let txns = view.transactions();
-        let mut memo: HashSet<(u64, BTreeMap<VarId, Value>)> = HashSet::new(); // det-lint: allow (membership-only memo; iteration order never observed)
-        self.dfs(view, txns, committed, 0, &BTreeMap::new(), &mut memo)
-    }
-
-    fn dfs(
-        &self,
-        view: &TxnView,
-        txns: &[Transaction],
-        committed: &[bool],
-        placed: u64,
-        state: &BTreeMap<VarId, Value>,
-        memo: &mut HashSet<(u64, BTreeMap<VarId, Value>)>, // det-lint: allow (membership-only memo; iteration order never observed)
-    ) -> bool {
-        if placed == (1u64 << txns.len()) - 1 {
-            return true;
-        }
-        if !memo.insert((placed, state.clone())) {
-            return false;
-        }
-        for (i, t) in txns.iter().enumerate() {
-            if placed & (1 << i) != 0 {
-                continue;
-            }
-            // Real-time: every unplaced predecessor blocks `t`.
-            let blocked = txns
-                .iter()
-                .enumerate()
-                .any(|(j, u)| j != i && placed & (1 << j) == 0 && view.precedes(u, t));
-            if blocked {
-                continue;
-            }
-            if let Some(writes) = self.replay(t, committed[i], state) {
-                let mut next = state.clone();
-                next.extend(writes);
-                if self.dfs(view, txns, committed, placed | (1 << i), &next, memo) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Replays one transaction against the committed state at its
-    /// serialization point. Returns the write set to apply (empty unless
-    /// committed), or `None` if some read is inconsistent.
-    fn replay(
-        &self,
-        t: &Transaction,
-        committed: bool,
-        state: &BTreeMap<VarId, Value>,
-    ) -> Option<BTreeMap<VarId, Value>> {
-        let mut local: BTreeMap<VarId, Value> = BTreeMap::new();
-        for e in &t.events {
-            match e {
-                TxnEvent::Read { var, resp } => {
-                    if let Some(Response::ValueReturned(v)) = resp {
-                        let visible = local
-                            .get(var)
-                            .or_else(|| state.get(var))
-                            .copied()
-                            .unwrap_or(self.init);
-                        if visible != *v {
-                            return None;
-                        }
-                    }
-                }
-                TxnEvent::Write { var, val, resp } => {
-                    if matches!(resp, Some(Response::Ok)) {
-                        local.insert(*var, *val);
-                    }
-                }
-                TxnEvent::Start { .. } | TxnEvent::TryCommit { .. } => {}
-            }
-        }
-        Some(if committed { local } else { BTreeMap::new() })
+        let placed: Vec<_> = view
+            .transactions()
+            .iter()
+            .zip(committed.iter().copied())
+            .collect();
+        serialization_exists(view, &placed, self.init)
     }
 }
 
@@ -263,7 +189,7 @@ pub fn certify_unique_writes(h: &History, init: Value) -> bool {
         if lo > hi {
             return false;
         }
-        let fits = (lo..=hi).any(|k| reads_consistent(t, &states[k], init));
+        let fits = (lo..=hi).any(|k| replay(t, &states[k], init).is_some());
         if !fits {
             return false;
         }
@@ -274,38 +200,10 @@ pub fn certify_unique_writes(h: &History, init: Value) -> bool {
     true
 }
 
-fn reads_consistent(t: &Transaction, state: &BTreeMap<VarId, Value>, init: Value) -> bool {
-    let mut local: BTreeMap<VarId, Value> = BTreeMap::new();
-    for e in &t.events {
-        match e {
-            TxnEvent::Read {
-                var,
-                resp: Some(Response::ValueReturned(v)),
-            } => {
-                let visible = local
-                    .get(var)
-                    .or_else(|| state.get(var))
-                    .copied()
-                    .unwrap_or(init);
-                if visible != *v {
-                    return false;
-                }
-            }
-            TxnEvent::Write { var, val, resp } => {
-                if matches!(resp, Some(Response::Ok)) {
-                    local.insert(*var, *val);
-                }
-            }
-            _ => {}
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slx_history::{Action, Operation, ProcessId};
+    use slx_history::{Action, Operation, ProcessId, Response};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)

@@ -33,10 +33,12 @@ impl StrictSerializability {
         let view = TxnView::parse(h);
         // Consider committed transactions plus commit-pending ones that may
         // be completed as committed (a pending tryC may have taken effect).
-        let committed: Vec<&Transaction> = view
+        // Every placed transaction applies its writes.
+        let committed: Vec<(&Transaction, bool)> = view
             .transactions()
             .iter()
             .filter(|t| t.status() == TransactionStatus::Committed)
+            .map(|t| (t, true))
             .collect();
         let pending_commit: Vec<&Transaction> = view
             .transactions()
@@ -46,91 +48,111 @@ impl StrictSerializability {
                     && matches!(t.events.last(), Some(TxnEvent::TryCommit { resp: None }))
             })
             .collect();
-        if committed.len() + pending_commit.len() > 63 {
-            panic!("serializability checker supports at most 63 transactions");
-        }
         for choice in 0u64..(1 << pending_commit.len()) {
-            let mut chosen: Vec<&Transaction> = committed.clone();
-            for (bit, t) in pending_commit.iter().enumerate() {
+            let mut chosen = committed.clone();
+            for (bit, &t) in pending_commit.iter().enumerate() {
                 if choice & (1 << bit) != 0 {
-                    chosen.push(t);
+                    chosen.push((t, true));
                 }
             }
-            let mut memo = HashSet::new(); // det-lint: allow (membership-only memo; iteration order never observed)
-            if self.dfs(&view, &chosen, 0, &BTreeMap::new(), &mut memo) {
+            if serialization_exists(&view, &chosen, self.init) {
                 return true;
             }
         }
         false
     }
+}
 
-    fn dfs(
-        &self,
-        view: &TxnView,
-        txns: &[&Transaction],
-        placed: u64,
-        state: &BTreeMap<VarId, Value>,
-        memo: &mut HashSet<(u64, BTreeMap<VarId, Value>)>, // det-lint: allow (membership-only memo; iteration order never observed)
-    ) -> bool {
-        if placed == (1u64 << txns.len()) - 1 {
-            return true;
+/// Whether the transactions of `txns` can be placed one after another,
+/// respecting real-time precedence among them, such that each one's
+/// reads are legal where it is placed; a transaction paired with `true`
+/// applies its writes there, one paired with `false` contributes none.
+/// Memoised on (placed set, variable state).
+pub(crate) fn serialization_exists(
+    view: &TxnView,
+    txns: &[(&Transaction, bool)],
+    init: Value,
+) -> bool {
+    assert!(
+        txns.len() <= 63,
+        "the serialization search supports at most 63 transactions"
+    );
+    let mut memo = HashSet::new(); // det-lint: allow (membership-only memo; iteration order never observed)
+    place(view, txns, init, 0, &BTreeMap::new(), &mut memo)
+}
+
+fn place(
+    view: &TxnView,
+    txns: &[(&Transaction, bool)],
+    init: Value,
+    placed: u64,
+    state: &BTreeMap<VarId, Value>,
+    memo: &mut HashSet<(u64, BTreeMap<VarId, Value>)>, // det-lint: allow (membership-only memo; iteration order never observed)
+) -> bool {
+    if placed == (1u64 << txns.len()) - 1 {
+        return true;
+    }
+    if !memo.insert((placed, state.clone())) {
+        return false;
+    }
+    for (i, &(t, applies)) in txns.iter().enumerate() {
+        if placed & (1 << i) != 0 {
+            continue;
         }
-        if !memo.insert((placed, state.clone())) {
-            return false;
+        // Real-time: every unplaced predecessor blocks `t`.
+        let blocked = txns
+            .iter()
+            .enumerate()
+            .any(|(j, (u, _))| j != i && placed & (1 << j) == 0 && view.precedes(u, t));
+        if blocked {
+            continue;
         }
-        for (i, t) in txns.iter().enumerate() {
-            if placed & (1 << i) != 0 {
-                continue;
-            }
-            let blocked = txns
-                .iter()
-                .enumerate()
-                .any(|(j, u)| j != i && placed & (1 << j) == 0 && view.precedes(u, t));
-            if blocked {
-                continue;
-            }
-            if let Some(writes) = self.replay(t, state) {
-                let mut next = state.clone();
+        if let Some(writes) = replay(t, state, init) {
+            let mut next = state.clone();
+            if applies {
                 next.extend(writes);
-                if self.dfs(view, txns, placed | (1 << i), &next, memo) {
-                    return true;
-                }
+            }
+            if place(view, txns, init, placed | (1 << i), &next, memo) {
+                return true;
             }
         }
-        false
     }
+    false
+}
 
-    fn replay(
-        &self,
-        t: &Transaction,
-        state: &BTreeMap<VarId, Value>,
-    ) -> Option<BTreeMap<VarId, Value>> {
-        let mut local: BTreeMap<VarId, Value> = BTreeMap::new();
-        for e in &t.events {
-            match e {
-                TxnEvent::Read {
-                    var,
-                    resp: Some(Response::ValueReturned(v)),
-                } => {
-                    let visible = local
-                        .get(var)
-                        .or_else(|| state.get(var))
-                        .copied()
-                        .unwrap_or(self.init);
-                    if visible != *v {
-                        return None;
-                    }
+/// Replays one transaction against the committed state at its
+/// serialization point. Returns its write set, or `None` if some read is
+/// inconsistent.
+pub(crate) fn replay(
+    t: &Transaction,
+    state: &BTreeMap<VarId, Value>,
+    init: Value,
+) -> Option<BTreeMap<VarId, Value>> {
+    let mut local: BTreeMap<VarId, Value> = BTreeMap::new();
+    for e in &t.events {
+        match e {
+            TxnEvent::Read {
+                var,
+                resp: Some(Response::ValueReturned(v)),
+            } => {
+                let visible = local
+                    .get(var)
+                    .or_else(|| state.get(var))
+                    .copied()
+                    .unwrap_or(init);
+                if visible != *v {
+                    return None;
                 }
-                TxnEvent::Write { var, val, resp } => {
-                    if matches!(resp, Some(Response::Ok)) {
-                        local.insert(*var, *val);
-                    }
-                }
-                _ => {}
             }
+            TxnEvent::Write { var, val, resp } => {
+                if matches!(resp, Some(Response::Ok)) {
+                    local.insert(*var, *val);
+                }
+            }
+            _ => {}
         }
-        Some(local)
     }
+    Some(local)
 }
 
 impl SafetyProperty for StrictSerializability {

@@ -31,7 +31,7 @@ fn main() {
         let mut mem: Memory<ConsWord> = Memory::new();
         let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
         let procs = (0..2)
-            .map(|i| ObstructionFreeConsensus::new(layout.clone(), ProcessId::new(i), 2))
+            .map(|i| ObstructionFreeConsensus::new(layout, ProcessId::new(i), 2))
             .collect();
         let mut sys: System<ConsWord, ObstructionFreeConsensus> = System::new(mem, procs);
         sys.invoke(ProcessId::new(0), Operation::Propose(Value::new(1)))
@@ -57,7 +57,7 @@ fn main() {
         let mut mem: Memory<ConsWord> = Memory::new();
         let layout = ObstructionFreeConsensus::layout(&mut mem, 3, 64);
         let procs = (0..3)
-            .map(|i| ObstructionFreeConsensus::new(layout.clone(), ProcessId::new(i), 3))
+            .map(|i| ObstructionFreeConsensus::new(layout, ProcessId::new(i), 3))
             .collect();
         let mut sys: System<ConsWord, ObstructionFreeConsensus> = System::new(mem, procs);
         for i in 0..3 {

@@ -50,7 +50,7 @@ fn main() {
     let mut mem: Memory<ConsWord> = Memory::new();
     let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
     let procs = vec![
-        ObstructionFreeConsensus::new(layout.clone(), p1, 2),
+        ObstructionFreeConsensus::new(layout, p1, 2),
         ObstructionFreeConsensus::new(layout, p2, 2),
     ];
     let mut sys = System::new(mem, procs);

@@ -62,7 +62,7 @@ fn consensus_log(mut scheduler: impl Scheduler<ConsWord, ObstructionFreeConsensu
     let mut mem = Memory::new();
     let layout = ObstructionFreeConsensus::layout(&mut mem, 3, 64);
     let procs = (0..3)
-        .map(|i| ObstructionFreeConsensus::new(layout.clone(), p(i), 3))
+        .map(|i| ObstructionFreeConsensus::new(layout, p(i), 3))
         .collect();
     let mut sys = System::new(mem, procs);
     let mut log = Vec::new();
