@@ -13,7 +13,7 @@
 //! performed* and may legitimately differ across a resume: the rebuilt
 //! frontier re-chunks from scratch.
 //!
-//! # On-disk layout (format version 5)
+//! # On-disk layout (format version 6)
 //!
 //! One file, `slx-checkpoint.bin`, inside the checkpoint directory. All
 //! integers use the [`crate::StateCodec`] wire format (LEB128 varints,
@@ -44,7 +44,11 @@
 //! visited set          per shard: digest count, then the digests
 //!                      sorted ascending (shards own contiguous digest
 //!                      ranges in shard order, so the whole section is
-//!                      digest-range-ordered)
+//!                      digest-range-ordered; format version 6: a
+//!                      `slx_memory::Memory` contributes its slot fold
+//!                      to a state key — byte layout unchanged, but a
+//!                      version-5 digest no longer names the state it
+//!                      was computed from)
 //! exact-seen set       count + sorted digests (symmetry runs only;
 //!                      empty otherwise)
 //! frontier             count, then records in push order reusing the
@@ -108,8 +112,11 @@ const MAGIC: &[u8; 8] = b"SLXCKPT\0";
 /// `slx_memory::System` record (frontier and findings). Version 5 made
 /// every register table of an obstruction-free-consensus process a
 /// `(first id, length)` run and dropped the process's completed-rounds
-/// counter.
-const FORMAT_VERSION: u64 = 5;
+/// counter. Version 6 changed what the persisted digests mean, not a
+/// byte: a `slx_memory::Memory` contributes its slot fold to a state
+/// key, so a version-5 visited set would dedup nothing a version-6 run
+/// computes.
+const FORMAT_VERSION: u64 = 6;
 
 /// The checkpoint file inside a store directory. The store is a single
 /// file: one atomic rename commits the whole image.
@@ -854,7 +861,7 @@ mod tests {
         // Rebuild the file with another version varint (FORMAT_VERSION
         // is small enough to be a single byte) and a recomputed
         // checksum: a future version, and the previous one (whose
-        // consensus records this build cannot read).
+        // visited digests this build would never match).
         assert_eq!(bytes[MAGIC.len()], FORMAT_VERSION as u8);
         for foreign in [0x7f, FORMAT_VERSION as u8 - 1] {
             let mut body = bytes[..bytes.len() - 16].to_vec();

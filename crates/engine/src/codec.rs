@@ -494,12 +494,38 @@ pub fn decode_slice_delta<T: DeltaCodec + PartialEq + Clone>(
     input: &mut &[u8],
     ctx: &mut DeltaCtx,
 ) -> Option<Vec<T>> {
-    let len = u32::decode(input)? as usize;
+    // Peeked for the reservation; `decode_slice_edits` reads it again.
+    let len = u32::decode(&mut &**input)? as usize;
     let common = len.min(prev.len());
     // The tail decodes from the input (≥ 1 byte per element), so a corrupt
     // length prefix fails on input exhaustion, never an unbounded reserve.
     let mut items = Vec::with_capacity(len.min(common + input.len()));
     items.extend_from_slice(&prev[..common]);
+    decode_slice_edits(prev, input, ctx, |index, item| {
+        if index < common {
+            items[index] = item;
+        } else {
+            items.push(item);
+        }
+    })?;
+    Some(items)
+}
+
+/// The edits an [`encode_slice_delta`] record makes to `prev`, in index
+/// order: `edit(i, item)` for each changed entry below the common length,
+/// then for each entry of the tail beyond `prev` (`i` counts on from
+/// `prev.len()`). Returns the encoded slice's length, which is below
+/// `prev.len()` when trailing entries were dropped. A container that
+/// shares or summarizes its elements (a copy-on-write pool, a maintained
+/// fold) decodes through this and pays per edit, not per element.
+pub fn decode_slice_edits<T: DeltaCodec>(
+    prev: &[T],
+    input: &mut &[u8],
+    ctx: &mut DeltaCtx,
+    mut edit: impl FnMut(usize, T),
+) -> Option<usize> {
+    let len = u32::decode(input)? as usize;
+    let common = len.min(prev.len());
     let mut next = 0usize; // one past the previous changed index
     loop {
         let gap = usize::decode(input)?;
@@ -510,13 +536,13 @@ pub fn decode_slice_delta<T: DeltaCodec + PartialEq + Clone>(
         if index >= common {
             return None;
         }
-        items[index] = T::decode_delta(Some(&prev[index]), input, ctx)?;
+        edit(index, T::decode_delta(Some(&prev[index]), input, ctx)?);
         next = index + 1;
     }
-    for _ in common..len {
-        items.push(T::decode_delta(None, input, ctx)?);
+    for index in common..len {
+        edit(index, T::decode_delta(None, input, ctx)?);
     }
-    Some(items)
+    Some(len)
 }
 
 #[cfg(test)]

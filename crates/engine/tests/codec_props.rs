@@ -16,6 +16,13 @@
 //!    one;
 //! 3. **Encode determinism**: re-encoding produces identical bytes (chunk
 //!    boundaries — hence spill determinism — depend on this).
+//!
+//! The systems a test round-trips are also held against each other, and
+//! against their decoded copies: two of them fingerprint alike exactly
+//! when `Eq` — the retained-clone oracles' exact comparison — says they
+//! are one configuration. A `Memory` enters the fingerprint as a
+//! maintained XOR fold of per-slot digests, so this is where a fold that
+//! collided, or drifted from the objects it summarizes, would show.
 
 use slx_consensus::{AdoptCommit, CasConsensus, ConsWord, ObstructionFreeConsensus, OfLayout};
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
@@ -108,15 +115,20 @@ where
 
 /// Takes up to `steps` random steps, round-tripping after every one —
 /// delta-checking each state against its predecessor on the walk (the
-/// chunk-neighbour relationship the spill path encodes against).
-fn walk_and_check<W, P>(sys: &mut System<W, P>, rng: &mut Rng, steps: usize, label: &str) -> usize
-where
+/// chunk-neighbour relationship the spill path encodes against) — and
+/// keeps every state it checked in `seen`.
+fn walk_and_check<W, P>(
+    sys: &mut System<W, P>,
+    rng: &mut Rng,
+    steps: usize,
+    label: &str,
+    seen: &mut Vec<System<W, P>>,
+) where
     W: Word + DeltaCodec + Send + Sync,
     P: slx_memory::Process<W> + DeltaCodec + Clone + Eq + std::hash::Hash + std::fmt::Debug,
 {
-    let mut checked = 0;
     check_system(sys, None, label);
-    checked += 1;
+    seen.push(sys.clone());
     for _ in 0..steps {
         let steppable = sys.steppable();
         if steppable.is_empty() {
@@ -126,21 +138,57 @@ where
         let q = steppable[rng.below(steppable.len() as u64) as usize];
         sys.step(q).expect("steppable process steps");
         check_system(sys, Some(&prev), label);
-        checked += 1;
+        seen.push(sys.clone());
     }
-    checked
+}
+
+/// Over `seen` and a decoded copy of each: equal fingerprints exactly
+/// where `Eq` holds. The copies make the "equal" side non-vacuous — a
+/// decoded memory computes its fold by walking the pool, a stepped one
+/// maintained it write by write.
+fn assert_digests_separate_exactly<W, P>(seen: &[System<W, P>], label: &str)
+where
+    W: Word + StateCodec,
+    P: StateCodec + Clone + Eq + std::hash::Hash + std::fmt::Debug,
+{
+    let decoded = seen.iter().map(|sys| {
+        let mut bytes = Vec::new();
+        sys.encode(&mut bytes);
+        System::<W, P>::decode(&mut bytes.as_slice()).expect("round trip")
+    });
+    let all: Vec<(System<W, P>, slx_engine::Digest)> = decoded
+        .chain(seen.iter().cloned())
+        .map(|sys| {
+            let digest = slx_engine::digest128_of(&sys);
+            (sys, digest)
+        })
+        .collect();
+    let mut equal_pairs = 0;
+    for (i, (a, digest_a)) in all.iter().enumerate() {
+        for (b, digest_b) in &all[i + 1..] {
+            let equal = a == b;
+            assert_eq!(
+                equal,
+                digest_a == digest_b,
+                "{label}: fingerprint disagrees with Eq on\n{a:?}\n{b:?}"
+            );
+            equal_pairs += usize::from(equal);
+        }
+    }
+    assert!(equal_pairs >= seen.len(), "{label}: every state has a copy");
 }
 
 #[test]
 fn consensus_states_round_trip() {
     let mut rng = Rng(0x00C0_DEC0);
-    let mut checked = 0;
+    let (mut of_seen, mut cas_seen) = (Vec::new(), Vec::new());
     for case in 0..18 {
         // Obstruction-free consensus: long adoptive runs under contention
         // exercise deep AdoptCommit sub-machine states.
         let inputs = [rng.below(100) as i64, rng.below(100) as i64];
         let mut sys = off_base_proposers(&inputs, 16);
-        checked += walk_and_check(&mut sys, &mut rng, 40, &format!("of-consensus case {case}"));
+        let label = format!("of-consensus case {case}");
+        walk_and_check(&mut sys, &mut rng, 40, &label, &mut of_seen);
 
         // CAS consensus: short wait-free runs, including decided states.
         let mut mem: Memory<ConsWord> = Memory::new();
@@ -150,14 +198,13 @@ fn consensus_states_round_trip() {
             .unwrap();
         sys.invoke(p(1), Operation::Propose(Value::new(rng.below(100) as i64)))
             .unwrap();
-        checked += walk_and_check(
-            &mut sys,
-            &mut rng,
-            10,
-            &format!("cas-consensus case {case}"),
-        );
+        let label = format!("cas-consensus case {case}");
+        walk_and_check(&mut sys, &mut rng, 10, &label, &mut cas_seen);
     }
+    let checked = of_seen.len() + cas_seen.len();
     assert!(checked >= 500, "only {checked} consensus states checked");
+    assert_digests_separate_exactly(&of_seen, "of-consensus");
+    assert_digests_separate_exactly(&cas_seen, "cas-consensus");
 }
 
 /// Invokes a random TM operation on `q` if it is idle (ignoring the
@@ -183,7 +230,7 @@ fn random_tm_invoke<P: slx_memory::Process<TmWord> + Clone + Eq + std::hash::Has
 #[test]
 fn tm_states_round_trip() {
     let mut rng = Rng(0x7A11);
-    let mut checked = 0;
+    let (mut gv_seen, mut agp_seen) = (Vec::new(), Vec::new());
     for case in 0..12 {
         // Global-version TM.
         let mut mem: Memory<TmWord> = Memory::new();
@@ -194,7 +241,13 @@ fn tm_states_round_trip() {
             for i in 0..2 {
                 random_tm_invoke(&mut sys, p(i), &mut rng);
             }
-            checked += walk_and_check(&mut sys, &mut rng, 2, &format!("gv-tm case {case}"));
+            walk_and_check(
+                &mut sys,
+                &mut rng,
+                2,
+                &format!("gv-tm case {case}"),
+                &mut gv_seen,
+            );
         }
 
         // AGP (Algorithm 1): adds the snapshot object and timestamps.
@@ -206,10 +259,14 @@ fn tm_states_round_trip() {
             for i in 0..2 {
                 random_tm_invoke(&mut sys, p(i), &mut rng);
             }
-            checked += walk_and_check(&mut sys, &mut rng, 2, &format!("agp-tm case {case}"));
+            let label = format!("agp-tm case {case}");
+            walk_and_check(&mut sys, &mut rng, 2, &label, &mut agp_seen);
         }
     }
+    let checked = gv_seen.len() + agp_seen.len();
     assert!(checked >= 500, "only {checked} TM states checked");
+    assert_digests_separate_exactly(&gv_seen, "gv-tm");
+    assert_digests_separate_exactly(&agp_seen, "agp-tm");
 }
 
 #[test]

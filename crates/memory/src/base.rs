@@ -1,9 +1,12 @@
 //! Base objects and the shared memory that holds them.
 
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use slx_engine::{decode_slice_delta, encode_slice_delta, DeltaCodec, DeltaCtx, StateCodec};
+use slx_engine::{
+    decode_slice_edits, digest128_of, encode_slice_delta, DeltaCodec, DeltaCtx, StateCodec,
+};
 
 /// A word storable in a base object.
 ///
@@ -11,8 +14,10 @@ use slx_engine::{decode_slice_delta, encode_slice_delta, DeltaCodec, DeltaCtx, S
 /// type a parameter lets the compare-and-swap object of Algorithm I(1,2)
 /// atomically hold a `(version, value-vector)` pair exactly as written,
 /// while consensus implementations use plain integers. The `Eq + Hash`
-/// bounds are what the exhaustive explorer needs to identify configurations
-/// exactly (no lossy fingerprints).
+/// bounds are what the exhaustive explorer needs: `Eq` identifies
+/// configurations exactly (the retained-clone oracles rely on it), `Hash`
+/// feeds the 128-bit fingerprints the kernel deduplicates by — a
+/// [`Memory`] keeps a running fold of its objects' fingerprints.
 pub trait Word: Clone + Eq + Hash + fmt::Debug {}
 
 impl<T: Clone + Eq + Hash + fmt::Debug> Word for T {}
@@ -336,18 +341,54 @@ impl std::error::Error for MemoryError {}
 ///
 /// All primitive applications are atomic (they are single Rust function
 /// calls under a scheduler that interleaves only between them).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A successor configuration differs from its parent in at most one base
+/// object, and the type is built so that it costs that much. The pool is
+/// shared copy-on-write: `clone` bumps a reference count, and only a
+/// primitive that changes an object's contents gives the memory a pool of
+/// its own. The fingerprint is maintained, not recomputed: `fold` is the
+/// XOR, over slots, of `digest128_of(&(index, object))`, and every write
+/// to the pool goes through the private `set`, which XORs the slot's old
+/// term out and its new term in. [`Hash`] feeds `(len, fold, applied)`, so
+/// hashing a memory is O(1) in the pool size; [`Eq`] stays the exact
+/// object-by-object comparison.
+#[derive(Debug, Clone)]
 pub struct Memory<W> {
-    objects: Vec<BaseObject<W>>,
+    objects: Arc<Vec<BaseObject<W>>>,
+    /// XOR of [`slot_term`] over `objects`; a function of the pool alone.
+    fold: u128,
     applied: u64,
+}
+
+/// Slot `index`'s contribution to a memory's fold. Salting with the index
+/// makes the fold depend on where an object sits: swapping two slots'
+/// contents changes it, and equal objects in different slots do not
+/// cancel.
+fn slot_term<W: Hash>(index: usize, object: &BaseObject<W>) -> u128 {
+    digest128_of(&(index, object)).0
+}
+
+/// The fold of a whole pool, from scratch.
+fn fold_of<W: Hash>(objects: &[BaseObject<W>]) -> u128 {
+    objects
+        .iter()
+        .enumerate()
+        .fold(0, |fold, (i, o)| fold ^ slot_term(i, o))
 }
 
 impl<W: Word> Memory<W> {
     /// Creates an empty memory.
     pub fn new() -> Self {
+        Memory::from_objects(Vec::new(), 0)
+    }
+
+    /// The memory holding `objects`: the one constructor, and the one
+    /// place a fold is computed by walking a whole pool.
+    fn from_objects(objects: Vec<BaseObject<W>>, applied: u64) -> Self {
         Memory {
-            objects: Vec::new(),
-            applied: 0,
+            fold: fold_of(&objects),
+            objects: Arc::new(objects),
+            applied,
         }
     }
 
@@ -379,14 +420,32 @@ impl<W: Word> Memory<W> {
     /// Allocates `n` registers, each initialized to `init`, as one run.
     pub fn alloc_registers(&mut self, n: usize, init: W) -> ObjRun {
         let first = self.objects.len();
-        self.objects
-            .extend(std::iter::repeat_n(BaseObject::Register(init), n));
+        for _ in 0..n {
+            self.push(BaseObject::Register(init.clone()));
+        }
         ObjRun { first, len: n }
     }
 
     fn push(&mut self, o: BaseObject<W>) -> ObjId {
-        self.objects.push(o);
-        ObjId(self.objects.len() - 1)
+        let index = self.objects.len();
+        self.fold ^= slot_term(index, &o);
+        Arc::make_mut(&mut self.objects).push(o);
+        ObjId(index)
+    }
+
+    /// The one writer of an allocated slot: un-shares the pool, lets
+    /// `write` change the object in place, and moves the fold from the
+    /// slot's old term to its new one. [`Memory::apply`] calls it only
+    /// once a primitive is known to change the object — a read, a failed
+    /// compare-and-swap or an error return leaves pool and fold alone.
+    ///
+    /// # Panics
+    /// If `obj` is not allocated.
+    fn set(&mut self, obj: ObjId, write: impl FnOnce(&mut BaseObject<W>)) {
+        let slot = &mut Arc::make_mut(&mut self.objects)[obj.0];
+        let old = slot_term(obj.0, slot);
+        write(slot);
+        self.fold ^= old ^ slot_term(obj.0, slot);
     }
 
     /// Number of base objects allocated.
@@ -416,6 +475,13 @@ impl<W: Word> Memory<W> {
         self.objects.iter().enumerate().map(|(i, o)| (ObjId(i), o))
     }
 
+    /// Whether the maintained fold is what a walk over the pool computes.
+    /// It always is; this is the test suites' handle on that invariant.
+    #[doc(hidden)]
+    pub fn fold_is_exact(&self) -> bool {
+        self.fold == fold_of(&self.objects)
+    }
+
     /// A copy of the memory with every stored word transformed by `f`
     /// (snapshot components included; TAS bits and counters unchanged).
     ///
@@ -424,20 +490,13 @@ impl<W: Word> Memory<W> {
     /// version numbers or timestamps, shifting them to a canonical base
     /// makes genuinely-repeating configurations compare equal.
     pub fn map_words(&self, mut f: impl FnMut(&W) -> W) -> Memory<W> {
-        Memory {
-            objects: self
-                .objects
-                .iter()
-                .map(|o| match o {
-                    BaseObject::Register(w) => BaseObject::Register(f(w)),
-                    BaseObject::Cas(w) => BaseObject::Cas(f(w)),
-                    BaseObject::Tas(b) => BaseObject::Tas(*b),
-                    BaseObject::Counter(c) => BaseObject::Counter(*c),
-                    BaseObject::Snapshot(v) => BaseObject::Snapshot(v.iter().map(&mut f).collect()),
-                })
-                .collect(),
-            applied: 0,
-        }
+        self.map_objects(|_, o| match o {
+            BaseObject::Register(w) => BaseObject::Register(f(w)),
+            BaseObject::Cas(w) => BaseObject::Cas(f(w)),
+            BaseObject::Tas(b) => BaseObject::Tas(*b),
+            BaseObject::Counter(c) => BaseObject::Counter(*c),
+            BaseObject::Snapshot(v) => BaseObject::Snapshot(v.iter().map(&mut f).collect()),
+        })
     }
 
     /// A copy of the memory with every base object transformed by `f`,
@@ -455,15 +514,7 @@ impl<W: Word> Memory<W> {
         &self,
         mut f: impl FnMut(ObjId, &BaseObject<W>) -> BaseObject<W>,
     ) -> Memory<W> {
-        Memory {
-            objects: self
-                .objects
-                .iter()
-                .enumerate()
-                .map(|(i, o)| f(ObjId(i), o))
-                .collect(),
-            applied: 0,
-        }
+        Memory::from_objects(self.iter_objects().map(|(id, o)| f(id, o)).collect(), 0)
     }
 
     /// Applies an atomic primitive.
@@ -474,94 +525,74 @@ impl<W: Word> Memory<W> {
     /// does not match the object kind, or a snapshot index is out of range.
     pub fn apply(&mut self, p: Primitive<W>) -> Result<PrimOutcome<W>, MemoryError> {
         self.applied += 1;
+        let mismatch = |obj, primitive| Err(MemoryError::KindMismatch { obj, primitive });
         match p {
             Primitive::Read(obj) => match self.get(obj)? {
                 BaseObject::Register(w) | BaseObject::Cas(w) => Ok(PrimOutcome::Value(w.clone())),
                 BaseObject::Counter(c) => Ok(PrimOutcome::Int(*c)),
                 BaseObject::Tas(b) => Ok(PrimOutcome::Flag(*b)),
-                BaseObject::Snapshot(_) => Err(MemoryError::KindMismatch {
-                    obj,
-                    primitive: "Read",
-                }),
+                BaseObject::Snapshot(_) => mismatch(obj, "Read"),
             },
-            Primitive::Write(obj, val) => match self.get_mut(obj)? {
-                BaseObject::Register(w) => {
-                    *w = val;
+            Primitive::Write(obj, val) => match self.get(obj)? {
+                BaseObject::Register(_) => {
+                    self.set(obj, |o| *o = BaseObject::Register(val));
                     Ok(PrimOutcome::Ack)
                 }
-                _ => Err(MemoryError::KindMismatch {
-                    obj,
-                    primitive: "Write",
-                }),
+                _ => mismatch(obj, "Write"),
             },
-            Primitive::Cas { obj, expected, new } => match self.get_mut(obj)? {
+            Primitive::Cas { obj, expected, new } => match self.get(obj)? {
                 BaseObject::Cas(w) => {
-                    if *w == expected {
-                        *w = new;
-                        Ok(PrimOutcome::Flag(true))
-                    } else {
-                        Ok(PrimOutcome::Flag(false))
+                    let swapped = *w == expected;
+                    if swapped {
+                        self.set(obj, |o| *o = BaseObject::Cas(new));
                     }
+                    Ok(PrimOutcome::Flag(swapped))
                 }
-                _ => Err(MemoryError::KindMismatch {
-                    obj,
-                    primitive: "Cas",
-                }),
+                _ => mismatch(obj, "Cas"),
             },
-            Primitive::Tas(obj) => match self.get_mut(obj)? {
-                BaseObject::Tas(b) => {
-                    let prev = *b;
-                    *b = true;
+            Primitive::Tas(obj) => match self.get(obj)? {
+                &BaseObject::Tas(prev) => {
+                    if !prev {
+                        self.set(obj, |o| *o = BaseObject::Tas(true));
+                    }
                     Ok(PrimOutcome::Flag(prev))
                 }
-                _ => Err(MemoryError::KindMismatch {
-                    obj,
-                    primitive: "Tas",
-                }),
+                _ => mismatch(obj, "Tas"),
             },
-            Primitive::TasReset(obj) => match self.get_mut(obj)? {
-                BaseObject::Tas(b) => {
-                    *b = false;
+            Primitive::TasReset(obj) => match self.get(obj)? {
+                &BaseObject::Tas(prev) => {
+                    if prev {
+                        self.set(obj, |o| *o = BaseObject::Tas(false));
+                    }
                     Ok(PrimOutcome::Ack)
                 }
-                _ => Err(MemoryError::KindMismatch {
-                    obj,
-                    primitive: "TasReset",
-                }),
+                _ => mismatch(obj, "TasReset"),
             },
-            Primitive::FetchAdd(obj, delta) => match self.get_mut(obj)? {
-                BaseObject::Counter(c) => {
-                    let prev = *c;
-                    *c += delta;
+            Primitive::FetchAdd(obj, delta) => match self.get(obj)? {
+                &BaseObject::Counter(prev) => {
+                    self.set(obj, |o| *o = BaseObject::Counter(prev + delta));
                     Ok(PrimOutcome::Int(prev))
                 }
-                _ => Err(MemoryError::KindMismatch {
-                    obj,
-                    primitive: "FetchAdd",
-                }),
+                _ => mismatch(obj, "FetchAdd"),
             },
-            Primitive::SnapUpdate { obj, index, val } => match self.get_mut(obj)? {
-                BaseObject::Snapshot(v) => {
+            Primitive::SnapUpdate { obj, index, val } => match self.get(obj)? {
+                BaseObject::Snapshot(v) if index >= v.len() => {
                     let len = v.len();
-                    match v.get_mut(index) {
-                        Some(slot) => {
-                            *slot = val;
-                            Ok(PrimOutcome::Ack)
-                        }
-                        None => Err(MemoryError::BadSnapshotIndex { obj, index, len }),
-                    }
+                    Err(MemoryError::BadSnapshotIndex { obj, index, len })
                 }
-                _ => Err(MemoryError::KindMismatch {
-                    obj,
-                    primitive: "SnapUpdate",
-                }),
+                BaseObject::Snapshot(_) => {
+                    self.set(obj, |o| {
+                        if let BaseObject::Snapshot(v) = o {
+                            v[index] = val;
+                        }
+                    });
+                    Ok(PrimOutcome::Ack)
+                }
+                _ => mismatch(obj, "SnapUpdate"),
             },
             Primitive::SnapScan(obj) => match self.get(obj)? {
                 BaseObject::Snapshot(v) => Ok(PrimOutcome::Snapshot(v.clone())),
-                _ => Err(MemoryError::KindMismatch {
-                    obj,
-                    primitive: "SnapScan",
-                }),
+                _ => mismatch(obj, "SnapScan"),
             },
         }
     }
@@ -569,12 +600,6 @@ impl<W: Word> Memory<W> {
     fn get(&self, obj: ObjId) -> Result<&BaseObject<W>, MemoryError> {
         self.objects
             .get(obj.0)
-            .ok_or(MemoryError::NoSuchObject(obj))
-    }
-
-    fn get_mut(&mut self, obj: ObjId) -> Result<&mut BaseObject<W>, MemoryError> {
-        self.objects
-            .get_mut(obj.0)
             .ok_or(MemoryError::NoSuchObject(obj))
     }
 }
@@ -585,7 +610,26 @@ impl<W: Word> Default for Memory<W> {
     }
 }
 
-impl<W: StateCodec> StateCodec for Memory<W> {
+impl<W: PartialEq> PartialEq for Memory<W> {
+    /// Exact: equal folds are necessary, never sufficient.
+    fn eq(&self, other: &Self) -> bool {
+        self.applied == other.applied
+            && self.fold == other.fold
+            && (Arc::ptr_eq(&self.objects, &other.objects) || self.objects == other.objects)
+    }
+}
+
+impl<W: Eq> Eq for Memory<W> {}
+
+impl<W> Hash for Memory<W> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.objects.len().hash(state);
+        self.fold.hash(state);
+        self.applied.hash(state);
+    }
+}
+
+impl<W: Word + StateCodec> StateCodec for Memory<W> {
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.objects.encode(out);
@@ -596,10 +640,10 @@ impl<W: StateCodec> StateCodec for Memory<W> {
 
     #[inline]
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(Memory {
-            objects: Vec::decode(input)?,
-            applied: u64::decode(input)?,
-        })
+        Some(Memory::from_objects(
+            Vec::decode(input)?,
+            u64::decode(input)?,
+        ))
     }
 }
 
@@ -608,7 +652,7 @@ impl<W: StateCodec> StateCodec for Memory<W> {
 impl DeltaCodec for ObjId {}
 impl<W: DeltaCodec> DeltaCodec for BaseObject<W> {}
 
-impl<W: DeltaCodec + PartialEq + Clone> DeltaCodec for Memory<W> {
+impl<W: Word + DeltaCodec> DeltaCodec for Memory<W> {
     fn encode_delta(&self, prev: Option<&Self>, out: &mut Vec<u8>) {
         let Some(prev) = prev else {
             return self.encode(out);
@@ -628,12 +672,26 @@ impl<W: DeltaCodec + PartialEq + Clone> DeltaCodec for Memory<W> {
         let Some(prev) = prev else {
             return Self::decode(input);
         };
-        Some(Memory {
-            objects: decode_slice_delta(&prev.objects, input, ctx)?,
-            applied: prev
-                .applied
-                .wrapping_add(i64::decode(input)?.cast_unsigned()),
-        })
+        // Start as `prev` — its pool shared, its fold taken over — and pay
+        // for the entries the record changes.
+        let mut memory = prev.clone();
+        let len = decode_slice_edits(&prev.objects, input, ctx, |index, object| {
+            if index < memory.len() {
+                memory.set(ObjId(index), |o| *o = object);
+            } else {
+                memory.push(object);
+            }
+        })?;
+        if len < memory.len() {
+            for index in len..memory.len() {
+                memory.fold ^= slot_term(index, &memory.objects[index]);
+            }
+            Arc::make_mut(&mut memory.objects).truncate(len);
+        }
+        memory.applied = prev
+            .applied
+            .wrapping_add(i64::decode(input)?.cast_unsigned());
+        Some(memory)
     }
 }
 
@@ -802,6 +860,79 @@ mod tests {
         let _ = m.apply(Primitive::Read(r));
         let _ = m.apply(Primitive::Read(ObjId(99)));
         assert_eq!(m.applied(), 2);
+    }
+
+    /// The collect loops of commit-adopt are n reads per write: a chain of
+    /// successors must stay on one pool until something is written.
+    #[test]
+    fn primitives_that_change_nothing_keep_the_pool_shared() {
+        let mut parent: Memory<i64> = Memory::new();
+        let r = parent.alloc_register(1);
+        let c = parent.alloc_cas(1);
+        let set = parent.alloc_tas();
+        let clear = parent.alloc_tas();
+        let s = parent.alloc_snapshot(2, 0);
+        parent.apply(Primitive::Tas(set)).unwrap();
+        let cas = |expected| Primitive::Cas {
+            obj: c,
+            expected,
+            new: 9,
+        };
+        let snap_update = |obj, index| Primitive::SnapUpdate { obj, index, val: 9 };
+
+        for inert in [
+            Primitive::Read(r),
+            Primitive::SnapScan(s),
+            cas(0),
+            Primitive::Tas(set),
+            Primitive::TasReset(clear),
+            Primitive::Read(ObjId(99)),
+            Primitive::Write(c, 9),
+            Primitive::Tas(r),
+            Primitive::FetchAdd(r, 1),
+            snap_update(r, 0),
+            snap_update(s, 2),
+        ] {
+            let mut child = parent.clone();
+            let _ = child.apply(inert.clone());
+            assert!(Arc::ptr_eq(&child.objects, &parent.objects), "{inert:?}");
+            assert_eq!(child.fold, parent.fold, "{inert:?}");
+        }
+        for writing in [
+            Primitive::Write(r, 1),
+            cas(1),
+            Primitive::Tas(clear),
+            Primitive::TasReset(set),
+            snap_update(s, 1),
+        ] {
+            let mut child = parent.clone();
+            child.apply(writing.clone()).unwrap();
+            assert!(!Arc::ptr_eq(&child.objects, &parent.objects), "{writing:?}");
+        }
+    }
+
+    #[test]
+    fn a_delta_record_pays_for_the_entries_it_changes() {
+        let mut prev: Memory<i64> = Memory::new();
+        let regs = prev.alloc_registers(4, 0);
+        let mut unchanged = prev.clone();
+        unchanged.apply(Primitive::Read(regs.at(0))).unwrap();
+        let mut changed = prev.clone();
+        changed.apply(Primitive::Write(regs.at(2), 7)).unwrap();
+
+        let replay = |memory: &Memory<i64>| {
+            let mut bytes = Vec::new();
+            memory.encode_delta(Some(&prev), &mut bytes);
+            Memory::decode_delta(Some(&prev), &mut bytes.as_slice(), &mut DeltaCtx::new())
+                .expect("delta round trip")
+        };
+        let decoded = replay(&unchanged);
+        assert_eq!(decoded, unchanged);
+        assert!(Arc::ptr_eq(&decoded.objects, &prev.objects));
+        let decoded = replay(&changed);
+        assert_eq!(decoded, changed);
+        assert_eq!(decoded.fold, changed.fold);
+        assert!(!Arc::ptr_eq(&decoded.objects, &prev.objects));
     }
 
     #[test]

@@ -93,6 +93,11 @@ pub struct RunStats {
 /// allows `slx-explorer` to enumerate configurations exactly. The history
 /// rides along outside `Eq`/`Hash` (safety is judged on it); the step-level
 /// execution log does not — see [`Event`].
+///
+/// A clone shares the parent's object pool until a step writes to it, and
+/// `Hash` reads the memory's maintained fold (see [`Memory`]): a successor
+/// pays for the object it changes and for its process states, not for the
+/// size of the memory.
 #[derive(Debug, Clone)]
 pub struct System<W: Word, P> {
     memory: Memory<W>,
@@ -168,7 +173,7 @@ impl<W: Word, P: Process<W>> System<W, P> {
     /// the paper's sense (no non-crash action enabled at the final state,
     /// modulo input actions which are always enabled but external).
     pub fn quiescent(&self) -> bool {
-        self.steppable().is_empty()
+        !ProcessId::all(self.n()).any(|p| self.can_step(p))
     }
 
     /// Delivers invocation `op` to process `p`.
@@ -386,7 +391,10 @@ impl<W: Word, P: std::hash::Hash> System<W, P> {
     /// A cheap 128-bit fingerprint of the *configuration* (memory, process
     /// states, pending/crashed flags — history excluded, like
     /// [`Eq`]). This is what lets `slx-engine` deduplicate explored
-    /// configurations without retaining a clone of every system.
+    /// configurations without retaining a clone of every system. The
+    /// memory enters as `(len, fold, applied)` — its maintained per-slot
+    /// fingerprint fold, not a walk over the pool — so the cost is the
+    /// process states and flags.
     pub fn digest128(&self) -> slx_engine::Digest {
         use std::hash::Hash;
         let mut fp = slx_engine::Fingerprinter::new();
