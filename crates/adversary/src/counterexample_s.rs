@@ -137,7 +137,6 @@ mod tests {
     use super::*;
     use slx_history::{TransactionStatus, TxnView, Value};
     use slx_liveness::{ExecutionView, LivenessProperty, LkFreedom, ProgressKind};
-    use slx_memory::Memory;
     use slx_safety::PropertyS;
     use slx_tm::normalize::normalized_agp;
     use slx_tm::AgpTm;
@@ -146,16 +145,9 @@ mod tests {
         ProcessId::new(i)
     }
 
-    fn agp_system(n: usize) -> System<TmWord, AgpTm> {
-        let mut mem: Memory<TmWord> = Memory::new();
-        let (c, r) = AgpTm::alloc(&mut mem, n, 1);
-        let procs = (0..n).map(|i| AgpTm::new(c, r, p(i), n, 1)).collect();
-        System::new(mem, procs)
-    }
-
     #[test]
     fn all_rounds_abort_against_agp() {
-        let mut sys = agp_system(3);
+        let mut sys = AgpTm::system(3, 1);
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
         sys.run(&mut adv, 3000);
         assert!(!adv.lost(), "a commit escaped the timestamp rule");
@@ -172,7 +164,7 @@ mod tests {
 
     #[test]
     fn run_violates_13_freedom() {
-        let mut sys = agp_system(3);
+        let mut sys = AgpTm::system(3, 1);
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
         let mut log = Vec::new();
         sys.run_logged(&mut adv, 3000, &mut log);
@@ -185,7 +177,7 @@ mod tests {
 
     #[test]
     fn lasso_proves_eternal_all_abort_loop() {
-        let mut sys = agp_system(3);
+        let mut sys = AgpTm::system(3, 1);
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
         let witness = slx_explorer::run_until_cycle_keyed(
             &mut sys,
@@ -207,10 +199,7 @@ mod tests {
         // GlobalVersionTm has no timestamp rule: in the synchronized round
         // the first tryC CAS succeeds, the adversary loses — and indeed
         // GlobalVersionTm does NOT implement property S.
-        let mut mem: Memory<TmWord> = Memory::new();
-        let c = slx_tm::GlobalVersionTm::alloc(&mut mem, 1);
-        let procs = (0..3).map(|_| slx_tm::GlobalVersionTm::new(c, 1)).collect();
-        let mut sys: System<TmWord, slx_tm::GlobalVersionTm> = System::new(mem, procs);
+        let mut sys = slx_tm::GlobalVersionTm::system(3, 1);
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
         sys.run(&mut adv, 2000);
         assert!(adv.lost(), "GlobalVersionTm should commit in round 1");

@@ -210,7 +210,6 @@ mod tests {
     use super::*;
     use slx_history::{TransactionStatus, TxnView};
     use slx_liveness::{ExecutionView, LivenessProperty, LkFreedom, Lmax, ProgressKind};
-    use slx_memory::Memory;
     use slx_safety::{certify_unique_writes, StrictSerializability};
     use slx_tm::normalize::normalized_global_version;
     use slx_tm::GlobalVersionTm;
@@ -222,16 +221,9 @@ mod tests {
         VarId::new(0)
     }
 
-    fn gv_system() -> System<TmWord, GlobalVersionTm> {
-        let mut mem: Memory<TmWord> = Memory::new();
-        let c = GlobalVersionTm::alloc(&mut mem, 1);
-        let procs = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
-        System::new(mem, procs)
-    }
-
     #[test]
     fn victim_never_commits_against_global_version_tm() {
-        let mut sys = gv_system();
+        let mut sys = GlobalVersionTm::system(2, 1);
         let mut adv = TmStarvation::new(p(0), p(1), x0());
         sys.run(&mut adv, 5000);
         assert!(!adv.lost(), "victim committed");
@@ -251,7 +243,7 @@ mod tests {
 
     #[test]
     fn starvation_run_violates_local_progress_and_22_freedom() {
-        let mut sys = gv_system();
+        let mut sys = GlobalVersionTm::system(2, 1);
         let mut adv = TmStarvation::new(p(0), p(1), x0());
         let mut log = Vec::new();
         sys.run_logged(&mut adv, 5000, &mut log);
@@ -269,7 +261,7 @@ mod tests {
     #[test]
     fn starvation_run_remains_safe() {
         // The adversary wins on liveness, not by corrupting safety.
-        let mut sys = gv_system();
+        let mut sys = GlobalVersionTm::system(2, 1);
         let mut adv = TmStarvation::new(p(0), p(1), x0());
         sys.run(&mut adv, 800);
         assert!(certify_unique_writes(sys.history(), Value::new(0)));
@@ -301,7 +293,7 @@ mod tests {
     fn lasso_proves_the_starvation_is_eternal() {
         // Detect a repeat of the shift-normalized (system, strategy) state:
         // the infinite execution stem·cycle^ω starves the victim forever.
-        let mut sys = gv_system();
+        let mut sys = GlobalVersionTm::system(2, 1);
         let mut adv = TmStarvation::new(p(0), p(1), x0());
         let witness = slx_explorer::run_until_cycle_keyed(&mut sys, &mut adv, 5000, starvation_key)
             .expect("starvation loop must cycle");
@@ -330,12 +322,12 @@ mod tests {
         // retains 16-byte fingerprints of the normalized keys) against
         // the retained-key baseline on the §4.1 starvation lasso: same
         // stem, same cycle, same unrolling.
-        let mut sys_a = gv_system();
+        let mut sys_a = GlobalVersionTm::system(2, 1);
         let mut adv_a = TmStarvation::new(p(0), p(1), x0());
         let digest =
             slx_explorer::run_until_cycle_keyed(&mut sys_a, &mut adv_a, 5000, starvation_key)
                 .expect("cycle");
-        let mut sys_b = gv_system();
+        let mut sys_b = GlobalVersionTm::system(2, 1);
         let mut adv_b = TmStarvation::new(p(0), p(1), x0());
         let retained = slx_explorer::run_until_cycle_keyed_retained(
             &mut sys_b,
@@ -354,7 +346,7 @@ mod tests {
     fn role_swapped_twin_is_disjoint() {
         // F1 histories start with the victim p1's start(); F2 with p2's.
         let run = |victim: usize, committer: usize| {
-            let mut sys = gv_system();
+            let mut sys = GlobalVersionTm::system(2, 1);
             let mut adv = TmStarvation::new(p(victim), p(committer), x0());
             sys.run(&mut adv, 200);
             sys.history().clone()

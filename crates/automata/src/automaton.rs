@@ -83,6 +83,16 @@ impl<L: DeltaCodec + PartialEq + Clone> DeltaCodec for Execution<L> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// How often this thread called [`Automaton::executions`]: lets a
+    /// test show that a caller enumerates once.
+    pub(crate) static EXECUTIONS_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The transitions out of one state: action → target states.
+type Row<L> = BTreeMap<L, BTreeSet<StateId>>;
+
 /// A finite I/O automaton `(states, sig, init, trans)` with action labels
 /// of type `L` (Section 2). The signature partitions actions into input,
 /// output and internal sets.
@@ -94,7 +104,10 @@ pub struct Automaton<L> {
     inputs: BTreeSet<L>,
     outputs: BTreeSet<L>,
     internals: BTreeSet<L>,
-    trans: BTreeSet<(StateId, L, StateId)>,
+    /// `trans`, as the table the model walks: source state → action →
+    /// target states. Rows and cells exist only once a transition was
+    /// inserted into them, so equal relations are equal tables.
+    trans: BTreeMap<StateId, Row<L>>,
     /// Actions treated as crash actions: they are inputs, and their being
     /// enabled does not make an execution unfair (Section 3.2's fairness
     /// explicitly exempts crash actions).
@@ -139,7 +152,7 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
             inputs,
             outputs,
             internals,
-            trans: BTreeSet::new(),
+            trans: BTreeMap::new(),
             crashes: BTreeSet::new(),
         }
     }
@@ -195,6 +208,29 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
         self.crashes.insert(label);
     }
 
+    /// Whether `action` is in the signature.
+    fn has_action(&self, action: &L) -> bool {
+        self.inputs.contains(action)
+            || self.outputs.contains(action)
+            || self.internals.contains(action)
+    }
+
+    /// The transitions out of `state`, by action, in action order; no
+    /// row was ever inserted for a state nothing leaves.
+    fn row(&self, state: StateId) -> Option<&Row<L>> {
+        self.trans.get(&state)
+    }
+
+    /// The one writer of `trans`; callers have checked the triple.
+    fn insert(&mut self, from: StateId, action: L, to: StateId) {
+        self.trans
+            .entry(from)
+            .or_default()
+            .entry(action)
+            .or_default()
+            .insert(to);
+    }
+
     /// Adds a transition.
     ///
     /// # Panics
@@ -207,29 +243,28 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
             "state out of range"
         );
         assert!(
-            self.inputs.contains(&action)
-                || self.outputs.contains(&action)
-                || self.internals.contains(&action),
+            self.has_action(&action),
             "action {action:?} not in signature"
         );
-        self.trans.insert((from, action, to));
+        self.insert(from, action, to);
     }
 
     /// The actions enabled at `state`.
     pub fn enabled(&self, state: StateId) -> BTreeSet<L> {
-        self.trans
-            .iter()
-            .filter(|(s, _, _)| *s == state)
-            .map(|(_, a, _)| a.clone())
+        self.row(state)
+            .into_iter()
+            .flat_map(Row::keys)
+            .cloned()
             .collect()
     }
 
     /// Successor states of `state` under `action`.
     pub fn successors(&self, state: StateId, action: &L) -> Vec<StateId> {
-        self.trans
-            .iter()
-            .filter(|(s, a, _)| *s == state && a == action)
-            .map(|(_, _, t)| *t)
+        self.row(state)
+            .and_then(|row| row.get(action))
+            .into_iter()
+            .flatten()
+            .copied()
             .collect()
     }
 
@@ -239,17 +274,44 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
     /// input labels exist).
     pub fn is_input_enabled(&self) -> bool {
         (0..self.n_states).all(|s| {
-            let en = self.enabled(StateId(s));
-            self.inputs.iter().all(|i| en.contains(i))
+            let row = self.row(StateId(s));
+            self.inputs
+                .iter()
+                .all(|i| row.is_some_and(|row| row.contains_key(i)))
         })
     }
 
     /// A finite execution is **fair** iff no action other than a crash is
     /// enabled at its final state (Section 3.2 condition (I)).
     pub fn is_fair_finite(&self, exec: &Execution<L>) -> bool {
-        self.enabled(exec.last_state())
+        self.row(exec.last_state())
             .into_iter()
-            .all(|a| self.crashes.contains(&a))
+            .flat_map(Row::keys)
+            .all(|a| self.crashes.contains(a))
+    }
+
+    /// Every one-transition extension of `exec`, in `(action, target)`
+    /// order: the step both enumerations below take.
+    fn extensions<'a>(&'a self, exec: &'a Execution<L>) -> impl Iterator<Item = Execution<L>> + 'a {
+        self.row(exec.last_state())
+            .into_iter()
+            .flatten()
+            .flat_map(move |(a, targets)| {
+                targets.iter().map(move |&t| {
+                    let mut extended = exec.clone();
+                    extended.states.push(t);
+                    extended.actions.push(a.clone());
+                    extended
+                })
+            })
+    }
+
+    /// The executions of length zero, one per initial state.
+    fn initial_executions(&self) -> impl Iterator<Item = Execution<L>> + '_ {
+        self.init.iter().map(|&s| Execution {
+            states: vec![s],
+            actions: vec![],
+        })
     }
 
     /// Enumerates all executions with at most `depth` actions, starting
@@ -258,33 +320,28 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
     /// This is the retained-queue baseline (it works for any `Ord`
     /// label); codec-capable labels can run the same enumeration on the
     /// exploration kernel — parallel, beyond-RAM, replay-spill capable —
-    /// via [`Automaton::executions_on`], which the differential tests pin
-    /// to this implementation.
+    /// via [`Automaton::executions_on`], which the differential tests and
+    /// `tests/table_props.rs` pin to this implementation, order included.
     pub fn executions(&self, depth: usize) -> Vec<Execution<L>> {
+        #[cfg(test)]
+        EXECUTIONS_CALLS.with(|calls| calls.set(calls.get() + 1));
         let mut out = Vec::new();
-        let mut queue: VecDeque<Execution<L>> = self
-            .init
-            .iter()
-            .map(|&s| Execution {
-                states: vec![s],
-                actions: vec![],
-            })
-            .collect();
+        let mut queue: VecDeque<Execution<L>> = self.initial_executions().collect();
         while let Some(e) = queue.pop_front() {
             if e.actions.len() < depth {
-                let s = e.last_state();
-                for a in self.enabled(s) {
-                    for t in self.successors(s, &a) {
-                        let mut e2 = e.clone();
-                        e2.states.push(t);
-                        e2.actions.push(a.clone());
-                        queue.push_back(e2);
-                    }
-                }
+                queue.extend(self.extensions(&e));
             }
             out.push(e);
         }
         out
+    }
+
+    /// The external (input + output) subsequence of an execution's actions.
+    fn history_of(&self, exec: Execution<L>) -> Vec<L> {
+        exec.actions
+            .into_iter()
+            .filter(|a| self.inputs.contains(a) || self.outputs.contains(a))
+            .collect()
     }
 
     /// The *histories* of fair executions with at most `depth` actions:
@@ -296,12 +353,7 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
         self.executions(depth)
             .into_iter()
             .filter(|e| self.is_fair_finite(e))
-            .map(|e| {
-                e.actions
-                    .into_iter()
-                    .filter(|a| self.inputs.contains(a) || self.outputs.contains(a))
-                    .collect()
-            })
+            .map(|e| self.history_of(e))
             .collect()
     }
 
@@ -309,12 +361,7 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
     pub fn histories(&self, depth: usize) -> BTreeSet<Vec<L>> {
         self.executions(depth)
             .into_iter()
-            .map(|e| {
-                e.actions
-                    .into_iter()
-                    .filter(|a| self.inputs.contains(a) || self.outputs.contains(a))
-                    .collect()
-            })
+            .map(|e| self.history_of(e))
             .collect()
     }
 
@@ -323,8 +370,8 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
     /// `int(A2) ∩ acts(A1) = ∅`.
     pub fn compatible(&self, other: &Automaton<L>) -> bool {
         self.outputs.is_disjoint(&other.outputs)
-            && self.internals.iter().all(|a| !other.actions().contains(a))
-            && other.internals.iter().all(|a| !self.actions().contains(a))
+            && self.internals.iter().all(|a| !other.has_action(a))
+            && other.internals.iter().all(|a| !self.has_action(a))
     }
 
     /// The composition `A1 × A2` of Section 2: product states, shared
@@ -377,33 +424,23 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
             }
         }
 
+        // A component with `act` in its signature moves along its own
+        // transitions (none from its current state disables the composed
+        // action); a component without it stays where it is.
+        let moves = |m: &Automaton<L>, s: usize, act: &L| {
+            if m.has_action(act) {
+                m.successors(StateId(s), act)
+            } else {
+                vec![StateId(s)]
+            }
+        };
         let all_actions: BTreeSet<L> = self.actions().union(&other.actions()).cloned().collect();
-        let self_acts = self.actions();
-        let other_acts = other.actions();
         for a in 0..self.n_states {
             for b in 0..other.n_states {
                 for act in &all_actions {
-                    let sa: Vec<StateId> = if self_acts.contains(act) {
-                        self.successors(StateId(a), act)
-                    } else {
-                        vec![StateId(a)]
-                    };
-                    let sb: Vec<StateId> = if other_acts.contains(act) {
-                        other.successors(StateId(b), act)
-                    } else {
-                        vec![StateId(b)]
-                    };
-                    // If a component has the action in its signature but no
-                    // transition from its current state, the composed action
-                    // is disabled.
-                    if self_acts.contains(act) && sa.is_empty() {
-                        continue;
-                    }
-                    if other_acts.contains(act) && sb.is_empty() {
-                        continue;
-                    }
-                    for &ta in &sa {
-                        for &tb in &sb {
+                    let tbs = moves(other, b, act);
+                    for ta in moves(self, a, act) {
+                        for tb in &tbs {
                             composed.add_transition(pair(a, b), act.clone(), pair(ta.0, tb.0));
                         }
                     }
@@ -414,31 +451,27 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
     }
 
     /// Crash augmentation (Section 2): adds a fresh `crashed` state, a
-    /// `crash` input transition from every state into it, and marks the
-    /// label as a crash action. No action is enabled at the crashed state.
+    /// `crash` input transition from every pre-existing state into it,
+    /// and marks the label as a crash action. No action is enabled at the
+    /// crashed state — not `crash` either: a process crashes once.
     pub fn with_crash(mut self, crash_label: L) -> Automaton<L> {
         let crashed = StateId(self.n_states);
+        for s in 0..self.n_states {
+            self.insert(StateId(s), crash_label.clone(), crashed);
+        }
         self.n_states += 1;
         self.inputs.insert(crash_label.clone());
-        for s in 0..self.n_states {
-            self.trans
-                .insert((StateId(s), crash_label.clone(), crashed));
-        }
         self.crashes.insert(crash_label);
         self
     }
 
-    /// Reachable states (for sanity checks and size reports).
+    /// Reachable states (for sanity checks and size reports): a
+    /// breadth-first walk of the rows.
     pub fn reachable(&self) -> BTreeSet<StateId> {
         let mut seen: BTreeSet<StateId> = self.init.clone();
         let mut queue: VecDeque<StateId> = seen.iter().copied().collect();
-        // Group transitions by source for speed.
-        let mut by_src: BTreeMap<StateId, Vec<StateId>> = BTreeMap::new();
-        for (s, _, t) in &self.trans {
-            by_src.entry(*s).or_default().push(*t);
-        }
         while let Some(s) = queue.pop_front() {
-            for &t in by_src.get(&s).into_iter().flatten() {
+            for &t in self.row(s).into_iter().flat_map(Row::values).flatten() {
                 if seen.insert(t) {
                     queue.push_back(t);
                 }
@@ -476,16 +509,10 @@ where
         if exec.actions.len() >= self.depth {
             return;
         }
-        let s = exec.last_state();
-        let enabled = self.automaton.enabled(s);
-        ctx.reserve(enabled.len());
-        for a in enabled {
-            for t in self.automaton.successors(s, &a) {
-                let mut extended = exec.clone();
-                extended.states.push(t);
-                extended.actions.push(a.clone());
-                ctx.push(extended);
-            }
+        let row = self.automaton.row(exec.last_state());
+        ctx.reserve(row.map_or(0, Row::len));
+        for extended in self.automaton.extensions(exec) {
+            ctx.push(extended);
         }
     }
 }
@@ -499,21 +526,17 @@ where
     /// by the shared kernel — so bounded-memory spilling
     /// (`Checker::with_mem_budget`, any [`slx_engine::SpillCodec`]
     /// including replay) and the parallel BFS backend apply to automata
-    /// enumeration too.
+    /// enumeration too. Both take the same step, a walk of the last
+    /// state's row, so a run costs its clones, digests and visited
+    /// inserts: what the kernel does, not what the automaton is.
     pub fn executions_on(&self, checker: &Checker, depth: usize) -> Vec<Execution<L>> {
         let space = ExecutionSpace {
             automaton: self,
             depth,
         };
-        let initial: Vec<Execution<L>> = self
-            .init
-            .iter()
-            .map(|&s| Execution {
-                states: vec![s],
-                actions: vec![],
-            })
-            .collect();
-        checker.run(&space, initial).findings
+        checker
+            .run(&space, self.initial_executions().collect())
+            .findings
     }
 }
 
@@ -596,6 +619,21 @@ mod tests {
         for s in 0..3 {
             assert!(a.enabled(StateId(s)).contains("crash"));
         }
+    }
+
+    #[test]
+    fn nothing_is_enabled_at_the_crashed_state() {
+        let a = channel().with_crash("crash");
+        assert!(a.enabled(StateId(3)).is_empty());
+        assert!(a.successors(StateId(3), &"crash").is_empty());
+        // So no history crashes twice.
+        for h in a.histories(4) {
+            let crashes = h.iter().filter(|&&l| l == "crash").count();
+            assert!(crashes <= 1, "{h:?} crashes {crashes} times");
+        }
+        assert!(a
+            .histories(4)
+            .contains(&vec!["send", "deliver", "send", "crash"]));
     }
 
     #[test]

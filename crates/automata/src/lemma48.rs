@@ -75,20 +75,21 @@ impl<L: Clone + Ord + std::fmt::Debug> BoundedLiveness<L> {
 ///
 /// The "every property" quantification is over all subsets of the bounded
 /// universe, which is exponential; callers keep the universe tiny (the
-/// tests use ≤ 12 histories). For larger universes the second direction is
-/// checked on `samples` random subsets instead of all of them when
-/// `exhaustive` is false.
+/// tests use ≤ 12 histories; more than 16 outside `lmax` panics).
+/// `fair(A_I)` is enumerated once, whatever the number of candidates.
 pub fn lemma_4_8_holds<L: Clone + Ord + std::fmt::Debug>(
     a: &Automaton<L>,
     lmax: &BoundedLiveness<L>,
     universe: &[Vec<L>],
     depth: usize,
 ) -> (bool, BoundedLiveness<L>) {
+    // "Ensured by I" below is inclusion of this set: what `ensured_by`
+    // computes, without enumerating again.
     let fair = BoundedLiveness::new(a.fair_histories(depth));
     let strongest = lmax.union(&fair);
 
     // Direction 1: I ensures Lmax ∪ fair(A_I).
-    if !strongest.ensured_by(a, depth) {
+    if !fair.is_stronger_or_equal(&strongest) {
         return (false, strongest);
     }
 
@@ -110,7 +111,7 @@ pub fn lemma_4_8_holds<L: Clone + Ord + std::fmt::Debug>(
             }
         }
         let candidate = BoundedLiveness { histories };
-        if candidate.ensured_by(a, depth) && !strongest.is_stronger_or_equal(&candidate) {
+        if fair.is_stronger_or_equal(&candidate) && !strongest.is_stronger_or_equal(&candidate) {
             return (false, strongest);
         }
     }
@@ -156,6 +157,24 @@ mod tests {
         let pending_history = vec![Action::invoke(p(0), propose(1))];
         assert!(strongest.contains(&pending_history));
         assert!(!lmax.contains(&pending_history));
+    }
+
+    #[test]
+    fn lemma_4_8_enumerates_fair_histories_once() {
+        use crate::automaton::EXECUTIONS_CALLS;
+        let it = trivial_it(1, &[propose(1)], &[Response::Decided(Value::new(1))]);
+        let depth = 2;
+        let universe: Vec<Vec<Action>> = it.histories(depth).into_iter().collect();
+        // Lmax = {ε}: every other history of the universe is an extra, so
+        // direction 2 walks 2^(|universe| - 1) candidates.
+        let lmax = BoundedLiveness::new([vec![]]);
+        assert!(universe.len() > 2);
+        let before = EXECUTIONS_CALLS.with(std::cell::Cell::get);
+        let (holds, strongest) = lemma_4_8_holds(&it, &lmax, &universe, depth);
+        let calls = EXECUTIONS_CALLS.with(std::cell::Cell::get) - before;
+        assert_eq!(calls, 1, "fair(A_I) enumerated {calls} times");
+        assert!(holds);
+        assert!(strongest.ensured_by(&it, depth));
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! fairness criterion of Section 3.2, input-enabledness, and crash
 //! augmentation.
 //!
+//! An [`Automaton`] keeps `trans` as the table the model walks — source
+//! state → action → target states — so "what can happen at `s`"
+//! (`enabled`, `successors`, one step of `executions` / `executions_on`,
+//! `reachable`, `compose`) reads one row and costs what that state's
+//! out-degree is, not what the whole relation is. Iterating the table is
+//! iterating the relation in `(from, action, to)` order, which is the
+//! order every enumeration reports in.
+//!
 //! It exists because two of the paper's proofs are *constructions of
 //! automata*, not algorithms:
 //!

@@ -4,19 +4,9 @@
 //!
 //! Run with: `cargo run --release -p slx-bench --bin fig_ablation [events]`
 
-use slx_bench::{aborts, agp_system, commits, contended_scheduler, gv_system, lock_system};
+use slx_bench::{aborts, commits, contended_scheduler};
 use slx_core::history::ProcessId;
-use slx_core::memory::{Memory, System};
-use slx_core::tm::{AgpTmDc, TmWord};
-
-fn agp_dc_system(n: usize) -> System<TmWord, AgpTmDc> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTmDc::alloc(&mut mem, n, 1);
-    let procs = (0..n)
-        .map(|i| AgpTmDc::new(c, r.clone(), ProcessId::new(i), 1))
-        .collect();
-    System::new(mem, procs)
-}
+use slx_core::tm::{AgpTm, AgpTmDc, GlobalVersionTm, LockTm};
 
 fn main() {
     let events: u64 = std::env::args()
@@ -31,7 +21,7 @@ fn main() {
     );
     for n in [1usize, 2, 3, 4, 8] {
         // GlobalVersionTm (timestamp rule off).
-        let mut sys = gv_system(n);
+        let mut sys = GlobalVersionTm::system(n, 1);
         let mut sched = contended_scheduler(n, 11);
         sys.run(&mut sched, events);
         println!(
@@ -44,7 +34,7 @@ fn main() {
         );
 
         // AgpTm (rule on, snapshot object).
-        let mut sys = agp_system(n);
+        let mut sys = AgpTm::system(n, 1);
         let mut sched = contended_scheduler(n, 11);
         sys.run(&mut sched, events);
         let ts_aborts: u64 = (0..n)
@@ -60,7 +50,7 @@ fn main() {
         );
 
         // AgpTmDc (rule on, double collect).
-        let mut sys = agp_dc_system(n);
+        let mut sys = AgpTmDc::system(n, 1);
         let mut sched = contended_scheduler(n, 11);
         sys.run(&mut sched, events);
         let scan_reads: u64 = (0..n)
@@ -76,7 +66,7 @@ fn main() {
         );
 
         // LockTm baseline.
-        let mut sys = lock_system(n);
+        let mut sys = LockTm::system(n, 1);
         let mut sched = contended_scheduler(n, 11);
         sys.run(&mut sched, events);
         println!(

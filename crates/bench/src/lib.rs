@@ -10,35 +10,8 @@
 
 #![warn(missing_docs)]
 
-use slx_core::history::{ProcessId, VarId};
-use slx_core::memory::{FairRandom, Memory, RepeatTxn, System, WorkloadScheduler};
-use slx_core::tm::{AgpTm, GlobalVersionTm, LockTm, TmWord};
-
-/// Builds an `AgpTm` system of `n` processes over one variable.
-pub fn agp_system(n: usize) -> System<TmWord, AgpTm> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTm::alloc(&mut mem, n, 1);
-    let procs = (0..n)
-        .map(|i| AgpTm::new(c, r, ProcessId::new(i), n, 1))
-        .collect();
-    System::new(mem, procs)
-}
-
-/// Builds a `GlobalVersionTm` system of `n` processes over one variable.
-pub fn gv_system(n: usize) -> System<TmWord, GlobalVersionTm> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs = (0..n).map(|_| GlobalVersionTm::new(c, 1)).collect();
-    System::new(mem, procs)
-}
-
-/// Builds a `LockTm` system of `n` processes over one variable.
-pub fn lock_system(n: usize) -> System<TmWord, LockTm> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (lock, store) = LockTm::alloc(&mut mem, 1);
-    let procs = (0..n).map(|_| LockTm::new(lock, store, 1)).collect();
-    System::new(mem, procs)
-}
+use slx_core::history::VarId;
+use slx_core::memory::{FairRandom, RepeatTxn, WorkloadScheduler};
 
 /// The standard contended workload scheduler: every process repeatedly
 /// runs `start; read x1; write x1; tryC`, retrying on abort.
@@ -67,12 +40,10 @@ mod tests {
 
     #[test]
     fn helpers_build_running_systems() {
-        let mut sys = gv_system(2);
+        let mut sys = slx_core::tm::GlobalVersionTm::system(2, 1);
         let mut sched = contended_scheduler(2, 1);
         sys.run(&mut sched, 500);
         assert!(commits(sys.history()) > 0);
         let _ = aborts(sys.history());
-        let _ = agp_system(2);
-        let _ = lock_system(2);
     }
 }

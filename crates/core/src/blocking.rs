@@ -10,9 +10,7 @@
 
 use slx_history::{Operation, ProcessId, Value, VarId};
 use slx_liveness::{ExecutionView, LivenessProperty, LkFreedom, ProgressKind};
-use slx_memory::{
-    Decision, Event, FairRandom, Memory, Process, RepeatTxn, System, WorkloadScheduler,
-};
+use slx_memory::{Decision, Event, FairRandom, Process, RepeatTxn, System, WorkloadScheduler};
 use slx_safety::{Opacity, SafetyProperty};
 use slx_tm::{GlobalVersionTm, LockTm, TmWord};
 
@@ -84,10 +82,7 @@ fn commits<P: Process<TmWord>>(sys: &System<TmWord, P>) -> u64 {
 /// closed-loop workload alone.
 pub fn blocking_demo(events: u64) -> BlockingDemo {
     // --- Lock TM: crash the lock holder. ---
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (lock, store) = LockTm::alloc(&mut mem, 1);
-    let procs = (0..2).map(|_| LockTm::new(lock, store, 1)).collect();
-    let mut sys: System<TmWord, LockTm> = System::new(mem, procs);
+    let mut sys = LockTm::system(2, 1);
     let log = crash_then_run_survivor(&mut sys, events);
     let lock_commits = commits(&sys);
     let lock_opaque = Opacity::new(Value::new(0)).allows(sys.history());
@@ -95,10 +90,7 @@ pub fn blocking_demo(events: u64) -> BlockingDemo {
     let lock_violates_11 = !LkFreedom::new(1, 1).satisfied(&view);
 
     // --- Lock-free TM: same crash pattern. ---
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
-    let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+    let mut sys = GlobalVersionTm::system(2, 1);
     let log = crash_then_run_survivor(&mut sys, events);
     let free_commits = commits(&sys);
     let view = ExecutionView::second_half(&log, 2, ProgressKind::CommitOnly);

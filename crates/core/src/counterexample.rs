@@ -4,9 +4,9 @@
 use slx_adversary::{TmStarvation, TripleRoundAdversary};
 use slx_history::{ProcessId, TransactionStatus, TxnView, Value, VarId};
 use slx_liveness::LkFreedom;
-use slx_memory::{FairRandom, Memory, RepeatTxn, System, WorkloadScheduler};
+use slx_memory::{FairRandom, RepeatTxn, WorkloadScheduler};
 use slx_safety::PropertyS;
-use slx_tm::{AgpTm, TmWord};
+use slx_tm::AgpTm;
 
 /// Outcome of the Section 5.3 experiment.
 #[derive(Debug, Clone)]
@@ -51,15 +51,6 @@ impl CounterexampleReport {
     }
 }
 
-fn agp_system(n: usize) -> System<TmWord, AgpTm> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTm::alloc(&mut mem, n, 1);
-    let procs = (0..n)
-        .map(|i| AgpTm::new(c, r, ProcessId::new(i), n, 1))
-        .collect();
-    System::new(mem, procs)
-}
-
 /// Runs the three legs of the Section 5.3 experiment against Algorithm
 /// I(1,2):
 ///
@@ -72,20 +63,20 @@ fn agp_system(n: usize) -> System<TmWord, AgpTm> {
 ///    ((1,2)-freedom holds) while property `S` is preserved (Lemma 5.4).
 pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
     // Leg 1: (1,3) excluded.
-    let mut sys = agp_system(3);
+    let mut sys = AgpTm::system(3, 1);
     let mut triple =
         TripleRoundAdversary::new([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
     sys.run(&mut triple, events);
     let mut s_holds = PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
 
     // Leg 2: (2,2) excluded.
-    let mut sys = agp_system(3);
+    let mut sys = AgpTm::system(3, 1);
     let mut starve = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
     sys.run(&mut starve, events);
     s_holds &= PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
 
     // Leg 3: (1,2) implementable.
-    let mut sys = agp_system(3);
+    let mut sys = AgpTm::system(3, 1);
     let workload = RepeatTxn::new(3, vec![VarId::new(0)], vec![VarId::new(0)], None);
     let mut sched = WorkloadScheduler::new(
         3,

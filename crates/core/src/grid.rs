@@ -7,9 +7,8 @@ use slx_consensus::ObstructionFreeConsensus;
 use slx_explorer::{explore_safety, history_digest, verify_solo_progress};
 use slx_history::{ProcessId, Value, VarId};
 use slx_liveness::LkFreedom;
-use slx_memory::{Memory, System};
 use slx_safety::ConsensusSafety;
-use slx_tm::{GlobalVersionTm, TmWord};
+use slx_tm::GlobalVersionTm;
 
 /// Classification of one (l,k) point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,10 +273,7 @@ pub fn tm_grid(n: usize) -> Grid {
 /// [`tm_grid`] with explicit tuning.
 pub fn tm_grid_with(n: usize, cfg: GridConfig) -> Grid {
     // White anchor: lock-freedom of GlobalVersionTm under full contention.
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs: Vec<GlobalVersionTm> = (0..n.max(2)).map(|_| GlobalVersionTm::new(c, 1)).collect();
-    let mut sys = System::new(mem, procs);
+    let mut sys = GlobalVersionTm::system(n.max(2), 1);
     let workload =
         slx_memory::RepeatTxn::new(n.max(2), vec![VarId::new(0)], vec![VarId::new(0)], None);
     let mut sched =
@@ -298,10 +294,7 @@ pub fn tm_grid_with(n: usize, cfg: GridConfig) -> Grid {
     );
 
     // Black anchor: §4.1 starvation strategy on two processes.
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs: Vec<GlobalVersionTm> = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
-    let mut sys = System::new(mem, procs);
+    let mut sys = GlobalVersionTm::system(2, 1);
     let mut adv = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
     sys.run(&mut adv, cfg.tm_adversary_events);
     let black_ok = !adv.lost() && adv.rounds() >= 2;

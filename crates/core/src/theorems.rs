@@ -2,8 +2,7 @@
 
 use slx_adversary::{consensus_f1, consensus_f2, gmax_of, TmStarvation};
 use slx_history::{History, HistorySet, ProcessId, Value, VarId};
-use slx_memory::{Memory, System};
-use slx_tm::{AgpTm, GlobalVersionTm, TmWord};
+use slx_tm::{AgpTm, GlobalVersionTm};
 
 /// Outcome of a `Gmax = ∅` demonstration.
 #[derive(Debug, Clone)]
@@ -54,10 +53,7 @@ pub fn tm_gmax_demo(events_per_run: u64) -> GmaxDemo {
         let mut out = Vec::new();
         // Implementation 1: GlobalVersionTm.
         {
-            let mut mem: Memory<TmWord> = Memory::new();
-            let c = GlobalVersionTm::alloc(&mut mem, 1);
-            let procs = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
-            let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+            let mut sys = GlobalVersionTm::system(2, 1);
             let mut adv = TmStarvation::new(
                 ProcessId::new(victim),
                 ProcessId::new(committer),
@@ -69,12 +65,7 @@ pub fn tm_gmax_demo(events_per_run: u64) -> GmaxDemo {
         // Implementation 2: AgpTm (with 2 processes the timestamp rule is
         // inert, so the same strategy starves the victim).
         {
-            let mut mem: Memory<TmWord> = Memory::new();
-            let (c, r) = AgpTm::alloc(&mut mem, 2, 1);
-            let procs = (0..2)
-                .map(|i| AgpTm::new(c, r, ProcessId::new(i), 2, 1))
-                .collect();
-            let mut sys: System<TmWord, AgpTm> = System::new(mem, procs);
+            let mut sys = AgpTm::system(2, 1);
             let mut adv = TmStarvation::new(
                 ProcessId::new(victim),
                 ProcessId::new(committer),

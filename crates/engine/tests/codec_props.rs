@@ -233,10 +233,7 @@ fn tm_states_round_trip() {
     let (mut gv_seen, mut agp_seen) = (Vec::new(), Vec::new());
     for case in 0..12 {
         // Global-version TM.
-        let mut mem: Memory<TmWord> = Memory::new();
-        let c = GlobalVersionTm::alloc(&mut mem, 1);
-        let procs = vec![GlobalVersionTm::new(c, 1), GlobalVersionTm::new(c, 1)];
-        let mut sys = System::new(mem, procs);
+        let mut sys = GlobalVersionTm::system(2, 1);
         for _ in 0..12 {
             for i in 0..2 {
                 random_tm_invoke(&mut sys, p(i), &mut rng);
@@ -251,10 +248,7 @@ fn tm_states_round_trip() {
         }
 
         // AGP (Algorithm 1): adds the snapshot object and timestamps.
-        let mut mem: Memory<TmWord> = Memory::new();
-        let (c, r) = AgpTm::alloc(&mut mem, 2, 1);
-        let procs = vec![AgpTm::new(c, r, p(0), 2, 1), AgpTm::new(c, r, p(1), 2, 1)];
-        let mut sys = System::new(mem, procs);
+        let mut sys = AgpTm::system(2, 1);
         for _ in 0..8 {
             for i in 0..2 {
                 random_tm_invoke(&mut sys, p(i), &mut rng);

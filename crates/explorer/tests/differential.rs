@@ -66,10 +66,7 @@ const TINY_BUDGET: usize = 64;
 /// and both with a pending `tryC`: exploring the commit interleavings is
 /// the TM seed scenario.
 fn tm_scenario() -> System<TmWord, GlobalVersionTm> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs = vec![GlobalVersionTm::new(c, 1), GlobalVersionTm::new(c, 1)];
-    let mut sys = System::new(mem, procs);
+    let mut sys = GlobalVersionTm::system(2, 1);
     let x = VarId::new(0);
     for i in 0..2 {
         complete_op(&mut sys, p(i), Operation::TxStart);

@@ -63,10 +63,7 @@ fn complete_op(sys: &mut System<TmWord, AgpTm>, proc: ProcessId, op: Operation) 
 /// distinct history immediately: its symmetry lives in the lasso/shift
 /// detectors, not in safety exploration.)
 fn tm_scenario() -> System<TmWord, AgpTm> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTm::alloc(&mut mem, 2, 1);
-    let procs = (0..2).map(|i| AgpTm::new(c, r, p(i), 2, 1)).collect();
-    let mut sys = System::new(mem, procs);
+    let mut sys = AgpTm::system(2, 1);
     let x = VarId::new(0);
     for i in 0..2 {
         complete_op(&mut sys, p(i), Operation::TxStart);

@@ -215,13 +215,6 @@ fn consensus_canonical_digest_is_round_shift_invariant_across_laps() {
     }
 }
 
-fn gv_system(n: usize, nvars: usize) -> System<TmWord, GlobalVersionTm> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, nvars);
-    let procs = (0..n).map(|_| GlobalVersionTm::new(c, nvars)).collect();
-    System::new(mem, procs)
-}
-
 fn random_tm_op(rng: &mut Rng, nvars: usize) -> Operation {
     let x = VarId::new(rng.below(nvars as u64) as usize);
     match rng.below(4) {
@@ -262,7 +255,7 @@ fn global_version_canonical_digest_is_permutation_invariant() {
     for case in 0..150 {
         let n = 2 + rng.below(2) as usize;
         let nvars = 1 + rng.below(2) as usize;
-        let mut sys = gv_system(n, nvars);
+        let mut sys = GlobalVersionTm::system(n, nvars);
         let events = rng.below(40) as usize;
         random_tm_walk(&mut sys, &mut rng, n, nvars, events);
         let canonical = canonical_global_version_digest(&sys);
@@ -290,7 +283,7 @@ fn global_version_canonical_digest_is_version_shift_invariant() {
     let mut rng = Rng(0x5197_0bad);
     for case in 0..50 {
         let n = 2 + rng.below(2) as usize;
-        let mut seed = gv_system(n, 1);
+        let mut seed = GlobalVersionTm::system(n, 1);
         // A random *completed-transaction* prefix: laps must start from
         // idle processes so every lap runs the same code path.
         for _ in 0..rng.below(4) {
@@ -339,13 +332,6 @@ fn global_version_canonical_digest_is_version_shift_invariant() {
     }
 }
 
-fn agp_system(n: usize, nvars: usize) -> System<TmWord, AgpTm> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTm::alloc(&mut mem, n, nvars);
-    let procs = (0..n).map(|i| AgpTm::new(c, r, p(i), n, nvars)).collect();
-    System::new(mem, procs)
-}
-
 /// Algorithm I(1,2) keeps a per-process announce slot, but every shared
 /// read of it is an order-insensitive aggregate (an atomic snapshot
 /// reduced to a count), so the canonical digest must be
@@ -356,7 +342,7 @@ fn agp_canonical_digest_is_permutation_invariant() {
     for case in 0..150 {
         let n = 2 + rng.below(2) as usize;
         let nvars = 1 + rng.below(2) as usize;
-        let mut sys = agp_system(n, nvars);
+        let mut sys = AgpTm::system(n, nvars);
         let events = rng.below(40) as usize;
         random_tm_walk(&mut sys, &mut rng, n, nvars, events);
         let canonical = canonical_agp_digest(&sys);

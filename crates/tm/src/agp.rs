@@ -2,7 +2,7 @@
 
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
 use slx_history::{Operation, ProcessId, Response, Value};
-use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect};
+use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect, System};
 
 use crate::word::TmWord;
 
@@ -63,6 +63,17 @@ impl AgpTm {
         let c = mem.alloc_cas(TmWord::initial(nvars));
         let r = mem.alloc_snapshot(n, TmWord::Ts(0));
         (c, r)
+    }
+
+    /// A fresh system of `n` processes over `nvars` variables: `C` and
+    /// `R`, then the processes in index order.
+    pub fn system(n: usize, nvars: usize) -> System<TmWord, Self> {
+        let mut mem: Memory<TmWord> = Memory::new();
+        let (c, r) = Self::alloc(&mut mem, n, nvars);
+        let procs = (0..n)
+            .map(|i| Self::new(c, r, ProcessId::new(i), n, nvars))
+            .collect();
+        System::new(mem, procs)
     }
 
     /// Creates the algorithm instance of process `me` (of `n`), over
@@ -405,11 +416,17 @@ mod tests {
         VarId::new(0)
     }
 
-    fn system(n: usize, nvars: usize) -> System<TmWord, AgpTm> {
+    #[test]
+    fn system_is_the_hand_built_system() {
+        // Allocation order feeds every digest, so the constructor must
+        // reproduce the spelled-out construction exactly.
         let mut mem: Memory<TmWord> = Memory::new();
-        let (c, r) = AgpTm::alloc(&mut mem, n, nvars);
-        let procs = (0..n).map(|i| AgpTm::new(c, r, p(i), n, nvars)).collect();
-        System::new(mem, procs)
+        let (c, r) = AgpTm::alloc(&mut mem, 3, 2);
+        let procs = (0..3).map(|i| AgpTm::new(c, r, p(i), 3, 2)).collect();
+        let hand_built = System::new(mem, procs);
+        let built = AgpTm::system(3, 2);
+        assert_eq!(built, hand_built);
+        assert_eq!(built.digest128(), hand_built.digest128());
     }
 
     /// Drives one whole transaction of `q` to completion, alone.
@@ -433,7 +450,7 @@ mod tests {
 
     #[test]
     fn solo_transaction_commits() {
-        let mut sys = system(2, 1);
+        let mut sys = AgpTm::system(2, 1);
         let rs = run_txn(
             &mut sys,
             p(0),
@@ -471,7 +488,7 @@ mod tests {
 
     #[test]
     fn conflicting_commit_aborts_by_cas() {
-        let mut sys = system(2, 1);
+        let mut sys = AgpTm::system(2, 1);
         // Both start (p2 first so p1's CAS sees the same version).
         for q in [p(0), p(1)] {
             sys.invoke(q, Operation::TxStart).unwrap();
@@ -500,7 +517,7 @@ mod tests {
         // The §5.3 scenario: three processes start their first transactions,
         // all see each other's timestamps, all tryC — the timestamp rule
         // must abort all three.
-        let mut sys = system(3, 1);
+        let mut sys = AgpTm::system(3, 1);
         for i in 0..3 {
             sys.invoke(p(i), Operation::TxStart).unwrap();
         }
@@ -534,7 +551,7 @@ mod tests {
         // races — and a failed CAS means the other process committed.
         let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], None);
         let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(11));
-        let mut sys = system(2, 1);
+        let mut sys = AgpTm::system(2, 1);
         sys.run(&mut sched, 4000);
         for i in 0..2 {
             assert_eq!(sys.process(p(i)).unwrap().ts_aborts(), 0);
@@ -555,7 +572,7 @@ mod tests {
         for seed in 0..10 {
             let workload = RepeatTxn::new(3, vec![x0()], vec![x0()], None);
             let mut sched = WorkloadScheduler::new(3, workload, FairRandom::new(seed));
-            let mut sys = system(3, 1);
+            let mut sys = AgpTm::system(3, 1);
             sys.run(&mut sched, 600);
             let h: &History = sys.history();
             assert!(
@@ -571,7 +588,7 @@ mod tests {
         for seed in 0..5 {
             let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], None);
             let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(seed));
-            let mut sys = system(2, 1);
+            let mut sys = AgpTm::system(2, 1);
             sys.run(&mut sched, 120);
             assert!(
                 Opacity::new(v(0)).allows(sys.history()),
@@ -585,7 +602,7 @@ mod tests {
     fn lockstep_two_processes_make_progress() {
         let workload = RepeatTxn::new(2, vec![], vec![x0()], Some(3));
         let mut sched = WorkloadScheduler::new(2, workload, RoundRobin::new());
-        let mut sys = system(2, 1);
+        let mut sys = AgpTm::system(2, 1);
         sys.run(&mut sched, 10_000);
         let view = TxnView::parse(sys.history());
         let commits = view
@@ -601,7 +618,7 @@ mod tests {
 
     #[test]
     fn timestamps_strictly_increase_across_transactions() {
-        let mut sys = system(2, 1);
+        let mut sys = AgpTm::system(2, 1);
         run_txn(&mut sys, p(0), &[Operation::TxStart, Operation::TxCommit]);
         run_txn(&mut sys, p(0), &[Operation::TxStart, Operation::TxCommit]);
         assert_eq!(sys.process(p(0)).unwrap().timestamp, 2);
@@ -610,7 +627,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "TM operations")]
     fn non_tm_operation_rejected() {
-        let mut sys = system(1, 1);
+        let mut sys = AgpTm::system(1, 1);
         let _ = sys.invoke(p(0), Operation::Propose(v(1)));
     }
 }

@@ -17,6 +17,7 @@
 use slx_history::{Operation, ProcessId, Response, Value};
 use slx_memory::{
     DoubleCollect, DoubleCollectResult, Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect,
+    System,
 };
 
 use crate::word::TmWord;
@@ -72,6 +73,17 @@ impl AgpTmDc {
             pc: Pc::Idle,
             scan_reads: 0,
         }
+    }
+
+    /// A fresh system of `n` processes over `nvars` variables: `C` and the
+    /// `n` timestamp registers, then the processes in index order.
+    pub fn system(n: usize, nvars: usize) -> System<TmWord, Self> {
+        let mut mem: Memory<TmWord> = Memory::new();
+        let (c, r) = Self::alloc(&mut mem, n, nvars);
+        let procs = (0..n)
+            .map(|i| Self::new(c, r.clone(), ProcessId::new(i), nvars))
+            .collect();
+        System::new(mem, procs)
     }
 
     /// Register reads spent in scans so far.
@@ -194,13 +206,19 @@ mod tests {
         VarId::new(0)
     }
 
-    fn system(n: usize) -> System<TmWord, AgpTmDc> {
+    #[test]
+    fn system_is_the_hand_built_system() {
+        // Allocation order feeds every digest, so the constructor must
+        // reproduce the spelled-out construction exactly.
         let mut mem: Memory<TmWord> = Memory::new();
-        let (c, r) = AgpTmDc::alloc(&mut mem, n, 1);
-        let procs = (0..n)
-            .map(|i| AgpTmDc::new(c, r.clone(), p(i), 1))
+        let (c, r) = AgpTmDc::alloc(&mut mem, 3, 2);
+        let procs = (0..3)
+            .map(|i| AgpTmDc::new(c, r.clone(), p(i), 2))
             .collect();
-        System::new(mem, procs)
+        let hand_built = System::new(mem, procs);
+        let built = AgpTmDc::system(3, 2);
+        assert_eq!(built, hand_built);
+        assert_eq!(built.digest128(), hand_built.digest128());
     }
 
     fn run_txn(
@@ -227,7 +245,7 @@ mod tests {
 
     #[test]
     fn solo_transaction_commits() {
-        let mut sys = system(2);
+        let mut sys = AgpTmDc::system(2, 1);
         let rs = run_txn(
             &mut sys,
             p(0),
@@ -243,7 +261,7 @@ mod tests {
 
     #[test]
     fn three_synchronized_transactions_all_abort() {
-        let mut sys = system(3);
+        let mut sys = AgpTmDc::system(3, 1);
         for i in 0..3 {
             sys.invoke(p(i), Operation::TxStart).unwrap();
         }
@@ -277,7 +295,7 @@ mod tests {
         for seed in 0..8 {
             let workload = RepeatTxn::new(3, vec![x0()], vec![x0()], None);
             let mut sched = WorkloadScheduler::new(3, workload, FairRandom::new(seed));
-            let mut sys = system(3);
+            let mut sys = AgpTmDc::system(3, 1);
             sys.run(&mut sched, 800);
             assert!(
                 certify_unique_writes(sys.history(), v(0)),
@@ -295,7 +313,7 @@ mod tests {
         for seed in 0..3 {
             let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], None);
             let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(seed));
-            let mut sys = system(2);
+            let mut sys = AgpTmDc::system(2, 1);
             sys.run(&mut sched, 120);
             assert!(Opacity::new(v(0)).allows(sys.history()), "seed {seed}");
         }
@@ -305,7 +323,7 @@ mod tests {
     fn two_steppers_keep_committing() {
         let workload = RepeatTxn::new(2, vec![], vec![x0()], None);
         let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(5));
-        let mut sys = system(2);
+        let mut sys = AgpTmDc::system(2, 1);
         sys.run(&mut sched, 3000);
         let view = TxnView::parse(sys.history());
         for i in 0..2 {
@@ -320,7 +338,7 @@ mod tests {
 
     #[test]
     fn interfering_start_forces_recollect() {
-        let mut sys = system(2);
+        let mut sys = AgpTmDc::system(2, 1);
         // p1 starts and begins a commit scan.
         run_txn(&mut sys, p(0), &[Operation::TxStart]);
         sys.invoke(p(0), Operation::TxCommit).unwrap();

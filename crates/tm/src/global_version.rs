@@ -3,7 +3,7 @@
 
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
 use slx_history::{Operation, Response, Value};
-use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect};
+use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect, System};
 
 use crate::word::TmWord;
 
@@ -63,6 +63,15 @@ impl GlobalVersionTm {
             commits: 0,
             aborts: 0,
         }
+    }
+
+    /// A fresh system of `n` processes over `nvars` variables: `C`, then
+    /// the processes in index order.
+    pub fn system(n: usize, nvars: usize) -> System<TmWord, Self> {
+        let mut mem: Memory<TmWord> = Memory::new();
+        let c = Self::alloc(&mut mem, nvars);
+        let procs = (0..n).map(|_| Self::new(c, nvars)).collect();
+        System::new(mem, procs)
     }
 
     /// Committed transactions of this process.
@@ -306,11 +315,17 @@ mod tests {
         VarId::new(0)
     }
 
-    fn system(n: usize) -> System<TmWord, GlobalVersionTm> {
+    #[test]
+    fn system_is_the_hand_built_system() {
+        // Allocation order feeds every digest, so the constructor must
+        // reproduce the spelled-out construction exactly.
         let mut mem: Memory<TmWord> = Memory::new();
-        let c = GlobalVersionTm::alloc(&mut mem, 1);
-        let procs = (0..n).map(|_| GlobalVersionTm::new(c, 1)).collect();
-        System::new(mem, procs)
+        let c = GlobalVersionTm::alloc(&mut mem, 2);
+        let procs = (0..3).map(|_| GlobalVersionTm::new(c, 2)).collect();
+        let hand_built = System::new(mem, procs);
+        let built = GlobalVersionTm::system(3, 2);
+        assert_eq!(built, hand_built);
+        assert_eq!(built.digest128(), hand_built.digest128());
     }
 
     #[test]
@@ -321,7 +336,7 @@ mod tests {
         for n in [2, 3, 5] {
             let workload = RepeatTxn::new(n, vec![x0()], vec![x0()], None);
             let mut sched = WorkloadScheduler::new(n, workload, FairRandom::new(99));
-            let mut sys = system(n);
+            let mut sys = GlobalVersionTm::system(n, 1);
             sys.run(&mut sched, 3000);
             let view = TxnView::parse(sys.history());
             let commits = view
@@ -346,7 +361,7 @@ mod tests {
         for seed in 0..10 {
             let workload = RepeatTxn::new(3, vec![x0()], vec![x0()], None);
             let mut sched = WorkloadScheduler::new(3, workload, FairRandom::new(seed));
-            let mut sys = system(3);
+            let mut sys = GlobalVersionTm::system(3, 1);
             sys.run(&mut sched, 800);
             assert!(
                 certify_unique_writes(sys.history(), v(0)),
@@ -358,7 +373,7 @@ mod tests {
         for seed in 0..5 {
             let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], None);
             let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(seed));
-            let mut sys = system(2);
+            let mut sys = GlobalVersionTm::system(2, 1);
             sys.run(&mut sched, 120);
             assert!(Opacity::new(v(0)).allows(sys.history()), "seed {seed}");
         }
@@ -366,7 +381,7 @@ mod tests {
 
     #[test]
     fn failed_cas_implies_version_advanced() {
-        let mut sys = system(2);
+        let mut sys = GlobalVersionTm::system(2, 1);
         // Both start at version 1.
         for q in [p(0), p(1)] {
             sys.invoke(q, Operation::TxStart).unwrap();
@@ -396,7 +411,7 @@ mod tests {
         // A read-only transaction writes nothing, but its CAS still
         // validates the version — this TM aborts read-only transactions on
         // interference (conservative but opaque).
-        let mut sys = system(2);
+        let mut sys = GlobalVersionTm::system(2, 1);
         sys.invoke(p(0), Operation::TxStart).unwrap();
         sys.step(p(0)).unwrap();
         // p2 commits a change in between.

@@ -1,7 +1,7 @@
 //! A blocking (global-lock) TM baseline.
 
 use slx_history::{Operation, Response, Value};
-use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect};
+use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect, System};
 
 use crate::word::TmWord;
 
@@ -59,6 +59,15 @@ impl LockTm {
             spins: 0,
             holds_lock: false,
         }
+    }
+
+    /// A fresh system of `n` processes over `nvars` variables: the lock
+    /// and the store, then the processes in index order.
+    pub fn system(n: usize, nvars: usize) -> System<TmWord, Self> {
+        let mut mem: Memory<TmWord> = Memory::new();
+        let (lock, store) = Self::alloc(&mut mem, nvars);
+        let procs = (0..n).map(|_| Self::new(lock, store, nvars)).collect();
+        System::new(mem, procs)
     }
 
     /// Lock acquisition attempts so far.
@@ -164,18 +173,24 @@ mod tests {
         VarId::new(0)
     }
 
-    fn system(n: usize) -> System<TmWord, LockTm> {
+    #[test]
+    fn system_is_the_hand_built_system() {
+        // Allocation order feeds every digest, so the constructor must
+        // reproduce the spelled-out construction exactly.
         let mut mem: Memory<TmWord> = Memory::new();
-        let (lock, store) = LockTm::alloc(&mut mem, 1);
-        let procs = (0..n).map(|_| LockTm::new(lock, store, 1)).collect();
-        System::new(mem, procs)
+        let (lock, store) = LockTm::alloc(&mut mem, 2);
+        let procs = (0..3).map(|_| LockTm::new(lock, store, 2)).collect();
+        let hand_built = System::new(mem, procs);
+        let built = LockTm::system(3, 2);
+        assert_eq!(built, hand_built);
+        assert_eq!(built.digest128(), hand_built.digest128());
     }
 
     #[test]
     fn transactions_never_abort_without_crashes() {
         let workload = RepeatTxn::new(3, vec![x0()], vec![x0()], Some(5));
         let mut sched = WorkloadScheduler::new(3, workload, FairRandom::new(5));
-        let mut sys = system(3);
+        let mut sys = LockTm::system(3, 1);
         sys.run(&mut sched, 50_000);
         let view = TxnView::parse(sys.history());
         assert!(view
@@ -194,14 +209,14 @@ mod tests {
     fn serialized_runs_are_opaque() {
         let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], Some(2));
         let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(7));
-        let mut sys = system(2);
+        let mut sys = LockTm::system(2, 1);
         sys.run(&mut sched, 10_000);
         assert!(Opacity::new(v(0)).allows(sys.history()));
     }
 
     #[test]
     fn crashed_lock_holder_starves_everyone() {
-        let mut sys = system(2);
+        let mut sys = LockTm::system(2, 1);
         // p1 takes the lock...
         sys.invoke(p(0), Operation::TxStart).unwrap();
         sys.step(p(0)).unwrap(); // TAS succeeds
@@ -217,7 +232,7 @@ mod tests {
 
     #[test]
     fn commits_are_visible_to_next_transaction() {
-        let mut sys = system(1);
+        let mut sys = LockTm::system(1, 1);
         for op in [
             Operation::TxStart,
             Operation::TxWrite(x0(), v(42)),

@@ -236,7 +236,6 @@ pub fn permuted_agp(sys: &System<TmWord, AgpTm>, perm: &[usize]) -> System<TmWor
 mod tests {
     use super::*;
     use slx_history::{Operation, ProcessId, VarId};
-    use slx_memory::Memory;
 
     #[test]
     fn shift_word_rebases() {
@@ -260,9 +259,7 @@ mod tests {
     }
 
     fn gv_after_commits(commits: usize) -> System<TmWord, GlobalVersionTm> {
-        let mut mem: Memory<TmWord> = Memory::new();
-        let c = GlobalVersionTm::alloc(&mut mem, 1);
-        let mut sys = System::new(mem, vec![GlobalVersionTm::new(c, 1)]);
+        let mut sys = GlobalVersionTm::system(1, 1);
         let p0 = ProcessId::new(0);
         for k in 0..commits {
             for op in [
@@ -311,15 +308,6 @@ mod tests {
         );
     }
 
-    fn agp_system(n: usize) -> System<TmWord, AgpTm> {
-        let mut mem: Memory<TmWord> = Memory::new();
-        let (c, r) = AgpTm::alloc(&mut mem, n, 1);
-        let procs = (0..n)
-            .map(|i| AgpTm::new(c, r, ProcessId::new(i), n, 1))
-            .collect();
-        System::new(mem, procs)
-    }
-
     fn run_whole(sys: &mut System<TmWord, AgpTm>, p: ProcessId, op: Operation) {
         sys.invoke(p, op).unwrap();
         while !matches!(sys.step(p).unwrap(), slx_memory::StepEffect::Responded(_)) {}
@@ -330,7 +318,7 @@ mod tests {
         // One empty transaction per process advances every timestamp and
         // every R slot by one and bumps the committed version; the
         // canonical digest rebases all of it away.
-        let mut sys = agp_system(2);
+        let mut sys = AgpTm::system(2, 1);
         let d0 = canonical_agp_digest(&sys);
         for i in 0..2 {
             run_whole(&mut sys, ProcessId::new(i), Operation::TxStart);
@@ -345,7 +333,7 @@ mod tests {
         // timestamp and R slot advance), p1 starts one and parks before
         // commit. The permuted image is raw-distinct but canonically
         // equal.
-        let mut sys = agp_system(3);
+        let mut sys = AgpTm::system(3, 1);
         run_whole(&mut sys, ProcessId::new(0), Operation::TxStart);
         run_whole(
             &mut sys,
@@ -370,10 +358,7 @@ mod tests {
 
     #[test]
     fn canonical_global_version_digest_is_permutation_invariant() {
-        let mut mem: Memory<TmWord> = Memory::new();
-        let c = GlobalVersionTm::alloc(&mut mem, 1);
-        let procs = (0..3).map(|_| GlobalVersionTm::new(c, 1)).collect();
-        let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+        let mut sys = GlobalVersionTm::system(3, 1);
         let p0 = ProcessId::new(0);
         sys.invoke(p0, Operation::TxStart).unwrap();
         while !matches!(sys.step(p0).unwrap(), slx_memory::StepEffect::Responded(_)) {}

@@ -18,9 +18,8 @@ use safety_liveness_exclusion::counterexample::run_counterexample_s;
 use safety_liveness_exclusion::explorer::run_until_cycle_keyed;
 use safety_liveness_exclusion::history::{ProcessId, Value};
 use safety_liveness_exclusion::liveness::LkFreedom;
-use safety_liveness_exclusion::memory::{Memory, System};
 use safety_liveness_exclusion::tm::normalize::normalized_agp;
-use safety_liveness_exclusion::tm::{AgpTm, TmWord};
+use safety_liveness_exclusion::tm::AgpTm;
 
 fn main() {
     println!("=== Section 5.3: property S vs (l,k)-freedom ===\n");
@@ -63,12 +62,7 @@ fn main() {
 
     // Lasso proof for the (1,3) exclusion.
     println!("=== lasso for the (1,3) exclusion ===");
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTm::alloc(&mut mem, 3, 1);
-    let procs = (0..3)
-        .map(|i| AgpTm::new(c, r, ProcessId::new(i), 3, 1))
-        .collect();
-    let mut sys: System<TmWord, AgpTm> = System::new(mem, procs);
+    let mut sys = AgpTm::system(3, 1);
     let mut adv =
         TripleRoundAdversary::new([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
     let witness = run_until_cycle_keyed(&mut sys, &mut adv, 5000, |sys, adv| {

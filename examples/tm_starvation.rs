@@ -15,18 +15,11 @@ use safety_liveness_exclusion::history::{ProcessId, Response, Value, VarId};
 use safety_liveness_exclusion::liveness::{
     ExecutionView, LivenessProperty, LkFreedom, Lmax, ProgressKind,
 };
-use safety_liveness_exclusion::memory::{Event, Memory, System};
+use safety_liveness_exclusion::memory::Event;
 use safety_liveness_exclusion::safety::certify_unique_writes;
 use safety_liveness_exclusion::theorems::tm_gmax_demo;
 use safety_liveness_exclusion::tm::normalize::normalized_global_version;
 use safety_liveness_exclusion::tm::{GlobalVersionTm, TmWord};
-
-fn gv_system() -> System<TmWord, GlobalVersionTm> {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
-    System::new(mem, procs)
-}
 
 fn main() {
     let victim = ProcessId::new(0);
@@ -36,7 +29,7 @@ fn main() {
     // 1. The three-step strategy starves the victim.
     // ------------------------------------------------------------------
     println!("=== §4.1 starvation strategy vs lock-free opaque TM ===");
-    let mut sys = gv_system();
+    let mut sys = GlobalVersionTm::system(2, 1);
     let mut adv = TmStarvation::new(victim, committer, VarId::new(0));
     let mut log = Vec::new();
     sys.run_logged(&mut adv, 4000, &mut log);
@@ -57,7 +50,7 @@ fn main() {
     // 2. The lasso: proof the starvation is eternal.
     // ------------------------------------------------------------------
     println!("=== lasso (cycle modulo version shift) ===");
-    let mut sys = gv_system();
+    let mut sys = GlobalVersionTm::system(2, 1);
     let mut adv = TmStarvation::new(victim, committer, VarId::new(0));
     let witness = run_until_cycle_keyed(&mut sys, &mut adv, 5000, |sys, adv: &TmStarvation| {
         let dval = sys

@@ -11,7 +11,7 @@ use safety_liveness_exclusion::history::{Operation, ProcessId, Value, VarId};
 use safety_liveness_exclusion::memory::{
     Decision, Event, FairRandom, Memory, RoundRobin, Scheduler, System,
 };
-use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm, TmWord};
+use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -104,10 +104,7 @@ fn fair_random_log_is_the_old_in_system_log() {
 
 #[test]
 fn tm_starvation_log_is_the_old_in_system_log() {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
-    let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+    let mut sys = GlobalVersionTm::system(2, 1);
     let mut log = Vec::new();
     let mut adv = TmStarvation::new(p(0), p(1), VarId::new(0));
     let stats = sys.run_logged(&mut adv, 5000, &mut log);
@@ -126,10 +123,7 @@ fn tm_starvation_log_is_the_old_in_system_log() {
 
 #[test]
 fn triple_round_log_is_the_old_in_system_log() {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTm::alloc(&mut mem, 3, 1);
-    let procs = (0..3).map(|i| AgpTm::new(c, r, p(i), 3, 1)).collect();
-    let mut sys: System<TmWord, AgpTm> = System::new(mem, procs);
+    let mut sys = AgpTm::system(3, 1);
     let mut log = Vec::new();
     let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
     let stats = sys.run_logged(&mut adv, 3000, &mut log);

@@ -8,9 +8,8 @@
 
 use safety_liveness_exclusion::explorer::explore_safety;
 use safety_liveness_exclusion::history::{Operation, ProcessId, Value, VarId};
-use safety_liveness_exclusion::memory::{Memory, System};
 use safety_liveness_exclusion::safety::Opacity;
-use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm, TmWord};
+use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -34,10 +33,7 @@ fn digest(h: &safety_liveness_exclusion::history::History) -> u64 {
 /// committing.
 #[test]
 fn global_version_tm_opaque_under_all_commit_races() {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
-    let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+    let mut sys = GlobalVersionTm::system(2, 1);
     // Deterministic prefix: both start at version 1, write locally.
     for i in 0..2 {
         sys.invoke(p(i), Operation::TxStart).unwrap();
@@ -62,10 +58,7 @@ fn global_version_tm_opaque_under_all_commit_races() {
 fn agp_tm_opaque_under_all_start_and_commit_races() {
     // Both processes race the whole start (announce + read C) and commit
     // (scan + CAS) phases: 8 steps total, all interleavings explored.
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTm::alloc(&mut mem, 2, 1);
-    let procs = (0..2).map(|i| AgpTm::new(c, r, p(i), 2, 1)).collect();
-    let mut sys: System<TmWord, AgpTm> = System::new(mem, procs);
+    let mut sys = AgpTm::system(2, 1);
     for i in 0..2 {
         sys.invoke(p(i), Operation::TxStart).unwrap();
     }
@@ -81,10 +74,7 @@ fn agp_tm_opaque_under_all_start_and_commit_races() {
 
 #[test]
 fn agp_tm_commit_race_after_symmetric_start() {
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTm::alloc(&mut mem, 2, 1);
-    let procs = (0..2).map(|i| AgpTm::new(c, r, p(i), 2, 1)).collect();
-    let mut sys: System<TmWord, AgpTm> = System::new(mem, procs);
+    let mut sys = AgpTm::system(2, 1);
     // Symmetric start: both announce, then both read C.
     for i in 0..2 {
         sys.invoke(p(i), Operation::TxStart).unwrap();

@@ -10,7 +10,7 @@ use safety_liveness_exclusion::memory::{
 use safety_liveness_exclusion::safety::{
     certify_unique_writes, ConsensusSafety, KSetAgreementSafety, SafetyProperty,
 };
-use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm, TmWord};
+use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -83,10 +83,7 @@ fn tms_stay_safe_under_random_crashes() {
     let x = VarId::new(0);
     for seed in 0..10 {
         // GlobalVersionTm.
-        let mut mem: Memory<TmWord> = Memory::new();
-        let c = GlobalVersionTm::alloc(&mut mem, 1);
-        let procs = (0..3).map(|_| GlobalVersionTm::new(c, 1)).collect();
-        let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+        let mut sys = GlobalVersionTm::system(3, 1);
         let workload = RepeatTxn::new(3, vec![x], vec![x], None);
         let inner = WorkloadScheduler::new(3, workload, FairRandom::new(seed));
         let mut sched = RandomCrashes::new(inner, seed, 10, 1);
@@ -98,10 +95,7 @@ fn tms_stay_safe_under_random_crashes() {
         assert!(sys.history().is_well_formed(), "gv seed {seed}");
 
         // AgpTm.
-        let mut mem: Memory<TmWord> = Memory::new();
-        let (c, r) = AgpTm::alloc(&mut mem, 3, 1);
-        let procs = (0..3).map(|i| AgpTm::new(c, r, p(i), 3, 1)).collect();
-        let mut sys: System<TmWord, AgpTm> = System::new(mem, procs);
+        let mut sys = AgpTm::system(3, 1);
         let workload = RepeatTxn::new(3, vec![x], vec![x], None);
         let inner = WorkloadScheduler::new(3, workload, FairRandom::new(seed));
         let mut sched = RandomCrashes::new(inner, seed, 10, 1);
@@ -118,10 +112,7 @@ fn lock_free_tm_survivor_keeps_committing_after_crashes() {
     // Non-blocking in action: crash two of three processes mid-transaction;
     // the survivor still commits.
     let x = VarId::new(0);
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs = (0..3).map(|_| GlobalVersionTm::new(c, 1)).collect();
-    let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+    let mut sys = GlobalVersionTm::system(3, 1);
     // p1, p2 start transactions then crash.
     for i in 0..2 {
         sys.invoke(p(i), Operation::TxStart).unwrap();

@@ -13,7 +13,7 @@ use safety_liveness_exclusion::safety::{
     certify_unique_writes, ConsensusSafety, ConsensusSpec, KSetAgreementSafety, Linearizability,
     Opacity, PropertyS, SafetyProperty, StrictSerializability,
 };
-use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm, LockTm, TmWord};
+use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm, LockTm};
 
 fn consensus_history(seed: u64, n: usize) -> History {
     let inputs: Vec<i64> = (0..n as i64).map(|i| i * 10).collect();
@@ -64,10 +64,7 @@ fn opacity_implies_strict_serializability_on_tm_runs() {
     let opacity = Opacity::new(Value::new(0));
     let ssr = StrictSerializability::new(Value::new(0));
     for seed in 0..6 {
-        let mut mem: Memory<TmWord> = Memory::new();
-        let c = GlobalVersionTm::alloc(&mut mem, 1);
-        let procs = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
-        let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+        let mut sys = GlobalVersionTm::system(2, 1);
         let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], None);
         let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(seed));
         sys.run(&mut sched, 100);
@@ -87,10 +84,7 @@ fn certifier_sound_wrt_exhaustive_on_all_three_tms() {
     let opacity = Opacity::new(Value::new(0));
     for seed in 0..4 {
         // GlobalVersionTm.
-        let mut mem: Memory<TmWord> = Memory::new();
-        let c = GlobalVersionTm::alloc(&mut mem, 1);
-        let procs = (0..2).map(|_| GlobalVersionTm::new(c, 1)).collect();
-        let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+        let mut sys = GlobalVersionTm::system(2, 1);
         let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], None);
         let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(seed));
         sys.run(&mut sched, 90);
@@ -99,12 +93,7 @@ fn certifier_sound_wrt_exhaustive_on_all_three_tms() {
         }
 
         // AgpTm.
-        let mut mem: Memory<TmWord> = Memory::new();
-        let (c, r) = AgpTm::alloc(&mut mem, 2, 1);
-        let procs = (0..2)
-            .map(|i| AgpTm::new(c, r, ProcessId::new(i), 2, 1))
-            .collect();
-        let mut sys: System<TmWord, AgpTm> = System::new(mem, procs);
+        let mut sys = AgpTm::system(2, 1);
         let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], None);
         let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(seed));
         sys.run(&mut sched, 90);
@@ -113,10 +102,7 @@ fn certifier_sound_wrt_exhaustive_on_all_three_tms() {
         }
 
         // LockTm.
-        let mut mem: Memory<TmWord> = Memory::new();
-        let (lock, store) = LockTm::alloc(&mut mem, 1);
-        let procs = (0..2).map(|_| LockTm::new(lock, store, 1)).collect();
-        let mut sys: System<TmWord, LockTm> = System::new(mem, procs);
+        let mut sys = LockTm::system(2, 1);
         let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], None);
         let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(seed));
         sys.run(&mut sched, 90);
@@ -135,21 +121,13 @@ fn agp_satisfies_property_s_where_global_version_does_not() {
 
     let s = PropertyS::new(Value::new(0));
 
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (c, r) = AgpTm::alloc(&mut mem, 3, 1);
-    let procs = (0..3)
-        .map(|i| AgpTm::new(c, r, ProcessId::new(i), 3, 1))
-        .collect();
-    let mut sys: System<TmWord, AgpTm> = System::new(mem, procs);
+    let mut sys = AgpTm::system(3, 1);
     let mut adv =
         TripleRoundAdversary::new([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
     sys.run(&mut adv, 500);
     assert!(s.abort_rule_holds(sys.history()));
 
-    let mut mem: Memory<TmWord> = Memory::new();
-    let c = GlobalVersionTm::alloc(&mut mem, 1);
-    let procs = (0..3).map(|_| GlobalVersionTm::new(c, 1)).collect();
-    let mut sys: System<TmWord, GlobalVersionTm> = System::new(mem, procs);
+    let mut sys = GlobalVersionTm::system(3, 1);
     let mut adv =
         TripleRoundAdversary::new([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
     sys.run(&mut adv, 500);
@@ -159,10 +137,7 @@ fn agp_satisfies_property_s_where_global_version_does_not() {
 #[test]
 fn lock_tm_runs_are_opaque_but_blocking() {
     let opacity = Opacity::new(Value::new(0));
-    let mut mem: Memory<TmWord> = Memory::new();
-    let (lock, store) = LockTm::alloc(&mut mem, 1);
-    let procs = (0..2).map(|_| LockTm::new(lock, store, 1)).collect();
-    let mut sys: System<TmWord, LockTm> = System::new(mem, procs);
+    let mut sys = LockTm::system(2, 1);
 
     // Crash the holder; the other spins forever — yet every *history*
     // remains opaque (blocking is a liveness failure, not a safety one).
