@@ -119,10 +119,17 @@ impl ObstructionFreeConsensus {
     /// A fresh system of `inputs.len()` proposers over `max_rounds`
     /// pre-allocated rounds, process `i` pending on `Propose(inputs[i])`.
     ///
-    /// A round costs each process `2n + 2` steps, so depth-bounded
-    /// explorations want few rounds: never-touched `⊥` registers are a
-    /// memcpy for a resident clone but per-object work for the spill
-    /// codec.
+    /// A round costs each process `2n + 2` steps, so a depth-bounded
+    /// exploration never reaches most of a generous `max_rounds`. Rounds
+    /// it does not reach cost a configuration almost nothing: the memory
+    /// keeps its registers in 16-object chunks shared between a
+    /// configuration and its successors, so never-written `⊥` registers
+    /// are neither copied by a step nor compared by the delta spill
+    /// codec; a writing step copies one pointer pair per chunk of them.
+    /// What still grows with `max_rounds` is building the system, a
+    /// self-contained record (the first of each spill chunk and of a
+    /// checkpoint image: every object, written and read back one by one)
+    /// and the symmetry canonicalizer, which maps the whole pool.
     pub fn proposers(inputs: &[i64], max_rounds: usize) -> System<ConsWord, Self> {
         let n = inputs.len();
         let mut mem: Memory<ConsWord> = Memory::new();

@@ -470,19 +470,39 @@ impl<T: DeltaCodec + PartialEq + Clone> DeltaCodec for Vec<T> {
 /// memory object pools) delegates to. Decode with
 /// [`decode_slice_delta`].
 pub fn encode_slice_delta<T: DeltaCodec + PartialEq>(items: &[T], prev: &[T], out: &mut Vec<u8>) {
-    let len = u32::try_from(items.len()).expect("frontier states are far below 2^32 elements");
-    len.encode(out);
     let common = items.len().min(prev.len());
+    encode_slice_delta_runs(items.len(), [(0, items, prev)], &items[common..], out);
+}
+
+/// [`encode_slice_delta`] for a sequence of `len` elements that is not
+/// one slice: the framing is written here, the elements are fed in
+/// stretches. Each of `runs` is `(base, items, prev)` — the elements from
+/// index `base` on beside their counterparts in the predecessor, compared
+/// up to the shorter of the two — in ascending order of `base`; `tail` is
+/// the elements beyond the predecessor's length. An element no run covers
+/// is unchanged on the caller's word, which is how a container that shares
+/// storage with its predecessor (a copy-on-write pool) skips a stretch it
+/// knows to be the predecessor's own without comparing it.
+pub fn encode_slice_delta_runs<'a, T: DeltaCodec + PartialEq + 'a>(
+    len: usize,
+    runs: impl IntoIterator<Item = (usize, &'a [T], &'a [T])>,
+    tail: impl IntoIterator<Item = &'a T>,
+    out: &mut Vec<u8>,
+) {
+    let len = u32::try_from(len).expect("frontier states are far below 2^32 elements");
+    len.encode(out);
     let mut last = 0usize; // one past the previous changed index
-    for (i, (item, old)) in items[..common].iter().zip(&prev[..common]).enumerate() {
-        if item != old {
-            (i - last + 1).encode(out);
-            item.encode_delta(Some(old), out);
-            last = i + 1;
+    for (base, items, prev) in runs {
+        for (index, (item, old)) in (base..).zip(items.iter().zip(prev)) {
+            if item != old {
+                (index - last + 1).encode(out);
+                item.encode_delta(Some(old), out);
+                last = index + 1;
+            }
         }
     }
     0usize.encode(out);
-    for item in &items[common..] {
+    for item in tail {
         item.encode_delta(None, out);
     }
 }
@@ -501,31 +521,40 @@ pub fn decode_slice_delta<T: DeltaCodec + PartialEq + Clone>(
     // length prefix fails on input exhaustion, never an unbounded reserve.
     let mut items = Vec::with_capacity(len.min(common + input.len()));
     items.extend_from_slice(&prev[..common]);
-    decode_slice_edits(prev, input, ctx, |index, item| {
-        if index < common {
-            items[index] = item;
-        } else {
-            items.push(item);
-        }
-    })?;
+    decode_slice_edits(
+        prev.len(),
+        |index| &prev[index],
+        input,
+        ctx,
+        |index, item| {
+            if index < common {
+                items[index] = item;
+            } else {
+                items.push(item);
+            }
+        },
+    )?;
     Some(items)
 }
 
-/// The edits an [`encode_slice_delta`] record makes to `prev`, in index
-/// order: `edit(i, item)` for each changed entry below the common length,
-/// then for each entry of the tail beyond `prev` (`i` counts on from
-/// `prev.len()`). Returns the encoded slice's length, which is below
-/// `prev.len()` when trailing entries were dropped. A container that
-/// shares or summarizes its elements (a copy-on-write pool, a maintained
-/// fold) decodes through this and pays per edit, not per element.
-pub fn decode_slice_edits<T: DeltaCodec>(
-    prev: &[T],
+/// The edits an [`encode_slice_delta`] record makes to a predecessor of
+/// `prev_len` elements, read through `prev` one index at a time (only the
+/// entries the record changes are looked up), in index order:
+/// `edit(i, item)` for each changed entry below the common length, then
+/// for each entry of the tail beyond the predecessor (`i` counts on from
+/// `prev_len`). Returns the encoded slice's length, which is below
+/// `prev_len` when trailing entries were dropped. A container that shares
+/// or summarizes its elements (a copy-on-write pool, a maintained fold)
+/// decodes through this and pays per edit, not per element.
+pub fn decode_slice_edits<'a, T: DeltaCodec + 'a>(
+    prev_len: usize,
+    prev: impl Fn(usize) -> &'a T,
     input: &mut &[u8],
     ctx: &mut DeltaCtx,
     mut edit: impl FnMut(usize, T),
 ) -> Option<usize> {
     let len = u32::decode(input)? as usize;
-    let common = len.min(prev.len());
+    let common = len.min(prev_len);
     let mut next = 0usize; // one past the previous changed index
     loop {
         let gap = usize::decode(input)?;
@@ -536,7 +565,7 @@ pub fn decode_slice_edits<T: DeltaCodec>(
         if index >= common {
             return None;
         }
-        edit(index, T::decode_delta(Some(&prev[index]), input, ctx)?);
+        edit(index, T::decode_delta(Some(prev(index)), input, ctx)?);
         next = index + 1;
     }
     for index in common..len {

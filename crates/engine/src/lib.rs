@@ -97,7 +97,8 @@ mod visited;
 pub use checker::{Checker, KernelOutcome, RunConfig};
 pub use checkpoint::CheckpointStore;
 pub use codec::{
-    decode_slice_delta, decode_slice_edits, encode_slice_delta, DeltaCodec, DeltaCtx, StateCodec,
+    decode_slice_delta, decode_slice_edits, encode_slice_delta, encode_slice_delta_runs,
+    DeltaCodec, DeltaCtx, StateCodec,
 };
 pub use detmap::{DetBuildHasher, DetHashMap, DetHashSet};
 pub use digest::{digest128_of, digest64_of_iter, Digest, Fingerprinter};

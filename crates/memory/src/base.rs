@@ -5,7 +5,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use slx_engine::{
-    decode_slice_edits, digest128_of, encode_slice_delta, DeltaCodec, DeltaCtx, StateCodec,
+    decode_slice_edits, digest128_of, encode_slice_delta_runs, DeltaCodec, DeltaCtx, StateCodec,
 };
 
 /// A word storable in a base object.
@@ -337,24 +337,142 @@ impl fmt::Display for MemoryError {
 
 impl std::error::Error for MemoryError {}
 
+/// Objects per chunk of a [`Pool`]: what one write copies. Small chunks
+/// copy less per write and pin less per resident state, at one more spine
+/// pointer per chunk; 16 is where the recorded sweep over {8, 16, 32}
+/// (EXPERIMENTS.md, "Chunk size of the object pool") balanced `many-small`
+/// time against `deep-resident` memory.
+const CHUNK: usize = 16;
+
+/// A stretch of at most [`CHUNK`] consecutive objects, shared by every
+/// memory that has not written into it since it was cloned.
+type Chunk<W> = Arc<[BaseObject<W>]>;
+
+/// The object pool of a [`Memory`]: object `i` is `chunks[i / CHUNK][i %
+/// CHUNK]`, so every chunk but the last holds exactly [`CHUNK`] objects
+/// and the last at least one. Spine and chunks are shared copy-on-write;
+/// this `impl` is the only code that un-shares either.
+#[derive(Debug, Clone)]
+struct Pool<W> {
+    chunks: Arc<[Chunk<W>]>,
+    len: usize,
+}
+
+impl<W: Clone> Pool<W> {
+    fn empty() -> Self {
+        Pool {
+            chunks: Arc::default(),
+            len: 0,
+        }
+    }
+
+    fn get(&self, index: usize) -> Option<&BaseObject<W>> {
+        self.chunks.get(index / CHUNK)?.get(index % CHUNK)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &BaseObject<W>> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    /// Slot `index` for writing: un-shares the spine and the one chunk
+    /// holding the slot, nothing else.
+    ///
+    /// # Panics
+    /// If `index` is not allocated.
+    fn slot_mut(&mut self, index: usize) -> &mut BaseObject<W> {
+        let chunk = &mut Arc::make_mut(&mut self.chunks)[index / CHUNK];
+        &mut Arc::make_mut(chunk)[index % CHUNK]
+    }
+
+    /// The pool of `len` objects that agrees with this one below both
+    /// lengths and takes the slots beyond this one's from `new`, in index
+    /// order — with the XOR of those slots' [`slot_term`]s — or `None` if
+    /// `new` runs out first. A chunk that comes out with the extent it
+    /// has here is shared, not copied. Every other chunk is filled in
+    /// place, folded where it lies and then sealed: an object on its way
+    /// into a pool is written once and read from where it stays.
+    fn resized(
+        &self,
+        len: usize,
+        mut new: impl Iterator<Item = BaseObject<W>>,
+    ) -> Option<(Pool<W>, u128)>
+    where
+        W: Hash,
+    {
+        let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK));
+        let mut open = Vec::with_capacity(CHUNK);
+        let mut fold = 0;
+        for c in 0..len.div_ceil(CHUNK) {
+            let slots = c * CHUNK..len.min((c + 1) * CHUNK);
+            match self.chunks.get(c) {
+                Some(kept) if kept.len() == slots.len() => chunks.push(Arc::clone(kept)),
+                kept => {
+                    let kept = kept.map_or(&[][..], |kept| &kept[..]);
+                    open.extend(kept.iter().take(slots.len()).cloned());
+                    let taken_over = open.len();
+                    while open.len() < slots.len() {
+                        open.push(new.next()?);
+                    }
+                    for (index, object) in slots.zip(&open).skip(taken_over) {
+                        fold ^= slot_term(index, object);
+                    }
+                    chunks.push(open.drain(..).collect());
+                }
+            }
+        }
+        let chunks = chunks.into();
+        Some((Pool { chunks, len }, fold))
+    }
+}
+
+impl<W> std::ops::Index<usize> for Pool<W> {
+    type Output = BaseObject<W>;
+
+    fn index(&self, index: usize) -> &BaseObject<W> {
+        &self.chunks[index / CHUNK][index % CHUNK]
+    }
+}
+
+impl<W: PartialEq> PartialEq for Pool<W> {
+    /// Exact, object by object — except where the two pools hold the very
+    /// same spine or chunk. Equal lengths mean equal chunk extents.
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && (Arc::ptr_eq(&self.chunks, &other.chunks)
+                || (self.chunks.iter().zip(other.chunks.iter()))
+                    .all(|(a, b)| Arc::ptr_eq(a, b) || a == b))
+    }
+}
+
 /// The shared memory: an indexed pool of base objects.
 ///
 /// All primitive applications are atomic (they are single Rust function
 /// calls under a scheduler that interleaves only between them).
 ///
 /// A successor configuration differs from its parent in at most one base
-/// object, and the type is built so that it costs that much. The pool is
-/// shared copy-on-write: `clone` bumps a reference count, and only a
-/// primitive that changes an object's contents gives the memory a pool of
-/// its own. The fingerprint is maintained, not recomputed: `fold` is the
-/// XOR, over slots, of `digest128_of(&(index, object))`, and every write
-/// to the pool goes through the private `set`, which XORs the slot's old
-/// term out and its new term in. [`Hash`] feeds `(len, fold, applied)`, so
-/// hashing a memory is O(1) in the pool size; [`Eq`] stays the exact
-/// object-by-object comparison.
+/// object, and the type is built so that it costs that much:
+///
+/// - **`clone`** bumps one reference count (the pool's spine) whatever the
+///   pool holds.
+/// - **A primitive that changes nothing** — a read, a scan, a failed
+///   compare-and-swap, an error return — un-shares nothing.
+/// - **A primitive that changes an object** copies the spine (one pointer
+///   pair per 16 objects) and the one 16-object chunk holding the object,
+///   if they are still shared; every other chunk stays the parent's. All
+///   such writes go through the private `set`.
+/// - **`Hash`** is O(1) in the pool size. The fingerprint is maintained,
+///   not recomputed: `fold` is the XOR, over slots, of
+///   `digest128_of(&(index, object))`; `set` XORs the slot's old term out
+///   and its new term in, and [`Hash`] feeds `(len, fold, applied)`.
+/// - **`Eq`** is exact, object by object, skipping chunks the two
+///   memories share.
+/// - **A delta record** ([`DeltaCodec`]) is encoded by comparing only the
+///   chunks not shared with the predecessor, and decoded by un-sharing
+///   only the chunks it edits; a plain record is decoded in one pass that
+///   fills chunks and fold together.
 #[derive(Debug, Clone)]
 pub struct Memory<W> {
-    objects: Arc<Vec<BaseObject<W>>>,
+    objects: Pool<W>,
     /// XOR of [`slot_term`] over `objects`; a function of the pool alone.
     fold: u128,
     applied: u64,
@@ -368,27 +486,13 @@ fn slot_term<W: Hash>(index: usize, object: &BaseObject<W>) -> u128 {
     digest128_of(&(index, object)).0
 }
 
-/// The fold of a whole pool, from scratch.
-fn fold_of<W: Hash>(objects: &[BaseObject<W>]) -> u128 {
-    objects
-        .iter()
-        .enumerate()
-        .fold(0, |fold, (i, o)| fold ^ slot_term(i, o))
-}
-
 impl<W: Word> Memory<W> {
     /// Creates an empty memory.
     pub fn new() -> Self {
-        Memory::from_objects(Vec::new(), 0)
-    }
-
-    /// The memory holding `objects`: the one constructor, and the one
-    /// place a fold is computed by walking a whole pool.
-    fn from_objects(objects: Vec<BaseObject<W>>, applied: u64) -> Self {
         Memory {
-            fold: fold_of(&objects),
-            objects: Arc::new(objects),
-            applied,
+            objects: Pool::empty(),
+            fold: 0,
+            applied: 0,
         }
     }
 
@@ -419,30 +523,46 @@ impl<W: Word> Memory<W> {
 
     /// Allocates `n` registers, each initialized to `init`, as one run.
     pub fn alloc_registers(&mut self, n: usize, init: W) -> ObjRun {
-        let first = self.objects.len();
-        for _ in 0..n {
-            self.push(BaseObject::Register(init.clone()));
-        }
+        let first = self.len();
+        let registers = std::iter::repeat_with(|| BaseObject::Register(init.clone()));
+        self.resize(first + n, registers)
+            .expect("an endless supply");
         ObjRun { first, len: n }
     }
 
     fn push(&mut self, o: BaseObject<W>) -> ObjId {
-        let index = self.objects.len();
-        self.fold ^= slot_term(index, &o);
-        Arc::make_mut(&mut self.objects).push(o);
+        let index = self.len();
+        self.resize(index + 1, [o]).expect("one object, one slot");
         ObjId(index)
     }
 
-    /// The one writer of an allocated slot: un-shares the pool, lets
-    /// `write` change the object in place, and moves the fold from the
-    /// slot's old term to its new one. [`Memory::apply`] calls it only
-    /// once a primitive is known to change the object — a read, a failed
-    /// compare-and-swap or an error return leaves pool and fold alone.
+    /// Brings the pool to `len` objects — the one place it changes length,
+    /// and the fold with it: slots from `len` on are dropped, slots beyond
+    /// the current length are taken from `new`, in order. If `new` runs
+    /// out before the pool is `len` long, returns `None` and leaves the
+    /// memory as it was.
+    fn resize(&mut self, len: usize, new: impl IntoIterator<Item = BaseObject<W>>) -> Option<()> {
+        if len != self.len() {
+            let dropped = (len..self.len()).map(|index| slot_term(index, &self.objects[index]));
+            let dropped = dropped.fold(0, |fold, term| fold ^ term);
+            let (objects, added) = self.objects.resized(len, new.into_iter())?;
+            self.objects = objects;
+            self.fold ^= dropped ^ added;
+        }
+        Some(())
+    }
+
+    /// The one writer of an allocated slot: un-shares the chunk holding
+    /// it, lets `write` change the object in place, and moves the fold
+    /// from the slot's old term to its new one. [`Memory::apply`] calls it
+    /// only once a primitive is known to change the object — a read, a
+    /// failed compare-and-swap or an error return leaves pool and fold
+    /// alone.
     ///
     /// # Panics
     /// If `obj` is not allocated.
     fn set(&mut self, obj: ObjId, write: impl FnOnce(&mut BaseObject<W>)) {
-        let slot = &mut Arc::make_mut(&mut self.objects)[obj.0];
+        let slot = self.objects.slot_mut(obj.0);
         let old = slot_term(obj.0, slot);
         write(slot);
         self.fold ^= old ^ slot_term(obj.0, slot);
@@ -450,12 +570,12 @@ impl<W: Word> Memory<W> {
 
     /// Number of base objects allocated.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.objects.len
     }
 
     /// Whether no objects are allocated.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.objects.len == 0
     }
 
     /// Total number of primitives applied since creation. The [`crate::System`]
@@ -472,14 +592,25 @@ impl<W: Word> Memory<W> {
 
     /// Iterates over all allocated objects with their ids.
     pub fn iter_objects(&self) -> impl Iterator<Item = (ObjId, &BaseObject<W>)> {
-        self.objects.iter().enumerate().map(|(i, o)| (ObjId(i), o))
+        (0..).map(ObjId).zip(self.objects.iter())
     }
 
     /// Whether the maintained fold is what a walk over the pool computes.
     /// It always is; this is the test suites' handle on that invariant.
     #[doc(hidden)]
     pub fn fold_is_exact(&self) -> bool {
-        self.fold == fold_of(&self.objects)
+        let walked = self.iter_objects().map(|(id, o)| slot_term(id.0, o));
+        self.fold == walked.fold(0, |fold, term| fold ^ term)
+    }
+
+    /// The chunks of this memory's pool that are not the very allocation
+    /// `other` holds at the same position.
+    #[cfg(test)]
+    pub(crate) fn unshared_chunks(&self, other: &Self) -> Vec<usize> {
+        let (ours, theirs) = (&self.objects.chunks, &other.objects.chunks);
+        (0..ours.len())
+            .filter(|&c| !theirs.get(c).is_some_and(|old| Arc::ptr_eq(&ours[c], old)))
+            .collect()
     }
 
     /// A copy of the memory with every stored word transformed by `f`
@@ -514,7 +645,12 @@ impl<W: Word> Memory<W> {
         &self,
         mut f: impl FnMut(ObjId, &BaseObject<W>) -> BaseObject<W>,
     ) -> Memory<W> {
-        Memory::from_objects(self.iter_objects().map(|(id, o)| f(id, o)).collect(), 0)
+        let mut mapped = Memory::new();
+        let objects = self.iter_objects().map(|(id, o)| f(id, o));
+        mapped
+            .resize(self.len(), objects)
+            .expect("an object for every slot");
+        mapped
     }
 
     /// Applies an atomic primitive.
@@ -598,9 +734,7 @@ impl<W: Word> Memory<W> {
     }
 
     fn get(&self, obj: ObjId) -> Result<&BaseObject<W>, MemoryError> {
-        self.objects
-            .get(obj.0)
-            .ok_or(MemoryError::NoSuchObject(obj))
+        self.object(obj).ok_or(MemoryError::NoSuchObject(obj))
     }
 }
 
@@ -613,9 +747,7 @@ impl<W: Word> Default for Memory<W> {
 impl<W: PartialEq> PartialEq for Memory<W> {
     /// Exact: equal folds are necessary, never sufficient.
     fn eq(&self, other: &Self) -> bool {
-        self.applied == other.applied
-            && self.fold == other.fold
-            && (Arc::ptr_eq(&self.objects, &other.objects) || self.objects == other.objects)
+        self.applied == other.applied && self.fold == other.fold && self.objects == other.objects
     }
 }
 
@@ -623,27 +755,40 @@ impl<W: Eq> Eq for Memory<W> {}
 
 impl<W> Hash for Memory<W> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.objects.len().hash(state);
+        self.objects.len.hash(state);
         self.fold.hash(state);
         self.applied.hash(state);
     }
 }
 
 impl<W: Word + StateCodec> StateCodec for Memory<W> {
+    /// The bytes of the pool as one `Vec` of objects, then `applied`.
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        self.objects.encode(out);
+        let len = u32::try_from(self.len()).expect("frontier states are far below 2^32 elements");
+        len.encode(out);
+        for object in self.objects.iter() {
+            object.encode(out);
+        }
         // `applied` participates in `Eq`/`Hash` (it is the step counter
         // behind the atomicity check), so it must round-trip too.
         self.applied.encode(out);
     }
 
+    /// One pass: each object is decoded straight into the chunk being
+    /// filled, and its term enters the fold from there.
     #[inline]
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(Memory::from_objects(
-            Vec::decode(input)?,
-            u64::decode(input)?,
-        ))
+        let len = u32::decode(input)? as usize;
+        // An object is at least its tag byte, so a length prefix the input
+        // cannot hold is corrupt — refused before anything is sized by it.
+        if len > input.len() {
+            return None;
+        }
+        let mut memory = Memory::new();
+        memory.resize(len, std::iter::from_fn(|| BaseObject::decode(input)))?;
+        memory.applied = u64::decode(input)?;
+        Some(memory)
     }
 }
 
@@ -658,8 +803,15 @@ impl<W: Word + DeltaCodec> DeltaCodec for Memory<W> {
             return self.encode(out);
         };
         // One scheduled step mutates at most one base object, so sibling
-        // memories differ in zero or one entry of the object pool.
-        encode_slice_delta(&self.objects, &prev.objects, out);
+        // memories differ in zero or one entry of the object pool — and
+        // share every chunk neither has written since their common
+        // ancestor, which is skipped without a look inside.
+        let (ours, theirs) = (&self.objects.chunks, &prev.objects.chunks);
+        let unshared = (ours.iter().zip(theirs.iter()).enumerate())
+            .filter(|(_, (chunk, old))| !Arc::ptr_eq(chunk, old))
+            .map(|(c, (chunk, old))| (c * CHUNK, &chunk[..], &old[..]));
+        let tail = (prev.len()..self.len()).map(|index| &self.objects[index]);
+        encode_slice_delta_runs(self.len(), unshared, tail, out);
         // `applied` drifts by a handful of steps between siblings; the
         // wrapping difference zigzags to one byte either direction.
         self.applied
@@ -672,22 +824,24 @@ impl<W: Word + DeltaCodec> DeltaCodec for Memory<W> {
         let Some(prev) = prev else {
             return Self::decode(input);
         };
-        // Start as `prev` — its pool shared, its fold taken over — and pay
-        // for the entries the record changes.
+        // Start as `prev` — its chunks shared, its fold taken over — and
+        // pay for the entries the record changes.
         let mut memory = prev.clone();
-        let len = decode_slice_edits(&prev.objects, input, ctx, |index, object| {
-            if index < memory.len() {
-                memory.set(ObjId(index), |o| *o = object);
-            } else {
-                memory.push(object);
-            }
-        })?;
-        if len < memory.len() {
-            for index in len..memory.len() {
-                memory.fold ^= slot_term(index, &memory.objects[index]);
-            }
-            Arc::make_mut(&mut memory.objects).truncate(len);
-        }
+        let mut grown = Vec::new();
+        let len = decode_slice_edits(
+            prev.len(),
+            |index| &prev.objects[index],
+            input,
+            ctx,
+            |index, object| {
+                if index < prev.len() {
+                    memory.set(ObjId(index), |o| *o = object);
+                } else {
+                    grown.push(object);
+                }
+            },
+        )?;
+        memory.resize(len, grown)?;
         memory.applied = prev
             .applied
             .wrapping_add(i64::decode(input)?.cast_unsigned());
@@ -863,15 +1017,21 @@ mod tests {
     }
 
     /// The collect loops of commit-adopt are n reads per write: a chain of
-    /// successors must stay on one pool until something is written.
+    /// successors must stay on one pool until something is written, and
+    /// then part from it by the one chunk written into.
     #[test]
-    fn primitives_that_change_nothing_keep_the_pool_shared() {
+    fn a_primitive_unshares_the_chunk_it_writes_and_nothing_else() {
         let mut parent: Memory<i64> = Memory::new();
+        parent.alloc_registers(CHUNK, 0);
+        // The second chunk holds one object of every kind.
         let r = parent.alloc_register(1);
         let c = parent.alloc_cas(1);
         let set = parent.alloc_tas();
         let clear = parent.alloc_tas();
         let s = parent.alloc_snapshot(2, 0);
+        let k = parent.alloc_counter(0);
+        parent.alloc_registers(2 * CHUNK, 0);
+        assert_eq!(parent.objects.chunks.len(), 4);
         parent.apply(Primitive::Tas(set)).unwrap();
         let cas = |expected| Primitive::Cas {
             obj: c,
@@ -895,7 +1055,10 @@ mod tests {
         ] {
             let mut child = parent.clone();
             let _ = child.apply(inert.clone());
-            assert!(Arc::ptr_eq(&child.objects, &parent.objects), "{inert:?}");
+            assert!(
+                Arc::ptr_eq(&child.objects.chunks, &parent.objects.chunks),
+                "{inert:?}"
+            );
             assert_eq!(child.fold, parent.fold, "{inert:?}");
         }
         for writing in [
@@ -903,22 +1066,50 @@ mod tests {
             cas(1),
             Primitive::Tas(clear),
             Primitive::TasReset(set),
+            Primitive::FetchAdd(k, 0),
             snap_update(s, 1),
         ] {
             let mut child = parent.clone();
             child.apply(writing.clone()).unwrap();
-            assert!(!Arc::ptr_eq(&child.objects, &parent.objects), "{writing:?}");
+            assert_eq!(child.unshared_chunks(&parent), [1], "{writing:?}");
         }
+        // A second write into the chunk a memory already owns copies
+        // nothing further; one into another chunk parts with that one too.
+        let mut child = parent.clone();
+        child.apply(Primitive::Write(r, 5)).unwrap();
+        let owned = Arc::as_ptr(&child.objects.chunks[1]);
+        child.apply(Primitive::Write(r, 6)).unwrap();
+        assert_eq!(Arc::as_ptr(&child.objects.chunks[1]), owned);
+        child.apply(Primitive::Write(ObjId(3 * CHUNK), 6)).unwrap();
+        assert_eq!(child.unshared_chunks(&parent), [1, 3]);
     }
 
     #[test]
-    fn a_delta_record_pays_for_the_entries_it_changes() {
+    fn growing_and_shrinking_keep_the_chunks_whose_extent_stands() {
+        let mut parent: Memory<i64> = Memory::new();
+        parent.alloc_registers(2 * CHUNK + 3, 0);
+        let mut grown = parent.clone();
+        grown.alloc_registers(CHUNK, 1);
+        assert_eq!(grown.unshared_chunks(&parent), [2, 3]);
+        let mut cut = parent.clone();
+        cut.resize(CHUNK + 1, []).unwrap();
+        assert_eq!(cut.unshared_chunks(&parent), [1]);
+        cut.resize(CHUNK, []).unwrap();
+        assert_eq!(cut.unshared_chunks(&parent), [0usize; 0]);
+        assert!(grown.fold_is_exact() && cut.fold_is_exact());
+        assert_eq!((grown.len(), cut.len()), (3 * CHUNK + 3, CHUNK));
+    }
+
+    #[test]
+    fn a_delta_record_pays_for_the_chunks_it_edits() {
         let mut prev: Memory<i64> = Memory::new();
-        let regs = prev.alloc_registers(4, 0);
+        let regs = prev.alloc_registers(3 * CHUNK + 5, 0);
         let mut unchanged = prev.clone();
         unchanged.apply(Primitive::Read(regs.at(0))).unwrap();
         let mut changed = prev.clone();
-        changed.apply(Primitive::Write(regs.at(2), 7)).unwrap();
+        changed
+            .apply(Primitive::Write(regs.at(CHUNK + 2), 7))
+            .unwrap();
 
         let replay = |memory: &Memory<i64>| {
             let mut bytes = Vec::new();
@@ -928,11 +1119,31 @@ mod tests {
         };
         let decoded = replay(&unchanged);
         assert_eq!(decoded, unchanged);
-        assert!(Arc::ptr_eq(&decoded.objects, &prev.objects));
+        assert!(Arc::ptr_eq(&decoded.objects.chunks, &prev.objects.chunks));
         let decoded = replay(&changed);
         assert_eq!(decoded, changed);
         assert_eq!(decoded.fold, changed.fold);
-        assert!(!Arc::ptr_eq(&decoded.objects, &prev.objects));
+        assert_eq!(decoded.unshared_chunks(&prev), [1]);
+    }
+
+    /// A record is the same bytes whether or not the memory shares chunks
+    /// with the predecessor it is encoded against: sharing only decides
+    /// what is compared.
+    #[test]
+    fn delta_bytes_do_not_depend_on_sharing() {
+        let mut prev: Memory<i64> = Memory::new();
+        let regs = prev.alloc_registers(2 * CHUNK + 1, 0);
+        let mut shared = prev.clone();
+        shared.apply(Primitive::Write(regs.at(CHUNK), 3)).unwrap();
+        let apart = shared.map_objects(|_, o| o.clone());
+        assert_eq!(apart.unshared_chunks(&prev), [0, 1, 2]);
+        let delta = |memory: &Memory<i64>| {
+            let mut bytes = Vec::new();
+            memory.encode_delta(Some(&prev), &mut bytes);
+            bytes.truncate(bytes.len() - 1); // `applied` differs: mapping resets it
+            bytes
+        };
+        assert_eq!(delta(&shared), delta(&apart));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The system: processes + memory + history, driven by a scheduler.
 
 use std::fmt;
+use std::sync::Arc;
 
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
 use slx_history::{Action, History, Operation, ProcessId, Response};
@@ -86,6 +87,17 @@ pub struct RunStats {
     pub halted: bool,
 }
 
+/// What only an external action — an invocation, a response, a crash —
+/// changes: the per-process flags and the history. A [`System`] holds it
+/// behind one reference count, so the computation steps between two
+/// external actions hand it from parent to successor untouched.
+#[derive(Debug, Clone)]
+struct External {
+    pending: Vec<bool>,
+    crashed: Vec<bool>,
+    history: History,
+}
+
 /// A complete simulated system: shared memory, `n` processes and the
 /// history so far.
 ///
@@ -94,17 +106,23 @@ pub struct RunStats {
 /// rides along outside `Eq`/`Hash` (safety is judged on it); the step-level
 /// execution log does not — see [`Event`].
 ///
-/// A clone shares the parent's object pool until a step writes to it, and
-/// `Hash` reads the memory's maintained fold (see [`Memory`]): a successor
-/// pays for the object it changes and for its process states, not for the
-/// size of the memory.
+/// What each operation costs, beside the process states:
+///
+/// - **`clone`** copies `procs` and bumps two reference counts: the
+///   memory's pool and the block of flags and history.
+/// - **A step that reads** — or is idle, or fails — un-shares nothing.
+/// - **A step that writes** copies the 16-object chunk it writes into and
+///   the pool's spine (see [`Memory`]), not the pool.
+/// - **An external action** — [`System::invoke`], a step that responds,
+///   the first [`System::crash`] of a process — copies the flags and the
+///   history once, if they are still shared, and appends to the copy.
+/// - **`Hash`** reads the memory's maintained fold, the process states
+///   and the flags: nothing in it grows with the size of the memory.
 #[derive(Debug, Clone)]
 pub struct System<W: Word, P> {
     memory: Memory<W>,
     procs: Vec<P>,
-    pending: Vec<bool>,
-    crashed: Vec<bool>,
-    history: History,
+    external: Arc<External>,
 }
 
 impl<W: Word, P: Process<W>> System<W, P> {
@@ -115,9 +133,11 @@ impl<W: Word, P: Process<W>> System<W, P> {
         System {
             memory,
             procs,
-            pending: vec![false; n],
-            crashed: vec![false; n],
-            history: History::new(),
+            external: Arc::new(External {
+                pending: vec![false; n],
+                crashed: vec![false; n],
+                history: History::new(),
+            }),
         }
     }
 
@@ -128,7 +148,7 @@ impl<W: Word, P: Process<W>> System<W, P> {
 
     /// The history so far.
     pub fn history(&self) -> &History {
-        &self.history
+        &self.external.history
     }
 
     /// Read-only view of the shared memory.
@@ -143,12 +163,20 @@ impl<W: Word, P: Process<W>> System<W, P> {
 
     /// Whether process `p` is pending (invoked, awaiting response).
     pub fn is_pending(&self, p: ProcessId) -> bool {
-        self.pending.get(p.index()).copied().unwrap_or(false)
+        self.external
+            .pending
+            .get(p.index())
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Whether process `p` has crashed.
     pub fn is_crashed(&self, p: ProcessId) -> bool {
-        self.crashed.get(p.index()).copied().unwrap_or(false)
+        self.external
+            .crashed
+            .get(p.index())
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Whether process `p` currently has an enabled computation step.
@@ -187,15 +215,16 @@ impl<W: Word, P: Process<W>> System<W, P> {
         if i >= self.procs.len() {
             return Err(SystemError::NoSuchProcess(p));
         }
-        if self.crashed[i] {
+        if self.external.crashed[i] {
             return Err(SystemError::Crashed(p));
         }
-        if self.pending[i] {
+        if self.external.pending[i] {
             return Err(SystemError::AlreadyPending(p));
         }
-        self.pending[i] = true;
         self.procs[i].on_invoke(op);
-        self.history.push(Action::invoke(p, op));
+        let external = Arc::make_mut(&mut self.external);
+        external.pending[i] = true;
+        external.history.push(Action::invoke(p, op));
         Ok(())
     }
 
@@ -210,7 +239,7 @@ impl<W: Word, P: Process<W>> System<W, P> {
         if i >= self.procs.len() {
             return Err(SystemError::NoSuchProcess(p));
         }
-        if self.crashed[i] {
+        if self.external.crashed[i] {
             return Err(SystemError::Crashed(p));
         }
         let before = self.memory.applied();
@@ -220,8 +249,9 @@ impl<W: Word, P: Process<W>> System<W, P> {
             return Err(SystemError::AtomicityViolation { proc: p, applied });
         }
         if let StepEffect::Responded(resp) = effect {
-            self.pending[i] = false;
-            self.history.push(Action::respond(p, resp));
+            let external = Arc::make_mut(&mut self.external);
+            external.pending[i] = false;
+            external.history.push(Action::respond(p, resp));
         }
         Ok(effect)
     }
@@ -232,10 +262,11 @@ impl<W: Word, P: Process<W>> System<W, P> {
         if i >= self.procs.len() {
             return Err(SystemError::NoSuchProcess(p));
         }
-        if !self.crashed[i] {
-            self.crashed[i] = true;
+        if !self.external.crashed[i] {
             self.procs[i].on_crash();
-            self.history.push(Action::crash(p));
+            let external = Arc::make_mut(&mut self.external);
+            external.crashed[i] = true;
+            external.history.push(Action::crash(p));
         }
         Ok(())
     }
@@ -252,9 +283,11 @@ impl<W: Word, P: Process<W>> System<W, P> {
         System {
             memory: self.memory.map_words(f_word),
             procs: self.procs.iter().map(f_proc).collect(),
-            pending: self.pending.clone(),
-            crashed: self.crashed.clone(),
-            history: History::new(),
+            external: Arc::new(External {
+                pending: self.external.pending.clone(),
+                crashed: self.external.crashed.clone(),
+                history: History::new(),
+            }),
         }
     }
 
@@ -294,8 +327,8 @@ impl<W: Word, P: Process<W>> System<W, P> {
                 perm[i]
             );
             *slot = Some(f_proc(i, p));
-            pending[perm[i]] = self.pending[i];
-            crashed[perm[i]] = self.crashed[i];
+            pending[perm[i]] = self.external.pending[i];
+            crashed[perm[i]] = self.external.crashed[i];
         }
         System {
             memory: self.memory.map_objects(f_obj),
@@ -303,9 +336,11 @@ impl<W: Word, P: Process<W>> System<W, P> {
                 .into_iter()
                 .map(|p| p.expect("perm covers every slot"))
                 .collect(),
-            pending,
-            crashed,
-            history: History::new(),
+            external: Arc::new(External {
+                pending,
+                crashed,
+                history: History::new(),
+            }),
         }
     }
 
@@ -408,11 +443,11 @@ impl<W: Word + StateCodec, P: StateCodec> StateCodec for System<W, P> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.memory.encode(out);
         self.procs.encode(out);
-        self.pending.encode(out);
-        self.crashed.encode(out);
+        self.external.pending.encode(out);
+        self.external.crashed.encode(out);
         // The history is excluded from `Eq`/`Hash`, but findings clone
         // it, so a spilled configuration must carry it verbatim.
-        self.history.encode(out);
+        self.external.history.encode(out);
     }
 
     #[inline]
@@ -420,9 +455,11 @@ impl<W: Word + StateCodec, P: StateCodec> StateCodec for System<W, P> {
         Some(System {
             memory: Memory::decode(input)?,
             procs: Vec::decode(input)?,
-            pending: Vec::decode(input)?,
-            crashed: Vec::decode(input)?,
-            history: History::decode(input)?,
+            external: Arc::new(External {
+                pending: Vec::decode(input)?,
+                crashed: Vec::decode(input)?,
+                history: History::decode(input)?,
+            }),
         })
     }
 }
@@ -433,27 +470,31 @@ impl<W: Word + DeltaCodec, P: DeltaCodec + PartialEq + Clone> DeltaCodec for Sys
     /// against its counterpart — memory and process pools
     /// element-sparsely, history by shared prefix — so an
     /// unchanged field costs its two-varint slice-delta header and one
-    /// compare pass. (No field bitmap: pre-comparing the O(n) fields to
+    /// compare pass (no pass over the chunks of memory the two records
+    /// share). (No field bitmap: pre-comparing the O(n) fields to
     /// save those header bytes was measured to cost more encode time
     /// than it saved in bytes — every compare the bitmap needs is one
     /// the slice delta already does.) The flag byte covers only the two
-    /// cheap bit-vectors.
+    /// cheap bit-vectors, which records sharing their block of flags and
+    /// history do not compare either.
     fn encode_delta(&self, prev: Option<&Self>, out: &mut Vec<u8>) {
         let Some(prev) = prev else {
             return self.encode(out);
         };
-        let pending_changed = self.pending != prev.pending;
-        let crashed_changed = self.crashed != prev.crashed;
+        let (ours, theirs) = (&*self.external, &*prev.external);
+        let shared = Arc::ptr_eq(&self.external, &prev.external);
+        let pending_changed = !shared && ours.pending != theirs.pending;
+        let crashed_changed = !shared && ours.crashed != theirs.crashed;
         out.push(u8::from(pending_changed) | u8::from(crashed_changed) << 1);
         self.memory.encode_delta(Some(&prev.memory), out);
         self.procs.encode_delta(Some(&prev.procs), out);
         if pending_changed {
-            self.pending.encode_delta(Some(&prev.pending), out);
+            ours.pending.encode_delta(Some(&theirs.pending), out);
         }
         if crashed_changed {
-            self.crashed.encode_delta(Some(&prev.crashed), out);
+            ours.crashed.encode_delta(Some(&theirs.crashed), out);
         }
-        self.history.encode_delta(Some(&prev.history), out);
+        ours.history.encode_delta(Some(&theirs.history), out);
     }
 
     fn decode_delta(prev: Option<&Self>, input: &mut &[u8], ctx: &mut DeltaCtx) -> Option<Self> {
@@ -466,22 +507,33 @@ impl<W: Word + DeltaCodec, P: DeltaCodec + PartialEq + Clone> DeltaCodec for Sys
         }
         let memory = Memory::decode_delta(Some(&prev.memory), input, ctx)?;
         let procs = Vec::decode_delta(Some(&prev.procs), input, ctx)?;
-        let pending = if flags & 1 != 0 {
-            Vec::decode_delta(Some(&prev.pending), input, ctx)?
-        } else {
-            prev.pending.clone()
+        let theirs = &*prev.external;
+        let mut flag_vector = |changed: bool, old: &Vec<bool>| {
+            Some(if changed {
+                Some(Vec::decode_delta(Some(old), input, ctx)?)
+            } else {
+                None
+            })
         };
-        let crashed = if flags & 2 != 0 {
-            Vec::decode_delta(Some(&prev.crashed), input, ctx)?
+        let pending = flag_vector(flags & 1 != 0, &theirs.pending)?;
+        let crashed = flag_vector(flags & 2 != 0, &theirs.crashed)?;
+        let history = History::decode_delta(Some(&theirs.history), input, ctx)?;
+        // A record that changes neither flag vector nor history is a
+        // computation step away from its predecessor: it takes the
+        // predecessor's block over instead of keeping an equal one.
+        let external = if flags == 0 && history == theirs.history {
+            Arc::clone(&prev.external)
         } else {
-            prev.crashed.clone()
+            Arc::new(External {
+                pending: pending.unwrap_or_else(|| theirs.pending.clone()),
+                crashed: crashed.unwrap_or_else(|| theirs.crashed.clone()),
+                history,
+            })
         };
         Some(System {
             memory,
             procs,
-            pending,
-            crashed,
-            history: History::decode_delta(Some(&prev.history), input, ctx)?,
+            external,
         })
     }
 }
@@ -491,10 +543,11 @@ impl<W: Word, P: PartialEq> PartialEq for System<W, P> {
         // Histories are deliberately excluded: two configurations
         // with the same memory and process states behave identically in the
         // future, which is the equivalence exploration needs.
+        let (ours, theirs) = (&*self.external, &*other.external);
         self.memory == other.memory
             && self.procs == other.procs
-            && self.pending == other.pending
-            && self.crashed == other.crashed
+            && (Arc::ptr_eq(&self.external, &other.external)
+                || (ours.pending == theirs.pending && ours.crashed == theirs.crashed))
     }
 }
 
@@ -504,8 +557,8 @@ impl<W: Word, P: std::hash::Hash> std::hash::Hash for System<W, P> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.memory.hash(state);
         self.procs.hash(state);
-        self.pending.hash(state);
-        self.crashed.hash(state);
+        self.external.pending.hash(state);
+        self.external.crashed.hash(state);
     }
 }
 
@@ -686,6 +739,115 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Writes the next number to its register at every step, forever, and
+    /// never responds.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Scribe(crate::base::ObjId, u8);
+
+    impl Process<i64> for Scribe {
+        fn on_invoke(&mut self, _op: Operation) {}
+        fn has_step(&self) -> bool {
+            true
+        }
+        fn step(&mut self, mem: &mut Memory<i64>) -> StepEffect {
+            self.1 += 1;
+            mem.apply(Primitive::Write(self.0, i64::from(self.1)))
+                .unwrap();
+            StepEffect::Ran
+        }
+    }
+
+    impl StateCodec for Scribe {
+        fn encode(&self, out: &mut Vec<u8>) {
+            (self.0, self.1).encode(out);
+        }
+        fn decode(input: &mut &[u8]) -> Option<Self> {
+            <(crate::base::ObjId, u8)>::decode(input).map(|(reg, n)| Scribe(reg, n))
+        }
+    }
+
+    impl DeltaCodec for Scribe {}
+
+    #[test]
+    fn only_an_external_action_unshares_flags_and_history() {
+        let parent = writer_system();
+        let shares = |child: &System<i64, Writer>| Arc::ptr_eq(&child.external, &parent.external);
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+
+        let mut child = parent.clone();
+        assert!(shares(&child));
+        assert_eq!(child.step(p0), Ok(StepEffect::Idle));
+        assert_eq!(
+            child.invoke(ProcessId::new(9), w(1)),
+            Err(SystemError::NoSuchProcess(ProcessId::new(9)))
+        );
+        assert!(shares(&child));
+
+        child.invoke(p0, w(4)).unwrap();
+        assert!(!shares(&child));
+        assert!(!parent.is_pending(p0) && parent.history().is_empty());
+        // The block is the child's own now: a further action copies nothing.
+        let own = Arc::as_ptr(&child.external);
+        assert_eq!(child.step(p0), Ok(StepEffect::Responded(Response::Ok)));
+        child.crash(p1).unwrap();
+        assert_eq!(Arc::as_ptr(&child.external), own);
+        assert_eq!(child.history().len(), 3);
+
+        // A response and a first crash each part with a shared block; a
+        // repeated crash does not.
+        let pending = child.clone();
+        let mut responded = pending.clone();
+        responded.invoke(p0, w(5)).unwrap();
+        let invoked = responded.clone();
+        responded.step(p0).unwrap();
+        assert!(!Arc::ptr_eq(&responded.external, &invoked.external));
+        let mut recrashed = pending.clone();
+        recrashed.crash(p1).unwrap();
+        assert!(Arc::ptr_eq(&recrashed.external, &pending.external));
+        recrashed.crash(p0).unwrap();
+        assert!(!Arc::ptr_eq(&recrashed.external, &pending.external));
+        assert_eq!(pending.history().len(), 3);
+    }
+
+    #[test]
+    fn a_computation_step_shares_all_but_the_chunk_it_writes() {
+        let mut mem: Memory<i64> = Memory::new();
+        let regs = mem.alloc_registers(40, 0);
+        let scribes = vec![Scribe(regs.at(3), 0), Scribe(regs.at(20), 0)];
+        let mut parent = System::new(mem, scribes);
+        parent.invoke(ProcessId::new(0), w(1)).unwrap();
+
+        let mut child = parent.clone();
+        assert_eq!(child.step(ProcessId::new(1)), Ok(StepEffect::Ran));
+        assert!(Arc::ptr_eq(&child.external, &parent.external));
+        assert_eq!(child.memory.unshared_chunks(&parent.memory), [1]);
+
+        // The record of that step, decoded against the parent, shares as
+        // much with it as the step itself did.
+        let mut delta = Vec::new();
+        child.encode_delta(Some(&parent), &mut delta);
+        let decoded =
+            System::decode_delta(Some(&parent), &mut delta.as_slice(), &mut DeltaCtx::new())
+                .expect("delta round trip");
+        assert_eq!(decoded, child);
+        assert_eq!(decoded.history(), child.history());
+        assert!(Arc::ptr_eq(&decoded.external, &parent.external));
+        assert_eq!(decoded.memory.unshared_chunks(&parent.memory), [1]);
+
+        // One that moves a flag or the history gets a block of its own.
+        let mut crashed = child.clone();
+        crashed.crash(ProcessId::new(0)).unwrap();
+        let mut delta = Vec::new();
+        crashed.encode_delta(Some(&parent), &mut delta);
+        let decoded =
+            System::decode_delta(Some(&parent), &mut delta.as_slice(), &mut DeltaCtx::new())
+                .expect("delta round trip");
+        assert_eq!(decoded, crashed);
+        assert_eq!(decoded.history(), crashed.history());
+        assert!(!Arc::ptr_eq(&decoded.external, &parent.external));
+        assert_eq!(decoded.memory.unshared_chunks(&parent.memory), [1]);
     }
 
     #[test]

@@ -12,8 +12,15 @@
 //! included — and the memory a case ends in must compare and hash equal
 //! however else it is built: decoded from its encoding, delta-decoded
 //! against an unrelated memory, or mapped object by object.
+//!
+//! The second half holds pools sized around the boundaries of the
+//! copy-on-write chunks a `Memory` keeps its objects in to a *flat* model
+//! — one `Vec` of objects — after every step: contents, equality and
+//! digest against a memory rebuilt from the model in one go, and the bytes
+//! of the plain and the delta record against what the flat slice codec
+//! writes for the model. A failing case there prints its seed too.
 
-use slx_engine::{digest128_of, DeltaCodec, DeltaCtx, StateCodec};
+use slx_engine::{digest128_of, encode_slice_delta, DeltaCodec, DeltaCtx, StateCodec};
 use slx_memory::{BaseObject, Memory, MemoryError, ObjId, PrimOutcome, Primitive, SmallRng};
 
 /// A reference model mirroring the five object kinds with plain fields.
@@ -326,4 +333,314 @@ fn the_fold_knows_which_slot_holds_what() {
         digest128_of(&registers(&[5, 5])),
         digest128_of(&registers(&[6, 6]))
     );
+}
+
+/// Objects per copy-on-write chunk of a memory's pool (`CHUNK` in
+/// `slx_memory`'s `base.rs`, private there).
+const CHUNK: usize = 16;
+
+/// Pool sizes on both sides of one chunk boundary, and past three.
+const POOL_SIZES: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5];
+
+/// The flat model of a memory: its objects in one `Vec`, and the count of
+/// primitives applied.
+#[derive(Debug, Clone, PartialEq)]
+struct Flat {
+    objects: Vec<BaseObject<i64>>,
+    applied: u64,
+}
+
+impl Flat {
+    /// [`Memory::apply`] written the obvious way; `None` for an error.
+    fn apply(&mut self, primitive: &Primitive<i64>) -> Option<PrimOutcome<i64>> {
+        use BaseObject as O;
+        use PrimOutcome::{Ack, Flag, Int, Snapshot, Value};
+        self.applied += 1;
+        let objects = &mut self.objects;
+        match primitive {
+            Primitive::Read(obj) => match objects.get(obj.index())? {
+                O::Register(w) | O::Cas(w) => Some(Value(*w)),
+                O::Counter(c) => Some(Int(*c)),
+                O::Tas(b) => Some(Flag(*b)),
+                O::Snapshot(_) => None,
+            },
+            Primitive::Write(obj, val) => match objects.get_mut(obj.index())? {
+                O::Register(w) => {
+                    *w = *val;
+                    Some(Ack)
+                }
+                _ => None,
+            },
+            Primitive::Cas { obj, expected, new } => match objects.get_mut(obj.index())? {
+                O::Cas(w) => {
+                    let swapped = w == expected;
+                    if swapped {
+                        *w = *new;
+                    }
+                    Some(Flag(swapped))
+                }
+                _ => None,
+            },
+            Primitive::Tas(obj) => match objects.get_mut(obj.index())? {
+                O::Tas(b) => Some(Flag(std::mem::replace(b, true))),
+                _ => None,
+            },
+            Primitive::TasReset(obj) => match objects.get_mut(obj.index())? {
+                O::Tas(b) => {
+                    *b = false;
+                    Some(Ack)
+                }
+                _ => None,
+            },
+            Primitive::FetchAdd(obj, delta) => match objects.get_mut(obj.index())? {
+                O::Counter(c) => {
+                    *c += delta;
+                    Some(Int(*c - delta))
+                }
+                _ => None,
+            },
+            Primitive::SnapUpdate { obj, index, val } => match objects.get_mut(obj.index())? {
+                O::Snapshot(v) => {
+                    *v.get_mut(*index)? = *val;
+                    Some(Ack)
+                }
+                _ => None,
+            },
+            Primitive::SnapScan(obj) => match objects.get(obj.index())? {
+                O::Snapshot(v) => Some(Snapshot(v.clone())),
+                _ => None,
+            },
+        }
+    }
+
+    /// The plain record of a memory holding this pool: the objects as one
+    /// `Vec`, then the primitive count.
+    fn plain(&self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.objects.encode(&mut bytes);
+        self.applied.encode(&mut bytes);
+        bytes
+    }
+
+    /// Its delta record against `prev`: the flat slice delta of the
+    /// objects, then the wrapping difference of the primitive counts.
+    fn delta(&self, prev: &Flat) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_slice_delta(&self.objects, &prev.objects, &mut bytes);
+        let drift = self.applied.wrapping_sub(prev.applied).cast_signed();
+        drift.encode(&mut bytes);
+        bytes
+    }
+
+    /// A memory holding this pool, built in one go: it shares no chunk
+    /// with any other memory. (Mapping resets the primitive count; reads
+    /// of an object that does not exist catch it up.)
+    fn rebuilt(&self) -> Memory<i64> {
+        let mut skeleton: Memory<i64> = Memory::new();
+        skeleton.alloc_registers(self.objects.len(), 0);
+        let mut memory = skeleton.map_objects(|id, _| self.objects[id.index()].clone());
+        for _ in 0..self.applied {
+            memory.apply(Primitive::Read(unallocated())).unwrap_err();
+        }
+        memory
+    }
+}
+
+/// An id no pool of this file reaches.
+fn unallocated() -> ObjId {
+    let mut larger: Memory<i64> = Memory::new();
+    larger.alloc_registers(8 * CHUNK, 0).at(8 * CHUNK - 1)
+}
+
+/// A pool of `len` objects drawn from every allocator, beside its model.
+fn arb_pool(rng: &mut SmallRng, len: usize) -> (Memory<i64>, Flat) {
+    let mut memory: Memory<i64> = Memory::new();
+    let mut objects = Vec::new();
+    while objects.len() < len {
+        let init = arb_val(rng);
+        let id = match rng.gen_index(6) {
+            0 => memory.alloc_register(init),
+            1 => memory.alloc_cas(init),
+            2 => memory.alloc_tas(),
+            3 => memory.alloc_counter(init),
+            4 => memory.alloc_snapshot(1 + rng.gen_index(3), init),
+            _ => {
+                // A run that may fill a chunk and start the next.
+                let run = 1 + rng.gen_index((len - objects.len()).min(CHUNK + 2));
+                objects.extend(std::iter::repeat_n(BaseObject::Register(init), run - 1));
+                memory.alloc_registers(run, init).at(run - 1)
+            }
+        };
+        assert_eq!(id.index(), objects.len());
+        objects.push(memory.object(id).expect("just allocated").clone());
+    }
+    let model = Flat {
+        objects,
+        applied: 0,
+    };
+    model.agrees_with(&memory);
+    (memory, model)
+}
+
+/// A primitive of any kind aimed at any slot of a `len`-object pool —
+/// so, often as not, at an object of the wrong kind — or past its end.
+fn arb_primitive(rng: &mut SmallRng, len: usize) -> Primitive<i64> {
+    let mut ids: Memory<i64> = Memory::new();
+    let obj = match rng.gen_index(len + 1) {
+        past_end if past_end == len => unallocated(),
+        slot => ids.alloc_registers(slot + 1, 0).at(slot),
+    };
+    let (index, val) = (rng.gen_index(4), arb_val(rng));
+    match rng.gen_index(8) {
+        0 => Primitive::Read(obj),
+        1 => Primitive::Write(obj, val),
+        2 => Primitive::Cas {
+            obj,
+            expected: arb_val(rng),
+            new: val,
+        },
+        3 => Primitive::Tas(obj),
+        4 => Primitive::TasReset(obj),
+        5 => Primitive::FetchAdd(obj, val),
+        6 => Primitive::SnapUpdate { obj, index, val },
+        _ => Primitive::SnapScan(obj),
+    }
+}
+
+impl Flat {
+    /// `memory` is this pool, however it came to be: same contents, exact
+    /// fold, equal to and hashing like a memory rebuilt from the model,
+    /// and the same plain bytes as the flat `Vec` codec writes.
+    fn agrees_with(&self, memory: &Memory<i64>) {
+        assert!(memory.fold_is_exact());
+        assert_eq!(
+            (memory.len(), memory.applied()),
+            (self.objects.len(), self.applied)
+        );
+        assert!(memory.iter_objects().map(|(_, o)| o).eq(&self.objects));
+        let rebuilt = self.rebuilt();
+        assert_eq!(memory, &rebuilt);
+        assert_eq!(digest128_of(memory), digest128_of(&rebuilt));
+
+        let mut plain = Vec::new();
+        memory.encode(&mut plain);
+        assert_eq!(plain, self.plain());
+        let decoded = Memory::<i64>::decode(&mut plain.as_slice()).expect("round trip");
+        assert!(decoded.fold_is_exact());
+        assert_eq!(
+            (&decoded, digest128_of(&decoded)),
+            (memory, digest128_of(memory))
+        );
+    }
+
+    /// The delta record of `memory` (this pool) against `prev` (the pool
+    /// `prev_model`) is the flat slice codec's, byte for byte, and decodes
+    /// against `prev` to `memory`.
+    fn deltas_like(&self, memory: &Memory<i64>, prev_model: &Flat, prev: &Memory<i64>) {
+        let mut delta = Vec::new();
+        memory.encode_delta(Some(prev), &mut delta);
+        assert_eq!(delta, self.delta(prev_model));
+        let decoded = Memory::decode_delta(Some(prev), &mut delta.as_slice(), &mut DeltaCtx::new())
+            .expect("delta round trip");
+        assert!(decoded.fold_is_exact());
+        assert_eq!(
+            (&decoded, digest128_of(&decoded)),
+            (memory, digest128_of(memory))
+        );
+    }
+}
+
+/// Runs `property` on [`CASES`] seeds, naming the seed of a failing one.
+fn for_each_seed(property: impl Fn(&mut SmallRng) + std::panic::RefUnwindSafe) {
+    for seed in 0..CASES {
+        let outcome = std::panic::catch_unwind(|| property(&mut SmallRng::seed_from_u64(seed)));
+        if let Err(panic) = outcome {
+            eprintln!("property failed at seed {seed}");
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
+#[test]
+fn pools_around_chunk_boundaries_agree_with_the_flat_model() {
+    for_each_seed(|rng| {
+        let len = POOL_SIZES[rng.gen_index(POOL_SIZES.len())];
+        let (mut memory, mut model) = arb_pool(rng, len);
+        // Clones kept alive beside what they held when taken, so that
+        // what `memory` writes into is shared — and must stay as it was.
+        let mut held = Vec::new();
+        for _ in 0..40 {
+            let (prev, prev_model) = (memory.clone(), model.clone());
+            match rng.gen_index(12) {
+                0 => held.push((memory.clone(), model.clone())),
+                1 => {
+                    memory = memory.map_words(|w| w + 1);
+                    model.applied = 0;
+                    for object in &mut model.objects {
+                        match object {
+                            BaseObject::Register(w) | BaseObject::Cas(w) => *w += 1,
+                            BaseObject::Snapshot(v) => v.iter_mut().for_each(|w| *w += 1),
+                            BaseObject::Tas(_) | BaseObject::Counter(_) => {}
+                        }
+                    }
+                }
+                2 => {
+                    // Every object moves one slot up, the last to the front.
+                    let from = |id: ObjId| (id.index() + len - 1) % len;
+                    memory = memory.map_objects(|id, _| prev_model.objects[from(id)].clone());
+                    model.applied = 0;
+                    model.objects.rotate_right(usize::from(len > 0));
+                }
+                _ => {
+                    let primitive = arb_primitive(rng, len);
+                    let outcome = memory.apply(primitive.clone()).ok();
+                    assert_eq!(outcome, model.apply(&primitive), "{primitive:?}");
+                }
+            }
+            model.agrees_with(&memory);
+            model.deltas_like(&memory, &prev_model, &prev);
+        }
+        for (earlier, model) in &held {
+            model.agrees_with(earlier);
+        }
+    });
+}
+
+#[test]
+fn delta_records_that_resize_the_pool_across_a_chunk_boundary() {
+    for_each_seed(|rng| {
+        let len = POOL_SIZES[rng.gen_index(POOL_SIZES.len())];
+        let (mut memory, mut model) = arb_pool(rng, len);
+        for _ in 0..rng.gen_index(8) {
+            let primitive = arb_primitive(rng, len);
+            assert_eq!(
+                memory.apply(primitive.clone()).ok(),
+                model.apply(&primitive)
+            );
+        }
+        for other_len in POOL_SIZES {
+            // An unrelated pool of the other size: no chunk in common.
+            let (other, other_model) = arb_pool(rng, other_len);
+            model.deltas_like(&memory, &other_model, &other);
+            other_model.deltas_like(&other, &model, &memory);
+
+            // A descendant grown to at least the other size, and written
+            // to: it shares the chunks it neither outgrew nor wrote.
+            let (mut grown, mut grown_model) = (memory.clone(), model.clone());
+            for _ in len..other_len {
+                grown.alloc_cas(7);
+                grown_model.objects.push(BaseObject::Cas(7));
+            }
+            for _ in 0..rng.gen_index(3) {
+                let primitive = arb_primitive(rng, grown.len());
+                assert_eq!(
+                    grown.apply(primitive.clone()).ok(),
+                    grown_model.apply(&primitive)
+                );
+            }
+            grown_model.agrees_with(&grown);
+            grown_model.deltas_like(&grown, &model, &memory);
+            model.deltas_like(&memory, &grown_model, &grown);
+        }
+    });
 }
