@@ -255,6 +255,19 @@ fn executions_keep_the_flat_relations_order() {
         for depth in 0..=4 {
             assert_eq!(a.executions(depth), spec.executions(depth), "depth {depth}");
         }
+        // The step both enumerations take, against the model's: clone,
+        // push, push. Whether `(l, t)` is a transition is the automaton's
+        // business, not `extended`'s.
+        for prefix in spec.executions(2) {
+            for l in 0..5u8 {
+                for t in (0..spec.n_states).map(StateId) {
+                    let mut pushed = prefix.clone();
+                    pushed.states.push(t);
+                    pushed.actions.push(l);
+                    assert_eq!(prefix.extended(l, t), pushed);
+                }
+            }
+        }
     });
 }
 

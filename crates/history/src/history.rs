@@ -36,6 +36,15 @@ impl History {
         History::default()
     }
 
+    /// Creates an empty history with room for `capacity` actions: whoever
+    /// knows the final length up front (a copy about to be appended to)
+    /// pays one allocation and no reallocation.
+    pub fn with_capacity(capacity: usize) -> Self {
+        History {
+            actions: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Creates a history from a sequence of actions.
     pub fn from_actions<I: IntoIterator<Item = Action>>(actions: I) -> Self {
         History {

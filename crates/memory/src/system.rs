@@ -91,7 +91,7 @@ pub struct RunStats {
 /// changes: the per-process flags and the history. A [`System`] holds it
 /// behind one reference count, so the computation steps between two
 /// external actions hand it from parent to successor untouched.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct External {
     pending: Vec<bool>,
     crashed: Vec<bool>,
@@ -115,7 +115,8 @@ struct External {
 ///   the pool's spine (see [`Memory`]), not the pool.
 /// - **An external action** — [`System::invoke`], a step that responds,
 ///   the first [`System::crash`] of a process — copies the flags and the
-///   history once, if they are still shared, and appends to the copy.
+///   history once, if they are still shared, and appends to the copy,
+///   which was allocated with room for the appended action.
 /// - **`Hash`** reads the memory's maintained fold, the process states
 ///   and the flags: nothing in it grows with the size of the memory.
 #[derive(Debug, Clone)]
@@ -204,6 +205,25 @@ impl<W: Word, P: Process<W>> System<W, P> {
         !ProcessId::all(self.n()).any(|p| self.can_step(p))
     }
 
+    /// The block of flags and history, for the external action that is
+    /// about to set a flag and append to the history. A block still shared
+    /// with another configuration is copied first — by hand, so that the
+    /// copy's history has room for that action: `Arc::make_mut` would
+    /// clone it at exactly `len`, and the append reallocate it at once.
+    fn external_mut(&mut self) -> &mut External {
+        if Arc::get_mut(&mut self.external).is_none() {
+            let shared = &*self.external;
+            let mut history = History::with_capacity(shared.history.len() + 1);
+            history.extend(shared.history.iter().copied());
+            self.external = Arc::new(External {
+                pending: shared.pending.clone(),
+                crashed: shared.crashed.clone(),
+                history,
+            });
+        }
+        Arc::get_mut(&mut self.external).expect("un-shared just above")
+    }
+
     /// Delivers invocation `op` to process `p`.
     ///
     /// # Errors
@@ -222,7 +242,7 @@ impl<W: Word, P: Process<W>> System<W, P> {
             return Err(SystemError::AlreadyPending(p));
         }
         self.procs[i].on_invoke(op);
-        let external = Arc::make_mut(&mut self.external);
+        let external = self.external_mut();
         external.pending[i] = true;
         external.history.push(Action::invoke(p, op));
         Ok(())
@@ -249,7 +269,7 @@ impl<W: Word, P: Process<W>> System<W, P> {
             return Err(SystemError::AtomicityViolation { proc: p, applied });
         }
         if let StepEffect::Responded(resp) = effect {
-            let external = Arc::make_mut(&mut self.external);
+            let external = self.external_mut();
             external.pending[i] = false;
             external.history.push(Action::respond(p, resp));
         }
@@ -264,7 +284,7 @@ impl<W: Word, P: Process<W>> System<W, P> {
         }
         if !self.external.crashed[i] {
             self.procs[i].on_crash();
-            let external = Arc::make_mut(&mut self.external);
+            let external = self.external_mut();
             external.crashed[i] = true;
             external.history.push(Action::crash(p));
         }
