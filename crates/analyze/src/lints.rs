@@ -12,8 +12,7 @@
 //!    provably order-insensitive (membership-only memo) may carry a
 //!    `det-lint: allow (<reason>)` comment.
 //! 2. **No ambient wall-clock** (`Instant`/`SystemTime`) outside
-//!    `crates/engine/src/stats.rs` (the sanctioned [`Stopwatch`]) and
-//!    `crates/bench/**` (whose entire purpose is timing).
+//!    `crates/engine/src/stats.rs` (the sanctioned [`Stopwatch`]).
 //! 3. **No ambient env reads** (`env::var`/`env::var_os`) outside
 //!    `crates/engine/src/knobs.rs` — every knob goes through the typed
 //!    registry accessors, which also own the PR 7 hard-error contract.
@@ -68,7 +67,7 @@ pub fn default_hasher(files: &[SourceFile]) -> Vec<Finding> {
 pub fn wall_clock(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
-        if file.rel_path == STATS_RS || file.rel_path.starts_with("crates/bench/") {
+        if file.rel_path == STATS_RS {
             continue;
         }
         for token in ["Instant", "SystemTime"] {
@@ -266,10 +265,6 @@ mod tests {
             ),
             file(STATS_RS, "struct Stopwatch { start: std::time::Instant }\n"),
             file(KNOBS_RS, "std::env::var_os(name);\n"),
-            file(
-                "crates/bench/src/lib.rs",
-                "let t = std::time::Instant::now();\n",
-            ),
         ];
         assert_eq!(wall_clock(&files).len(), 1);
         assert_eq!(env_reads(&files).len(), 1);

@@ -104,13 +104,6 @@ impl<L: DeltaCodec + PartialEq + Clone> DeltaCodec for Execution<L> {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// How often this thread called [`Automaton::executions`]: lets a
-    /// test show that a caller enumerates once.
-    pub(crate) static EXECUTIONS_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// The transitions out of one state: action → target states.
 type Row<L> = BTreeMap<L, BTreeSet<StateId>>;
 
@@ -338,8 +331,6 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
     /// via [`Automaton::executions_on`], which the differential tests and
     /// `tests/table_props.rs` pin to this implementation, order included.
     pub fn executions(&self, depth: usize) -> Vec<Execution<L>> {
-        #[cfg(test)]
-        EXECUTIONS_CALLS.with(|calls| calls.set(calls.get() + 1));
         let mut out = Vec::new();
         let mut queue: VecDeque<Execution<L>> = self.initial_executions().collect();
         while let Some(e) = queue.pop_front() {

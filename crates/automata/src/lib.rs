@@ -26,8 +26,8 @@
 //!
 //! and one of its lemmas is a statement about `fair(A_I)` directly
 //! (Lemma 4.8: the strongest liveness property an implementation `I`
-//! ensures is `Lmax ∪ fair(A_I)`), which [`Automaton::fair_histories`]
-//! makes checkable on finite truncations.
+//! ensures is `Lmax ∪ fair(A_I)`), which [`strongest_ensured`] builds from
+//! [`Automaton::fair_histories`] on finite truncations.
 
 #![warn(missing_docs)]
 
@@ -36,5 +36,5 @@ mod lemma48;
 mod theorem49;
 
 pub use automaton::{Automaton, Execution, ExecutionSpace, StateId};
-pub use lemma48::{lemma_4_8_holds, BoundedLiveness};
+pub use lemma48::{strongest_ensured, BoundedLiveness};
 pub use theorem49::{single_response_ib, trivial_it};

@@ -74,24 +74,6 @@ impl Grid {
             .collect()
     }
 
-    /// CSV rendering (`l,k,verdict` rows) for external plotting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("l,k,verdict\n");
-        for p in &self.points {
-            out.push_str(&format!(
-                "{},{},{}\n",
-                p.lk.l(),
-                p.lk.k(),
-                if p.implementable() {
-                    "implementable"
-                } else {
-                    "excluded"
-                }
-            ));
-        }
-        out
-    }
-
     /// The *minimal* black points (no black point strictly weaker): the
     /// "weakest non-implementable" frontier.
     pub fn weakest_excluded(&self) -> Vec<&GridPoint> {
@@ -133,38 +115,22 @@ impl fmt::Display for Grid {
     }
 }
 
-/// Tuning knobs for the grid experiments (exposed so benches can scale
-/// them; the defaults regenerate the paper's figure in seconds).
-#[derive(Debug, Clone, Copy)]
-pub struct GridConfig {
-    /// Depth of the exhaustive safety exploration for the white consensus
-    /// point.
-    pub explore_depth: usize,
-    /// Depth of reachable-configuration enumeration for the solo-progress
-    /// check.
-    pub solo_depth: usize,
-    /// Step budget of a solo run before it must respond.
-    pub solo_budget: usize,
-    /// Steps the bivalence adversary must survive.
-    pub adversary_steps: u64,
-    /// Configuration budget per valence query.
-    pub valence_budget: usize,
-    /// Events the TM starvation adversary runs for.
-    pub tm_adversary_events: u64,
-}
-
-impl Default for GridConfig {
-    fn default() -> Self {
-        GridConfig {
-            explore_depth: 18,
-            solo_depth: 8,
-            solo_budget: 400,
-            adversary_steps: 60,
-            valence_budget: 40_000,
-            tm_adversary_events: 2_000,
-        }
-    }
-}
+// The anchor experiments' scope, fixed: they regenerate the paper's figure
+// in seconds. `sect6` reuses the consensus constants.
+/// Depth of the exhaustive safety exploration for the white consensus point.
+const EXPLORE_DEPTH: usize = 18;
+/// Depth of reachable-configuration enumeration for the solo-progress check.
+pub(crate) const SOLO_DEPTH: usize = 8;
+/// Step budget of a solo run before it must respond.
+pub(crate) const SOLO_BUDGET: usize = 400;
+/// Steps the bivalence adversary must survive.
+pub(crate) const ADVERSARY_STEPS: u64 = 60;
+/// Configuration budget per valence query.
+pub(crate) const VALENCE_BUDGET: usize = 40_000;
+/// Events of the seeded contention run and of the TM starvation adversary.
+const TM_EVENTS: u64 = 2_000;
+/// Seed of the `FairRandom` scheduler behind the white TM anchor.
+const TM_WHITE_SEED: u64 = 7;
 
 /// **Figure 1(a)**: consensus from read/write registers. White iff
 /// `(l,k) = (1,1)` (Theorem 5.2).
@@ -183,11 +149,6 @@ impl Default for GridConfig {
 ///   the exclusion (a stronger property excludes whenever a weaker one
 ///   does).
 pub fn consensus_grid(n: usize) -> Grid {
-    consensus_grid_with(n, GridConfig::default())
-}
-
-/// [`consensus_grid`] with explicit tuning.
-pub fn consensus_grid_with(n: usize, cfg: GridConfig) -> Grid {
     let p0 = ProcessId::new(0);
     let p1 = ProcessId::new(1);
 
@@ -196,26 +157,25 @@ pub fn consensus_grid_with(n: usize, cfg: GridConfig) -> Grid {
     let safety_out = explore_safety(
         &build(),
         &[p0, p1],
-        cfg.explore_depth,
+        EXPLORE_DEPTH,
         &ConsensusSafety::new(),
         history_digest,
     );
-    let solo_cex = verify_solo_progress(&build(), &[p0, p1], cfg.solo_depth, cfg.solo_budget);
+    let solo_cex = verify_solo_progress(&build(), &[p0, p1], SOLO_DEPTH, SOLO_BUDGET);
     let white_ok = safety_out.holds() && solo_cex.is_none();
     let white_basis = format!(
-        "obstruction-free consensus from registers: safety exhaustive to depth {} \
-         ({} configs, ok={}), solo progress exhaustive to depth {} (ok={})",
-        cfg.explore_depth,
+        "obstruction-free consensus from registers: safety on every schedule to depth \
+         {EXPLORE_DEPTH} ({} configs, truncated: {}, ok={}), solo progress exhaustive to \
+         depth {SOLO_DEPTH} (ok={})",
         safety_out.configs,
+        safety_out.truncated,
         safety_out.holds(),
-        cfg.solo_depth,
         solo_cex.is_none()
     );
 
     // Black anchor (1,2): the bivalence adversary starves two steppers.
     let mut sys = build();
-    let report =
-        run_bivalence_adversary(&mut sys, &[p0, p1], cfg.adversary_steps, cfg.valence_budget);
+    let report = run_bivalence_adversary(&mut sys, &[p0, p1], ADVERSARY_STEPS, VALENCE_BUDGET);
     let black_ok = report.adversary_won();
     let black_basis = format!(
         "bivalence adversary kept 2 steppers undecided for {} steps \
@@ -267,18 +227,16 @@ pub fn consensus_grid_with(n: usize, cfg: GridConfig) -> Grid {
 ///   against our TMs the run is periodic, which the test suite converts
 ///   into a lasso proof. Every l ≥ 2 point inherits the exclusion.
 pub fn tm_grid(n: usize) -> Grid {
-    tm_grid_with(n, GridConfig::default())
-}
-
-/// [`tm_grid`] with explicit tuning.
-pub fn tm_grid_with(n: usize, cfg: GridConfig) -> Grid {
     // White anchor: lock-freedom of GlobalVersionTm under full contention.
     let mut sys = GlobalVersionTm::system(n.max(2), 1);
     let workload =
         slx_memory::RepeatTxn::new(n.max(2), vec![VarId::new(0)], vec![VarId::new(0)], None);
-    let mut sched =
-        slx_memory::WorkloadScheduler::new(n.max(2), workload, slx_memory::FairRandom::new(7));
-    sys.run(&mut sched, cfg.tm_adversary_events);
+    let mut sched = slx_memory::WorkloadScheduler::new(
+        n.max(2),
+        workload,
+        slx_memory::FairRandom::new(TM_WHITE_SEED),
+    );
+    sys.run(&mut sched, TM_EVENTS);
     let commits = sys
         .history()
         .iter()
@@ -287,7 +245,8 @@ pub fn tm_grid_with(n: usize, cfg: GridConfig) -> Grid {
     let opaque = slx_safety::certify_unique_writes(sys.history(), Value::new(0));
     let white_ok = commits > 0 && opaque;
     let white_basis = format!(
-        "GlobalVersionTm under full {}-process contention: {} commits, opacity certified: {}",
+        "GlobalVersionTm under full {}-process contention (one FairRandom({TM_WHITE_SEED}) run \
+         of {TM_EVENTS} events): {} commits, opacity certified: {}",
         n.max(2),
         commits,
         opaque
@@ -296,7 +255,7 @@ pub fn tm_grid_with(n: usize, cfg: GridConfig) -> Grid {
     // Black anchor: §4.1 starvation strategy on two processes.
     let mut sys = GlobalVersionTm::system(2, 1);
     let mut adv = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
-    sys.run(&mut adv, cfg.tm_adversary_events);
+    sys.run(&mut adv, TM_EVENTS);
     let black_ok = !adv.lost() && adv.rounds() >= 2;
     let black_basis = format!(
         "§4.1 starvation strategy: victim aborted through {} committer rounds without committing",
@@ -386,16 +345,5 @@ mod tests {
         assert!(s.contains("○"));
         assert!(s.contains("●"));
         assert!(s.contains("l=1"));
-    }
-
-    #[test]
-    fn grid_csv_rows() {
-        let g = tm_grid(3);
-        let csv = g.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "l,k,verdict");
-        assert_eq!(lines.len(), 1 + g.points.len());
-        assert!(lines.contains(&"1,3,implementable"));
-        assert!(lines.contains(&"2,2,excluded"));
     }
 }

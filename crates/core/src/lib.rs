@@ -20,6 +20,12 @@
 //! - [`sect6`] — the **Section 6** remarks on S-freedom and
 //!   (n,x)-liveness.
 //!
+//! Each driver has one printer, a root-package example: `lk_lattice`
+//! (Figure 1 and Section 6), `consensus_adversary` (Corollary 4.5),
+//! `tm_starvation` (Corollary 4.6), `counterexample_s` (Section 5.3) and
+//! `automata_tour` (Lemma 4.8 and Theorem 4.9's constructions). Run one
+//! with `cargo run --release --example <name>`.
+//!
 //! # Quickstart
 //!
 //! ```

@@ -7,6 +7,8 @@ use slx_history::{Operation, ProcessId, Value};
 use slx_liveness::{ExecutionView, LivenessProperty, NxLiveness, ProgressKind, SFreedom};
 use slx_memory::{Decision, Memory, System};
 
+use crate::grid::{ADVERSARY_STEPS, SOLO_BUDGET, SOLO_DEPTH, VALENCE_BUDGET};
+
 /// The S-freedom structure recalled in Section 6: the implementable
 /// members (from registers, for consensus) are exactly the singletons, and
 /// the singletons are pairwise incomparable — so even this restricted
@@ -69,7 +71,8 @@ pub fn nx_report(n: usize) -> NxReport {
 }
 
 /// Experimental check of the Section 6 *implementability* claims for a
-/// two-process register system, using the same machinery as Figure 1a:
+/// two-process register system, using the same machinery and scope as
+/// Figure 1a:
 ///
 /// - `(n,0)`-liveness (pure obstruction-freedom) and `{1}`-freedom are
 ///   *satisfied* by the register-only consensus: verified by exhaustive
@@ -113,9 +116,9 @@ pub fn sect6_implementability_demo() -> Sect6ImplementabilityDemo {
             .expect("a fresh process accepts its first invocation");
     }
 
-    let solo_progress_ok = verify_solo_progress(&sys, &[p0, p1], 8, 400).is_none();
+    let solo_progress_ok = verify_solo_progress(&sys, &[p0, p1], SOLO_DEPTH, SOLO_BUDGET).is_none();
 
-    let report = run_bivalence_adversary(&mut sys, &[p0, p1], 60, 40_000);
+    let report = run_bivalence_adversary(&mut sys, &[p0, p1], ADVERSARY_STEPS, VALENCE_BUDGET);
     let mut nx1_violated = false;
     let mut s2_violated = false;
     if report.adversary_won() {

@@ -30,7 +30,7 @@
 //!
 //! Unset (the default) compiles the whole plane down to one inline
 //! `Option` check per seam — the fault-free hot path pays nothing, which
-//! the `fault_overhead` bench smoke pins at ≤ 1.02x.
+//! the `fault_overhead` example pins at ≤ 1.02x.
 //!
 //! # What the kernel does with an injected fault
 //!

@@ -1,10 +1,11 @@
 //! A tour of the formal side: I/O automata, composition, fairness,
-//! Theorem 4.9's constructions, and Lemma 4.8 checked by brute force.
+//! Theorem 4.9's constructions, and Lemma 4.8's strongest ensured property
+//! built on a bounded truncation.
 //!
 //! Run with: `cargo run --example automata_tour`
 
 use safety_liveness_exclusion::automata::{
-    lemma_4_8_holds, single_response_ib, trivial_it, Automaton, BoundedLiveness, StateId,
+    single_response_ib, strongest_ensured, trivial_it, Automaton, BoundedLiveness, StateId,
 };
 use safety_liveness_exclusion::history::{Action, History, Operation, ProcessId, Response, Value};
 use safety_liveness_exclusion::safety::{ConsensusSafety, SafetyProperty};
@@ -102,7 +103,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 4. Lemma 4.8, brute-forced on a bounded universe.
+    // 4. Lemma 4.8's strongest ensured property on a bounded universe.
     // ------------------------------------------------------------------
     println!("=== Lemma 4.8 on It (1 process, depth 2) ===");
     let small_it = trivial_it(1, &[propose(1)], &[res]);
@@ -116,11 +117,13 @@ fn main() {
             })
             .cloned(),
     );
-    let (holds, strongest) = lemma_4_8_holds(&small_it, &lmax, &universe, 2);
+    let strongest = strongest_ensured(&small_it, &lmax, 2);
     println!("universe size        : {}", universe.len());
     println!("|Lmax| truncation    : {}", lmax.len());
     println!("|Lmax ∪ fair(A_It)|  : {}", strongest.len());
     println!(
-        "Lemma 4.8 verified   : {holds} (checked against all 2^k candidate liveness properties)"
+        "Lemma 4.8 at depth 2 : Lmax ∪ fair(A_It) is the strongest ensured (ensured by It: {}); \
+         definitional at this bound, no candidate property searched",
+        strongest.ensured_by(&small_it, 2)
     );
 }

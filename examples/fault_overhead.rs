@@ -16,41 +16,38 @@
 //! armed-but-silent one, and arming the schedule costs nothing over the
 //! inlined no-op — and both arms must report `faults_injected == 0`.
 //!
-//! ```text
-//! cargo run --release -p slx-bench --bin fault_overhead \
-//!     [depth] [rounds] [batch] [spill_budget]
-//! ```
+//! Run with: `cargo run --release --example fault_overhead`
 
 use std::time::Instant;
 
-use slx_core::consensus::ObstructionFreeConsensus;
-use slx_core::engine::{Checker, FaultPlan, SpillCodec};
-use slx_core::explorer::{explore_safety_with, history_digest, ExploreOutcome};
-use slx_core::history::ProcessId;
-use slx_core::safety::ConsensusSafety;
+use safety_liveness_exclusion::consensus::ObstructionFreeConsensus;
+use safety_liveness_exclusion::engine::{Checker, FaultPlan, SpillCodec};
+use safety_liveness_exclusion::explorer::{explore_safety_with, history_digest, ExploreOutcome};
+use safety_liveness_exclusion::history::ProcessId;
+use safety_liveness_exclusion::safety::ConsensusSafety;
 
 /// Acceptance ratio for the smoke assertion, both directions.
 const MAX_OVERHEAD: f64 = 1.02;
+
+/// Exploration depth of one run.
+const DEPTH: usize = 26;
+
+/// Rounds of samples; the best batch per arm is kept.
+const ROUNDS: usize = 10;
+
+/// Explorations per timed sample.
+const BATCH: usize = 16;
 
 /// Frontier budget forcing the depth-26 row through the spill seams.
 const SPILL_BUDGET: usize = 8 * 1024;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let depth: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(26);
-    let rounds: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
-    let batch: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(16);
-    let spill_budget: usize = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(SPILL_BUDGET);
-
     // 16 rounds: ample for depth 26 at 2n + 2 steps a round.
     let sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
     let active = [ProcessId::new(0), ProcessId::new(1)];
     let safety = ConsensusSafety::new();
     let off_checker = Checker::auto()
-        .with_mem_budget(spill_budget)
+        .with_mem_budget(SPILL_BUDGET)
         .with_spill_codec(SpillCodec::Delta)
         .with_symmetry(false);
     // Rate 0 out of 1024: the schedule is consulted on every seam
@@ -60,14 +57,14 @@ fn main() {
         .with_fault_plan(FaultPlan::seeded(7).with_rate(0));
 
     let explore = |checker: &Checker| {
-        explore_safety_with(checker, &sys, &active, depth, &safety, history_digest)
+        explore_safety_with(checker, &sys, &active, DEPTH, &safety, history_digest)
     };
     // One timed sample is a whole batch of explorations: the single runs
     // are milliseconds long, far below the 2% being resolved.
     let sample = |checker: &Checker| -> (ExploreOutcome, f64) {
         let t = Instant::now();
         let mut out = None;
-        for _ in 0..batch {
+        for _ in 0..BATCH {
             out = Some(explore(checker));
         }
         (out.expect("batch is nonempty"), t.elapsed().as_secs_f64())
@@ -77,7 +74,7 @@ fn main() {
     let mut rate0_secs = f64::INFINITY;
     let mut off = None;
     let mut rate0 = None;
-    for _ in 0..rounds.max(1) {
+    for _ in 0..ROUNDS {
         let (out, secs) = sample(&off_checker);
         off_secs = off_secs.min(secs);
         off = Some(out);
@@ -106,8 +103,8 @@ fn main() {
     let off_x = off_secs / rate0_secs;
     let rate0_x = rate0_secs / off_secs;
     println!(
-        "fault plane overhead (depth {depth}, {} configs, {} spilled chunks, \
-         best-of-{rounds} batches of {batch}): off {off_secs:.4}s vs rate-0 \
+        "fault plane overhead (depth {DEPTH}, {} configs, {} spilled chunks, \
+         best-of-{ROUNDS} batches of {BATCH}): off {off_secs:.4}s vs rate-0 \
          {rate0_secs:.4}s — off/rate0 {off_x:.3}x, rate0/off {rate0_x:.3}x \
          (acceptance <= {MAX_OVERHEAD}x each way)",
         off.configs, off.stats.spilled_chunks,

@@ -1,9 +1,15 @@
 //! End-to-end integration: the paper's headline results, regenerated
 //! through the public API of the root crate.
 
+use safety_liveness_exclusion::consensus::{ConsWord, ObstructionFreeConsensus};
 use safety_liveness_exclusion::counterexample::run_counterexample_s;
+use safety_liveness_exclusion::engine::{DeltaCodec, StateCodec};
+use safety_liveness_exclusion::explorer::{explore_safety, history_digest, verify_solo_progress};
 use safety_liveness_exclusion::grid::{consensus_grid, tm_grid};
+use safety_liveness_exclusion::history::{Operation, ProcessId, Response, Value};
 use safety_liveness_exclusion::liveness::LkFreedom;
+use safety_liveness_exclusion::memory::{Memory, ObjId, Primitive, Process, StepEffect, System};
+use safety_liveness_exclusion::safety::ConsensusSafety;
 use safety_liveness_exclusion::sect6::{nx_report, s_freedom_report};
 use safety_liveness_exclusion::theorems::{consensus_gmax_demo, tm_gmax_demo};
 
@@ -36,6 +42,121 @@ fn theorem_5_2_figure_1a() {
             );
         }
     }
+}
+
+/// Planted bug for Figure 1(a)'s white anchor: a two-process register
+/// consensus that publishes its proposal, then decides the smaller of the
+/// two proposals once it has read the other one. Both processes decide
+/// the same value, so it is safe; a process running solo before the
+/// other has published waits forever.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct WaitForOther {
+    mine: ObjId,
+    other: ObjId,
+    proposal: Option<Value>,
+    published: bool,
+}
+
+impl WaitForOther {
+    fn proposers(inputs: [i64; 2]) -> System<ConsWord, Self> {
+        let mut mem: Memory<ConsWord> = Memory::new();
+        let regs = [
+            mem.alloc_register(ConsWord::Bot),
+            mem.alloc_register(ConsWord::Bot),
+        ];
+        let procs = (0..2)
+            .map(|i| WaitForOther {
+                mine: regs[i],
+                other: regs[1 - i],
+                proposal: None,
+                published: false,
+            })
+            .collect();
+        let mut sys = System::new(mem, procs);
+        for (i, v) in inputs.into_iter().enumerate() {
+            sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(v)))
+                .unwrap();
+        }
+        sys
+    }
+}
+
+impl Process<ConsWord> for WaitForOther {
+    fn on_invoke(&mut self, op: Operation) {
+        let Operation::Propose(v) = op else {
+            panic!("consensus accepts only propose(), got {op}");
+        };
+        self.proposal = Some(v);
+    }
+
+    fn has_step(&self) -> bool {
+        self.proposal.is_some()
+    }
+
+    fn step(&mut self, mem: &mut Memory<ConsWord>) -> StepEffect {
+        let Some(v) = self.proposal else {
+            return StepEffect::Idle;
+        };
+        if !self.published {
+            mem.apply(Primitive::Write(self.mine, ConsWord::Val(v)))
+                .unwrap();
+            self.published = true;
+            return StepEffect::Ran;
+        }
+        match mem
+            .apply(Primitive::Read(self.other))
+            .unwrap()
+            .expect_value()
+        {
+            ConsWord::Val(w) => {
+                self.proposal = None;
+                StepEffect::Responded(Response::Decided(Value::new(v.raw().min(w.raw()))))
+            }
+            _ => StepEffect::Ran,
+        }
+    }
+}
+
+impl StateCodec for WaitForOther {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.mine.encode(out);
+        self.other.encode(out);
+        self.proposal.encode(out);
+        self.published.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(WaitForOther {
+            mine: ObjId::decode(input)?,
+            other: ObjId::decode(input)?,
+            proposal: Option::decode(input)?,
+            published: bool::decode(input)?,
+        })
+    }
+}
+
+impl DeltaCodec for WaitForOther {}
+
+/// The control flips the solo-progress half of Figure 1(a)'s white
+/// anchor at the grid's scope (safety to depth 18, solo progress to
+/// depth 8 with a 400-step budget): both implementations are safe, and
+/// only `ObstructionFreeConsensus` lets a solo process decide.
+#[test]
+fn figure_1a_white_anchor_flags_a_consensus_that_waits_for_the_other() {
+    let active = [ProcessId::new(0), ProcessId::new(1)];
+    let safety = ConsensusSafety::new();
+
+    let of = ObstructionFreeConsensus::proposers(&[1, 2], 64);
+    assert!(explore_safety(&of, &active, 18, &safety, history_digest).holds());
+    assert!(verify_solo_progress(&of, &active, 8, 400).is_none());
+
+    let control = WaitForOther::proposers([1, 2]);
+    let out = explore_safety(&control, &active, 18, &safety, history_digest);
+    assert!(out.holds(), "violations: {:?}", out.violations);
+    assert!(
+        verify_solo_progress(&control, &active, 8, 400).is_some(),
+        "a solo process that waits forever went unflagged"
+    );
 }
 
 #[test]

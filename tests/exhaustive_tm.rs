@@ -4,54 +4,174 @@
 //!
 //! This is the TM counterpart of the consensus exploration that backs
 //! Figure 1a's white point: universal quantification over schedules,
-//! discharged by enumeration.
+//! discharged by enumeration. Its control is [`BlindCommitTm`], a TM that
+//! never validates its reads: the same exploration must catch it, and the
+//! §4.1 starvation strategy must lose against it.
 
-use safety_liveness_exclusion::explorer::explore_safety;
-use safety_liveness_exclusion::history::{Operation, ProcessId, Value, VarId};
+use safety_liveness_exclusion::adversary::TmStarvation;
+use safety_liveness_exclusion::engine::{DeltaCodec, StateCodec};
+use safety_liveness_exclusion::explorer::{explore_safety, history_digest, ExploreOutcome};
+use safety_liveness_exclusion::history::{Operation, ProcessId, Response, Value, VarId};
+use safety_liveness_exclusion::memory::{Memory, ObjId, Primitive, Process, StepEffect, System};
 use safety_liveness_exclusion::safety::Opacity;
-use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm};
+use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm, TmWord};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
 }
 
-fn digest(h: &safety_liveness_exclusion::history::History) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut hasher = DefaultHasher::new();
-    for a in h.iter() {
-        a.hash(&mut hasher);
-    }
-    hasher.finish()
+/// Planted bug: a TM whose `tryC()` always commits. `start()` copies the
+/// committed values out of one register, reads and writes are local, and
+/// `tryC()` writes the local values back without checking that what the
+/// transaction read is still current, so two read-modify-writes can both
+/// commit on the same read (a lost update).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct BlindCommitTm {
+    c: ObjId,
+    version: u64,
+    values: Vec<Value>,
+    pending: Option<Operation>,
 }
+
+impl BlindCommitTm {
+    fn system(n: usize, nvars: usize) -> System<TmWord, Self> {
+        let mut mem: Memory<TmWord> = Memory::new();
+        let c = mem.alloc_register(TmWord::initial(nvars));
+        let procs = (0..n)
+            .map(|_| BlindCommitTm {
+                c,
+                version: 0,
+                values: vec![Value::new(0); nvars],
+                pending: None,
+            })
+            .collect();
+        System::new(mem, procs)
+    }
+}
+
+impl Process<TmWord> for BlindCommitTm {
+    fn on_invoke(&mut self, op: Operation) {
+        self.pending = Some(op);
+    }
+
+    fn has_step(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    fn step(&mut self, mem: &mut Memory<TmWord>) -> StepEffect {
+        let Some(op) = self.pending.take() else {
+            return StepEffect::Idle;
+        };
+        let resp = match op {
+            Operation::TxStart => {
+                let w = mem.apply(Primitive::Read(self.c)).unwrap().expect_value();
+                let (version, values) = w.expect_versioned();
+                self.version = version;
+                self.values = values.clone();
+                Response::Ok
+            }
+            Operation::TxRead(x) => Response::ValueReturned(self.values[x.index()]),
+            Operation::TxWrite(x, v) => {
+                self.values[x.index()] = v;
+                Response::Ok
+            }
+            Operation::TxCommit => {
+                let committed = TmWord::Versioned {
+                    version: self.version + 1,
+                    values: self.values.clone(),
+                };
+                mem.apply(Primitive::Write(self.c, committed)).unwrap();
+                Response::Committed
+            }
+            other => panic!("transactional memory accepts only TM operations, got {other}"),
+        };
+        StepEffect::Responded(resp)
+    }
+}
+
+impl StateCodec for BlindCommitTm {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.c.encode(out);
+        self.version.encode(out);
+        self.values.encode(out);
+        self.pending.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(BlindCommitTm {
+            c: ObjId::decode(input)?,
+            version: u64::decode(input)?,
+            values: Vec::decode(input)?,
+            pending: Option::decode(input)?,
+        })
+    }
+}
+
+impl DeltaCodec for BlindCommitTm {}
 
 /// Drives one whole scripted transaction per process, but through the
 /// *system* invocation interface ahead of time is impossible (one pending
 /// op per process), so the script advances between explorations: instead
 /// we explore all interleavings of the final, most contended phase — both
-/// processes having started at the same version, both writing, both
-/// committing.
-#[test]
-fn global_version_tm_opaque_under_all_commit_races() {
-    let mut sys = GlobalVersionTm::system(2, 1);
-    // Deterministic prefix: both start at version 1, write locally.
+/// processes having started at the same version, read `x` and written it,
+/// both committing. Depth 8 leaves the commit phase room to finish.
+fn explore_commit_race<P>(mut sys: System<TmWord, P>) -> ExploreOutcome
+where
+    P: Process<TmWord> + DeltaCodec + Clone + Eq + std::hash::Hash + Send + Sync,
+{
+    // Deterministic prefix: both start at version 1, read and write locally.
     for i in 0..2 {
-        sys.invoke(p(i), Operation::TxStart).unwrap();
-        sys.step(p(i)).unwrap();
-        sys.invoke(
-            p(i),
+        for op in [
+            Operation::TxStart,
+            Operation::TxRead(VarId::new(0)),
             Operation::TxWrite(VarId::new(0), Value::new(10 + i as i64)),
-        )
-        .unwrap();
-        sys.step(p(i)).unwrap();
+        ] {
+            sys.invoke(p(i), op).unwrap();
+            sys.step(p(i)).unwrap();
+        }
     }
     // Now both commit; explore every interleaving of the commit phase.
     for i in 0..2 {
         sys.invoke(p(i), Operation::TxCommit).unwrap();
     }
-    let out = explore_safety(&sys, &[p(0), p(1)], 8, &Opacity::new(Value::new(0)), digest);
+    explore_safety(
+        &sys,
+        &[p(0), p(1)],
+        8,
+        &Opacity::new(Value::new(0)),
+        history_digest,
+    )
+}
+
+#[test]
+fn global_version_tm_opaque_under_all_commit_races() {
+    let out = explore_commit_race(GlobalVersionTm::system(2, 1));
     assert!(out.holds(), "violations: {:?}", out.violations);
     assert!(!out.truncated);
+}
+
+/// The control flips the verdict above: both transactions read 0 and
+/// both commit, which no serialization explains.
+#[test]
+fn blind_commit_tm_is_caught_under_the_same_commit_races() {
+    let out = explore_commit_race(BlindCommitTm::system(2, 1));
+    assert!(!out.holds(), "the lost update went unflagged");
+}
+
+/// Figure 1(b)'s black anchor depends on safety: the §4.1 strategy that
+/// starves the victim on `GlobalVersionTm` loses once commits stop
+/// validating reads, because the victim commits.
+#[test]
+fn starvation_strategy_loses_against_the_blind_commit_tm() {
+    let mut sys = GlobalVersionTm::system(2, 1);
+    let mut adv = TmStarvation::new(p(0), p(1), VarId::new(0));
+    sys.run(&mut adv, 2_000);
+    assert!(!adv.lost() && adv.rounds() >= 2, "GlobalVersionTm starves");
+
+    let mut sys = BlindCommitTm::system(2, 1);
+    let mut adv = TmStarvation::new(p(0), p(1), VarId::new(0));
+    sys.run(&mut adv, 2_000);
+    assert!(adv.lost(), "the victim commits: the strategy loses");
 }
 
 #[test]
@@ -67,7 +187,13 @@ fn agp_tm_opaque_under_all_start_and_commit_races() {
     // invocations must be injected when a process completes its start. We
     // instead check the start race alone here (the commit race is covered
     // by the test above and the AgpTm unit tests).
-    let out = explore_safety(&sys, &[p(0), p(1)], 6, &Opacity::new(Value::new(0)), digest);
+    let out = explore_safety(
+        &sys,
+        &[p(0), p(1)],
+        6,
+        &Opacity::new(Value::new(0)),
+        history_digest,
+    );
     assert!(out.holds(), "violations: {:?}", out.violations);
     assert!(!out.truncated);
 }
@@ -94,7 +220,13 @@ fn agp_tm_commit_race_after_symmetric_start() {
         sys.step(p(i)).unwrap();
         sys.invoke(p(i), Operation::TxCommit).unwrap();
     }
-    let out = explore_safety(&sys, &[p(0), p(1)], 8, &Opacity::new(Value::new(0)), digest);
+    let out = explore_safety(
+        &sys,
+        &[p(0), p(1)],
+        8,
+        &Opacity::new(Value::new(0)),
+        history_digest,
+    );
     assert!(out.holds(), "violations: {:?}", out.violations);
     assert!(!out.truncated);
     // In every interleaving at most one of the two CASes succeeds — i.e.
