@@ -11,7 +11,6 @@ use crate::codec::{DeltaCodec, StateCodec};
 use crate::detmap::DetHashSet;
 use crate::digest::Fingerprinter;
 use crate::fault::{EngineError, FaultPlan, FaultPlane};
-use crate::knobs;
 use crate::space::{Expansion, StateSpace};
 use crate::spill::{SpillCodec, SpillConfig, SpillFrontier};
 use crate::stats::{ExploreStats, Stopwatch};
@@ -45,77 +44,34 @@ pub struct KernelOutcome<F> {
 /// deterministic regardless of thread scheduling, thread count, and
 /// shard count.
 ///
-/// Every `with_*` builder pins one setting; a setting left unpinned
-/// defers to its `SLX_ENGINE_*` environment variable, then to a default.
-/// [`Checker::resolve`] is where that precedence is decided, once per
-/// run.
+/// A checker is its settings: every field holds the value the run uses,
+/// set by [`Checker::parallel_bfs`] / [`Checker::auto`] and the `with_*`
+/// builders. Nothing is read from the environment.
 #[derive(Debug, Clone)]
 pub struct Checker {
     /// Worker threads, at least 1; with 1 the level loop runs inline
     /// with no thread spawns.
     threads: usize,
+    /// Requested visited-set shard count, before rounding up to a power
+    /// of two: [`Checker::with_shards`], else four per thread capped at
+    /// 256. One thread inserts, so the count only sets how many tables
+    /// the digests spread over.
+    shards: usize,
     config_budget: Option<usize>,
-    shards: Option<usize>,
-    /// `Some(0)` pins spilling off, `Some(n)` on.
+    /// Frontier memory budget in bytes; `None` means spilling is off.
     mem_budget: Option<usize>,
+    /// Where spill files go; `None` means the system temp directory,
+    /// looked up only by a run that spills.
     spill_dir: Option<PathBuf>,
-    spill_codec: Option<SpillCodec>,
-    symmetry: Option<bool>,
+    spill_codec: SpillCodec,
+    /// Whether symmetry reduction is *asked for*; it only activates on
+    /// spaces advertising [`StateSpace::has_symmetry_reduction`].
+    symmetry: bool,
     /// Checkpoint-store directory and cadence in BFS levels.
     checkpoint: Option<(PathBuf, usize)>,
     resume_from: Option<PathBuf>,
+    /// `None` leaves every fault seam an inline no-op.
     fault_plan: Option<FaultPlan>,
-}
-
-/// Everything one run is configured by, as [`Checker::resolve`] decided
-/// it: each field is the builder's pin if there was one, else the
-/// `SLX_ENGINE_*` environment variable, else the default. Read-only — a
-/// run resolves its own; this is how callers and tests observe what a
-/// checker *will* do without running it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct RunConfig {
-    /// Worker threads ([`Checker::parallel_bfs`], or [`Checker::auto`]'s
-    /// `SLX_ENGINE_THREADS` / autodetection).
-    pub threads: usize,
-    /// Requested BFS visited-set shard count, before rounding up to a
-    /// power of two: [`Checker::with_shards`], else `SLX_ENGINE_SHARDS`,
-    /// else four per thread (a default from when the merge inserted
-    /// shard batches in parallel; one thread inserts now, so the count
-    /// only sets how many tables the digests spread over) capped at
-    /// 256; the explicit knobs go up to 4096.
-    pub shards: usize,
-    /// Cap on states expanded ([`Checker::with_budget`]).
-    pub config_budget: Option<usize>,
-    /// Frontier memory budget in bytes; `None` means spilling is off
-    /// ([`Checker::with_mem_budget`], else `SLX_ENGINE_MEM_BUDGET`; `0`
-    /// in either pins it off).
-    pub mem_budget: Option<usize>,
-    /// Spill-chunk record encoding ([`Checker::with_spill_codec`], else
-    /// `SLX_ENGINE_SPILL_CODEC`, else delta).
-    pub spill_codec: SpillCodec,
-    /// Where spill files go ([`Checker::with_spill_dir`], else
-    /// `SLX_ENGINE_SPILL_DIR`, else the system temp directory). `None`
-    /// exactly when `mem_budget` is: a run that cannot spill looks
-    /// nothing up.
-    pub spill_dir: Option<PathBuf>,
-    /// Whether symmetry reduction is *asked for*
-    /// ([`Checker::with_symmetry`], else `SLX_ENGINE_SYMMETRY`); it only
-    /// activates on spaces advertising
-    /// [`StateSpace::has_symmetry_reduction`].
-    pub symmetry: bool,
-    /// Checkpoint-store directory and cadence in BFS levels
-    /// ([`Checker::with_checkpoint`] / [`Checker::resume`] only — there
-    /// is deliberately no environment variable: an ambient directory
-    /// would have every run in the process commit over one image).
-    pub checkpoint: Option<(PathBuf, usize)>,
-    /// Directory of the committed image to resume from
-    /// ([`Checker::resume`]).
-    pub resume_from: Option<PathBuf>,
-    /// Fault-injection plan ([`Checker::with_fault_plan`], else
-    /// `SLX_ENGINE_FAULT_PLAN`); `None` leaves every fault seam an
-    /// inline no-op.
-    pub fault_plan: Option<FaultPlan>,
 }
 
 /// Fingerprint of one exploration's identity: the space's Rust type name
@@ -157,14 +113,15 @@ impl Checker {
     /// A checker with an explicit thread count (clamped to at least 1).
     #[must_use]
     pub fn parallel_bfs(threads: usize) -> Self {
+        let threads = threads.max(1);
         Checker {
-            threads: threads.max(1),
+            threads,
+            shards: threads.saturating_mul(4).min(256),
             config_budget: None,
-            shards: None,
             mem_budget: None,
             spill_dir: None,
-            spill_codec: None,
-            symmetry: None,
+            spill_codec: SpillCodec::Delta,
+            symmetry: false,
             checkpoint: None,
             resume_from: None,
             fault_plan: None,
@@ -172,20 +129,10 @@ impl Checker {
     }
 
     /// A checker sized to the machine
-    /// (`std::thread::available_parallelism`, overridable via the
-    /// `SLX_ENGINE_THREADS` environment variable).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed `SLX_ENGINE_THREADS` value (see
-    /// [`knobs::Knob::usize_value`]): a typo silently falling back to
-    /// autodetection would run a pinned CI arm on the wrong thread count.
+    /// (`std::thread::available_parallelism`).
     #[must_use]
     pub fn auto() -> Self {
-        let threads = knobs::SLX_ENGINE_THREADS
-            .usize_value()
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        Checker::parallel_bfs(threads)
+        Checker::parallel_bfs(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Caps the number of states expanded; hitting the cap marks the run
@@ -199,12 +146,11 @@ impl Checker {
     /// Pins the BFS visited set to `shards` shards (rounded up to a power
     /// of two). Verdicts, findings, and counts are shard-count
     /// independent; this knob only sets how many hash tables the digests
-    /// are spread over. Without it the count comes from the
-    /// `SLX_ENGINE_SHARDS` environment variable, falling back to an
-    /// autodetected default sized to the thread count.
+    /// are spread over. Without it the count is four per thread, capped
+    /// at 256.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
+        self.shards = shards.max(1);
         self
     }
 
@@ -218,20 +164,17 @@ impl Checker {
     /// and every [`ExploreStats`] count are identical with spilling on or
     /// off (pinned by the differential spill matrix).
     ///
-    /// `bytes = 0` pins spilling **off**, overriding the
-    /// `SLX_ENGINE_MEM_BUDGET` environment variable; without this knob
-    /// that variable supplies the budget. Spill files go to
-    /// [`Checker::with_spill_dir`], else `SLX_ENGINE_SPILL_DIR`, else the
-    /// system temp directory.
+    /// `bytes = 0` turns spilling off, which is also the default. Spill
+    /// files go to [`Checker::with_spill_dir`], else the system temp
+    /// directory.
     #[must_use]
     pub fn with_mem_budget(mut self, bytes: usize) -> Self {
-        self.mem_budget = Some(bytes);
+        self.mem_budget = (bytes > 0).then_some(bytes);
         self
     }
 
-    /// Pins the directory spill files are created in (created if absent).
-    /// Without it the `SLX_ENGINE_SPILL_DIR` environment variable is
-    /// honored, falling back to the system temp directory.
+    /// Pins the directory spill files are created in (created if absent)
+    /// instead of the system temp directory.
     #[must_use]
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
@@ -252,29 +195,24 @@ impl Checker {
     /// (single traced runs; see EXPERIMENTS.md).
     /// Verdicts, findings, and every count except the spill-volume and
     /// replay-accounting statistics are identical under all three.
-    /// Without this knob the `SLX_ENGINE_SPILL_CODEC` environment
-    /// variable (`delta` / `plain` / `replay`) is honored, falling back
-    /// to delta.
     #[must_use]
     pub fn with_spill_codec(mut self, codec: SpillCodec) -> Self {
-        self.spill_codec = Some(codec);
+        self.spill_codec = codec;
         self
     }
 
-    /// Pins symmetry reduction on or off: when on (and the space
-    /// advertises [`StateSpace::has_symmetry_reduction`]), the kernel
-    /// dedups on [`StateSpace::canonical_digest`] instead of the exact
-    /// digest, so each symmetry orbit — e.g. every process-permutation
-    /// image of a configuration — is explored exactly once. Verdicts and
-    /// findings are preserved by the canonicalizer's soundness contract
-    /// (pinned by the symmetry differential suites); raw counts
-    /// (`configs`, `transitions`, `dedup_hits`, occupancies) legitimately
-    /// shrink. `with_symmetry(false)` overrides the `SLX_ENGINE_SYMMETRY`
-    /// environment variable — reference arms pin the unreduced kernel
-    /// this way; without this knob the variable decides.
+    /// Turns symmetry reduction on or off (the default): when on (and
+    /// the space advertises [`StateSpace::has_symmetry_reduction`]), the
+    /// kernel dedups on [`StateSpace::canonical_digest`] instead of the
+    /// exact digest, so each symmetry orbit — e.g. every
+    /// process-permutation image of a configuration — is explored
+    /// exactly once. Verdicts and findings are preserved by the
+    /// canonicalizer's soundness contract (pinned by the symmetry
+    /// differential suites); raw counts (`configs`, `transitions`,
+    /// `dedup_hits`, occupancies) legitimately shrink.
     #[must_use]
     pub fn with_symmetry(mut self, on: bool) -> Self {
-        self.symmetry = Some(on);
+        self.symmetry = on;
         self
     }
 
@@ -282,10 +220,8 @@ impl Checker {
     /// [`FaultPlan`]: the run's spill, checkpoint, and retry
     /// paths then draw injected I/O faults (ENOSPC, EINTR, short and
     /// torn transfers) from the plan's seeded schedule. This is the
-    /// robustness suites' hook; production runs never set it. It
-    /// overrides the `SLX_ENGINE_FAULT_PLAN` environment variable;
-    /// without either, the plane is disarmed and every fault seam is an
-    /// inline no-op.
+    /// robustness suites' hook; production runs never set it. Without
+    /// it the plane is disarmed and every fault seam is an inline no-op.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -299,8 +235,6 @@ impl Checker {
     /// with atomic rename-commit semantics (see [`CheckpointStore`]). A
     /// later [`Checker::resume`] on the same directory continues the run
     /// bit-identically in verdict, state counts, and truncation flags.
-    /// This builder is the only way in: a checkpoint directory names one
-    /// run's image, so it is never taken from the environment.
     #[must_use]
     pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, every_n_levels: usize) -> Self {
         self.checkpoint = Some((dir.into(), every_n_levels.max(1)));
@@ -309,8 +243,8 @@ impl Checker {
 
     /// Resumes the next run from the committed checkpoint in `dir`
     /// instead of the initial states. The checkpoint's run-config header
-    /// is validated field by field against this checker's resolved
-    /// configuration and the space + initial states handed to
+    /// is validated field by field against this checker's settings and
+    /// the space + initial states handed to
     /// [`Checker::run`] — any mismatch is a hard error ([`RunHeader`]'s
     /// validation), never a silently different answer. Checkpointing
     /// continues into the same directory, every level, unless
@@ -325,64 +259,6 @@ impl Checker {
         }
         self.resume_from = Some(dir);
         self
-    }
-
-    /// Decides every setting of the next run: the builder's pin if there
-    /// is one, else the `SLX_ENGINE_*` environment variable, else the
-    /// default (see [`RunConfig`] for each field's chain). Every run
-    /// calls this exactly once, and it is the only place a run reads the
-    /// environment. It touches no file system: directories are created
-    /// when the run sets up.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the variable and the offending value, on a
-    /// malformed `SLX_ENGINE_SHARDS`, `SLX_ENGINE_MEM_BUDGET`,
-    /// `SLX_ENGINE_SPILL_CODEC`, `SLX_ENGINE_SYMMETRY` or
-    /// `SLX_ENGINE_FAULT_PLAN` that no builder pin shadows (see
-    /// [`knobs`]): these variables pin CI comparison arms, and a typo
-    /// silently meaning "default" would green-light an arm that
-    /// re-tested the wrong configuration.
-    #[must_use]
-    pub fn resolve(&self) -> RunConfig {
-        let mem_budget = self
-            .mem_budget
-            .or_else(|| knobs::SLX_ENGINE_MEM_BUDGET.usize_value())
-            .filter(|&bytes| bytes > 0);
-        RunConfig {
-            threads: self.threads,
-            shards: self
-                .shards
-                .or_else(|| knobs::SLX_ENGINE_SHARDS.usize_value())
-                .unwrap_or_else(|| self.threads.saturating_mul(4).min(256)),
-            config_budget: self.config_budget,
-            mem_budget,
-            spill_codec: self.spill_codec.unwrap_or_else(|| {
-                match knobs::SLX_ENGINE_SPILL_CODEC.choice_value() {
-                    Some("plain") => SpillCodec::Plain,
-                    Some("replay") => SpillCodec::Replay,
-                    _ => SpillCodec::Delta,
-                }
-            }),
-            spill_dir: mem_budget.map(|_| {
-                self.spill_dir
-                    .clone()
-                    .or_else(|| knobs::SLX_ENGINE_SPILL_DIR.path_value())
-                    .unwrap_or_else(std::env::temp_dir)
-            }),
-            symmetry: self
-                .symmetry
-                .or_else(|| knobs::SLX_ENGINE_SYMMETRY.flag_value())
-                .unwrap_or(false),
-            checkpoint: self.checkpoint.clone(),
-            resume_from: self.resume_from.clone(),
-            fault_plan: self.fault_plan.clone().or_else(|| {
-                knobs::SLX_ENGINE_FAULT_PLAN.text_value().map(|text| {
-                    FaultPlan::parse(&text)
-                        .unwrap_or_else(|err| panic!("malformed SLX_ENGINE_FAULT_PLAN: {err}"))
-                })
-            }),
-        }
     }
 
     /// Explores the space exhaustively from `initial`.
@@ -468,7 +344,7 @@ impl Checker {
         Sp::State: DeltaCodec,
         Sp::Finding: StateCodec,
     {
-        let mut run = BfsRun::set_up(space, self.resolve(), initial)?;
+        let mut run = BfsRun::set_up(space, self, initial)?;
         run.explore(&mut stop, &mut progress)?;
         Ok(run.finish())
     }
@@ -501,11 +377,12 @@ impl Lifetime {
 /// chunks. Each of the two frontiers alive at a time (level being
 /// consumed, level being built) keeps its encode buffer below half the
 /// budget.
-fn open_spill(config: &RunConfig, plane: &FaultPlane) -> Result<Option<SpillConfig>, EngineError> {
-    let (Some(budget), Some(dir)) = (config.mem_budget, &config.spill_dir) else {
+fn open_spill(checker: &Checker, plane: &FaultPlane) -> Result<Option<SpillConfig>, EngineError> {
+    let Some(budget) = checker.mem_budget else {
         return Ok(None);
     };
-    std::fs::create_dir_all(dir).map_err(|err| EngineError::SpillIo {
+    let dir = checker.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+    std::fs::create_dir_all(&dir).map_err(|err| EngineError::SpillIo {
         path: dir.clone(),
         op: "create",
         msg: err.to_string(),
@@ -516,8 +393,7 @@ fn open_spill(config: &RunConfig, plane: &FaultPlane) -> Result<Option<SpillConf
     // test suites rely on tiny budgets spilling.
     let chunk_bytes = (budget / 2).max(16);
     Ok(Some(
-        SpillConfig::new(chunk_bytes, config.spill_codec, dir.clone())
-            .with_fault_plane(plane.clone()),
+        SpillConfig::new(chunk_bytes, checker.spill_codec, dir).with_fault_plane(plane.clone()),
     ))
 }
 
@@ -525,7 +401,7 @@ fn open_spill(config: &RunConfig, plane: &FaultPlane) -> Result<Option<SpillConf
 /// level pipeline whose stages are the methods below → [`BfsRun::finish`].
 struct BfsRun<'a, Sp: StateSpace> {
     space: &'a Sp,
-    config: RunConfig,
+    checker: &'a Checker,
     /// Whether symmetry reduction is *active*: asked for and advertised
     /// by the space.
     symmetry: bool,
@@ -578,20 +454,20 @@ where
     /// image when resuming, else the deduplicated `initial` states.
     fn set_up(
         space: &'a Sp,
-        config: RunConfig,
+        checker: &'a Checker,
         initial: Vec<Sp::State>,
     ) -> Result<Self, EngineError> {
         let start = Stopwatch::start();
         // Disarmed outside the robustness suites: every seam is then an
         // inline no-op.
-        let plane = config
+        let plane = checker
             .fault_plan
             .clone()
             .map_or_else(FaultPlane::disabled, FaultPlane::armed);
-        let spill = open_spill(&config, &plane)?;
-        let symmetry = config.symmetry && space.has_symmetry_reduction();
-        let visited = ShardedVisited::new(config.shards);
-        let checkpoint = match &config.checkpoint {
+        let spill = open_spill(checker, &plane)?;
+        let symmetry = checker.symmetry && space.has_symmetry_reduction();
+        let visited = ShardedVisited::new(checker.shards);
+        let checkpoint = match &checker.checkpoint {
             Some((dir, every)) => {
                 std::fs::create_dir_all(dir).map_err(|err| EngineError::CheckpointIo {
                     path: dir.clone(),
@@ -602,11 +478,11 @@ where
                 // the initial states, work a plain run never needs.
                 let header = RunHeader {
                     space_fingerprint: space_fingerprint(space, &initial),
-                    codec: config.spill_codec,
+                    codec: checker.spill_codec,
                     symmetry,
                     shards: visited.shard_count(),
-                    config_budget: config.config_budget,
-                    mem_budget: config.mem_budget,
+                    config_budget: checker.config_budget,
+                    mem_budget: checker.mem_budget,
                 };
                 let store = CheckpointStore::new(dir.clone(), *every);
                 Some((store.with_fault_plane(plane.clone()), header))
@@ -616,7 +492,7 @@ where
         // The header validation inside `try_load` guarantees the image
         // belongs to this exact space, configuration, and initial states.
         let image: Option<LoadedCheckpoint<Sp::State, Sp::Finding>> =
-            match (&config.resume_from, &checkpoint) {
+            match (&checker.resume_from, &checkpoint) {
                 (Some(dir), Some((_, header))) => Some(CheckpointStore::try_load(dir, header)?),
                 _ => None,
             };
@@ -640,16 +516,16 @@ where
             findings: Vec::new(),
             accepted: Vec::new(),
             accepted_indices: Vec::new(),
-            config,
+            checker,
         };
         match image {
             Some(image) => run.restore(image)?,
             None => run.seed(initial)?,
         }
         // This run's identity, over fresh counters and an image's alike.
-        run.stats.threads = run.config.threads;
+        run.stats.threads = checker.threads;
         run.stats.shards = run.visited.shard_count();
-        run.stats.mem_budget = run.config.mem_budget;
+        run.stats.mem_budget = checker.mem_budget;
         run.stats.symmetry = symmetry;
         Ok(run)
     }
@@ -805,7 +681,7 @@ where
     /// budget leaves nothing to expand.
     fn admit(&mut self) -> Option<SpillFrontier<Sp::State>> {
         self.retire_frontier();
-        if let Some(budget) = self.config.config_budget {
+        if let Some(budget) = self.checker.config_budget {
             let allowed = budget.saturating_sub(self.stats.configs);
             if self.frontier.len() > allowed {
                 self.frontier.truncate(allowed);
@@ -845,7 +721,7 @@ where
                 break;
             };
             self.stats.peak_resident_states = self.stats.peak_resident_states.max(chunk.len());
-            stopped = if self.config.threads > 1 && chunk.len() >= PAR_MIN_FRONTIER {
+            stopped = if self.checker.threads > 1 && chunk.len() >= PAR_MIN_FRONTIER {
                 self.stream_windowed(chunk, stop)?
             } else {
                 self.stream_inline(chunk, stop)?
@@ -890,7 +766,10 @@ where
         stop: &mut impl FnMut(&[Sp::Finding]) -> bool,
     ) -> Result<bool, EngineError> {
         let (space, depth, symmetry) = (self.space, self.depth, self.symmetry);
-        let workers = self.config.threads.min(chunk.len().div_ceil(BLOCK_PARENTS));
+        let workers = self
+            .checker
+            .threads
+            .min(chunk.len().div_ceil(BLOCK_PARENTS));
         let window = Window::new(&chunk, workers);
         std::thread::scope(|scope| {
             for worker in 0..workers {

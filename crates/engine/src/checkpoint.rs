@@ -140,7 +140,8 @@ pub(crate) struct RunHeader {
     pub(crate) shards: usize,
     /// The run's configuration budget ([`crate::Checker::with_budget`]).
     pub(crate) config_budget: Option<usize>,
-    /// The run's resolved frontier memory budget.
+    /// The run's frontier memory budget
+    /// ([`crate::Checker::with_mem_budget`]).
     pub(crate) mem_budget: Option<usize>,
 }
 

@@ -18,8 +18,10 @@
 //!
 //! # Selecting a plan
 //!
-//! A plan comes from [`crate::Checker::with_fault_plan`] or the
-//! `SLX_ENGINE_FAULT_PLAN` knob, as comma-separated `key=value` pairs:
+//! A plan comes from [`crate::Checker::with_fault_plan`], or as text
+//! through [`FaultPlan::parse`] (the `slx_server` binary reads it from
+//! the `SLX_ENGINE_FAULT_PLAN` knob), as comma-separated `key=value`
+//! pairs:
 //!
 //! ```text
 //! seed=42                              # required: the SplitMix64 seed
@@ -289,8 +291,8 @@ impl FaultPlan {
     }
 
     /// Parses the plan-string grammar (`seed=N[,rate=R][,ops=a+b]
-    /// [,kinds=x+y]`). Errors describe the offending token; the knob
-    /// reader turns them into the registry's usual hard error naming
+    /// [,kinds=x+y]`). Errors describe the offending token; `slx_server`
+    /// turns them into the registry's usual hard error naming
     /// `SLX_ENGINE_FAULT_PLAN` and the value.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut seed = None;

@@ -1,26 +1,20 @@
 //! The central registry of every `SLX_*` environment knob.
 //!
-//! Before this module, knob parsing was string-matched across a dozen
-//! files: the checker read `SLX_ENGINE_*` inline, the server and
-//! checkpoint probe binaries parsed their stall knobs by hand, and the
-//! authoritative list of "which variables exist, what do they accept,
-//! what do they default to" lived nowhere. Now every knob is one
-//! [`Knob`] entry in [`REGISTRY`], every read goes through the typed
-//! accessors below, and `slx-analyze` mechanically checks three-way
-//! agreement: any `"SLX_*"` string literal outside this module must name
-//! a registered knob, every registered knob must be referenced by the
-//! code, and the EXPERIMENTS.md knob table must list exactly the
-//! registry.
+//! The kernel reads no environment: a [`crate::Checker`] is exactly what
+//! its builder says. The two knobs left configure the `slx_server`
+//! binary, the one process that reads them. Every knob is one [`Knob`]
+//! entry in [`REGISTRY`], every read goes through the typed accessors
+//! below, and `slx-analyze` mechanically checks three-way agreement: any
+//! `"SLX_*"` string literal outside this module must name a registered
+//! knob, every registered knob must be referenced by the code, and the
+//! EXPERIMENTS.md knob table must list exactly the registry.
 //!
-//! The failure contract is unchanged from PR 7: a malformed value is a
-//! **hard error naming the variable and the offender**, never a silent
-//! fall-back to a default. These variables exist to pin CI comparison
-//! arms and operational budgets; a typo that silently meant "default"
-//! would green-light a run that tested the wrong configuration. The
-//! `spill_codec_knob` suite drives every accessor through its accept and
-//! reject paths in a dedicated process.
-
-use std::path::PathBuf;
+//! A malformed value is a **hard error naming the variable and the
+//! offender**, never a silent fall-back to a default: a typo that
+//! silently meant "default" would run a crash probe or a fault soak that
+//! tested the wrong configuration. The `spill_codec_knob` suite drives
+//! both accessors through their accept and reject paths in a dedicated
+//! process.
 
 /// The value shape a knob accepts. Drives both parsing (each kind has
 /// exactly one accessor) and the documentation table `slx-analyze`
@@ -29,15 +23,6 @@ use std::path::PathBuf;
 pub enum KnobKind {
     /// A positive decimal integer; `0` is rejected as a near-certain typo.
     PositiveInt,
-    /// A non-negative decimal integer; `0` is a meaningful value (e.g.
-    /// "spilling off").
-    NonNegativeInt,
-    /// A boolean: `1`/`true` or `0`/`false`.
-    Flag,
-    /// One of a closed set of strings.
-    Choice(&'static [&'static str]),
-    /// A filesystem path, taken verbatim.
-    Path,
     /// Free-form text with its own downstream parser (e.g. the fault
     /// plan grammar); the accessor hands the raw string through and the
     /// consumer owns validation — still a hard error naming the
@@ -60,56 +45,6 @@ pub struct Knob {
     pub doc: &'static str,
 }
 
-/// Worker thread count for [`crate::Checker::auto`].
-pub static SLX_ENGINE_THREADS: Knob = Knob {
-    name: "SLX_ENGINE_THREADS",
-    kind: KnobKind::PositiveInt,
-    default: "available parallelism",
-    doc: "Worker threads for Checker::auto",
-};
-
-/// Visited-set shard count (see [`crate::Checker::with_shards`]).
-pub static SLX_ENGINE_SHARDS: Knob = Knob {
-    name: "SLX_ENGINE_SHARDS",
-    kind: KnobKind::PositiveInt,
-    default: "4 per thread, capped at 256",
-    doc: "BFS visited-set shards (rounded up to a power of two)",
-};
-
-/// Frontier memory budget in bytes (see
-/// [`crate::Checker::with_mem_budget`]); `0` pins spilling off.
-pub static SLX_ENGINE_MEM_BUDGET: Knob = Knob {
-    name: "SLX_ENGINE_MEM_BUDGET",
-    kind: KnobKind::NonNegativeInt,
-    default: "0 (spilling off)",
-    doc: "Frontier memory budget in bytes; 0 disables spilling",
-};
-
-/// Directory spill files are created in (see
-/// [`crate::Checker::with_spill_dir`]).
-pub static SLX_ENGINE_SPILL_DIR: Knob = Knob {
-    name: "SLX_ENGINE_SPILL_DIR",
-    kind: KnobKind::Path,
-    default: "system temp directory",
-    doc: "Directory for spill chunk files (created if absent)",
-};
-
-/// Spill-chunk record encoding (see [`crate::Checker::with_spill_codec`]).
-pub static SLX_ENGINE_SPILL_CODEC: Knob = Knob {
-    name: "SLX_ENGINE_SPILL_CODEC",
-    kind: KnobKind::Choice(&["delta", "plain", "replay"]),
-    default: "delta",
-    doc: "Spill-chunk record encoding",
-};
-
-/// Symmetry-reduction request (see [`crate::Checker::with_symmetry`]).
-pub static SLX_ENGINE_SYMMETRY: Knob = Knob {
-    name: "SLX_ENGINE_SYMMETRY",
-    kind: KnobKind::Flag,
-    default: "0 (off)",
-    doc: "Dedup on canonical orbit digests when the space supports it",
-};
-
 /// Parks a served check once it passes this many BFS levels — the
 /// check service's deterministic `kill -9` window for the CI crash probe.
 pub static SLX_SERVER_STALL_AFTER: Knob = Knob {
@@ -119,28 +54,20 @@ pub static SLX_SERVER_STALL_AFTER: Knob = Knob {
     doc: "slx_server crash probe: park runs after this many levels",
 };
 
-/// Seeded fault-injection plan (see [`crate::FaultPlan`]); unset means
-/// the fault plane is disarmed and every seam is a no-op.
+/// Seeded fault-injection plan (see [`crate::FaultPlan`]) for
+/// `slx_server`'s socket seams and its checks' spill and checkpoint
+/// seams; unset means the fault plane is disarmed.
 pub static SLX_ENGINE_FAULT_PLAN: Knob = Knob {
     name: "SLX_ENGINE_FAULT_PLAN",
     kind: KnobKind::Text,
     default: "unset (fault injection off)",
-    doc: "Seeded fault-injection plan: seed=N[,rate=R][,ops=a+b][,kinds=x+y]",
+    doc: "slx_server fault plan: seed=N[,rate=R][,ops=a+b][,kinds=x+y]",
 };
 
 /// Every knob the workspace reads, in documentation order. `slx-analyze`
 /// checks this list against both the code (no unregistered `SLX_*`
 /// literal, no unreferenced entry) and the EXPERIMENTS.md knob table.
-pub static REGISTRY: &[&Knob] = &[
-    &SLX_ENGINE_THREADS,
-    &SLX_ENGINE_SHARDS,
-    &SLX_ENGINE_MEM_BUDGET,
-    &SLX_ENGINE_SPILL_DIR,
-    &SLX_ENGINE_SPILL_CODEC,
-    &SLX_ENGINE_SYMMETRY,
-    &SLX_ENGINE_FAULT_PLAN,
-    &SLX_SERVER_STALL_AFTER,
-];
+pub static REGISTRY: &[&Knob] = &[&SLX_ENGINE_FAULT_PLAN, &SLX_SERVER_STALL_AFTER];
 
 impl Knob {
     /// The raw value, or `None` when the variable is unset or empty
@@ -161,110 +88,29 @@ impl Knob {
         Some(text.to_string())
     }
 
-    /// Parses an integer knob ([`KnobKind::PositiveInt`] or
-    /// [`KnobKind::NonNegativeInt`]). `None` when unset or empty.
+    /// Parses a [`KnobKind::PositiveInt`] knob. `None` when unset or
+    /// empty.
     ///
     /// # Panics
     ///
     /// Panics — naming the variable and the offending value — on
-    /// anything that does not parse, and on `0` for a positive knob.
+    /// anything that does not parse, and on `0`.
     #[must_use]
     pub fn usize_value(&self) -> Option<usize> {
-        let allow_zero = match self.kind {
-            KnobKind::PositiveInt => false,
-            KnobKind::NonNegativeInt => true,
-            other => panic!("{} is not an integer knob (kind {other:?})", self.name),
-        };
-        let text = self.raw()?;
-        match text.parse::<usize>() {
-            Ok(n) if n > 0 || allow_zero => Some(n),
-            Ok(_) => panic!("{} must be a positive integer, got \"0\"", self.name),
-            Err(_) => {
-                let expected = if allow_zero {
-                    "non-negative"
-                } else {
-                    "positive"
-                };
-                panic!(
-                    "{} must be a {expected} decimal integer, got {text:?}",
-                    self.name
-                )
-            }
-        }
-    }
-
-    /// Parses a [`KnobKind::Flag`] knob. `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on anything but `1`/`true`/`0`/`false`.
-    #[must_use]
-    pub fn flag_value(&self) -> Option<bool> {
         assert!(
-            matches!(self.kind, KnobKind::Flag),
-            "{} is not a flag knob",
+            matches!(self.kind, KnobKind::PositiveInt),
+            "{} is not an integer knob",
             self.name
         );
-        match self.raw()?.as_str() {
-            "1" | "true" => Some(true),
-            "0" | "false" => Some(false),
-            other => panic!(
-                "{} must be \"1\"/\"true\" or \"0\"/\"false\", got {other:?}",
+        let text = self.raw()?;
+        match text.parse::<usize>() {
+            Ok(n) if n > 0 => Some(n),
+            Ok(_) => panic!("{} must be a positive integer, got \"0\"", self.name),
+            Err(_) => panic!(
+                "{} must be a positive decimal integer, got {text:?}",
                 self.name
             ),
         }
-    }
-
-    /// Parses a [`KnobKind::Choice`] knob, returning the matched choice.
-    /// `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics — naming every accepted value and the offender — on a
-    /// value outside the choice set: the knob exists to pin comparison
-    /// arms, and a typo silently meaning "default" would re-test the
-    /// wrong one.
-    #[must_use]
-    pub fn choice_value(&self) -> Option<&'static str> {
-        let KnobKind::Choice(choices) = self.kind else {
-            panic!("{} is not a choice knob", self.name)
-        };
-        let text = self.raw()?;
-        match choices.iter().find(|&&c| c == text) {
-            Some(&choice) => Some(choice),
-            None => {
-                let mut rendered = String::new();
-                for (i, choice) in choices.iter().enumerate() {
-                    if i > 0 {
-                        rendered.push_str(if i + 1 == choices.len() {
-                            ", or "
-                        } else {
-                            ", "
-                        });
-                    }
-                    rendered.push('"');
-                    rendered.push_str(choice);
-                    rendered.push('"');
-                }
-                panic!("{} must be {rendered}, got {text:?}", self.name)
-            }
-        }
-    }
-
-    /// Reads a [`KnobKind::Path`] knob verbatim. `None` when unset or
-    /// empty.
-    #[must_use]
-    pub fn path_value(&self) -> Option<PathBuf> {
-        assert!(
-            matches!(self.kind, KnobKind::Path),
-            "{} is not a path knob",
-            self.name
-        );
-        // Paths tolerate non-UTF-8 on principle (the filesystem does),
-        // so read the OS string directly instead of through `raw`.
-        std::env::var_os(self.name)
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from)
     }
 
     /// Reads a [`KnobKind::Text`] knob verbatim. `None` when unset or
@@ -296,17 +142,13 @@ mod tests {
 
     #[test]
     fn accessors_reject_wrong_kinds() {
-        assert!(std::panic::catch_unwind(|| SLX_ENGINE_SPILL_DIR.usize_value()).is_err());
-        assert!(std::panic::catch_unwind(|| SLX_ENGINE_THREADS.flag_value()).is_err());
-        assert!(std::panic::catch_unwind(|| SLX_ENGINE_THREADS.choice_value()).is_err());
-        assert!(std::panic::catch_unwind(|| SLX_ENGINE_THREADS.path_value()).is_err());
-        assert!(std::panic::catch_unwind(|| SLX_ENGINE_THREADS.text_value()).is_err());
+        assert!(std::panic::catch_unwind(|| SLX_SERVER_STALL_AFTER.text_value()).is_err());
         assert!(std::panic::catch_unwind(|| SLX_ENGINE_FAULT_PLAN.usize_value()).is_err());
     }
 
     // The accept/reject parsing contract itself (hard errors naming the
-    // variable and the offender, empty-means-default, builder overrides)
-    // is driven end to end by the process-isolated `spill_codec_knob`
-    // suite: accessors read the live environment, which must not be
-    // mutated from inside this concurrently-running test binary.
+    // variable and the offender, empty-means-default) is driven end to
+    // end by the process-isolated `spill_codec_knob` suite: accessors
+    // read the live environment, which must not be mutated from inside
+    // this concurrently-running test binary.
 }

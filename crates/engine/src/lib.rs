@@ -12,26 +12,25 @@
 //!   (the search retains 16-byte digests, never full states) and a
 //!   **frontier-based parallel BFS** that streams each level through a
 //!   bounded expand → dedup → merge window with deterministic result
-//!   merging. Every setting is a builder pin, else an `SLX_ENGINE_*`
-//!   variable, else a default — decided in one place,
-//!   [`Checker::resolve`], whose [`RunConfig`] says what a run will do;
+//!   merging. A checker is exactly what its builder says: every setting
+//!   is a `with_*` pin or its default, and the kernel reads no
+//!   environment;
 //! - [`ShardedVisited`] — the BFS visited set, sharded by digest range;
 //!   the kernel inserts successors one by one as its level window merges
 //!   them (batches can also be inserted a shard range per worker,
 //!   lock-free: [`ShardedVisited::insert_batches`]); shard count via
-//!   [`Checker::with_shards`] or `SLX_ENGINE_SHARDS`, and verdicts are
+//!   [`Checker::with_shards`], and verdicts are
 //!   shard-count and thread-count independent by construction;
 //! - [`StateCodec`] / [`DeltaCodec`] + the **disk-backed frontier** —
 //!   states encode to a self-delimiting binary format, and under a memory
-//!   budget ([`Checker::with_mem_budget`] or `SLX_ENGINE_MEM_BUDGET`
-//!   bytes; spill directory via [`Checker::with_spill_dir`] or
-//!   `SLX_ENGINE_SPILL_DIR`) the BFS frontier — the last O(states)
+//!   budget ([`Checker::with_mem_budget`] bytes; spill directory via
+//!   [`Checker::with_spill_dir`]) the BFS frontier — the last O(states)
 //!   structure holding full configurations — spills cold chunks to
 //!   self-cleaning temp files and streams them back during expansion,
 //!   bounding peak resident states regardless of level width. Chunk
 //!   windows are byte-measured; records hold states only (digests are
 //!   consumed by the visited set before a state is pushed) and come in
-//!   three encodings ([`SpillCodec`], `SLX_ENGINE_SPILL_CODEC`):
+//!   three encodings ([`SpillCodec`], [`Checker::with_spill_codec`]):
 //!   **delta** (the default — sibling states share layouts, memory
 //!   words, and history prefixes, so unchanged fields collapse to
 //!   skip/copy varints on the wire and decode as clones of the
@@ -58,8 +57,8 @@
 //! - [`FaultPlane`] — a deterministic fault-injection plane over every
 //!   fallible I/O seam (spill file create/write/read/unlink, checkpoint
 //!   write/sync/rename), armed by a seeded [`FaultPlan`]
-//!   ([`Checker::with_fault_plan`] or `SLX_ENGINE_FAULT_PLAN`; a no-op
-//!   when disarmed). The hardened paths behind it retry transient
+//!   ([`Checker::with_fault_plan`]; a no-op when disarmed). The
+//!   hardened paths behind it retry transient
 //!   faults with bounded backoff, degrade gracefully when the spill
 //!   directory runs out of space, and surface anything unrecoverable as
 //!   a typed [`EngineError`] ([`Checker::try_run_observed`]) — never a
@@ -94,7 +93,7 @@ mod spill;
 mod stats;
 mod visited;
 
-pub use checker::{Checker, KernelOutcome, RunConfig};
+pub use checker::{Checker, KernelOutcome};
 pub use checkpoint::CheckpointStore;
 pub use codec::{
     decode_slice_delta, decode_slice_edits, encode_slice_delta, encode_slice_delta_runs,

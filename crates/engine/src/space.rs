@@ -42,8 +42,8 @@ pub trait StateSpace {
     /// Whether [`StateSpace::canonical_digest`] is a real orbit-collapsing
     /// canonicalizer rather than the [`StateSpace::digest`] fallback.
     ///
-    /// Symmetry reduction ([`crate::Checker::with_symmetry`] /
-    /// `SLX_ENGINE_SYMMETRY`) only activates when the space advertises
+    /// Symmetry reduction ([`crate::Checker::with_symmetry`]) only
+    /// activates when the space advertises
     /// this capability: a checker asked for symmetry on a space without
     /// one runs the unreduced kernel unchanged (and its stats assert so).
     fn has_symmetry_reduction(&self) -> bool {

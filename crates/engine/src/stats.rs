@@ -80,9 +80,8 @@ pub struct ExploreStats {
     /// this is also the number of replay group records read back — at
     /// most one re-expansion per spilled parent per level.
     pub replayed_parents: usize,
-    /// The frontier memory budget that was active, if any (the resolved
-    /// [`crate::Checker::with_mem_budget`] / `SLX_ENGINE_MEM_BUDGET`
-    /// value). `None` for unbudgeted runs.
+    /// The frontier memory budget that was active, if any
+    /// ([`crate::Checker::with_mem_budget`]). `None` for unbudgeted runs.
     pub mem_budget: Option<usize>,
     /// Whether any expansion reported truncation (horizon or budget hit):
     /// if `false`, the exploration was exhaustive.
@@ -101,8 +100,8 @@ pub struct ExploreStats {
     pub checkpoints_written: usize,
     /// Faults injected by the run's [`crate::FaultPlane`] across every
     /// seam (spill, checkpoint — the engine-owned surfaces). Always 0
-    /// when `SLX_ENGINE_FAULT_PLAN` is unset and no plan was supplied:
-    /// the acceptance bar for "the disarmed plane is free".
+    /// when no plan was supplied: the acceptance bar for "the disarmed
+    /// plane is free".
     pub faults_injected: u64,
     /// Transient (EINTR-class) I/O errors absorbed by bounded
     /// retry-with-backoff on the spill and checkpoint paths. Nonzero

@@ -535,3 +535,74 @@ fn resuming_without_a_checkpoint_fails_loudly() {
     );
     std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
 }
+
+#[test]
+fn checkpoint_builder_defaults_commit_where_and_when_documented() {
+    // The three builder defaults the `with_checkpoint` / `resume` docs
+    // promise, on a 13-level chain: a zero cadence is clamped to every
+    // level; a bare `resume` keeps committing into its own directory
+    // every level; and an explicit `with_checkpoint` redirects a resume's
+    // commits to another directory at its own cadence.
+    let chain = |kill_depth| SlowChain {
+        bound: 12,
+        kill_depth,
+        step: std::time::Duration::ZERO,
+    };
+    let image = |dir: &std::path::Path| {
+        std::fs::read(dir.join("slx-checkpoint.bin")).expect("a committed image")
+    };
+    let baseline = Checker::parallel_bfs(1).run(&chain(NEVER), vec![0u32]);
+
+    let dir = unique_dir("cadence-zero");
+    let zero = Checker::parallel_bfs(1)
+        .with_checkpoint(&dir, 0)
+        .run(&chain(NEVER), vec![0u32]);
+    assert_eq!(zero.findings, baseline.findings);
+    assert_eq!(zero.stats.checkpoints_written, 12, "levels 1 through 12");
+    std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
+
+    // Crash at level 10 with cadence 4: the image on disk is level 8's,
+    // carrying two lifetime commits (levels 4 and 8).
+    let crash = |dir: &std::path::Path| {
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Checker::parallel_bfs(1)
+                .with_checkpoint(dir, 4)
+                .run(&chain(10), vec![0u32])
+        }));
+        assert!(crashed.is_err(), "the kill level must be reached");
+        image(dir)
+    };
+
+    let dir = unique_dir("bare-resume");
+    let crashed_image = crash(&dir);
+    let resumed = Checker::parallel_bfs(1)
+        .resume(&dir)
+        .run(&chain(NEVER), vec![0u32]);
+    assert_eq!(resumed.findings, baseline.findings);
+    assert_eq!(resumed.stats.resumed_from_depth, Some(8));
+    assert_eq!(
+        resumed.stats.checkpoints_written,
+        2 + 4,
+        "levels 4 and 8 before the crash, then every level 9 through 12"
+    );
+    assert_ne!(image(&dir), crashed_image, "the resume commits into `dir`");
+    std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
+
+    let prev = unique_dir("resume-prev");
+    let next = unique_dir("resume-next");
+    let crashed_image = crash(&prev);
+    let redirected = Checker::parallel_bfs(1)
+        .with_checkpoint(&next, 3)
+        .resume(&prev)
+        .run(&chain(NEVER), vec![0u32]);
+    assert_eq!(redirected.findings, baseline.findings);
+    assert_eq!(
+        redirected.stats.checkpoints_written,
+        2 + 2,
+        "levels 4 and 8 before the crash, then levels 9 and 12"
+    );
+    assert_eq!(image(&prev), crashed_image, "nothing new commits to `prev`");
+    assert!(CheckpointStore::exists(&next));
+    std::fs::remove_dir_all(&prev).expect("checkpoint dir cleanup");
+    std::fs::remove_dir_all(&next).expect("checkpoint dir cleanup");
+}

@@ -9,7 +9,9 @@
 //! runs of the same configuration, which the fixed seed now guarantees
 //! by construction rather than by every call site remembering to sort.
 
-use slx_engine::{digest128_of, Checker, DetHashMap, DetHashSet, Digest, Expansion, StateSpace};
+use slx_engine::{
+    digest128_of, Checker, DetHashMap, DetHashSet, Digest, Expansion, FaultPlan, StateSpace,
+};
 
 /// The usual diamond-rich grid walk: plenty of dedup, wide digests.
 struct GridWalk {
@@ -79,6 +81,46 @@ fn repeated_runs_are_bit_identical_including_occupancies() {
     assert_eq!(a.stats.shard_occupancy, b.stats.shard_occupancy);
     assert_eq!(a.stats.configs, b.stats.configs);
     assert_eq!(a.stats.dedup_hits, b.stats.dedup_hits);
+}
+
+#[test]
+fn a_spilled_run_under_transient_faults_is_bit_identical_including_occupancies() {
+    // 512-byte spill budget, with a seeded schedule of faults every
+    // retry absorbs (EINTR, short transfers) on the spill writes and
+    // reads and the checkpoint writes: the run must match the resident,
+    // fault-free one in everything but the I/O accounting. Levels up to
+    // 161 states wide, so the 256-byte chunks fill several times a level.
+    let space = GridWalk { bound: 160 };
+    let plan =
+        FaultPlan::parse("seed=11,rate=64,ops=spill-write+spill-read+ckpt-write,kinds=eintr+short")
+            .expect("plan");
+    for threads in [1usize, 4] {
+        let resident = Checker::parallel_bfs(threads)
+            .with_shards(16)
+            .run(&space, vec![(0, 0)]);
+        let faulted = Checker::parallel_bfs(threads)
+            .with_shards(16)
+            .with_mem_budget(512)
+            .with_fault_plan(plan.clone())
+            .run(&space, vec![(0, 0)]);
+        let label = format!("{threads} threads");
+        assert_eq!(faulted.findings, resident.findings, "{label}");
+        assert_eq!(
+            faulted.stats.shard_occupancy, resident.stats.shard_occupancy,
+            "{label}"
+        );
+        assert_eq!(faulted.stats.configs, resident.stats.configs, "{label}");
+        assert_eq!(
+            faulted.stats.transitions, resident.stats.transitions,
+            "{label}"
+        );
+        assert_eq!(
+            faulted.stats.dedup_hits, resident.stats.dedup_hits,
+            "{label}"
+        );
+        assert!(faulted.stats.spilled_chunks >= 2, "{label}: no spilling");
+        assert!(faulted.stats.faults_injected > 0, "{label}: no fault drawn");
+    }
 }
 
 #[test]

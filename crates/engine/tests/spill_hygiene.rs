@@ -3,23 +3,24 @@
 //! The disk-backed frontier creates at most one temp file per frontier
 //! and deletes it when the frontier drops. These tests pin that behaviour
 //! at the `Checker` level for every exit path — normal completion, early
-//! stop mid-level, and a panic mid-exploration — plus the
-//! `SLX_ENGINE_SPILL_DIR` / `SLX_ENGINE_MEM_BUDGET` environment knobs
-//! (directory honored and created if absent).
-//!
-//! Every test other than the env-var one pins its budget and directory
-//! explicitly, so the `set_var` below cannot leak into them regardless of
-//! test-thread interleaving.
+//! stop mid-level, and a panic mid-exploration — plus the spill
+//! directory builder (honored and created if absent) and a seeded fault
+//! schedule on the spill seams that must leave the run bit-identical.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use slx_engine::{digest128_of, Checker, Digest, Expansion, SpillCodec, StateSpace};
+use slx_engine::{digest128_of, Checker, Digest, Expansion, FaultPlan, SpillCodec, StateSpace};
 
 /// All three chunk record encodings; the hygiene guarantees must hold
 /// under each (replay in particular re-enters `expand` *during* chunk
 /// replay, a code path the other codecs never take).
 const CODECS: [SpillCodec; 3] = [SpillCodec::Delta, SpillCodec::Plain, SpillCodec::Replay];
+
+/// Transient kinds only (EINTR, short transfers) on the spill and
+/// checkpoint writes and the spill reads: a retry absorbs every fault.
+const TRANSIENT_PLAN: &str =
+    "seed=11,rate=64,ops=spill-write+spill-read+ckpt-write,kinds=eintr+short";
 
 /// A fresh, unique, not-yet-created directory for one test.
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -286,25 +287,20 @@ fn replay_truncation_and_reexpansion_accounting_match_resident() {
 }
 
 #[test]
-fn env_knobs_are_honored_and_dir_created_if_absent() {
-    let dir = fresh_dir("env");
+fn a_budget_and_an_absent_spill_dir_from_the_builder_create_the_dir() {
+    let dir = fresh_dir("builder");
     assert!(!dir.exists());
-    std::env::set_var("SLX_ENGINE_SPILL_DIR", &dir);
-    std::env::set_var("SLX_ENGINE_MEM_BUDGET", "256");
-    // No explicit knobs: budget and directory must come from the
-    // environment.
-    let checker = Checker::parallel_bfs(1);
-    assert_eq!(checker.resolve().mem_budget, Some(256));
-    let out = checker.run(&tree(9), vec![0]);
+    let out = Checker::parallel_bfs(1)
+        .with_mem_budget(256)
+        .with_spill_dir(&dir)
+        .run(&tree(9), vec![0]);
+    assert_eq!(out.stats.mem_budget, Some(256));
     assert!(
         out.stats.spilled_chunks >= 2,
-        "SLX_ENGINE_MEM_BUDGET must force spilling"
+        "the budget must force spilling"
     );
     assert!(out.stats.spilled_bytes > 0);
-    assert!(
-        dir.exists(),
-        "SLX_ENGINE_SPILL_DIR must be created if absent"
-    );
+    assert!(dir.exists(), "the spill dir must be created if absent");
     assert_eq!(dir_entries(&dir), Vec::<String>::new());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -383,7 +379,7 @@ fn injected_enospc_leaves_no_spill_files_behind() {
     // cleanup. Under an injected out-of-space schedule every codec must
     // finish (degrading to resident levels) or fail with a typed error —
     // and either way the spill directory must end empty.
-    use slx_engine::{EngineError, FaultKind, FaultOp, FaultPlan};
+    use slx_engine::{EngineError, FaultKind, FaultOp};
     for codec in CODECS {
         let dir = fresh_dir("enospc");
         let baseline = Checker::parallel_bfs(1)
@@ -539,4 +535,41 @@ fn spilled_run_is_bit_identical_to_resident_run() {
     assert!(spilled.stats.spilled_chunks > 0);
     assert!(spilled.stats.peak_resident_states < spilled.stats.peak_frontier);
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // A wider tree at 512 bytes under every codec, with a seeded schedule
+    // of transient faults on the spill writes and reads: each is
+    // absorbed by a retry, so nothing but the fault accounting moves,
+    // and the files go as usual.
+    let resident = Checker::parallel_bfs(1).run(&tree(11), vec![0]);
+    for codec in CODECS {
+        let dir = fresh_dir("faulted");
+        let faulted = Checker::parallel_bfs(1)
+            .with_mem_budget(512)
+            .with_spill_dir(&dir)
+            .with_spill_codec(codec)
+            .with_fault_plan(FaultPlan::parse(TRANSIENT_PLAN).expect("plan"))
+            .run(&tree(11), vec![0]);
+        assert_eq!(faulted.findings, resident.findings, "{codec:?}");
+        assert_eq!(faulted.stats.configs, resident.stats.configs, "{codec:?}");
+        assert_eq!(
+            faulted.stats.transitions, resident.stats.transitions,
+            "{codec:?}"
+        );
+        assert_eq!(
+            faulted.stats.dedup_hits, resident.stats.dedup_hits,
+            "{codec:?}"
+        );
+        assert_eq!(
+            faulted.stats.peak_frontier, resident.stats.peak_frontier,
+            "{codec:?}"
+        );
+        assert!(faulted.stats.spilled_chunks >= 2, "{codec:?} must spill");
+        assert!(
+            faulted.stats.faults_injected > 0,
+            "{codec:?}: no fault drawn"
+        );
+        assert!(faulted.stats.io_retries > 0, "{codec:?}: no retry");
+        assert_eq!(dir_entries(&dir), Vec::<String>::new(), "{codec:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -5,13 +5,16 @@
 //! counts and truncation — on the workspace's seed scenarios (register
 //! and CAS consensus, a violating scenario, transactional memory), and
 //! do so across a full determinism matrix: every {thread count} ×
-//! {shard count} × {spill codec} combination must report the same
-//! verdicts and counts.
+//! {shard count} × {spill budget} × {spill codec} combination must
+//! report the same verdicts and counts, with symmetry reduction off and
+//! on.
 
 use slx_consensus::{CasConsensus, ConsWord, ObstructionFreeConsensus};
 use std::hash::Hash;
 
-use slx_engine::{Checker, DeltaCodec, Digest, Expansion, KernelOutcome, StateCodec, StateSpace};
+use slx_engine::{
+    Checker, DeltaCodec, Digest, Expansion, KernelOutcome, SpillCodec, StateCodec, StateSpace,
+};
 use slx_explorer::baseline::{decidable_values_retained, explore_safety_retained};
 use slx_explorer::{decidable_values_with, explore_safety_with, history_digest, ExploreOutcome};
 use slx_history::{Operation, ProcessId, Response, Value, VarId};
@@ -52,15 +55,22 @@ fn complete_op(sys: &mut System<TmWord, GlobalVersionTm>, proc: ProcessId, op: O
     panic!("operation did not complete within 100 solo steps");
 }
 
-/// The frontier budget of the tests that must spill: 64 bytes (32-byte
+/// The frontier budgets of the tests that must spill. 64 bytes (32-byte
 /// chunks) is below one self-contained mid-exploration `System` record
 /// and holds only a few delta-encoded siblings or replay records (a
 /// parent plus child indices), so every level past the first few spills
-/// at least two chunks under each of the three chunk codecs — CI re-runs
-/// this suite with `SLX_ENGINE_SPILL_CODEC=plain` and `=replay` —
-/// including the narrow TM commit-race levels, whose records are the
-/// smallest.
-const TINY_BUDGET: usize = 64;
+/// at least two chunks under each of the three chunk codecs, including
+/// the narrow TM commit-race levels, whose records are the smallest.
+/// 512 bytes (256-byte chunks) flushes a chunk every few delta records:
+/// maximum chunk and file-pool churn with sibling chains intact.
+const TINY_BUDGETS: [usize; 2] = [64, 512];
+
+/// Every spilling arm: each tiny budget under each chunk codec.
+fn spilling_arms() -> impl Iterator<Item = (usize, SpillCodec)> {
+    TINY_BUDGETS.into_iter().flat_map(|budget| {
+        [SpillCodec::Delta, SpillCodec::Plain, SpillCodec::Replay].map(|codec| (budget, codec))
+    })
+}
 
 /// Two global-version TM transactions, both having read and written `x`
 /// and both with a pending `tryC`: exploring the commit interleavings is
@@ -82,8 +92,9 @@ fn tm_scenario() -> System<TmWord, GlobalVersionTm> {
 /// both seed scenarios (register consensus and the TM commit race), every
 /// combination of {1, 2, 4, 8} worker threads × {1, 4, 16} visited-set
 /// shards must produce the *same verdict and the same visited-config
-/// count* as the single-thread single-shard run. Exploration results
-/// depend on the model, never on the machine.
+/// count* as the single-thread single-shard run, with symmetry reduction
+/// off and on. Exploration results depend on the model, never on the
+/// machine.
 #[test]
 fn verdicts_and_counts_are_thread_and_shard_count_independent() {
     let consensus = of_consensus_scenario();
@@ -92,102 +103,30 @@ fn verdicts_and_counts_are_thread_and_shard_count_independent() {
     let consensus_safety = ConsensusSafety::new();
     let tm_safety = Opacity::new(v(0));
 
-    let consensus_base = explore_safety_with(
-        &Checker::parallel_bfs(1).with_shards(1),
-        &consensus,
-        &active,
-        14,
-        &consensus_safety,
-        history_digest,
-    );
-    let tm_base = explore_safety_with(
-        &Checker::parallel_bfs(1).with_shards(1),
-        &tm,
-        &active,
-        20,
-        &tm_safety,
-        history_digest,
-    );
-    assert!(consensus_base.holds());
-    assert!(tm_base.holds());
-    assert!(consensus_base.configs > 100, "scenario must branch");
+    for symmetry in [false, true] {
+        let reference = Checker::parallel_bfs(1)
+            .with_shards(1)
+            .with_symmetry(symmetry);
+        let consensus_base = explore_safety_with(
+            &reference,
+            &consensus,
+            &active,
+            14,
+            &consensus_safety,
+            history_digest,
+        );
+        let tm_base = explore_safety_with(&reference, &tm, &active, 20, &tm_safety, history_digest);
+        assert!(consensus_base.holds());
+        assert!(tm_base.holds());
+        assert!(consensus_base.configs > 100, "scenario must branch");
+        assert_eq!(consensus_base.stats.symmetry, symmetry);
 
-    for threads in [1usize, 2, 4, 8] {
-        for shards in [1usize, 4, 16] {
-            let checker = Checker::parallel_bfs(threads).with_shards(shards);
-            let label = format!("{threads} threads, {shards} shards");
-
-            let c = explore_safety_with(
-                &checker,
-                &consensus,
-                &active,
-                14,
-                &consensus_safety,
-                history_digest,
-            );
-            assert_eq!(c.holds(), consensus_base.holds(), "consensus, {label}");
-            assert_eq!(c.configs, consensus_base.configs, "consensus, {label}");
-            assert_eq!(c.truncated, consensus_base.truncated, "consensus, {label}");
-            assert_eq!(
-                c.stats.dedup_hits, consensus_base.stats.dedup_hits,
-                "consensus, {label}"
-            );
-            assert_eq!(c.stats.shards, shards, "consensus, {label}");
-            assert_eq!(
-                c.stats.shard_occupancy.iter().sum::<usize>(),
-                consensus_base.stats.shard_occupancy.iter().sum::<usize>(),
-                "consensus, {label}"
-            );
-
-            let t = explore_safety_with(&checker, &tm, &active, 20, &tm_safety, history_digest);
-            assert_eq!(t.holds(), tm_base.holds(), "tm, {label}");
-            assert_eq!(t.configs, tm_base.configs, "tm, {label}");
-            assert_eq!(t.truncated, tm_base.truncated, "tm, {label}");
-        }
-    }
-}
-
-/// The disk-backed-frontier determinism pin: on both seed scenarios,
-/// spill-enabled runs (a memory budget tiny enough to spill several
-/// chunks per level) must produce byte-identical verdicts, visited-config
-/// counts, truncation flags, and dedup accounting to fully-resident runs,
-/// across {1, 4} worker threads × {1, 16} visited-set shards. The
-/// no-spill arms pin the budget to 0 so the matrix stays meaningful even
-/// under a `SLX_ENGINE_MEM_BUDGET` environment (the spill CI job).
-#[test]
-fn spill_and_in_memory_runs_are_byte_identical() {
-    let consensus = of_consensus_scenario();
-    let tm = tm_scenario();
-    let active = [p(0), p(1)];
-    let consensus_safety = ConsensusSafety::new();
-    let tm_safety = Opacity::new(v(0));
-
-    let consensus_base = explore_safety_with(
-        &Checker::parallel_bfs(1).with_shards(1).with_mem_budget(0),
-        &consensus,
-        &active,
-        14,
-        &consensus_safety,
-        history_digest,
-    );
-    let tm_base = explore_safety_with(
-        &Checker::parallel_bfs(1).with_shards(1).with_mem_budget(0),
-        &tm,
-        &active,
-        20,
-        &tm_safety,
-        history_digest,
-    );
-    assert_eq!(consensus_base.stats.spilled_chunks, 0);
-    assert!(consensus_base.configs > 100, "scenario must branch");
-
-    for threads in [1usize, 4] {
-        for shards in [1usize, 16] {
-            for mem_budget in [0usize, TINY_BUDGET] {
+        for threads in [1usize, 2, 4, 8] {
+            for shards in [1usize, 4, 16] {
                 let checker = Checker::parallel_bfs(threads)
                     .with_shards(shards)
-                    .with_mem_budget(mem_budget);
-                let label = format!("{threads} threads, {shards} shards, mem {mem_budget}");
+                    .with_symmetry(symmetry);
+                let label = format!("{threads} threads, {shards} shards, symmetry {symmetry}");
 
                 let c = explore_safety_with(
                     &checker,
@@ -201,21 +140,14 @@ fn spill_and_in_memory_runs_are_byte_identical() {
                 assert_eq!(c.configs, consensus_base.configs, "consensus, {label}");
                 assert_eq!(c.truncated, consensus_base.truncated, "consensus, {label}");
                 assert_eq!(
-                    c.violations, consensus_base.violations,
-                    "consensus, {label}"
-                );
-                assert_eq!(
-                    c.stats.transitions, consensus_base.stats.transitions,
-                    "consensus, {label}"
-                );
-                assert_eq!(
                     c.stats.dedup_hits, consensus_base.stats.dedup_hits,
                     "consensus, {label}"
                 );
                 assert_eq!(
-                    c.stats.peak_frontier, consensus_base.stats.peak_frontier,
+                    c.stats.orbit_hits, consensus_base.stats.orbit_hits,
                     "consensus, {label}"
                 );
+                assert_eq!(c.stats.shards, shards, "consensus, {label}");
                 assert_eq!(
                     c.stats.shard_occupancy.iter().sum::<usize>(),
                     consensus_base.stats.shard_occupancy.iter().sum::<usize>(),
@@ -226,12 +158,109 @@ fn spill_and_in_memory_runs_are_byte_identical() {
                 assert_eq!(t.holds(), tm_base.holds(), "tm, {label}");
                 assert_eq!(t.configs, tm_base.configs, "tm, {label}");
                 assert_eq!(t.truncated, tm_base.truncated, "tm, {label}");
-                assert_eq!(t.stats.dedup_hits, tm_base.stats.dedup_hits, "tm, {label}");
+            }
+        }
+    }
+}
 
-                if mem_budget == 0 {
-                    assert_eq!(c.stats.spilled_chunks, 0, "consensus, {label}");
-                    assert_eq!(t.stats.spilled_chunks, 0, "tm, {label}");
-                } else {
+/// The disk-backed-frontier determinism pin: on both seed scenarios,
+/// spill-enabled runs (budgets tiny enough to spill several chunks per
+/// level, under each of the three chunk codecs — delta, the default;
+/// plain self-contained records; replay recompute-from-parent records)
+/// must produce verdicts, visited-config counts, findings, truncation
+/// flags, and dedup accounting identical to fully-resident runs, across
+/// {1, 4} worker threads × {1, 16} visited-set shards, with symmetry
+/// reduction off and on. Replay must actually regenerate (its whole
+/// point), the other codecs must never.
+#[test]
+fn spill_and_in_memory_runs_are_byte_identical() {
+    let consensus = of_consensus_scenario();
+    let tm = tm_scenario();
+    let active = [p(0), p(1)];
+    let consensus_safety = ConsensusSafety::new();
+    let tm_safety = Opacity::new(v(0));
+
+    for symmetry in [false, true] {
+        let resident = Checker::parallel_bfs(1)
+            .with_shards(1)
+            .with_symmetry(symmetry);
+        let consensus_base = explore_safety_with(
+            &resident,
+            &consensus,
+            &active,
+            14,
+            &consensus_safety,
+            history_digest,
+        );
+        let tm_base = explore_safety_with(&resident, &tm, &active, 20, &tm_safety, history_digest);
+        assert_eq!(consensus_base.stats.spilled_chunks, 0);
+        assert_eq!(consensus_base.stats.replayed_parents, 0);
+        assert!(consensus_base.configs > 100, "scenario must branch");
+
+        for threads in [1usize, 4] {
+            for shards in [1usize, 16] {
+                for (mem_budget, codec) in
+                    std::iter::once((0, SpillCodec::Delta)).chain(spilling_arms())
+                {
+                    let checker = Checker::parallel_bfs(threads)
+                        .with_shards(shards)
+                        .with_symmetry(symmetry)
+                        .with_mem_budget(mem_budget)
+                        .with_spill_codec(codec);
+                    let label = format!(
+                        "{threads} threads, {shards} shards, mem {mem_budget}, {codec:?}, \
+                         symmetry {symmetry}"
+                    );
+
+                    let c = explore_safety_with(
+                        &checker,
+                        &consensus,
+                        &active,
+                        14,
+                        &consensus_safety,
+                        history_digest,
+                    );
+                    assert_eq!(c.holds(), consensus_base.holds(), "consensus, {label}");
+                    assert_eq!(c.configs, consensus_base.configs, "consensus, {label}");
+                    assert_eq!(c.truncated, consensus_base.truncated, "consensus, {label}");
+                    assert_eq!(
+                        c.violations, consensus_base.violations,
+                        "consensus, {label}"
+                    );
+                    assert_eq!(
+                        c.stats.transitions, consensus_base.stats.transitions,
+                        "consensus, {label}"
+                    );
+                    assert_eq!(
+                        c.stats.dedup_hits, consensus_base.stats.dedup_hits,
+                        "consensus, {label}"
+                    );
+                    assert_eq!(
+                        c.stats.orbit_hits, consensus_base.stats.orbit_hits,
+                        "consensus, {label}"
+                    );
+                    assert_eq!(
+                        c.stats.peak_frontier, consensus_base.stats.peak_frontier,
+                        "consensus, {label}"
+                    );
+                    assert_eq!(
+                        c.stats.shard_occupancy.iter().sum::<usize>(),
+                        consensus_base.stats.shard_occupancy.iter().sum::<usize>(),
+                        "consensus, {label}"
+                    );
+
+                    let t =
+                        explore_safety_with(&checker, &tm, &active, 20, &tm_safety, history_digest);
+                    assert_eq!(t.holds(), tm_base.holds(), "tm, {label}");
+                    assert_eq!(t.configs, tm_base.configs, "tm, {label}");
+                    assert_eq!(t.truncated, tm_base.truncated, "tm, {label}");
+                    assert_eq!(t.stats.dedup_hits, tm_base.stats.dedup_hits, "tm, {label}");
+
+                    if mem_budget == 0 {
+                        assert_eq!(c.stats.spilled_chunks, 0, "consensus, {label}");
+                        assert_eq!(t.stats.spilled_chunks, 0, "tm, {label}");
+                        continue;
+                    }
                     assert!(
                         c.stats.spilled_chunks >= 2,
                         "consensus, {label}: the tiny budget must spill \
@@ -246,118 +275,56 @@ fn spill_and_in_memory_runs_are_byte_identical() {
                         c.stats.peak_resident_states,
                         c.stats.peak_frontier
                     );
-                    assert!(t.stats.spilled_chunks >= 2, "tm, {label}");
+                    // The commit race's levels are narrow: only the
+                    // smallest budget is sure to split them.
+                    if mem_budget == TINY_BUDGETS[0] {
+                        assert!(t.stats.spilled_chunks >= 2, "tm, {label} must spill");
+                    }
+                    for (got, scenario) in [(&c, "consensus"), (&t, "tm")] {
+                        if codec == SpillCodec::Replay && got.stats.spilled_chunks > 0 {
+                            assert!(
+                                got.stats.replayed_parents > 0,
+                                "{scenario}, {label}: replay chunks must regenerate \
+                                 from parents"
+                            );
+                            assert!(
+                                got.stats.replayed_parents <= got.configs,
+                                "{scenario}, {label}: at most one re-expansion per \
+                                 parent per level ({} > {})",
+                                got.stats.replayed_parents,
+                                got.configs
+                            );
+                        } else {
+                            assert_eq!(got.stats.replayed_parents, 0, "{scenario}, {label}");
+                        }
+                    }
                 }
             }
         }
     }
 }
 
-/// The four-way spill-codec pin: replay ≡ delta ≡ plain ≡ resident. On
-/// both seed scenarios (register consensus and the TM commit race), all
-/// three chunk record encodings — delta (the default), plain
-/// self-contained records, and replay recompute-from-parent records —
-/// must produce verdicts, visited-config counts, findings, truncation,
-/// and dedup accounting identical to the fully-resident run, across the
-/// 64-byte budget matrix of {1, 4} worker threads. Replay must actually
-/// regenerate (its whole point), the other codecs must never, and the
-/// spill-volume ordering (replay < delta < plain) must hold on the
-/// sibling-heavy consensus levels.
+/// The spill-volume ordering of the three chunk codecs on the
+/// sibling-heavy consensus levels: replay < delta < plain / 2. The
+/// comparison needs chunks that actually hold several records: at the
+/// 64-byte matrix budget every consensus record is its own
+/// (self-contained) chunk, where delta degenerates to plain by design.
+/// 512-byte chunks restore the sibling chains while still forcing every
+/// arm (including the nearly-free replay records) to spill repeatedly.
 #[test]
-fn replay_delta_plain_and_resident_runs_agree() {
-    use slx_engine::SpillCodec;
+fn replay_undercuts_delta_which_undercuts_plain_in_spill_volume() {
     let consensus = of_consensus_scenario();
-    let tm = tm_scenario();
     let active = [p(0), p(1)];
-    let consensus_safety = ConsensusSafety::new();
-    let tm_safety = Opacity::new(v(0));
-    let consensus_base = explore_safety_with(
-        &Checker::parallel_bfs(1).with_shards(1).with_mem_budget(0),
+    let safety = ConsensusSafety::new();
+    let base = explore_safety_with(
+        &Checker::parallel_bfs(1).with_shards(1),
         &consensus,
         &active,
         14,
-        &consensus_safety,
+        &safety,
         history_digest,
     );
-    let tm_base = explore_safety_with(
-        &Checker::parallel_bfs(1).with_shards(1).with_mem_budget(0),
-        &tm,
-        &active,
-        20,
-        &tm_safety,
-        history_digest,
-    );
-    assert_eq!(consensus_base.stats.replayed_parents, 0);
-
-    let mut consensus_bytes = std::collections::HashMap::new();
-    for codec in [SpillCodec::Replay, SpillCodec::Delta, SpillCodec::Plain] {
-        for threads in [1usize, 4] {
-            let checker = Checker::parallel_bfs(threads)
-                .with_shards(1)
-                .with_mem_budget(TINY_BUDGET)
-                .with_spill_codec(codec);
-            let label = format!("{codec:?}, {threads} threads");
-
-            let c = explore_safety_with(
-                &checker,
-                &consensus,
-                &active,
-                14,
-                &consensus_safety,
-                history_digest,
-            );
-            assert_eq!(c.holds(), consensus_base.holds(), "consensus, {label}");
-            assert_eq!(c.configs, consensus_base.configs, "consensus, {label}");
-            assert_eq!(
-                c.violations, consensus_base.violations,
-                "consensus, {label}"
-            );
-            assert_eq!(c.truncated, consensus_base.truncated, "consensus, {label}");
-            assert_eq!(
-                c.stats.transitions, consensus_base.stats.transitions,
-                "consensus, {label}"
-            );
-            assert_eq!(
-                c.stats.dedup_hits, consensus_base.stats.dedup_hits,
-                "consensus, {label}"
-            );
-            assert_eq!(
-                c.stats.peak_frontier, consensus_base.stats.peak_frontier,
-                "consensus, {label}"
-            );
-            assert!(c.stats.spilled_chunks >= 2, "{label} must spill");
-
-            let t = explore_safety_with(&checker, &tm, &active, 20, &tm_safety, history_digest);
-            assert_eq!(t.holds(), tm_base.holds(), "tm, {label}");
-            assert_eq!(t.configs, tm_base.configs, "tm, {label}");
-            assert_eq!(t.truncated, tm_base.truncated, "tm, {label}");
-            assert_eq!(t.stats.dedup_hits, tm_base.stats.dedup_hits, "tm, {label}");
-            assert!(t.stats.spilled_chunks >= 2, "tm, {label} must spill");
-
-            for (got, scenario) in [(&c, "consensus"), (&t, "tm")] {
-                if codec == SpillCodec::Replay {
-                    assert!(
-                        got.stats.replayed_parents > 0,
-                        "{scenario}, {label}: replay chunks must regenerate from parents"
-                    );
-                    assert!(
-                        got.stats.replayed_parents <= got.configs,
-                        "{scenario}, {label}: at most one re-expansion per parent \
-                         per level ({} > {})",
-                        got.stats.replayed_parents,
-                        got.configs
-                    );
-                } else {
-                    assert_eq!(got.stats.replayed_parents, 0, "{scenario}, {label}");
-                }
-            }
-        }
-        // The spill-volume comparison needs chunks that actually hold
-        // several records: at the 64-byte matrix budget every
-        // consensus record is its own (self-contained) chunk, where delta
-        // degenerates to plain by design. 512-byte chunks restore the
-        // sibling chains while still forcing every arm (including the
-        // nearly-free replay records) to spill repeatedly.
+    let bytes = [SpillCodec::Replay, SpillCodec::Delta, SpillCodec::Plain].map(|codec| {
         let roomy = explore_safety_with(
             &Checker::parallel_bfs(1)
                 .with_shards(1)
@@ -366,19 +333,15 @@ fn replay_delta_plain_and_resident_runs_agree() {
             &consensus,
             &active,
             14,
-            &consensus_safety,
+            &safety,
             history_digest,
         );
-        assert_eq!(roomy.configs, consensus_base.configs, "{codec:?}, roomy");
-        assert_eq!(roomy.holds(), consensus_base.holds(), "{codec:?}, roomy");
+        assert_eq!(roomy.configs, base.configs, "{codec:?}, roomy");
+        assert_eq!(roomy.holds(), base.holds(), "{codec:?}, roomy");
         assert!(roomy.stats.spilled_chunks >= 2, "{codec:?}, roomy");
-        consensus_bytes.insert(codec_name(codec), roomy.stats.spilled_bytes);
-    }
-    let (replay, delta, plain) = (
-        consensus_bytes["replay"],
-        consensus_bytes["delta"],
-        consensus_bytes["plain"],
-    );
+        roomy.stats.spilled_bytes
+    });
+    let [replay, delta, plain] = bytes;
     assert!(
         delta < plain / 2,
         "delta chunks ({delta} bytes) must substantially undercut plain chunks \
@@ -389,14 +352,6 @@ fn replay_delta_plain_and_resident_runs_agree() {
         "replay chunks ({replay} bytes) store only parents + indices and must \
          undercut even delta chunks ({delta} bytes)"
     );
-}
-
-fn codec_name(codec: slx_engine::SpillCodec) -> &'static str {
-    match codec {
-        slx_engine::SpillCodec::Delta => "delta",
-        slx_engine::SpillCodec::Plain => "plain",
-        slx_engine::SpillCodec::Replay => "replay",
-    }
 }
 
 /// The same pin on the *budgeted* valence query: `max_states` truncation
@@ -421,10 +376,7 @@ fn spilled_valence_truncation_matches_resident() {
             budget,
         );
         for threads in [1usize, 4] {
-            for codec in [
-                slx_engine::SpillCodec::Delta,
-                slx_engine::SpillCodec::Replay,
-            ] {
+            for codec in [SpillCodec::Delta, SpillCodec::Replay] {
                 let spilling = Checker::parallel_bfs(threads)
                     .with_shards(16)
                     .with_mem_budget(2048)
@@ -543,10 +495,9 @@ where
 #[test]
 fn kernel_matches_retained_baseline_on_consensus() {
     let safety = ConsensusSafety::new();
-    // The retained baseline has no symmetry reduction: pin it off on the
-    // kernel arm so the count comparison survives `SLX_ENGINE_SYMMETRY=1`
-    // environments (the symmetry CI job).
-    let checker = Checker::auto().with_symmetry(false);
+    // The retained baseline has no symmetry reduction, which is off by
+    // default.
+    let checker = Checker::auto();
     let rows: [(&[i64], usize, usize); 5] = [
         (&[1, 2], 8, 4),
         (&[1, 2], 14, 4),
@@ -606,9 +557,7 @@ fn kernel_matches_retained_baseline_on_tm() {
     let sys = tm_scenario();
     let active = [p(0), p(1)];
     let safety = Opacity::new(v(0));
-    // See the consensus twin: symmetry pinned off against the unreduced
-    // retained baseline.
-    let checker = Checker::auto().with_symmetry(false);
+    let checker = Checker::auto();
     let engine = explore_safety_with(&checker, &sys, &active, 20, &safety, history_digest);
     let baseline = explore_safety_retained(&sys, &active, 20, &safety, history_digest);
     assert_eq!(engine.holds(), baseline.holds());
@@ -627,9 +576,7 @@ fn valence_matches_retained_baseline_across_budgets() {
     let active = [p(0), p(1)];
     let cas = cas_consensus_scenario();
     let of = of_consensus_scenario();
-    // Symmetry pinned off against the unreduced retained baseline (the
-    // truncation boundary is count-sensitive).
-    let checker = Checker::auto().with_symmetry(false);
+    let checker = Checker::auto();
     for budget in [1usize, 2, 3, 5, 10, 50, 200, 1000, 10_000] {
         let engine_cas = decidable_values_with(&checker, &cas, &active, budget);
         let seed_cas = decidable_values_retained(&cas, &active, budget);

@@ -5,8 +5,8 @@
 //! reduction on and off — only the visited-configuration counts shrink.
 //! These suites pin that equivalence across the full execution matrix
 //! the kernel supports: {1, 2, 4} worker threads × {resident, plain,
-//! delta, replay} spill arms, on both seed scenarios (register consensus
-//! and the TM commit race).
+//! delta, replay at 64 and 512 bytes} spill arms, on both seed scenarios
+//! (register consensus and the TM commit race).
 
 use slx_consensus::{CasConsensus, ConsWord, ObstructionFreeConsensus};
 use slx_engine::{Checker, SpillCodec};
@@ -160,16 +160,17 @@ fn symmetry_preserves_safety_verdicts_across_spill_and_thread_matrix() {
     assert_eq!(deep_on.configs, 570);
     assert!(deep_on.configs < deep_off.configs);
 
-    // 256 bytes forces several spill chunks per level (see the spill
-    // differential suite for the calibration).
-    const TINY_BUDGET: usize = 256;
+    // 64 and 512 bytes force several spill chunks per level (see the
+    // spill differential suite for the calibration); budget 0 is the
+    // resident arm, which never spills.
+    let spilling = [64usize, 512].into_iter().flat_map(|budget| {
+        [SpillCodec::Plain, SpillCodec::Delta, SpillCodec::Replay].map(|codec| (budget, codec))
+    });
+    let arms: Vec<(usize, SpillCodec)> = std::iter::once((0, SpillCodec::Delta))
+        .chain(spilling)
+        .collect();
     for threads in [1usize, 2, 4] {
-        for (mem_budget, codec) in [
-            (0usize, SpillCodec::Delta), // resident: budget 0 never spills
-            (TINY_BUDGET, SpillCodec::Plain),
-            (TINY_BUDGET, SpillCodec::Delta),
-            (TINY_BUDGET, SpillCodec::Replay),
-        ] {
+        for &(mem_budget, codec) in &arms {
             let checker = Checker::parallel_bfs(threads)
                 .with_shards(4)
                 .with_mem_budget(mem_budget)

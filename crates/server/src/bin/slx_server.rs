@@ -13,6 +13,10 @@
 //! levels (after that level's checkpoint commit) so a CI harness can
 //! `kill -9` the server inside a deterministic window; see the
 //! `test-check-service` job.
+//!
+//! `SLX_ENGINE_FAULT_PLAN=<plan>` arms the seeded fault plane (see
+//! `slx_engine::FaultPlan::parse` for the grammar) on the service's
+//! sockets and on every request's spill and checkpoint paths.
 
 use slx_server::{CheckServer, ScenarioRegistry, ServerConfig};
 
@@ -35,9 +39,9 @@ fn main() {
         .unwrap_or(2);
 
     let stall_after = slx_engine::knobs::SLX_SERVER_STALL_AFTER.usize_value();
-    // Arms the socket fault seams (accepts, connection reads/writes) for
-    // the robustness suites; the engine parses the same plan for its own
-    // spill/checkpoint seams inside each worker's checker.
+    // Arms the socket fault seams (accepts, connection reads/writes) and,
+    // through each request's checker, the spill and checkpoint seams.
+    // This binary is the only reader of the environment.
     let fault_plan = slx_engine::knobs::SLX_ENGINE_FAULT_PLAN
         .text_value()
         .map(|text| {

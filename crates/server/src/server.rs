@@ -25,11 +25,11 @@
 //!
 //! # Determinism and resume
 //!
-//! Workers pin every verdict-relevant checker knob explicitly
-//! (threads, shards, symmetry off, delta spill codec, request-supplied
-//! budgets), so the `SLX_ENGINE_*` environment never reaches a
-//! server-run check and the engine's checkpoint header validation holds
-//! across restarts under different environments. If a request's
+//! Workers build every request's checker from the server's
+//! configuration and the request alone (threads, shards, symmetry off,
+//! delta spill codec, request-supplied budgets, the configured fault
+//! plan), so the engine's checkpoint header validation holds across
+//! restarts. If a request's
 //! directory already holds a committed image — the server was killed
 //! mid-run, or the request was cancelled — resubmitting the same id
 //! **resumes** from it, and the resume contract makes the final verdict
@@ -80,8 +80,9 @@ pub struct ServerConfig {
     /// normal operation.
     pub stall_after: Option<usize>,
     /// Fault-injection plan for the service's socket paths (accepts,
-    /// per-connection reads and writes). `None` — every seam a no-op —
-    /// in normal operation; the robustness suites arm it.
+    /// per-connection reads and writes) and for every request's spill
+    /// and checkpoint paths. `None` — every seam a no-op — in normal
+    /// operation; the robustness suites arm it.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -425,9 +426,8 @@ fn serve_connection(stream: Stream, queue: &Arc<JobQueue>) -> Result<(), WireErr
     result
 }
 
-/// The per-request checker, every verdict-relevant knob pinned (no
-/// `SLX_ENGINE_*` influence) so checkpoint headers validate across
-/// restarts under different environments.
+/// The per-request checker, every verdict-relevant knob pinned so
+/// checkpoint headers validate across restarts.
 fn request_checker(config: &ServerConfig, req: &CheckRequest, dir: &std::path::Path) -> Checker {
     let mut checker = Checker::parallel_bfs(config.threads.max(1))
         .with_shards(8)
@@ -437,6 +437,9 @@ fn request_checker(config: &ServerConfig, req: &CheckRequest, dir: &std::path::P
         .with_checkpoint(dir, config.checkpoint_every.max(1));
     if let Some(budget) = req.config_budget {
         checker = checker.with_budget(usize::try_from(budget).unwrap_or(usize::MAX));
+    }
+    if let Some(plan) = &config.fault_plan {
+        checker = checker.with_fault_plan(plan.clone());
     }
     if CheckpointStore::exists(dir) {
         checker = checker.resume(dir);
@@ -539,8 +542,8 @@ fn run_job(job: &Job, registry: &ScenarioRegistry, config: &ServerConfig) {
         true
     };
 
-    // A panicking scenario (header mismatch on resume, malformed env,
-    // space bug) must kill neither the worker nor the connection — it
+    // A panicking scenario (header mismatch on resume, an I/O failure
+    // the kernel could not absorb, space bug) must kill neither the worker nor the connection — it
     // becomes the request's terminal Error frame.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         scenario.run(req, checker, &mut progress)

@@ -109,7 +109,7 @@ pub struct CheckRequest {
     /// Optional cap on expanded states (`Checker::with_budget`).
     pub config_budget: Option<u64>,
     /// Optional frontier memory budget in bytes; `None` (and `Some(0)`)
-    /// pin spilling off so verdicts are environment-independent.
+    /// turn spilling off.
     pub mem_budget: Option<u64>,
     /// Stream a progress frame every this many BFS levels (0 = treat
     /// as 1).

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use slx_engine::{Checker, Digest, Expansion, SpillCodec, StateSpace};
+use slx_engine::{Checker, Digest, Expansion, FaultPlan, SpillCodec, StateSpace};
 use slx_server::scenario::{Scenario, ScenarioRun};
 use slx_server::wire::ProgressFrame;
 use slx_server::{
@@ -488,6 +488,40 @@ fn resubmitting_a_running_id_is_refused_with_a_structured_error() {
     let baseline = baseline_checker().run(&SleepySpace { bound: 12 }, vec![(0u32, 0u32)]);
     assert_eq!(v.configs, baseline.stats.configs as u64);
     assert_eq!(v.transitions, baseline.stats.transitions as u64);
+    server.shutdown();
+    std::fs::remove_dir_all(&root).expect("cleanup");
+}
+
+#[test]
+fn the_configured_fault_plan_reaches_a_served_checks_checkpoint_seams() {
+    // The plan targets only the checkpoint write, with a kind no retry
+    // absorbs: the socket seams stay quiet, and the request can only fail
+    // if the plan armed the request's own checker.
+    let root = unique_dir("ckpt-fault");
+    let addr = unix_addr(&root);
+    let mut config = ServerConfig::new(root.join("ckpt"));
+    config.checkpoint_every = 1;
+    config.fault_plan =
+        Some(FaultPlan::parse("seed=5,rate=1024,ops=ckpt-write,kinds=torn").expect("plan"));
+    let server =
+        CheckServer::start(&addr, config, ScenarioRegistry::builtin()).expect("server start");
+    let mut conn = connect(server.local_addr()).expect("connect");
+    let outcome = conn
+        .run_to_verdict(&request("torn-1", "grid", 10), |_| {})
+        .expect("terminal frame");
+    match outcome {
+        ServiceOutcome::Error {
+            request_id,
+            message,
+        } => {
+            assert_eq!(request_id, "torn-1");
+            assert!(
+                message.contains("checkpoint") && message.contains("torn"),
+                "{message}"
+            );
+        }
+        other => panic!("a torn checkpoint write must end the request: {other:?}"),
+    }
     server.shutdown();
     std::fs::remove_dir_all(&root).expect("cleanup");
 }

@@ -4,8 +4,8 @@
 //! a spill budget (so the exploration actually crosses the plane's
 //! spill-path seams every chunk) on two arms:
 //!
-//! - **fault-plane-off** — no `SLX_ENGINE_FAULT_PLAN`, the seams reduce
-//!   to an inlined `None` check on a disabled plane;
+//! - **fault-plane-off** — no fault plan, the seams reduce to an
+//!   inlined `None` check on a disabled plane;
 //! - **fault-plane-rate0** — a plane armed with an injection rate of
 //!   zero: every seam consults the seeded schedule and never injects.
 //!

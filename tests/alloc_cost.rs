@@ -14,9 +14,7 @@
 //! the history at `len`, the append reallocated it.
 //!
 //! The counters are per thread, so the tests of this binary do not see
-//! each other and every counted run pins one kernel thread; whatever the
-//! environment says (`SLX_ENGINE_THREADS`, `_MEM_BUDGET`, `_SYMMETRY`),
-//! the checkers here are pinned by builder.
+//! each other and every counted run pins one kernel thread.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAllocator};
 use std::cell::Cell;
