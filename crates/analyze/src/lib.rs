@@ -10,10 +10,9 @@
 //!   drift fails the build naming the type and field, with the fix
 //!   depending on whether `FORMAT_VERSION`/`PROTOCOL_VERSION` was
 //!   bumped. Regeneration (`--bless`) is the explicit acknowledgment.
-//! - **Determinism lints** ([`lints`]): no default-hasher containers,
-//!   ambient clocks, or ambient env reads outside their sanctioned
-//!   modules; `SLX_*` knob literals, the knob registry, and the docs
-//!   table agree three ways.
+//! - **Determinism lints** ([`lints`]): no default-hasher containers or
+//!   ambient clocks outside their sanctioned modules, and no env reads
+//!   at all.
 //! - **Concurrency hygiene** ([`concurrency`]): lock primitives only in
 //!   audited files, poisoning handled, condvar waits looped, no
 //!   durability barriers under locks.
@@ -41,8 +40,6 @@ use source::SourceFile;
 pub const ANALYSIS_WIRE: &str = "wire-schema";
 /// Determinism lints (hashers, clocks, env reads).
 pub const ANALYSIS_DET: &str = "determinism";
-/// Knob registry agreement.
-pub const ANALYSIS_KNOBS: &str = "knob-registry";
 /// Concurrency hygiene.
 pub const ANALYSIS_CONC: &str = "concurrency";
 
@@ -139,13 +136,6 @@ impl Workspace {
         findings.extend(lints::default_hasher(&self.files));
         findings.extend(lints::wall_clock(&self.files));
         findings.extend(lints::env_reads(&self.files));
-        let registry = lints::parse_registry(&self.files);
-        let docs = std::fs::read_to_string(self.root.join("EXPERIMENTS.md")).ok();
-        findings.extend(lints::knob_agreement(
-            &self.files,
-            &registry,
-            docs.as_deref(),
-        ));
         findings.extend(concurrency::audit(&self.files));
 
         findings.sort_by(|a, b| {

@@ -30,32 +30,6 @@ pub fn has_token(text: &str, token: &str) -> bool {
     !token_offsets(text, token).is_empty()
 }
 
-/// Every maximal `SLX_…` token (`SLX_` followed by `[A-Z0-9_]+`) in
-/// `text`, with byte offsets, deduplicated per offset.
-pub fn slx_tokens(text: &str) -> Vec<(usize, String)> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0usize;
-    while let Some(pos) = text[from..].find("SLX_") {
-        let at = from + pos;
-        // Only the left boundary is checked — `SLX_` is a prefix, and the
-        // token continues through uppercase/digits/underscores.
-        let mut end = at + 4;
-        while end < bytes.len()
-            && (bytes[end].is_ascii_uppercase()
-                || bytes[end].is_ascii_digit()
-                || bytes[end] == b'_')
-        {
-            end += 1;
-        }
-        if (at == 0 || !is_word(bytes[at - 1])) && end > at + 4 {
-            out.push((at, text[at..end].trim_end_matches('_').to_string()));
-        }
-        from = end.max(at + 1);
-    }
-    out
-}
-
 /// Byte offsets where `env::var` / `env::var_os` is called (path
 /// whitespace tolerated).
 pub fn env_var_reads(text: &str) -> Vec<usize> {
@@ -189,13 +163,6 @@ mod tests {
         );
         assert!(has_token("use std::collections::HashSet;", "HashSet"));
         assert!(!has_token("DetHashSet", "HashSet"));
-    }
-
-    #[test]
-    fn slx_tokens_extend_right() {
-        let found = slx_tokens("set SLX_ENGINE_THREADS or SLX_X2; not XSLX_Y");
-        let names: Vec<&str> = found.iter().map(|(_, n)| n.as_str()).collect();
-        assert_eq!(names, vec!["SLX_ENGINE_THREADS", "SLX_X2"]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A lexical source model good enough to lint this workspace.
 //!
 //! The analyzer deliberately avoids a real Rust parser (it must build
-//! offline with zero dependencies), so each file is reduced to three
+//! offline with zero dependencies), so each file is reduced to two
 //! views by a small hand-rolled lexer:
 //!
 //! - [`SourceFile::code`] — the raw text with comments *and string/char
@@ -13,26 +13,12 @@
 //!   gated item additionally blanked: the lints govern shipping code,
 //!   not test scaffolding (tests legitimately read env vars and build
 //!   throwaway maps).
-//! - [`SourceFile::strings`] — every string literal with its line and
-//!   byte offset, for the lints that *do* inspect literal contents
-//!   (`SLX_*` knob names).
 //!
 //! The lexer understands line/nested-block comments, regular and raw
 //! (byte) strings, char literals vs lifetimes, and escapes. That is the
 //! entire Rust surface the blanking needs; anything it misparses shows
 //! up immediately as a false positive on the clean tree, which the
 //! self-gating test pins to zero.
-
-/// One string literal occurrence.
-#[derive(Debug, Clone)]
-pub struct StrLit {
-    /// 1-indexed line of the opening quote.
-    pub line: usize,
-    /// Byte offset of the opening quote in the file.
-    pub offset: usize,
-    /// The literal's contents (escapes left as written).
-    pub text: String,
-}
 
 /// The lexed views of one `.rs` file. See the module docs.
 #[derive(Debug)]
@@ -45,8 +31,6 @@ pub struct SourceFile {
     pub code: String,
     /// `code` with `#[cfg(test)]` items additionally blanked.
     pub code_nontest: String,
-    /// All string literals, in file order.
-    pub strings: Vec<StrLit>,
     /// 1-indexed lines whose raw text carries a `det-lint: allow` marker.
     pub det_allow_lines: Vec<usize>,
 }
@@ -54,7 +38,7 @@ pub struct SourceFile {
 impl SourceFile {
     /// Lexes `raw` into the blanked views.
     pub fn parse(rel_path: &str, raw: String) -> SourceFile {
-        let (code, strings) = blank_comments_and_literals(&raw);
+        let code = blank_comments_and_literals(&raw);
         let code_nontest = blank_cfg_test(&code);
         let det_allow_lines = raw
             .lines()
@@ -67,7 +51,6 @@ impl SourceFile {
             raw,
             code,
             code_nontest,
-            strings,
             det_allow_lines,
         }
     }
@@ -80,12 +63,6 @@ impl SourceFile {
             .count()
             + 1
     }
-
-    /// Whether the string literal at `offset` survives test-blanking
-    /// (i.e. sits in shipping code, not under `#[cfg(test)]`).
-    pub fn literal_in_nontest(&self, offset: usize) -> bool {
-        self.code_nontest.as_bytes().get(offset).copied() == Some(b'"')
-    }
 }
 
 fn is_word(b: u8) -> bool {
@@ -94,34 +71,16 @@ fn is_word(b: u8) -> bool {
 
 /// Blanks comments and the contents of string/char literals, preserving
 /// newlines and the literal delimiters themselves.
-fn blank_comments_and_literals(src: &str) -> (String, Vec<StrLit>) {
+fn blank_comments_and_literals(src: &str) -> String {
     let bytes = src.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
-    let mut strings = Vec::new();
-    let mut line = 1usize;
     let mut i = 0usize;
 
-    // Push `b` through, tracking lines.
-    macro_rules! keep {
-        ($b:expr) => {{
-            let b = $b;
-            if b == b'\n' {
-                line += 1;
-            }
-            out.push(b);
-        }};
-    }
     // Blank `b`: newlines survive, everything else becomes a space.
     macro_rules! blank {
-        ($b:expr) => {{
-            let b = $b;
-            if b == b'\n' {
-                line += 1;
-                out.push(b'\n');
-            } else {
-                out.push(b' ');
-            }
-        }};
+        ($b:expr) => {
+            out.push(if $b == b'\n' { b'\n' } else { b' ' })
+        };
     }
 
     while i < bytes.len() {
@@ -170,13 +129,11 @@ fn blank_comments_and_literals(src: &str) -> (String, Vec<StrLit>) {
                 j += 1;
             }
             if !ident_prefix && bytes.get(j) == Some(&b'"') {
-                let start_line = line;
                 // Keep the prefix and opening quote.
                 while i <= j {
-                    keep!(bytes[i]);
+                    out.push(bytes[i]);
                     i += 1;
                 }
-                let content_start = i;
                 let closer: Vec<u8> = std::iter::once(b'"')
                     .chain((0..hashes).map(|_| b'#'))
                     .collect();
@@ -184,13 +141,8 @@ fn blank_comments_and_literals(src: &str) -> (String, Vec<StrLit>) {
                     blank!(bytes[i]);
                     i += 1;
                 }
-                strings.push(StrLit {
-                    line: start_line,
-                    offset: j,
-                    text: src[content_start..i].to_string(),
-                });
                 for _ in 0..closer.len().min(bytes.len() - i) {
-                    keep!(bytes[i]);
+                    out.push(bytes[i]);
                     i += 1;
                 }
                 continue;
@@ -201,14 +153,11 @@ fn blank_comments_and_literals(src: &str) -> (String, Vec<StrLit>) {
             || (b == b'b' && bytes.get(i + 1) == Some(&b'"') && !(i > 0 && is_word(bytes[i - 1])))
         {
             if b == b'b' {
-                keep!(b);
+                out.push(b);
                 i += 1;
             }
-            let quote_at = i;
-            let start_line = line;
-            keep!(bytes[i]); // opening quote
+            out.push(bytes[i]); // opening quote
             i += 1;
-            let content_start = i;
             while i < bytes.len() && bytes[i] != b'"' {
                 if bytes[i] == b'\\' && i + 1 < bytes.len() {
                     blank!(bytes[i]);
@@ -219,13 +168,8 @@ fn blank_comments_and_literals(src: &str) -> (String, Vec<StrLit>) {
                     i += 1;
                 }
             }
-            strings.push(StrLit {
-                line: start_line,
-                offset: quote_at,
-                text: src[content_start..i].to_string(),
-            });
             if i < bytes.len() {
-                keep!(bytes[i]); // closing quote
+                out.push(bytes[i]); // closing quote
                 i += 1;
             }
             continue;
@@ -239,7 +183,7 @@ fn blank_comments_and_literals(src: &str) -> (String, Vec<StrLit>) {
                 _ => false,
             };
             if is_char {
-                keep!(bytes[i]);
+                out.push(bytes[i]);
                 i += 1;
                 while i < bytes.len() && bytes[i] != b'\'' {
                     if bytes[i] == b'\\' && i + 1 < bytes.len() {
@@ -252,19 +196,16 @@ fn blank_comments_and_literals(src: &str) -> (String, Vec<StrLit>) {
                     }
                 }
                 if i < bytes.len() {
-                    keep!(bytes[i]);
+                    out.push(bytes[i]);
                     i += 1;
                 }
                 continue;
             }
         }
-        keep!(b);
+        out.push(b);
         i += 1;
     }
-    (
-        String::from_utf8(out).expect("blanking preserves UTF-8 structure"),
-        strings,
-    )
+    String::from_utf8(out).expect("blanking preserves UTF-8 structure")
 }
 
 /// Blanks every item gated by `#[cfg(test)]`: from the attribute to the
@@ -378,9 +319,7 @@ mod tests {
         let f = SourceFile::parse("x.rs", src.to_string());
         assert!(!f.code.contains("HashMap"), "{:?}", f.code);
         assert_eq!(f.code.lines().count(), src.lines().count());
-        assert_eq!(f.strings.len(), 1);
-        assert_eq!(f.strings[0].text, "HashMap");
-        assert_eq!(f.strings[0].line, 1);
+        assert!(f.code.starts_with("let a = \"       \";"), "{:?}", f.code);
     }
 
     #[test]
@@ -390,7 +329,17 @@ mod tests {
         let f = SourceFile::parse("x.rs", src.to_string());
         assert!(!f.code.contains("HashMap"));
         assert!(f.code.contains("&'static str"), "{:?}", f.code);
-        assert_eq!(f.strings.len(), 2);
+        assert!(
+            f.code.contains("r#\"") && f.code.contains("\"#;"),
+            "{:?}",
+            f.code
+        );
+        assert!(
+            f.code.contains("'  '") && f.code.contains("= \" \";"),
+            "{:?}",
+            f.code
+        );
+        assert_eq!(f.code.len(), src.len());
     }
 
     #[test]
@@ -401,15 +350,5 @@ mod tests {
         assert!(!f.code_nontest.contains("env::var"));
         assert!(f.code_nontest.contains("fn ship"));
         assert!(f.code_nontest.contains("fn after"));
-    }
-
-    #[test]
-    fn literal_positions_classify_test_vs_nontest() {
-        let src = "fn ship() { let k = \"SLX_A\"; }\n#[cfg(test)]\nfn t() { let k = \"SLX_B\"; }\n";
-        let f = SourceFile::parse("x.rs", src.to_string());
-        let a = f.strings.iter().find(|s| s.text == "SLX_A").unwrap();
-        let b = f.strings.iter().find(|s| s.text == "SLX_B").unwrap();
-        assert!(f.literal_in_nontest(a.offset));
-        assert!(!f.literal_in_nontest(b.offset));
     }
 }

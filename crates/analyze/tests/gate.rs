@@ -1,7 +1,7 @@
 //! End-to-end gate tests: drive the analyzer over on-disk fixture trees
-//! that mirror the real workspace layout (`crates/engine/src/knobs.rs`,
-//! `checkpoint.rs`, `crates/server/src/wire.rs`, a codec-bearing type),
-//! and over the real checkout itself.
+//! that mirror the real workspace layout (`crates/engine/src/checkpoint.rs`,
+//! `crates/server/src/wire.rs`, a codec-bearing type), and over the real
+//! checkout itself.
 //!
 //! The fixture scenarios pin the contract the CI gate relies on:
 //!
@@ -9,7 +9,7 @@
 //! - mutating a codec struct without a version bump fails naming the
 //!   type and the field, and the hint tracks whether the version was
 //!   bumped;
-//! - an unregistered `SLX_*` literal fails the knob lint;
+//! - an `env::var` read in shipping code fails the determinism lint;
 //! - the CLI exits 0 on a clean tree and 1 with findings.
 
 use std::path::{Path, PathBuf};
@@ -32,15 +32,6 @@ impl Fixture {
         let fx = Fixture { root };
         fx.write("Cargo.toml", "[workspace]\n");
         fx.write(
-            "crates/engine/src/knobs.rs",
-            "pub struct Knob { pub name: &'static str }\n\
-             pub static SLX_FIX_THREADS: Knob = Knob { name: \"SLX_FIX_THREADS\" };\n",
-        );
-        fx.write(
-            "crates/engine/src/checker.rs",
-            "fn resolve() { crate::knobs::SLX_FIX_THREADS.name; }\n",
-        );
-        fx.write(
             "crates/engine/src/checkpoint.rs",
             "pub const FORMAT_VERSION: u64 = 1;\n\
              pub struct RunHeader { pub shards: usize, pub symmetry: bool }\n\
@@ -58,7 +49,6 @@ impl Fixture {
              pub struct Req { pub id: String, pub depth: u64 }\n\
              impl StateCodec for Req { fn encode(&self) { enc(); } }\n",
         );
-        fx.write("EXPERIMENTS.md", "| `SLX_FIX_THREADS` | fixture knob |\n");
         fx
     }
 
@@ -146,25 +136,21 @@ fn mutated_codec_struct_fails_naming_type_and_field() {
     assert!(ws.run_all().is_empty(), "{:?}", ws.run_all());
 }
 
+/// A shipping file that configures itself from the environment.
+const ENV_READ: &str =
+    "fn threads() -> Option<String> { std::env::var(\"SLX_ROGUE_KNOB\").ok() }\n";
+
 #[test]
-fn unregistered_slx_literal_fails_the_knob_lint() {
+fn an_env_read_in_shipping_code_fails_the_determinism_lint() {
     let fx = Fixture::new("rogue");
     fx.load().bless().expect("bless");
-    fx.write(
-        "crates/engine/src/rogue.rs",
-        "fn threads() -> Option<String> { lookup(\"SLX_ROGUE_KNOB\") }\n",
-    );
+    fx.write("crates/server/src/bin/rogue.rs", ENV_READ);
     let findings = fx.load().run_all();
-    let hit = findings
-        .iter()
-        .find(|f| f.message.contains("SLX_ROGUE_KNOB"))
-        .unwrap_or_else(|| panic!("expected a knob-registry finding: {findings:?}"));
-    assert_eq!(hit.file, "crates/engine/src/rogue.rs");
-    assert!(
-        hit.message.contains("not in the knob registry"),
-        "{}",
-        hit.message
-    );
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let hit = &findings[0];
+    assert_eq!(hit.analysis, slx_analyze::ANALYSIS_DET);
+    assert_eq!(hit.file, "crates/server/src/bin/rogue.rs");
+    assert!(hit.message.contains("env::var"), "{}", hit.message);
 }
 
 #[test]
@@ -185,10 +171,7 @@ fn cli_exits_zero_on_clean_and_one_on_findings() {
         "blessed fixture run must exit 0: {status}"
     );
 
-    fx.write(
-        "crates/engine/src/rogue.rs",
-        "fn threads() -> Option<String> { lookup(\"SLX_ROGUE_KNOB\") }\n",
-    );
+    fx.write("crates/engine/src/rogue.rs", ENV_READ);
     let status = Command::new(bin)
         .args(["--root", fx.root.to_str().expect("utf8 temp path")])
         .status()
@@ -199,8 +182,8 @@ fn cli_exits_zero_on_clean_and_one_on_findings() {
 #[test]
 fn the_real_checkout_is_clean() {
     // The analyzer gates this very repository: the checked-in
-    // WIRE_MANIFEST.txt, the knob registry, the docs table, and every
-    // lint must agree on the sources as committed.
+    // WIRE_MANIFEST.txt and every lint must agree on the sources as
+    // committed.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)

@@ -10,7 +10,7 @@
 //! schedule**. The schedule is a pure function of the plan's seed and a
 //! per-operation counter — no wall clock, no RNG state shared with
 //! anything else — so a faulted run is reproducible from its plan
-//! string alone, and the PR 2–9 differential discipline extends to
+//! alone, and the PR 2–9 differential discipline extends to
 //! failure testing: *a faulted run either produces a verdict
 //! bit-identical to the fault-free run, or fails with a typed
 //! [`EngineError`]* — never a panic, never a torn image, never a leaked
@@ -18,19 +18,22 @@
 //!
 //! # Selecting a plan
 //!
-//! A plan comes from [`crate::Checker::with_fault_plan`], or as text
-//! through [`FaultPlan::parse`] (the `slx_server` binary reads it from
-//! the `SLX_ENGINE_FAULT_PLAN` knob), as comma-separated `key=value`
-//! pairs:
+//! A plan is built with [`FaultPlan::seeded`] and narrowed with
+//! [`FaultPlan::with_rate`], [`FaultPlan::with_ops`] and
+//! [`FaultPlan::with_kinds`], then handed to
+//! [`crate::Checker::with_fault_plan`] (or to the check service's
+//! `ServerConfig::fault_plan`, which arms its sockets and every request's
+//! checker):
 //!
-//! ```text
-//! seed=42                              # required: the SplitMix64 seed
-//! seed=42,rate=64                      # ~64/1024 of targeted ops fault
-//! seed=7,ops=spill-write+ckpt-rename   # restrict the targeted seams
-//! seed=7,kinds=enospc+eintr            # restrict the injected kinds
+//! ```
+//! use slx_engine::{FaultKind, FaultOp, FaultPlan};
+//! let _plan = FaultPlan::seeded(7)
+//!     .with_rate(64) // ~64/1024 of targeted ops fault
+//!     .with_ops(&[FaultOp::SpillWrite, FaultOp::CkptRename])
+//!     .with_kinds(&[FaultKind::Enospc, FaultKind::Eintr]);
 //! ```
 //!
-//! Unset (the default) compiles the whole plane down to one inline
+//! No plan (the default) compiles the whole plane down to one inline
 //! `Option` check per seam — the fault-free hot path pays nothing, which
 //! the `fault_overhead` example pins at ≤ 1.02x.
 //!
@@ -96,35 +99,7 @@ pub enum FaultOp {
 /// Number of [`FaultOp`] seams (counter-array size).
 const OP_COUNT: usize = 10;
 
-const ALL_OPS: [FaultOp; OP_COUNT] = [
-    FaultOp::SpillCreate,
-    FaultOp::SpillWrite,
-    FaultOp::SpillRead,
-    FaultOp::SpillUnlink,
-    FaultOp::CkptWrite,
-    FaultOp::CkptSync,
-    FaultOp::CkptRename,
-    FaultOp::Accept,
-    FaultOp::SockRead,
-    FaultOp::SockWrite,
-];
-
 impl FaultOp {
-    fn name(self) -> &'static str {
-        match self {
-            FaultOp::SpillCreate => "spill-create",
-            FaultOp::SpillWrite => "spill-write",
-            FaultOp::SpillRead => "spill-read",
-            FaultOp::SpillUnlink => "spill-unlink",
-            FaultOp::CkptWrite => "ckpt-write",
-            FaultOp::CkptSync => "ckpt-sync",
-            FaultOp::CkptRename => "ckpt-rename",
-            FaultOp::Accept => "accept",
-            FaultOp::SockRead => "sock-read",
-            FaultOp::SockWrite => "sock-write",
-        }
-    }
-
     /// The fault kinds that are physically plausible at this seam (a
     /// rename cannot be short; a socket read cannot hit ENOSPC).
     fn plausible_kinds(self) -> u8 {
@@ -195,17 +170,6 @@ fn op_bit(op: FaultOp) -> u16 {
 }
 
 impl FaultKind {
-    fn name(self) -> &'static str {
-        match self {
-            FaultKind::Enospc => "enospc",
-            FaultKind::Eintr => "eintr",
-            FaultKind::Short => "short",
-            FaultKind::Torn => "torn",
-            FaultKind::Reset => "reset",
-            FaultKind::Stall => "stall",
-        }
-    }
-
     /// The injected kind rendered as the `std::io::Error` a real kernel
     /// would have returned. ENOSPC carries the real OS errno so
     /// `ErrorKind` classification matches a genuine full disk.
@@ -245,7 +209,7 @@ pub fn is_out_of_space(err: &std::io::Error) -> bool {
     err.raw_os_error() == Some(28)
 }
 
-/// A parsed fault-injection plan: the seed, the per-1024 injection rate,
+/// A fault-injection plan: the seed, the per-1024 injection rate,
 /// and the targeted operation/kind sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -288,81 +252,6 @@ impl FaultPlan {
     pub fn with_kinds(mut self, kinds: &[FaultKind]) -> FaultPlan {
         self.kinds = kinds.iter().fold(0, |mask, &kind| mask | kind_bit(kind));
         self
-    }
-
-    /// Parses the plan-string grammar (`seed=N[,rate=R][,ops=a+b]
-    /// [,kinds=x+y]`). Errors describe the offending token; `slx_server`
-    /// turns them into the registry's usual hard error naming
-    /// `SLX_ENGINE_FAULT_PLAN` and the value.
-    pub fn parse(text: &str) -> Result<FaultPlan, String> {
-        let mut seed = None;
-        let mut plan = FaultPlan::seeded(0);
-        for pair in text.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = pair.split_once('=') else {
-                return Err(format!("expected key=value, got {pair:?}"));
-            };
-            match key.trim() {
-                "seed" => {
-                    seed = Some(
-                        value
-                            .trim()
-                            .parse::<u64>()
-                            .map_err(|_| format!("seed must be a u64, got {value:?}"))?,
-                    );
-                }
-                "rate" => {
-                    let rate = value.trim().parse::<u32>().map_err(|_| {
-                        format!("rate must be an integer in 0..=1024, got {value:?}")
-                    })?;
-                    if rate > 1024 {
-                        return Err(format!("rate must be at most 1024, got {rate}"));
-                    }
-                    plan.rate = rate;
-                }
-                "ops" => {
-                    let mut mask = 0u16;
-                    for name in value.split('+') {
-                        let name = name.trim();
-                        if name == "all" {
-                            mask = u16::MAX;
-                            continue;
-                        }
-                        let op = ALL_OPS
-                            .iter()
-                            .find(|op| op.name() == name)
-                            .ok_or_else(|| format!("unknown op {name:?}"))?;
-                        mask |= op_bit(*op);
-                    }
-                    plan.ops = mask;
-                }
-                "kinds" => {
-                    let mut mask = 0u8;
-                    for name in value.split('+') {
-                        let name = name.trim();
-                        if name == "all" {
-                            mask = u8::MAX;
-                            continue;
-                        }
-                        let kind = ALL_KINDS
-                            .iter()
-                            .find(|kind| kind.name() == name)
-                            .ok_or_else(|| format!("unknown kind {name:?}"))?;
-                        mask |= kind_bit(*kind);
-                    }
-                    plan.kinds = mask;
-                }
-                other => return Err(format!("unknown key {other:?}")),
-            }
-        }
-        let Some(seed) = seed else {
-            return Err("plan must set seed=<u64>".to_string());
-        };
-        plan.seed = seed;
-        Ok(plan)
     }
 }
 
@@ -652,45 +541,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_strings_round_trip_the_grammar() {
-        let plan = FaultPlan::parse("seed=42").expect("minimal plan");
-        assert_eq!(plan, FaultPlan::seeded(42));
-        let plan = FaultPlan::parse("seed=7,rate=128,ops=spill-write+ckpt-rename,kinds=enospc")
-            .expect("full plan");
-        assert_eq!(
-            plan,
-            FaultPlan::seeded(7)
-                .with_rate(128)
-                .with_ops(&[FaultOp::SpillWrite, FaultOp::CkptRename])
-                .with_kinds(&[FaultKind::Enospc])
-        );
-        assert_eq!(
-            FaultPlan::parse("seed=1,ops=all,kinds=all").expect("all"),
-            FaultPlan::seeded(1)
-        );
-    }
-
-    #[test]
-    fn malformed_plans_are_rejected_with_the_offender_named() {
-        for (text, needle) in [
-            ("", "seed"),
-            ("rate=5", "seed"),
-            ("seed=x", "u64"),
-            ("seed=1,rate=2000", "1024"),
-            ("seed=1,ops=no-such-op", "no-such-op"),
-            ("seed=1,kinds=zap", "zap"),
-            ("seed=1,bogus=2", "bogus"),
-            ("seed=1,norate", "key=value"),
-        ] {
-            let err = FaultPlan::parse(text).expect_err(text);
-            assert!(err.contains(needle), "{text:?}: {err}");
-        }
-    }
-
-    #[test]
     fn disarmed_planes_never_inject_and_count_nothing() {
         let plane = FaultPlane::disabled();
-        for op in ALL_OPS {
+        for op in [
+            FaultOp::SpillCreate,
+            FaultOp::SpillWrite,
+            FaultOp::SpillRead,
+            FaultOp::SpillUnlink,
+            FaultOp::CkptWrite,
+            FaultOp::CkptSync,
+            FaultOp::CkptRename,
+            FaultOp::Accept,
+            FaultOp::SockRead,
+            FaultOp::SockWrite,
+        ] {
             assert_eq!(plane.inject(op), None);
         }
         plane.note_retry();

@@ -87,7 +87,6 @@ mod codec;
 mod detmap;
 mod digest;
 mod fault;
-pub mod knobs;
 mod space;
 mod spill;
 mod stats;

@@ -10,7 +10,8 @@
 //! by construction rather than by every call site remembering to sort.
 
 use slx_engine::{
-    digest128_of, Checker, DetHashMap, DetHashSet, Digest, Expansion, FaultPlan, StateSpace,
+    digest128_of, Checker, DetHashMap, DetHashSet, Digest, Expansion, FaultKind, FaultOp,
+    FaultPlan, StateSpace,
 };
 
 /// The usual diamond-rich grid walk: plenty of dedup, wide digests.
@@ -91,9 +92,10 @@ fn a_spilled_run_under_transient_faults_is_bit_identical_including_occupancies()
     // fault-free one in everything but the I/O accounting. Levels up to
     // 161 states wide, so the 256-byte chunks fill several times a level.
     let space = GridWalk { bound: 160 };
-    let plan =
-        FaultPlan::parse("seed=11,rate=64,ops=spill-write+spill-read+ckpt-write,kinds=eintr+short")
-            .expect("plan");
+    let plan = FaultPlan::seeded(11)
+        .with_rate(64)
+        .with_ops(&[FaultOp::SpillWrite, FaultOp::SpillRead, FaultOp::CkptWrite])
+        .with_kinds(&[FaultKind::Eintr, FaultKind::Short]);
     for threads in [1usize, 4] {
         let resident = Checker::parallel_bfs(threads)
             .with_shards(16)

@@ -10,7 +10,9 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use slx_engine::{digest128_of, Checker, Digest, Expansion, FaultPlan, SpillCodec, StateSpace};
+use slx_engine::{
+    digest128_of, Checker, Digest, Expansion, FaultKind, FaultOp, FaultPlan, SpillCodec, StateSpace,
+};
 
 /// All three chunk record encodings; the hygiene guarantees must hold
 /// under each (replay in particular re-enters `expand` *during* chunk
@@ -19,8 +21,12 @@ const CODECS: [SpillCodec; 3] = [SpillCodec::Delta, SpillCodec::Plain, SpillCode
 
 /// Transient kinds only (EINTR, short transfers) on the spill and
 /// checkpoint writes and the spill reads: a retry absorbs every fault.
-const TRANSIENT_PLAN: &str =
-    "seed=11,rate=64,ops=spill-write+spill-read+ckpt-write,kinds=eintr+short";
+fn transient_plan() -> FaultPlan {
+    FaultPlan::seeded(11)
+        .with_rate(64)
+        .with_ops(&[FaultOp::SpillWrite, FaultOp::SpillRead, FaultOp::CkptWrite])
+        .with_kinds(&[FaultKind::Eintr, FaultKind::Short])
+}
 
 /// A fresh, unique, not-yet-created directory for one test.
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -379,7 +385,7 @@ fn injected_enospc_leaves_no_spill_files_behind() {
     // cleanup. Under an injected out-of-space schedule every codec must
     // finish (degrading to resident levels) or fail with a typed error —
     // and either way the spill directory must end empty.
-    use slx_engine::{EngineError, FaultKind, FaultOp};
+    use slx_engine::EngineError;
     for codec in CODECS {
         let dir = fresh_dir("enospc");
         let baseline = Checker::parallel_bfs(1)
@@ -547,7 +553,7 @@ fn spilled_run_is_bit_identical_to_resident_run() {
             .with_mem_budget(512)
             .with_spill_dir(&dir)
             .with_spill_codec(codec)
-            .with_fault_plan(FaultPlan::parse(TRANSIENT_PLAN).expect("plan"))
+            .with_fault_plan(transient_plan())
             .run(&tree(11), vec![0]);
         assert_eq!(faulted.findings, resident.findings, "{codec:?}");
         assert_eq!(faulted.stats.configs, resident.stats.configs, "{codec:?}");

@@ -1,7 +1,7 @@
 //! `slx_server` — the check service daemon.
 //!
 //! ```text
-//! slx_server <addr> <checkpoint-root> [workers] [every]
+//! slx_server <addr> <checkpoint-root> [workers] [every] [stall-after]
 //! ```
 //!
 //! `<addr>` is `unix:<path>` or `tcp:<host:port>` (port 0 = OS-assigned;
@@ -9,19 +9,17 @@
 //! holds one checkpoint directory per request id — keep it across
 //! restarts: it is the resume state.
 //!
-//! `SLX_SERVER_STALL_AFTER=<n>` parks any run once it passes `n` BFS
-//! levels (after that level's checkpoint commit) so a CI harness can
-//! `kill -9` the server inside a deterministic window; see the
-//! `test-check-service` job.
+//! `[stall-after]`, a positive integer, parks any run once it passes
+//! that many BFS levels (after that level's checkpoint commit) so a
+//! harness can `kill -9` the server inside a deterministic window; see
+//! `tests/server_binary.rs` and the `test-check-service` CI job.
 //!
-//! `SLX_ENGINE_FAULT_PLAN=<plan>` arms the seeded fault plane (see
-//! `slx_engine::FaultPlan::parse` for the grammar) on the service's
-//! sockets and on every request's spill and checkpoint paths.
+//! A malformed argument or a sixth one prints the usage line and exits 2.
 
 use slx_server::{CheckServer, ScenarioRegistry, ServerConfig};
 
 fn usage() -> ! {
-    eprintln!("usage: slx_server <addr> <checkpoint-root> [workers] [every]");
+    eprintln!("usage: slx_server <addr> <checkpoint-root> [workers] [every] [stall-after]");
     std::process::exit(2);
 }
 
@@ -37,23 +35,18 @@ fn main() {
         .next()
         .map(|a| a.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(2);
-
-    let stall_after = slx_engine::knobs::SLX_SERVER_STALL_AFTER.usize_value();
-    // Arms the socket fault seams (accepts, connection reads/writes) and,
-    // through each request's checker, the spill and checkpoint seams.
-    // This binary is the only reader of the environment.
-    let fault_plan = slx_engine::knobs::SLX_ENGINE_FAULT_PLAN
-        .text_value()
-        .map(|text| {
-            slx_engine::FaultPlan::parse(&text)
-                .unwrap_or_else(|err| panic!("malformed SLX_ENGINE_FAULT_PLAN: {err}"))
-        });
+    let stall_after: Option<usize> = args.next().map(|a| match a.parse() {
+        Ok(n) if n > 0 => n,
+        _ => usage(),
+    });
+    if args.next().is_some() {
+        usage();
+    }
 
     let mut config = ServerConfig::new(root);
     config.workers = workers;
     config.checkpoint_every = every;
     config.stall_after = stall_after;
-    config.fault_plan = fault_plan;
 
     let handle =
         CheckServer::start(&addr, config, ScenarioRegistry::builtin()).unwrap_or_else(|e| {

@@ -6,11 +6,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use slx_engine::{Checker, Digest, Expansion, FaultPlan, SpillCodec, StateSpace};
+use slx_engine::{
+    Checker, Digest, Expansion, FaultKind, FaultOp, FaultPlan, SpillCodec, StateSpace,
+};
+use slx_server::client::verdict_line;
 use slx_server::scenario::{Scenario, ScenarioRun};
 use slx_server::wire::ProgressFrame;
 use slx_server::{
-    connect, CheckRequest, CheckServer, Frame, ScenarioRegistry, ServerConfig, ServiceOutcome,
+    connect, run_with_reconnect, CheckRequest, CheckServer, Frame, ScenarioRegistry, ServerConfig,
+    ServiceOutcome,
 };
 
 fn unique_dir(tag: &str) -> std::path::PathBuf {
@@ -501,8 +505,12 @@ fn the_configured_fault_plan_reaches_a_served_checks_checkpoint_seams() {
     let addr = unix_addr(&root);
     let mut config = ServerConfig::new(root.join("ckpt"));
     config.checkpoint_every = 1;
-    config.fault_plan =
-        Some(FaultPlan::parse("seed=5,rate=1024,ops=ckpt-write,kinds=torn").expect("plan"));
+    config.fault_plan = Some(
+        FaultPlan::seeded(5)
+            .with_rate(1024)
+            .with_ops(&[FaultOp::CkptWrite])
+            .with_kinds(&[FaultKind::Torn]),
+    );
     let server =
         CheckServer::start(&addr, config, ScenarioRegistry::builtin()).expect("server start");
     let mut conn = connect(server.local_addr()).expect("connect");
@@ -524,4 +532,52 @@ fn the_configured_fault_plan_reaches_a_served_checks_checkpoint_seams() {
     }
     server.shutdown();
     std::fs::remove_dir_all(&root).expect("cleanup");
+}
+
+/// Serves `grid` and `of-consensus-safety` on a fresh server armed with
+/// `fault_plan` and returns their verdict lines. The client runs on its own
+/// thread so a wedged stream fails the test instead of hanging it.
+fn served_verdict_lines(tag: &str, fault_plan: Option<FaultPlan>) -> Vec<String> {
+    let root = unique_dir(tag);
+    let addr = unix_addr(&root);
+    let mut config = ServerConfig::new(root.join("ckpt"));
+    config.fault_plan = fault_plan;
+    let server =
+        CheckServer::start(&addr, config, ScenarioRegistry::builtin()).expect("server start");
+    let served = server.local_addr().to_string();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let lines: Vec<String> = [("grid", 12), ("of-consensus-safety", 20)]
+            .into_iter()
+            .map(|(scenario, depth)| {
+                let req = request(&format!("{scenario}-{depth}"), scenario, depth);
+                match run_with_reconnect(&served, &req, 10, |_| {}) {
+                    Ok(ServiceOutcome::Verdict(v)) => verdict_line(scenario, &v),
+                    other => format!("{scenario}: no verdict: {other:?}"),
+                }
+            })
+            .collect();
+        let _ = tx.send(lines);
+    });
+    let lines = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("both requests reach a terminal frame within two minutes");
+    server.shutdown();
+    std::fs::remove_dir_all(&root).expect("cleanup");
+    lines
+}
+
+#[test]
+fn socket_faults_leave_the_verdict_lines_unchanged() {
+    // Stalls, short transfers and EINTR on the accept loop and on every
+    // server-side socket read and write: frames must still arrive whole,
+    // so the client prints the fault-free server's lines byte for byte.
+    let plan = FaultPlan::seeded(9)
+        .with_rate(96)
+        .with_ops(&[FaultOp::Accept, FaultOp::SockRead, FaultOp::SockWrite])
+        .with_kinds(&[FaultKind::Stall, FaultKind::Short, FaultKind::Eintr]);
+    let faulted = served_verdict_lines("sock-fault", Some(plan));
+    let clean = served_verdict_lines("sock-clean", None);
+    assert!(clean.iter().all(|l| l.starts_with("verdict=")), "{clean:?}");
+    assert_eq!(faulted, clean);
 }
