@@ -11,7 +11,7 @@ use slx_consensus::{ConsWord, ObstructionFreeConsensus, OfNormalizedState};
 use slx_engine::{Checker, DeltaCodec};
 use slx_explorer::decidable_values_with;
 use slx_history::{History, ProcessId, Value};
-use slx_memory::{Decision, Event, Process, Scheduler, StepEffect, System, Word};
+use slx_memory::{Decision, Process, Scheduler, StepEffect, System, Word};
 
 /// Report of a [`run_bivalence_adversary`] run.
 #[derive(Debug, Clone)]
@@ -28,9 +28,6 @@ pub struct BivalenceReport {
     pub bivalent_throughout: bool,
     /// The driven history.
     pub history: History,
-    /// The execution log of the steps the adversary scheduled (the
-    /// invocations before the run were the caller's to log).
-    pub events: Vec<Event>,
     /// Total configurations model-checked across all valence queries — the
     /// work the exploration kernel discharged for this run.
     pub valence_configs: u64,
@@ -48,20 +45,14 @@ impl BivalenceReport {
 /// Runs the **Chor–Israeli–Li adversary** against an arbitrary
 /// deterministic consensus implementation (provided as a configured
 /// [`System`] whose two `active` processes have already proposed two
-/// *different* values).
+/// *different* values) for `budget` steps: the strategy of
+/// [`BivalenceScheduler`], with the proposals already issued.
 ///
-/// At every turn the adversary model-checks each candidate step (via
-/// [`decidable_values`]) and schedules a process whose step keeps the
-/// configuration bivalent, preferring the process with fewer steps so far
-/// so both step infinitely often. The CIL theorem guarantees such a step
-/// exists for implementations from registers; if none is found within the
-/// valence budget the run reports `bivalent_throughout = false` (which
-/// would falsify the experiment loudly rather than silently).
-///
-/// A successful run of `budget` steps is the finite prefix of an infinite
-/// execution in which both processes take infinitely many steps and
-/// neither ever decides — the (1,2)-freedom violation of Theorem 5.2, and
-/// the mechanical core of Corollaries 4.5/4.10.
+/// If no bivalence-preserving step is found within the valence budget the
+/// run stops and reports `bivalent_throughout = false` (which would
+/// falsify the experiment loudly rather than silently). The run is a
+/// finite prefix; the scheduler under `slx_explorer::run_until_cycle_keyed`
+/// is what proves the starvation eternal.
 pub fn run_bivalence_adversary<W, P>(
     sys: &mut System<W, P>,
     active: &[ProcessId],
@@ -92,56 +83,26 @@ where
     W: Word + DeltaCodec + Send + Sync,
     P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
 {
-    let mut report = BivalenceReport {
-        steps: 0,
+    let mut sched = BivalenceScheduler {
+        proposals: Vec::new(),
+        active: active.to_vec(),
         step_counts: vec![0; sys.n()],
-        decided: false,
-        bivalent_throughout: true,
-        history: History::new(),
-        events: Vec::new(),
+        checker: checker.clone(),
+        valence_budget,
         valence_configs: 0,
     };
-
-    for _ in 0..budget {
-        // Candidates ordered fairest-first.
-        let mut candidates: Vec<ProcessId> = active
+    let run = sys.run(&mut sched, budget);
+    BivalenceReport {
+        steps: run.steps,
+        step_counts: sched.step_counts,
+        decided: sys
+            .history()
             .iter()
-            .copied()
-            .filter(|&p| sys.can_step(p))
-            .collect();
-        candidates.sort_by_key(|p| report.step_counts[p.index()]);
-        let mut moved = false;
-        for p in candidates {
-            let mut next = sys.clone();
-            let effect = next.step(p).expect("steppable");
-            if matches!(effect, StepEffect::Responded(_)) {
-                // Stepping p would decide now; a bivalence-preserving
-                // adversary never takes that edge.
-                continue;
-            }
-            let d = decidable_values_with(checker, &next, active, valence_budget);
-            report.valence_configs += d.configs as u64;
-            if d.bivalent() {
-                sys.apply(Decision::Step(p), &mut report.events)
-                    .expect("steppable");
-                report.steps += 1;
-                report.step_counts[p.index()] += 1;
-                moved = true;
-                break;
-            }
-        }
-        if !moved {
-            // No bivalence-preserving step found within budget.
-            report.bivalent_throughout = false;
-            break;
-        }
+            .any(|a| matches!(a, slx_history::Action::Respond { .. })),
+        bivalent_throughout: !run.halted,
+        history: sys.history().clone(),
+        valence_configs: sched.valence_configs,
     }
-    report.decided = sys
-        .history()
-        .iter()
-        .any(|a| matches!(a, slx_history::Action::Respond { .. }));
-    report.history = sys.history().clone();
-    report
 }
 
 /// The Chor–Israeli–Li adversary as a deterministic [`Scheduler`]: it
@@ -155,13 +116,12 @@ where
 /// detected lasso's stem*, so liveness evaluation on the cycle sees the
 /// processes as pending-and-denied rather than inactive.
 ///
-/// [`run_bivalence_adversary`] drives the same strategy imperatively and
-/// reports a *finite prefix*; this scheduler form plugs into the keyed
-/// cycle detector (`slx_explorer::run_until_cycle_keyed`) instead, which
-/// upgrades the finite prefix to a **lasso**: an infinite execution in
-/// which both processes step forever and nobody ever decides — the
-/// (1,2)-freedom violation of Theorem 5.2 with no finite-run
-/// approximation left, matching the TM starvation lasso of Section 4.1.
+/// Under the keyed cycle detector (`slx_explorer::run_until_cycle_keyed`)
+/// with [`normalized_of_consensus_key`], a run yields a **lasso**: an
+/// infinite execution in which both processes step forever and nobody
+/// ever decides — the (1,2)-freedom violation of Theorem 5.2 with no
+/// finite-run approximation left, matching the TM starvation lasso of
+/// Section 4.1.
 ///
 /// Its decisions depend on its step counters only through their relative
 /// order, so [`BivalenceScheduler::normalized_counts`] (counters rebased
@@ -173,6 +133,8 @@ pub struct BivalenceScheduler {
     step_counts: Vec<u64>,
     checker: Checker,
     valence_budget: usize,
+    /// Configurations model-checked across all valence queries so far.
+    valence_configs: u64,
 }
 
 impl BivalenceScheduler {
@@ -190,13 +152,8 @@ impl BivalenceScheduler {
             active,
             checker: Checker::auto(),
             valence_budget,
+            valence_configs: 0,
         }
-    }
-
-    /// Steps scheduled per process so far.
-    #[must_use]
-    pub fn step_counts(&self) -> &[u64] {
-        &self.step_counts
     }
 
     /// The **active** processes' step counters (in proposal order),
@@ -260,6 +217,7 @@ where
                 continue;
             }
             let d = decidable_values_with(&self.checker, &next, &self.active, self.valence_budget);
+            self.valence_configs += d.configs as u64;
             if d.bivalent() {
                 self.step_counts[p.index()] += 1;
                 return Decision::Step(p);
@@ -377,6 +335,11 @@ mod tests {
         System::new(mem, procs)
     }
 
+    fn decides_on_cycle(witness: &slx_explorer::CycleWitness) -> bool {
+        let decision = |e: &_| matches!(e, slx_memory::Event::Responded(..));
+        witness.cycle.iter().any(decision)
+    }
+
     fn cil_scheduler() -> BivalenceScheduler {
         BivalenceScheduler::new(vec![(p(0), v(1)), (p(1), v(2))], 60_000)
     }
@@ -398,7 +361,7 @@ mod tests {
         )
         .expect("the CIL adversary must drive a round-shift cycle");
         assert_eq!(witness.cycle_steppers(), vec![p(0), p(1)]);
-        assert!(!witness.cycle_has_good_response(|_| true), "no decisions");
+        assert!(!decides_on_cycle(&witness), "no decisions");
         use slx_liveness::{LkFreedom, ProgressKind};
         assert!(!witness.evaluate_liveness(&LkFreedom::new(1, 2), 2, ProgressKind::AnyResponse));
         assert!(!witness.evaluate_liveness(&LkFreedom::new(2, 2), 2, ProgressKind::AnyResponse));
@@ -410,7 +373,7 @@ mod tests {
     fn bivalence_lasso_fingerprint_matches_retained_map() {
         // Differential pin of the digest-keyed cycle detector against the
         // retained-key baseline on the bivalence adversary schedule: same
-        // stem, same cycle, same unrolling.
+        // stem, same cycle.
         let run_keyed = || {
             let mut sys = of_system(64);
             let mut sched = cil_scheduler();
@@ -437,7 +400,6 @@ mod tests {
         let retained = run_retained();
         assert_eq!(digest.stem, retained.stem);
         assert_eq!(digest.cycle, retained.cycle);
-        assert_eq!(digest.unroll(3), retained.unroll(3));
     }
 
     #[test]
@@ -462,7 +424,7 @@ mod tests {
         )
         .expect("cycle must close despite the phantom p0 counter slot");
         assert_eq!(witness.cycle_steppers(), vec![p(1), p(2)]);
-        assert!(!witness.cycle_has_good_response(|_| true));
+        assert!(!decides_on_cycle(&witness));
     }
 
     #[test]
@@ -471,14 +433,33 @@ mod tests {
         // process makes the configuration univalent, so no bivalence-
         // preserving step exists: the adversary loses immediately. This is
         // Figure 1a's caveat "from registers" made executable.
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let obj = CasConsensus::alloc(&mut mem);
-        let mut sys = System::new(mem, vec![CasConsensus::new(obj), CasConsensus::new(obj)]);
+        let cas_system = || {
+            let mut mem: Memory<ConsWord> = Memory::new();
+            let obj = CasConsensus::alloc(&mut mem);
+            System::new(mem, vec![CasConsensus::new(obj), CasConsensus::new(obj)])
+        };
+        let mut sys = cas_system();
         sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
         sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
         let report = run_bivalence_adversary(&mut sys, &[p(0), p(1)], 50, 10_000);
         assert!(!report.adversary_won());
         assert!(!report.bivalent_throughout);
+        // The control for the (1,2) lasso: the scheduler halts, so no
+        // lasso closes (the raw key is exact).
+        let mut sys = cas_system();
+        let mut sched = cil_scheduler();
+        let lasso = slx_explorer::run_until_cycle_keyed(
+            &mut sys,
+            &mut sched,
+            300,
+            |sys, sched: &BivalenceScheduler| (sys.digest128(), sched.normalized_counts()),
+        );
+        assert!(lasso.is_none());
+        assert_eq!(
+            sched.decide(&sys),
+            Decision::Halt,
+            "the adversary is beaten"
+        );
     }
 
     #[test]

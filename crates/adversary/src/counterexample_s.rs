@@ -2,7 +2,8 @@
 
 use slx_history::{Operation, ProcessId, Response};
 use slx_memory::{Decision, Process, Scheduler, System};
-use slx_tm::TmWord;
+use slx_tm::normalize::normalized_agp;
+use slx_tm::{AgpTm, TmWord};
 
 /// Per-process stage within one round of the strategy. Exposed because it
 /// is part of the normalized cycle-detection key.
@@ -32,14 +33,12 @@ pub enum Stage {
 ///
 /// Against Algorithm I(1,2) the timestamp rule aborts all three `tryC()`s
 /// every round, so the strategy loops forever: three steppers, no commits
-/// — a violation of (1,3)-freedom, witnessed as a lasso via the
-/// normalization maps.
+/// — a violation of (1,3)-freedom, witnessed as a lasso under
+/// [`normalized_triple_round_key`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TripleRoundAdversary {
     procs: [ProcessId; 3],
     stages: [Stage; 3],
-    /// Rounds fully completed (all aborted).
-    rounds: u64,
     /// Set when some process committed: the adversary lost.
     lost: bool,
 }
@@ -50,25 +49,13 @@ impl TripleRoundAdversary {
         TripleRoundAdversary {
             procs,
             stages: [Stage::NeedStart; 3],
-            rounds: 0,
             lost: false,
         }
-    }
-
-    /// Fully-aborted rounds completed so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
     }
 
     /// Whether some process committed (the adversary lost).
     pub fn lost(&self) -> bool {
         self.lost
-    }
-
-    /// Strategy state for cycle detection (stages reset each round, so the
-    /// state is already shift-free).
-    pub fn normalized_state(&self) -> [Stage; 3] {
-        self.stages
     }
 
     fn absorb_responses<P: Process<TmWord>>(&mut self, sys: &System<TmWord, P>) {
@@ -124,7 +111,6 @@ impl<P: Process<TmWord>> Scheduler<TmWord, P> for TripleRoundAdversary {
             return Decision::Step(self.procs[i]);
         }
         // Round over: everyone aborted (commits were caught above).
-        self.rounds += 1;
         self.stages = [Stage::NeedStart; 3];
         // Recurse once into the new round.
         self.stages[0] = Stage::StartPending;
@@ -132,14 +118,24 @@ impl<P: Process<TmWord>> Scheduler<TmWord, P> for TripleRoundAdversary {
     }
 }
 
+/// The §5.3 cycle-detection key for [`TripleRoundAdversary`] on an
+/// [`AgpTm`]: the configuration with versions, values and timestamps
+/// rebased ([`normalized_agp`]; every process's timestamp climbs by one
+/// per round) and the strategy's per-round stages.
+#[must_use]
+pub fn normalized_triple_round_key(
+    sys: &System<TmWord, AgpTm>,
+    adv: &TripleRoundAdversary,
+) -> (System<TmWord, AgpTm>, [Stage; 3]) {
+    (normalized_agp(sys), adv.stages)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use slx_history::{TransactionStatus, TxnView, Value};
-    use slx_liveness::{ExecutionView, LivenessProperty, LkFreedom, ProgressKind};
+    use slx_liveness::{LkFreedom, ProgressKind};
     use slx_safety::PropertyS;
-    use slx_tm::normalize::normalized_agp;
-    use slx_tm::AgpTm;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -151,28 +147,16 @@ mod tests {
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
         sys.run(&mut adv, 3000);
         assert!(!adv.lost(), "a commit escaped the timestamp rule");
-        assert!(adv.rounds() >= 20, "only {} rounds", adv.rounds());
-        // No transaction ever commits.
+        // No transaction ever commits, over many rounds of three aborts.
         let view = TxnView::parse(sys.history());
         assert!(view
             .transactions()
             .iter()
             .all(|t| t.status() != TransactionStatus::Committed));
+        let aborted = view.transactions().len();
+        assert!(aborted >= 60, "only {aborted} transactions");
         // And the runs stay inside property S.
         assert!(PropertyS::new(Value::new(0)).abort_rule_holds(sys.history()));
-    }
-
-    #[test]
-    fn run_violates_13_freedom() {
-        let mut sys = AgpTm::system(3, 1);
-        let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
-        let mut log = Vec::new();
-        sys.run_logged(&mut adv, 3000, &mut log);
-        let view = ExecutionView::second_half(&log, 3, ProgressKind::CommitOnly);
-        // Three steppers, zero commits: (1,3)-freedom fails...
-        assert!(!LkFreedom::new(1, 3).satisfied(&view));
-        // ...while (2,2)-freedom holds vacuously (3 steppers > k = 2).
-        assert!(LkFreedom::new(2, 2).satisfied(&view));
     }
 
     #[test]
@@ -183,11 +167,10 @@ mod tests {
             &mut sys,
             &mut adv,
             5000,
-            |sys, adv: &TripleRoundAdversary| (normalized_agp(sys), adv.normalized_state()),
+            normalized_triple_round_key,
         )
         .expect("all-abort loop must cycle");
         assert_eq!(witness.cycle_steppers(), vec![p(0), p(1), p(2)]);
-        assert!(!witness.cycle_has_good_response(|r| r.is_commit()));
         // Exact verdicts on stem·cycle^ω: (1,3)-freedom is violated (three
         // steppers, nobody commits) while (2,2)-freedom holds vacuously.
         assert!(!witness.evaluate_liveness(&LkFreedom::new(1, 3), 3, ProgressKind::CommitOnly));
@@ -201,7 +184,12 @@ mod tests {
         // GlobalVersionTm does NOT implement property S.
         let mut sys = slx_tm::GlobalVersionTm::system(3, 1);
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
-        sys.run(&mut adv, 2000);
+        // The control for the (1,3) lasso: the strategy halts, so none
+        // closes under the exact raw key.
+        let lasso = slx_explorer::run_until_cycle_keyed(&mut sys, &mut adv, 2000, |sys, adv| {
+            (sys.digest128(), adv.clone())
+        });
+        assert!(lasso.is_none());
         assert!(adv.lost(), "GlobalVersionTm should commit in round 1");
         // The produced history indeed violates property S's abort rule.
         assert!(!PropertyS::new(Value::new(0)).abort_rule_holds(sys.history()));

@@ -12,14 +12,21 @@
 //! - §4.1 consensus: the explicit adversary sets `F1`/`F2`
 //!   ([`consensus_f1`], [`consensus_f2`]) whose disjointness gives
 //!   `Gmax = ∅` and Corollary 4.5, and the constructive
-//!   [`run_bivalence_adversary`] — *computing* the Chor–Israeli–Li schedule
-//!   against any deterministic register-based consensus implementation;
+//!   [`BivalenceScheduler`] — *computing* the Chor–Israeli–Li schedule
+//!   against any deterministic register-based consensus implementation
+//!   ([`run_bivalence_adversary`] drives it for a fixed budget);
 //! - §4.1 TM: the three-step starvation strategy ([`TmStarvation`]) and
 //!   its role-swapped twin, behind Corollary 4.6 and the black point
 //!   `(2,2)` of Figure 1b;
 //! - §5.3: the three-process synchronized-round strategy
 //!   ([`TripleRoundAdversary`]) showing (1,3)-freedom excludes property
 //!   `S`.
+//!
+//! Beside each strategy lives its cycle-detection key for the algorithm it
+//! starves ([`normalized_of_consensus_key`], [`normalized_starvation_key`],
+//! [`normalized_starvation_agp_key`], [`normalized_triple_round_key`]):
+//! the one function drivers, examples and tests hand to
+//! `slx_explorer::run_until_cycle_keyed`.
 
 #![warn(missing_docs)]
 
@@ -33,5 +40,5 @@ pub use bivalence::{
     BivalenceReport, BivalenceScheduler,
 };
 pub use consensus_sets::{consensus_f1, consensus_f2, gmax_of};
-pub use counterexample_s::TripleRoundAdversary;
-pub use tm_starvation::TmStarvation;
+pub use counterexample_s::{normalized_triple_round_key, TripleRoundAdversary};
+pub use tm_starvation::{normalized_starvation_agp_key, normalized_starvation_key, TmStarvation};

@@ -2,7 +2,8 @@
 
 use slx_history::{Operation, ProcessId, Response, Value, VarId};
 use slx_memory::{Decision, Process, Scheduler, System};
-use slx_tm::TmWord;
+use slx_tm::normalize::{committed_shift, normalized_agp_among, normalized_global_version};
+use slx_tm::{AgpTm, GlobalVersionTm, TmWord};
 
 /// Phase of the strategy (names follow the paper's Steps 1–3). Exposed
 /// because it is part of the normalized cycle-detection key.
@@ -40,9 +41,9 @@ pub enum Phase {
 ///
 /// The strategy is a [`Scheduler`]: it chooses both invocations and steps,
 /// exactly matching Definition 4.3's adversary. Run it with the keyed
-/// cycle detector (`slx-explorer`) and the normalization maps
-/// (`slx_tm::normalize`) to obtain a lasso — a proof that the starvation
-/// continues forever.
+/// cycle detector (`slx_explorer::run_until_cycle_keyed`) under
+/// [`normalized_starvation_key`] (or [`normalized_starvation_agp_key`])
+/// to obtain a lasso — a proof that the starvation continues forever.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TmStarvation {
     victim: ProcessId,
@@ -53,8 +54,6 @@ pub struct TmStarvation {
     waiting: bool,
     /// The committer's last read value `v''`.
     v_dblprime: i64,
-    /// Rounds completed (committer commits per round), for reporting.
-    rounds: u64,
 }
 
 impl TmStarvation {
@@ -67,13 +66,7 @@ impl TmStarvation {
             phase: Phase::VictimStart,
             waiting: false,
             v_dblprime: 0,
-            rounds: 0,
         }
-    }
-
-    /// Rounds completed so far (one committer commit each).
-    pub fn rounds(&self) -> u64 {
-        self.rounds
     }
 
     /// Whether the victim ever committed (the adversary lost).
@@ -155,7 +148,6 @@ impl TmStarvation {
                 if aborted {
                     CommitterStart
                 } else {
-                    self.rounds += 1;
                     VictimWrite
                 }
             }
@@ -205,14 +197,43 @@ impl<P: Process<TmWord>> Scheduler<TmWord, P> for TmStarvation {
     }
 }
 
+/// The §4.1 cycle-detection key for [`TmStarvation`] on a
+/// [`GlobalVersionTm`]: the configuration with versions and values rebased
+/// to the committed state, and the strategy state with its stored read
+/// value rebased by the same amount. The version counter climbs by one per
+/// round, so raw configurations never repeat; by the shift-invariance
+/// argument of `slx_tm::normalize`, a repeat of this key witnesses an
+/// infinite execution.
+#[must_use]
+pub fn normalized_starvation_key(
+    sys: &System<TmWord, GlobalVersionTm>,
+    adv: &TmStarvation,
+) -> (System<TmWord, GlobalVersionTm>, (Phase, bool, i64)) {
+    let dval = committed_shift(sys).dval;
+    (normalized_global_version(sys), adv.normalized_state(dval))
+}
+
+/// The §4.1 cycle-detection key for [`TmStarvation`] on an [`AgpTm`] with
+/// any number of processes: [`normalized_starvation_key`] with the
+/// configuration rebased over the strategy's two processes only
+/// ([`normalized_agp_among`]). The strategy never invokes the others, so
+/// they never step.
+#[must_use]
+pub fn normalized_starvation_agp_key(
+    sys: &System<TmWord, AgpTm>,
+    adv: &TmStarvation,
+) -> (System<TmWord, AgpTm>, (Phase, bool, i64)) {
+    let dval = committed_shift(sys).dval;
+    let norm = normalized_agp_among(sys, &[adv.victim, adv.committer]);
+    (norm, adv.normalized_state(dval))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use slx_history::{TransactionStatus, TxnView};
-    use slx_liveness::{ExecutionView, LivenessProperty, LkFreedom, Lmax, ProgressKind};
-    use slx_safety::{certify_unique_writes, StrictSerializability};
-    use slx_tm::normalize::normalized_global_version;
-    use slx_tm::GlobalVersionTm;
+    use slx_liveness::{LkFreedom, Lmax, ProgressKind};
+    use slx_safety::{certify_unique_writes, SafetyProperty, StrictSerializability};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -227,7 +248,6 @@ mod tests {
         let mut adv = TmStarvation::new(p(0), p(1), x0());
         sys.run(&mut adv, 5000);
         assert!(!adv.lost(), "victim committed");
-        assert!(adv.rounds() >= 10, "only {} rounds", adv.rounds());
         // The committer commits every round; the victim never.
         let view = TxnView::parse(sys.history());
         for t in view.of_process(p(0)) {
@@ -238,24 +258,7 @@ mod tests {
             .iter()
             .filter(|t| t.status() == TransactionStatus::Committed)
             .count() as u64;
-        assert_eq!(committer_commits, adv.rounds());
-    }
-
-    #[test]
-    fn starvation_run_violates_local_progress_and_22_freedom() {
-        let mut sys = GlobalVersionTm::system(2, 1);
-        let mut adv = TmStarvation::new(p(0), p(1), x0());
-        let mut log = Vec::new();
-        sys.run_logged(&mut adv, 5000, &mut log);
-        let view = ExecutionView::second_half(&log, 2, ProgressKind::CommitOnly);
-        // Local progress (Lmax for TM) fails: the victim is correct but
-        // never commits.
-        assert!(!Lmax::new().satisfied(&view));
-        // (2,2)-freedom fails: exactly 2 steppers, 2 correct, only 1
-        // makes progress.
-        assert!(!LkFreedom::new(2, 2).satisfied(&view));
-        // (1,2)-freedom holds on this run: the committer progresses.
-        assert!(LkFreedom::new(1, 2).satisfied(&view));
+        assert!(committer_commits >= 10, "only {committer_commits} rounds");
     }
 
     #[test]
@@ -265,28 +268,7 @@ mod tests {
         let mut adv = TmStarvation::new(p(0), p(1), x0());
         sys.run(&mut adv, 800);
         assert!(certify_unique_writes(sys.history(), Value::new(0)));
-        let _ = StrictSerializability::new(Value::new(0));
-    }
-
-    /// The §4.1 shift-normalized cycle-detection key: the rebased system
-    /// plus the strategy state with its stored read value rebased.
-    fn starvation_key(
-        sys: &System<TmWord, GlobalVersionTm>,
-        adv: &TmStarvation,
-    ) -> (System<TmWord, GlobalVersionTm>, (Phase, bool, i64)) {
-        let normalized = normalized_global_version(sys);
-        // dval = committed value of x1, the normalizer's base.
-        let dval = sys
-            .memory()
-            .iter_objects()
-            .find_map(|(_, o)| match o {
-                slx_memory::BaseObject::Cas(TmWord::Versioned { values, .. }) => {
-                    Some(values[0].raw())
-                }
-                _ => None,
-            })
-            .unwrap_or(0);
-        (normalized, adv.normalized_state(dval))
+        assert!(StrictSerializability::new(Value::new(0)).allows(sys.history()));
     }
 
     #[test]
@@ -295,8 +277,13 @@ mod tests {
         // the infinite execution stem·cycle^ω starves the victim forever.
         let mut sys = GlobalVersionTm::system(2, 1);
         let mut adv = TmStarvation::new(p(0), p(1), x0());
-        let witness = slx_explorer::run_until_cycle_keyed(&mut sys, &mut adv, 5000, starvation_key)
-            .expect("starvation loop must cycle");
+        let witness = slx_explorer::run_until_cycle_keyed(
+            &mut sys,
+            &mut adv,
+            5000,
+            normalized_starvation_key,
+        )
+        .expect("starvation loop must cycle");
         // The cycle has both processes stepping and no victim commit.
         assert_eq!(witness.cycle_steppers(), vec![p(0), p(1)]);
         let victim_commits_in_cycle = witness.cycle.iter().any(
@@ -321,24 +308,27 @@ mod tests {
         // Differential pin of the digest-keyed cycle detector (which
         // retains 16-byte fingerprints of the normalized keys) against
         // the retained-key baseline on the §4.1 starvation lasso: same
-        // stem, same cycle, same unrolling.
+        // stem, same cycle.
         let mut sys_a = GlobalVersionTm::system(2, 1);
         let mut adv_a = TmStarvation::new(p(0), p(1), x0());
-        let digest =
-            slx_explorer::run_until_cycle_keyed(&mut sys_a, &mut adv_a, 5000, starvation_key)
-                .expect("cycle");
+        let digest = slx_explorer::run_until_cycle_keyed(
+            &mut sys_a,
+            &mut adv_a,
+            5000,
+            normalized_starvation_key,
+        )
+        .expect("cycle");
         let mut sys_b = GlobalVersionTm::system(2, 1);
         let mut adv_b = TmStarvation::new(p(0), p(1), x0());
         let retained = slx_explorer::run_until_cycle_keyed_retained(
             &mut sys_b,
             &mut adv_b,
             5000,
-            starvation_key,
+            normalized_starvation_key,
         )
         .expect("cycle");
         assert_eq!(digest.stem, retained.stem);
         assert_eq!(digest.cycle, retained.cycle);
-        assert_eq!(digest.unroll(3), retained.unroll(3));
         assert_eq!(digest.cycle_steppers(), retained.cycle_steppers());
     }
 

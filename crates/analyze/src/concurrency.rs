@@ -109,9 +109,9 @@ fn check_wait_loops(file: &SourceFile) -> Vec<Finding> {
         while let Some(pos) = code[from..].find(needle) {
             let at = from + pos;
             from = at + needle.len();
-            // Look back a window for an enclosing guard loop keyword.
-            let window_start = code[..at].rfind("fn ").unwrap_or(0);
-            let window = &code[window_start..at];
+            // Look back to the enclosing `fn` for a guard loop keyword.
+            let fn_start = code[..at].rfind("fn ").unwrap_or(0);
+            let window = &code[fn_start..at];
             if !(scan::has_token(window, "loop") || scan::has_token(window, "while")) {
                 findings.push(Finding {
                     analysis: ANALYSIS_CONC,

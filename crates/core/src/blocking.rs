@@ -8,100 +8,128 @@
 //! progress requirement can hold. This experiment contrasts it with the
 //! lock-free TM under the same crash.
 
+use std::hash::Hash;
+
+use slx_explorer::{run_until_cycle_keyed_after, Lasso};
 use slx_history::{Operation, ProcessId, Value, VarId};
-use slx_liveness::{ExecutionView, LivenessProperty, LkFreedom, ProgressKind};
-use slx_memory::{Decision, Event, FairRandom, Process, RepeatTxn, System, WorkloadScheduler};
+use slx_liveness::{LkFreedom, ProgressKind};
+use slx_memory::{Decision, Process, RepeatTxn, SoloScheduler, System, WorkloadScheduler};
 use slx_safety::{Opacity, SafetyProperty};
+use slx_tm::normalize::{committed_shift, normalized_global_version};
 use slx_tm::{GlobalVersionTm, LockTm, TmWord};
 
-/// Outcome of the blocking-vs-non-blocking crash experiment.
+/// Outcome of the blocking-vs-non-blocking crash experiment. Both TMs run
+/// the same lasso search: process 1 crashes mid-transaction, then process
+/// 2 runs a closed-loop workload alone until its configuration repeats.
 #[derive(Debug, Clone)]
 pub struct BlockingDemo {
-    /// Commits by the survivor against the lock TM after the holder
-    /// crashed (expected 0).
-    pub lock_tm_survivor_commits: u64,
+    /// The lock TM's lasso, the crash prefix heading its stem.
+    pub lock_tm_lasso: Lasso,
     /// Whether the lock TM run still satisfies opacity (expected: yes —
     /// blocking is a liveness failure).
     pub lock_tm_still_opaque: bool,
-    /// Whether (1,1)-freedom (obstruction-freedom) fails for the lock TM
-    /// run (expected: yes, the solo survivor starves).
+    /// Whether (1,1)-freedom (obstruction-freedom) fails on the lock TM's
+    /// lasso (expected: yes, the solo survivor spins forever).
     pub lock_tm_violates_11: bool,
-    /// Commits by the survivor against the lock-free TM after the same
-    /// crash (expected > 0).
-    pub lock_free_survivor_commits: u64,
-    /// Whether (1,n)-freedom holds on the lock-free run (expected: yes).
+    /// The lock-free TM's lasso, the crash prefix heading its stem.
+    pub lock_free_lasso: Lasso,
+    /// Whether (1,2)-freedom holds on the lock-free lasso (expected: yes;
+    /// the survivor, the one correct process, commits on every cycle).
     pub lock_free_satisfies_1n: bool,
 }
 
 impl BlockingDemo {
     /// Whether the experiment establishes the contrast.
     pub fn establishes_contrast(&self) -> bool {
-        self.lock_tm_survivor_commits == 0
-            && self.lock_tm_still_opaque
-            && self.lock_tm_violates_11
-            && self.lock_free_survivor_commits > 0
-            && self.lock_free_satisfies_1n
+        self.lock_tm_still_opaque && self.lock_tm_violates_11 && self.lock_free_satisfies_1n
     }
 }
 
-/// Drives the crash pattern on `sys` and returns its execution log:
-/// process 1 starts a transaction, takes one step (the lock TM's TAS
-/// acquires the lock) and crashes; process 2 then runs a closed-loop
-/// workload alone for `events` events.
-fn crash_then_run_survivor<P: Process<TmWord>>(
+/// The process that outlives the crash: process 2.
+const SURVIVOR: ProcessId = ProcessId::new(1);
+
+/// The survivor's scheduler: it runs its closed-loop workload alone.
+type Survivor = WorkloadScheduler<RepeatTxn, SoloScheduler>;
+
+/// Process 1 starts a transaction, takes one step (the lock TM's TAS
+/// acquires the lock) and crashes; the decisions head the lasso's stem.
+const CRASH_PREFIX: [Decision; 3] = [
+    Decision::Invoke(ProcessId::new(0), Operation::TxStart),
+    Decision::Step(ProcessId::new(0)),
+    Decision::Crash(ProcessId::new(0)),
+];
+
+/// Drives [`CRASH_PREFIX`] on `sys`, then the [`Survivor`], until `key`
+/// repeats or `events` elapse.
+fn survivor_lasso<P, K: Hash>(
     sys: &mut System<TmWord, P>,
     events: u64,
-) -> Vec<Event> {
-    let p0 = ProcessId::new(0);
-    let p1 = ProcessId::new(1);
+    key: impl Fn(&System<TmWord, P>, &Survivor) -> K,
+) -> Lasso
+where
+    P: Process<TmWord>,
+{
     let x = VarId::new(0);
-    let mut log = Vec::new();
-    for decision in [
-        Decision::Invoke(p0, Operation::TxStart),
-        Decision::Step(p0),
-        Decision::Crash(p0),
-    ] {
-        sys.apply(decision, &mut log)
-            .expect("a fresh process starts, steps and crashes");
-    }
     let workload = RepeatTxn::new(2, vec![x], vec![x], None);
-    let mut sched = WorkloadScheduler::new(2, workload, FairRandom::restricted(3, vec![p1]));
-    sys.run_logged(&mut sched, events, &mut log);
-    log
+    let mut sched = WorkloadScheduler::new(2, workload, SoloScheduler::new(SURVIVOR));
+    let witness = run_until_cycle_keyed_after(sys, &CRASH_PREFIX, &mut sched, events, key);
+    Lasso::new(witness, 2, ProgressKind::CommitOnly)
 }
 
-fn commits<P: Process<TmWord>>(sys: &System<TmWord, P>) -> u64 {
-    sys.history()
-        .iter()
-        .filter(|a| a.as_respond().is_some_and(|r| r.is_commit()))
-        .count() as u64
+/// A [`Survivor`] run's cycle-detection key over `norm`, the run's
+/// configuration with words and process states rebased by `dval`: the
+/// memory, and the survivor's pending flag, state and workload state
+/// rebased by `dval`. The crashed process is left out: it never steps or
+/// invokes again, and its rebased states would drift with `dval`. So is
+/// the workload scheduler's own bookkeeping: it only carries a process's
+/// last response until the next invocation, and with unbounded commits an
+/// abort and a commit advance the workload alike.
+fn survivor_key<P>(norm: &System<TmWord, P>, sched: &Survivor, dval: i64) -> impl Hash
+where
+    P: Process<TmWord> + Clone + Hash,
+{
+    let workload = sched.workload().normalized_state(SURVIVOR, dval);
+    let survivor = norm.process(SURVIVOR).cloned();
+    (
+        norm.memory().clone(),
+        norm.is_pending(SURVIVOR),
+        survivor,
+        workload,
+    )
+}
+
+/// The lock TM's key. Nothing commits, so the raw configuration repeats
+/// (`transformed` resets the memory's step counter).
+fn lock_tm_key(sys: &System<TmWord, LockTm>, sched: &Survivor) -> impl Hash {
+    survivor_key(&sys.transformed(Clone::clone, Clone::clone), sched, 0)
+}
+
+/// The lock-free TM's key: versions and values climb with every commit
+/// and are rebased.
+fn lock_free_key(sys: &System<TmWord, GlobalVersionTm>, sched: &Survivor) -> impl Hash {
+    let dval = committed_shift(sys).dval;
+    survivor_key(&normalized_global_version(sys), sched, dval)
 }
 
 /// Runs the crash experiment: process 1 acquires whatever its TM needs
 /// for a transaction and crashes mid-flight; process 2 then runs a full
-/// closed-loop workload alone.
+/// closed-loop workload alone. Each lasso search runs within `events`
+/// events.
 pub fn blocking_demo(events: u64) -> BlockingDemo {
     // --- Lock TM: crash the lock holder. ---
     let mut sys = LockTm::system(2, 1);
-    let log = crash_then_run_survivor(&mut sys, events);
-    let lock_commits = commits(&sys);
+    let lock = survivor_lasso(&mut sys, events, lock_tm_key);
     let lock_opaque = Opacity::new(Value::new(0)).allows(sys.history());
-    let view = ExecutionView::second_half(&log, 2, ProgressKind::CommitOnly);
-    let lock_violates_11 = !LkFreedom::new(1, 1).satisfied(&view);
 
     // --- Lock-free TM: same crash pattern. ---
-    let mut sys = GlobalVersionTm::system(2, 1);
-    let log = crash_then_run_survivor(&mut sys, events);
-    let free_commits = commits(&sys);
-    let view = ExecutionView::second_half(&log, 2, ProgressKind::CommitOnly);
-    let free_1n = LkFreedom::new(1, 2).satisfied(&view);
+    let free = survivor_lasso(&mut GlobalVersionTm::system(2, 1), events, lock_free_key);
 
     BlockingDemo {
-        lock_tm_survivor_commits: lock_commits,
+        lock_tm_violates_11: lock.verdict(&LkFreedom::new(1, 1)) == Some(false),
+        lock_tm_lasso: lock,
         lock_tm_still_opaque: lock_opaque,
-        lock_tm_violates_11: lock_violates_11,
-        lock_free_survivor_commits: free_commits,
-        lock_free_satisfies_1n: free_1n,
+        lock_free_satisfies_1n: free.verdict(&LkFreedom::new(1, 2)) == Some(true),
+        lock_free_lasso: free,
     }
 }
 
@@ -113,5 +141,23 @@ mod tests {
     fn blocking_contrast_established() {
         let demo = blocking_demo(2000);
         assert!(demo.establishes_contrast(), "{demo:?}");
+    }
+
+    /// The lock-free leg's control: the same driver and the same (1,2)
+    /// verdict on the lock TM, whose survivor spins forever.
+    #[test]
+    fn lock_free_verdict_fails_on_the_lock_tm() {
+        let one_two = LkFreedom::new(1, 2);
+        let lock = survivor_lasso(&mut LockTm::system(2, 1), 2000, lock_tm_key);
+        assert_eq!(lock.verdict(&one_two), Some(false));
+        let lock = lock.witness.expect("the survivor's spin closes a lasso");
+        assert_eq!(lock.cycle, [slx_memory::Event::Stepped(SURVIVOR)]);
+        let free = survivor_lasso(&mut GlobalVersionTm::system(2, 1), 2000, lock_free_key);
+        assert_eq!(free.verdict(&one_two), Some(true));
+        // The crash is in the stem, where the view reads it.
+        let free = free.witness.expect("the survivor's commits close a lasso");
+        assert!(free
+            .stem
+            .contains(&slx_memory::Event::Crashed(ProcessId::new(0))));
     }
 }

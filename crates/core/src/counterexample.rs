@@ -1,27 +1,31 @@
 //! The Section 5.3 counterexample: property `S` has no weakest excluding
 //! (l,k)-freedom property.
 
-use slx_adversary::{TmStarvation, TripleRoundAdversary};
+use slx_adversary::{
+    normalized_starvation_agp_key, normalized_triple_round_key, TmStarvation, TripleRoundAdversary,
+};
+use slx_explorer::{run_until_cycle_keyed, run_until_cycle_keyed_after, Lasso};
 use slx_history::{ProcessId, TransactionStatus, TxnView, Value, VarId};
-use slx_liveness::LkFreedom;
-use slx_memory::{FairRandom, RepeatTxn, WorkloadScheduler};
+use slx_liveness::{LkFreedom, ProgressKind};
+use slx_memory::{Decision, FairRandom, RepeatTxn, WorkloadScheduler};
 use slx_safety::PropertyS;
 use slx_tm::AgpTm;
 
 /// Outcome of the Section 5.3 experiment.
 #[derive(Debug, Clone)]
 pub struct CounterexampleReport {
-    /// (1,3)-freedom excludes `S`: the triple-round adversary looped this
-    /// many all-abort rounds against Algorithm I(1,2) without a commit.
-    pub triple_rounds: u64,
-    /// Whether the triple-round adversary was ever defeated (it must not
-    /// be).
-    pub triple_lost: bool,
-    /// (2,2)-freedom excludes `S`: rounds of the §4.1 starvation strategy
-    /// (S includes opacity, so the §4.1 exclusion applies).
-    pub starvation_rounds: u64,
-    /// Whether the starvation victim ever committed (it must not).
-    pub starvation_lost: bool,
+    /// Leg 1's lasso: the triple-round adversary against Algorithm
+    /// I(1,2) on three processes.
+    pub triple_lasso: Lasso,
+    /// (1,3)-freedom excludes `S`: it fails on leg 1's lasso (three
+    /// steppers abort forever).
+    pub triple_violates_13: bool,
+    /// Leg 2's lasso: the §4.1 starvation strategy against I(1,2) on
+    /// three processes, the third crashed first.
+    pub starvation_lasso: Lasso,
+    /// (2,2)-freedom excludes `S`: it fails on leg 2's lasso (S includes
+    /// opacity, so the §4.1 exclusion applies).
+    pub starvation_violates_22: bool,
     /// (1,2)-freedom does **not** exclude `S`: commits by each of the two
     /// active processes of Algorithm I(1,2) under a fair 2-stepper
     /// schedule.
@@ -39,10 +43,8 @@ impl CounterexampleReport {
         let one_three = LkFreedom::new(1, 3);
         let two_two = LkFreedom::new(2, 2);
         let one_two = LkFreedom::new(1, 2);
-        self.triple_rounds >= 2
-            && !self.triple_lost
-            && self.starvation_rounds >= 2
-            && !self.starvation_lost
+        self.triple_violates_13
+            && self.starvation_violates_22
             && self.duo_commits.iter().all(|&c| c > 0)
             && self.s_holds
             && one_three.is_stronger_or_equal(&one_two)
@@ -51,14 +53,29 @@ impl CounterexampleReport {
     }
 }
 
+/// Leg 2's lasso: `prefix` applied to a fresh I(1,2) on three processes
+/// (its events head the stem), then the §4.1 strategy with victim `p1`
+/// and committer `p2`; and whether the run kept property `S`'s abort rule.
+fn starvation_lasso(prefix: &[Decision], events: u64) -> (Lasso, bool) {
+    let mut sys = AgpTm::system(3, 1);
+    let mut starve = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
+    let key = normalized_starvation_agp_key;
+    let witness = run_until_cycle_keyed_after(&mut sys, prefix, &mut starve, events, key);
+    let s_holds = PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
+    (Lasso::new(witness, 3, ProgressKind::CommitOnly), s_holds)
+}
+
 /// Runs the three legs of the Section 5.3 experiment against Algorithm
-/// I(1,2):
+/// I(1,2), each lasso search and the fair run within `events` events:
 ///
 /// 1. the three-process synchronized-round adversary (excludes
 ///    (1,3)-freedom);
-/// 2. the two-process §4.1 starvation strategy (excludes (2,2)-freedom —
-///    property `S` contains opacity, so the opacity exclusion carries
-///    over);
+/// 2. the two-process §4.1 starvation strategy, with the third process
+///    crashed first (excludes (2,2)-freedom — property `S` contains
+///    opacity, so the opacity exclusion carries over). The crash matters:
+///    with the third process correct and never invoked, it counts as
+///    progressing, so the committer and it make two and the run
+///    *satisfies* (2,2)-freedom;
 /// 3. a fair two-stepper workload showing both processes commit
 ///    ((1,2)-freedom holds) while property `S` is preserved (Lemma 5.4).
 pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
@@ -66,14 +83,15 @@ pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
     let mut sys = AgpTm::system(3, 1);
     let mut triple =
         TripleRoundAdversary::new([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
-    sys.run(&mut triple, events);
+    let key = normalized_triple_round_key;
+    let witness = run_until_cycle_keyed(&mut sys, &mut triple, events, key);
+    let triple_lasso = Lasso::new(witness, 3, ProgressKind::CommitOnly);
     let mut s_holds = PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
 
     // Leg 2: (2,2) excluded.
-    let mut sys = AgpTm::system(3, 1);
-    let mut starve = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
-    sys.run(&mut starve, events);
-    s_holds &= PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
+    let (starvation_lasso, leg2_s) =
+        starvation_lasso(&[Decision::Crash(ProcessId::new(2))], events);
+    s_holds &= leg2_s;
 
     // Leg 3: (1,2) implementable.
     let mut sys = AgpTm::system(3, 1);
@@ -95,10 +113,10 @@ pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
     s_holds &= slx_safety::certify_unique_writes(sys.history(), Value::new(0));
 
     CounterexampleReport {
-        triple_rounds: triple.rounds(),
-        triple_lost: triple.lost(),
-        starvation_rounds: starve.rounds(),
-        starvation_lost: starve.lost(),
+        triple_violates_13: triple_lasso.verdict(&LkFreedom::new(1, 3)) == Some(false),
+        triple_lasso,
+        starvation_violates_22: starvation_lasso.verdict(&LkFreedom::new(2, 2)) == Some(false),
+        starvation_lasso,
         duo_commits: [commits(0), commits(1)],
         s_holds,
     }
@@ -112,6 +130,28 @@ mod tests {
     fn section_5_3_reproduced() {
         let report = run_counterexample_s(3000);
         assert!(report.establishes_section_5_3(), "report: {report:?}");
+    }
+
+    #[test]
+    fn leg_2_excludes_22_freedom_only_with_the_idle_process_crashed() {
+        let (two_two, one_two) = (LkFreedom::new(2, 2), LkFreedom::new(1, 2));
+        // The idle p3 is correct and has nothing pending: it counts as
+        // progressing beside the committer, so (2,2)-freedom holds.
+        let (idle, _) = starvation_lasso(&[], 3000);
+        assert_eq!(idle.verdict(&two_two), Some(true));
+        assert_eq!(idle.verdict(&one_two), Some(true));
+        // With p3 crashed in the stem only the committer progresses.
+        let (crashed, s_holds) = starvation_lasso(&[Decision::Crash(ProcessId::new(2))], 3000);
+        assert_eq!(crashed.verdict(&two_two), Some(false));
+        assert_eq!(crashed.verdict(&one_two), Some(true));
+        assert!(s_holds);
+        // The crash is the stem's first event; the cycles agree.
+        let (idle, crashed) = (idle.witness.unwrap(), crashed.witness.unwrap());
+        assert_eq!(
+            crashed.stem[0],
+            slx_memory::Event::Crashed(ProcessId::new(2))
+        );
+        assert_eq!(crashed.cycle, idle.cycle);
     }
 
     #[test]

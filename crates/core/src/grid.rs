@@ -2,11 +2,16 @@
 
 use std::fmt;
 
-use slx_adversary::{run_bivalence_adversary, TmStarvation};
+use slx_adversary::{
+    normalized_of_consensus_key, normalized_starvation_key, BivalenceScheduler, TmStarvation,
+};
 use slx_consensus::ObstructionFreeConsensus;
-use slx_explorer::{explore_safety, history_digest, verify_solo_progress};
+use slx_explorer::{
+    explore_safety, history_digest, run_until_cycle_keyed, verify_solo_progress, Lasso,
+};
 use slx_history::{ProcessId, Value, VarId};
-use slx_liveness::LkFreedom;
+use slx_liveness::{LkFreedom, ProgressKind};
+use slx_memory::{Memory, System};
 use slx_safety::ConsensusSafety;
 use slx_tm::GlobalVersionTm;
 
@@ -123,11 +128,12 @@ const EXPLORE_DEPTH: usize = 18;
 pub(crate) const SOLO_DEPTH: usize = 8;
 /// Step budget of a solo run before it must respond.
 pub(crate) const SOLO_BUDGET: usize = 400;
-/// Steps the bivalence adversary must survive.
-pub(crate) const ADVERSARY_STEPS: u64 = 60;
+/// Events the bivalence adversary may take before its lasso must close.
+const BIVALENCE_EVENTS: u64 = 60;
 /// Configuration budget per valence query.
-pub(crate) const VALENCE_BUDGET: usize = 40_000;
-/// Events of the seeded contention run and of the TM starvation adversary.
+const VALENCE_BUDGET: usize = 40_000;
+/// Events of the seeded contention run, and the TM starvation adversary's
+/// budget before its lasso must close.
 const TM_EVENTS: u64 = 2_000;
 /// Seed of the `FairRandom` scheduler behind the white TM anchor.
 const TM_WHITE_SEED: u64 = 7;
@@ -141,13 +147,14 @@ const TM_WHITE_SEED: u64 = 7;
 ///   small-scope safety exploration (agreement and validity on **all**
 ///   schedules to the depth bound) and (ii) exhaustive solo-progress
 ///   (from every reachable configuration, a solo process decides);
-/// - *(1,2) black*: the valence-computing adversary keeps the same
-///   implementation undecided with two processes stepping — and since the
-///   adversary is implementation-agnostic (it model-checks whatever
-///   deterministic register-based implementation it is given), the point
-///   is excluded, not merely unwitnessed. Every (l,k) ≥ (1,2) inherits
-///   the exclusion (a stronger property excludes whenever a weaker one
-///   does).
+/// - *(1,2) black*: the valence-computing adversary drives the same
+///   implementation into a lasso on which two processes step forever and
+///   neither decides, and (1,2)-freedom is judged on that infinite
+///   execution — and since the adversary is implementation-agnostic (it
+///   model-checks whatever deterministic register-based implementation it
+///   is given), the point is excluded, not merely unwitnessed. Every
+///   (l,k) ≥ (1,2) inherits the exclusion (a stronger property excludes
+///   whenever a weaker one does).
 pub fn consensus_grid(n: usize) -> Grid {
     let p0 = ProcessId::new(0);
     let p1 = ProcessId::new(1);
@@ -173,41 +180,18 @@ pub fn consensus_grid(n: usize) -> Grid {
         solo_cex.is_none()
     );
 
-    // Black anchor (1,2): the bivalence adversary starves two steppers.
-    let mut sys = build();
-    let report = run_bivalence_adversary(&mut sys, &[p0, p1], ADVERSARY_STEPS, VALENCE_BUDGET);
-    let black_ok = report.adversary_won();
+    // Black anchor (1,2): the bivalence adversary starves two steppers
+    // forever.
+    let anchor = LkFreedom::new(1, 2);
+    let lasso = bivalence_lasso();
+    let black_ok = lasso.verdict(&anchor) == Some(false);
     let black_basis = format!(
-        "bivalence adversary kept 2 steppers undecided for {} steps \
-         (bivalent throughout: {})",
-        report.steps, report.bivalent_throughout
+        "{anchor} violated on a lasso of the bivalence adversary against the same \
+         consensus ({lasso}): both step forever, neither decides; {OTHERS_CRASHED}"
     );
-
-    let points = LkFreedom::grid(n)
-        .into_iter()
-        .map(|lk| {
-            let verdict = if lk.l() == 1 && lk.k() == 1 {
-                if white_ok {
-                    Verdict::Implementable {
-                        basis: white_basis.clone(),
-                    }
-                } else {
-                    Verdict::Excluded {
-                        basis: "white-anchor experiment FAILED".to_owned(),
-                    }
-                }
-            } else if black_ok {
-                Verdict::Excluded {
-                    basis: format!("{lk} is stronger than (1,2)-freedom; {black_basis}"),
-                }
-            } else {
-                Verdict::Implementable {
-                    basis: "black-anchor experiment FAILED".to_owned(),
-                }
-            };
-            GridPoint { lk, verdict }
-        })
-        .collect();
+    let white = (LkFreedom::new(1, 1), white_ok, white_basis.as_str());
+    let black = (anchor, black_ok, black_basis.as_str());
+    let points = classify(n, |lk| lk == white.0, white, black);
 
     Grid {
         safety: "consensus agreement and validity (register implementations)".to_owned(),
@@ -224,8 +208,9 @@ pub fn consensus_grid(n: usize) -> Grid {
 ///   runs certify opaque;
 /// - *(2,2) black*: the Section 4.1 starvation strategy drives any
 ///   single-winner TM into a two-stepper run with one process starving;
-///   against our TMs the run is periodic, which the test suite converts
-///   into a lasso proof. Every l ≥ 2 point inherits the exclusion.
+///   against `GlobalVersionTm` the run closes a lasso modulo the version
+///   shift, and (2,2)-freedom is judged on that infinite execution. Every
+///   l ≥ 2 point inherits the exclusion.
 pub fn tm_grid(n: usize) -> Grid {
     // White anchor: lock-freedom of GlobalVersionTm under full contention.
     let mut sys = GlobalVersionTm::system(n.max(2), 1);
@@ -252,47 +237,94 @@ pub fn tm_grid(n: usize) -> Grid {
         opaque
     );
 
-    // Black anchor: §4.1 starvation strategy on two processes.
+    // Black anchor (2,2): the §4.1 starvation strategy on two processes.
+    let anchor = LkFreedom::new(2, 2);
     let mut sys = GlobalVersionTm::system(2, 1);
     let mut adv = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
-    sys.run(&mut adv, TM_EVENTS);
-    let black_ok = !adv.lost() && adv.rounds() >= 2;
+    let witness = run_until_cycle_keyed(&mut sys, &mut adv, TM_EVENTS, normalized_starvation_key);
+    let lasso = Lasso::new(witness, 2, ProgressKind::CommitOnly);
+    let black_ok = lasso.verdict(&anchor) == Some(false);
     let black_basis = format!(
-        "§4.1 starvation strategy: victim aborted through {} committer rounds without committing",
-        adv.rounds()
+        "{anchor} violated on a lasso of the §4.1 starvation strategy against \
+         GlobalVersionTm ({lasso}): the committer commits on every cycle, the victim never; \
+         {OTHERS_CRASHED}"
     );
-
-    let points = LkFreedom::grid(n)
-        .into_iter()
-        .map(|lk| {
-            let verdict = if lk.l() == 1 {
-                if white_ok {
-                    Verdict::Implementable {
-                        basis: format!("{lk} is weaker than (1,{n})-freedom; {white_basis}"),
-                    }
-                } else {
-                    Verdict::Excluded {
-                        basis: "white-anchor experiment FAILED".to_owned(),
-                    }
-                }
-            } else if black_ok {
-                Verdict::Excluded {
-                    basis: format!("{lk} is stronger than (2,2)-freedom; {black_basis}"),
-                }
-            } else {
-                Verdict::Implementable {
-                    basis: "black-anchor experiment FAILED".to_owned(),
-                }
-            };
-            GridPoint { lk, verdict }
-        })
-        .collect();
+    let white = (LkFreedom::new(1, n), white_ok, white_basis.as_str());
+    let black = (anchor, black_ok, black_basis.as_str());
+    let points = classify(n, |lk| lk.l() == 1, white, black);
 
     Grid {
         safety: "TM opacity".to_owned(),
         n,
         points,
     }
+}
+
+/// How a black anchor's two-process lasso stands for a pane of `n > 2`
+/// processes. An idle correct process has nothing pending, so it counts
+/// as progressing, and an execution with the others idle satisfies the
+/// anchor: the exclusion needs them crashed at the start, as Section
+/// 5.3's leg 2 runs it (`counterexample`).
+const OTHERS_CRASHED: &str =
+    "for n > 2, the other processes crash at the start (idle, they would count as progressing)";
+
+/// The Theorem 5.2 lasso: the Chor–Israeli–Li adversary
+/// ([`BivalenceScheduler`], which issues the proposals 1 and 2 itself)
+/// against obstruction-free register consensus on two processes, keyed
+/// modulo a round shift. Figure 1(a)'s black anchor and Section 6's
+/// excluded members are judged on it.
+pub(crate) fn bivalence_lasso() -> Lasso {
+    let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+    let mut mem = Memory::new();
+    let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
+    let procs = [p0, p1].map(|p| ObstructionFreeConsensus::new(layout, p, 2));
+    let mut sys = System::new(mem, procs.to_vec());
+    let proposals = vec![(p0, Value::new(1)), (p1, Value::new(2))];
+    let mut sched = BivalenceScheduler::new(proposals, VALENCE_BUDGET);
+    let key = normalized_of_consensus_key;
+    let witness = run_until_cycle_keyed(&mut sys, &mut sched, BIVALENCE_EVENTS, key);
+    Lasso::new(witness, 2, ProgressKind::AnyResponse)
+}
+
+/// One anchor experiment: the point it classifies, whether it came out as
+/// the paper says, and its evidence.
+type Anchor<'a> = (LkFreedom, bool, &'a str);
+
+/// Every point with `1 ≤ l ≤ k ≤ n`: white where `is_white`, black
+/// elsewhere. Each point inherits its verdict from the anchor of its
+/// colour — a weaker property is implementable whenever a stronger one
+/// is, and a stronger one excludes whenever a weaker one does — and says
+/// so in its basis; an anchor names its own evidence.
+fn classify(
+    n: usize,
+    is_white: impl Fn(LkFreedom) -> bool,
+    white: Anchor<'_>,
+    black: Anchor<'_>,
+) -> Vec<GridPoint> {
+    LkFreedom::grid(n)
+        .into_iter()
+        .map(|lk| {
+            let ((anchor, ok, basis), colour, relation) = if is_white(lk) {
+                (white, "white", "weaker")
+            } else {
+                (black, "black", "stronger")
+            };
+            let basis = if !ok {
+                format!("{colour}-anchor experiment FAILED")
+            } else if lk == anchor {
+                basis.to_owned()
+            } else {
+                format!("{lk} is {relation} than {anchor}; {basis}")
+            };
+            // A failed anchor flips its region, so the grid shows it.
+            let verdict = if is_white(lk) == ok {
+                Verdict::Implementable { basis }
+            } else {
+                Verdict::Excluded { basis }
+            };
+            GridPoint { lk, verdict }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,13 +1,11 @@
 //! Section 6: alternative restricted liveness families.
 
-use slx_adversary::run_bivalence_adversary;
 use slx_consensus::ObstructionFreeConsensus;
-use slx_explorer::verify_solo_progress;
-use slx_history::{Operation, ProcessId, Value};
-use slx_liveness::{ExecutionView, LivenessProperty, NxLiveness, ProgressKind, SFreedom};
-use slx_memory::{Decision, Memory, System};
+use slx_explorer::{verify_solo_progress, Lasso};
+use slx_history::ProcessId;
+use slx_liveness::{NxLiveness, SFreedom};
 
-use crate::grid::{ADVERSARY_STEPS, SOLO_BUDGET, SOLO_DEPTH, VALENCE_BUDGET};
+use crate::grid::{bivalence_lasso, SOLO_BUDGET, SOLO_DEPTH};
 
 /// The S-freedom structure recalled in Section 6: the implementable
 /// members (from registers, for consensus) are exactly the singletons, and
@@ -77,17 +75,19 @@ pub fn nx_report(n: usize) -> NxReport {
 /// - `(n,0)`-liveness (pure obstruction-freedom) and `{1}`-freedom are
 ///   *satisfied* by the register-only consensus: verified by exhaustive
 ///   solo-progress;
-/// - `(n,1)`-liveness and `{2}`-freedom are *excluded*: the bivalence
-///   adversary produces a two-stepper run on which both properties fail
-///   (the designated wait-free process starves; two contention-free
-///   steppers starve).
+/// - `(n,1)`-liveness and `{2}`-freedom are *excluded*: both fail on
+///   Figure 1(a)'s bivalence lasso, an infinite execution with two
+///   steppers in which nobody decides (the designated wait-free process
+///   starves; two contention-free steppers starve).
 #[derive(Debug, Clone)]
 pub struct Sect6ImplementabilityDemo {
     /// Solo-progress check passed (backs the implementable members).
     pub solo_progress_ok: bool,
-    /// The adversary run violated `(2,1)`-liveness.
+    /// Figure 1(a)'s bivalence lasso.
+    pub lasso: Lasso,
+    /// The lasso violates `(2,1)`-liveness.
     pub nx1_violated: bool,
-    /// The adversary run violated `{2}`-freedom.
+    /// The lasso violates `{2}`-freedom.
     pub s2_violated: bool,
 }
 
@@ -100,37 +100,17 @@ impl Sect6ImplementabilityDemo {
 
 /// Runs the Section 6 implementability experiment.
 pub fn sect6_implementability_demo() -> Sect6ImplementabilityDemo {
-    let p0 = ProcessId::new(0);
-    let p1 = ProcessId::new(1);
-    // `ObstructionFreeConsensus::proposers(&[1, 2], 64)` with the two
-    // proposals driven here, so that the execution log the liveness views
-    // read opens with them: both processes are pending, not inactive.
-    let mut mem = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
-    let procs = [p0, p1].map(|p| ObstructionFreeConsensus::new(layout, p, 2));
-    let mut sys = System::new(mem, procs.to_vec());
-    let mut log = Vec::new();
-    for (p, input) in [(p0, 1), (p1, 2)] {
-        let propose = Operation::Propose(Value::new(input));
-        sys.apply(Decision::Invoke(p, propose), &mut log)
-            .expect("a fresh process accepts its first invocation");
-    }
+    let active = [ProcessId::new(0), ProcessId::new(1)];
+    let proposers = ObstructionFreeConsensus::proposers(&[1, 2], 64);
+    let solo_progress_ok =
+        verify_solo_progress(&proposers, &active, SOLO_DEPTH, SOLO_BUDGET).is_none();
 
-    let solo_progress_ok = verify_solo_progress(&sys, &[p0, p1], SOLO_DEPTH, SOLO_BUDGET).is_none();
-
-    let report = run_bivalence_adversary(&mut sys, &[p0, p1], ADVERSARY_STEPS, VALENCE_BUDGET);
-    let mut nx1_violated = false;
-    let mut s2_violated = false;
-    if report.adversary_won() {
-        log.extend(report.events);
-        let view = ExecutionView::new(&log, 2, 0, ProgressKind::AnyResponse);
-        nx1_violated = !NxLiveness::new(2, 1).satisfied(&view);
-        s2_violated = !SFreedom::new([2]).satisfied(&view);
-    }
+    let lasso = bivalence_lasso();
     Sect6ImplementabilityDemo {
         solo_progress_ok,
-        nx1_violated,
-        s2_violated,
+        nx1_violated: lasso.verdict(&NxLiveness::new(2, 1)) == Some(false),
+        s2_violated: lasso.verdict(&SFreedom::new([2])) == Some(false),
+        lasso,
     }
 }
 
@@ -142,6 +122,9 @@ mod tests {
     fn implementability_demo_backs_sect6() {
         let demo = sect6_implementability_demo();
         assert!(demo.establishes_sect6(), "{demo:?}");
+        // The implementable members hold on the same lasso.
+        assert_eq!(demo.lasso.verdict(&NxLiveness::new(2, 0)), Some(true));
+        assert_eq!(demo.lasso.verdict(&SFreedom::new([1])), Some(true));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Lasso detection: repeated configurations under deterministic schedulers.
 
+use std::fmt;
 use std::hash::Hash;
 
 use slx_engine::DetHashMap;
-
-use slx_memory::{Event, Process, Scheduler, System, Word};
+use slx_liveness::{ExecutionView, LivenessProperty, ProgressKind};
+use slx_memory::{Decision, Event, Process, Scheduler, System, Word};
 
 /// A lasso: a finite stem followed by a cycle that the deterministic
 /// system-plus-scheduler pair repeats forever.
@@ -23,19 +24,6 @@ pub struct CycleWitness {
 }
 
 impl CycleWitness {
-    /// Events of `stem · cycle^k` — a finite unrolling, useful for feeding
-    /// the window-based liveness evaluators. The output is sized up front
-    /// (`stem + k·cycle` events), so unrolling long cycles never
-    /// reallocates mid-copy.
-    pub fn unroll(&self, k: usize) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.stem.len() + k * self.cycle.len());
-        out.extend_from_slice(&self.stem);
-        for _ in 0..k {
-            out.extend_from_slice(&self.cycle);
-        }
-        out
-    }
-
     /// The processes that take a computation step inside the cycle.
     pub fn cycle_steppers(&self) -> Vec<slx_history::ProcessId> {
         let mut out = Vec::new();
@@ -50,31 +38,59 @@ impl CycleWitness {
         out
     }
 
-    /// Whether any response on the cycle satisfies `good`.
-    pub fn cycle_has_good_response(&self, good: impl Fn(slx_history::Response) -> bool) -> bool {
-        self.cycle.iter().any(|e| match e {
-            Event::Responded(_, r) => good(*r),
-            _ => false,
-        })
-    }
-
     /// Evaluates a liveness property on the infinite execution
-    /// `stem · cycle^ω`, **exactly**: the analysis window is one full cycle
-    /// iteration (after a warm-up iteration), so "steps in the window"
+    /// `stem · cycle^ω`, **exactly**: the analysis window is the cycle
+    /// ([`slx_liveness::ExecutionView::lasso`]), so "steps in the window"
     /// coincides with "takes infinitely many steps" and "good response in
     /// the window" with "receives infinitely many good responses". This is
     /// the evaluation the paper's Definition 5.1 calls for, with no
     /// finite-run approximation left.
-    pub fn evaluate_liveness<L: slx_liveness::LivenessProperty>(
+    pub fn evaluate_liveness<L: LivenessProperty>(
         &self,
         property: &L,
         n: usize,
-        kind: slx_liveness::ProgressKind,
+        kind: ProgressKind,
     ) -> bool {
-        let events = self.unroll(2);
-        let window_start = self.stem.len() + self.cycle.len();
-        let view = slx_liveness::ExecutionView::new(&events, n, window_start, kind);
-        property.satisfied(&view)
+        property.satisfied(&ExecutionView::lasso(&self.stem, &self.cycle, n, kind))
+    }
+}
+
+/// A lasso search's outcome on an `n`-process system, as verdicts and
+/// reports use it: the lasso, if one closed, and which responses count as
+/// progress. Displays as `n processes; stem S, cycle C events`, or
+/// `n processes; none closed`.
+#[derive(Debug, Clone)]
+pub struct Lasso {
+    /// The lasso, if the search closed one.
+    pub witness: Option<CycleWitness>,
+    /// The system size.
+    pub n: usize,
+    /// Which responses count as progress.
+    pub kind: ProgressKind,
+}
+
+impl Lasso {
+    /// The outcome `witness` of a search on an `n`-process system.
+    pub fn new(witness: Option<CycleWitness>, n: usize, kind: ProgressKind) -> Self {
+        Lasso { witness, n, kind }
+    }
+
+    /// Whether `property` holds on the lasso, exactly
+    /// ([`CycleWitness::evaluate_liveness`]); `None` if no lasso closed,
+    /// since then there is no infinite execution to judge.
+    pub fn verdict<L: LivenessProperty>(&self, property: &L) -> Option<bool> {
+        let witness = self.witness.as_ref()?;
+        Some(witness.evaluate_liveness(property, self.n, self.kind))
+    }
+}
+
+impl fmt::Display for Lasso {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} processes; ", self.n)?;
+        match &self.witness {
+            Some(w) => write!(f, "stem {}, cycle {} events", w.stem.len(), w.cycle.len()),
+            None => write!(f, "none closed"),
+        }
     }
 }
 
@@ -115,8 +131,32 @@ where
     S: Scheduler<W, P>,
     K: Hash,
 {
+    run_until_cycle_keyed_after(sys, &[], scheduler, max_events, key)
+}
+
+/// [`run_until_cycle_keyed`] from where `prefix` leads: the decisions
+/// are applied to `sys` first and their events head the witness's stem,
+/// so what the prefix does (a crash, say) is part of the execution the
+/// verdicts read. Keys are recorded from the end of the prefix on.
+///
+/// # Panics
+///
+/// Panics if a prefix decision does not apply.
+pub fn run_until_cycle_keyed_after<W, P, S, K>(
+    sys: &mut System<W, P>,
+    prefix: &[Decision],
+    scheduler: &mut S,
+    max_events: u64,
+    key: impl Fn(&System<W, P>, &S) -> K,
+) -> Option<CycleWitness>
+where
+    W: Word,
+    P: Process<W>,
+    S: Scheduler<W, P>,
+    K: Hash,
+{
     let mut seen: DetHashMap<u128, usize> = DetHashMap::default();
-    run_cycle_loop(sys, scheduler, max_events, |sys, sched, now| {
+    run_cycle_loop(sys, prefix, scheduler, max_events, |sys, sched, now| {
         let digest = slx_engine::digest128_of(&key(sys, sched)).0;
         match seen.entry(digest) {
             std::collections::hash_map::Entry::Occupied(first) => Some(*first.get()),
@@ -145,19 +185,23 @@ where
     K: Hash + Eq,
 {
     let mut seen: DetHashMap<K, usize> = DetHashMap::default();
-    run_cycle_loop(sys, scheduler, max_events, |sys, sched, now| {
-        match seen.entry(key(sys, sched)) {
+    run_cycle_loop(
+        sys,
+        &[],
+        scheduler,
+        max_events,
+        |sys, sched, now| match seen.entry(key(sys, sched)) {
             std::collections::hash_map::Entry::Occupied(first) => Some(*first.get()),
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(now);
                 None
             }
-        }
-    })
+        },
+    )
 }
 
-/// The shared drive loop: applies the scheduler's decisions one at a
-/// time into its own execution log, handing `(system, scheduler,
+/// The shared drive loop: applies `prefix`, then the scheduler's
+/// decisions one at a time, into its own execution log, handing `(system, scheduler,
 /// events-so-far)` to `record` after each. `record` returns `Some(first)`
 /// when the current key was first seen at event index `first`, which
 /// closes the lasso — unless nothing was logged since (idle steps only):
@@ -165,6 +209,7 @@ where
 /// there for good, so that ends the search like a halt.
 fn run_cycle_loop<W, P, S>(
     sys: &mut System<W, P>,
+    prefix: &[Decision],
     scheduler: &mut S,
     max_events: u64,
     mut record: impl FnMut(&System<W, P>, &S, usize) -> Option<usize>,
@@ -175,8 +220,12 @@ where
     S: Scheduler<W, P>,
 {
     let mut log = Vec::new();
+    for decision in prefix {
+        sys.apply(decision.clone(), &mut log)
+            .expect("a prefix decision applies");
+    }
     // Seed the map with the starting key (trivially not a repeat).
-    let _ = record(sys, scheduler, 0);
+    let _ = record(sys, scheduler, log.len());
 
     for _ in 0..max_events {
         let decision = scheduler.decide(sys);
@@ -198,7 +247,7 @@ where
 mod tests {
     use super::*;
     use slx_history::{Operation, ProcessId, Response, Value};
-    use slx_memory::{Decision, Memory, StepEffect};
+    use slx_memory::{Memory, StepEffect};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -256,9 +305,7 @@ mod tests {
         .expect("cycle exists");
         assert_eq!(w.cycle.len(), 3);
         assert_eq!(w.cycle_steppers(), vec![p(0)]);
-        assert!(!w.cycle_has_good_response(|_| true));
-        // Unrolling includes the stem plus k cycles.
-        assert_eq!(w.unroll(2).len(), w.stem.len() + 6);
+        assert!(!w.cycle.iter().any(|e| matches!(e, Event::Responded(..))));
     }
 
     /// A process that responds after 2 steps — no cycle while productive.

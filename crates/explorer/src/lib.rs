@@ -14,9 +14,11 @@
 //! - [`run_until_cycle_keyed`] runs a *deterministic* scheduler and
 //!   detects a repeated (system, scheduler) key — retaining only 128-bit
 //!   fingerprints of the keys, like the kernel's visited set: a genuine
-//!   lasso, i.e. a witness of an infinite execution (used to prove
-//!   liveness violations: if no good response occurs on the cycle, the
-//!   infinite execution starves everyone on it).
+//!   lasso, i.e. a witness of an infinite execution, on which
+//!   [`CycleWitness::evaluate_liveness`] judges a liveness property
+//!   exactly (every liveness verdict the drivers print is judged so,
+//!   through a [`Lasso`]; [`run_until_cycle_keyed_after`] starts the
+//!   search after a prefix of decisions, such as a crash).
 //!   [`run_until_cycle_keyed_retained`] is the retained-key oracle the
 //!   differential tests pin it against;
 //! - [`verify_solo_progress`] checks obstruction-freedom exhaustively: from
@@ -41,5 +43,8 @@ pub use explore::{
     explore_safety, explore_safety_observed, explore_safety_with, history_digest,
     verify_solo_progress, verify_solo_progress_with, ExploreOutcome, SoloCounterexample,
 };
-pub use lasso::{run_until_cycle_keyed, run_until_cycle_keyed_retained, CycleWitness};
+pub use lasso::{
+    run_until_cycle_keyed, run_until_cycle_keyed_after, run_until_cycle_keyed_retained,
+    CycleWitness, Lasso,
+};
 pub use valence::{decidable_values, decidable_values_with, DecidableSet};

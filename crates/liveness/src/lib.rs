@@ -2,14 +2,13 @@
 //!
 //! A liveness property is a superset of the strongest property `Lmax`
 //! (progress for all correct processes). Liveness constrains *infinite*
-//! fair executions; this crate evaluates properties on finite executions
-//! through a *steady-state window* ([`ExecutionView`]): a process "takes
-//! infinitely many steps" iff it steps inside the window, and "makes
-//! progress" iff it receives a good response inside the window (or has
-//! nothing pending). Exhaustive *proofs* of liveness violations use lassos
-//! instead (`slx-explorer`); the window semantics is for long
-//! random-schedule runs and for the synthetic witness executions of the
-//! incomparability arguments.
+//! fair executions, so properties are evaluated on lassos `stem · cycle^ω`
+//! ([`ExecutionView::lasso`]): a process "takes infinitely many steps" iff
+//! it steps inside the cycle, and "makes progress" iff it receives a good
+//! response inside the cycle (or has nothing pending). `slx-explorer`
+//! finds the lassos of deterministic runs; the synthetic witness
+//! executions of the incomparability arguments are written as cycles
+//! directly.
 //!
 //! Provided properties:
 //!

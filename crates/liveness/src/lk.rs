@@ -243,7 +243,7 @@ mod tests {
             // "progress" attributable to the response, not idleness).
             events.push(Event::Invoked(p(i), Operation::Propose(Value::new(1))));
         }
-        ExecutionView::new(&events, n, 0, ProgressKind::AnyResponse)
+        ExecutionView::lasso(&[], &events, n, ProgressKind::AnyResponse)
     }
 
     #[test]
@@ -392,7 +392,7 @@ mod tests {
             Event::Responded(p(0), Response::Decided(Value::new(1))),
         ];
         events.push(Event::Invoked(p(0), Operation::Propose(Value::new(1))));
-        let view = ExecutionView::new(&events, 3, 0, ProgressKind::AnyResponse);
+        let view = ExecutionView::lasso(&[], &events, 3, ProgressKind::AnyResponse);
         assert!(LkFreedom::new(2, 2).satisfied(&view));
     }
 

@@ -108,7 +108,7 @@ mod tests {
             events.push(Event::Responded(p(i), Response::Decided(Value::new(1))));
             events.push(Event::Invoked(p(i), Operation::Propose(Value::new(1))));
         }
-        ExecutionView::new(&events, n, 0, ProgressKind::AnyResponse)
+        ExecutionView::lasso(&[], &events, n, ProgressKind::AnyResponse)
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
             Event::Stepped(p(1)),
         ];
         events.push(Event::Invoked(p(1), Operation::Propose(Value::new(1))));
-        let view = ExecutionView::new(&events, 2, 0, ProgressKind::AnyResponse);
+        let view = ExecutionView::lasso(&[], &events, 2, ProgressKind::AnyResponse);
         // p1 crashed; p2 is solo but that's its first steps with a pending
         // invocation — obstruction-freedom applies: p2 must progress.
         assert!(!l.satisfied(&view));

@@ -1,4 +1,4 @@
-//! Window-based progress analysis of finite executions.
+//! Progress analysis of lasso executions `stem · cycle^ω`.
 
 use slx_history::{ProcessId, Response};
 use slx_memory::Event;
@@ -25,89 +25,61 @@ impl ProgressKind {
     }
 }
 
-/// A finite execution with a designated steady-state window, exposing the
-/// quantities liveness definitions talk about:
+/// The infinite execution `stem · cycle^ω`, exposing the quantities
+/// liveness definitions talk about. The *window* is one iteration of the
+/// cycle; crash and pending state are read at the end of `stem · cycle`,
+/// where they repeat at every later cycle boundary. So, exactly:
 ///
-/// - a process *takes infinitely many steps* ⇔ it steps inside the window;
+/// - a process *takes infinitely many steps* ⇔ it steps inside the cycle;
 /// - a process is *correct* ⇔ it never crashes in the execution;
 /// - a process *makes progress* ⇔ it receives a good response inside the
-///   window, or is genuinely inactive (no invocation inside the window and
-///   nothing pending at the end — a process that stopped requesting is not
-///   being denied anything, but a process caught between retries is).
+///   cycle, or is genuinely inactive (no invocation inside the cycle and
+///   nothing pending at its end — a process that stopped requesting is
+///   not being denied anything, but a process caught between retries
+///   is).
+///
+/// A finite run that halted is the lasso with an empty cycle: after it
+/// nobody steps, and only what is pending at its end is denied.
 #[derive(Debug, Clone)]
 pub struct ExecutionView {
     n: usize,
-    kind: ProgressKind,
     stepped_in_window: Vec<bool>,
     crashed: Vec<bool>,
-    good_in_window: Vec<u64>,
+    good_in_window: Vec<bool>,
     invoked_in_window: Vec<bool>,
     pending_at_end: Vec<bool>,
 }
 
 impl ExecutionView {
-    /// Analyzes `events` for `n` processes with the window starting at
-    /// event index `window_start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_start > events.len()`.
-    pub fn new(events: &[Event], n: usize, window_start: usize, kind: ProgressKind) -> Self {
-        assert!(
-            window_start <= events.len(),
-            "window_start {window_start} beyond execution length {}",
-            events.len()
-        );
+    /// Analyzes `stem · cycle^ω` for `n` processes.
+    pub fn lasso(stem: &[Event], cycle: &[Event], n: usize, kind: ProgressKind) -> Self {
         let mut view = ExecutionView {
             n,
-            kind,
             stepped_in_window: vec![false; n],
             crashed: vec![false; n],
-            good_in_window: vec![0; n],
+            good_in_window: vec![false; n],
             invoked_in_window: vec![false; n],
             pending_at_end: vec![false; n],
         };
-        for (i, e) in events.iter().enumerate() {
+        let events = stem.iter().map(|e| (false, e));
+        for (in_window, e) in events.chain(cycle.iter().map(|e| (true, e))) {
             match e {
                 Event::Invoked(p, _) => {
                     view.pending_at_end[p.index()] = true;
-                    if i >= window_start {
-                        view.invoked_in_window[p.index()] = true;
-                    }
+                    view.invoked_in_window[p.index()] |= in_window;
                 }
                 Event::Responded(p, r) => {
                     view.pending_at_end[p.index()] = false;
-                    if i >= window_start && kind.is_good(*r) {
-                        view.good_in_window[p.index()] += 1;
-                    }
+                    view.good_in_window[p.index()] |= in_window && kind.is_good(*r);
                 }
                 Event::Crashed(p) => view.crashed[p.index()] = true,
-                Event::Stepped(p) => {
-                    if i >= window_start {
-                        view.stepped_in_window[p.index()] = true;
-                    }
-                }
+                Event::Stepped(p) => view.stepped_in_window[p.index()] |= in_window,
             }
         }
         view
     }
 
-    /// Convenience: window = the second half of the execution.
-    pub fn second_half(events: &[Event], n: usize, kind: ProgressKind) -> Self {
-        ExecutionView::new(events, n, events.len() / 2, kind)
-    }
-
-    /// Number of processes in the system.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The progress kind in use.
-    pub fn kind(&self) -> ProgressKind {
-        self.kind
-    }
-
-    /// Processes that step inside the window ("take infinitely many steps").
+    /// Processes that step inside the cycle ("take infinitely many steps").
     pub fn steppers(&self) -> Vec<ProcessId> {
         (0..self.n)
             .filter(|&i| self.stepped_in_window[i])
@@ -128,17 +100,12 @@ impl ExecutionView {
             .collect()
     }
 
-    /// Whether `p` makes progress: a good response in the window, or
-    /// genuine inactivity (nothing invoked in the window and nothing
-    /// pending at the end).
+    /// Whether `p` makes progress: a good response in the cycle, or
+    /// genuine inactivity (nothing invoked in the cycle and nothing
+    /// pending at its end).
     pub fn makes_progress(&self, p: ProcessId) -> bool {
-        self.good_in_window[p.index()] > 0
-            || (!self.invoked_in_window[p.index()] && !self.pending_at_end[p.index()])
-    }
-
-    /// Number of good responses `p` received in the window.
-    pub fn good_responses(&self, p: ProcessId) -> u64 {
         self.good_in_window[p.index()]
+            || (!self.invoked_in_window[p.index()] && !self.pending_at_end[p.index()])
     }
 
     /// Correct processes that make progress.
@@ -172,39 +139,37 @@ mod tests {
 
     #[test]
     fn window_analysis() {
-        let events = vec![
-            propose(0),
-            propose(1),
-            Event::Stepped(p(0)),
-            // --- window starts here (index 3) ---
+        let stem = [propose(0), propose(1), Event::Stepped(p(0))];
+        let cycle = [
             Event::Stepped(p(1)),
             Event::Responded(p(1), Response::Decided(Value::new(0))),
             Event::Crashed(p(2)),
         ];
-        let v = ExecutionView::new(&events, 3, 3, ProgressKind::AnyResponse);
+        let v = ExecutionView::lasso(&stem, &cycle, 3, ProgressKind::AnyResponse);
         assert_eq!(v.steppers(), vec![p(1)]);
         assert!(!v.is_correct(p(2)));
         assert_eq!(v.correct(), vec![p(0), p(1)]);
         assert!(v.makes_progress(p(1)));
         assert!(!v.makes_progress(p(0))); // pending, no response in window
         assert!(v.makes_progress(p(2))); // nothing pending
-        assert_eq!(v.good_responses(p(1)), 1);
         assert_eq!(v.progressing_correct(), vec![p(1)]);
     }
 
     #[test]
     fn response_before_window_not_counted_but_unpends() {
-        let events = vec![
+        let stem = [
             propose(0),
             Event::Stepped(p(0)),
             Event::Responded(p(0), Response::Decided(Value::new(0))),
-            // --- window starts here ---
-            Event::Stepped(p(1)),
         ];
-        let v = ExecutionView::new(&events, 2, 3, ProgressKind::AnyResponse);
-        assert_eq!(v.good_responses(p(0)), 0);
+        let v = ExecutionView::lasso(&stem, &[Event::Stepped(p(1))], 2, ProgressKind::AnyResponse);
         // Not pending at the end, so still "making progress".
         assert!(v.makes_progress(p(0)));
+        // Invoked again and unanswered in the cycle: the stem's response
+        // is not progress on the cycle.
+        let cycle = [propose(0), Event::Stepped(p(0))];
+        let v = ExecutionView::lasso(&stem, &cycle, 2, ProgressKind::AnyResponse);
+        assert!(!v.makes_progress(p(0)));
     }
 
     #[test]
@@ -215,21 +180,11 @@ mod tests {
             Event::Invoked(p(0), Operation::TxCommit),
             Event::Responded(p(0), Response::Committed),
         ];
-        let v = ExecutionView::new(&events, 1, 0, ProgressKind::CommitOnly);
-        assert_eq!(v.good_responses(p(0)), 1);
-    }
-
-    #[test]
-    fn second_half_window() {
-        let events = vec![propose(0); 10];
-        let v = ExecutionView::second_half(&events, 1, ProgressKind::AnyResponse);
-        assert_eq!(v.n(), 1);
-        assert_eq!(v.kind(), ProgressKind::AnyResponse);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond execution length")]
-    fn bad_window_panics() {
-        let _ = ExecutionView::new(&[], 1, 5, ProgressKind::AnyResponse);
+        let v = ExecutionView::lasso(&[], &events, 1, ProgressKind::CommitOnly);
+        assert!(v.makes_progress(p(0)));
+        let aborts = &events[..2];
+        assert!(
+            !ExecutionView::lasso(&[], aborts, 1, ProgressKind::CommitOnly).makes_progress(p(0))
+        );
     }
 }

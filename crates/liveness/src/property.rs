@@ -93,7 +93,7 @@ mod tests {
             Event::Responded(p(0), Response::Decided(Value::new(1))),
             Event::Stepped(p(1)),
         ];
-        let view = ExecutionView::new(&events, 2, 0, ProgressKind::AnyResponse);
+        let view = ExecutionView::lasso(&[], &events, 2, ProgressKind::AnyResponse);
         assert!(!Lmax::new().satisfied(&view));
     }
 
@@ -106,7 +106,7 @@ mod tests {
             Event::Stepped(p(0)),
             Event::Responded(p(0), Response::Decided(Value::new(1))),
         ];
-        let view = ExecutionView::new(&events, 2, 0, ProgressKind::AnyResponse);
+        let view = ExecutionView::lasso(&[], &events, 2, ProgressKind::AnyResponse);
         assert!(Lmax::new().satisfied(&view));
     }
 
@@ -116,7 +116,7 @@ mod tests {
         let r: &dyn LivenessProperty = &l;
         assert!(r.name().contains("Lmax"));
         let b: Box<dyn LivenessProperty> = Box::new(Lmax::new());
-        let view = ExecutionView::new(&[], 0, 0, ProgressKind::AnyResponse);
+        let view = ExecutionView::lasso(&[], &[], 0, ProgressKind::AnyResponse);
         assert!(b.satisfied(&view));
     }
 }

@@ -102,7 +102,7 @@ mod tests {
             events.push(Event::Responded(p(i), Response::Decided(Value::new(1))));
             events.push(Event::Invoked(p(i), Operation::Propose(Value::new(1))));
         }
-        ExecutionView::new(&events, n, 0, ProgressKind::AnyResponse)
+        ExecutionView::lasso(&[], &events, n, ProgressKind::AnyResponse)
     }
 
     #[test]

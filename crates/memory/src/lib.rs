@@ -42,7 +42,6 @@ mod process;
 mod register_proc;
 mod rng;
 mod sched;
-mod snapshot_algo;
 mod system;
 mod workload;
 
@@ -53,6 +52,5 @@ pub use process::{Process, StepEffect};
 pub use register_proc::RegisterProcess;
 pub use rng::SmallRng;
 pub use sched::{Decision, FairRandom, RoundRobin, Scheduler, SoloScheduler};
-pub use snapshot_algo::{DoubleCollect, DoubleCollectResult};
 pub use system::{Event, RunStats, System, SystemError};
 pub use workload::{OneShot, RepeatTxn, Workload, WorkloadScheduler};

@@ -79,6 +79,26 @@ impl RepeatTxn {
         self.committed[proc.index()]
     }
 
+    /// `proc`'s state with its next write value rebased by `dval`:
+    /// `(script position, next write value − dval, commits left)`. Its
+    /// future invocations depend on nothing else, and its attempt counter
+    /// grows by one per transaction, so cycle detection against a TM whose
+    /// committed values climb by the same amount (`slx_tm::normalize`)
+    /// keys on this — as the §4.1 strategy rebases its stored read value.
+    pub fn normalized_state(&self, proc: ProcessId, dval: i64) -> (usize, i64, Option<u64>) {
+        let i = proc.index();
+        let left = self
+            .commits_per_proc
+            .map(|l| l.saturating_sub(self.committed[i]));
+        (self.cursor[i], self.write_value(i) - dval, left)
+    }
+
+    /// A value unique per (process, attempt), so written values are
+    /// distinguishable in opacity checking.
+    fn write_value(&self, i: usize) -> i64 {
+        (i as i64 + 1) * 1_000_000 + self.attempt[i] as i64
+    }
+
     fn script_len(&self) -> usize {
         1 + self.reads.len() + self.writes.len() + 1
     }
@@ -91,10 +111,7 @@ impl RepeatTxn {
             Operation::TxRead(self.reads[pos - 1])
         } else if pos < 1 + self.reads.len() + self.writes.len() {
             let w = pos - 1 - self.reads.len();
-            // A value unique per (process, attempt) so written values are
-            // distinguishable in opacity checking.
-            let val = Value::new((i as i64 + 1) * 1_000_000 + self.attempt[i] as i64);
-            Operation::TxWrite(self.writes[w], val)
+            Operation::TxWrite(self.writes[w], Value::new(self.write_value(i)))
         } else {
             Operation::TxCommit
         }

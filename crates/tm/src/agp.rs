@@ -42,7 +42,7 @@ enum Pc {
 pub struct AgpTm {
     c: ObjId,
     r: ObjId,
-    me: ProcessId,
+    pub(crate) me: ProcessId,
     n: usize,
     nvars: usize,
     timestamp: u64,

@@ -20,14 +20,12 @@
 #![warn(missing_docs)]
 
 mod agp;
-mod agp_dc;
 mod global_version;
 mod lock_tm;
 pub mod normalize;
 mod word;
 
 pub use agp::AgpTm;
-pub use agp_dc::AgpTmDc;
 pub use global_version::GlobalVersionTm;
 pub use lock_tm::LockTm;
 pub use word::TmWord;

@@ -35,8 +35,6 @@ pub struct LockTm {
     nvars: usize,
     values: Vec<Value>,
     pc: Pc,
-    /// Lock acquisition attempts (for the benches' spin accounting).
-    spins: u64,
     holds_lock: bool,
 }
 
@@ -56,7 +54,6 @@ impl LockTm {
             nvars,
             values: vec![Value::new(0); nvars],
             pc: Pc::Idle,
-            spins: 0,
             holds_lock: false,
         }
     }
@@ -68,11 +65,6 @@ impl LockTm {
         let (lock, store) = Self::alloc(&mut mem, nvars);
         let procs = (0..n).map(|_| Self::new(lock, store, nvars)).collect();
         System::new(mem, procs)
-    }
-
-    /// Lock acquisition attempts so far.
-    pub fn spins(&self) -> u64 {
-        self.spins
     }
 }
 
@@ -108,7 +100,6 @@ impl Process<TmWord> for LockTm {
             Pc::Idle => StepEffect::Idle,
             Pc::LocalRespond(resp) => StepEffect::Responded(resp),
             Pc::Acquire => {
-                self.spins += 1;
                 let was_set = mem
                     .apply(Primitive::Tas(self.lock))
                     .expect("lock allocated")
@@ -226,7 +217,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(sys.step(p(1)).unwrap(), StepEffect::Ran);
         }
-        assert_eq!(sys.process(p(1)).unwrap().spins(), 100);
         assert!(sys.history().pending(p(1)));
     }
 

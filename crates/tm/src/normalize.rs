@@ -54,10 +54,12 @@ pub(crate) fn shift_word(w: &TmWord, s: Shift) -> TmWord {
     }
 }
 
-/// Reads the current committed `(version, values)` from the first CAS
-/// object in memory, yielding the canonical shift that rebases the version
-/// to 1 and variable `x1`'s committed value to 0.
-fn committed_base<P: slx_memory::Process<TmWord>>(sys: &System<TmWord, P>) -> Shift {
+/// The shift that rebases the committed version to 1 and variable `x1`'s
+/// committed value to 0, read from the first CAS object in memory (no
+/// timestamp shift). A strategy or workload that holds a value read from
+/// the TM, or derives the next one it writes, rebases it by `dval` to
+/// stay in step with the normalized configuration.
+pub fn committed_shift<P: slx_memory::Process<TmWord>>(sys: &System<TmWord, P>) -> Shift {
     for (_, obj) in sys.memory().iter_objects() {
         if let BaseObject::Cas(TmWord::Versioned { version, values }) = obj {
             return Shift {
@@ -75,7 +77,7 @@ fn committed_base<P: slx_memory::Process<TmWord>>(sys: &System<TmWord, P>) -> Sh
 pub fn normalized_global_version(
     sys: &System<TmWord, GlobalVersionTm>,
 ) -> System<TmWord, GlobalVersionTm> {
-    let s = committed_base(sys);
+    let s = committed_shift(sys);
     sys.transformed(|w| shift_word(w, s), |p| p.shifted(s))
 }
 
@@ -83,7 +85,7 @@ pub fn normalized_global_version(
 /// to the committed state and timestamps rebased to the minimum announced
 /// timestamp. Use as the cycle-detection key.
 pub fn normalized_agp(sys: &System<TmWord, AgpTm>) -> System<TmWord, AgpTm> {
-    let mut s = committed_base(sys);
+    let mut s = committed_shift(sys);
     // Minimum announced timestamp across the snapshot object.
     let mut min_ts = u64::MAX;
     for (_, obj) in sys.memory().iter_objects() {
@@ -99,6 +101,32 @@ pub fn normalized_agp(sys: &System<TmWord, AgpTm>) -> System<TmWord, AgpTm> {
         s.dts = min_ts;
     }
     sys.transformed(|w| shift_word(w, s), |p| p.shifted(s))
+}
+
+/// [`normalized_agp`] for runs in which only `procs` ever step: timestamps
+/// are rebased over their `R` slots only, the smallest to **1**, and only
+/// their states are shifted. Another process's slot keeps its `Ts(0)`,
+/// which pins [`normalized_agp`]'s minimum at 0 while the others climb
+/// forever; here it stays below every rebased timestamp of `procs`, so
+/// each `R[j] ≥ timestamp` count Algorithm 1 takes is unchanged (a rebase
+/// to 0 would tie it). Another process's state stays as it is — constant,
+/// where shifted values would drift with every commit.
+pub fn normalized_agp_among(
+    sys: &System<TmWord, AgpTm>,
+    procs: &[ProcessId],
+) -> System<TmWord, AgpTm> {
+    let mut s = committed_shift(sys);
+    let slots = sys.memory().iter_objects().find_map(|(_, obj)| match obj {
+        BaseObject::Snapshot(v) => Some(v),
+        _ => None,
+    });
+    let min_ts = slots.and_then(|v| procs.iter().map(|p| v[p.index()].expect_ts()).min());
+    s.dts = min_ts.map_or(0, |t| t.saturating_sub(1));
+    let among = |p: &AgpTm| procs.contains(&p.me);
+    sys.transformed(
+        |w| shift_word(w, s),
+        |p| if among(p) { p.shifted(s) } else { p.clone() },
+    )
 }
 
 /// The canonical symmetry digest for a [`GlobalVersionTm`] system:

@@ -82,12 +82,12 @@ fn main() {
     println!("\n=== TM: crash the \"lock holder\" ===");
     let demo = blocking_demo(2000);
     println!(
-        "lock TM   : survivor commits = {:<4} opaque = {}  (1,1)-freedom violated = {}",
-        demo.lock_tm_survivor_commits, demo.lock_tm_still_opaque, demo.lock_tm_violates_11
+        "lock TM   : lasso ({})   opaque = {}  (1,1)-freedom violated = {}",
+        demo.lock_tm_lasso, demo.lock_tm_still_opaque, demo.lock_tm_violates_11
     );
     println!(
-        "lock-free : survivor commits = {:<4} (1,n)-freedom holds = {}",
-        demo.lock_free_survivor_commits, demo.lock_free_satisfies_1n
+        "lock-free : lasso ({})  (1,n)-freedom holds = {}",
+        demo.lock_free_lasso, demo.lock_free_satisfies_1n
     );
     println!(
         "contrast established: {} — blocking is a liveness failure, never a safety one",

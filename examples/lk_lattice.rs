@@ -6,14 +6,15 @@
 //! the black anchors. Prints the two panes in the paper's layout plus the
 //! strongest-implementable / weakest-excluded frontiers of Theorems 5.2
 //! and 5.3, then the Section 6 structures: S-freedom has no strongest
-//! implementable member, (n,x)-liveness is a chain.
+//! implementable member, (n,x)-liveness is a chain — and the experiment
+//! behind Section 6's implementable and excluded members.
 //!
 //! Run with: `cargo run --release --example lk_lattice`
 
 use std::fmt::Display;
 
 use safety_liveness_exclusion::grid::{consensus_grid, tm_grid, Grid, GridPoint, Verdict};
-use safety_liveness_exclusion::sect6::{nx_report, s_freedom_report};
+use safety_liveness_exclusion::sect6::{nx_report, s_freedom_report, sect6_implementability_demo};
 
 fn main() {
     let n = 4;
@@ -31,14 +32,17 @@ fn main() {
     println!("\nLegend: ○ implementable with S, ● excludes S (black/white as in the paper).");
     println!("Anchor evidence:");
     for g in [&a, &b] {
-        for p in &g.points {
+        // The anchors are the two frontier points of each pane; every other
+        // point inherits its verdict from one of them.
+        for p in g
+            .strongest_implementable()
+            .into_iter()
+            .chain(g.weakest_excluded())
+        {
             let basis = match &p.verdict {
                 Verdict::Implementable { basis } | Verdict::Excluded { basis } => basis,
             };
-            // Print only the two anchors per pane to keep the output tight.
-            if (p.lk.l() == 1 && p.lk.k() == 1) || (p.lk.l() == 2 && p.lk.k() == 2) {
-                println!("  [{}] {} — {}", g.safety, p.lk, basis);
-            }
+            println!("  [{}] {} — {}", g.safety, p.lk, basis);
         }
     }
 
@@ -60,6 +64,15 @@ fn main() {
         "weakest non-implementable: {} (one wait-free process suffices for impossibility)",
         nx.weakest_non_implementable
     );
+
+    let demo = sect6_implementability_demo();
+    println!("\n=== Section 6: implementability from registers (n = 2) ===");
+    println!("solo progress exhaustive: {}", demo.solo_progress_ok);
+    println!(
+        "on Figure 1(a)'s lasso ({}): (2,1)-liveness violated = {}, {{2}}-freedom violated = {}",
+        demo.lasso, demo.nx1_violated, demo.s2_violated
+    );
+    println!("Section 6 established: {}", demo.establishes_sect6());
 }
 
 fn joined(items: impl IntoIterator<Item = impl Display>, sep: &str) -> String {

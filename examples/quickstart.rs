@@ -72,7 +72,8 @@ fn main() {
     println!("safe (A&V)    : {}", safety.allows(sys.history()));
 
     // Liveness: evaluate 1-obstruction-freedom on the recorded execution.
-    let view = ExecutionView::new(&log, 2, 0, ProgressKind::AnyResponse);
+    // The run halted, so it is the lasso with an empty cycle.
+    let view = ExecutionView::lasso(&log, &[], 2, ProgressKind::AnyResponse);
     let of = KObstructionFreedom::new(1);
     println!("{}: {}\n", of.name(), of.satisfied(&view));
 

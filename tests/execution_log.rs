@@ -1,9 +1,9 @@
 //! The execution log a driver fills through `System::apply` /
 //! `System::run_logged` is, event for event, the log `System` used to keep
 //! inside every configuration: the pins below were taken from that
-//! in-`System` log, so every `ExecutionView` verdict built on a driver's
-//! log (`tm_starvation`, `counterexample_s`, `blocking`, `sect6`, the
-//! examples) reads what it read before.
+//! in-`System` log, so every lasso a driver cuts from its log
+//! (`tm_starvation`, `counterexample_s`, `blocking`, `sect6`, the
+//! examples) holds the events it held before.
 
 use safety_liveness_exclusion::adversary::{TmStarvation, TripleRoundAdversary};
 use safety_liveness_exclusion::consensus::{ConsWord, ObstructionFreeConsensus};

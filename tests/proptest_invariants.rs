@@ -349,7 +349,7 @@ fn lk_product_order_is_semantically_sound() {
                 events.push(Event::Responded(ProcessId::new(g), Response::Committed));
                 events.push(Event::Invoked(ProcessId::new(g), Operation::TxCommit));
             }
-            let view = ExecutionView::new(&events, N, 0, ProgressKind::CommitOnly);
+            let view = ExecutionView::lasso(&[], &events, N, ProgressKind::CommitOnly);
             let grid = LkFreedom::grid(N);
             for a in &grid {
                 for b in &grid {
