@@ -18,7 +18,8 @@
 //!   that leaves the struct alone (e.g. swapping two `encode` calls) is
 //!   caught too, just with a coarser "body changed" message;
 //!
-//! plus the `RunHeader`/`encode_image` checkpoint layout, the server
+//! plus the `RunHeader`/`encode_image` checkpoint image layout and the
+//! visited log's records (`admit_visited`/`admit_exact`), the server
 //! `Frame` enum, and the two version constants. The canonical rendering
 //! of all that is checked in as `WIRE_MANIFEST.txt`; any difference from
 //! the checked-in manifest fails the build, with the hint depending on
@@ -164,23 +165,26 @@ pub fn extract(files: &[SourceFile]) -> Result<WireModel, Finding> {
             }
         }
     }
-    // The checkpoint image layout itself: everything `encode_image`
-    // writes, fingerprinted as a body hash.
+    // The checkpoint layouts themselves: everything `encode_image`
+    // writes, and the visited-log records the two `admit_*` functions
+    // write, fingerprinted as body hashes.
     if let Some(f) = files.iter().find(|f| f.rel_path == CHECKPOINT_RS) {
-        if let Some(body) = fn_body(&f.code_nontest, "encode_image") {
-            entries
-                .entry((CHECKPOINT_RS.to_string(), "encode_image".to_string()))
-                .or_insert_with(|| Entry {
-                    file: CHECKPOINT_RS.to_string(),
-                    type_name: "encode_image".to_string(),
-                    fields: Vec::new(),
-                    impls: Vec::new(),
-                    domain: VersionDomain::Format,
-                })
-                .impls = vec![format!(
-                "impl fn hash={}",
-                scan::fnv_hex(&scan::normalize_ws(&body))
-            )];
+        for name in ["encode_image", "admit_visited", "admit_exact"] {
+            if let Some(body) = fn_body(&f.code_nontest, name) {
+                entries
+                    .entry((CHECKPOINT_RS.to_string(), name.to_string()))
+                    .or_insert_with(|| Entry {
+                        file: CHECKPOINT_RS.to_string(),
+                        type_name: name.to_string(),
+                        fields: Vec::new(),
+                        impls: Vec::new(),
+                        domain: VersionDomain::Format,
+                    })
+                    .impls = vec![format!(
+                    "impl fn hash={}",
+                    scan::fnv_hex(&scan::normalize_ws(&body))
+                )];
+            }
         }
     }
 

@@ -229,12 +229,19 @@ impl Checker {
     }
 
     /// Turns on crash-tolerant checkpointing: every `every_n_levels` BFS
-    /// levels (clamped to at least 1) the checker commits its complete
-    /// resumable image — visited digests, frontier, findings, counters,
-    /// and a validated run-config header — to `dir` (created if absent)
-    /// with atomic rename-commit semantics (see [`CheckpointStore`]). A
-    /// later [`Checker::resume`] on the same directory continues the run
-    /// bit-identically in verdict, state counts, and truncation flags.
+    /// levels (clamped to at least 1) the checker commits its resumable
+    /// state to `dir` (created if absent): it appends the digests
+    /// admitted since the previous commit to the directory's visited
+    /// log, then renames in a small image — frontier, findings,
+    /// counters, a validated run-config header, and the log prefix it
+    /// stands on (see [`CheckpointStore`]). A later [`Checker::resume`]
+    /// on the same directory continues the run bit-identically in
+    /// verdict, state counts, and truncation flags. A run that does not
+    /// resume from `dir` logs to a new generation there and leaves any
+    /// older store in `dir` resumable until its own first image is
+    /// renamed in; a resume redirected here from another directory
+    /// writes the whole restored set as its log's first segment and
+    /// never writes to the directory it resumed from.
     #[must_use]
     pub fn with_checkpoint(mut self, dir: impl Into<PathBuf>, every_n_levels: usize) -> Self {
         self.checkpoint = Some((dir.into(), every_n_levels.max(1)));
@@ -410,9 +417,9 @@ struct BfsRun<'a, Sp: StateSpace> {
     frontier: SpillFrontier<Sp::State>,
     /// The spill settings every frontier of the run is built with.
     spill: Option<SpillConfig>,
-    /// The checkpoint store and the run-config header every committed
-    /// image carries — and every resume is validated against.
-    checkpoint: Option<(CheckpointStore, RunHeader)>,
+    /// The checkpoint store, which also logs every digest the run admits
+    /// until its next commit.
+    checkpoint: Option<CheckpointStore>,
     lifetime: Lifetime,
     /// Fingerprint-only visited set, sharded by digest range. BFS
     /// enqueues every state at its minimal depth by construction, so no
@@ -467,7 +474,7 @@ where
         let spill = open_spill(checker, &plane)?;
         let symmetry = checker.symmetry && space.has_symmetry_reduction();
         let visited = ShardedVisited::new(checker.shards);
-        let checkpoint = match &checker.checkpoint {
+        let mut checkpoint = match &checker.checkpoint {
             Some((dir, every)) => {
                 std::fs::create_dir_all(dir).map_err(|err| EngineError::CheckpointIo {
                     path: dir.clone(),
@@ -484,16 +491,16 @@ where
                     config_budget: checker.config_budget,
                     mem_budget: checker.mem_budget,
                 };
-                let store = CheckpointStore::new(dir.clone(), *every);
-                Some((store.with_fault_plane(plane.clone()), header))
+                let store = CheckpointStore::new(dir.clone(), *every, header);
+                Some(store.with_fault_plane(plane.clone()))
             }
             None => None,
         };
         // The header validation inside `try_load` guarantees the image
         // belongs to this exact space, configuration, and initial states.
         let image: Option<LoadedCheckpoint<Sp::State, Sp::Finding>> =
-            match (&checker.resume_from, &checkpoint) {
-                (Some(dir), Some((_, header))) => Some(CheckpointStore::try_load(dir, header)?),
+            match (&checker.resume_from, &mut checkpoint) {
+                (Some(dir), Some(store)) => Some(store.resume(dir)?),
                 _ => None,
             };
         let mut run = BfsRun {
@@ -539,7 +546,7 @@ where
         image: LoadedCheckpoint<Sp::State, Sp::Finding>,
     ) -> Result<(), EngineError> {
         self.visited = image.visited;
-        self.exact_seen = image.exact_seen.into_iter().collect();
+        self.exact_seen = image.exact_seen;
         self.findings = image.findings;
         self.depth = image.depth;
         self.stats = image.stats;
@@ -561,13 +568,17 @@ where
             // see `exact_seen`), on its exact digest otherwise.
             // Successors get theirs at push time inside `Expansion`.
             let digest = if self.symmetry {
-                self.exact_seen.insert(self.space.digest(&state).0);
+                let exact = self.space.digest(&state).0;
+                insert_exact(&mut self.exact_seen, &mut self.checkpoint, exact);
                 self.space.canonical_digest(&state)
             } else {
                 self.space.digest(&state)
             };
             if self.visited.insert(digest.0) {
                 self.stats.shard_occupancy[self.visited.shard_of(digest.0)] += 1;
+                if let Some(store) = &mut self.checkpoint {
+                    store.admit_visited(digest.0);
+                }
                 self.frontier.push(state)?;
             }
         }
@@ -611,7 +622,7 @@ where
     /// level a resume re-entered at already has its image on disk and is
     /// skipped.
     fn checkpoint_if_due(&mut self) -> Result<(), EngineError> {
-        let Some((store, header)) = &self.checkpoint else {
+        let Some(store) = &mut self.checkpoint else {
             return Ok(());
         };
         let depth = self.depth;
@@ -624,8 +635,6 @@ where
         let snapshot = self
             .frontier
             .snapshot_states(&regenerator(self.space, depth - 1))?;
-        let mut exact: Vec<u128> = self.exact_seen.iter().copied().collect();
-        exact.sort_unstable();
         // Faults drawn *during* this commit land in the next image (and
         // in the next live stamp), not this one.
         self.lifetime.stamp(&mut self.stats);
@@ -638,18 +647,11 @@ where
         // measured to *cost* throughput on single-core hosts (the
         // committer steals scheduler slices from the exploration
         // thread), and a detached writer outliving an unwound run is a
-        // hazard besides. The fdatasync is the whole cost — encode and
-        // snapshot measure as free on tmpfs.
-        let image = CheckpointStore::encode_image(
-            header,
-            depth,
-            &self.stats,
-            &self.findings,
-            &self.visited.snapshot(),
-            &exact,
-            &snapshot,
-        );
-        store.commit_bytes(&image)
+        // hazard besides. The visited set costs only the digests
+        // admitted since the previous commit, which the log appends; the
+        // rest is the image's frontier encode and the two fdatasyncs
+        // (`CheckpointStore::encode_image` gives the measured split).
+        store.commit(depth, &self.stats, &self.findings, &snapshot)
     }
 
     /// Folds the spill I/O `self.frontier` performed into the statistics.
@@ -852,9 +854,17 @@ where
             // time); track the exact digest on the side so a canonical
             // dup whose exact digest is fresh counts as an orbit
             // collapse.
-            let exact_fresh = self.symmetry && self.exact_seen.insert(self.space.digest(&succ).0);
+            let exact_fresh = self.symmetry
+                && insert_exact(
+                    &mut self.exact_seen,
+                    &mut self.checkpoint,
+                    self.space.digest(&succ).0,
+                );
             if self.visited.insert(digest.0) {
                 stats.shard_occupancy[self.visited.shard_of(digest.0)] += 1;
+                if let Some(store) = &mut self.checkpoint {
+                    store.admit_visited(digest.0);
+                }
                 self.accepted.push(succ);
                 self.accepted_indices.push(index);
             } else {
@@ -878,6 +888,20 @@ where
             stats: self.stats,
         }
     }
+}
+
+/// Inserts a symmetry run's exact digest into its side set, logging it
+/// for the next checkpoint when it is fresh; returns whether it was.
+fn insert_exact(
+    exact_seen: &mut DetHashSet<u128>,
+    checkpoint: &mut Option<CheckpointStore>,
+    digest: u128,
+) -> bool {
+    let fresh = exact_seen.insert(digest);
+    if let (true, Some(store)) = (fresh, checkpoint) {
+        store.admit_exact(digest);
+    }
+    fresh
 }
 
 /// The replay codec's regenerator for records whose parents were expanded

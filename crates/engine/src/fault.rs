@@ -47,9 +47,10 @@
 //!   finishes resident (no further chunks are flushed) up to a hard cap
 //!   of [`DEGRADED_CAP_CHUNKS`] chunk budgets, then fails with
 //!   [`EngineError::SpillExhausted`] naming the path and budget.
-//! - **Torn checkpoint writes** land on the `.tmp` staging sibling only:
-//!   the commit fails typed and the previous committed image stays
-//!   loadable.
+//! - **Torn checkpoint writes** land on the `.tmp` staging sibling or
+//!   past the visited log's committed length only: the commit fails
+//!   typed and the previous committed image, with the log prefix it
+//!   names, stays loadable.
 //! - **Socket faults** exercise the service's accept-loop retry, read
 //!   timeouts, and the client's reconnect-and-resume-by-request-id path.
 
@@ -82,9 +83,10 @@ pub enum FaultOp {
     SpillRead = 2,
     /// Unlinking a spill file on drop.
     SpillUnlink = 3,
-    /// Writing the checkpoint image to its staging file.
+    /// Appending a segment to the visited log, or writing the checkpoint
+    /// image to its staging file.
     CkptWrite = 4,
-    /// `fdatasync` of the staged checkpoint image.
+    /// `fdatasync` of the visited log or of the staged checkpoint image.
     CkptSync = 5,
     /// The atomic rename that commits a checkpoint.
     CkptRename = 6,

@@ -50,13 +50,14 @@
 //!   states/sec, and truncation accounting;
 //! - [`CheckpointStore`] — crash-tolerant checkpoint/resume: at
 //!   configurable level boundaries ([`Checker::with_checkpoint`]) the
-//!   run commits its complete resumable image — visited digests,
-//!   frontier, findings, counters, and a validated run-config header —
-//!   with atomic rename semantics, and [`Checker::resume`] continues the
+//!   run appends the digests it admitted since the previous commit to
+//!   an append-only visited log, then renames in a small image —
+//!   frontier, findings, counters, a validated run-config header and
+//!   the log prefix it stands on — and [`Checker::resume`] continues the
 //!   run bit-identically in verdict, state counts, and truncation flags;
 //! - [`FaultPlane`] — a deterministic fault-injection plane over every
 //!   fallible I/O seam (spill file create/write/read/unlink, checkpoint
-//!   write/sync/rename), armed by a seeded [`FaultPlan`]
+//!   log and image write/sync, image rename), armed by a seeded [`FaultPlan`]
 //!   ([`Checker::with_fault_plan`]; a no-op when disarmed). The
 //!   hardened paths behind it retry transient
 //!   faults with bounded backoff, degrade gracefully when the spill

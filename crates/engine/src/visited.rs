@@ -100,49 +100,6 @@ impl ShardedVisited {
         self.shards.iter().map(DetHashSet::len).collect()
     }
 
-    /// A deterministic snapshot of the set: one sorted digest vector per
-    /// shard, in shard order. Sorting fixes the nondeterministic `HashSet`
-    /// iteration order, so the same visited set always snapshots to the
-    /// same bytes — and since shards own contiguous digest ranges in shard
-    /// order, the concatenation is globally digest-ordered (the
-    /// digest-range-ordered layout the checkpoint store persists).
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<Vec<u128>> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let mut digests: Vec<u128> = shard.iter().copied().collect();
-                digests.sort_unstable();
-                digests
-            })
-            .collect()
-    }
-
-    /// Rebuilds a visited set from a [`ShardedVisited::snapshot`], or
-    /// `None` if the shard count is not a power of two in `[1, 4096]` or
-    /// any digest sits in a shard it does not route to — both indicate a
-    /// corrupt or foreign snapshot, and restoring it would corrupt every
-    /// later dedup verdict.
-    #[must_use]
-    pub fn from_snapshot(shards: Vec<Vec<u128>>) -> Option<Self> {
-        let count = shards.len();
-        if !count.is_power_of_two() || count > MAX_SHARDS {
-            return None;
-        }
-        let set = ShardedVisited {
-            shards: shards
-                .iter()
-                .map(|digests| digests.iter().copied().collect())
-                .collect(),
-            shard_bits: count.trailing_zeros(),
-        };
-        let routed = shards
-            .iter()
-            .enumerate()
-            .all(|(shard, digests)| digests.iter().all(|&d| set.shard_of(d) == shard));
-        routed.then_some(set)
-    }
-
     /// Inserts one pre-routed batch per shard, in batch order, and returns
     /// the per-shard fresh bits (`true` where the digest was new), aligned
     /// with the input batches.
@@ -256,37 +213,6 @@ mod tests {
             assert_eq!(batched.len(), sequential.len());
             assert_eq!(batched.occupancy(), sequential.occupancy());
         }
-    }
-
-    #[test]
-    fn snapshot_roundtrips_and_is_sorted() {
-        let mut set = ShardedVisited::new(8);
-        for i in 0..500u128 {
-            set.insert(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) << 64 | i);
-        }
-        let snap = set.snapshot();
-        assert_eq!(snap.len(), 8);
-        for (shard, digests) in snap.iter().enumerate() {
-            assert!(digests.windows(2).all(|w| w[0] < w[1]), "shard {shard}");
-            for &d in digests {
-                assert_eq!(set.shard_of(d), shard);
-            }
-        }
-        let restored = ShardedVisited::from_snapshot(snap.clone()).expect("a faithful snapshot");
-        assert_eq!(restored.len(), set.len());
-        assert_eq!(restored.occupancy(), set.occupancy());
-        assert_eq!(restored.snapshot(), snap);
-        for i in 0..500u128 {
-            assert!(restored.contains(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) << 64 | i));
-        }
-    }
-
-    #[test]
-    fn from_snapshot_rejects_misrouted_digests_and_bad_shard_counts() {
-        let misrouted = vec![vec![u128::MAX], Vec::new()];
-        assert!(ShardedVisited::from_snapshot(misrouted).is_none());
-        let bad_count = vec![Vec::new(); 3];
-        assert!(ShardedVisited::from_snapshot(bad_count).is_none());
     }
 
     #[test]

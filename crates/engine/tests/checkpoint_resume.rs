@@ -20,7 +20,9 @@ use slx_engine::{
 };
 
 mod common;
-use common::{Rng, SymGrid, NEVER};
+use common::{
+    image_depth, log_at, log_bytes, log_len, log_lengths, visited_logs, Rng, SymGrid, NEVER,
+};
 
 const SEED: u64 = 0xC0FF_EE00_D15E_A5E5;
 
@@ -379,14 +381,20 @@ fn stale_staging_files_from_a_kill_mid_commit_are_reclaimed_on_resume() {
 
 #[test]
 fn a_failed_commit_never_tears_the_previous_image() {
-    // ENOSPC or a torn write *during* `commit_bytes` (injected on the
-    // checkpoint write/sync/rename seams) must surface as a typed error
-    // that leaves the previously committed image loadable and no staging
-    // file behind — the atomic-rename discipline under real fault
-    // pressure, not just a planted panic between commits. Seed-pinned:
-    // one worker thread makes every schedule's outcome deterministic.
+    // ENOSPC or a torn write *during* a commit (injected on the
+    // checkpoint write/sync/rename seams, which the log append shares
+    // with the image) must surface as a typed error that leaves the
+    // previously committed image loadable, no staging file behind, and
+    // the log no longer than the committed length plus the failed
+    // append — the commit discipline under real fault pressure, not
+    // just a planted panic between commits. Seed-pinned: one worker
+    // thread makes every schedule's outcome deterministic.
     use slx_engine::{FaultKind, FaultOp, FaultPlan};
     let baseline = cell_checker(0, SpillCodec::Delta, false).run(&SymGrid::new(20), vec![(0, 0)]);
+    let lengths = log_lengths(
+        &cell_checker(0, SpillCodec::Delta, false),
+        &SymGrid::new(20),
+    );
     let mut failures = 0u32;
     let mut failures_with_an_image = 0u32;
     for seed in 0..16u64 {
@@ -414,7 +422,19 @@ fn a_failed_commit_never_tears_the_previous_image() {
                     !dir.join("slx-checkpoint.bin.tmp").exists(),
                     "seed {seed}: staging file stranded after {err}"
                 );
-                if CheckpointStore::exists(&dir) {
+                // Cadence 1: the failed commit is the one after the image.
+                let committed = image_depth(
+                    &cell_checker(0, SpillCodec::Delta, false),
+                    &dir,
+                    &SymGrid::new(20),
+                );
+                let failed = committed.map_or(1, |depth| depth + 1);
+                assert!(
+                    log_len(&dir) <= log_at(&lengths, failed),
+                    "seed {seed}: the log outgrew the committed length plus the failed append"
+                );
+                if let Some(depth) = committed {
+                    assert!(log_len(&dir) >= log_at(&lengths, depth), "seed {seed}");
                     failures_with_an_image += 1;
                     let resumed = cell_checker(0, SpillCodec::Delta, false)
                         .resume(&dir)
@@ -551,6 +571,10 @@ fn checkpoint_builder_defaults_commit_where_and_when_documented() {
     let image = |dir: &std::path::Path| {
         std::fs::read(dir.join("slx-checkpoint.bin")).expect("a committed image")
     };
+    let log = |dir: &std::path::Path| match visited_logs(dir).as_slice() {
+        [log] => std::fs::read(log).expect("a committed log"),
+        logs => panic!("one log beside the image, found {logs:?}"),
+    };
     let baseline = Checker::parallel_bfs(1).run(&chain(NEVER), vec![0u32]);
 
     let dir = unique_dir("cadence-zero");
@@ -570,11 +594,11 @@ fn checkpoint_builder_defaults_commit_where_and_when_documented() {
                 .run(&chain(10), vec![0u32])
         }));
         assert!(crashed.is_err(), "the kill level must be reached");
-        image(dir)
+        (image(dir), log(dir))
     };
 
     let dir = unique_dir("bare-resume");
-    let crashed_image = crash(&dir);
+    let (crashed_image, _) = crash(&dir);
     let resumed = Checker::parallel_bfs(1)
         .resume(&dir)
         .run(&chain(NEVER), vec![0u32]);
@@ -590,7 +614,7 @@ fn checkpoint_builder_defaults_commit_where_and_when_documented() {
 
     let prev = unique_dir("resume-prev");
     let next = unique_dir("resume-next");
-    let crashed_image = crash(&prev);
+    let (crashed_image, crashed_log) = crash(&prev);
     let redirected = Checker::parallel_bfs(1)
         .with_checkpoint(&next, 3)
         .resume(&prev)
@@ -602,7 +626,161 @@ fn checkpoint_builder_defaults_commit_where_and_when_documented() {
         "levels 4 and 8 before the crash, then levels 9 and 12"
     );
     assert_eq!(image(&prev), crashed_image, "nothing new commits to `prev`");
+    assert_eq!(
+        log(&prev),
+        crashed_log,
+        "nothing is appended to `prev`'s log"
+    );
     assert!(CheckpointStore::exists(&next));
+    // `next`'s log opens with the whole restored set (states 0 through
+    // 8) and ends holding all 13 of the chain's states.
+    assert_eq!(crashed_log.len(), 16 * 9);
+    assert_eq!(&log(&next)[..crashed_log.len()], crashed_log.as_slice());
+    assert_eq!(log(&next).len(), 16 * 13);
     std::fs::remove_dir_all(&prev).expect("checkpoint dir cleanup");
     std::fs::remove_dir_all(&next).expect("checkpoint dir cleanup");
+}
+
+#[test]
+fn a_kill_between_the_log_sync_and_the_image_rename_resumes_bit_identically() {
+    // The commit's one window with both files in motion: the log holds
+    // the next segment, fdatasynced, and the image naming it is staged
+    // but not renamed. The live image names the shorter prefix, so the
+    // store must resume from it, ignore the segment past it, and cut it
+    // before the resumed run appends the same segment again.
+    for symmetry in [false, true] {
+        let space = SymGrid::new(15);
+        let label = format!("sym={symmetry}");
+        let checker = || cell_checker(0, SpillCodec::Delta, symmetry);
+        let baseline = checker().run(&space, vec![(0, 0)]);
+        let lengths = log_lengths(&checker(), &space);
+
+        // The uninterrupted checkpointed run: its log is every later
+        // commit's, byte for byte (one merging thread fixes the order).
+        let whole = unique_dir("window-whole");
+        checker()
+            .with_checkpoint(&whole, 2)
+            .run(&space, vec![(0, 0)]);
+        let whole_log = std::fs::read(&visited_logs(&whole)[0]).expect("the whole log");
+        assert_eq!(
+            whole_log.len() as u64,
+            log_bytes(&baseline.stats),
+            "{label}"
+        );
+
+        let dir = unique_dir("window");
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            checker().with_checkpoint(&dir, 2).run(
+                &SymGrid {
+                    bound: 15,
+                    kill_depth: 9,
+                },
+                vec![(0, 0)],
+            )
+        }));
+        assert!(crashed.is_err(), "{label}: the kill level must be reached");
+        let log = visited_logs(&dir).remove(0);
+        let committed = std::fs::read(&log).expect("the committed log");
+        assert_eq!(committed.len() as u64, lengths[8], "{label}");
+        assert_eq!(committed, whole_log[..committed.len()], "{label}");
+        // Level 10's commit, killed after its log sync: the segment is on
+        // disk and the image is staged, not renamed.
+        let synced = usize::try_from(lengths[10]).expect("log length");
+        std::fs::write(&log, &whole_log[..synced]).expect("synced segment");
+        std::fs::write(
+            dir.join("slx-checkpoint.bin.tmp"),
+            std::fs::read(CheckpointStore::file_path(&whole)).expect("an image"),
+        )
+        .expect("staged image");
+
+        let resumed = checker().resume(&dir).run(&space, vec![(0, 0)]);
+        assert_eq!(resumed.stats.resumed_from_depth, Some(8), "{label}");
+        assert_eq!(resumed.findings, baseline.findings, "{label}");
+        assert_eq!(
+            identical_part(&resumed.stats),
+            identical_part(&baseline.stats),
+            "{label}"
+        );
+        assert_eq!(
+            std::fs::read(&log).expect("the resumed log"),
+            whole_log,
+            "{label}: the resumed run re-appends exactly the cut segment"
+        );
+        std::fs::remove_dir_all(&whole).expect("checkpoint dir cleanup");
+        std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
+    }
+}
+
+#[test]
+fn a_fresh_run_over_an_older_store_leaves_it_resumable_until_its_first_rename() {
+    // A run that does not resume opens a new log generation: until its
+    // own first image is renamed in, the older image and the log it names
+    // stay exactly as they were, so the older store still resumes. The
+    // fresh run's first commit is failed at the rename, after its log
+    // append and image staging both landed.
+    use slx_engine::{EngineError, FaultKind, FaultOp, FaultPlan};
+    let space = SymGrid::new(15);
+    let checker = || cell_checker(0, SpillCodec::Delta, false);
+    let baseline = checker().run(&space, vec![(0, 0)]);
+    let dir = unique_dir("fresh-over-old");
+    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        checker().with_checkpoint(&dir, 4).run(
+            &SymGrid {
+                bound: 15,
+                kill_depth: 10,
+            },
+            vec![(0, 0)],
+        )
+    }));
+    assert!(crashed.is_err(), "the kill level must be reached");
+    let old_image = std::fs::read(CheckpointStore::file_path(&dir)).expect("the older image");
+    let old_log = visited_logs(&dir).remove(0);
+    let old_log_bytes = std::fs::read(&old_log).expect("the older log");
+
+    let failed = checker()
+        .with_checkpoint(&dir, 4)
+        .with_fault_plan(
+            FaultPlan::seeded(1)
+                .with_rate(1024)
+                .with_ops(&[FaultOp::CkptRename])
+                .with_kinds(&[FaultKind::Enospc]),
+        )
+        .try_run_observed(&space, vec![(0, 0)], |_| false, |_, _| true);
+    assert!(
+        matches!(failed, Err(EngineError::CheckpointIo { .. })),
+        "the first rename must fail: {:?}",
+        failed.map(|out| out.stats)
+    );
+    let logs = visited_logs(&dir);
+    assert_eq!(logs.len(), 2, "the fresh run logs to its own generation");
+    assert_eq!(
+        std::fs::read(CheckpointStore::file_path(&dir)).expect("the older image"),
+        old_image
+    );
+    assert_eq!(
+        std::fs::read(&old_log).expect("the older log"),
+        old_log_bytes
+    );
+    let resumed = checker().resume(&dir).run(&space, vec![(0, 0)]);
+    assert_eq!(resumed.stats.resumed_from_depth, Some(8));
+    assert_eq!(resumed.findings, baseline.findings);
+    assert_eq!(
+        identical_part(&resumed.stats),
+        identical_part(&baseline.stats)
+    );
+
+    // Once a fresh run's first image is renamed in, every older log is
+    // superseded and goes.
+    let fresh = checker().with_checkpoint(&dir, 4).run(&space, vec![(0, 0)]);
+    assert_eq!(fresh.stats.resumed_from_depth, None);
+    let logs = visited_logs(&dir);
+    assert_eq!(logs.len(), 1, "{logs:?}");
+    assert!(!logs.contains(&old_log));
+    let last_commit = log_at(&log_lengths(&checker(), &space), 28);
+    assert_eq!(
+        log_len(&dir),
+        last_commit,
+        "the log as of level 28's commit"
+    );
+    std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
 }

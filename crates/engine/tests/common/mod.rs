@@ -5,7 +5,7 @@
 #![allow(dead_code)]
 
 use slx_consensus::{ConsWord, ObstructionFreeConsensus};
-use slx_engine::{Digest, Expansion, StateSpace};
+use slx_engine::{Checker, Digest, Expansion, ExploreStats, StateSpace};
 use slx_history::{Operation, ProcessId, Value};
 use slx_memory::{Memory, System};
 
@@ -125,4 +125,83 @@ impl StateSpace for SymGrid {
     fn canonical_digest(&self, state: &Self::State) -> Digest {
         self.digest(&SymGrid::representative(state))
     }
+}
+
+/// The visited logs in a checkpoint directory.
+pub fn visited_logs(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut logs: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "log"))
+        .collect();
+    logs.sort();
+    logs
+}
+
+/// The length of the one visited log in `dir`, 0 if there is none yet.
+pub fn log_len(dir: &std::path::Path) -> u64 {
+    match visited_logs(dir).as_slice() {
+        [] => 0,
+        [log] => std::fs::metadata(log).expect("log metadata").len(),
+        logs => panic!("more than one log: {logs:?}"),
+    }
+}
+
+/// What the visited log holds once a commit at a boundary with these
+/// statistics lands: a 16-byte record per visited digest or, under
+/// symmetry, a 17-byte tagged record per visited digest and per exact
+/// digest — one exact digest per visited one plus one per orbit hit
+/// (a single initial state, and a fresh orbit is a fresh state).
+pub fn log_bytes(stats: &ExploreStats) -> u64 {
+    let visited: usize = stats.shard_occupancy.iter().sum();
+    let bytes = if stats.symmetry {
+        17 * (2 * visited + stats.orbit_hits)
+    } else {
+        16 * visited
+    };
+    bytes as u64
+}
+
+/// [`log_bytes`] at every level boundary of a run of `checker` (which
+/// must not checkpoint itself) over `space` from the grid's corner,
+/// indexed by depth; past the last level, the log stops growing.
+pub fn log_lengths(checker: &Checker, space: &SymGrid) -> Vec<u64> {
+    let mut lengths = Vec::new();
+    checker
+        .try_run_observed(
+            space,
+            vec![(0, 0)],
+            |_| false,
+            |depth, stats| {
+                assert_eq!(depth, lengths.len());
+                lengths.push(log_bytes(stats));
+                true
+            },
+        )
+        .expect("a fault-free run");
+    lengths
+}
+
+/// The log length at boundary `depth` of [`log_lengths`].
+pub fn log_at(lengths: &[u64], depth: usize) -> u64 {
+    lengths
+        .get(depth)
+        .or(lengths.last())
+        .copied()
+        .unwrap_or_default()
+}
+
+/// The level of the image `dir` holds, if any, read by a resume of
+/// `checker` that is cancelled before it commits anything.
+pub fn image_depth(checker: &Checker, dir: &std::path::Path, space: &SymGrid) -> Option<usize> {
+    if !slx_engine::CheckpointStore::exists(dir) {
+        return None;
+    }
+    checker
+        .clone()
+        .resume(dir)
+        .try_run_observed(space, vec![(0, 0)], |_| false, |_, _| false)
+        .unwrap_or_else(|err| panic!("the committed image in {} loads: {err}", dir.display()))
+        .stats
+        .resumed_from_depth
 }

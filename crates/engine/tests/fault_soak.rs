@@ -25,7 +25,7 @@ use slx_engine::{
 };
 
 mod common;
-use common::SymGrid;
+use common::{image_depth, log_at, log_len, log_lengths, SymGrid};
 
 fn unique_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -154,6 +154,7 @@ fn seeded_fault_schedules_never_change_the_verdict_or_tear_state() {
             let space = SymGrid::new(bound);
             let baseline = cell_checker(1, budget, codec, symmetry).run(&space, vec![(0, 0)]);
             assert_eq!(baseline.findings, vec![(bound, bound)]);
+            let lengths = log_lengths(&cell_checker(1, budget, codec, symmetry), &space);
             // The disabled-plane discipline: with no plan armed the new
             // counters must stay exactly zero.
             assert_eq!(baseline.stats.faults_injected, 0);
@@ -184,7 +185,7 @@ fn seeded_fault_schedules_never_change_the_verdict_or_tear_state() {
                         .with_kinds(kinds);
                     let checker = cell_checker(threads, budget, codec, symmetry);
                     endings.push(soak_one(
-                        &space, &baseline, &checker, every, plan, tally, &label,
+                        &space, &baseline, &lengths, &checker, every, plan, tally, &label,
                     ));
                 }
                 assert_eq!(
@@ -214,10 +215,14 @@ fn seeded_fault_schedules_never_change_the_verdict_or_tear_state() {
 
 /// One soaked run of one cell: checks it against the fault-free
 /// `baseline` (bit-identical, or a typed failure that leaves no torn
-/// image and no spill file), tallies it, and reports how it ended.
+/// image, no log past the committed length plus the failed append — the
+/// baseline's log `lengths` by level — and no spill file), tallies it,
+/// and reports how it ended.
+#[allow(clippy::too_many_arguments)]
 fn soak_one(
     space: &SymGrid,
     baseline: &slx_engine::KernelOutcome<(u32, u32)>,
+    lengths: &[u64],
     checker: &Checker,
     every: usize,
     plan: FaultPlan,
@@ -270,6 +275,20 @@ fn soak_one(
                 !ckpt_dir.join("slx-checkpoint.bin.tmp").exists(),
                 "{label}: stranded staging file after {err}"
             );
+            // The failed commit, if the failure was one, is the boundary
+            // after the image's.
+            let committed = image_depth(checker, &ckpt_dir, space);
+            let log = log_len(&ckpt_dir);
+            assert!(
+                log <= log_at(lengths, committed.unwrap_or(0) + every),
+                "{label}: the log outgrew the committed length plus the failed append"
+            );
+            if let Some(depth) = committed {
+                assert!(
+                    log >= log_at(lengths, depth),
+                    "{label}: the log lost committed bytes"
+                );
+            }
             let mut image_depth = None;
             if CheckpointStore::exists(&ckpt_dir) {
                 tally.resumed_after_failure += 1;

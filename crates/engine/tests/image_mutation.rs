@@ -16,12 +16,18 @@
 //!   unbounded reservation for a corrupt length prefix would surface
 //!   here as a capacity-overflow panic or an allocation abort.
 //!
+//! The visited log the image names gets a third arm: bit flips, splices
+//! and truncations inside its committed prefix are always
+//! [`EngineError::CheckpointCorrupt`] (its checksum sits in the image,
+//! out of the mutator's reach), and bytes appended past the committed
+//! length are a torn tail that resumes cleanly, bit-identically.
+//!
 //! The resumed run is cancelled at its first level boundary: this suite
 //! is about what loading does, not about exploring from states nobody
 //! reached.
 
 use std::hash::Hasher;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use slx_consensus::{ConsWord, ObstructionFreeConsensus};
 use slx_engine::{
@@ -76,6 +82,17 @@ fn load(dir: &Path) -> Result<KernelOutcome<OfSystem>, EngineError> {
     checker()
         .resume(dir)
         .try_run_observed(&OfSpace, initial(), |_| false, |_, _| false)
+}
+
+/// The one visited log in `dir`.
+fn log_path(dir: &Path) -> PathBuf {
+    let logs: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("store dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "log"))
+        .collect();
+    assert_eq!(logs.len(), 1, "one log beside the image: {logs:?}");
+    logs.into_iter().next().expect("one log")
 }
 
 fn reseal(body: &[u8]) -> Vec<u8> {
@@ -176,5 +193,94 @@ fn mutated_images_are_refused_or_well_formed_never_a_panic() {
             &format!("splice {case} at {start}..{end}"),
         );
     }
+    std::fs::write(CheckpointStore::file_path(&dir), &image).expect("image restored");
+    mutate_the_log(&dir, &image, &reference);
     std::fs::remove_dir_all(&dir).expect("checkpoint dir cleanup");
+}
+
+/// The log arm, over the pristine image in `dir`: every mutant inside
+/// the committed prefix is refused, and a torn tail past it resumes to
+/// the uninterrupted run.
+fn mutate_the_log(dir: &Path, image: &[u8], reference: &KernelOutcome<OfSystem>) {
+    let path = log_path(dir);
+    let log = std::fs::read(&path).expect("committed log");
+    let refused = |mutant: &[u8], label: &str| {
+        if mutant == log.as_slice() {
+            return;
+        }
+        std::fs::write(&path, mutant).expect("mutant written");
+        let outcome = std::panic::catch_unwind(|| load(dir))
+            .unwrap_or_else(|_| panic!("log {label}: loading the mutant panicked"));
+        assert!(
+            matches!(outcome, Err(EngineError::CheckpointCorrupt { .. })),
+            "log {label}: got {:?}",
+            outcome.map(|outcome| outcome.stats)
+        );
+    };
+    for cut in 0..log.len() {
+        refused(&log[..cut], &format!("truncated to {cut} bytes"));
+    }
+    let mut rng = Rng(0x106_7A11);
+    let at = |rng: &mut Rng| rng.below(log.len() as u64) as usize;
+    for case in 0..500 {
+        let mut mutant = log.clone();
+        let offset = at(&mut rng);
+        mutant[offset] ^= 1 << rng.below(8);
+        refused(&mutant, &format!("flip {case} at byte {offset}"));
+    }
+    for case in 0..500 {
+        let (start, len) = (at(&mut rng), rng.below(33) as usize);
+        let end = (start + len).min(log.len());
+        // Same-length noise, or an insertion or deletion.
+        let patch: Vec<u8> = if case % 2 == 0 {
+            (start..end).map(|_| rng.next() as u8).collect()
+        } else {
+            (0..rng.below(33)).map(|_| rng.next() as u8).collect()
+        };
+        let mutant = [&log[..start], &patch, &log[end..]].concat();
+        refused(&mutant, &format!("splice {case} at {start}..{end}"));
+    }
+
+    // A torn tail: anything past the committed length, as a kill between
+    // a log sync and its image's rename leaves it. The resumed run must
+    // reach what the uninterrupted one reaches, and its first commit
+    // must cut the tail before appending.
+    let uninterrupted = checker()
+        .try_run_observed(&OfSpace, initial(), |_| false, |depth, _| depth < 13)
+        .expect("the uninterrupted run");
+    for tail in [1usize, 16, 17, 1000] {
+        let mut torn = log.clone();
+        torn.extend((0..tail).map(|_| rng.next() as u8));
+        std::fs::write(&path, &torn).expect("torn tail written");
+        assert_eq!(
+            load(dir).expect("a torn tail loads").findings,
+            reference.findings
+        );
+        let resumed = checker()
+            .resume(dir)
+            .try_run_observed(&OfSpace, initial(), |_| false, |depth, _| depth < 13)
+            .unwrap_or_else(|err| panic!("tail {tail}: {err}"));
+        assert_eq!(resumed.findings, uninterrupted.findings, "tail {tail}");
+        let counts = |stats: &slx_engine::ExploreStats| {
+            (
+                stats.configs,
+                stats.transitions,
+                stats.dedup_hits,
+                stats.peak_frontier,
+                stats.shard_occupancy.clone(),
+            )
+        };
+        assert_eq!(
+            counts(&resumed.stats),
+            counts(&uninterrupted.stats),
+            "tail {tail}"
+        );
+        let occupied: usize = resumed.stats.shard_occupancy.iter().sum();
+        let grown = std::fs::read(&path).expect("the resumed run's log");
+        assert_eq!(grown.len(), 16 * occupied, "tail {tail}: the tail was cut");
+        assert_eq!(&grown[..log.len()], log.as_slice(), "tail {tail}");
+        // Back to the store the next tail is appended to.
+        std::fs::write(&path, &log).expect("log restored");
+        std::fs::write(CheckpointStore::file_path(dir), image).expect("image restored");
+    }
 }

@@ -149,6 +149,10 @@ fn a_killed_server_resumes_the_parked_request_to_the_uninterrupted_verdict() {
     drop(server);
     drop(conn);
     assert!(root.join("probe-cons/slx-checkpoint.bin").is_file());
+    assert!(
+        root.join("probe-cons/slx-visited-0.log").is_file(),
+        "the image's visited log sits beside it"
+    );
 
     // Restarted without the stall on the same root: the resubmitted id
     // resumes from the last committed image.
