@@ -5,7 +5,8 @@ use std::fmt;
 use std::hash::Hash;
 
 use slx_engine::{
-    digest128_of, Checker, DeltaCodec, DeltaCtx, Digest, Expansion, StateCodec, StateSpace,
+    digest128_of, Checker, DeltaCodec, DeltaCtx, Digest, Expansion, KernelOutcome, StateCodec,
+    StateSpace,
 };
 
 /// Index of a state within an [`Automaton`].
@@ -495,8 +496,16 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
 /// parallel expansion, disk-backed spilling, and replay regeneration
 /// available.
 ///
-/// What a run costs is its clones, digests and visited inserts. Per
-/// execution that is four allocations and no reallocation — the two
+/// No two states of a run are equal: an execution has one parent, its
+/// prefix; the extensions of one execution differ in their last
+/// `(action, target)`, a distinct key of a row's map and set; and the
+/// initial executions differ in their one state. The space declares it
+/// ([`StateSpace::REVISITS`] is `false`), so the kernel computes no
+/// digest for an extension and makes no visited insert for one, and no
+/// 128-bit collision can lose an execution.
+///
+/// What a run costs is its clones. Per execution that is four
+/// allocations and no reallocation — the two
 /// vectors of the extension ([`Execution::extended`]) and the two of the
 /// clone reported as the finding — with every vector the caller gets back
 /// at `capacity() == len()`; the successor and finding buffers are the
@@ -514,6 +523,8 @@ where
 {
     type State = Execution<L>;
     type Finding = Execution<L>;
+
+    const REVISITS: bool = false;
 
     fn digest(&self, exec: &Self::State) -> Digest {
         digest128_of(exec)
@@ -540,18 +551,22 @@ where
     /// (`Checker::with_mem_budget`, any [`slx_engine::SpillCodec`]
     /// including replay) and the parallel BFS backend apply to automata
     /// enumeration too. Both take the same step, a walk of the last
-    /// state's row, so a run costs its clones, digests and visited
-    /// inserts: what the kernel does, not what the automaton is. In
-    /// allocator terms ([`ExecutionSpace`]): four allocations per
-    /// returned execution, two of which the caller keeps.
+    /// state's row, and neither deduplicates an execution (no two are
+    /// equal), so a run costs its clones: four allocations per returned
+    /// execution ([`ExecutionSpace`]), two of which the caller keeps. The
+    /// kernel digests the initial executions only.
     pub fn executions_on(&self, checker: &Checker, depth: usize) -> Vec<Execution<L>> {
+        self.run_executions(checker, depth).findings
+    }
+
+    /// [`Automaton::executions_on`] with the kernel's statistics beside
+    /// the executions (its `findings`).
+    pub fn run_executions(&self, checker: &Checker, depth: usize) -> KernelOutcome<Execution<L>> {
         let space = ExecutionSpace {
             automaton: self,
             depth,
         };
-        checker
-            .run(&space, self.initial_executions().collect())
-            .findings
+        checker.run(&space, self.initial_executions().collect())
     }
 }
 

@@ -31,8 +31,10 @@ pub struct KernelOutcome<F> {
 /// [`StateSpace`].
 ///
 /// Dedupes states on their 128-bit fingerprints only — the visited set
-/// holds 16-byte digests, never full states. A level streams through a
-/// bounded window: with one thread each parent is expanded and its
+/// holds 16-byte digests, never full states — unless the space declares
+/// that its states never repeat ([`StateSpace::REVISITS`]), when only the
+/// initial states are. A level streams through a bounded window: with
+/// one thread each parent is expanded and its
 /// successors are deduplicated against the [`ShardedVisited`] set before
 /// the next parent is touched; with more, up to `threads` workers expand
 /// blocks of consecutive parents a few blocks ahead of one merging
@@ -202,8 +204,9 @@ impl Checker {
     }
 
     /// Turns symmetry reduction on or off (the default): when on (and
-    /// the space advertises [`StateSpace::has_symmetry_reduction`]), the
-    /// kernel dedups on [`StateSpace::canonical_digest`] instead of the
+    /// the space advertises [`StateSpace::has_symmetry_reduction`] and
+    /// [revisits](StateSpace::REVISITS) states), the kernel dedups on
+    /// [`StateSpace::canonical_digest`] instead of the
     /// exact digest, so each symmetry orbit — e.g. every
     /// process-permutation image of a configuration — is explored
     /// exactly once. Verdicts and findings are preserved by the
@@ -409,8 +412,8 @@ fn open_spill(checker: &Checker, plane: &FaultPlane) -> Result<Option<SpillConfi
 struct BfsRun<'a, Sp: StateSpace> {
     space: &'a Sp,
     checker: &'a Checker,
-    /// Whether symmetry reduction is *active*: asked for and advertised
-    /// by the space.
+    /// Whether symmetry reduction is *active*: asked for, advertised by
+    /// the space, and the space [revisits](StateSpace::REVISITS) states.
     symmetry: bool,
     /// At the top of the level loop, the level about to be expanded;
     /// during a level's expansion, the next level being built.
@@ -435,7 +438,8 @@ struct BfsRun<'a, Sp: StateSpace> {
     /// exact accounting.
     exact_seen: DetHashSet<u128>,
     depth: usize,
-    /// `shard_occupancy` counts digests accepted by the merge. Only the
+    /// `shard_occupancy` counts digests accepted by the merge (the
+    /// initial states alone, for a space that does not revisit). Only the
     /// merging thread ever inserts, one successor at a time in frontier
     /// order, so the counts always equal the set's own per-shard sizes —
     /// on an early stop too: successors still in the window were
@@ -472,7 +476,7 @@ where
             .clone()
             .map_or_else(FaultPlane::disabled, FaultPlane::armed);
         let spill = open_spill(checker, &plane)?;
-        let symmetry = checker.symmetry && space.has_symmetry_reduction();
+        let symmetry = Sp::REVISITS && checker.symmetry && space.has_symmetry_reduction();
         let visited = ShardedVisited::new(checker.shards);
         let mut checkpoint = match &checker.checkpoint {
             Some((dir, every)) => {
@@ -829,8 +833,9 @@ where
 
     /// Deterministic merge of one parent's expansion, in frontier order:
     /// each successor is inserted into the visited set as it arrives (a
-    /// duplicate goes straight to `reject`), and the accepted ones are
-    /// handed to the next frontier as one contiguous run with their
+    /// duplicate goes straight to `reject`; a space that does not
+    /// [revisit](StateSpace::REVISITS) admits all), and the accepted
+    /// ones are handed to the next frontier as one contiguous run with their
     /// push-order action indices, so the replay codec can store a single
     /// (parent, indices) record per parent. Returns whether the stop
     /// predicate fired.
@@ -850,6 +855,13 @@ where
         self.findings.extend(findings);
         for (index, (succ, digest)) in succs.enumerate() {
             stats.transitions += 1;
+            // A space whose states are paths has nothing to deduplicate
+            // a successor against: its digest was never computed.
+            if !Sp::REVISITS {
+                self.accepted.push(succ);
+                self.accepted_indices.push(index);
+                continue;
+            }
             // Under symmetry, `digest` is canonical (computed at push
             // time); track the exact digest on the side so a canonical
             // dup whose exact digest is fresh counts as an orbit

@@ -7,7 +7,10 @@ use crate::digest::Digest;
 /// Implementors supply three things: a state type, a fingerprint
 /// ([`StateSpace::digest`] — the kernel deduplicates on digests only and
 /// never retains states), and successor enumeration
-/// ([`StateSpace::expand`]).
+/// ([`StateSpace::expand`]). A space whose states are paths declares so
+/// through [`StateSpace::REVISITS`]; the kernel then digests and
+/// deduplicates its initial states only, since no successor can equal
+/// another state of the run.
 ///
 /// `expand` receives the state's depth (shortest known distance from an
 /// initial state, in expansion steps) and is responsible for enforcing its
@@ -30,6 +33,25 @@ pub trait StateSpace {
     /// What an expansion can report to the caller: a safety violation, a
     /// decidable value, a starvation witness…
     type Finding: Send;
+
+    /// Whether two expansions of one run can produce equal states.
+    ///
+    /// `false` declares a space whose states are paths: every successor
+    /// is new, because its prefix — the parent that pushed it — is its
+    /// only parent and no expansion pushes one successor twice (an
+    /// execution extended by distinct transitions, a tree walk). The
+    /// kernel then computes no digest for a successor and admits every
+    /// one without a visited-set insert or a checkpoint-log entry; the
+    /// initial states still deduplicate on their digests, and symmetry
+    /// reduction stays inert. A space that declares it wrongly explores a
+    /// repeated state once per way of reaching it: counts grow, and no
+    /// finding is lost — unlike a digest collision, which a
+    /// deduplicating run can only lose a state to.
+    ///
+    /// It states a fact about the space, so it is a constant: no checker
+    /// setting changes it, and every space that keeps the default
+    /// compiles to the deduplicating kernel.
+    const REVISITS: bool = true;
 
     /// The state's 128-bit fingerprint. Must capture everything future
     /// behaviour (and findings) can depend on: states with equal digests
@@ -70,7 +92,8 @@ pub trait StateSpace {
 
 /// Sink for one state's expansion: successors, findings, and truncation.
 ///
-/// Successor digests are computed eagerly at push time: on the worker
+/// Successor digests are computed eagerly at push time (a space that
+/// does not [revisit](StateSpace::REVISITS) gets none): on the worker
 /// that built the successor, while it is still in that worker's cache,
 /// rather than on the one thread that merges — whose share of a level is
 /// then a set insert per successor. A checker keeps one `Expansion` per
@@ -143,7 +166,7 @@ impl<'sp, Sp: StateSpace + ?Sized> Expansion<'sp, Sp> {
 
     /// Emits a successor state.
     pub fn push(&mut self, succ: Sp::State) {
-        let digest = if !self.digests {
+        let digest = if !Sp::REVISITS || !self.digests {
             Digest(0)
         } else if self.canonical {
             self.space.canonical_digest(&succ)

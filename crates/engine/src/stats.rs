@@ -116,7 +116,9 @@ pub struct ExploreStats {
     /// Visited-set shards used by the run.
     pub shards: usize,
     /// Distinct digests accepted into each visited-set shard by the
-    /// deterministic merge, in shard order. Deterministic for a given
+    /// deterministic merge, in shard order. A space that does not
+    /// [revisit](crate::StateSpace::REVISITS) states inserts its initial
+    /// states only. Deterministic for a given
     /// exploration: routing depends only on digests and acceptance only
     /// on frontier order, never on scheduling, thread count, or shard
     /// routing of the dedup work.

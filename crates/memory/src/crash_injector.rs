@@ -97,10 +97,51 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base::Memory;
-    use crate::register_proc::RegisterProcess;
+    use crate::base::{Memory, ObjId, PrimOutcome, Primitive};
+    use crate::process::StepEffect;
     use crate::sched::RoundRobin;
-    use slx_history::{Operation, Value, VarId};
+    use slx_history::{Operation, Response, Value, VarId};
+
+    /// A client of one read/write register: each operation is a single
+    /// primitive, so a process is crashable between any two operations.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct RegisterProcess {
+        reg: ObjId,
+        pending: Option<Operation>,
+    }
+
+    impl RegisterProcess {
+        fn new(reg: ObjId) -> Self {
+            RegisterProcess { reg, pending: None }
+        }
+    }
+
+    impl Process<i64> for RegisterProcess {
+        fn on_invoke(&mut self, op: Operation) {
+            self.pending = Some(op);
+        }
+
+        fn has_step(&self) -> bool {
+            self.pending.is_some()
+        }
+
+        fn step(&mut self, mem: &mut Memory<i64>) -> StepEffect {
+            let resp = match self.pending.take() {
+                None => return StepEffect::Idle,
+                Some(Operation::Read(_)) => match mem.apply(Primitive::Read(self.reg)) {
+                    Ok(PrimOutcome::Value(v)) => Response::ValueReturned(Value::new(v)),
+                    other => unreachable!("a register read returns a value, got {other:?}"),
+                },
+                Some(Operation::Write(_, v)) => {
+                    mem.apply(Primitive::Write(self.reg, v.raw()))
+                        .expect("register allocated");
+                    Response::Ok
+                }
+                Some(other) => panic!("a register cannot execute {other}"),
+            };
+            StepEffect::Responded(resp)
+        }
+    }
 
     fn sys3() -> System<i64, RegisterProcess> {
         let mut mem: Memory<i64> = Memory::new();

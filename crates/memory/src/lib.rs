@@ -16,21 +16,26 @@
 //!
 //! # Examples
 //!
-//! Run two register-client processes under a round-robin scheduler:
+//! Run two clients of one fetch-and-add counter under a round-robin
+//! scheduler:
 //!
 //! ```
-//! use slx_history::{Operation, ProcessId, Value, VarId};
-//! use slx_memory::{Memory, ObjId, RegisterProcess, RoundRobin, System};
+//! use slx_history::{Operation, ProcessId, Response, Value, VarId};
+//! use slx_memory::{AtomicKind, AtomicObjectProcess, Memory, RoundRobin, System};
 //!
 //! let mut mem = Memory::new();
-//! let reg: ObjId = mem.alloc_register(0i64);
-//! let procs = vec![RegisterProcess::new(reg), RegisterProcess::new(reg)];
-//! let mut sys = System::new(mem, procs);
-//! sys.invoke(ProcessId::new(0), Operation::Write(VarId::new(0), Value::new(7))).unwrap();
-//! sys.invoke(ProcessId::new(1), Operation::Read(VarId::new(0))).unwrap();
+//! let counter = mem.alloc_counter(0);
+//! let client = AtomicObjectProcess::new(AtomicKind::Counter, counter);
+//! let mut sys = System::new(mem, vec![client.clone(), client]);
+//! let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+//! sys.invoke(p0, Operation::FetchAdd(Value::new(7))).unwrap();
+//! sys.invoke(p1, Operation::Read(VarId::new(0))).unwrap();
 //! let mut sched = RoundRobin::new();
 //! sys.run(&mut sched, 100);
 //! assert!(sys.history().is_well_formed());
+//! let got = |p| sys.history().responses_of(p);
+//! assert_eq!(got(p0), vec![Response::ValueReturned(Value::new(0))]);
+//! assert_eq!(got(p1), vec![Response::ValueReturned(Value::new(7))]);
 //! ```
 
 #![warn(missing_docs)]
@@ -39,7 +44,6 @@ mod atomic_proc;
 mod base;
 mod crash_injector;
 mod process;
-mod register_proc;
 mod rng;
 mod sched;
 mod system;
@@ -49,8 +53,7 @@ pub use atomic_proc::{AtomicKind, AtomicObjectProcess};
 pub use base::{BaseObject, Memory, MemoryError, ObjId, ObjRun, PrimOutcome, Primitive, Word};
 pub use crash_injector::{CrashPlan, RandomCrashes};
 pub use process::{Process, StepEffect};
-pub use register_proc::RegisterProcess;
 pub use rng::SmallRng;
 pub use sched::{Decision, FairRandom, RoundRobin, Scheduler, SoloScheduler};
 pub use system::{Event, RunStats, System, SystemError};
-pub use workload::{OneShot, RepeatTxn, Workload, WorkloadScheduler};
+pub use workload::{RepeatTxn, Workload, WorkloadScheduler};

@@ -16,27 +16,6 @@ pub trait Workload {
     fn next_op(&mut self, proc: ProcessId, last: Option<Response>) -> Option<Operation>;
 }
 
-/// Each process performs one fixed operation, then stops.
-#[derive(Debug, Clone)]
-pub struct OneShot {
-    ops: Vec<Option<Operation>>,
-}
-
-impl OneShot {
-    /// One operation per process; `ops[i]` is process `i`'s operation.
-    pub fn new(ops: Vec<Operation>) -> Self {
-        OneShot {
-            ops: ops.into_iter().map(Some).collect(),
-        }
-    }
-}
-
-impl Workload for OneShot {
-    fn next_op(&mut self, proc: ProcessId, _last: Option<Response>) -> Option<Operation> {
-        self.ops.get_mut(proc.index()).and_then(Option::take)
-    }
-}
-
 /// A closed-loop transactional workload: each process repeatedly runs the
 /// transaction `start(); read(x_r for r in reads); write(x_w, v); tryC()`,
 /// retrying from `start()` after every abort, until it has *committed*
@@ -210,18 +189,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_shot_issues_once() {
-        let mut w = OneShot::new(vec![Operation::TxStart, Operation::TxCommit]);
-        let p0 = ProcessId::new(0);
-        assert_eq!(w.next_op(p0, None), Some(Operation::TxStart));
-        assert_eq!(w.next_op(p0, Some(Response::Ok)), None);
-        assert_eq!(
-            w.next_op(ProcessId::new(1), None),
-            Some(Operation::TxCommit)
-        );
-    }
 
     #[test]
     fn repeat_txn_script_order() {

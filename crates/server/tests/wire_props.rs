@@ -2,9 +2,13 @@
 //! — truncated, garbage, oversized, wrong-versioned — makes the decoder
 //! panic, hang, or read unboundedly. The decoder inherits the engine
 //! codec's totality contract, and these tests pin that it actually
-//! holds at the frame layer too.
+//! holds at the frame layer too. Beyond truncation and junk, a seeded
+//! mutation suite flips bits in and splices bytes into every sample
+//! frame: each mutant is an error or a well-formed frame.
 
-use std::io::Cursor;
+use std::io::{Cursor, Read};
+
+use slx_core::memory::SmallRng;
 
 use slx_server::wire::{
     read_frame, read_hello, write_frame, write_hello, CheckRequest, Frame, ProgressFrame,
@@ -226,4 +230,113 @@ fn request_id_validation_rejects_path_escapes() {
     ] {
         assert!(validate_request_id(bad).is_err(), "{bad:?}");
     }
+}
+
+/// Hands out `inner`'s bytes, counting them.
+struct Counted<R> {
+    inner: R,
+    read: usize,
+}
+
+impl<R: Read> Read for Counted<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.read += n;
+        Ok(n)
+    }
+}
+
+/// LEB128 forms at and past the edge: `u64::MAX` in its ten bytes, ten
+/// continuation bytes with no end, a tenth byte carrying more than the
+/// last value bit, `u32::MAX`, and `u32::MAX + 1` (five bytes).
+const MAXIMAL_VARINTS: [&[u8]; 5] = [
+    &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01],
+    &[0xFF; 10],
+    &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7F],
+    &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
+    &[0x80, 0x80, 0x80, 0x80, 0x10],
+];
+
+/// Mutants of one encoded frame (`wire`: length prefix, then body): one
+/// to three bit flips anywhere, prefix included; and splices into the
+/// body — up to four bytes cut at a random point and random bytes or a
+/// maximal varint put in their place — under a prefix that states the
+/// new body's length, so the body decoder sees all of it.
+fn mutants(wire: &[u8], rng: &mut SmallRng) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for _ in 0..96 {
+        let mut flipped = wire.to_vec();
+        for _ in 0..=rng.gen_index(3) {
+            let bit = rng.gen_index(8 * wire.len());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        out.push(flipped);
+    }
+    let body = &wire[4..];
+    for round in 0..96 {
+        let at = rng.gen_index(body.len() + 1);
+        let cut = rng.gen_index(5).min(body.len() - at);
+        let insert: Vec<u8> = if round % 2 == 0 {
+            (0..=rng.gen_index(8))
+                .map(|_| rng.next_u64() as u8)
+                .collect()
+        } else {
+            MAXIMAL_VARINTS[rng.gen_index(MAXIMAL_VARINTS.len())].to_vec()
+        };
+        let mut spliced = body[..at].to_vec();
+        spliced.extend_from_slice(&insert);
+        spliced.extend_from_slice(&body[at + cut..]);
+        let mut mutant = (spliced.len() as u32).to_le_bytes().to_vec();
+        mutant.extend_from_slice(&spliced);
+        out.push(mutant);
+    }
+    out
+}
+
+#[test]
+fn every_mutant_of_every_frame_is_an_error_or_a_well_formed_frame() {
+    let mut rng = SmallRng::seed_from_u64(14);
+    let (mut decoded, mut refused) = (0, 0);
+    for frame in sample_frames() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &frame).expect("write");
+        for mutant in mutants(&wire, &mut rng) {
+            let outcome = std::panic::catch_unwind(|| {
+                let result = read_frame(&mut Cursor::new(&mutant));
+                // The same bytes with no end after them: the decoder may
+                // not take more than a prefix and `MAX_FRAME` of them.
+                let mut endless = Counted {
+                    inner: Cursor::new(&mutant).chain(std::io::repeat(0xA5)),
+                    read: 0,
+                };
+                let _ = read_frame(&mut endless);
+                (result, endless.read)
+            });
+            let Ok((result, read)) = outcome else {
+                panic!("read_frame panicked on the mutant {mutant:02x?} of {frame:?}");
+            };
+            assert!(read <= 4 + MAX_FRAME, "{read} bytes read for {mutant:02x?}");
+            match result {
+                Err(_) => refused += 1,
+                Ok(None) => panic!("a non-empty mutant read as a clean hangup: {mutant:02x?}"),
+                Ok(Some(back)) => {
+                    // Well-formed: what the writer emits for the decoded
+                    // frame is exactly the body it was decoded from.
+                    let len = u32::from_le_bytes(mutant[..4].try_into().unwrap()) as usize;
+                    assert_eq!(
+                        back.encode_body(),
+                        mutant[4..4 + len],
+                        "{mutant:02x?} decoded as {back:?}"
+                    );
+                    decoded += 1;
+                }
+            }
+        }
+    }
+    // Both outcomes occur: a flipped count still decodes, a flipped tag
+    // does not.
+    assert!(
+        decoded > 0 && refused > 0,
+        "{decoded} decoded, {refused} refused"
+    );
 }

@@ -179,8 +179,10 @@ fn an_extension_is_two_allocations_and_an_enumeration_four_per_execution() {
     assert_eq!(extended.last_state(), target);
 
     // The kernel's run: per execution, the extension (2) and the clone
-    // reported as a finding (2); the visited set, the findings vector and
-    // the window's buffers grow by doubling and vanish in the average.
+    // reported as a finding (2); the findings vector and the window's
+    // buffers grow by doubling and vanish in the average, and the visited
+    // set holds the one initial execution (an execution is never
+    // deduplicated).
     // One thread, so the whole run is on this thread's counters.
     let checker = pinned(1);
     let (execs, cost) = cost_of(|| it.executions_on(&checker, DEPTH));

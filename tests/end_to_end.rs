@@ -8,7 +8,9 @@ use safety_liveness_exclusion::explorer::{explore_safety, history_digest, verify
 use safety_liveness_exclusion::grid::{consensus_grid, tm_grid};
 use safety_liveness_exclusion::history::{Operation, ProcessId, Response, Value};
 use safety_liveness_exclusion::liveness::LkFreedom;
-use safety_liveness_exclusion::memory::{Memory, ObjId, Primitive, Process, StepEffect, System};
+use safety_liveness_exclusion::memory::{
+    Memory, ObjId, ObjRun, Primitive, Process, StepEffect, System,
+};
 use safety_liveness_exclusion::safety::ConsensusSafety;
 use safety_liveness_exclusion::sect6::{nx_report, s_freedom_report};
 use safety_liveness_exclusion::theorems::{consensus_gmax_demo, tm_gmax_demo};
@@ -157,6 +159,146 @@ fn figure_1a_white_anchor_flags_a_consensus_that_waits_for_the_other() {
         verify_solo_progress(&control, &active, 8, 400).is_some(),
         "a solo process that waits forever went unflagged"
     );
+}
+
+/// Planted bug for the safety half of Figure 1(a)'s white anchor: rounds
+/// of commit-adopt with the `b` half cut out. A process writes its
+/// estimate to its register of the round's `a` array and collects the
+/// array; seeing no other value it decides at once — commit-adopt's
+/// commit, taken without the `b` collect through which a later process
+/// would learn of it — and otherwise carries the larger value into the
+/// next round. Solo, a process decides its proposal after three steps;
+/// but one that decides in round 0 leaves nothing for a slower process
+/// to adopt, which then meets no rival in round 1 and decides its own.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct CommitWithoutB {
+    /// Two registers per round, round `r` at `2r` and `2r + 1`.
+    a: ObjRun,
+    me: usize,
+    estimate: Option<Value>,
+    round: usize,
+    /// The register the round's collect reads next; `None` before the
+    /// round's write.
+    next: Option<usize>,
+    /// The largest other value the round's collect has seen.
+    rival: Option<Value>,
+}
+
+/// More rounds than two proposers can use: after one conflict both hold
+/// the larger value.
+const CONTROL_ROUNDS: usize = 4;
+
+impl CommitWithoutB {
+    fn proposers(inputs: [i64; 2]) -> System<ConsWord, Self> {
+        let mut mem: Memory<ConsWord> = Memory::new();
+        let a = mem.alloc_registers(2 * CONTROL_ROUNDS, ConsWord::Bot);
+        let procs = (0..2)
+            .map(|me| CommitWithoutB {
+                a,
+                me,
+                estimate: None,
+                round: 0,
+                next: None,
+                rival: None,
+            })
+            .collect();
+        let mut sys = System::new(mem, procs);
+        for (i, v) in inputs.into_iter().enumerate() {
+            sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(v)))
+                .unwrap();
+        }
+        sys
+    }
+}
+
+impl Process<ConsWord> for CommitWithoutB {
+    fn on_invoke(&mut self, op: Operation) {
+        let Operation::Propose(v) = op else {
+            panic!("consensus accepts only propose(), got {op}");
+        };
+        self.estimate = Some(v);
+    }
+
+    fn has_step(&self) -> bool {
+        self.estimate.is_some()
+    }
+
+    fn step(&mut self, mem: &mut Memory<ConsWord>) -> StepEffect {
+        let Some(est) = self.estimate else {
+            return StepEffect::Idle;
+        };
+        let Some(j) = self.next else {
+            let mine = self.a.at(2 * self.round + self.me);
+            mem.apply(Primitive::Write(mine, ConsWord::Val(est)))
+                .unwrap();
+            self.next = Some(0);
+            return StepEffect::Ran;
+        };
+        let seen = mem
+            .apply(Primitive::Read(self.a.at(2 * self.round + j)))
+            .unwrap()
+            .expect_value();
+        if let ConsWord::Val(w) = seen {
+            if w != est {
+                self.rival = self.rival.max(Some(w));
+            }
+        }
+        if j == 0 {
+            self.next = Some(1);
+            return StepEffect::Ran;
+        }
+        match self.rival.take() {
+            Some(rival) if self.round + 1 < CONTROL_ROUNDS => {
+                self.estimate = Some(est.max(rival));
+                self.round += 1;
+                self.next = None;
+                StepEffect::Ran
+            }
+            _ => {
+                self.estimate = None;
+                StepEffect::Responded(Response::Decided(est))
+            }
+        }
+    }
+}
+
+impl StateCodec for CommitWithoutB {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.a.encode(out);
+        self.me.encode(out);
+        self.estimate.encode(out);
+        self.round.encode(out);
+        self.next.encode(out);
+        self.rival.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(CommitWithoutB {
+            a: ObjRun::decode(input)?,
+            me: usize::decode(input)?,
+            estimate: Option::decode(input)?,
+            round: usize::decode(input)?,
+            next: Option::decode(input)?,
+            rival: Option::decode(input)?,
+        })
+    }
+}
+
+impl DeltaCodec for CommitWithoutB {}
+
+/// The control flips the safety half of Figure 1(a)'s white anchor at the
+/// grid's scope: the `explore_safety` call that passes
+/// `ObstructionFreeConsensus` (default checker, both processes active,
+/// depth 18) finds two decisions that disagree. Solo progress holds for
+/// the control, so safety is the only half it flips.
+#[test]
+fn figure_1a_white_anchor_flags_a_commit_without_the_b_collect() {
+    let active = [ProcessId::new(0), ProcessId::new(1)];
+    let safety = ConsensusSafety::new();
+    let control = CommitWithoutB::proposers([1, 2]);
+    let out = explore_safety(&control, &active, 18, &safety, history_digest);
+    assert!(!out.holds(), "disagreeing decisions went unflagged");
+    assert!(verify_solo_progress(&control, &active, 8, 400).is_none());
 }
 
 #[test]
