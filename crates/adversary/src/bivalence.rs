@@ -326,13 +326,7 @@ mod tests {
     /// [`BivalenceScheduler`] invokes them itself, so they land inside
     /// the detected lasso's stem.
     fn of_system(max_rounds: usize) -> System<ConsWord, ObstructionFreeConsensus> {
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 2, max_rounds);
-        let procs = vec![
-            ObstructionFreeConsensus::new(layout, p(0), 2),
-            ObstructionFreeConsensus::new(layout, p(1), 2),
-        ];
-        System::new(mem, procs)
+        ObstructionFreeConsensus::system(2, max_rounds)
     }
 
     fn decides_on_cycle(witness: &slx_explorer::CycleWitness) -> bool {
@@ -363,10 +357,10 @@ mod tests {
         assert_eq!(witness.cycle_steppers(), vec![p(0), p(1)]);
         assert!(!decides_on_cycle(&witness), "no decisions");
         use slx_liveness::{LkFreedom, ProgressKind};
-        assert!(!witness.evaluate_liveness(&LkFreedom::new(1, 2), 2, ProgressKind::AnyResponse));
-        assert!(!witness.evaluate_liveness(&LkFreedom::new(2, 2), 2, ProgressKind::AnyResponse));
+        assert!(!witness.evaluate_liveness(&LkFreedom::new(1, 2), ProgressKind::AnyResponse));
+        assert!(!witness.evaluate_liveness(&LkFreedom::new(2, 2), ProgressKind::AnyResponse));
         // (1,1)-freedom holds vacuously on the cycle: two steppers > k=1.
-        assert!(witness.evaluate_liveness(&LkFreedom::new(1, 1), 2, ProgressKind::AnyResponse));
+        assert!(witness.evaluate_liveness(&LkFreedom::new(1, 1), ProgressKind::AnyResponse));
     }
 
     #[test]
@@ -409,12 +403,7 @@ mod tests {
         // normalized counts must rebase over the *active* slots only —
         // a phantom zero would pin the minimum, the rebased counters
         // would grow forever, and the cycle key would never repeat.
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = ObstructionFreeConsensus::layout(&mut mem, 3, 64);
-        let procs = (0..3)
-            .map(|i| ObstructionFreeConsensus::new(layout, p(i), 3))
-            .collect();
-        let mut sys = System::new(mem, procs);
+        let mut sys = ObstructionFreeConsensus::system(3, 64);
         let mut sched = BivalenceScheduler::new(vec![(p(1), v(1)), (p(2), v(2))], 60_000);
         let witness = slx_explorer::run_until_cycle_keyed(
             &mut sys,

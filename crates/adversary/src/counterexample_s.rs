@@ -173,8 +173,8 @@ mod tests {
         assert_eq!(witness.cycle_steppers(), vec![p(0), p(1), p(2)]);
         // Exact verdicts on stem·cycle^ω: (1,3)-freedom is violated (three
         // steppers, nobody commits) while (2,2)-freedom holds vacuously.
-        assert!(!witness.evaluate_liveness(&LkFreedom::new(1, 3), 3, ProgressKind::CommitOnly));
-        assert!(witness.evaluate_liveness(&LkFreedom::new(2, 2), 3, ProgressKind::CommitOnly));
+        assert!(!witness.evaluate_liveness(&LkFreedom::new(1, 3), ProgressKind::CommitOnly));
+        assert!(witness.evaluate_liveness(&LkFreedom::new(2, 2), ProgressKind::CommitOnly));
     }
 
     #[test]

@@ -198,26 +198,26 @@ impl<P: Process<TmWord>> Scheduler<TmWord, P> for TmStarvation {
 }
 
 /// The §4.1 cycle-detection key for [`TmStarvation`] on a
-/// [`GlobalVersionTm`]: the configuration with versions and values rebased
-/// to the committed state, and the strategy state with its stored read
-/// value rebased by the same amount. The version counter climbs by one per
-/// round, so raw configurations never repeat; by the shift-invariance
-/// argument of `slx_tm::normalize`, a repeat of this key witnesses an
-/// infinite execution.
+/// [`GlobalVersionTm`] with any number of processes: the configuration
+/// with versions and values rebased to the committed state over the
+/// strategy's two processes ([`normalized_global_version`]; the strategy
+/// never invokes the others, so they never step), and the strategy state
+/// with its stored read value rebased by the same amount. The version
+/// counter climbs by one per round, so raw configurations never repeat;
+/// by the shift-invariance argument of `slx_tm::normalize`, a repeat of
+/// this key witnesses an infinite execution.
 #[must_use]
 pub fn normalized_starvation_key(
     sys: &System<TmWord, GlobalVersionTm>,
     adv: &TmStarvation,
 ) -> (System<TmWord, GlobalVersionTm>, (Phase, bool, i64)) {
     let dval = committed_shift(sys).dval;
-    (normalized_global_version(sys), adv.normalized_state(dval))
+    let norm = normalized_global_version(sys, &[adv.victim, adv.committer]);
+    (norm, adv.normalized_state(dval))
 }
 
-/// The §4.1 cycle-detection key for [`TmStarvation`] on an [`AgpTm`] with
-/// any number of processes: [`normalized_starvation_key`] with the
-/// configuration rebased over the strategy's two processes only
-/// ([`normalized_agp_among`]). The strategy never invokes the others, so
-/// they never step.
+/// [`normalized_starvation_key`] for an [`AgpTm`]: the configuration is
+/// rebased over the strategy's two processes by [`normalized_agp_among`].
 #[must_use]
 pub fn normalized_starvation_agp_key(
     sys: &System<TmWord, AgpTm>,
@@ -298,9 +298,9 @@ mod tests {
         assert!(committer_commits_in_cycle);
         // Exact liveness verdicts on the infinite execution stem·cycle^ω
         // (no finite-run approximation): Theorem 5.3's classification.
-        assert!(!witness.evaluate_liveness(&LkFreedom::new(2, 2), 2, ProgressKind::CommitOnly));
-        assert!(witness.evaluate_liveness(&LkFreedom::new(1, 2), 2, ProgressKind::CommitOnly));
-        assert!(!witness.evaluate_liveness(&Lmax::new(), 2, ProgressKind::CommitOnly));
+        assert!(!witness.evaluate_liveness(&LkFreedom::new(2, 2), ProgressKind::CommitOnly));
+        assert!(witness.evaluate_liveness(&LkFreedom::new(1, 2), ProgressKind::CommitOnly));
+        assert!(!witness.evaluate_liveness(&Lmax::new(), ProgressKind::CommitOnly));
     }
 
     #[test]

@@ -116,6 +116,17 @@ impl ObstructionFreeConsensus {
         }
     }
 
+    /// A fresh system of `n` processes over `max_rounds` pre-allocated
+    /// rounds, none of them invoked yet.
+    pub fn system(n: usize, max_rounds: usize) -> System<ConsWord, Self> {
+        let mut mem: Memory<ConsWord> = Memory::new();
+        let layout = Self::layout(&mut mem, n, max_rounds);
+        let procs = (0..n)
+            .map(|i| Self::new(layout, ProcessId::new(i), n))
+            .collect();
+        System::new(mem, procs)
+    }
+
     /// A fresh system of `inputs.len()` proposers over `max_rounds`
     /// pre-allocated rounds, process `i` pending on `Propose(inputs[i])`.
     ///
@@ -131,13 +142,7 @@ impl ObstructionFreeConsensus {
     /// checkpoint image: every object, written and read back one by one)
     /// and the symmetry canonicalizer, which maps the whole pool.
     pub fn proposers(inputs: &[i64], max_rounds: usize) -> System<ConsWord, Self> {
-        let n = inputs.len();
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let layout = Self::layout(&mut mem, n, max_rounds);
-        let procs = (0..n)
-            .map(|i| Self::new(layout, ProcessId::new(i), n))
-            .collect();
-        let mut sys = System::new(mem, procs);
+        let mut sys = Self::system(inputs.len(), max_rounds);
         for (i, &input) in inputs.iter().enumerate() {
             sys.invoke(ProcessId::new(i), Operation::Propose(Value::new(input)))
                 .expect("a fresh process accepts its first invocation");

@@ -73,42 +73,27 @@ where
     let workload = RepeatTxn::new(2, vec![x], vec![x], None);
     let mut sched = WorkloadScheduler::new(2, workload, SoloScheduler::new(SURVIVOR));
     let witness = run_until_cycle_keyed_after(sys, &CRASH_PREFIX, &mut sched, events, key);
-    Lasso::new(witness, 2, ProgressKind::CommitOnly)
+    Lasso::new(witness, ProgressKind::CommitOnly)
 }
 
-/// A [`Survivor`] run's cycle-detection key over `norm`, the run's
-/// configuration with words and process states rebased by `dval`: the
-/// memory, and the survivor's pending flag, state and workload state
-/// rebased by `dval`. The crashed process is left out: it never steps or
-/// invokes again, and its rebased states would drift with `dval`. So is
-/// the workload scheduler's own bookkeeping: it only carries a process's
-/// last response until the next invocation, and with unbounded commits an
-/// abort and a commit advance the workload alike.
-fn survivor_key<P>(norm: &System<TmWord, P>, sched: &Survivor, dval: i64) -> impl Hash
-where
-    P: Process<TmWord> + Clone + Hash,
-{
-    let workload = sched.workload().normalized_state(SURVIVOR, dval);
-    let survivor = norm.process(SURVIVOR).cloned();
-    (
-        norm.memory().clone(),
-        norm.is_pending(SURVIVOR),
-        survivor,
-        workload,
-    )
-}
-
-/// The lock TM's key. Nothing commits, so the raw configuration repeats
-/// (`transformed` resets the memory's step counter).
+/// The lock TM's key: the configuration (`transformed` resets the
+/// memory's step counter; nothing commits, so it repeats raw) and the
+/// survivor's workload state. The workload scheduler's own bookkeeping is
+/// left out: it only carries a process's last response until the next
+/// invocation, and with unbounded commits an abort and a commit advance
+/// the workload alike.
 fn lock_tm_key(sys: &System<TmWord, LockTm>, sched: &Survivor) -> impl Hash {
-    survivor_key(&sys.transformed(Clone::clone, Clone::clone), sched, 0)
+    let workload = sched.workload().normalized_state(SURVIVOR, 0);
+    (sys.transformed(Clone::clone, Clone::clone), workload)
 }
 
-/// The lock-free TM's key: versions and values climb with every commit
-/// and are rebased.
+/// The lock-free TM's key: versions and values climb with every commit,
+/// so the configuration is rebased over the survivor, the one process
+/// that steps, and so is its workload state.
 fn lock_free_key(sys: &System<TmWord, GlobalVersionTm>, sched: &Survivor) -> impl Hash {
     let dval = committed_shift(sys).dval;
-    survivor_key(&normalized_global_version(sys), sched, dval)
+    let workload = sched.workload().normalized_state(SURVIVOR, dval);
+    (normalized_global_version(sys, &[SURVIVOR]), workload)
 }
 
 /// Runs the crash experiment: process 1 acquires whatever its TM needs

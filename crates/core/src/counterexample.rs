@@ -2,14 +2,16 @@
 //! (l,k)-freedom property.
 
 use slx_adversary::{
-    normalized_starvation_agp_key, normalized_triple_round_key, TmStarvation, TripleRoundAdversary,
+    normalized_starvation_agp_key, normalized_triple_round_key, TripleRoundAdversary,
 };
-use slx_explorer::{run_until_cycle_keyed, run_until_cycle_keyed_after, Lasso};
+use slx_explorer::{run_until_cycle_keyed, Lasso};
 use slx_history::{ProcessId, TransactionStatus, TxnView, Value, VarId};
 use slx_liveness::{LkFreedom, ProgressKind};
-use slx_memory::{Decision, FairRandom, RepeatTxn, WorkloadScheduler};
+use slx_memory::{FairRandom, RepeatTxn, WorkloadScheduler};
 use slx_safety::PropertyS;
 use slx_tm::AgpTm;
+
+use crate::grid::{others_crashed, starvation_lasso};
 
 /// Outcome of the Section 5.3 experiment.
 #[derive(Debug, Clone)]
@@ -53,29 +55,18 @@ impl CounterexampleReport {
     }
 }
 
-/// Leg 2's lasso: `prefix` applied to a fresh I(1,2) on three processes
-/// (its events head the stem), then the §4.1 strategy with victim `p1`
-/// and committer `p2`; and whether the run kept property `S`'s abort rule.
-fn starvation_lasso(prefix: &[Decision], events: u64) -> (Lasso, bool) {
-    let mut sys = AgpTm::system(3, 1);
-    let mut starve = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
-    let key = normalized_starvation_agp_key;
-    let witness = run_until_cycle_keyed_after(&mut sys, prefix, &mut starve, events, key);
-    let s_holds = PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
-    (Lasso::new(witness, 3, ProgressKind::CommitOnly), s_holds)
-}
-
 /// Runs the three legs of the Section 5.3 experiment against Algorithm
-/// I(1,2), each lasso search and the fair run within `events` events:
+/// I(1,2) on three processes, leg 1's lasso search and leg 3's fair run
+/// within `events` events:
 ///
 /// 1. the three-process synchronized-round adversary (excludes
 ///    (1,3)-freedom);
-/// 2. the two-process §4.1 starvation strategy, with the third process
-///    crashed first (excludes (2,2)-freedom — property `S` contains
-///    opacity, so the opacity exclusion carries over). The crash matters:
-///    with the third process correct and never invoked, it counts as
-///    progressing, so the committer and it make two and the run
-///    *satisfies* (2,2)-freedom;
+/// 2. Figure 1(b)'s black-anchor search ([`starvation_lasso`]): the §4.1
+///    strategy with the third process crashed first (excludes
+///    (2,2)-freedom — property `S` contains opacity, so the opacity
+///    exclusion carries over). The crash matters: with the third process
+///    correct and never invoked, it counts as progressing, so the
+///    committer and it make two and the run *satisfies* (2,2)-freedom;
 /// 3. a fair two-stepper workload showing both processes commit
 ///    ((1,2)-freedom holds) while property `S` is preserved (Lemma 5.4).
 pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
@@ -85,13 +76,13 @@ pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
         TripleRoundAdversary::new([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
     let key = normalized_triple_round_key;
     let witness = run_until_cycle_keyed(&mut sys, &mut triple, events, key);
-    let triple_lasso = Lasso::new(witness, 3, ProgressKind::CommitOnly);
+    let triple_lasso = Lasso::new(witness, ProgressKind::CommitOnly);
     let mut s_holds = PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
 
     // Leg 2: (2,2) excluded.
-    let (starvation_lasso, leg2_s) =
-        starvation_lasso(&[Decision::Crash(ProcessId::new(2))], events);
-    s_holds &= leg2_s;
+    let mut sys = AgpTm::system(3, 1);
+    let starvation = starvation_lasso(&mut sys, &others_crashed(3), normalized_starvation_agp_key);
+    s_holds &= PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
 
     // Leg 3: (1,2) implementable.
     let mut sys = AgpTm::system(3, 1);
@@ -115,8 +106,8 @@ pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
     CounterexampleReport {
         triple_violates_13: triple_lasso.verdict(&LkFreedom::new(1, 3)) == Some(false),
         triple_lasso,
-        starvation_violates_22: starvation_lasso.verdict(&LkFreedom::new(2, 2)) == Some(false),
-        starvation_lasso,
+        starvation_violates_22: starvation.verdict(&LkFreedom::new(2, 2)) == Some(false),
+        starvation_lasso: starvation,
         duo_commits: [commits(0), commits(1)],
         s_holds,
     }
@@ -135,16 +126,18 @@ mod tests {
     #[test]
     fn leg_2_excludes_22_freedom_only_with_the_idle_process_crashed() {
         let (two_two, one_two) = (LkFreedom::new(2, 2), LkFreedom::new(1, 2));
+        let key = normalized_starvation_agp_key;
         // The idle p3 is correct and has nothing pending: it counts as
         // progressing beside the committer, so (2,2)-freedom holds.
-        let (idle, _) = starvation_lasso(&[], 3000);
+        let idle = starvation_lasso(&mut AgpTm::system(3, 1), &[], key);
         assert_eq!(idle.verdict(&two_two), Some(true));
         assert_eq!(idle.verdict(&one_two), Some(true));
         // With p3 crashed in the stem only the committer progresses.
-        let (crashed, s_holds) = starvation_lasso(&[Decision::Crash(ProcessId::new(2))], 3000);
+        let mut sys = AgpTm::system(3, 1);
+        let crashed = starvation_lasso(&mut sys, &others_crashed(3), key);
         assert_eq!(crashed.verdict(&two_two), Some(false));
         assert_eq!(crashed.verdict(&one_two), Some(true));
-        assert!(s_holds);
+        assert!(PropertyS::new(Value::new(0)).abort_rule_holds(sys.history()));
         // The crash is the stem's first event; the cycles agree.
         let (idle, crashed) = (idle.witness.unwrap(), crashed.witness.unwrap());
         assert_eq!(

@@ -1,19 +1,21 @@
 //! Figure 1: classification of (l,k)-freedom points.
 
 use std::fmt;
+use std::hash::Hash;
 
 use slx_adversary::{
     normalized_of_consensus_key, normalized_starvation_key, BivalenceScheduler, TmStarvation,
 };
 use slx_consensus::ObstructionFreeConsensus;
+use slx_engine::DeltaCodec;
 use slx_explorer::{
-    explore_safety, history_digest, run_until_cycle_keyed, verify_solo_progress, Lasso,
+    explore_safety, history_digest, run_until_cycle_keyed_after, verify_solo_progress, Lasso,
 };
 use slx_history::{ProcessId, Value, VarId};
 use slx_liveness::{LkFreedom, ProgressKind};
-use slx_memory::{Memory, System};
+use slx_memory::{Decision, FairRandom, Process, RepeatTxn, System, Word, WorkloadScheduler};
 use slx_safety::ConsensusSafety;
-use slx_tm::GlobalVersionTm;
+use slx_tm::{GlobalVersionTm, TmWord};
 
 /// Classification of one (l,k) point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,13 +123,7 @@ impl fmt::Display for Grid {
 }
 
 // The anchor experiments' scope, fixed: they regenerate the paper's figure
-// in seconds. `sect6` reuses the consensus constants.
-/// Depth of the exhaustive safety exploration for the white consensus point.
-const EXPLORE_DEPTH: usize = 18;
-/// Depth of reachable-configuration enumeration for the solo-progress check.
-pub(crate) const SOLO_DEPTH: usize = 8;
-/// Step budget of a solo run before it must respond.
-pub(crate) const SOLO_BUDGET: usize = 400;
+// in seconds.
 /// Events the bivalence adversary may take before its lasso must close.
 const BIVALENCE_EVENTS: u64 = 60;
 /// Configuration budget per valence query.
@@ -143,51 +139,32 @@ const TM_WHITE_SEED: u64 = 7;
 ///
 /// The two anchor verdicts are established experimentally:
 ///
-/// - *(1,1) white*: `ObstructionFreeConsensus` passes (i) exhaustive
-///   small-scope safety exploration (agreement and validity on **all**
-///   schedules to the depth bound) and (ii) exhaustive solo-progress
-///   (from every reachable configuration, a solo process decides);
-/// - *(1,2) black*: the valence-computing adversary drives the same
+/// - *(1,1) white*: `ObstructionFreeConsensus` passes
+///   [`consensus_white_check`];
+/// - *(1,2) black*: on the pane's `n` processes, the others crashed
+///   first, the valence-computing adversary drives the same
 ///   implementation into a lasso on which two processes step forever and
-///   neither decides, and (1,2)-freedom is judged on that infinite
-///   execution — and since the adversary is implementation-agnostic (it
-///   model-checks whatever deterministic register-based implementation it
-///   is given), the point is excluded, not merely unwitnessed. Every
-///   (l,k) ≥ (1,2) inherits the exclusion (a stronger property excludes
-///   whenever a weaker one does).
+///   neither decides ([`bivalence_lasso`]) — and since the adversary is
+///   implementation-agnostic (it model-checks whatever deterministic
+///   register-based implementation it is given), the point is excluded,
+///   not merely unwitnessed. Every (l,k) ≥ (1,2) inherits the exclusion
+///   (a stronger property excludes whenever a weaker one does).
 pub fn consensus_grid(n: usize) -> Grid {
-    let p0 = ProcessId::new(0);
-    let p1 = ProcessId::new(1);
-
     // White anchor (1,1): exhaustive safety + solo progress at small scope.
-    let build = || ObstructionFreeConsensus::proposers(&[1, 2], 64);
-    let safety_out = explore_safety(
-        &build(),
-        &[p0, p1],
-        EXPLORE_DEPTH,
-        &ConsensusSafety::new(),
-        history_digest,
-    );
-    let solo_cex = verify_solo_progress(&build(), &[p0, p1], SOLO_DEPTH, SOLO_BUDGET);
-    let white_ok = safety_out.holds() && solo_cex.is_none();
-    let white_basis = format!(
-        "obstruction-free consensus from registers: safety on every schedule to depth \
-         {EXPLORE_DEPTH} ({} configs, truncated: {}, ok={}), solo progress exhaustive to \
-         depth {SOLO_DEPTH} (ok={})",
-        safety_out.configs,
-        safety_out.truncated,
-        safety_out.holds(),
-        solo_cex.is_none()
-    );
+    let (white_ok, white_basis) =
+        consensus_white_check(&ObstructionFreeConsensus::proposers(&[1, 2], 64));
+    let white_basis = format!("obstruction-free consensus from registers: {white_basis}");
 
     // Black anchor (1,2): the bivalence adversary starves two steppers
     // forever.
     let anchor = LkFreedom::new(1, 2);
-    let lasso = bivalence_lasso();
+    let mut sys = ObstructionFreeConsensus::system(n.max(2), 64);
+    let lasso = bivalence_lasso(&mut sys, &others_crashed(n), normalized_of_consensus_key);
     let black_ok = lasso.verdict(&anchor) == Some(false);
     let black_basis = format!(
         "{anchor} violated on a lasso of the bivalence adversary against the same \
-         consensus ({lasso}): both step forever, neither decides; {OTHERS_CRASHED}"
+         consensus ({lasso}): p1 and p2 step forever and neither decides; every other \
+         process crashes first"
     );
     let white = (LkFreedom::new(1, 1), white_ok, white_basis.as_str());
     let black = (anchor, black_ok, black_basis.as_str());
@@ -200,6 +177,33 @@ pub fn consensus_grid(n: usize) -> Grid {
     }
 }
 
+/// Figure 1(a)'s white check, which Section 6's implementable members
+/// share: on the two-process consensus `sys`, both proposals issued,
+/// agreement and validity on every schedule to depth 18, and from every
+/// configuration reachable in 8 steps each process running solo decides
+/// within 400 steps. Returns whether both halves hold, and the basis.
+pub fn consensus_white_check<W, P>(sys: &System<W, P>) -> (bool, String)
+where
+    W: Word + DeltaCodec + Send + Sync,
+    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
+{
+    const SAFETY_DEPTH: usize = 18;
+    const SOLO_DEPTH: usize = 8;
+    const SOLO_BUDGET: usize = 400;
+    let active = [ProcessId::new(0), ProcessId::new(1)];
+    let spec = ConsensusSafety::new();
+    let safety = explore_safety(sys, &active, SAFETY_DEPTH, &spec, history_digest);
+    let solo_ok = verify_solo_progress(sys, &active, SOLO_DEPTH, SOLO_BUDGET).is_none();
+    let basis = format!(
+        "safety on every schedule to depth {SAFETY_DEPTH} ({} configs, truncated: {}, ok={}), \
+         solo progress exhaustive to depth {SOLO_DEPTH} (ok={solo_ok})",
+        safety.configs,
+        safety.truncated,
+        safety.holds(),
+    );
+    (safety.holds() && solo_ok, basis)
+}
+
 /// **Figure 1(b)**: transactional memory with opacity. White iff `l = 1`
 /// (Theorem 5.3: strongest implementable (1,n), weakest excluded (2,2)).
 ///
@@ -208,19 +212,15 @@ pub fn consensus_grid(n: usize) -> Grid {
 ///   runs certify opaque;
 /// - *(2,2) black*: the Section 4.1 starvation strategy drives any
 ///   single-winner TM into a two-stepper run with one process starving;
-///   against `GlobalVersionTm` the run closes a lasso modulo the version
-///   shift, and (2,2)-freedom is judged on that infinite execution. Every
-///   l ≥ 2 point inherits the exclusion.
+///   against `GlobalVersionTm` on the pane's `n` processes, the others
+///   crashed first, the run closes a lasso modulo the version shift
+///   ([`starvation_lasso`]). Every l ≥ 2 point inherits the exclusion.
 pub fn tm_grid(n: usize) -> Grid {
     // White anchor: lock-freedom of GlobalVersionTm under full contention.
-    let mut sys = GlobalVersionTm::system(n.max(2), 1);
-    let workload =
-        slx_memory::RepeatTxn::new(n.max(2), vec![VarId::new(0)], vec![VarId::new(0)], None);
-    let mut sched = slx_memory::WorkloadScheduler::new(
-        n.max(2),
-        workload,
-        slx_memory::FairRandom::new(TM_WHITE_SEED),
-    );
+    let (procs, x) = (n.max(2), vec![VarId::new(0)]);
+    let mut sys = GlobalVersionTm::system(procs, 1);
+    let workload = RepeatTxn::new(procs, x.clone(), x, None);
+    let mut sched = WorkloadScheduler::new(procs, workload, FairRandom::new(TM_WHITE_SEED));
     sys.run(&mut sched, TM_EVENTS);
     let commits = sys
         .history()
@@ -230,24 +230,19 @@ pub fn tm_grid(n: usize) -> Grid {
     let opaque = slx_safety::certify_unique_writes(sys.history(), Value::new(0));
     let white_ok = commits > 0 && opaque;
     let white_basis = format!(
-        "GlobalVersionTm under full {}-process contention (one FairRandom({TM_WHITE_SEED}) run \
-         of {TM_EVENTS} events): {} commits, opacity certified: {}",
-        n.max(2),
-        commits,
-        opaque
+        "GlobalVersionTm under full {procs}-process contention (one FairRandom({TM_WHITE_SEED}) \
+         run of {TM_EVENTS} events): {commits} commits, opacity certified: {opaque}"
     );
 
-    // Black anchor (2,2): the §4.1 starvation strategy on two processes.
+    // Black anchor (2,2): the §4.1 starvation strategy.
     let anchor = LkFreedom::new(2, 2);
-    let mut sys = GlobalVersionTm::system(2, 1);
-    let mut adv = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
-    let witness = run_until_cycle_keyed(&mut sys, &mut adv, TM_EVENTS, normalized_starvation_key);
-    let lasso = Lasso::new(witness, 2, ProgressKind::CommitOnly);
+    let mut sys = GlobalVersionTm::system(procs, 1);
+    let lasso = starvation_lasso(&mut sys, &others_crashed(n), normalized_starvation_key);
     let black_ok = lasso.verdict(&anchor) == Some(false);
     let black_basis = format!(
         "{anchor} violated on a lasso of the §4.1 starvation strategy against \
          GlobalVersionTm ({lasso}): the committer commits on every cycle, the victim never; \
-         {OTHERS_CRASHED}"
+         every other process crashes first"
     );
     let white = (LkFreedom::new(1, n), white_ok, white_basis.as_str());
     let black = (anchor, black_ok, black_basis.as_str());
@@ -260,30 +255,50 @@ pub fn tm_grid(n: usize) -> Grid {
     }
 }
 
-/// How a black anchor's two-process lasso stands for a pane of `n > 2`
-/// processes. An idle correct process has nothing pending, so it counts
-/// as progressing, and an execution with the others idle satisfies the
-/// anchor: the exclusion needs them crashed at the start, as Section
-/// 5.3's leg 2 runs it (`counterexample`).
-const OTHERS_CRASHED: &str =
-    "for n > 2, the other processes crash at the start (idle, they would count as progressing)";
+/// The head of a black anchor's stem: every process but the strategy's
+/// `p1` and `p2` crashes. Idle, a correct process with nothing pending
+/// would count as progressing, and the lasso would satisfy the anchor.
+pub fn others_crashed(n: usize) -> Vec<Decision> {
+    (2..n).map(|i| Decision::Crash(ProcessId::new(i))).collect()
+}
 
-/// The Theorem 5.2 lasso: the Chor–Israeli–Li adversary
-/// ([`BivalenceScheduler`], which issues the proposals 1 and 2 itself)
-/// against obstruction-free register consensus on two processes, keyed
-/// modulo a round shift. Figure 1(a)'s black anchor and Section 6's
-/// excluded members are judged on it.
-pub(crate) fn bivalence_lasso() -> Lasso {
-    let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
-    let mut mem = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 64);
-    let procs = [p0, p1].map(|p| ObstructionFreeConsensus::new(layout, p, 2));
-    let mut sys = System::new(mem, procs.to_vec());
-    let proposals = vec![(p0, Value::new(1)), (p1, Value::new(2))];
+/// Figure 1(a)'s black-anchor search: the Chor–Israeli–Li adversary
+/// ([`BivalenceScheduler`], which issues the proposals 1 by `p1` and 2 by
+/// `p2` itself) against the consensus `sys`, after `prefix`, until `key`
+/// repeats. Section 6's excluded members are judged on the same lasso.
+pub fn bivalence_lasso<W, P, K: Hash>(
+    sys: &mut System<W, P>,
+    prefix: &[Decision],
+    key: impl Fn(&System<W, P>, &BivalenceScheduler) -> K,
+) -> Lasso
+where
+    W: Word + DeltaCodec + Send + Sync,
+    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
+{
+    let proposals = vec![
+        (ProcessId::new(0), Value::new(1)),
+        (ProcessId::new(1), Value::new(2)),
+    ];
     let mut sched = BivalenceScheduler::new(proposals, VALENCE_BUDGET);
-    let key = normalized_of_consensus_key;
-    let witness = run_until_cycle_keyed(&mut sys, &mut sched, BIVALENCE_EVENTS, key);
-    Lasso::new(witness, 2, ProgressKind::AnyResponse)
+    let witness = run_until_cycle_keyed_after(sys, prefix, &mut sched, BIVALENCE_EVENTS, key);
+    Lasso::new(witness, ProgressKind::AnyResponse)
+}
+
+/// Figure 1(b)'s black-anchor search: the §4.1 strategy
+/// ([`TmStarvation`], victim `p1` and committer `p2` on `x1`) against the
+/// TM `sys`, after `prefix`, until `key` repeats. Section 5.3's leg 2
+/// runs the same search on Algorithm I(1,2).
+pub fn starvation_lasso<P, K: Hash>(
+    sys: &mut System<TmWord, P>,
+    prefix: &[Decision],
+    key: impl Fn(&System<TmWord, P>, &TmStarvation) -> K,
+) -> Lasso
+where
+    P: Process<TmWord>,
+{
+    let mut adv = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
+    let witness = run_until_cycle_keyed_after(sys, prefix, &mut adv, TM_EVENTS, key);
+    Lasso::new(witness, ProgressKind::CommitOnly)
 }
 
 /// One anchor experiment: the point it classifies, whether it came out as
@@ -330,6 +345,9 @@ fn classify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slx_consensus::{CasConsensus, ConsWord};
+    use slx_memory::{Event, Memory};
+    use slx_safety::SafetyProperty;
 
     #[test]
     fn figure_1a_shape() {
@@ -367,6 +385,70 @@ mod tests {
             strongest[0].partial_cmp_strength(&weakest[0]),
             None,
             "the paper notes these two are incomparable"
+        );
+    }
+
+    /// Figure 1(a)'s black anchor on three processes: with p3 idle it is
+    /// correct with nothing pending, so it counts as progressing and the
+    /// lasso satisfies (1,2)-freedom; with p3 crashed in the stem the
+    /// lasso violates it.
+    #[test]
+    fn bivalence_lasso_excludes_12_freedom_only_with_the_idle_process_crashed() {
+        let (one_two, one_one) = (LkFreedom::new(1, 2), LkFreedom::new(1, 1));
+        let key = normalized_of_consensus_key;
+        let idle = bivalence_lasso(&mut ObstructionFreeConsensus::system(3, 64), &[], key);
+        assert_eq!(idle.verdict(&one_two), Some(true));
+        let mut sys = ObstructionFreeConsensus::system(3, 64);
+        let crashed = bivalence_lasso(&mut sys, &others_crashed(3), key);
+        assert_eq!(crashed.verdict(&one_two), Some(false));
+        assert_eq!(crashed.verdict(&one_one), Some(true));
+        assert!(ConsensusSafety::new().allows(sys.history()));
+        let (idle, crashed) = (idle.witness.unwrap(), crashed.witness.unwrap());
+        assert_eq!(crashed.n, 3);
+        assert_eq!(crashed.stem[0], Event::Crashed(ProcessId::new(2)));
+        assert_eq!(crashed.cycle, idle.cycle);
+    }
+
+    /// Figure 1(b)'s black anchor on three processes, likewise: (2,2)
+    /// holds with p3 idle and fails with it crashed in the stem.
+    #[test]
+    fn starvation_lasso_excludes_22_freedom_only_with_the_idle_process_crashed() {
+        let (two_two, one_two) = (LkFreedom::new(2, 2), LkFreedom::new(1, 2));
+        let key = normalized_starvation_key;
+        let idle = starvation_lasso(&mut GlobalVersionTm::system(3, 1), &[], key);
+        assert_eq!(idle.verdict(&two_two), Some(true));
+        let crashed = starvation_lasso(&mut GlobalVersionTm::system(3, 1), &others_crashed(3), key);
+        assert_eq!(crashed.verdict(&two_two), Some(false));
+        assert_eq!(crashed.verdict(&one_two), Some(true));
+        let (idle, crashed) = (idle.witness.unwrap(), crashed.witness.unwrap());
+        assert_eq!(crashed.stem[0], Event::Crashed(ProcessId::new(2)));
+        assert_eq!(crashed.cycle, idle.cycle);
+    }
+
+    /// The (1,2) control at three processes, p3 crashed: against CAS
+    /// consensus the scheduler halts at once, so no lasso closes under
+    /// the exact raw key.
+    #[test]
+    fn bivalence_lasso_closes_on_no_cas_consensus() {
+        let mut mem: Memory<ConsWord> = Memory::new();
+        let obj = CasConsensus::alloc(&mut mem);
+        let mut sys = System::new(mem, vec![CasConsensus::new(obj); 3]);
+        let raw = |sys: &System<ConsWord, CasConsensus>, sched: &BivalenceScheduler| {
+            (sys.digest128(), sched.normalized_counts())
+        };
+        let lasso = bivalence_lasso(&mut sys, &others_crashed(3), raw);
+        assert!(lasso.witness.is_none());
+        assert_eq!(lasso.to_string(), "none closed");
+        // Both proposals are pending and every step would decide.
+        let proposals = vec![
+            (ProcessId::new(0), Value::new(1)),
+            (ProcessId::new(1), Value::new(2)),
+        ];
+        assert!(sys.is_pending(ProcessId::new(0)) && sys.is_pending(ProcessId::new(1)));
+        let mut sched = BivalenceScheduler::new(proposals, VALENCE_BUDGET);
+        assert_eq!(
+            slx_memory::Scheduler::decide(&mut sched, &sys),
+            Decision::Halt
         );
     }
 

@@ -1,11 +1,11 @@
 //! Section 6: alternative restricted liveness families.
 
+use slx_adversary::normalized_of_consensus_key;
 use slx_consensus::ObstructionFreeConsensus;
-use slx_explorer::{verify_solo_progress, Lasso};
-use slx_history::ProcessId;
+use slx_explorer::Lasso;
 use slx_liveness::{NxLiveness, SFreedom};
 
-use crate::grid::{bivalence_lasso, SOLO_BUDGET, SOLO_DEPTH};
+use crate::grid::{bivalence_lasso, consensus_white_check};
 
 /// The S-freedom structure recalled in Section 6: the implementable
 /// members (from registers, for consensus) are exactly the singletons, and
@@ -69,20 +69,21 @@ pub fn nx_report(n: usize) -> NxReport {
 }
 
 /// Experimental check of the Section 6 *implementability* claims for a
-/// two-process register system, using the same machinery and scope as
-/// Figure 1a:
+/// two-process register system, with Figure 1(a)'s own checks:
 ///
 /// - `(n,0)`-liveness (pure obstruction-freedom) and `{1}`-freedom are
-///   *satisfied* by the register-only consensus: verified by exhaustive
-///   solo-progress;
+///   *satisfied* by the register-only consensus, which passes
+///   [`consensus_white_check`]: safety, and solo progress;
 /// - `(n,1)`-liveness and `{2}`-freedom are *excluded*: both fail on
-///   Figure 1(a)'s bivalence lasso, an infinite execution with two
-///   steppers in which nobody decides (the designated wait-free process
-///   starves; two contention-free steppers starve).
+///   Figure 1(a)'s bivalence lasso ([`bivalence_lasso`]), an infinite
+///   execution with two steppers in which nobody decides (the designated
+///   wait-free process starves; two contention-free steppers starve).
 #[derive(Debug, Clone)]
 pub struct Sect6ImplementabilityDemo {
-    /// Solo-progress check passed (backs the implementable members).
-    pub solo_progress_ok: bool,
+    /// Figure 1(a)'s white check passed (backs the implementable members).
+    pub white_ok: bool,
+    /// Its basis: the safety run's scope and the solo-progress verdict.
+    pub white_basis: String,
     /// Figure 1(a)'s bivalence lasso.
     pub lasso: Lasso,
     /// The lasso violates `(2,1)`-liveness.
@@ -94,20 +95,19 @@ pub struct Sect6ImplementabilityDemo {
 impl Sect6ImplementabilityDemo {
     /// Whether all three legs came out as Section 6 states.
     pub fn establishes_sect6(&self) -> bool {
-        self.solo_progress_ok && self.nx1_violated && self.s2_violated
+        self.white_ok && self.nx1_violated && self.s2_violated
     }
 }
 
 /// Runs the Section 6 implementability experiment.
 pub fn sect6_implementability_demo() -> Sect6ImplementabilityDemo {
-    let active = [ProcessId::new(0), ProcessId::new(1)];
-    let proposers = ObstructionFreeConsensus::proposers(&[1, 2], 64);
-    let solo_progress_ok =
-        verify_solo_progress(&proposers, &active, SOLO_DEPTH, SOLO_BUDGET).is_none();
-
-    let lasso = bivalence_lasso();
+    let (white_ok, white_basis) =
+        consensus_white_check(&ObstructionFreeConsensus::proposers(&[1, 2], 64));
+    let mut sys = ObstructionFreeConsensus::system(2, 64);
+    let lasso = bivalence_lasso(&mut sys, &[], normalized_of_consensus_key);
     Sect6ImplementabilityDemo {
-        solo_progress_ok,
+        white_ok,
+        white_basis,
         nx1_violated: lasso.verdict(&NxLiveness::new(2, 1)) == Some(false),
         s2_violated: lasso.verdict(&SFreedom::new([2])) == Some(false),
         lasso,

@@ -14,9 +14,13 @@ use slx_memory::{Decision, Event, Process, Scheduler, System, Word};
 /// infinite execution `stem · cycle^ω` is a real execution of the system —
 /// this is the constructive witness the liveness exclusion results need
 /// (e.g.: a cycle with both processes stepping and no commit response is an
-/// infinite fair execution violating (2,2)-freedom).
+/// infinite fair execution violating (2,2)-freedom). The size of the system
+/// it was found in is part of the execution: a process that never steps
+/// in it is judged too.
 #[derive(Debug, Clone)]
 pub struct CycleWitness {
+    /// The system size.
+    pub n: usize,
     /// Events before the cycle starts.
     pub stem: Vec<Event>,
     /// Events of one cycle iteration (repeats forever).
@@ -45,34 +49,26 @@ impl CycleWitness {
     /// the window" with "receives infinitely many good responses". This is
     /// the evaluation the paper's Definition 5.1 calls for, with no
     /// finite-run approximation left.
-    pub fn evaluate_liveness<L: LivenessProperty>(
-        &self,
-        property: &L,
-        n: usize,
-        kind: ProgressKind,
-    ) -> bool {
-        property.satisfied(&ExecutionView::lasso(&self.stem, &self.cycle, n, kind))
+    pub fn evaluate_liveness<L: LivenessProperty>(&self, property: &L, kind: ProgressKind) -> bool {
+        property.satisfied(&ExecutionView::lasso(&self.stem, &self.cycle, self.n, kind))
     }
 }
 
-/// A lasso search's outcome on an `n`-process system, as verdicts and
-/// reports use it: the lasso, if one closed, and which responses count as
-/// progress. Displays as `n processes; stem S, cycle C events`, or
-/// `n processes; none closed`.
+/// A lasso search's outcome, as verdicts and reports use it: the lasso,
+/// if one closed, and which responses count as progress. Displays as
+/// `n processes; stem S, cycle C events`, or `none closed`.
 #[derive(Debug, Clone)]
 pub struct Lasso {
     /// The lasso, if the search closed one.
     pub witness: Option<CycleWitness>,
-    /// The system size.
-    pub n: usize,
     /// Which responses count as progress.
     pub kind: ProgressKind,
 }
 
 impl Lasso {
-    /// The outcome `witness` of a search on an `n`-process system.
-    pub fn new(witness: Option<CycleWitness>, n: usize, kind: ProgressKind) -> Self {
-        Lasso { witness, n, kind }
+    /// The outcome `witness` of a search.
+    pub fn new(witness: Option<CycleWitness>, kind: ProgressKind) -> Self {
+        Lasso { witness, kind }
     }
 
     /// Whether `property` holds on the lasso, exactly
@@ -80,17 +76,17 @@ impl Lasso {
     /// since then there is no infinite execution to judge.
     pub fn verdict<L: LivenessProperty>(&self, property: &L) -> Option<bool> {
         let witness = self.witness.as_ref()?;
-        Some(witness.evaluate_liveness(property, self.n, self.kind))
+        Some(witness.evaluate_liveness(property, self.kind))
     }
 }
 
 impl fmt::Display for Lasso {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} processes; ", self.n)?;
-        match &self.witness {
-            Some(w) => write!(f, "stem {}, cycle {} events", w.stem.len(), w.cycle.len()),
-            None => write!(f, "none closed"),
-        }
+        let Some(w) = &self.witness else {
+            return write!(f, "none closed");
+        };
+        let (stem, cycle) = (w.stem.len(), w.cycle.len());
+        write!(f, "{} processes; stem {stem}, cycle {cycle} events", w.n)
     }
 }
 
@@ -202,7 +198,8 @@ where
 
 /// The shared drive loop: applies `prefix`, then the scheduler's
 /// decisions one at a time, into its own execution log, handing `(system, scheduler,
-/// events-so-far)` to `record` after each. `record` returns `Some(first)`
+/// events-so-far)` to `record` after each; a lasso it closes records
+/// `sys.n()`. `record` returns `Some(first)`
 /// when the current key was first seen at event index `first`, which
 /// closes the lasso — unless nothing was logged since (idle steps only):
 /// an empty cycle is not an infinite execution, and the pair is stuck
@@ -237,7 +234,11 @@ where
                 return None;
             }
             let cycle = log.split_off(first);
-            return Some(CycleWitness { stem: log, cycle });
+            return Some(CycleWitness {
+                n: sys.n(),
+                stem: log,
+                cycle,
+            });
         }
     }
     None

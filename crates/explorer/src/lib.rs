@@ -18,7 +18,9 @@
 //!   [`CycleWitness::evaluate_liveness`] judges a liveness property
 //!   exactly (every liveness verdict the drivers print is judged so,
 //!   through a [`Lasso`]; [`run_until_cycle_keyed_after`] starts the
-//!   search after a prefix of decisions, such as a crash).
+//!   search after a prefix of decisions, such as a crash). The witness
+//!   records the size of the system it ran on, so a verdict takes none
+//!   from its caller: a process that never steps is still judged.
 //!   [`run_until_cycle_keyed_retained`] is the retained-key oracle the
 //!   differential tests pin it against;
 //! - [`verify_solo_progress`] checks obstruction-freedom exhaustively: from

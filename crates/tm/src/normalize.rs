@@ -73,12 +73,23 @@ pub fn committed_shift<P: slx_memory::Process<TmWord>>(sys: &System<TmWord, P>) 
 }
 
 /// Normalized configuration of a [`GlobalVersionTm`] system: versions and
-/// values rebased to the committed state. Use as the cycle-detection key.
+/// values rebased to the committed state, in the memory and in the states
+/// of `procs`, the processes that step. Use as the cycle-detection key.
+/// Another process's state stays as it is: it never steps, so it is
+/// constant, where shifted values would drift with every commit.
 pub fn normalized_global_version(
     sys: &System<TmWord, GlobalVersionTm>,
+    procs: &[ProcessId],
 ) -> System<TmWord, GlobalVersionTm> {
     let s = committed_shift(sys);
-    sys.transformed(|w| shift_word(w, s), |p| p.shifted(s))
+    let mut ids = (0..sys.n()).map(ProcessId::new);
+    sys.transformed(
+        |w| shift_word(w, s),
+        |p| match ids.next() {
+            Some(me) if procs.contains(&me) => p.shifted(s),
+            _ => p.clone(),
+        },
+    )
 }
 
 /// Normalized configuration of an [`AgpTm`] system: versions/values rebased
@@ -143,7 +154,8 @@ pub fn normalized_agp_among(
 /// `commits`/`aborts`), collapsing states that differ only in scheduling
 /// history.
 pub fn canonical_global_version_digest(sys: &System<TmWord, GlobalVersionTm>) -> Digest {
-    let norm = normalized_global_version(sys);
+    let all: Vec<ProcessId> = (0..sys.n()).map(ProcessId::new).collect();
+    let norm = normalized_global_version(sys, &all);
     let mut sigs: Vec<u128> = (0..norm.n())
         .map(|i| {
             let p = ProcessId::new(i);
@@ -304,9 +316,10 @@ mod tests {
 
     #[test]
     fn normalization_identifies_shifted_global_version_memories() {
-        let a = normalized_global_version(&gv_after_commits(0));
-        let b = normalized_global_version(&gv_after_commits(1));
-        let c = normalized_global_version(&gv_after_commits(2));
+        let p0 = [ProcessId::new(0)];
+        let a = normalized_global_version(&gv_after_commits(0), &p0);
+        let b = normalized_global_version(&gv_after_commits(1), &p0);
+        let c = normalized_global_version(&gv_after_commits(2), &p0);
         // The committed memory words normalize identically regardless of
         // how many +1 commits happened.
         let word = |s: &System<TmWord, GlobalVersionTm>| {

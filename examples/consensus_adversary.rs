@@ -4,15 +4,18 @@
 //!    `F1 ∩ F2 = ∅` (so, by Theorem 4.4, no weakest liveness property
 //!    excludes consensus safety).
 //! 2. Unleashes the valence-computing (Chor–Israeli–Li) adversary on the
-//!    register-only obstruction-free consensus: two processes step forever,
-//!    nobody decides — the (1,2)-freedom exclusion of Theorem 5.2.
+//!    register-only obstruction-free consensus until it closes a lasso on
+//!    which two processes step forever and nobody decides — the
+//!    (1,2)-freedom exclusion of Theorem 5.2, Figure 1(a)'s black anchor.
 //! 3. Shows the same adversary is powerless against CAS-based consensus.
 //!
 //! Run with: `cargo run --release --example consensus_adversary`
 
-use safety_liveness_exclusion::adversary::run_bivalence_adversary;
+use safety_liveness_exclusion::adversary::{normalized_of_consensus_key, run_bivalence_adversary};
 use safety_liveness_exclusion::consensus::{CasConsensus, ConsWord, ObstructionFreeConsensus};
+use safety_liveness_exclusion::grid::bivalence_lasso;
 use safety_liveness_exclusion::history::{Operation, ProcessId, Value};
+use safety_liveness_exclusion::liveness::LkFreedom;
 use safety_liveness_exclusion::memory::{Memory, System};
 use safety_liveness_exclusion::safety::{ConsensusSafety, SafetyProperty};
 use safety_liveness_exclusion::theorems::consensus_gmax_demo;
@@ -38,27 +41,19 @@ fn main() {
     // 2. The constructive adversary vs register-only consensus.
     // ------------------------------------------------------------------
     println!("=== bivalence adversary vs obstruction-free consensus (registers) ===");
-    let mut mem: Memory<ConsWord> = Memory::new();
-    let layout = ObstructionFreeConsensus::layout(&mut mem, 2, 128);
-    let procs = vec![
-        ObstructionFreeConsensus::new(layout, p1, 2),
-        ObstructionFreeConsensus::new(layout, p2, 2),
-    ];
-    let mut sys = System::new(mem, procs);
-    sys.invoke(p1, Operation::Propose(Value::new(1))).unwrap();
-    sys.invoke(p2, Operation::Propose(Value::new(2))).unwrap();
-    let report = run_bivalence_adversary(&mut sys, &[p1, p2], 200, 60_000);
-    println!("scheduled steps      : {}", report.steps);
-    println!("per-process steps    : {:?}", report.step_counts);
-    println!("anyone decided?      : {}", report.decided);
-    println!("bivalent throughout? : {}", report.bivalent_throughout);
-    println!("adversary won?       : {}", report.adversary_won());
+    let mut sys = ObstructionFreeConsensus::system(2, 64);
+    let lasso = bivalence_lasso(&mut sys, &[], normalized_of_consensus_key);
+    let one_two = LkFreedom::new(1, 2);
     println!(
-        "history stays safe   : {}",
-        ConsensusSafety::new().allows(&report.history)
+        "{one_two} violated on a lasso ({lasso}): {}",
+        lasso.verdict(&one_two) == Some(false)
     );
     println!(
-        "⇒ two processes take infinitely many steps, neither decides:\n  \
+        "history stays safe   : {}",
+        ConsensusSafety::new().allows(sys.history())
+    );
+    println!(
+        "⇒ stem·cycle^ω: both processes step forever, neither decides:\n  \
          (1,2)-freedom excludes agreement & validity (Theorem 5.2, black points).\n"
     );
 

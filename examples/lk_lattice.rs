@@ -67,7 +67,7 @@ fn main() {
 
     let demo = sect6_implementability_demo();
     println!("\n=== Section 6: implementability from registers (n = 2) ===");
-    println!("solo progress exhaustive: {}", demo.solo_progress_ok);
+    println!("Figure 1(a)'s white check: {}", demo.white_basis);
     println!(
         "on Figure 1(a)'s lasso ({}): (2,1)-liveness violated = {}, {{2}}-freedom violated = {}",
         demo.lasso, demo.nx1_violated, demo.s2_violated

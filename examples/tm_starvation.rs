@@ -9,54 +9,41 @@
 //!
 //! Run with: `cargo run --release --example tm_starvation`
 
-use safety_liveness_exclusion::adversary::{normalized_starvation_key, TmStarvation};
-use safety_liveness_exclusion::explorer::run_until_cycle_keyed;
-use safety_liveness_exclusion::history::{ProcessId, Response, Value, VarId};
-use safety_liveness_exclusion::liveness::{LivenessProperty, LkFreedom, Lmax, ProgressKind};
-use safety_liveness_exclusion::memory::Event;
+use safety_liveness_exclusion::adversary::normalized_starvation_key;
+use safety_liveness_exclusion::grid::starvation_lasso;
+use safety_liveness_exclusion::history::Value;
+use safety_liveness_exclusion::liveness::{LivenessProperty, LkFreedom, Lmax};
 use safety_liveness_exclusion::safety::certify_unique_writes;
 use safety_liveness_exclusion::theorems::tm_gmax_demo;
 use safety_liveness_exclusion::tm::GlobalVersionTm;
 
 fn main() {
-    let victim = ProcessId::new(0);
-    let committer = ProcessId::new(1);
-
     // ------------------------------------------------------------------
     // 1. The three-step strategy starves the victim: a lasso, the proof
     //    that the starvation is eternal.
     // ------------------------------------------------------------------
     println!("=== §4.1 starvation strategy vs lock-free opaque TM ===");
     let mut sys = GlobalVersionTm::system(2, 1);
-    let mut adv = TmStarvation::new(victim, committer, VarId::new(0));
-    let witness = run_until_cycle_keyed(&mut sys, &mut adv, 5000, normalized_starvation_key)
-        .expect("the starvation loop is periodic");
+    let lasso = starvation_lasso(&mut sys, &[], normalized_starvation_key);
     println!(
         "run certified opaque      : {}",
         certify_unique_writes(sys.history(), Value::new(0))
     );
-    println!("lasso (cycle modulo version shift):");
-    println!("stem length  : {} events", witness.stem.len());
-    println!("cycle length : {} events", witness.cycle.len());
+    let witness = lasso
+        .witness
+        .as_ref()
+        .expect("the starvation loop is periodic");
+    println!("lasso (cycle modulo version shift): {lasso}");
     println!("cycle steppers: {:?}", witness.cycle_steppers());
-    let victim_commit = witness
-        .cycle
-        .iter()
-        .any(|e| matches!(e, Event::Responded(q, Response::Committed) if *q == victim));
-    println!("victim commits inside cycle: {victim_commit}");
-
-    let kind = ProgressKind::CommitOnly;
     for prop in [LkFreedom::new(1, 2), LkFreedom::new(2, 2)] {
         println!(
             "{:<18}: {}",
             prop.name(),
-            witness.evaluate_liveness(&prop, 2, kind)
+            lasso.verdict(&prop) == Some(true)
         );
     }
-    println!(
-        "local progress    : {}",
-        witness.evaluate_liveness(&Lmax::new(), 2, kind)
-    );
+    let local = lasso.verdict(&Lmax::new()) == Some(true);
+    println!("local progress    : {local}");
     println!(
         "⇒ stem·cycle^ω is an infinite fair execution with 2 steppers and no victim commit:\n  \
          (2,2)-freedom (and local progress) exclude opacity (Theorem 5.3, black points).\n"

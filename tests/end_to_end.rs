@@ -5,7 +5,9 @@ use safety_liveness_exclusion::consensus::{ConsWord, ObstructionFreeConsensus};
 use safety_liveness_exclusion::counterexample::run_counterexample_s;
 use safety_liveness_exclusion::engine::{DeltaCodec, StateCodec};
 use safety_liveness_exclusion::explorer::{explore_safety, history_digest, verify_solo_progress};
-use safety_liveness_exclusion::grid::{consensus_grid, tm_grid};
+use safety_liveness_exclusion::grid::{
+    consensus_grid, consensus_white_check, tm_grid, Grid, Verdict,
+};
 use safety_liveness_exclusion::history::{Operation, ProcessId, Response, Value};
 use safety_liveness_exclusion::liveness::LkFreedom;
 use safety_liveness_exclusion::memory::{
@@ -43,7 +45,23 @@ fn theorem_5_2_figure_1a() {
                 vec![LkFreedom::new(1, 2)]
             );
         }
+        assert_black_anchor_is_a_lasso_on_n_processes(&g, LkFreedom::new(1, 2));
     }
+}
+
+/// A black anchor's basis names a lasso closed on the pane's own `n`
+/// processes, and argues for no other size.
+fn assert_black_anchor_is_a_lasso_on_n_processes(g: &Grid, anchor: LkFreedom) {
+    let point = g
+        .point(anchor.l(), anchor.k())
+        .expect("the anchor is on the grid");
+    let Verdict::Excluded { basis } = &point.verdict else {
+        panic!("n={}: {anchor} is not black", g.n);
+    };
+    let closed = format!("({} processes; stem ", g.n);
+    assert!(basis.contains(&closed), "n={}: {basis}", g.n);
+    assert!(basis.contains(" events)"), "n={}: {basis}", g.n);
+    assert!(!basis.contains("for n > 2"), "n={}: {basis}", g.n);
 }
 
 /// Planted bug for Figure 1(a)'s white anchor: a two-process register
@@ -140,25 +158,28 @@ impl StateCodec for WaitForOther {
 impl DeltaCodec for WaitForOther {}
 
 /// The control flips the solo-progress half of Figure 1(a)'s white
-/// anchor at the grid's scope (safety to depth 18, solo progress to
-/// depth 8 with a 400-step budget): both implementations are safe, and
-/// only `ObstructionFreeConsensus` lets a solo process decide.
+/// anchor: both implementations are safe at the grid's scope, and only
+/// `ObstructionFreeConsensus` lets a solo process decide.
 #[test]
 fn figure_1a_white_anchor_flags_a_consensus_that_waits_for_the_other() {
     let active = [ProcessId::new(0), ProcessId::new(1)];
     let safety = ConsensusSafety::new();
 
-    let of = ObstructionFreeConsensus::proposers(&[1, 2], 64);
-    assert!(explore_safety(&of, &active, 18, &safety, history_digest).holds());
-    assert!(verify_solo_progress(&of, &active, 8, 400).is_none());
+    let (of_ok, basis) = consensus_white_check(&ObstructionFreeConsensus::proposers(&[1, 2], 64));
+    assert!(of_ok, "{basis}");
 
     let control = WaitForOther::proposers([1, 2]);
-    let out = explore_safety(&control, &active, 18, &safety, history_digest);
-    assert!(out.holds(), "violations: {:?}", out.violations);
+    let (control_ok, basis) = consensus_white_check(&control);
     assert!(
-        verify_solo_progress(&control, &active, 8, 400).is_some(),
+        !control_ok,
         "a solo process that waits forever went unflagged"
     );
+    assert!(
+        basis.contains("solo progress exhaustive to depth 8 (ok=false)"),
+        "{basis}"
+    );
+    let out = explore_safety(&control, &active, 18, &safety, history_digest);
+    assert!(out.holds(), "violations: {:?}", out.violations);
 }
 
 /// Planted bug for the safety half of Figure 1(a)'s white anchor: rounds
@@ -286,18 +307,18 @@ impl StateCodec for CommitWithoutB {
 
 impl DeltaCodec for CommitWithoutB {}
 
-/// The control flips the safety half of Figure 1(a)'s white anchor at the
-/// grid's scope: the `explore_safety` call that passes
-/// `ObstructionFreeConsensus` (default checker, both processes active,
-/// depth 18) finds two decisions that disagree. Solo progress holds for
-/// the control, so safety is the only half it flips.
+/// The control flips the safety half of Figure 1(a)'s white anchor, the
+/// check Section 6's implementable members share: its `explore_safety`
+/// call (default checker, both processes active, depth 18) finds two
+/// decisions that disagree. Solo progress alone, Section 6's old backing,
+/// passes the control.
 #[test]
 fn figure_1a_white_anchor_flags_a_commit_without_the_b_collect() {
     let active = [ProcessId::new(0), ProcessId::new(1)];
-    let safety = ConsensusSafety::new();
     let control = CommitWithoutB::proposers([1, 2]);
-    let out = explore_safety(&control, &active, 18, &safety, history_digest);
-    assert!(!out.holds(), "disagreeing decisions went unflagged");
+    let (ok, basis) = consensus_white_check(&control);
+    assert!(!ok, "disagreeing decisions went unflagged");
+    assert!(basis.contains("ok=false), solo progress"), "{basis}");
     assert!(verify_solo_progress(&control, &active, 8, 400).is_none());
 }
 
@@ -324,6 +345,7 @@ fn theorem_5_3_figure_1b() {
                 vec![LkFreedom::new(2, 2)]
             );
         }
+        assert_black_anchor_is_a_lasso_on_n_processes(&g, LkFreedom::new(2, 2));
     }
 }
 

@@ -10,11 +10,10 @@
 
 use safety_liveness_exclusion::adversary::{normalized_starvation_key, TmStarvation};
 use safety_liveness_exclusion::engine::{DeltaCodec, StateCodec};
-use safety_liveness_exclusion::explorer::{
-    explore_safety, history_digest, run_until_cycle_keyed, ExploreOutcome,
-};
+use safety_liveness_exclusion::explorer::{explore_safety, history_digest, ExploreOutcome};
+use safety_liveness_exclusion::grid::{others_crashed, starvation_lasso};
 use safety_liveness_exclusion::history::{Operation, ProcessId, Response, Value, VarId};
-use safety_liveness_exclusion::liveness::{LkFreedom, ProgressKind};
+use safety_liveness_exclusion::liveness::LkFreedom;
 use safety_liveness_exclusion::memory::{Memory, ObjId, Primitive, Process, StepEffect, System};
 use safety_liveness_exclusion::safety::Opacity;
 use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm, TmWord};
@@ -162,27 +161,33 @@ fn blind_commit_tm_is_caught_under_the_same_commit_races() {
 }
 
 /// Figure 1(b)'s black anchor depends on safety: the §4.1 strategy that
-/// drives `GlobalVersionTm` into a lasso violating (2,2)-freedom loses
-/// once commits stop validating reads, because the victim commits: the
-/// strategy halts and no lasso closes.
+/// drives `GlobalVersionTm` into a lasso violating (2,2)-freedom, on two
+/// processes and on three with p3 crashed first, loses once commits stop
+/// validating reads, because the victim commits: the strategy halts and
+/// no lasso closes.
 #[test]
 fn starvation_strategy_loses_against_the_blind_commit_tm() {
-    let mut sys = GlobalVersionTm::system(2, 1);
-    let mut adv = TmStarvation::new(p(0), p(1), VarId::new(0));
-    let lasso = run_until_cycle_keyed(&mut sys, &mut adv, 2_000, normalized_starvation_key)
-        .expect("GlobalVersionTm starves the victim forever");
     let two_two = LkFreedom::new(2, 2);
-    assert!(!lasso.evaluate_liveness(&two_two, 2, ProgressKind::CommitOnly));
+    for n in [2, 3] {
+        let mut sys = GlobalVersionTm::system(n, 1);
+        let lasso = starvation_lasso(&mut sys, &others_crashed(n), normalized_starvation_key);
+        assert_eq!(lasso.verdict(&two_two), Some(false), "n={n}: {lasso}");
 
-    // The raw configuration is an exact key: were the victim starved with
-    // values climbing, the budget would run out with `lost()` false.
-    let mut sys = BlindCommitTm::system(2, 1);
-    let mut adv = TmStarvation::new(p(0), p(1), VarId::new(0));
-    let lasso = run_until_cycle_keyed(&mut sys, &mut adv, 2_000, |sys, adv| {
-        (sys.digest128(), adv.clone())
-    });
-    assert!(lasso.is_none());
-    assert!(adv.lost(), "the victim commits: the strategy loses");
+        // The raw configuration is an exact key: were the victim starved
+        // with values climbing, the budget would run out with no commit.
+        let mut sys = BlindCommitTm::system(n, 1);
+        let raw = |sys: &System<TmWord, BlindCommitTm>, adv: &TmStarvation| {
+            (sys.digest128(), adv.clone())
+        };
+        let lasso = starvation_lasso(&mut sys, &others_crashed(n), raw);
+        assert!(lasso.witness.is_none(), "n={n}: {lasso}");
+        let victim = sys.history().responses_of(p(0));
+        assert_eq!(
+            victim.last(),
+            Some(&Response::Committed),
+            "n={n}: the victim commits, so the strategy loses"
+        );
+    }
 }
 
 #[test]
