@@ -1,5 +1,7 @@
 //! Gafni's commit-adopt object from registers, as a resumable sub-machine.
 
+use std::hash::{Hash, Hasher};
+
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
 use slx_history::Value;
 use slx_memory::{Memory, ObjId, ObjRun, PrimOutcome, Primitive};
@@ -38,12 +40,281 @@ impl AcOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pc {
     WriteA,
-    CollectA(usize),
+    CollectA(u32),
     WriteB,
-    CollectB(usize),
+    CollectB(u32),
+}
+
+/// Which registers a participant runs on and which column it owns: the
+/// part of an [`AdoptCommit`] that never changes while it runs, and that
+/// [`crate::ObstructionFreeConsensus`] derives from its layout, round and
+/// process id instead of storing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct AcSlot {
+    pub(crate) a: ObjRun,
+    pub(crate) b: ObjRun,
+    pub(crate) me: usize,
+}
+
+impl AcSlot {
+    /// The slot of participant `me` on the arrays `a` and `b`.
+    ///
+    /// # Panics
+    /// If the arrays differ in length, `me` is out of range, or the
+    /// arrays are too long for a 32-bit collect position.
+    fn new(a: ObjRun, b: ObjRun, me: usize) -> Self {
+        assert_eq!(a.len(), b.len(), "register arrays must have equal length");
+        assert!(me < a.len(), "participant index out of range");
+        Self::checked(a, b, me).expect("register arrays too long")
+    }
+
+    /// [`AcSlot::new`]'s checks as a decode rule: `None` instead of a
+    /// panic.
+    fn checked(a: ObjRun, b: ObjRun, me: usize) -> Option<Self> {
+        (b.len() == a.len() && me < a.len() && u32::try_from(a.len()).is_ok()).then_some(AcSlot {
+            a,
+            b,
+            me,
+        })
+    }
+}
+
+/// What varies while a participant runs: input, program counter and the
+/// collected flags.
+///
+/// The two optional values the collects gather are stored as a value and
+/// a presence flag each, with an absent value held at zero, so `Eq` is
+/// still the wide `Option` comparison; `Hash` and the codecs write the
+/// `Option`s back. Together with the 32-bit collect position that keeps
+/// the state at 40 bytes, and a consensus process at 72.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AcState {
+    input: Value,
+    committed: Value,
+    min_b: Value,
+    pc: Pc,
+    all_a_equal: bool,
+    has_committed: bool,
+    all_b_commit: bool,
+    any_b: bool,
+    has_min_b: bool,
+}
+
+/// An optional value as `(present, value)`, absent at zero.
+fn packed(v: Option<Value>) -> (bool, Value) {
+    (v.is_some(), v.unwrap_or_default())
+}
+
+impl AcState {
+    /// A participant about to write `a` with input `input`.
+    pub(crate) fn new(input: Value) -> Self {
+        AcState {
+            input,
+            committed: Value::default(),
+            min_b: Value::default(),
+            pc: Pc::WriteA,
+            all_a_equal: true,
+            has_committed: false,
+            all_b_commit: true,
+            any_b: false,
+            has_min_b: false,
+        }
+    }
+
+    fn committed_seen(&self) -> Option<Value> {
+        self.has_committed.then_some(self.committed)
+    }
+
+    fn min_b_seen(&self) -> Option<Value> {
+        self.has_min_b.then_some(self.min_b)
+    }
+
+    /// See [`AdoptCommit::normalized_state`].
+    pub(crate) fn normalized_state(&self, me: usize) -> AcNormalizedState {
+        let pc = match self.pc {
+            Pc::WriteA => (0, 0),
+            Pc::CollectA(j) => (1, j as usize),
+            Pc::WriteB => (2, 0),
+            Pc::CollectB(j) => (3, j as usize),
+        };
+        (
+            pc,
+            me,
+            self.input,
+            self.all_a_equal,
+            self.committed_seen(),
+            self.all_b_commit,
+            self.any_b,
+            self.min_b_seen(),
+        )
+    }
+
+    /// Performs one primitive of participant `slot`. Returns
+    /// `Some(outcome)` when finished.
+    pub(crate) fn step(&mut self, slot: AcSlot, mem: &mut Memory<ConsWord>) -> Option<AcOutcome> {
+        let n = slot.a.len();
+        match self.pc {
+            Pc::WriteA => {
+                mem.apply(Primitive::Write(
+                    slot.a.at(slot.me),
+                    ConsWord::Val(self.input),
+                ))
+                .expect("register allocated");
+                self.pc = Pc::CollectA(0);
+                None
+            }
+            Pc::CollectA(j) => {
+                let w = read(mem, slot.a.at(j as usize));
+                if let Some(v) = w.value() {
+                    if v != self.input {
+                        self.all_a_equal = false;
+                    }
+                }
+                self.pc = if (j as usize) + 1 < n {
+                    Pc::CollectA(j + 1)
+                } else {
+                    Pc::WriteB
+                };
+                None
+            }
+            Pc::WriteB => {
+                let entry = ConsWord::Flagged(self.all_a_equal, self.input);
+                mem.apply(Primitive::Write(slot.b.at(slot.me), entry))
+                    .expect("register allocated");
+                self.pc = Pc::CollectB(0);
+                None
+            }
+            Pc::CollectB(j) => {
+                let w = read(mem, slot.b.at(j as usize));
+                if let ConsWord::Flagged(flag, v) = w {
+                    self.any_b = true;
+                    let min = match self.min_b_seen() {
+                        Some(m) if m <= v => m,
+                        _ => v,
+                    };
+                    (self.has_min_b, self.min_b) = (true, min);
+                    if flag {
+                        (self.has_committed, self.committed) = (true, v);
+                    } else {
+                        self.all_b_commit = false;
+                    }
+                }
+                if (j as usize) + 1 < n {
+                    self.pc = Pc::CollectB(j + 1);
+                    return None;
+                }
+                // Finished the B collect: compute the outcome. With no
+                // commit in sight, adopt the *minimum* value seen, so that
+                // symmetric (e.g. lockstep) schedules converge to a common
+                // estimate instead of livelocking. Validity is preserved —
+                // every seen value is some participant's input.
+                Some(
+                    match (self.all_b_commit && self.any_b, self.committed_seen()) {
+                        (true, Some(v)) => AcOutcome::Commit(v),
+                        (_, Some(v)) => AcOutcome::Adopt(v),
+                        (_, None) => AcOutcome::Adopt(self.min_b_seen().unwrap_or(self.input)),
+                    },
+                )
+            }
+        }
+    }
+
+    /// Encodes everything after the participant index — the shared tail
+    /// of both the self-contained and the delta encodings.
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.input.encode(out);
+        match self.pc {
+            Pc::WriteA => out.push(0),
+            Pc::CollectA(j) => {
+                out.push(1);
+                (j as usize).encode(out);
+            }
+            Pc::WriteB => out.push(2),
+            Pc::CollectB(j) => {
+                out.push(3);
+                (j as usize).encode(out);
+            }
+        }
+        self.all_a_equal.encode(out);
+        self.committed_seen().encode(out);
+        self.all_b_commit.encode(out);
+        self.any_b.encode(out);
+        self.min_b_seen().encode(out);
+    }
+
+    /// Decodes [`AcState::encode`]'s bytes for a participant of arrays of
+    /// length `n`.
+    fn decode(n: usize, bytes: &mut &[u8]) -> Option<AcState> {
+        let input = Value::decode(bytes)?;
+        // What `step` indexes by.
+        let position = |bytes: &mut &[u8]| {
+            let j = usize::decode(bytes)?;
+            if j >= n {
+                return None;
+            }
+            u32::try_from(j).ok()
+        };
+        let pc = match u8::decode(bytes)? {
+            0 => Pc::WriteA,
+            1 => Pc::CollectA(position(bytes)?),
+            2 => Pc::WriteB,
+            3 => Pc::CollectB(position(bytes)?),
+            _ => return None,
+        };
+        let all_a_equal = bool::decode(bytes)?;
+        let (has_committed, committed) = packed(Option::decode(bytes)?);
+        let all_b_commit = bool::decode(bytes)?;
+        let any_b = bool::decode(bytes)?;
+        let (has_min_b, min_b) = packed(Option::decode(bytes)?);
+        Some(AcState {
+            input,
+            committed,
+            min_b,
+            pc,
+            all_a_equal,
+            has_committed,
+            all_b_commit,
+            any_b,
+            has_min_b,
+        })
+    }
+}
+
+impl Hash for AcState {
+    /// The sequence the wide participant's derived `Hash` wrote after its
+    /// index: a digest keys on it, so the packed fields widen back.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.input.hash(state);
+        // A derived enum hash: the discriminant as `isize`, then the
+        // payload.
+        match self.pc {
+            Pc::WriteA => state.write_isize(0),
+            Pc::CollectA(j) => {
+                state.write_isize(1);
+                (j as usize).hash(state);
+            }
+            Pc::WriteB => state.write_isize(2),
+            Pc::CollectB(j) => {
+                state.write_isize(3);
+                (j as usize).hash(state);
+            }
+        }
+        self.all_a_equal.hash(state);
+        self.committed_seen().hash(state);
+        self.all_b_commit.hash(state);
+        self.any_b.hash(state);
+        self.min_b_seen().hash(state);
+    }
+}
+
+fn read(mem: &mut Memory<ConsWord>, obj: ObjId) -> ConsWord {
+    match mem.apply(Primitive::Read(obj)).expect("register allocated") {
+        PrimOutcome::Value(w) => w,
+        _ => unreachable!("registers return values"),
+    }
 }
 
 /// A single-use **commit-adopt** object implemented from `2n` registers,
@@ -60,16 +331,8 @@ enum Pc {
 /// primitives regardless of scheduling.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdoptCommit {
-    a: ObjRun,
-    b: ObjRun,
-    me: usize,
-    input: Value,
-    pc: Pc,
-    all_a_equal: bool,
-    committed_seen: Option<Value>,
-    all_b_commit: bool,
-    any_b: bool,
-    min_b_seen: Option<Value>,
+    slot: AcSlot,
+    state: AcState,
 }
 
 impl AdoptCommit {
@@ -85,19 +348,9 @@ impl AdoptCommit {
 
     /// Starts participation of process index `me` with input `input`.
     pub fn new(a: ObjRun, b: ObjRun, me: usize, input: Value) -> Self {
-        assert_eq!(a.len(), b.len(), "register arrays must have equal length");
-        assert!(me < a.len(), "participant index out of range");
         AdoptCommit {
-            a,
-            b,
-            me,
-            input,
-            pc: Pc::WriteA,
-            all_a_equal: true,
-            committed_seen: None,
-            all_b_commit: true,
-            any_b: false,
-            min_b_seen: None,
+            slot: AcSlot::new(a, b, me),
+            state: AcState::new(input),
         }
     }
 
@@ -111,22 +364,7 @@ impl AdoptCommit {
     /// [`crate::round_shift_key`].
     #[must_use]
     pub fn normalized_state(&self) -> AcNormalizedState {
-        let pc = match self.pc {
-            Pc::WriteA => (0, 0),
-            Pc::CollectA(j) => (1, j),
-            Pc::WriteB => (2, 0),
-            Pc::CollectB(j) => (3, j),
-        };
-        (
-            pc,
-            self.me,
-            self.input,
-            self.all_a_equal,
-            self.committed_seen,
-            self.all_b_commit,
-            self.any_b,
-            self.min_b_seen,
-        )
+        self.state.normalized_state(self.slot.me)
     }
 
     /// A copy of this participant re-indexed to `me` (same registers,
@@ -139,183 +377,99 @@ impl AdoptCommit {
     /// If `me` is out of range for the register arrays.
     #[must_use]
     pub fn retargeted(&self, me: usize) -> Self {
-        assert!(me < self.a.len(), "participant index out of range");
-        AdoptCommit { me, ..*self }
-    }
-
-    fn read(&self, mem: &mut Memory<ConsWord>, obj: ObjId) -> ConsWord {
-        match mem.apply(Primitive::Read(obj)).expect("register allocated") {
-            PrimOutcome::Value(w) => w,
-            _ => unreachable!("registers return values"),
+        AdoptCommit {
+            slot: AcSlot::new(self.slot.a, self.slot.b, me),
+            ..*self
         }
     }
 
     /// Performs one primitive. Returns `Some(outcome)` when finished.
     pub fn step(&mut self, mem: &mut Memory<ConsWord>) -> Option<AcOutcome> {
-        let n = self.a.len();
-        match self.pc {
-            Pc::WriteA => {
-                mem.apply(Primitive::Write(
-                    self.a.at(self.me),
-                    ConsWord::Val(self.input),
-                ))
-                .expect("register allocated");
-                self.pc = Pc::CollectA(0);
-                None
-            }
-            Pc::CollectA(j) => {
-                let w = self.read(mem, self.a.at(j));
-                if let Some(v) = w.value() {
-                    if v != self.input {
-                        self.all_a_equal = false;
-                    }
-                }
-                self.pc = if j + 1 < n {
-                    Pc::CollectA(j + 1)
-                } else {
-                    Pc::WriteB
-                };
-                None
-            }
-            Pc::WriteB => {
-                let entry = ConsWord::Flagged(self.all_a_equal, self.input);
-                mem.apply(Primitive::Write(self.b.at(self.me), entry))
-                    .expect("register allocated");
-                self.pc = Pc::CollectB(0);
-                None
-            }
-            Pc::CollectB(j) => {
-                let w = self.read(mem, self.b.at(j));
-                if let ConsWord::Flagged(flag, v) = w {
-                    self.any_b = true;
-                    self.min_b_seen = Some(match self.min_b_seen {
-                        Some(m) if m <= v => m,
-                        _ => v,
-                    });
-                    if flag {
-                        self.committed_seen = Some(v);
-                    } else {
-                        self.all_b_commit = false;
-                    }
-                }
-                if j + 1 < n {
-                    self.pc = Pc::CollectB(j + 1);
-                    return None;
-                }
-                // Finished the B collect: compute the outcome. With no
-                // commit in sight, adopt the *minimum* value seen, so that
-                // symmetric (e.g. lockstep) schedules converge to a common
-                // estimate instead of livelocking. Validity is preserved —
-                // every seen value is some participant's input.
-                Some(
-                    match (self.all_b_commit && self.any_b, self.committed_seen) {
-                        (true, Some(v)) => AcOutcome::Commit(v),
-                        (_, Some(v)) => AcOutcome::Adopt(v),
-                        (_, None) => AcOutcome::Adopt(self.min_b_seen.unwrap_or(self.input)),
-                    },
-                )
-            }
-        }
+        self.state.step(self.slot, mem)
     }
+}
+
+/// Writes participant `slot` in state `state` as one self-contained
+/// record: `a`, `b`, the participant index, then the state.
+pub(crate) fn encode_participant(slot: AcSlot, state: &AcState, out: &mut Vec<u8>) {
+    slot.a.encode(out);
+    slot.b.encode(out);
+    slot.me.encode(out);
+    state.encode(out);
+}
+
+/// Reads [`encode_participant`]'s record; `None` on a slot
+/// [`AcSlot::new`] would refuse.
+pub(crate) fn decode_participant(bytes: &mut &[u8]) -> Option<(AcSlot, AcState)> {
+    let a = ObjRun::decode(bytes)?;
+    let b = ObjRun::decode(bytes)?;
+    decode_participant_tail(a, b, bytes)
+}
+
+fn decode_participant_tail(a: ObjRun, b: ObjRun, bytes: &mut &[u8]) -> Option<(AcSlot, AcState)> {
+    let slot = AcSlot::checked(a, b, usize::decode(bytes)?)?;
+    Some((slot, AcState::decode(slot.a.len(), bytes)?))
+}
+
+/// A process stays inside one commit-adopt object for `2n + 2`
+/// consecutive steps, so a sibling's sub-machine almost always holds the
+/// *same* register arrays as its predecessor's (`prev`): those collapse
+/// to one marker byte and only the few-byte local fields re-encode.
+/// Without a predecessor the record is [`encode_participant`]'s.
+pub(crate) fn encode_participant_delta(
+    slot: AcSlot,
+    state: &AcState,
+    prev: Option<AcSlot>,
+    out: &mut Vec<u8>,
+) {
+    let Some(prev) = prev else {
+        return encode_participant(slot, state, out);
+    };
+    let same_regs = slot.a == prev.a && slot.b == prev.b;
+    out.push(u8::from(same_regs));
+    if !same_regs {
+        slot.a.encode(out);
+        slot.b.encode(out);
+    }
+    slot.me.encode(out);
+    state.encode(out);
+}
+
+/// Reads [`encode_participant_delta`]'s record against the same `prev`.
+pub(crate) fn decode_participant_delta(
+    prev: Option<AcSlot>,
+    bytes: &mut &[u8],
+) -> Option<(AcSlot, AcState)> {
+    let Some(prev) = prev else {
+        return decode_participant(bytes);
+    };
+    let (a, b) = match u8::decode(bytes)? {
+        1 => (prev.a, prev.b),
+        0 => (ObjRun::decode(bytes)?, ObjRun::decode(bytes)?),
+        _ => return None,
+    };
+    decode_participant_tail(a, b, bytes)
 }
 
 impl StateCodec for AdoptCommit {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.a.encode(out);
-        self.b.encode(out);
-        self.encode_locals(out);
+        encode_participant(self.slot, &self.state, out);
     }
 
     fn decode(bytes: &mut &[u8]) -> Option<Self> {
-        let a = ObjRun::decode(bytes)?;
-        let b = ObjRun::decode(bytes)?;
-        AdoptCommit::decode_locals(a, b, bytes)
-    }
-}
-
-impl AdoptCommit {
-    /// Encodes everything but the register arrays — the shared tail of
-    /// both the self-contained and the delta encodings.
-    fn encode_locals(&self, out: &mut Vec<u8>) {
-        self.me.encode(out);
-        self.input.encode(out);
-        match self.pc {
-            Pc::WriteA => out.push(0),
-            Pc::CollectA(j) => {
-                out.push(1);
-                j.encode(out);
-            }
-            Pc::WriteB => out.push(2),
-            Pc::CollectB(j) => {
-                out.push(3);
-                j.encode(out);
-            }
-        }
-        self.all_a_equal.encode(out);
-        self.committed_seen.encode(out);
-        self.all_b_commit.encode(out);
-        self.any_b.encode(out);
-        self.min_b_seen.encode(out);
-    }
-
-    fn decode_locals(a: ObjRun, b: ObjRun, bytes: &mut &[u8]) -> Option<AdoptCommit> {
-        let me = usize::decode(bytes)?;
-        let input = Value::decode(bytes)?;
-        let pc = match u8::decode(bytes)? {
-            0 => Pc::WriteA,
-            1 => Pc::CollectA(usize::decode(bytes)?),
-            2 => Pc::WriteB,
-            3 => Pc::CollectB(usize::decode(bytes)?),
-            _ => return None,
-        };
-        // What `new` asserts and `step` indexes by.
-        let n = a.len();
-        if b.len() != n || me >= n || matches!(pc, Pc::CollectA(j) | Pc::CollectB(j) if j >= n) {
-            return None;
-        }
-        Some(AdoptCommit {
-            a,
-            b,
-            me,
-            input,
-            pc,
-            all_a_equal: bool::decode(bytes)?,
-            committed_seen: Option::decode(bytes)?,
-            all_b_commit: bool::decode(bytes)?,
-            any_b: bool::decode(bytes)?,
-            min_b_seen: Option::decode(bytes)?,
-        })
+        let (slot, state) = decode_participant(bytes)?;
+        Some(AdoptCommit { slot, state })
     }
 }
 
 impl DeltaCodec for AdoptCommit {
-    /// A process stays inside one commit-adopt object for `2n + 2`
-    /// consecutive steps, so a sibling's sub-machine almost always holds
-    /// the *same* register arrays: those collapse to one marker byte and
-    /// only the few-byte local fields re-encode.
     fn encode_delta(&self, prev: Option<&Self>, out: &mut Vec<u8>) {
-        let Some(prev) = prev else {
-            return self.encode(out);
-        };
-        let same_regs = self.a == prev.a && self.b == prev.b;
-        out.push(u8::from(same_regs));
-        if !same_regs {
-            self.a.encode(out);
-            self.b.encode(out);
-        }
-        self.encode_locals(out);
+        encode_participant_delta(self.slot, &self.state, prev.map(|p| p.slot), out);
     }
 
     fn decode_delta(prev: Option<&Self>, input: &mut &[u8], _ctx: &mut DeltaCtx) -> Option<Self> {
-        let Some(prev) = prev else {
-            return Self::decode(input);
-        };
-        let (a, b) = match u8::decode(input)? {
-            1 => (prev.a, prev.b),
-            0 => (ObjRun::decode(input)?, ObjRun::decode(input)?),
-            _ => return None,
-        };
-        AdoptCommit::decode_locals(a, b, input)
+        let (slot, state) = decode_participant_delta(prev.map(|p| p.slot), input)?;
+        Some(AdoptCommit { slot, state })
     }
 }
 

@@ -1,11 +1,16 @@
 //! Obstruction-free consensus from registers: rounds of commit-adopt plus
 //! a decision register.
 
+use std::hash::{Hash, Hasher};
+
 use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
 use slx_history::{Operation, ProcessId, Response, Value};
 use slx_memory::{Memory, ObjId, ObjRun, PrimOutcome, Primitive, Process, StepEffect, System};
 
-use crate::adopt_commit::{AcNormalizedState, AcOutcome, AdoptCommit};
+use crate::adopt_commit::{
+    decode_participant, decode_participant_delta, encode_participant, encode_participant_delta,
+    AcNormalizedState, AcOutcome, AcSlot, AcState,
+};
 use crate::word::ConsWord;
 
 /// Shared register layout for one [`ObstructionFreeConsensus`] instance:
@@ -16,29 +21,71 @@ use crate::word::ConsWord;
 /// configuration, so the table is not stored: the rounds' registers are
 /// one consecutive run (`2n` per round: the `a` array then the `b`
 /// array) and round `r`'s arrays are offsets into it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Every process carries a copy, so the ids are held as 32 bits (16
+/// bytes where an `ObjId` and an `ObjRun` take 32); `Hash` and the codecs
+/// widen them back to the words they always wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
-    decision: ObjId,
+    decision: u32,
     /// Participants per commit-adopt object.
-    n: usize,
-    /// `a`-then-`b` registers, `2n` per round.
-    regs: ObjRun,
+    n: u32,
+    /// `a`-then-`b` registers, `2n` per round, from `regs_first` on.
+    regs_first: u32,
+    regs_len: u32,
 }
 
 impl Layout {
+    /// The layout of decision register `decision` and round registers
+    /// `regs` for `n` participants, or `None` if `regs` is not whole
+    /// rounds or an id does not fit in 32 bits.
+    fn new(decision: ObjId, n: usize, regs: ObjRun) -> Option<Layout> {
+        if n > 0 && !regs.len().is_multiple_of(n.checked_mul(2)?) {
+            return None;
+        }
+        let narrow = |x: usize| u32::try_from(x).ok();
+        Some(Layout {
+            decision: narrow(decision.index())?,
+            n: narrow(n)?,
+            regs_first: narrow(regs.first().index())?,
+            regs_len: narrow(regs.len())?,
+        })
+    }
+
     /// The decision register.
     #[must_use]
     pub fn decision(&self) -> ObjId {
-        self.decision
+        ObjId::new(self.decision as usize)
+    }
+
+    /// Participants per commit-adopt object.
+    fn n(&self) -> usize {
+        self.n as usize
+    }
+
+    /// `me` as a participant index: every process owns one column of
+    /// each round's arrays.
+    ///
+    /// # Panics
+    /// If `me` is not below `n`.
+    fn participant(&self, me: ProcessId) -> u32 {
+        assert!(me.index() < self.n(), "participant index out of range");
+        me.index() as u32
+    }
+
+    fn regs(&self) -> ObjRun {
+        ObjRun::new(ObjId::new(self.regs_first as usize), self.regs_len as usize)
+            .expect("two 32-bit numbers add below the wrap")
     }
 
     /// The `(a, b)` register arrays of round `r`'s commit-adopt object,
     /// or `None` past the pre-allocated rounds.
     #[must_use]
     pub fn round_registers(&self, r: usize) -> Option<(ObjRun, ObjRun)> {
-        let start = r.checked_mul(2 * self.n)?;
-        let a = self.regs.sub(start, self.n)?;
-        let b = self.regs.sub(start.checked_add(self.n)?, self.n)?;
+        let (n, regs) = (self.n(), self.regs());
+        let start = r.checked_mul(2 * n)?;
+        let a = regs.sub(start, n)?;
+        let b = regs.sub(start.checked_add(n)?, n)?;
         Some((a, b))
     }
 
@@ -48,8 +95,17 @@ impl Layout {
         if self.n == 0 {
             0
         } else {
-            self.regs.len() / (2 * self.n)
+            self.regs().len() / (2 * self.n())
         }
+    }
+}
+
+impl Hash for Layout {
+    /// The full-width fields' derived sequence.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.decision().hash(state);
+        self.n().hash(state);
+        self.regs().hash(state);
     }
 }
 
@@ -58,11 +114,13 @@ impl Layout {
 /// register identities erased.
 pub type OfNormalizedState = (Value, usize, (u8, Option<AcNormalizedState>, Option<Value>));
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pc {
     Idle,
     CheckDecision,
-    Round(AdoptCommit),
+    /// Inside round `round`'s commit-adopt object, whose registers and
+    /// column follow from the layout, the round and `me`.
+    Round(AcState),
     WriteDecision(Value),
 }
 
@@ -83,33 +141,43 @@ enum Pc {
 /// Rounds are pre-allocated; see [`ObstructionFreeConsensus::layout`]'s
 /// `max_rounds` (the run panics if an execution exceeds it, which bounds
 /// experiments honestly instead of silently mis-deciding).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A process stores only what varies within a run plus its layout and
+/// id in 32-bit form: 72 bytes. Its participant count is the layout's,
+/// and its in-round registers are derived from the layout, the round and
+/// the id. `Eq`, `Hash` and both codecs see the full-width process the
+/// type always described — the same bytes and the same digests.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObstructionFreeConsensus {
     layout: Layout,
-    me: ProcessId,
-    n: usize,
+    me: u32,
+    round: u32,
     est: Value,
-    round: usize,
     pc: Pc,
 }
 
 impl ObstructionFreeConsensus {
     /// Allocates the shared registers: 1 decision register plus
     /// `max_rounds` commit-adopt objects of `2n` registers each.
+    ///
+    /// # Panics
+    /// If a register id does not fit in 32 bits.
     pub fn layout(mem: &mut Memory<ConsWord>, n: usize, max_rounds: usize) -> Layout {
-        Layout {
-            decision: mem.alloc_register(ConsWord::Bot),
-            n,
-            regs: mem.alloc_registers(max_rounds * 2 * n, ConsWord::Bot),
-        }
+        let decision = mem.alloc_register(ConsWord::Bot);
+        let regs = mem.alloc_registers(max_rounds * 2 * n, ConsWord::Bot);
+        Layout::new(decision, n, regs).expect("register ids fit in 32 bits")
     }
 
     /// Creates the algorithm instance of process `me` (of `n`).
+    ///
+    /// # Panics
+    /// If `n` is not the layout's participant count or `me` is not one of
+    /// its participants.
     pub fn new(layout: Layout, me: ProcessId, n: usize) -> Self {
+        assert_eq!(n, layout.n(), "a process runs over its layout's n");
         ObstructionFreeConsensus {
             layout,
-            me,
-            n,
+            me: layout.participant(me),
             est: Value::new(0),
             round: 0,
             pc: Pc::Idle,
@@ -137,6 +205,10 @@ impl ObstructionFreeConsensus {
     /// configuration and its successors, so never-written `⊥` registers
     /// are neither copied by a step nor compared by the delta spill
     /// codec; a writing step copies one pointer pair per chunk of them.
+    /// The processes are a fixed cost whatever `max_rounds` is: 72 bytes
+    /// each, copied with every successor, since a process keeps its
+    /// layout in 32-bit ids and derives its participant count and its
+    /// in-round registers instead of storing them.
     /// What still grows with `max_rounds` is building the system, a
     /// self-contained record (the first of each spill chunk and of a
     /// checkpoint image: every object, written and read back one by one)
@@ -153,13 +225,44 @@ impl ObstructionFreeConsensus {
     /// The round this process is currently working in.
     #[must_use]
     pub fn round(&self) -> usize {
-        self.round
+        self.round as usize
     }
 
     /// The shared register layout this process runs over.
     #[must_use]
     pub fn shared_layout(&self) -> &Layout {
         &self.layout
+    }
+
+    fn me(&self) -> ProcessId {
+        ProcessId::new(self.me as usize)
+    }
+
+    /// The registers and column of this process's commit-adopt object in
+    /// its current round.
+    ///
+    /// # Panics
+    /// Past the pre-allocated rounds.
+    fn ac_slot(&self) -> AcSlot {
+        let (a, b) = self
+            .layout
+            .round_registers(self.round())
+            .unwrap_or_else(|| {
+                panic!(
+                    "consensus exhausted its {} pre-allocated rounds",
+                    self.layout.max_rounds()
+                )
+            });
+        AcSlot {
+            a,
+            b,
+            me: self.me as usize,
+        }
+    }
+
+    /// [`Self::ac_slot`], if the process is inside a round.
+    fn round_slot(&self) -> Option<AcSlot> {
+        matches!(self.pc, Pc::Round(_)).then(|| self.ac_slot())
     }
 
     /// The process state normalized **modulo a round shift**: estimate,
@@ -182,10 +285,10 @@ impl ObstructionFreeConsensus {
         let pc = match &self.pc {
             Pc::Idle => (0, None, None),
             Pc::CheckDecision => (1, None, None),
-            Pc::Round(ac) => (2, Some(ac.normalized_state()), None),
+            Pc::Round(ac) => (2, Some(ac.normalized_state(self.me as usize)), None),
             Pc::WriteDecision(v) => (3, None, Some(*v)),
         };
-        (self.est, self.round - base_round, pc)
+        (self.est, self.round() - base_round, pc)
     }
 
     /// A copy of this process re-indexed to `me`, its in-round
@@ -193,32 +296,66 @@ impl ObstructionFreeConsensus {
     /// ([`AdoptCommit::retargeted`]): the process-permutation hook used
     /// by [`crate::permuted_of_system`] and the symmetry property
     /// suites.
+    ///
+    /// # Panics
+    /// If `me` is not one of the layout's participants.
     #[must_use]
     pub fn retargeted(&self, me: ProcessId) -> Self {
-        let mut p = self.clone();
-        p.me = me;
-        if let Pc::Round(ac) = &mut p.pc {
-            *ac = ac.retargeted(me.index());
+        ObstructionFreeConsensus {
+            me: self.layout.participant(me),
+            ..self.clone()
         }
-        p
+    }
+
+    /// Assembles a decoded record, or `None` if its fields are not one
+    /// process: `n` must be the layout's and `me` one of its
+    /// participants, the round must fit the compact form, and an in-round
+    /// record's registers and index must be the ones its round and `me`
+    /// imply — a stored copy that disagrees would otherwise silently
+    /// become a different state.
+    fn assemble(
+        layout: Layout,
+        me: ProcessId,
+        n: usize,
+        est: Value,
+        round: usize,
+        pc: Pc,
+        slot: Option<AcSlot>,
+    ) -> Option<Self> {
+        if n != layout.n() || me.index() >= n {
+            return None;
+        }
+        let p = ObstructionFreeConsensus {
+            layout,
+            me: me.index() as u32,
+            round: u32::try_from(round).ok()?,
+            est,
+            pc,
+        };
+        let derived = layout.round_registers(round).map(|(a, b)| AcSlot {
+            a,
+            b,
+            me: me.index(),
+        });
+        if slot.is_some() && slot != derived {
+            return None;
+        }
+        Some(p)
     }
 }
 
 impl StateCodec for Layout {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.decision.encode(out);
-        self.n.encode(out);
-        self.regs.encode(out);
+        self.decision().encode(out);
+        self.n().encode(out);
+        self.regs().encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let decision = ObjId::decode(input)?;
         let n = usize::decode(input)?;
         let regs = ObjRun::decode(input)?;
-        if n > 0 && !regs.len().is_multiple_of(n.checked_mul(2)?) {
-            return None;
-        }
-        Some(Layout { decision, n, regs })
+        Layout::new(decision, n, regs)
     }
 }
 
@@ -243,19 +380,52 @@ impl DeltaCodec for Layout {
     }
 }
 
-impl StateCodec for ObstructionFreeConsensus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.layout.encode(out);
-        self.me.encode(out);
-        self.n.encode(out);
+impl Hash for ObstructionFreeConsensus {
+    /// The sequence the full-width process's derived `Hash` wrote:
+    /// layout, `me`, `n`, estimate, round, then the control state with an
+    /// in-round sub-machine's registers and index.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.layout.hash(state);
+        self.me().hash(state);
+        self.layout.n().hash(state);
+        self.est.hash(state);
+        self.round().hash(state);
+        // A derived enum hash: the discriminant as `isize`, then the
+        // payload.
+        match &self.pc {
+            Pc::Idle => state.write_isize(0),
+            Pc::CheckDecision => state.write_isize(1),
+            Pc::Round(ac) => {
+                state.write_isize(2);
+                self.ac_slot().hash(state);
+                ac.hash(state);
+            }
+            Pc::WriteDecision(v) => {
+                state.write_isize(3);
+                v.hash(state);
+            }
+        }
+    }
+}
+
+impl ObstructionFreeConsensus {
+    /// Everything after the layout, shared by both codecs; an in-round
+    /// sub-machine is written by `participant`.
+    fn encode_tail(
+        &self,
+        out: &mut Vec<u8>,
+        participant: impl FnOnce(AcSlot, &AcState, &mut Vec<u8>),
+    ) {
+        self.me().encode(out);
+        self.layout.n().encode(out);
         self.est.encode(out);
-        self.round.encode(out);
+        self.round().encode(out);
         match &self.pc {
             Pc::Idle => out.push(0),
             Pc::CheckDecision => out.push(1),
             Pc::Round(ac) => {
                 out.push(2);
-                ac.encode(out);
+                participant(self.ac_slot(), ac, out);
             }
             Pc::WriteDecision(v) => {
                 out.push(3);
@@ -264,27 +434,40 @@ impl StateCodec for ObstructionFreeConsensus {
         }
     }
 
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        let layout = Layout::decode(input)?;
+    /// Reads [`Self::encode_tail`]'s bytes over `layout`; an in-round
+    /// sub-machine is read by `participant`.
+    fn decode_tail(
+        layout: Layout,
+        input: &mut &[u8],
+        participant: impl FnOnce(&mut &[u8]) -> Option<(AcSlot, AcState)>,
+    ) -> Option<Self> {
         let me = ProcessId::decode(input)?;
         let n = usize::decode(input)?;
         let est = Value::decode(input)?;
         let round = usize::decode(input)?;
-        let pc = match u8::decode(input)? {
-            0 => Pc::Idle,
-            1 => Pc::CheckDecision,
-            2 => Pc::Round(AdoptCommit::decode(input)?),
-            3 => Pc::WriteDecision(Value::decode(input)?),
+        let (pc, slot) = match u8::decode(input)? {
+            0 => (Pc::Idle, None),
+            1 => (Pc::CheckDecision, None),
+            2 => {
+                let (slot, ac) = participant(input)?;
+                (Pc::Round(ac), Some(slot))
+            }
+            3 => (Pc::WriteDecision(Value::decode(input)?), None),
             _ => return None,
         };
-        Some(ObstructionFreeConsensus {
-            layout,
-            me,
-            n,
-            est,
-            round,
-            pc,
-        })
+        Self::assemble(layout, me, n, est, round, pc, slot)
+    }
+}
+
+impl StateCodec for ObstructionFreeConsensus {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.layout.encode(out);
+        self.encode_tail(out, encode_participant);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let layout = Layout::decode(input)?;
+        Self::decode_tail(layout, input, decode_participant)
     }
 }
 
@@ -297,28 +480,12 @@ impl DeltaCodec for ObstructionFreeConsensus {
             return self.encode(out);
         };
         self.layout.encode_delta(Some(&prev.layout), out);
-        self.me.encode(out);
-        self.n.encode(out);
-        self.est.encode(out);
-        self.round.encode(out);
-        match &self.pc {
-            Pc::Idle => out.push(0),
-            Pc::CheckDecision => out.push(1),
-            Pc::Round(ac) => {
-                out.push(2);
-                // Mirrored on decode: the sub-machine deltas iff the
-                // predecessor was also mid-round.
-                let prev_ac = match &prev.pc {
-                    Pc::Round(prev_ac) => Some(prev_ac),
-                    _ => None,
-                };
-                ac.encode_delta(prev_ac, out);
-            }
-            Pc::WriteDecision(v) => {
-                out.push(3);
-                v.encode(out);
-            }
-        }
+        // Mirrored on decode: the sub-machine deltas iff the predecessor
+        // was also mid-round.
+        let prev_slot = prev.round_slot();
+        self.encode_tail(out, |slot, ac, out| {
+            encode_participant_delta(slot, ac, prev_slot, out);
+        });
     }
 
     fn decode_delta(prev: Option<&Self>, input: &mut &[u8], ctx: &mut DeltaCtx) -> Option<Self> {
@@ -326,30 +493,9 @@ impl DeltaCodec for ObstructionFreeConsensus {
             return Self::decode(input);
         };
         let layout = Layout::decode_delta(Some(&prev.layout), input, ctx)?;
-        let me = ProcessId::decode(input)?;
-        let n = usize::decode(input)?;
-        let est = Value::decode(input)?;
-        let round = usize::decode(input)?;
-        let pc = match u8::decode(input)? {
-            0 => Pc::Idle,
-            1 => Pc::CheckDecision,
-            2 => {
-                let prev_ac = match &prev.pc {
-                    Pc::Round(prev_ac) => Some(prev_ac),
-                    _ => None,
-                };
-                Pc::Round(AdoptCommit::decode_delta(prev_ac, input, ctx)?)
-            }
-            3 => Pc::WriteDecision(Value::decode(input)?),
-            _ => return None,
-        };
-        Some(ObstructionFreeConsensus {
-            layout,
-            me,
-            n,
-            est,
-            round,
-            pc,
+        let prev_slot = prev.round_slot();
+        Self::decode_tail(layout, input, |input| {
+            decode_participant_delta(prev_slot, input)
         })
     }
 }
@@ -381,7 +527,7 @@ impl Process<ConsWord> for ObstructionFreeConsensus {
             Pc::Idle => StepEffect::Idle,
             Pc::CheckDecision => {
                 let d = match mem
-                    .apply(Primitive::Read(self.layout.decision))
+                    .apply(Primitive::Read(self.layout.decision()))
                     .expect("decision register allocated")
                 {
                     PrimOutcome::Value(w) => w,
@@ -390,17 +536,13 @@ impl Process<ConsWord> for ObstructionFreeConsensus {
                 if let ConsWord::Val(v) = d {
                     return StepEffect::Responded(Response::Decided(v));
                 }
-                let (a, b) = self.layout.round_registers(self.round).unwrap_or_else(|| {
-                    panic!(
-                        "consensus exhausted its {} pre-allocated rounds",
-                        self.layout.max_rounds()
-                    )
-                });
-                self.pc = Pc::Round(AdoptCommit::new(a, b, self.me.index(), self.est));
+                // Opening the round checks that it was pre-allocated.
+                self.ac_slot();
+                self.pc = Pc::Round(AcState::new(self.est));
                 StepEffect::Ran
             }
             Pc::Round(mut ac) => {
-                match ac.step(mem) {
+                match ac.step(self.ac_slot(), mem) {
                     None => self.pc = Pc::Round(ac),
                     Some(AcOutcome::Commit(v)) => self.pc = Pc::WriteDecision(v),
                     Some(AcOutcome::Adopt(v)) => {
@@ -412,7 +554,7 @@ impl Process<ConsWord> for ObstructionFreeConsensus {
                 StepEffect::Ran
             }
             Pc::WriteDecision(v) => {
-                mem.apply(Primitive::Write(self.layout.decision, ConsWord::Val(v)))
+                mem.apply(Primitive::Write(self.layout.decision(), ConsWord::Val(v)))
                     .expect("decision register allocated");
                 StepEffect::Responded(Response::Decided(v))
             }

@@ -15,6 +15,14 @@
 //! protection. Nothing in this workspace hashes attacker-controlled
 //! input — keys are state digests, scenario names, and intern layouts —
 //! so determinism wins.
+//!
+//! A `u128` is folded in with one multiply rather than byte by byte: the
+//! kernel's keys are 128-bit state digests, already avalanched, and the
+//! visited-set insert hashes one per generated state. That gives `u128`
+//! keys a different layout than the byte-wise loop did, which no output
+//! sees: nothing iterates a `u128`-keyed `DetHash*` (the visited shards,
+//! the symmetry run's `exact_seen`, the lasso search's `seen` map) — they
+//! are only inserted into, probed and counted.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
@@ -43,12 +51,22 @@ pub struct DetHasher {
     state: u64,
 }
 
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 impl Hasher for DetHasher {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
+            self.state = self.state.wrapping_mul(FNV_PRIME);
         }
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        // One mix for both halves (see the module docs); the finalizer
+        // spreads it.
+        let folded = (i as u64) ^ ((i >> 64) as u64).rotate_left(32);
+        self.state = (self.state ^ folded).wrapping_mul(FNV_PRIME);
     }
 
     fn finish(&self) -> u64 {
@@ -106,6 +124,17 @@ mod tests {
             s1.iter().copied().collect::<Vec<_>>(),
             s2.iter().copied().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn digest_keys_spread_through_either_half() {
+        // A `u128` is one mix: keys that differ only in their high half
+        // (or are truncated to their low bits) must still spread.
+        let high: DetHashSet<u64> = (0..256u128).map(|k| hash_of(&(k << 64)) & 0xff).collect();
+        let low: DetHashSet<u64> = (0..256u128).map(|k| hash_of(&k) & 0xff).collect();
+        assert!(high.len() > 128, "only {} residues", high.len());
+        assert!(low.len() > 128, "only {} residues", low.len());
+        assert_ne!(hash_of(&1u128), hash_of(&(1u128 << 64)));
     }
 
     #[test]

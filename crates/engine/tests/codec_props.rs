@@ -469,3 +469,94 @@ fn register_runs_that_cannot_exist_do_not_decode() {
     assert_eq!(patched(7, 2), None, "collect position >= n");
     assert!(patched(7, 1).is_some());
 }
+
+#[test]
+fn consensus_records_whose_stored_copies_disagree_do_not_decode() {
+    // A consensus process stores its participant count only in its
+    // layout and derives its in-round registers and index from the
+    // layout, the round and its id. A record whose written copies of
+    // those disagree is no process: decoding it must fail rather than
+    // keep one copy and silently become a different state.
+    let mut sys = off_base_proposers(&[1, 2], 2);
+    sys.step(p(1)).unwrap(); // CheckDecision -> Round(WriteA)
+    sys.step(p(1)).unwrap(); // WriteA -> CollectA(0)
+    let prev = sys.process(p(1)).unwrap().clone();
+    let mut bytes = Vec::new();
+    prev.encode(&mut bytes);
+    assert_eq!(
+        bytes[..17],
+        [1, 2, 2, 8, 1, 2, 4, 0, 2, 2, 2, 4, 2, 1, 4, 1, 0],
+        "layout (decision, n, run), me, n, est, round, pc, a, b, me, input, pc"
+    );
+    let patched = |patches: &[(usize, u8)]| {
+        let mut mutant = bytes.clone();
+        for &(at, byte) in patches {
+            mutant[at] = byte;
+        }
+        ObstructionFreeConsensus::decode(&mut mutant.as_slice())
+    };
+    assert_eq!(
+        patched(&[]),
+        Some(prev.clone()),
+        "the unpatched bytes decode"
+    );
+    assert_eq!(patched(&[(5, 3)]), None, "n disagrees with the layout's");
+    assert_eq!(patched(&[(9, 4)]), None, "a is the round's b array");
+    assert_eq!(patched(&[(11, 6)]), None, "b is the next round's a array");
+    assert_eq!(patched(&[(7, 1)]), None, "round 1 on round 0's registers");
+    assert_eq!(
+        patched(&[(13, 0)]),
+        None,
+        "the sub-machine's index is not me"
+    );
+    assert_eq!(
+        patched(&[(4, 0)]),
+        None,
+        "me is not the sub-machine's index"
+    );
+    assert!(patched(&[(4, 0), (13, 0)]).is_some(), "process 0's column");
+    assert!(
+        patched(&[(7, 1), (9, 6), (11, 8)]).is_some(),
+        "round 1 on round 1's registers"
+    );
+
+    // Outside a round nothing else names the column, so `me` itself must
+    // be one of the layout's participants.
+    let waiting = sys.process(p(0)).unwrap().clone();
+    let mut bytes = Vec::new();
+    waiting.encode(&mut bytes);
+    assert_eq!(
+        bytes,
+        [1, 2, 2, 8, 0, 2, 2, 0, 1],
+        "layout, me, n, est, round, pc"
+    );
+    let decoded = |bytes: &[u8]| ObstructionFreeConsensus::decode(&mut &bytes[..]);
+    assert_eq!(decoded(&bytes), Some(waiting));
+    bytes[4] = 1;
+    assert!(decoded(&bytes).is_some(), "process 1 waiting");
+    bytes[4] = 2;
+    assert_eq!(decoded(&bytes), None, "me is not below n");
+
+    // The delta record names the predecessor's registers with a marker
+    // byte; a round that moved under it must not borrow them.
+    sys.step(p(1)).unwrap(); // CollectA(0) -> CollectA(1)
+    let next = sys.process(p(1)).unwrap().clone();
+    let mut delta = Vec::new();
+    next.encode_delta(Some(&prev), &mut delta);
+    assert_eq!(
+        delta[..8],
+        [1, 1, 2, 4, 0, 2, 1, 1],
+        "layout marker, me, n, est, round, pc, same regs, me"
+    );
+    let replayed = |delta: &[u8]| {
+        ObstructionFreeConsensus::decode_delta(Some(&prev), &mut &delta[..], &mut DeltaCtx::new())
+    };
+    assert_eq!(replayed(&delta), Some(next));
+    let mut moved = delta.clone();
+    moved[4] = 1;
+    assert_eq!(
+        replayed(&moved),
+        None,
+        "round 1 on the predecessor's round 0 registers"
+    );
+}

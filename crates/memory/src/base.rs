@@ -27,6 +27,14 @@ impl<T: Clone + Eq + Hash + fmt::Debug> Word for T {}
 pub struct ObjId(usize);
 
 impl ObjId {
+    /// The id of the object at `index`. Ids only name objects a
+    /// [`Memory`] allocated; an id past its pool reads as
+    /// [`MemoryError::NoSuchObject`].
+    #[must_use]
+    pub const fn new(index: usize) -> Self {
+        ObjId(index)
+    }
+
     /// Returns the raw index.
     pub const fn index(self) -> usize {
         self.0
@@ -65,6 +73,22 @@ pub struct ObjRun {
 }
 
 impl ObjRun {
+    /// The `len` ids from `first` on, or `None` if they would wrap.
+    #[must_use]
+    pub fn new(first: ObjId, len: usize) -> Option<ObjRun> {
+        first.0.checked_add(len)?;
+        Some(ObjRun {
+            first: first.0,
+            len,
+        })
+    }
+
+    /// Where the run starts (the id an empty run would begin at).
+    #[must_use]
+    pub const fn first(self) -> ObjId {
+        ObjId(self.first)
+    }
+
     /// Number of objects in the run.
     #[must_use]
     pub const fn len(self) -> usize {
