@@ -349,6 +349,7 @@ mod tests {
         let mut sched = cil_scheduler();
         let witness = slx_explorer::run_until_cycle_keyed(
             &mut sys,
+            &[],
             &mut sched,
             300,
             normalized_of_consensus_key,
@@ -364,39 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn bivalence_lasso_fingerprint_matches_retained_map() {
-        // Differential pin of the digest-keyed cycle detector against the
-        // retained-key baseline on the bivalence adversary schedule: same
-        // stem, same cycle.
-        let run_keyed = || {
-            let mut sys = of_system(64);
-            let mut sched = cil_scheduler();
-            slx_explorer::run_until_cycle_keyed(
-                &mut sys,
-                &mut sched,
-                300,
-                normalized_of_consensus_key,
-            )
-            .expect("cycle")
-        };
-        let run_retained = || {
-            let mut sys = of_system(64);
-            let mut sched = cil_scheduler();
-            slx_explorer::run_until_cycle_keyed_retained(
-                &mut sys,
-                &mut sched,
-                300,
-                normalized_of_consensus_key,
-            )
-            .expect("cycle")
-        };
-        let digest = run_keyed();
-        let retained = run_retained();
-        assert_eq!(digest.stem, retained.stem);
-        assert_eq!(digest.cycle, retained.cycle);
-    }
-
-    #[test]
     fn bivalence_lasso_closes_for_nonzero_based_processes() {
         // Regression: with active processes {p1, p2} the raw counter
         // vector has a phantom slot for the never-active p0. The
@@ -407,6 +375,7 @@ mod tests {
         let mut sched = BivalenceScheduler::new(vec![(p(1), v(1)), (p(2), v(2))], 60_000);
         let witness = slx_explorer::run_until_cycle_keyed(
             &mut sys,
+            &[],
             &mut sched,
             300,
             normalized_of_consensus_key,
@@ -439,6 +408,7 @@ mod tests {
         let mut sched = cil_scheduler();
         let lasso = slx_explorer::run_until_cycle_keyed(
             &mut sys,
+            &[],
             &mut sched,
             300,
             |sys, sched: &BivalenceScheduler| (sys.digest128(), sched.normalized_counts()),

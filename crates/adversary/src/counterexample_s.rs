@@ -165,6 +165,7 @@ mod tests {
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
         let witness = slx_explorer::run_until_cycle_keyed(
             &mut sys,
+            &[],
             &mut adv,
             5000,
             normalized_triple_round_key,
@@ -186,9 +187,10 @@ mod tests {
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
         // The control for the (1,3) lasso: the strategy halts, so none
         // closes under the exact raw key.
-        let lasso = slx_explorer::run_until_cycle_keyed(&mut sys, &mut adv, 2000, |sys, adv| {
-            (sys.digest128(), adv.clone())
-        });
+        let lasso =
+            slx_explorer::run_until_cycle_keyed(&mut sys, &[], &mut adv, 2000, |sys, adv| {
+                (sys.digest128(), adv.clone())
+            });
         assert!(lasso.is_none());
         assert!(adv.lost(), "GlobalVersionTm should commit in round 1");
         // The produced history indeed violates property S's abort rule.

@@ -283,6 +283,15 @@ impl<L: Clone + Ord + fmt::Debug> Automaton<L> {
             .collect()
     }
 
+    /// The transition relation as `(from, action, to)` triples, in that
+    /// order.
+    pub fn transitions(&self) -> impl Iterator<Item = (StateId, &L, StateId)> + '_ {
+        self.trans.iter().flat_map(|(&from, row)| {
+            row.iter()
+                .flat_map(move |(a, targets)| targets.iter().map(move |&to| (from, a, to)))
+        })
+    }
+
     /// Whether every input action is enabled at every state (the standard
     /// I/O-automata input-enabledness; the paper's refinement that only
     /// non-pending processes accept invocations is modeled by *which*

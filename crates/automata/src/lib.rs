@@ -28,13 +28,20 @@
 //! (Lemma 4.8: the strongest liveness property an implementation `I`
 //! ensures is `Lmax ∪ fair(A_I)`), which [`strongest_ensured`] builds from
 //! [`Automaton::fair_histories`] on finite truncations.
+//!
+//! [`extract`] connects the two sides: it builds the automaton of a
+//! simulated system under every schedule, one state per distinct key, to
+//! fixpoint. Figure 1(a)'s white check reads safety and solo progress off
+//! the graph it extracts for the two-process register consensus.
 
 #![warn(missing_docs)]
 
 mod automaton;
+mod extract;
 mod lemma48;
 mod theorem49;
 
 pub use automaton::{Automaton, Execution, ExecutionSpace, StateId};
+pub use extract::{extract, Extraction, NotClosed, Step, MAX_STATES};
 pub use lemma48::{strongest_ensured, BoundedLiveness};
 pub use theorem49::{single_response_ib, trivial_it};

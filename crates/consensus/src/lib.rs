@@ -13,9 +13,9 @@
 //! - [`CasConsensus`] — wait-free consensus from a single compare-and-swap
 //!   object: the contrast showing the exclusion is about the base-object
 //!   model, not consensus per se;
-//! - [`TrivialNoResponse`] and [`SingleResponse`] — process-level versions
-//!   of Theorem 4.9's `It` and `Ib` (the automata-level versions live in
-//!   `slx-automata`), usable inside the simulator.
+//! - [`TrivialNoResponse`] — the process-level version of Theorem 4.9's
+//!   `It` (it and `Ib` are automata in `slx-automata`), usable inside the
+//!   simulator.
 
 #![warn(missing_docs)]
 
@@ -34,5 +34,5 @@ pub use normalize::{
     canonical_of_digest, permutation_safe, permuted_of_system, round_shift_key, OfRoundShiftKey,
 };
 pub use of_consensus::{Layout as OfLayout, ObstructionFreeConsensus, OfNormalizedState};
-pub use trivial::{SingleResponse, TrivialNoResponse};
+pub use trivial::TrivialNoResponse;
 pub use word::ConsWord;

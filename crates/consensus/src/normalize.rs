@@ -109,8 +109,12 @@ pub fn round_shift_key(sys: &System<ConsWord, ObstructionFreeConsensus>) -> OfRo
         .expect("at least one process")
         .2
         .shared_layout();
+    // With nothing pending no round register is read again, so the
+    // window is empty; the bounds would put its base at round 0 and keep
+    // every round, unshifted.
+    let live = procs.iter().any(|(pending, _, _)| *pending);
     let mut window: Vec<ConsWord> = Vec::new();
-    for r in base..=top {
+    for r in (base..=top).filter(|_| live) {
         if let Some((a, b)) = layout.round_registers(r) {
             window.extend(a.iter().chain(b.iter()).map(read));
         }

@@ -1,6 +1,6 @@
-//! Process-level versions of Theorem 4.9's trivial implementations.
+//! The process-level version of Theorem 4.9's trivial implementation `It`.
 
-use slx_history::{Operation, ProcessId, Response};
+use slx_history::Operation;
 use slx_memory::{Memory, Process, StepEffect};
 
 use crate::word::ConsWord;
@@ -36,70 +36,10 @@ impl Process<ConsWord> for TrivialNoResponse {
     }
 }
 
-/// The implementation `Ib` of Theorem 4.9, process-level: the designated
-/// process answers its first designated invocation with the designated
-/// response, then never responds again; everyone else never responds.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SingleResponse {
-    me: ProcessId,
-    designated_proc: ProcessId,
-    designated_op: Operation,
-    response: Response,
-    /// `true` until the one response has been (or can no longer be) given.
-    armed: bool,
-    pending_designated: bool,
-}
-
-impl SingleResponse {
-    /// Creates the `Ib` process `me`; only `designated_proc` answering
-    /// `designated_op` with `response` ever responds.
-    pub fn new(
-        me: ProcessId,
-        designated_proc: ProcessId,
-        designated_op: Operation,
-        response: Response,
-    ) -> Self {
-        SingleResponse {
-            me,
-            designated_proc,
-            designated_op,
-            response,
-            armed: true,
-            pending_designated: false,
-        }
-    }
-}
-
-impl Process<ConsWord> for SingleResponse {
-    fn on_invoke(&mut self, op: Operation) {
-        if self.me == self.designated_proc && self.armed && op == self.designated_op {
-            self.pending_designated = true;
-        } else {
-            // Any other invocation permanently silences this process.
-            self.armed = false;
-            self.pending_designated = false;
-        }
-    }
-
-    fn has_step(&self) -> bool {
-        self.pending_designated
-    }
-
-    fn step(&mut self, _mem: &mut Memory<ConsWord>) -> StepEffect {
-        if self.pending_designated {
-            self.pending_designated = false;
-            self.armed = false;
-            StepEffect::Responded(self.response)
-        } else {
-            StepEffect::Idle
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slx_history::Value;
+    use slx_history::{ProcessId, Value};
     use slx_memory::{RoundRobin, System};
     use slx_safety::{ConsensusSafety, SafetyProperty};
 
@@ -121,48 +61,5 @@ mod tests {
         assert!(sys.quiescent(), "no enabled steps: finite run is fair");
         assert!(ConsensusSafety::new().allows(sys.history()));
         assert!(sys.history().pending(p(0)) && sys.history().pending(p(1)));
-    }
-
-    #[test]
-    fn single_response_answers_designated_once() {
-        let mem: Memory<ConsWord> = Memory::new();
-        let designated = propose(1);
-        let resp = Response::Decided(Value::new(1));
-        let procs = vec![
-            SingleResponse::new(p(0), p(0), designated, resp),
-            SingleResponse::new(p(1), p(0), designated, resp),
-        ];
-        let mut sys = System::new(mem, procs);
-        sys.invoke(p(0), designated).unwrap();
-        sys.run(&mut RoundRobin::new(), 100);
-        assert_eq!(sys.history().responses_of(p(0)), vec![resp]);
-        // Second designated invocation: silence.
-        sys.invoke(p(0), designated).unwrap();
-        let stats = sys.run(&mut RoundRobin::new(), 100);
-        assert_eq!(stats.responses, 0);
-        assert!(sys.quiescent());
-        assert!(ConsensusSafety::new().allows(sys.history()));
-    }
-
-    #[test]
-    fn single_response_wrong_op_silences() {
-        let mem: Memory<ConsWord> = Memory::new();
-        let designated = propose(1);
-        let resp = Response::Decided(Value::new(1));
-        let mut sys = System::new(mem, vec![SingleResponse::new(p(0), p(0), designated, resp)]);
-        sys.invoke(p(0), propose(9)).unwrap();
-        let stats = sys.run(&mut RoundRobin::new(), 100);
-        assert_eq!(stats.responses, 0);
-    }
-
-    #[test]
-    fn non_designated_process_never_responds() {
-        let mem: Memory<ConsWord> = Memory::new();
-        let designated = propose(1);
-        let resp = Response::Decided(Value::new(1));
-        let mut sys = System::new(mem, vec![SingleResponse::new(p(0), p(1), designated, resp)]);
-        sys.invoke(p(0), designated).unwrap();
-        let stats = sys.run(&mut RoundRobin::new(), 100);
-        assert_eq!(stats.responses, 0);
     }
 }

@@ -10,7 +10,7 @@
 
 use std::hash::Hash;
 
-use slx_explorer::{run_until_cycle_keyed_after, Lasso};
+use slx_explorer::{run_until_cycle_keyed, Lasso};
 use slx_history::{Operation, ProcessId, Value, VarId};
 use slx_liveness::{LkFreedom, ProgressKind};
 use slx_memory::{Decision, Process, RepeatTxn, SoloScheduler, System, WorkloadScheduler};
@@ -61,7 +61,7 @@ const CRASH_PREFIX: [Decision; 3] = [
 
 /// Drives [`CRASH_PREFIX`] on `sys`, then the [`Survivor`], until `key`
 /// repeats or `events` elapse.
-fn survivor_lasso<P, K: Hash>(
+fn survivor_lasso<P, K: Hash + Eq>(
     sys: &mut System<TmWord, P>,
     events: u64,
     key: impl Fn(&System<TmWord, P>, &Survivor) -> K,
@@ -72,7 +72,7 @@ where
     let x = VarId::new(0);
     let workload = RepeatTxn::new(2, vec![x], vec![x], None);
     let mut sched = WorkloadScheduler::new(2, workload, SoloScheduler::new(SURVIVOR));
-    let witness = run_until_cycle_keyed_after(sys, &CRASH_PREFIX, &mut sched, events, key);
+    let witness = run_until_cycle_keyed(sys, &CRASH_PREFIX, &mut sched, events, key);
     Lasso::new(witness, ProgressKind::CommitOnly)
 }
 
@@ -82,7 +82,7 @@ where
 /// left out: it only carries a process's last response until the next
 /// invocation, and with unbounded commits an abort and a commit advance
 /// the workload alike.
-fn lock_tm_key(sys: &System<TmWord, LockTm>, sched: &Survivor) -> impl Hash {
+fn lock_tm_key(sys: &System<TmWord, LockTm>, sched: &Survivor) -> impl Hash + Eq {
     let workload = sched.workload().normalized_state(SURVIVOR, 0);
     (sys.transformed(Clone::clone, Clone::clone), workload)
 }
@@ -90,7 +90,7 @@ fn lock_tm_key(sys: &System<TmWord, LockTm>, sched: &Survivor) -> impl Hash {
 /// The lock-free TM's key: versions and values climb with every commit,
 /// so the configuration is rebased over the survivor, the one process
 /// that steps, and so is its workload state.
-fn lock_free_key(sys: &System<TmWord, GlobalVersionTm>, sched: &Survivor) -> impl Hash {
+fn lock_free_key(sys: &System<TmWord, GlobalVersionTm>, sched: &Survivor) -> impl Hash + Eq {
     let dval = committed_shift(sys).dval;
     let workload = sched.workload().normalized_state(SURVIVOR, dval);
     (normalized_global_version(sys, &[SURVIVOR]), workload)

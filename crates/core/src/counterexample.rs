@@ -75,7 +75,7 @@ pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
     let mut triple =
         TripleRoundAdversary::new([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
     let key = normalized_triple_round_key;
-    let witness = run_until_cycle_keyed(&mut sys, &mut triple, events, key);
+    let witness = run_until_cycle_keyed(&mut sys, &[], &mut triple, events, key);
     let triple_lasso = Lasso::new(witness, ProgressKind::CommitOnly);
     let mut s_holds = PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
 

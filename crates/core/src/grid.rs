@@ -1,20 +1,20 @@
 //! Figure 1: classification of (l,k)-freedom points.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
 
 use slx_adversary::{
     normalized_of_consensus_key, normalized_starvation_key, BivalenceScheduler, TmStarvation,
 };
-use slx_consensus::ObstructionFreeConsensus;
+use slx_automata::{extract, Automaton, NotClosed, StateId, Step};
+use slx_consensus::{round_shift_key, ObstructionFreeConsensus};
 use slx_engine::DeltaCodec;
-use slx_explorer::{
-    explore_safety, history_digest, run_until_cycle_keyed_after, verify_solo_progress, Lasso,
-};
-use slx_history::{ProcessId, Value, VarId};
+use slx_explorer::{run_until_cycle_keyed, Lasso};
+use slx_history::{Action, ProcessId, Response, Value, VarId};
 use slx_liveness::{LkFreedom, ProgressKind};
 use slx_memory::{Decision, FairRandom, Process, RepeatTxn, System, Word, WorkloadScheduler};
-use slx_safety::ConsensusSafety;
+use slx_safety::{ConsensusSafety, SafetyProperty};
 use slx_tm::{GlobalVersionTm, TmWord};
 
 /// Classification of one (l,k) point.
@@ -140,7 +140,8 @@ const TM_WHITE_SEED: u64 = 7;
 /// The two anchor verdicts are established experimentally:
 ///
 /// - *(1,1) white*: `ObstructionFreeConsensus` passes
-///   [`consensus_white_check`];
+///   [`consensus_white_check`] under its round-shift key, on every
+///   schedule with no bound: the key closes at 594 states;
 /// - *(1,2) black*: on the pane's `n` processes, the others crashed
 ///   first, the valence-computing adversary drives the same
 ///   implementation into a lasso on which two processes step forever and
@@ -150,9 +151,11 @@ const TM_WHITE_SEED: u64 = 7;
 ///   not merely unwitnessed. Every (l,k) ≥ (1,2) inherits the exclusion
 ///   (a stronger property excludes whenever a weaker one does).
 pub fn consensus_grid(n: usize) -> Grid {
-    // White anchor (1,1): exhaustive safety + solo progress at small scope.
-    let (white_ok, white_basis) =
-        consensus_white_check(&ObstructionFreeConsensus::proposers(&[1, 2], 64));
+    // White anchor (1,1): safety and solo progress on the extracted graph.
+    let (white_ok, white_basis) = consensus_white_check(
+        &ObstructionFreeConsensus::proposers(&[1, 2], 64),
+        round_shift_key,
+    );
     let white_basis = format!("obstruction-free consensus from registers: {white_basis}");
 
     // Black anchor (1,2): the bivalence adversary starves two steppers
@@ -178,30 +181,105 @@ pub fn consensus_grid(n: usize) -> Grid {
 }
 
 /// Figure 1(a)'s white check, which Section 6's implementable members
-/// share: on the two-process consensus `sys`, both proposals issued,
-/// agreement and validity on every schedule to depth 18, and from every
-/// configuration reachable in 8 steps each process running solo decides
-/// within 400 steps. Returns whether both halves hold, and the basis.
-pub fn consensus_white_check<W, P>(sys: &System<W, P>) -> (bool, String)
+/// share, on the two-process consensus `sys` with both proposals issued:
+/// the automaton [`extract`]ed from every schedule of the two processes,
+/// with states the distinct `key`s joined with the history's responses,
+/// must
+///
+/// - keep agreement and validity on every response edge. The proposals
+///   are fixed by `sys` and the decisions are in the key, so the verdict
+///   at an edge's target is its representative's;
+/// - have no cycle of `p`'s own steps on which `p` stays pending, for
+///   each `p`: running alone from anywhere, `p` responds;
+/// - have no state at which `p` is pending with no step to take.
+///
+/// Returns whether all three hold, and the basis: the graph's size, then
+/// each half that failed and for which process.
+pub fn consensus_white_check<W, P, K>(
+    sys: &System<W, P>,
+    key: impl Fn(&System<W, P>) -> K,
+) -> (bool, String)
 where
-    W: Word + DeltaCodec + Send + Sync,
-    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
+    W: Word,
+    P: Process<W> + Clone,
+    K: Hash + Eq,
 {
-    const SAFETY_DEPTH: usize = 18;
-    const SOLO_DEPTH: usize = 8;
-    const SOLO_BUDGET: usize = 400;
     let active = [ProcessId::new(0), ProcessId::new(1)];
+    let graph = match extract(sys, &active, |s| (key(s), decisions(s))) {
+        Ok(graph) => graph,
+        Err(NotClosed { states }) => return (false, format!("no fixpoint within {states} states")),
+    };
+    let (automaton, states) = (&graph.automaton, &graph.states);
     let spec = ConsensusSafety::new();
-    let safety = explore_safety(sys, &active, SAFETY_DEPTH, &spec, history_digest);
-    let solo_ok = verify_solo_progress(sys, &active, SOLO_DEPTH, SOLO_BUDGET).is_none();
-    let basis = format!(
-        "safety on every schedule to depth {SAFETY_DEPTH} ({} configs, truncated: {}, ok={}), \
-         solo progress exhaustive to depth {SOLO_DEPTH} (ok={solo_ok})",
-        safety.configs,
-        safety.truncated,
-        safety.holds(),
+    let unsafe_edges: Vec<_> = automaton
+        .transitions()
+        .filter(|&(_, step, to)| {
+            matches!(step, Step::Responded(..)) && !spec.allows(states[to.0].history())
+        })
+        .collect();
+    let mut basis = format!(
+        "all schedules, unbounded: {} states, {} transitions",
+        automaton.n_states(),
+        automaton.transitions().count()
     );
-    (safety.holds() && solo_ok, basis)
+    if let Some((from, step, to)) = unsafe_edges.first() {
+        let count = unsafe_edges.len();
+        basis += &format!(
+            "; safety FAILED: {count} unsafe response edge(s), first {from}: {step} into {to}"
+        );
+    }
+    let mut ok = unsafe_edges.is_empty();
+    for p in active {
+        let stuck = (0..states.len()).find(|&s| states[s].is_pending(p) && !states[s].can_step(p));
+        if let Some(s) = stuck {
+            basis += &format!("; solo progress FAILED: {p} is pending with no step at s{s}");
+        } else if solo_cycle(automaton, states, p) {
+            basis += &format!("; solo progress FAILED: {p} alone cycles without responding");
+        } else {
+            continue;
+        }
+        ok = false;
+    }
+    (ok, basis)
+}
+
+/// The responses in `sys`'s history — a consensus's decisions — which
+/// [`consensus_white_check`] joins to every key it extracts under.
+pub fn decisions<W: Word, P: Process<W>>(sys: &System<W, P>) -> BTreeSet<Response> {
+    sys.history()
+        .iter()
+        .filter_map(Action::as_respond)
+        .collect()
+}
+
+/// Whether `p`'s own steps between states at which `p` is pending contain
+/// a cycle: Kahn's elimination of that subgraph leaves a state over.
+fn solo_cycle<W: Word, P: Process<W>>(
+    automaton: &Automaton<Step>,
+    states: &[System<W, P>],
+    p: ProcessId,
+) -> bool {
+    let mut succs = vec![Vec::new(); states.len()];
+    let mut indegree = vec![0usize; states.len()];
+    let pending = |s: StateId| states[s.0].is_pending(p);
+    for (from, step, to) in automaton.transitions() {
+        if step.proc() == p && pending(from) && pending(to) {
+            succs[from.0].push(to.0);
+            indegree[to.0] += 1;
+        }
+    }
+    let mut ready: Vec<usize> = (0..states.len()).filter(|&s| indegree[s] == 0).collect();
+    let mut eliminated = 0;
+    while let Some(s) = ready.pop() {
+        eliminated += 1;
+        for &t in &succs[s] {
+            indegree[t] -= 1;
+            if indegree[t] == 0 {
+                ready.push(t);
+            }
+        }
+    }
+    eliminated < states.len()
 }
 
 /// **Figure 1(b)**: transactional memory with opacity. White iff `l = 1`
@@ -266,7 +344,7 @@ pub fn others_crashed(n: usize) -> Vec<Decision> {
 /// ([`BivalenceScheduler`], which issues the proposals 1 by `p1` and 2 by
 /// `p2` itself) against the consensus `sys`, after `prefix`, until `key`
 /// repeats. Section 6's excluded members are judged on the same lasso.
-pub fn bivalence_lasso<W, P, K: Hash>(
+pub fn bivalence_lasso<W, P, K: Hash + Eq>(
     sys: &mut System<W, P>,
     prefix: &[Decision],
     key: impl Fn(&System<W, P>, &BivalenceScheduler) -> K,
@@ -280,7 +358,7 @@ where
         (ProcessId::new(1), Value::new(2)),
     ];
     let mut sched = BivalenceScheduler::new(proposals, VALENCE_BUDGET);
-    let witness = run_until_cycle_keyed_after(sys, prefix, &mut sched, BIVALENCE_EVENTS, key);
+    let witness = run_until_cycle_keyed(sys, prefix, &mut sched, BIVALENCE_EVENTS, key);
     Lasso::new(witness, ProgressKind::AnyResponse)
 }
 
@@ -288,7 +366,7 @@ where
 /// ([`TmStarvation`], victim `p1` and committer `p2` on `x1`) against the
 /// TM `sys`, after `prefix`, until `key` repeats. Section 5.3's leg 2
 /// runs the same search on Algorithm I(1,2).
-pub fn starvation_lasso<P, K: Hash>(
+pub fn starvation_lasso<P, K: Hash + Eq>(
     sys: &mut System<TmWord, P>,
     prefix: &[Decision],
     key: impl Fn(&System<TmWord, P>, &TmStarvation) -> K,
@@ -297,7 +375,7 @@ where
     P: Process<TmWord>,
 {
     let mut adv = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
-    let witness = run_until_cycle_keyed_after(sys, prefix, &mut adv, TM_EVENTS, key);
+    let witness = run_until_cycle_keyed(sys, prefix, &mut adv, TM_EVENTS, key);
     Lasso::new(witness, ProgressKind::CommitOnly)
 }
 
@@ -347,7 +425,6 @@ mod tests {
     use super::*;
     use slx_consensus::{CasConsensus, ConsWord};
     use slx_memory::{Event, Memory};
-    use slx_safety::SafetyProperty;
 
     #[test]
     fn figure_1a_shape() {

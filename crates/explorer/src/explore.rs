@@ -8,9 +8,7 @@
 
 use std::hash::Hash;
 
-use slx_engine::{
-    Checker, DeltaCodec, Digest, Expansion, ExploreStats, Fingerprinter, StateCodec, StateSpace,
-};
+use slx_engine::{Checker, DeltaCodec, Digest, Expansion, ExploreStats, Fingerprinter, StateSpace};
 use slx_history::{History, ProcessId};
 use slx_memory::{Process, StepEffect, System, Word};
 use slx_safety::SafetyProperty;
@@ -219,152 +217,6 @@ where
     }
 }
 
-/// A counterexample to solo progress: a reachable configuration from which
-/// the pending process `proc`, running alone, fails to respond within the
-/// step budget.
-#[derive(Debug, Clone)]
-pub struct SoloCounterexample {
-    /// The starved process.
-    pub proc: ProcessId,
-    /// The history of the configuration from which the solo run starved.
-    pub reached_by: History,
-}
-
-// Findings must be persistable so checkpointed obstruction-freedom runs
-// can carry accumulated counterexamples across a crash/resume.
-impl StateCodec for SoloCounterexample {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.proc.encode(out);
-        self.reached_by.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(SoloCounterexample {
-            proc: ProcessId::decode(input)?,
-            reached_by: History::decode(input)?,
-        })
-    }
-}
-
-/// State space for the obstruction-freedom check: reachable configurations
-/// to a depth bound, each solo-checked as it is expanded.
-struct SoloSpace<'a, W, P> {
-    active: &'a [ProcessId],
-    depth: usize,
-    solo_budget: usize,
-    /// See [`SafetySpace::all_active`]: symmetry reduction needs the
-    /// active set permutation-closed.
-    all_active: bool,
-    _marker: std::marker::PhantomData<(W, P)>,
-}
-
-impl<W, P> StateSpace for SoloSpace<'_, W, P>
-where
-    W: Word + DeltaCodec + Send + Sync,
-    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
-{
-    type State = System<W, P>;
-    type Finding = SoloCounterexample;
-
-    fn digest(&self, sys: &Self::State) -> Digest {
-        sys.digest128()
-    }
-
-    fn has_symmetry_reduction(&self) -> bool {
-        self.all_active && P::has_symmetry_reduction()
-    }
-
-    fn canonical_digest(&self, sys: &Self::State) -> Digest {
-        // Starvation is symmetry-invariant: if some pending process of
-        // `sys` starves running solo, its image starves in every
-        // orbit-equivalent configuration, so checking one representative
-        // per orbit preserves the verdict (the reported witness history
-        // may differ by the symmetry, nothing else).
-        P::canonical_system_digest(sys)
-    }
-
-    fn expand(&self, sys: &Self::State, depth: usize, ctx: &mut Expansion<Self>) {
-        // Solo check at this configuration.
-        for &p in self.active {
-            if !sys.is_pending(p) || sys.is_crashed(p) {
-                continue;
-            }
-            let mut solo = sys.clone();
-            let mut responded = false;
-            for _ in 0..self.solo_budget {
-                if !solo.can_step(p) {
-                    break;
-                }
-                if let StepEffect::Responded(_) = solo.step(p).expect("steppable") {
-                    responded = true;
-                    break;
-                }
-            }
-            if !responded {
-                ctx.finding(SoloCounterexample {
-                    proc: p,
-                    reached_by: sys.history().clone(),
-                });
-                return;
-            }
-        }
-        if depth >= self.depth {
-            return;
-        }
-        ctx.reserve(self.active.len());
-        for &p in self.active {
-            if sys.can_step(p) {
-                let mut next = sys.clone();
-                next.step(p).expect("steppable");
-                ctx.push(next);
-            }
-        }
-    }
-}
-
-/// Verifies obstruction-freedom ((1,1)-freedom) exhaustively at small
-/// scope: from **every** configuration reachable by scheduling the
-/// `active` processes for up to `depth` steps, every pending process that
-/// then runs **alone** responds within `solo_budget` steps.
-///
-/// Returns the first counterexample found, or `None` if the check passes.
-pub fn verify_solo_progress<W, P>(
-    initial: &System<W, P>,
-    active: &[ProcessId],
-    depth: usize,
-    solo_budget: usize,
-) -> Option<SoloCounterexample>
-where
-    W: Word + DeltaCodec + Send + Sync,
-    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
-{
-    verify_solo_progress_with(&Checker::auto(), initial, active, depth, solo_budget)
-}
-
-/// [`verify_solo_progress`] on an explicit checker (the symmetry
-/// differential suite pins reduction settings against each other).
-pub fn verify_solo_progress_with<W, P>(
-    checker: &Checker,
-    initial: &System<W, P>,
-    active: &[ProcessId],
-    depth: usize,
-    solo_budget: usize,
-) -> Option<SoloCounterexample>
-where
-    W: Word + DeltaCodec + Send + Sync,
-    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
-{
-    let space = SoloSpace {
-        active,
-        depth,
-        solo_budget,
-        all_active: covers_all_processes(active, initial.n()),
-        _marker: std::marker::PhantomData,
-    };
-    let out = checker.run_until(&space, vec![initial.clone()], |found| !found.is_empty());
-    out.findings.into_iter().next()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,64 +315,6 @@ mod tests {
             consensus_digest,
         );
         assert!(!out.holds(), "disagreement must be found");
-    }
-
-    #[test]
-    fn solo_progress_holds_for_of_consensus() {
-        let sys = ObstructionFreeConsensus::proposers(&[1, 2], 16);
-        let cex = verify_solo_progress(&sys, &[p(0), p(1)], 14, 200);
-        assert!(
-            cex.is_none(),
-            "starvation from {:?}",
-            cex.map(|c| c.reached_by)
-        );
-    }
-
-    #[test]
-    fn solo_progress_detects_spinner() {
-        /// Spins forever on a register, never responding.
-        #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-        struct Spinner {
-            reg: slx_memory::ObjId,
-            pending: bool,
-        }
-        impl slx_memory::Process<ConsWord> for Spinner {
-            fn on_invoke(&mut self, _op: Operation) {
-                self.pending = true;
-            }
-            fn has_step(&self) -> bool {
-                self.pending
-            }
-            fn step(&mut self, mem: &mut Memory<ConsWord>) -> StepEffect {
-                mem.apply(slx_memory::Primitive::Read(self.reg)).unwrap();
-                StepEffect::Ran
-            }
-        }
-        impl StateCodec for Spinner {
-            fn encode(&self, out: &mut Vec<u8>) {
-                self.reg.encode(out);
-                self.pending.encode(out);
-            }
-            fn decode(input: &mut &[u8]) -> Option<Self> {
-                Some(Spinner {
-                    reg: slx_memory::ObjId::decode(input)?,
-                    pending: bool::decode(input)?,
-                })
-            }
-        }
-        impl DeltaCodec for Spinner {}
-        let mut mem: Memory<ConsWord> = Memory::new();
-        let reg = mem.alloc_register(ConsWord::Bot);
-        let mut sys = System::new(
-            mem,
-            vec![Spinner {
-                reg,
-                pending: false,
-            }],
-        );
-        sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
-        let cex = verify_solo_progress(&sys, &[p(0)], 2, 50);
-        assert_eq!(cex.map(|c| c.proc), Some(p(0)));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Lasso detection: repeated configurations under deterministic schedulers.
 
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::Hash;
 
@@ -90,16 +91,19 @@ impl fmt::Display for Lasso {
     }
 }
 
-/// Runs `scheduler` on `sys` and watches for a repeat of a
-/// caller-supplied **key** of the combined (system configuration,
-/// scheduler state). On a repeat, returns the lasso; returns `None` if
-/// `max_events` elapse first or the run halts. The scheduler must be
-/// deterministic for the witness to be meaningful.
+/// Applies `prefix` to `sys`, then runs `scheduler` and watches for a
+/// repeat of a caller-supplied **key** of the combined (system
+/// configuration, scheduler state). On a repeat, returns the lasso, whose
+/// stem starts with the prefix's events, so what the prefix does (a
+/// crash, say) is part of the execution the verdicts read; returns `None`
+/// if `max_events` elapse first or the run halts. Keys are recorded from
+/// the end of the prefix on. The scheduler must be deterministic for the
+/// witness to be meaningful.
 ///
-/// Only the 128-bit fingerprint of each key is retained (via
-/// [`slx_engine::digest128_of`]) — the same fingerprint-only discipline
-/// as the exploration kernel's visited set, so arbitrarily long stems
-/// cost 16 bytes per distinct key instead of a retained clone.
+/// Every key is kept and compared exactly: a repeat is a repeat, never a
+/// fingerprint collision between two distinct keys. The runs this
+/// workspace drives close within a few thousand events, so the keys they
+/// keep are a few thousand small values.
 ///
 /// Keying is how cycles *modulo a symmetry* are found: algorithms whose
 /// per-iteration state grows by a uniform shift (the TM version counter,
@@ -108,68 +112,12 @@ impl fmt::Display for Lasso {
 /// key still witnesses an infinite execution (`slx-tm` provides the
 /// normalizing maps and documents the invariance argument).
 ///
-/// As with the kernel, fingerprinting trades exact key comparison for a
-/// 2⁻¹²⁸-scale collision risk: a collision here would fabricate a cycle
-/// between two distinct keys. At the run lengths this workspace drives
-/// (≪ 2⁴⁰ events) the probability is astronomically below practical
-/// concern, and the differential tests pin this detector against the
-/// retained-key [`run_until_cycle_keyed_retained`] on every adversary
-/// scenario.
-pub fn run_until_cycle_keyed<W, P, S, K>(
-    sys: &mut System<W, P>,
-    scheduler: &mut S,
-    max_events: u64,
-    key: impl Fn(&System<W, P>, &S) -> K,
-) -> Option<CycleWitness>
-where
-    W: Word,
-    P: Process<W>,
-    S: Scheduler<W, P>,
-    K: Hash,
-{
-    run_until_cycle_keyed_after(sys, &[], scheduler, max_events, key)
-}
-
-/// [`run_until_cycle_keyed`] from where `prefix` leads: the decisions
-/// are applied to `sys` first and their events head the witness's stem,
-/// so what the prefix does (a crash, say) is part of the execution the
-/// verdicts read. Keys are recorded from the end of the prefix on.
-///
 /// # Panics
 ///
 /// Panics if a prefix decision does not apply.
-pub fn run_until_cycle_keyed_after<W, P, S, K>(
+pub fn run_until_cycle_keyed<W, P, S, K>(
     sys: &mut System<W, P>,
     prefix: &[Decision],
-    scheduler: &mut S,
-    max_events: u64,
-    key: impl Fn(&System<W, P>, &S) -> K,
-) -> Option<CycleWitness>
-where
-    W: Word,
-    P: Process<W>,
-    S: Scheduler<W, P>,
-    K: Hash,
-{
-    let mut seen: DetHashMap<u128, usize> = DetHashMap::default();
-    run_cycle_loop(sys, prefix, scheduler, max_events, |sys, sched, now| {
-        let digest = slx_engine::digest128_of(&key(sys, sched)).0;
-        match seen.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(first) => Some(*first.get()),
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(now);
-                None
-            }
-        }
-    })
-}
-
-/// [`run_until_cycle_keyed`] with the key **retained** (exact `Eq`
-/// comparison, no fingerprinting): the collision-free baseline. The
-/// differential tests pin the fingerprint path against this one; callers
-/// wanting certainty over memory can use it directly.
-pub fn run_until_cycle_keyed_retained<W, P, S, K>(
-    sys: &mut System<W, P>,
     scheduler: &mut S,
     max_events: u64,
     key: impl Fn(&System<W, P>, &S) -> K,
@@ -181,64 +129,34 @@ where
     K: Hash + Eq,
 {
     let mut seen: DetHashMap<K, usize> = DetHashMap::default();
-    run_cycle_loop(
-        sys,
-        &[],
-        scheduler,
-        max_events,
-        |sys, sched, now| match seen.entry(key(sys, sched)) {
-            std::collections::hash_map::Entry::Occupied(first) => Some(*first.get()),
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(now);
-                None
-            }
-        },
-    )
-}
-
-/// The shared drive loop: applies `prefix`, then the scheduler's
-/// decisions one at a time, into its own execution log, handing `(system, scheduler,
-/// events-so-far)` to `record` after each; a lasso it closes records
-/// `sys.n()`. `record` returns `Some(first)`
-/// when the current key was first seen at event index `first`, which
-/// closes the lasso — unless nothing was logged since (idle steps only):
-/// an empty cycle is not an infinite execution, and the pair is stuck
-/// there for good, so that ends the search like a halt.
-fn run_cycle_loop<W, P, S>(
-    sys: &mut System<W, P>,
-    prefix: &[Decision],
-    scheduler: &mut S,
-    max_events: u64,
-    mut record: impl FnMut(&System<W, P>, &S, usize) -> Option<usize>,
-) -> Option<CycleWitness>
-where
-    W: Word,
-    P: Process<W>,
-    S: Scheduler<W, P>,
-{
     let mut log = Vec::new();
     for decision in prefix {
         sys.apply(decision.clone(), &mut log)
             .expect("a prefix decision applies");
     }
-    // Seed the map with the starting key (trivially not a repeat).
-    let _ = record(sys, scheduler, log.len());
-
+    seen.insert(key(sys, scheduler), log.len());
     for _ in 0..max_events {
         let decision = scheduler.decide(sys);
         if !matches!(sys.apply(decision, &mut log), Ok(true)) {
             return None;
         }
-        if let Some(first) = record(sys, scheduler, log.len()) {
-            if first == log.len() {
-                return None;
+        match seen.entry(key(sys, scheduler)) {
+            Entry::Vacant(slot) => {
+                slot.insert(log.len());
             }
-            let cycle = log.split_off(first);
-            return Some(CycleWitness {
-                n: sys.n(),
-                stem: log,
-                cycle,
-            });
+            // A repeat with nothing logged since (idle steps only) is no
+            // lasso: an empty cycle is not an infinite execution, and the
+            // pair is stuck there for good, so that ends the search like
+            // a halt.
+            Entry::Occupied(first) if *first.get() == log.len() => return None,
+            Entry::Occupied(first) => {
+                let cycle = log.split_off(*first.get());
+                return Some(CycleWitness {
+                    n: sys.n(),
+                    stem: log,
+                    cycle,
+                });
+            }
         }
     }
     None
@@ -300,7 +218,7 @@ mod tests {
         );
         sys.invoke(p(0), Operation::Propose(Value::new(0))).unwrap();
         let mut sched = AlwaysP0;
-        let w = run_until_cycle_keyed_retained(&mut sys, &mut sched, 100, |sys, sched| {
+        let w = run_until_cycle_keyed(&mut sys, &[], &mut sched, 100, |sys, sched| {
             (sys.clone(), sched.clone())
         })
         .expect("cycle exists");
@@ -351,7 +269,7 @@ mod tests {
         let mut sys = System::new(mem, vec![Finisher { remaining: 0 }]);
         sys.invoke(p(0), Operation::Propose(Value::new(0))).unwrap();
         let mut sched = StepOnce;
-        let witness = run_until_cycle_keyed_retained(&mut sys, &mut sched, 100, |sys, sched| {
+        let witness = run_until_cycle_keyed(&mut sys, &[], &mut sched, 100, |sys, sched| {
             (sys.clone(), sched.clone())
         });
         assert!(witness.is_none());
@@ -387,7 +305,6 @@ mod tests {
         // between: that is a stuck run, not a lasso with an empty cycle.
         let key = |sys: &System<i64, Sleeper>, sched: &StepBlindly| (sys.clone(), sched.clone());
         let mut sys = System::new(Memory::new(), vec![Sleeper]);
-        assert!(run_until_cycle_keyed(&mut sys, &mut StepBlindly, 100, key).is_none());
-        assert!(run_until_cycle_keyed_retained(&mut sys, &mut StepBlindly, 100, key).is_none());
+        assert!(run_until_cycle_keyed(&mut sys, &[], &mut StepBlindly, 100, key).is_none());
     }
 }

@@ -11,28 +11,24 @@
 //! - [`decidable_values`] computes which consensus values are reachable
 //!   decisions from a configuration — the valence analysis that powers the
 //!   bivalence adversary (Corollary 4.5 / Figure 1a's black points);
-//! - [`run_until_cycle_keyed`] runs a *deterministic* scheduler and
-//!   detects a repeated (system, scheduler) key — retaining only 128-bit
-//!   fingerprints of the keys, like the kernel's visited set: a genuine
-//!   lasso, i.e. a witness of an infinite execution, on which
-//!   [`CycleWitness::evaluate_liveness`] judges a liveness property
-//!   exactly (every liveness verdict the drivers print is judged so,
-//!   through a [`Lasso`]; [`run_until_cycle_keyed_after`] starts the
-//!   search after a prefix of decisions, such as a crash). The witness
-//!   records the size of the system it ran on, so a verdict takes none
-//!   from its caller: a process that never steps is still judged.
-//!   [`run_until_cycle_keyed_retained`] is the retained-key oracle the
-//!   differential tests pin it against;
-//! - [`verify_solo_progress`] checks obstruction-freedom exhaustively: from
-//!   every reachable configuration, every pending process running alone
-//!   responds within a step budget.
+//! - [`run_until_cycle_keyed`] runs a *deterministic* scheduler, after
+//!   an optional prefix of decisions such as a crash, and detects a
+//!   repeated (system, scheduler) key — kept and compared exactly, never
+//!   fingerprinted: a genuine lasso, i.e. a witness of an infinite
+//!   execution, on which [`CycleWitness::evaluate_liveness`] judges a
+//!   liveness property exactly (every liveness verdict the drivers print
+//!   is judged so, through a [`Lasso`]). The witness records the size of
+//!   the system it ran on, so a verdict takes none from its caller: a
+//!   process that never steps is still judged.
 //!
-//! Since the `slx-engine` refactor, the enumerating checkers
-//! ([`explore_safety`], [`decidable_values`], [`verify_solo_progress`])
-//! all run on the shared exploration kernel: a fingerprint-only visited
-//! set (no retained configuration clones) under a parallel frontier BFS
-//! with deterministic merging. The seed's retained-clone loops survive in
+//! The enumerating checkers ([`explore_safety`], [`decidable_values`])
+//! run on the shared exploration kernel: a fingerprint-only visited set
+//! (no retained configuration clones) under a parallel frontier BFS with
+//! deterministic merging. The seed's retained-clone loops survive in
 //! [`baseline`] as the exact-state oracle of the differential suites.
+//! Obstruction-freedom is not checked here: Figure 1(a)'s white check
+//! (`slx_core::grid::consensus_white_check`) reads it off the exact graph
+//! `slx_automata::extract` builds.
 
 #![warn(missing_docs)]
 
@@ -42,11 +38,7 @@ mod lasso;
 mod valence;
 
 pub use explore::{
-    explore_safety, explore_safety_observed, explore_safety_with, history_digest,
-    verify_solo_progress, verify_solo_progress_with, ExploreOutcome, SoloCounterexample,
+    explore_safety, explore_safety_observed, explore_safety_with, history_digest, ExploreOutcome,
 };
-pub use lasso::{
-    run_until_cycle_keyed, run_until_cycle_keyed_after, run_until_cycle_keyed_retained,
-    CycleWitness, Lasso,
-};
+pub use lasso::{run_until_cycle_keyed, CycleWitness, Lasso};
 pub use valence::{decidable_values, decidable_values_with, DecidableSet};

@@ -1,7 +1,7 @@
 //! Differential tests of the kernel's symmetry reduction.
 //!
 //! Symmetry reduction is a *quotient*, not an approximation: every
-//! safety, valence, and solo-progress verdict must be identical with the
+//! safety and valence verdict must be identical with the
 //! reduction on and off — only the visited-configuration counts shrink.
 //! These suites pin that equivalence across the full execution matrix
 //! the kernel supports: {1, 2, 4} worker threads × {resident, plain,
@@ -10,9 +10,7 @@
 
 use slx_consensus::{CasConsensus, ConsWord, ObstructionFreeConsensus};
 use slx_engine::{Checker, SpillCodec};
-use slx_explorer::{
-    decidable_values_with, explore_safety_with, history_digest, verify_solo_progress_with,
-};
+use slx_explorer::{decidable_values_with, explore_safety_with, history_digest};
 use slx_history::{Operation, ProcessId, Value, VarId};
 use slx_memory::{Memory, System};
 use slx_safety::{ConsensusSafety, Opacity};
@@ -282,20 +280,6 @@ fn symmetry_preserves_valence_verdicts() {
         );
         assert_eq!(cas_on.truncated, cas_off.truncated, "cas, budget {budget}");
     }
-}
-
-/// Solo-progress (obstruction-freedom) verification is symmetry-invariant
-/// too: a starving process in the quotient is a starving process in some
-/// representative. Both arms must certify the seed scenario.
-#[test]
-fn symmetry_preserves_solo_progress_verdicts() {
-    let of = of_consensus_scenario(&[1, 2]);
-    let active = [p(0), p(1)];
-    let off =
-        verify_solo_progress_with(&Checker::auto().with_symmetry(false), &of, &active, 10, 200);
-    let on = verify_solo_progress_with(&Checker::auto().with_symmetry(true), &of, &active, 10, 200);
-    assert!(off.is_none(), "the seed scenario is obstruction-free");
-    assert!(on.is_none(), "the quotient must certify it too");
 }
 
 /// A partial active set is not permutation-closed: exploring only p0's

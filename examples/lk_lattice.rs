@@ -2,8 +2,8 @@
 //!
 //! Classifies every (l,k)-freedom point for consensus-from-registers
 //! (pane a) and TM opacity (pane b), each anchored in live experiments:
-//! exhaustive small-scope checks for the white anchors, adversary runs for
-//! the black anchors. Prints the two panes in the paper's layout plus the
+//! the consensus's whole two-process graph and one seeded TM run for the
+//! white anchors, lassos of adversaries for the black anchors. Prints the two panes in the paper's layout plus the
 //! strongest-implementable / weakest-excluded frontiers of Theorems 5.2
 //! and 5.3, then the Section 6 structures: S-freedom has no strongest
 //! implementable member, (n,x)-liveness is a chain — and the experiment

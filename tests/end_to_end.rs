@@ -1,10 +1,8 @@
 //! End-to-end integration: the paper's headline results, regenerated
 //! through the public API of the root crate.
 
-use safety_liveness_exclusion::consensus::{ConsWord, ObstructionFreeConsensus};
+use safety_liveness_exclusion::consensus::{round_shift_key, ConsWord, ObstructionFreeConsensus};
 use safety_liveness_exclusion::counterexample::run_counterexample_s;
-use safety_liveness_exclusion::engine::{DeltaCodec, StateCodec};
-use safety_liveness_exclusion::explorer::{explore_safety, history_digest, verify_solo_progress};
 use safety_liveness_exclusion::grid::{
     consensus_grid, consensus_white_check, tm_grid, Grid, Verdict,
 };
@@ -13,7 +11,6 @@ use safety_liveness_exclusion::liveness::LkFreedom;
 use safety_liveness_exclusion::memory::{
     Memory, ObjId, ObjRun, Primitive, Process, StepEffect, System,
 };
-use safety_liveness_exclusion::safety::ConsensusSafety;
 use safety_liveness_exclusion::sect6::{nx_report, s_freedom_report};
 use safety_liveness_exclusion::theorems::{consensus_gmax_demo, tm_gmax_demo};
 
@@ -137,49 +134,37 @@ impl Process<ConsWord> for WaitForOther {
     }
 }
 
-impl StateCodec for WaitForOther {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.mine.encode(out);
-        self.other.encode(out);
-        self.proposal.encode(out);
-        self.published.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(WaitForOther {
-            mine: ObjId::decode(input)?,
-            other: ObjId::decode(input)?,
-            proposal: Option::decode(input)?,
-            published: bool::decode(input)?,
-        })
-    }
+/// The exact configuration key the controls are extracted under: the
+/// object table, the process states and the pending and crashed flags
+/// (`transformed` copies them and drops the history). It leaves out
+/// `Memory::applied`, which `transformed` resets: it counts every step, so
+/// with it no configuration would repeat and no graph would close.
+fn exact<P: Process<ConsWord> + Clone>(sys: &System<ConsWord, P>) -> System<ConsWord, P> {
+    sys.transformed(Clone::clone, Clone::clone)
 }
 
-impl DeltaCodec for WaitForOther {}
-
 /// The control flips the solo-progress half of Figure 1(a)'s white
-/// anchor: both implementations are safe at the grid's scope, and only
-/// `ObstructionFreeConsensus` lets a solo process decide.
+/// anchor: it is safe on every schedule, and a process alone before the
+/// other has published spins on a cycle of its own reads.
 #[test]
 fn figure_1a_white_anchor_flags_a_consensus_that_waits_for_the_other() {
-    let active = [ProcessId::new(0), ProcessId::new(1)];
-    let safety = ConsensusSafety::new();
-
-    let (of_ok, basis) = consensus_white_check(&ObstructionFreeConsensus::proposers(&[1, 2], 64));
+    let (of_ok, basis) = consensus_white_check(
+        &ObstructionFreeConsensus::proposers(&[1, 2], 64),
+        round_shift_key,
+    );
     assert!(of_ok, "{basis}");
 
-    let control = WaitForOther::proposers([1, 2]);
-    let (control_ok, basis) = consensus_white_check(&control);
+    let (ok, basis) = consensus_white_check(&WaitForOther::proposers([1, 2]), exact);
+    assert!(!ok, "a solo process that waits forever went unflagged");
     assert!(
-        !control_ok,
-        "a solo process that waits forever went unflagged"
-    );
-    assert!(
-        basis.contains("solo progress exhaustive to depth 8 (ok=false)"),
+        basis.starts_with("all schedules, unbounded: 7 states, 10 transitions"),
         "{basis}"
     );
-    let out = explore_safety(&control, &active, 18, &safety, history_digest);
-    assert!(out.holds(), "violations: {:?}", out.violations);
+    assert!(
+        basis.contains("solo progress FAILED: p1 alone cycles"),
+        "{basis}"
+    );
+    assert!(!basis.contains("safety FAILED"), "{basis}");
 }
 
 /// Planted bug for the safety half of Figure 1(a)'s white anchor: rounds
@@ -283,43 +268,23 @@ impl Process<ConsWord> for CommitWithoutB {
     }
 }
 
-impl StateCodec for CommitWithoutB {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.a.encode(out);
-        self.me.encode(out);
-        self.estimate.encode(out);
-        self.round.encode(out);
-        self.next.encode(out);
-        self.rival.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(CommitWithoutB {
-            a: ObjRun::decode(input)?,
-            me: usize::decode(input)?,
-            estimate: Option::decode(input)?,
-            round: usize::decode(input)?,
-            next: Option::decode(input)?,
-            rival: Option::decode(input)?,
-        })
-    }
-}
-
-impl DeltaCodec for CommitWithoutB {}
-
 /// The control flips the safety half of Figure 1(a)'s white anchor, the
-/// check Section 6's implementable members share: its `explore_safety`
-/// call (default checker, both processes active, depth 18) finds two
-/// decisions that disagree. Solo progress alone, Section 6's old backing,
-/// passes the control.
+/// check Section 6's implementable members share: a response edge of its
+/// graph decides 2 after 1 was decided. Solo progress, Section 6's old
+/// backing on its own, holds for it.
 #[test]
 fn figure_1a_white_anchor_flags_a_commit_without_the_b_collect() {
-    let active = [ProcessId::new(0), ProcessId::new(1)];
-    let control = CommitWithoutB::proposers([1, 2]);
-    let (ok, basis) = consensus_white_check(&control);
+    let (ok, basis) = consensus_white_check(&CommitWithoutB::proposers([1, 2]), exact);
     assert!(!ok, "disagreeing decisions went unflagged");
-    assert!(basis.contains("ok=false), solo progress"), "{basis}");
-    assert!(verify_solo_progress(&control, &active, 8, 400).is_none());
+    assert!(
+        basis.starts_with("all schedules, unbounded: 61 states, 93 transitions"),
+        "{basis}"
+    );
+    assert!(
+        basis.contains("; safety FAILED: 1 unsafe response edge(s)"),
+        "{basis}"
+    );
+    assert!(!basis.contains("solo progress FAILED"), "{basis}");
 }
 
 #[test]
