@@ -90,6 +90,7 @@ where
         checker: checker.clone(),
         valence_budget,
         valence_configs: 0,
+        truncated: false,
     };
     let run = sys.run(&mut sched, budget);
     BivalenceReport {
@@ -135,6 +136,8 @@ pub struct BivalenceScheduler {
     valence_budget: usize,
     /// Configurations model-checked across all valence queries so far.
     valence_configs: u64,
+    /// Whether a valence query was truncated at its last halt.
+    truncated: bool,
 }
 
 impl BivalenceScheduler {
@@ -153,7 +156,17 @@ impl BivalenceScheduler {
             checker: Checker::auto(),
             valence_budget,
             valence_configs: 0,
+            truncated: false,
         }
+    }
+
+    /// Whether the scheduler halted after a truncated valence query
+    /// ([`slx_explorer::DecidableSet::truncated`]), so that a bivalent
+    /// step may exist past the budget. A halt without one means no step
+    /// keeps the configuration bivalent.
+    #[must_use]
+    pub fn halted_truncated(&self) -> bool {
+        self.truncated
     }
 
     /// The **active** processes' step counters (in proposal order),
@@ -208,6 +221,7 @@ where
             .filter(|&p| sys.can_step(p))
             .collect();
         candidates.sort_by_key(|p| self.step_counts[p.index()]);
+        let mut truncated = false;
         for p in candidates {
             let mut next = sys.clone();
             let effect = next.step(p).expect("steppable");
@@ -222,9 +236,11 @@ where
                 self.step_counts[p.index()] += 1;
                 return Decision::Step(p);
             }
+            truncated |= d.truncated;
         }
         // No bivalence-preserving step within budget: the adversary is
-        // beaten (or the valence budget too small) — halt loudly.
+        // beaten, or the valence budget too small — halt, and say which.
+        self.truncated = truncated;
         Decision::Halt
     }
 }
@@ -257,6 +273,7 @@ pub fn normalized_of_consensus_key(
 mod tests {
     use super::*;
     use slx_consensus::CasConsensus;
+    use slx_explorer::NoLasso;
     use slx_history::{Operation, Value};
     use slx_memory::Memory;
 
@@ -351,7 +368,6 @@ mod tests {
             &mut sys,
             &[],
             &mut sched,
-            300,
             normalized_of_consensus_key,
         )
         .expect("the CIL adversary must drive a round-shift cycle");
@@ -377,7 +393,6 @@ mod tests {
             &mut sys,
             &[],
             &mut sched,
-            300,
             normalized_of_consensus_key,
         )
         .expect("cycle must close despite the phantom p0 counter slot");
@@ -402,23 +417,18 @@ mod tests {
         let report = run_bivalence_adversary(&mut sys, &[p(0), p(1)], 50, 10_000);
         assert!(!report.adversary_won());
         assert!(!report.bivalent_throughout);
-        // The control for the (1,2) lasso: the scheduler halts, so no
-        // lasso closes (the raw key is exact).
+        // The control for the (1,2) lasso: once both proposals are
+        // issued the scheduler halts, beaten, before any step.
         let mut sys = cas_system();
         let mut sched = cil_scheduler();
-        let lasso = slx_explorer::run_until_cycle_keyed(
+        let outcome = slx_explorer::run_until_cycle_keyed(
             &mut sys,
             &[],
             &mut sched,
-            300,
             |sys, sched: &BivalenceScheduler| (sys.digest128(), sched.normalized_counts()),
         );
-        assert!(lasso.is_none());
-        assert_eq!(
-            sched.decide(&sys),
-            Decision::Halt,
-            "the adversary is beaten"
-        );
+        assert_eq!(outcome.unwrap_err(), NoLasso::Halted { events: 2 });
+        assert!(!sched.halted_truncated());
     }
 
     #[test]

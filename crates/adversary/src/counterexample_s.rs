@@ -167,7 +167,6 @@ mod tests {
             &mut sys,
             &[],
             &mut adv,
-            5000,
             normalized_triple_round_key,
         )
         .expect("all-abort loop must cycle");
@@ -185,13 +184,15 @@ mod tests {
         // GlobalVersionTm does NOT implement property S.
         let mut sys = slx_tm::GlobalVersionTm::system(3, 1);
         let mut adv = TripleRoundAdversary::new([p(0), p(1), p(2)]);
-        // The control for the (1,3) lasso: the strategy halts, so none
-        // closes under the exact raw key.
-        let lasso =
-            slx_explorer::run_until_cycle_keyed(&mut sys, &[], &mut adv, 2000, |sys, adv| {
-                (sys.digest128(), adv.clone())
-            });
-        assert!(lasso.is_none());
+        // The control for the (1,3) lasso: the strategy halts once a
+        // commit escapes it.
+        let outcome = slx_explorer::run_until_cycle_keyed(&mut sys, &[], &mut adv, |sys, adv| {
+            (sys.digest128(), adv.clone())
+        });
+        assert!(
+            matches!(outcome, Err(slx_explorer::NoLasso::Halted { .. })),
+            "{outcome:?}"
+        );
         assert!(adv.lost(), "GlobalVersionTm should commit in round 1");
         // The produced history indeed violates property S's abort rule.
         assert!(!PropertyS::new(Value::new(0)).abort_rule_holds(sys.history()));

@@ -277,14 +277,9 @@ mod tests {
         // the infinite execution stem·cycle^ω starves the victim forever.
         let mut sys = GlobalVersionTm::system(2, 1);
         let mut adv = TmStarvation::new(p(0), p(1), x0());
-        let witness = slx_explorer::run_until_cycle_keyed(
-            &mut sys,
-            &[],
-            &mut adv,
-            5000,
-            normalized_starvation_key,
-        )
-        .expect("starvation loop must cycle");
+        let witness =
+            slx_explorer::run_until_cycle_keyed(&mut sys, &[], &mut adv, normalized_starvation_key)
+                .expect("starvation loop must cycle");
         // The cycle has both processes stepping and no victim commit.
         assert_eq!(witness.cycle_steppers(), vec![p(0), p(1)]);
         let victim_commits_in_cycle = witness.cycle.iter().any(

@@ -60,10 +60,9 @@ const CRASH_PREFIX: [Decision; 3] = [
 ];
 
 /// Drives [`CRASH_PREFIX`] on `sys`, then the [`Survivor`], until `key`
-/// repeats or `events` elapse.
+/// repeats.
 fn survivor_lasso<P, K: Hash + Eq>(
     sys: &mut System<TmWord, P>,
-    events: u64,
     key: impl Fn(&System<TmWord, P>, &Survivor) -> K,
 ) -> Lasso
 where
@@ -72,8 +71,8 @@ where
     let x = VarId::new(0);
     let workload = RepeatTxn::new(2, vec![x], vec![x], None);
     let mut sched = WorkloadScheduler::new(2, workload, SoloScheduler::new(SURVIVOR));
-    let witness = run_until_cycle_keyed(sys, &CRASH_PREFIX, &mut sched, events, key);
-    Lasso::new(witness, ProgressKind::CommitOnly)
+    let outcome = run_until_cycle_keyed(sys, &CRASH_PREFIX, &mut sched, key);
+    Lasso::new(outcome, ProgressKind::CommitOnly)
 }
 
 /// The lock TM's key: the configuration (`transformed` resets the
@@ -98,16 +97,15 @@ fn lock_free_key(sys: &System<TmWord, GlobalVersionTm>, sched: &Survivor) -> imp
 
 /// Runs the crash experiment: process 1 acquires whatever its TM needs
 /// for a transaction and crashes mid-flight; process 2 then runs a full
-/// closed-loop workload alone. Each lasso search runs within `events`
-/// events.
-pub fn blocking_demo(events: u64) -> BlockingDemo {
+/// closed-loop workload alone.
+pub fn blocking_demo() -> BlockingDemo {
     // --- Lock TM: crash the lock holder. ---
     let mut sys = LockTm::system(2, 1);
-    let lock = survivor_lasso(&mut sys, events, lock_tm_key);
+    let lock = survivor_lasso(&mut sys, lock_tm_key);
     let lock_opaque = Opacity::new(Value::new(0)).allows(sys.history());
 
     // --- Lock-free TM: same crash pattern. ---
-    let free = survivor_lasso(&mut GlobalVersionTm::system(2, 1), events, lock_free_key);
+    let free = survivor_lasso(&mut GlobalVersionTm::system(2, 1), lock_free_key);
 
     BlockingDemo {
         lock_tm_violates_11: lock.verdict(&LkFreedom::new(1, 1)) == Some(false),
@@ -124,7 +122,7 @@ mod tests {
 
     #[test]
     fn blocking_contrast_established() {
-        let demo = blocking_demo(2000);
+        let demo = blocking_demo();
         assert!(demo.establishes_contrast(), "{demo:?}");
     }
 
@@ -133,14 +131,16 @@ mod tests {
     #[test]
     fn lock_free_verdict_fails_on_the_lock_tm() {
         let one_two = LkFreedom::new(1, 2);
-        let lock = survivor_lasso(&mut LockTm::system(2, 1), 2000, lock_tm_key);
+        let lock = survivor_lasso(&mut LockTm::system(2, 1), lock_tm_key);
         assert_eq!(lock.verdict(&one_two), Some(false));
-        let lock = lock.witness.expect("the survivor's spin closes a lasso");
+        let lock = lock.witness().expect("the survivor's spin closes a lasso");
         assert_eq!(lock.cycle, [slx_memory::Event::Stepped(SURVIVOR)]);
-        let free = survivor_lasso(&mut GlobalVersionTm::system(2, 1), 2000, lock_free_key);
+        let free = survivor_lasso(&mut GlobalVersionTm::system(2, 1), lock_free_key);
         assert_eq!(free.verdict(&one_two), Some(true));
         // The crash is in the stem, where the view reads it.
-        let free = free.witness.expect("the survivor's commits close a lasso");
+        let free = free
+            .witness()
+            .expect("the survivor's commits close a lasso");
         assert!(free
             .stem
             .contains(&slx_memory::Event::Crashed(ProcessId::new(0))));

@@ -55,9 +55,11 @@ impl CounterexampleReport {
     }
 }
 
+/// Events of leg 3's fair two-stepper run.
+const DUO_EVENTS: u64 = 4_000;
+
 /// Runs the three legs of the Section 5.3 experiment against Algorithm
-/// I(1,2) on three processes, leg 1's lasso search and leg 3's fair run
-/// within `events` events:
+/// I(1,2) on three processes:
 ///
 /// 1. the three-process synchronized-round adversary (excludes
 ///    (1,3)-freedom);
@@ -67,16 +69,17 @@ impl CounterexampleReport {
 ///    exclusion carries over). The crash matters: with the third process
 ///    correct and never invoked, it counts as progressing, so the
 ///    committer and it make two and the run *satisfies* (2,2)-freedom;
-/// 3. a fair two-stepper workload showing both processes commit
-///    ((1,2)-freedom holds) while property `S` is preserved (Lemma 5.4).
-pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
+/// 3. a fair two-stepper workload of `DUO_EVENTS` events showing both
+///    processes commit ((1,2)-freedom holds) while property `S` is
+///    preserved (Lemma 5.4).
+pub fn run_counterexample_s() -> CounterexampleReport {
     // Leg 1: (1,3) excluded.
     let mut sys = AgpTm::system(3, 1);
     let mut triple =
         TripleRoundAdversary::new([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
     let key = normalized_triple_round_key;
-    let witness = run_until_cycle_keyed(&mut sys, &[], &mut triple, events, key);
-    let triple_lasso = Lasso::new(witness, ProgressKind::CommitOnly);
+    let outcome = run_until_cycle_keyed(&mut sys, &[], &mut triple, key);
+    let triple_lasso = Lasso::new(outcome, ProgressKind::CommitOnly);
     let mut s_holds = PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
 
     // Leg 2: (2,2) excluded.
@@ -92,7 +95,7 @@ pub fn run_counterexample_s(events: u64) -> CounterexampleReport {
         workload,
         FairRandom::restricted(13, vec![ProcessId::new(0), ProcessId::new(1)]),
     );
-    sys.run(&mut sched, events);
+    sys.run(&mut sched, DUO_EVENTS);
     let view = TxnView::parse(sys.history());
     let commits = |i: usize| {
         view.of_process(ProcessId::new(i))
@@ -119,7 +122,7 @@ mod tests {
 
     #[test]
     fn section_5_3_reproduced() {
-        let report = run_counterexample_s(3000);
+        let report = run_counterexample_s();
         assert!(report.establishes_section_5_3(), "report: {report:?}");
     }
 
@@ -139,7 +142,7 @@ mod tests {
         assert_eq!(crashed.verdict(&one_two), Some(true));
         assert!(PropertyS::new(Value::new(0)).abort_rule_holds(sys.history()));
         // The crash is the stem's first event; the cycles agree.
-        let (idle, crashed) = (idle.witness.unwrap(), crashed.witness.unwrap());
+        let (idle, crashed) = (idle.witness().unwrap(), crashed.witness().unwrap());
         assert_eq!(
             crashed.stem[0],
             slx_memory::Event::Crashed(ProcessId::new(2))

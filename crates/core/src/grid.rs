@@ -10,7 +10,7 @@ use slx_adversary::{
 use slx_automata::{extract, Automaton, NotClosed, StateId, Step};
 use slx_consensus::{round_shift_key, ObstructionFreeConsensus};
 use slx_engine::DeltaCodec;
-use slx_explorer::{run_until_cycle_keyed, Lasso};
+use slx_explorer::{run_until_cycle_keyed, Lasso, NoLasso};
 use slx_history::{Action, ProcessId, Response, Value, VarId};
 use slx_liveness::{LkFreedom, ProgressKind};
 use slx_memory::{Decision, FairRandom, Process, RepeatTxn, System, Word, WorkloadScheduler};
@@ -124,15 +124,14 @@ impl fmt::Display for Grid {
 
 // The anchor experiments' scope, fixed: they regenerate the paper's figure
 // in seconds.
-/// Events the bivalence adversary may take before its lasso must close.
-const BIVALENCE_EVENTS: u64 = 60;
 /// Configuration budget per valence query.
 const VALENCE_BUDGET: usize = 40_000;
-/// Events of the seeded contention run, and the TM starvation adversary's
-/// budget before its lasso must close.
+/// Events of the white TM anchor's seeded contention run.
 const TM_EVENTS: u64 = 2_000;
 /// Seed of the `FairRandom` scheduler behind the white TM anchor.
 const TM_WHITE_SEED: u64 = 7;
+// A lasso search holds as many distinct keys as an extraction holds states.
+const _: () = assert!(slx_explorer::MAX_KEYS == slx_automata::MAX_STATES);
 
 /// **Figure 1(a)**: consensus from read/write registers. White iff
 /// `(l,k) = (1,1)` (Theorem 5.2).
@@ -150,6 +149,11 @@ const TM_WHITE_SEED: u64 = 7;
 ///   register-based implementation it is given), the point is excluded,
 ///   not merely unwitnessed. Every (l,k) ≥ (1,2) inherits the exclusion
 ///   (a stronger property excludes whenever a weaker one does).
+///
+/// The one budget is `VALENCE_BUDGET` per valence query: the pane is
+/// right at every n measured up to 43 (n = 14: stem 14, cycle 62 events),
+/// and from n = 44 on a query is truncated, the adversary halts, and the
+/// failed black basis says so.
 pub fn consensus_grid(n: usize) -> Grid {
     // White anchor (1,1): safety and solo progress on the extracted graph.
     let (white_ok, white_basis) = consensus_white_check(
@@ -160,23 +164,52 @@ pub fn consensus_grid(n: usize) -> Grid {
 
     // Black anchor (1,2): the bivalence adversary starves two steppers
     // forever.
-    let anchor = LkFreedom::new(1, 2);
     let mut sys = ObstructionFreeConsensus::system(n.max(2), 64);
-    let lasso = bivalence_lasso(&mut sys, &others_crashed(n), normalized_of_consensus_key);
-    let black_ok = lasso.verdict(&anchor) == Some(false);
-    let black_basis = format!(
-        "{anchor} violated on a lasso of the bivalence adversary against the same \
-         consensus ({lasso}): p1 and p2 step forever and neither decides; every other \
-         process crashes first"
-    );
+    let (lasso, sched) = bivalence_lasso(&mut sys, &others_crashed(n), normalized_of_consensus_key);
+    let (black_ok, black_basis) = bivalence_basis(&lasso, &sched);
     let white = (LkFreedom::new(1, 1), white_ok, white_basis.as_str());
-    let black = (anchor, black_ok, black_basis.as_str());
+    let black = (LkFreedom::new(1, 2), black_ok, black_basis.as_str());
     let points = classify(n, |lk| lk == white.0, white, black);
 
     Grid {
         safety: "consensus agreement and validity (register implementations)".to_owned(),
         n,
         points,
+    }
+}
+
+/// Figure 1(a)'s black-anchor verdict and basis from its search. A failed
+/// basis says how the search ended and, after a halt, why the adversary
+/// halted.
+fn bivalence_basis(lasso: &Lasso, sched: &BivalenceScheduler) -> (bool, String) {
+    let (ok, basis) = black_anchor(
+        LkFreedom::new(1, 2),
+        lasso,
+        "the bivalence adversary against the same consensus",
+        "p1 and p2 step forever and neither decides; every other process crashes first",
+    );
+    let why = match lasso.outcome() {
+        Err(NoLasso::Halted { .. }) if sched.halted_truncated() => {
+            ": a valence query was truncated"
+        }
+        Err(NoLasso::Halted { .. }) => ": no step keeps the configuration bivalent",
+        _ => "",
+    };
+    (ok, basis + why)
+}
+
+/// A black anchor's verdict and basis: `anchor` must be violated on the
+/// lasso `search` closed, on which `claim` holds.
+fn black_anchor(anchor: LkFreedom, lasso: &Lasso, search: &str, claim: &str) -> (bool, String) {
+    match lasso.verdict(&anchor) {
+        Some(false) => (
+            true,
+            format!("{anchor} violated on a lasso of {search} ({lasso}): {claim}"),
+        ),
+        _ => (
+            false,
+            format!("{anchor} not violated by {search} ({lasso})"),
+        ),
     }
 }
 
@@ -316,11 +349,12 @@ pub fn tm_grid(n: usize) -> Grid {
     let anchor = LkFreedom::new(2, 2);
     let mut sys = GlobalVersionTm::system(procs, 1);
     let lasso = starvation_lasso(&mut sys, &others_crashed(n), normalized_starvation_key);
-    let black_ok = lasso.verdict(&anchor) == Some(false);
-    let black_basis = format!(
-        "{anchor} violated on a lasso of the §4.1 starvation strategy against \
-         GlobalVersionTm ({lasso}): the committer commits on every cycle, the victim never; \
-         every other process crashes first"
+    let (black_ok, black_basis) = black_anchor(
+        anchor,
+        &lasso,
+        "the §4.1 starvation strategy against GlobalVersionTm",
+        "the committer commits on every cycle, the victim never; every other process crashes \
+         first",
     );
     let white = (LkFreedom::new(1, n), white_ok, white_basis.as_str());
     let black = (anchor, black_ok, black_basis.as_str());
@@ -343,12 +377,13 @@ pub fn others_crashed(n: usize) -> Vec<Decision> {
 /// Figure 1(a)'s black-anchor search: the Chor–Israeli–Li adversary
 /// ([`BivalenceScheduler`], which issues the proposals 1 by `p1` and 2 by
 /// `p2` itself) against the consensus `sys`, after `prefix`, until `key`
-/// repeats. Section 6's excluded members are judged on the same lasso.
+/// repeats, and the scheduler as the search left it. Section 6's excluded
+/// members are judged on the same lasso.
 pub fn bivalence_lasso<W, P, K: Hash + Eq>(
     sys: &mut System<W, P>,
     prefix: &[Decision],
     key: impl Fn(&System<W, P>, &BivalenceScheduler) -> K,
-) -> Lasso
+) -> (Lasso, BivalenceScheduler)
 where
     W: Word + DeltaCodec + Send + Sync,
     P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
@@ -358,8 +393,8 @@ where
         (ProcessId::new(1), Value::new(2)),
     ];
     let mut sched = BivalenceScheduler::new(proposals, VALENCE_BUDGET);
-    let witness = run_until_cycle_keyed(sys, prefix, &mut sched, BIVALENCE_EVENTS, key);
-    Lasso::new(witness, ProgressKind::AnyResponse)
+    let outcome = run_until_cycle_keyed(sys, prefix, &mut sched, key);
+    (Lasso::new(outcome, ProgressKind::AnyResponse), sched)
 }
 
 /// Figure 1(b)'s black-anchor search: the §4.1 strategy
@@ -375,8 +410,8 @@ where
     P: Process<TmWord>,
 {
     let mut adv = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
-    let witness = run_until_cycle_keyed(sys, prefix, &mut adv, TM_EVENTS, key);
-    Lasso::new(witness, ProgressKind::CommitOnly)
+    let outcome = run_until_cycle_keyed(sys, prefix, &mut adv, key);
+    Lasso::new(outcome, ProgressKind::CommitOnly)
 }
 
 /// One anchor experiment: the point it classifies, whether it came out as
@@ -403,7 +438,7 @@ fn classify(
                 (black, "black", "stronger")
             };
             let basis = if !ok {
-                format!("{colour}-anchor experiment FAILED")
+                format!("{colour}-anchor experiment FAILED: {basis}")
             } else if lk == anchor {
                 basis.to_owned()
             } else {
@@ -473,14 +508,14 @@ mod tests {
     fn bivalence_lasso_excludes_12_freedom_only_with_the_idle_process_crashed() {
         let (one_two, one_one) = (LkFreedom::new(1, 2), LkFreedom::new(1, 1));
         let key = normalized_of_consensus_key;
-        let idle = bivalence_lasso(&mut ObstructionFreeConsensus::system(3, 64), &[], key);
+        let (idle, _) = bivalence_lasso(&mut ObstructionFreeConsensus::system(3, 64), &[], key);
         assert_eq!(idle.verdict(&one_two), Some(true));
         let mut sys = ObstructionFreeConsensus::system(3, 64);
-        let crashed = bivalence_lasso(&mut sys, &others_crashed(3), key);
+        let (crashed, _) = bivalence_lasso(&mut sys, &others_crashed(3), key);
         assert_eq!(crashed.verdict(&one_two), Some(false));
         assert_eq!(crashed.verdict(&one_one), Some(true));
         assert!(ConsensusSafety::new().allows(sys.history()));
-        let (idle, crashed) = (idle.witness.unwrap(), crashed.witness.unwrap());
+        let (idle, crashed) = (idle.witness().unwrap(), crashed.witness().unwrap());
         assert_eq!(crashed.n, 3);
         assert_eq!(crashed.stem[0], Event::Crashed(ProcessId::new(2)));
         assert_eq!(crashed.cycle, idle.cycle);
@@ -497,14 +532,14 @@ mod tests {
         let crashed = starvation_lasso(&mut GlobalVersionTm::system(3, 1), &others_crashed(3), key);
         assert_eq!(crashed.verdict(&two_two), Some(false));
         assert_eq!(crashed.verdict(&one_two), Some(true));
-        let (idle, crashed) = (idle.witness.unwrap(), crashed.witness.unwrap());
+        let (idle, crashed) = (idle.witness().unwrap(), crashed.witness().unwrap());
         assert_eq!(crashed.stem[0], Event::Crashed(ProcessId::new(2)));
         assert_eq!(crashed.cycle, idle.cycle);
     }
 
     /// The (1,2) control at three processes, p3 crashed: against CAS
-    /// consensus the scheduler halts at once, so no lasso closes under
-    /// the exact raw key.
+    /// consensus the scheduler halts once both proposals are issued,
+    /// before any step.
     #[test]
     fn bivalence_lasso_closes_on_no_cas_consensus() {
         let mut mem: Memory<ConsWord> = Memory::new();
@@ -513,19 +548,38 @@ mod tests {
         let raw = |sys: &System<ConsWord, CasConsensus>, sched: &BivalenceScheduler| {
             (sys.digest128(), sched.normalized_counts())
         };
-        let lasso = bivalence_lasso(&mut sys, &others_crashed(3), raw);
-        assert!(lasso.witness.is_none());
-        assert_eq!(lasso.to_string(), "none closed");
-        // Both proposals are pending and every step would decide.
+        let (lasso, sched) = bivalence_lasso(&mut sys, &others_crashed(3), raw);
+        // The crash and the two proposals; every step would decide.
+        assert_eq!(lasso.outcome().unwrap_err(), NoLasso::Halted { events: 3 });
+        assert_eq!(lasso.to_string(), "halted after 3 events");
+        assert!(sys.is_pending(ProcessId::new(0)) && sys.is_pending(ProcessId::new(1)));
+        assert!(!sched.halted_truncated());
+    }
+
+    /// Figure 1(a)'s black anchor at n = 2 with a valence budget too small
+    /// to witness bivalence: the adversary halts, and the failed basis
+    /// names the truncated query, not the consensus, as the reason.
+    #[test]
+    fn a_failed_black_anchor_names_how_its_search_ended() {
         let proposals = vec![
             (ProcessId::new(0), Value::new(1)),
             (ProcessId::new(1), Value::new(2)),
         ];
-        assert!(sys.is_pending(ProcessId::new(0)) && sys.is_pending(ProcessId::new(1)));
-        let mut sched = BivalenceScheduler::new(proposals, VALENCE_BUDGET);
+        let mut sched = BivalenceScheduler::new(proposals, 8);
+        let mut sys = ObstructionFreeConsensus::system(2, 64);
+        let outcome = run_until_cycle_keyed(&mut sys, &[], &mut sched, normalized_of_consensus_key);
+        let lasso = Lasso::new(outcome, ProgressKind::AnyResponse);
+        let (ok, basis) = bivalence_basis(&lasso, &sched);
+        let black = (LkFreedom::new(1, 2), ok, basis.as_str());
+        let points = classify(2, |lk| lk.k() == 1, (LkFreedom::new(1, 1), true, ""), black);
         assert_eq!(
-            slx_memory::Scheduler::decide(&mut sched, &sys),
-            Decision::Halt
+            points[1].verdict,
+            Verdict::Implementable {
+                basis: "black-anchor experiment FAILED: (1,2)-freedom not violated by the \
+                        bivalence adversary against the same consensus (halted after 2 \
+                        events): a valence query was truncated"
+                    .to_owned()
+            }
         );
     }
 

@@ -107,7 +107,7 @@ pub fn sect6_implementability_demo() -> Sect6ImplementabilityDemo {
         round_shift_key,
     );
     let mut sys = ObstructionFreeConsensus::system(2, 64);
-    let lasso = bivalence_lasso(&mut sys, &[], normalized_of_consensus_key);
+    let (lasso, _) = bivalence_lasso(&mut sys, &[], normalized_of_consensus_key);
     Sect6ImplementabilityDemo {
         white_ok,
         white_basis,

@@ -1,8 +1,15 @@
 //! Executable demonstrations of Theorem 4.4's corollaries.
 
-use slx_adversary::{consensus_f1, consensus_f2, gmax_of, TmStarvation};
+use std::hash::Hash;
+
+use slx_adversary::{
+    consensus_f1, consensus_f2, gmax_of, normalized_starvation_agp_key, normalized_starvation_key,
+    TmStarvation,
+};
+use slx_explorer::run_until_cycle_keyed;
 use slx_history::{History, HistorySet, ProcessId, Value, VarId};
-use slx_tm::{AgpTm, GlobalVersionTm};
+use slx_memory::{Process, System};
+use slx_tm::{AgpTm, GlobalVersionTm, TmWord};
 
 /// Outcome of a `Gmax = ∅` demonstration.
 #[derive(Debug, Clone)]
@@ -43,38 +50,30 @@ pub fn consensus_gmax_demo() -> GmaxDemo {
     }
 }
 
-/// **Corollary 4.6**: finite samples of the TM adversary sets generated by
-/// running the Section 4.1 starvation strategy (and its role-swapped twin)
-/// against every TM implementation in this workspace that ensures opacity.
-/// Every `F1` history begins with `start()` by `p1` and every `F2` history
-/// with `start()` by `p2`, so the sets are disjoint and `Gmax = ∅`.
-pub fn tm_gmax_demo(events_per_run: u64) -> GmaxDemo {
-    let histories = |victim: usize, committer: usize| -> Vec<History> {
-        let mut out = Vec::new();
-        // Implementation 1: GlobalVersionTm.
-        {
-            let mut sys = GlobalVersionTm::system(2, 1);
-            let mut adv = TmStarvation::new(
-                ProcessId::new(victim),
-                ProcessId::new(committer),
-                VarId::new(0),
-            );
-            sys.run(&mut adv, events_per_run);
-            out.push(sys.history().clone());
-        }
-        // Implementation 2: AgpTm (with 2 processes the timestamp rule is
-        // inert, so the same strategy starves the victim).
-        {
-            let mut sys = AgpTm::system(2, 1);
-            let mut adv = TmStarvation::new(
-                ProcessId::new(victim),
-                ProcessId::new(committer),
-                VarId::new(0),
-            );
-            sys.run(&mut adv, events_per_run);
-            out.push(sys.history().clone());
-        }
-        out
+/// **Corollary 4.6**: the TM adversary sets, sampled by the Section 4.1
+/// strategy's lasso searches (`p1` the victim for `F1`, `p2` for its twin
+/// `F2`) against every TM in this workspace that ensures opacity: each
+/// search contributes its history carried one cycle past the lasso's
+/// close, `stem · cycle²`. Every `F1` history begins with `start()` by
+/// `p1` and every `F2` history with `start()` by `p2`, so the sets are
+/// disjoint and `Gmax = ∅`.
+pub fn tm_gmax_demo() -> GmaxDemo {
+    let histories = |victim: usize, committer: usize| {
+        let roles = (ProcessId::new(victim), ProcessId::new(committer));
+        // With 2 processes AgpTm's timestamp rule is inert, so the same
+        // strategy starves the victim.
+        [
+            starvation_history(
+                GlobalVersionTm::system(2, 1),
+                roles,
+                normalized_starvation_key,
+            ),
+            starvation_history(AgpTm::system(2, 1), roles, normalized_starvation_agp_key),
+        ]
+        // A search that closes no lasso empties the set: no corollary.
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .unwrap_or_default()
     };
     let f1 = HistorySet::from_histories(histories(0, 1));
     let f2 = HistorySet::from_histories(histories(1, 0));
@@ -85,6 +84,20 @@ pub fn tm_gmax_demo(events_per_run: u64) -> GmaxDemo {
         gmax,
         corollary: "Corollary 4.6 (no weakest liveness excluding opacity)".to_owned(),
     }
+}
+
+/// The history of the §4.1 strategy's lasso search on `sys`, the search
+/// `grid::starvation_lasso` runs, with the roles given, run one cycle
+/// past the close; `None` if no lasso closed.
+fn starvation_history<P: Process<TmWord>, K: Hash + Eq>(
+    mut sys: System<TmWord, P>,
+    (victim, committer): (ProcessId, ProcessId),
+    key: impl Fn(&System<TmWord, P>, &TmStarvation) -> K,
+) -> Option<History> {
+    let mut adv = TmStarvation::new(victim, committer, VarId::new(0));
+    let witness = run_until_cycle_keyed(&mut sys, &[], &mut adv, key).ok()?;
+    sys.run(&mut adv, witness.cycle.len() as u64);
+    Some(sys.history().clone())
 }
 
 #[cfg(test)]
@@ -103,11 +116,16 @@ mod tests {
 
     #[test]
     fn corollary_4_6_established() {
-        let demo = tm_gmax_demo(600);
+        let demo = tm_gmax_demo();
         assert!(demo.establishes_corollary());
-        assert_eq!(demo.f1.len(), 2); // one history per implementation
-                                      // Sanity: in each generated F1 history, the victim (p1) never
-                                      // commits while the committer does.
+        // One history per implementation: its lasso run one cycle past
+        // the close (the two TMs' cycles differ in length).
+        assert_eq!(demo.f1.len(), 2);
+        let mut lens: Vec<usize> = demo.f1.iter().map(|h| h.actions().len()).collect();
+        lens.sort_unstable();
+        assert_eq!(lens, [47, 49]);
+        // Sanity: in each generated F1 history, the victim (p1) never
+        // commits while the committer does.
         for h in demo.f1.iter() {
             let view = TxnView::parse(h);
             assert!(view
@@ -123,7 +141,7 @@ mod tests {
 
     #[test]
     fn f1_f2_first_actions_differ() {
-        let demo = tm_gmax_demo(200);
+        let demo = tm_gmax_demo();
         for h in demo.f1.iter() {
             assert_eq!(h.actions()[0].proc(), ProcessId::new(0));
         }

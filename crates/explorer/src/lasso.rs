@@ -1,4 +1,5 @@
-//! Lasso detection: repeated configurations under deterministic schedulers.
+//! Lasso detection: repeated configurations under deterministic
+//! schedulers, with no event budget ([`run_until_cycle_keyed`]).
 
 use std::collections::hash_map::Entry;
 use std::fmt;
@@ -55,55 +56,100 @@ impl CycleWitness {
     }
 }
 
+/// The most distinct keys [`run_until_cycle_keyed`] holds (the cap
+/// `slx_automata::extract` holds its states to) before it gives up.
+pub const MAX_KEYS: usize = 100_000;
+
+/// How a lasso search ended without a lasso.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoLasso {
+    /// The scheduler halted, or the key repeated with nothing logged
+    /// since, after `events` events (the prefix's included).
+    Halted {
+        /// The events logged when the run stopped.
+        events: usize,
+    },
+    /// [`MAX_KEYS`] distinct keys were held and a new one appeared.
+    NotClosed {
+        /// The distinct keys held when the search stopped.
+        keys: usize,
+    },
+}
+
 /// A lasso search's outcome, as verdicts and reports use it: the lasso,
-/// if one closed, and which responses count as progress. Displays as
-/// `n processes; stem S, cycle C events`, or `none closed`.
+/// or how the search ended without one, and which responses count as
+/// progress. Displays as `n processes; stem S, cycle C events`, `halted
+/// after E events` or `no repeat within N keys`.
 #[derive(Debug, Clone)]
 pub struct Lasso {
-    /// The lasso, if the search closed one.
-    pub witness: Option<CycleWitness>,
-    /// Which responses count as progress.
-    pub kind: ProgressKind,
+    outcome: Result<CycleWitness, NoLasso>,
+    kind: ProgressKind,
 }
 
 impl Lasso {
-    /// The outcome `witness` of a search.
-    pub fn new(witness: Option<CycleWitness>, kind: ProgressKind) -> Self {
-        Lasso { witness, kind }
+    /// The `outcome` of a search, judged with progress `kind`.
+    pub fn new(outcome: Result<CycleWitness, NoLasso>, kind: ProgressKind) -> Self {
+        Lasso { outcome, kind }
+    }
+
+    /// The lasso, if the search closed one.
+    pub fn witness(&self) -> Option<&CycleWitness> {
+        self.outcome.as_ref().ok()
+    }
+
+    /// The lasso, or how the search ended without one.
+    pub fn outcome(&self) -> Result<&CycleWitness, NoLasso> {
+        self.outcome.as_ref().map_err(|no| *no)
     }
 
     /// Whether `property` holds on the lasso, exactly
     /// ([`CycleWitness::evaluate_liveness`]); `None` if no lasso closed,
     /// since then there is no infinite execution to judge.
     pub fn verdict<L: LivenessProperty>(&self, property: &L) -> Option<bool> {
-        let witness = self.witness.as_ref()?;
+        let witness = self.witness()?;
         Some(witness.evaluate_liveness(property, self.kind))
     }
 }
 
 impl fmt::Display for Lasso {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Some(w) = &self.witness else {
-            return write!(f, "none closed");
-        };
-        let (stem, cycle) = (w.stem.len(), w.cycle.len());
-        write!(f, "{} processes; stem {stem}, cycle {cycle} events", w.n)
+        match &self.outcome {
+            Ok(w) => {
+                let (n, stem, cycle) = (w.n, w.stem.len(), w.cycle.len());
+                write!(f, "{n} processes; stem {stem}, cycle {cycle} events")
+            }
+            Err(NoLasso::Halted { events }) => write!(f, "halted after {events} events"),
+            Err(NoLasso::NotClosed { keys }) => write!(f, "no repeat within {keys} keys"),
+        }
     }
 }
 
 /// Applies `prefix` to `sys`, then runs `scheduler` and watches for a
 /// repeat of a caller-supplied **key** of the combined (system
-/// configuration, scheduler state). On a repeat, returns the lasso, whose
-/// stem starts with the prefix's events, so what the prefix does (a
-/// crash, say) is part of the execution the verdicts read; returns `None`
-/// if `max_events` elapse first or the run halts. Keys are recorded from
-/// the end of the prefix on. The scheduler must be deterministic for the
-/// witness to be meaningful.
+/// configuration, scheduler state). A search ends in one of three ways:
+///
+/// - the key repeats: the lasso, whose stem starts with the prefix's
+///   events, so what the prefix does (a crash, say) is part of the
+///   execution the verdicts read;
+/// - [`NoLasso::Halted`]: the scheduler decides `Halt`, or the key
+///   repeats with nothing logged since (idle steps only: an empty cycle
+///   is no infinite execution, and the pair is stuck there for good);
+/// - [`NoLasso::NotClosed`]: [`MAX_KEYS`] distinct keys are held and a
+///   new one appears.
+///
+/// Keys are recorded from the end of the prefix on. The scheduler must be
+/// deterministic for the witness to be meaningful.
+///
+/// The cap is the only bound, so a key that stops repeating fails slowly:
+/// the search runs [`MAX_KEYS`] decisions first, each costing the
+/// scheduler's decision and the key. The bivalence adversary decides by
+/// valence queries of up to 40,000 configurations, about 17 ms an event
+/// at 14 processes in a debug build on a 2-core Xeon VM, so its search
+/// would take about half an hour to end in [`NoLasso::NotClosed`]: a
+/// Figure 1(a) search that hangs is a key that stopped repeating.
 ///
 /// Every key is kept and compared exactly: a repeat is a repeat, never a
-/// fingerprint collision between two distinct keys. The runs this
-/// workspace drives close within a few thousand events, so the keys they
-/// keep are a few thousand small values.
+/// fingerprint collision between two distinct keys.
 ///
 /// Keying is how cycles *modulo a symmetry* are found: algorithms whose
 /// per-iteration state grows by a uniform shift (the TM version counter,
@@ -114,14 +160,15 @@ impl fmt::Display for Lasso {
 ///
 /// # Panics
 ///
-/// Panics if a prefix decision does not apply.
+/// Panics, naming the [`slx_memory::SystemError`], if a prefix or
+/// scheduler decision does not apply: that is a bug in the scheduler or
+/// the model, not an outcome of the search.
 pub fn run_until_cycle_keyed<W, P, S, K>(
     sys: &mut System<W, P>,
     prefix: &[Decision],
     scheduler: &mut S,
-    max_events: u64,
     key: impl Fn(&System<W, P>, &S) -> K,
-) -> Option<CycleWitness>
+) -> Result<CycleWitness, NoLasso>
 where
     W: Word,
     P: Process<W>,
@@ -131,27 +178,28 @@ where
     let mut seen: DetHashMap<K, usize> = DetHashMap::default();
     let mut log = Vec::new();
     for decision in prefix {
-        sys.apply(decision.clone(), &mut log)
-            .expect("a prefix decision applies");
+        apply(sys, decision.clone(), &mut log);
     }
     seen.insert(key(sys, scheduler), log.len());
-    for _ in 0..max_events {
+    loop {
         let decision = scheduler.decide(sys);
-        if !matches!(sys.apply(decision, &mut log), Ok(true)) {
-            return None;
+        if !apply(sys, decision, &mut log) {
+            return Err(NoLasso::Halted { events: log.len() });
         }
+        let fresh = seen.len();
         match seen.entry(key(sys, scheduler)) {
+            Entry::Vacant(_) if fresh == MAX_KEYS => {
+                return Err(NoLasso::NotClosed { keys: MAX_KEYS });
+            }
             Entry::Vacant(slot) => {
                 slot.insert(log.len());
             }
-            // A repeat with nothing logged since (idle steps only) is no
-            // lasso: an empty cycle is not an infinite execution, and the
-            // pair is stuck there for good, so that ends the search like
-            // a halt.
-            Entry::Occupied(first) if *first.get() == log.len() => return None,
+            Entry::Occupied(first) if *first.get() == log.len() => {
+                return Err(NoLasso::Halted { events: log.len() });
+            }
             Entry::Occupied(first) => {
                 let cycle = log.split_off(*first.get());
-                return Some(CycleWitness {
+                return Ok(CycleWitness {
                     n: sys.n(),
                     stem: log,
                     cycle,
@@ -159,12 +207,25 @@ where
             }
         }
     }
-    None
+}
+
+/// [`System::apply`], which a lasso search never expects to fail.
+fn apply<W: Word, P: Process<W>>(
+    sys: &mut System<W, P>,
+    decision: Decision,
+    log: &mut Vec<Event>,
+) -> bool {
+    match sys.apply(decision.clone(), log) {
+        Ok(go_on) => go_on,
+        Err(e) => panic!("{decision:?} does not apply: {e} ({e:?})"),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
     use slx_history::{Operation, ProcessId, Response, Value};
     use slx_memory::{Memory, StepEffect};
 
@@ -172,77 +233,47 @@ mod tests {
         ProcessId::new(i)
     }
 
-    /// A process that loops through 3 internal states forever.
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    struct Looper {
-        phase: u8,
-        pending: bool,
+    /// The exact key: the whole configuration and scheduler.
+    fn exact<P: Clone, S: Clone>(sys: &System<i64, P>, sched: &S) -> (System<i64, P>, S) {
+        (sys.clone(), sched.clone())
     }
 
-    impl slx_memory::Process<i64> for Looper {
-        fn on_invoke(&mut self, _op: Operation) {
-            self.pending = true;
-        }
+    /// One process, with `Propose(0)` pending.
+    fn proposing<P: Process<i64>>(proc: P) -> System<i64, P> {
+        let mut sys = System::new(Memory::new(), vec![proc]);
+        sys.invoke(p(0), Operation::Propose(Value::new(0))).unwrap();
+        sys
+    }
+
+    /// A process that loops through 3 internal states forever.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Looper(u8);
+
+    impl Process<i64> for Looper {
+        fn on_invoke(&mut self, _op: Operation) {}
         fn has_step(&self) -> bool {
-            self.pending
+            true
         }
         fn step(&mut self, _mem: &mut Memory<i64>) -> StepEffect {
-            self.phase = (self.phase + 1) % 3;
+            self.0 = (self.0 + 1) % 3;
             StepEffect::Ran
         }
     }
 
-    /// Deterministic: always step p1.
+    /// A process that responds after 2 steps.
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    struct AlwaysP0;
+    struct Finisher(u8);
 
-    impl slx_memory::Scheduler<i64, Looper> for AlwaysP0 {
-        fn decide(&mut self, sys: &System<i64, Looper>) -> Decision {
-            if sys.can_step(p(0)) {
-                Decision::Step(p(0))
-            } else {
-                Decision::Halt
-            }
-        }
-    }
-
-    #[test]
-    fn detects_three_step_cycle() {
-        let mem: Memory<i64> = Memory::new();
-        let mut sys = System::new(
-            mem,
-            vec![Looper {
-                phase: 0,
-                pending: false,
-            }],
-        );
-        sys.invoke(p(0), Operation::Propose(Value::new(0))).unwrap();
-        let mut sched = AlwaysP0;
-        let w = run_until_cycle_keyed(&mut sys, &[], &mut sched, 100, |sys, sched| {
-            (sys.clone(), sched.clone())
-        })
-        .expect("cycle exists");
-        assert_eq!(w.cycle.len(), 3);
-        assert_eq!(w.cycle_steppers(), vec![p(0)]);
-        assert!(!w.cycle.iter().any(|e| matches!(e, Event::Responded(..))));
-    }
-
-    /// A process that responds after 2 steps — no cycle while productive.
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    struct Finisher {
-        remaining: u8,
-    }
-
-    impl slx_memory::Process<i64> for Finisher {
+    impl Process<i64> for Finisher {
         fn on_invoke(&mut self, _op: Operation) {
-            self.remaining = 2;
+            self.0 = 2;
         }
         fn has_step(&self) -> bool {
-            self.remaining > 0
+            self.0 > 0
         }
         fn step(&mut self, _mem: &mut Memory<i64>) -> StepEffect {
-            self.remaining -= 1;
-            if self.remaining == 0 {
+            self.0 -= 1;
+            if self.0 == 0 {
                 StepEffect::Responded(Response::Ok)
             } else {
                 StepEffect::Ran
@@ -250,36 +281,11 @@ mod tests {
         }
     }
 
-    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-    struct StepOnce;
-
-    impl slx_memory::Scheduler<i64, Finisher> for StepOnce {
-        fn decide(&mut self, sys: &System<i64, Finisher>) -> Decision {
-            if sys.can_step(p(0)) {
-                Decision::Step(p(0))
-            } else {
-                Decision::Halt
-            }
-        }
-    }
-
-    #[test]
-    fn halting_run_yields_no_cycle() {
-        let mem: Memory<i64> = Memory::new();
-        let mut sys = System::new(mem, vec![Finisher { remaining: 0 }]);
-        sys.invoke(p(0), Operation::Propose(Value::new(0))).unwrap();
-        let mut sched = StepOnce;
-        let witness = run_until_cycle_keyed(&mut sys, &[], &mut sched, 100, |sys, sched| {
-            (sys.clone(), sched.clone())
-        });
-        assert!(witness.is_none());
-    }
-
     /// Never has a step; stepping it anyway is idle.
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct Sleeper;
 
-    impl slx_memory::Process<i64> for Sleeper {
+    impl Process<i64> for Sleeper {
         fn on_invoke(&mut self, _op: Operation) {}
         fn has_step(&self) -> bool {
             false
@@ -289,22 +295,75 @@ mod tests {
         }
     }
 
+    /// Steps p1 while it can, then halts.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct StepP1;
+
+    impl<P: Process<i64>> Scheduler<i64, P> for StepP1 {
+        fn decide(&mut self, sys: &System<i64, P>) -> Decision {
+            if sys.can_step(p(0)) {
+                Decision::Step(p(0))
+            } else {
+                Decision::Halt
+            }
+        }
+    }
+
     /// Steps p1 without asking whether it can.
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     struct StepBlindly;
 
-    impl slx_memory::Scheduler<i64, Sleeper> for StepBlindly {
-        fn decide(&mut self, _sys: &System<i64, Sleeper>) -> Decision {
+    impl<P: Process<i64>> Scheduler<i64, P> for StepBlindly {
+        fn decide(&mut self, _sys: &System<i64, P>) -> Decision {
             Decision::Step(p(0))
         }
+    }
+
+    #[test]
+    fn detects_three_step_cycle() {
+        let mut sys = proposing(Looper(0));
+        let w = run_until_cycle_keyed(&mut sys, &[], &mut StepP1, exact).expect("cycle exists");
+        assert_eq!(w.cycle.len(), 3);
+        assert_eq!(w.cycle_steppers(), vec![p(0)]);
+        assert!(!w.cycle.iter().any(|e| matches!(e, Event::Responded(..))));
+    }
+
+    #[test]
+    fn halting_run_yields_no_cycle() {
+        let mut sys = proposing(Finisher(0));
+        let outcome = run_until_cycle_keyed(&mut sys, &[], &mut StepP1, exact);
+        // Two steps, the second responding.
+        assert_eq!(outcome.unwrap_err(), NoLasso::Halted { events: 3 });
     }
 
     #[test]
     fn idle_steps_yield_no_empty_cycle() {
         // The key repeats after an idle step with nothing logged in
         // between: that is a stuck run, not a lasso with an empty cycle.
-        let key = |sys: &System<i64, Sleeper>, sched: &StepBlindly| (sys.clone(), sched.clone());
         let mut sys = System::new(Memory::new(), vec![Sleeper]);
-        assert!(run_until_cycle_keyed(&mut sys, &[], &mut StepBlindly, 100, key).is_none());
+        let outcome = run_until_cycle_keyed(&mut sys, &[], &mut StepBlindly, exact);
+        assert_eq!(outcome.unwrap_err(), NoLasso::Halted { events: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "Crashed(ProcessId(0))")]
+    fn a_rejected_decision_panics_naming_the_error() {
+        // Stepping a crashed process is a scheduler bug, not a halt.
+        let mut sys = System::new(Memory::new(), vec![Sleeper]);
+        let crash = [Decision::Crash(p(0))];
+        let _ = run_until_cycle_keyed(&mut sys, &crash, &mut StepBlindly, exact);
+    }
+
+    #[test]
+    fn a_key_that_never_repeats_stops_at_the_cap() {
+        let keys = Cell::new(0u64);
+        let fresh = |_: &System<i64, Looper>, _: &StepP1| keys.replace(keys.get() + 1);
+        let outcome = run_until_cycle_keyed(&mut proposing(Looper(0)), &[], &mut StepP1, fresh);
+        let lasso = Lasso::new(outcome, ProgressKind::AnyResponse);
+        assert_eq!(
+            lasso.outcome().unwrap_err(),
+            NoLasso::NotClosed { keys: MAX_KEYS }
+        );
+        assert_eq!(lasso.to_string(), "no repeat within 100000 keys");
     }
 }

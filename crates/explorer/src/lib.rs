@@ -19,7 +19,9 @@
 //!   liveness property exactly (every liveness verdict the drivers print
 //!   is judged so, through a [`Lasso`]). The witness records the size of
 //!   the system it ran on, so a verdict takes none from its caller: a
-//!   process that never steps is still judged.
+//!   process that never steps is still judged. A search takes no budget:
+//!   it ends in a lasso, in [`NoLasso::Halted`] when the scheduler halts,
+//!   or in [`NoLasso::NotClosed`] at the [`MAX_KEYS`] cap.
 //!
 //! The enumerating checkers ([`explore_safety`], [`decidable_values`])
 //! run on the shared exploration kernel: a fingerprint-only visited set
@@ -40,5 +42,5 @@ mod valence;
 pub use explore::{
     explore_safety, explore_safety_observed, explore_safety_with, history_digest, ExploreOutcome,
 };
-pub use lasso::{run_until_cycle_keyed, CycleWitness, Lasso};
+pub use lasso::{run_until_cycle_keyed, CycleWitness, Lasso, NoLasso, MAX_KEYS};
 pub use valence::{decidable_values, decidable_values_with, DecidableSet};

@@ -42,7 +42,7 @@ fn main() {
     // ------------------------------------------------------------------
     println!("=== bivalence adversary vs obstruction-free consensus (registers) ===");
     let mut sys = ObstructionFreeConsensus::system(2, 64);
-    let lasso = bivalence_lasso(&mut sys, &[], normalized_of_consensus_key);
+    let (lasso, _) = bivalence_lasso(&mut sys, &[], normalized_of_consensus_key);
     let one_two = LkFreedom::new(1, 2);
     println!(
         "{one_two} violated on a lasso ({lasso}): {}",

@@ -23,7 +23,7 @@ use safety_liveness_exclusion::liveness::LkFreedom;
 
 fn main() {
     println!("=== Section 5.3: property S vs (l,k)-freedom ===\n");
-    let report = run_counterexample_s(4000);
+    let report = run_counterexample_s();
 
     println!("(1,3)-freedom excluded (three synchronized processes):");
     println!("  all-abort lasso               : {}", report.triple_lasso);

@@ -80,7 +80,7 @@ fn main() {
     // 3. Blocking vs non-blocking TM under the same crash.
     // ------------------------------------------------------------------
     println!("\n=== TM: crash the \"lock holder\" ===");
-    let demo = blocking_demo(2000);
+    let demo = blocking_demo();
     println!(
         "lock TM   : lasso ({})   opaque = {}  (1,1)-freedom violated = {}",
         demo.lock_tm_lasso, demo.lock_tm_still_opaque, demo.lock_tm_violates_11

@@ -29,10 +29,7 @@ fn main() {
         "run certified opaque      : {}",
         certify_unique_writes(sys.history(), Value::new(0))
     );
-    let witness = lasso
-        .witness
-        .as_ref()
-        .expect("the starvation loop is periodic");
+    let witness = lasso.witness().expect("the starvation loop is periodic");
     println!("lasso (cycle modulo version shift): {lasso}");
     println!("cycle steppers: {:?}", witness.cycle_steppers());
     for prop in [LkFreedom::new(1, 2), LkFreedom::new(2, 2)] {
@@ -52,7 +49,7 @@ fn main() {
     // ------------------------------------------------------------------
     // 2. Role-swapped twin ⇒ disjoint adversary sets ⇒ Gmax = ∅.
     // ------------------------------------------------------------------
-    let demo = tm_gmax_demo(800);
+    let demo = tm_gmax_demo();
     println!("=== {} ===", demo.corollary);
     println!(
         "F1 sample: {} histories (each starts with start() by p1)",

@@ -10,7 +10,9 @@
 
 use safety_liveness_exclusion::adversary::{normalized_starvation_key, TmStarvation};
 use safety_liveness_exclusion::engine::{DeltaCodec, StateCodec};
-use safety_liveness_exclusion::explorer::{explore_safety, history_digest, ExploreOutcome};
+use safety_liveness_exclusion::explorer::{
+    explore_safety, history_digest, ExploreOutcome, NoLasso,
+};
 use safety_liveness_exclusion::grid::{others_crashed, starvation_lasso};
 use safety_liveness_exclusion::history::{Operation, ProcessId, Response, Value, VarId};
 use safety_liveness_exclusion::liveness::LkFreedom;
@@ -163,8 +165,7 @@ fn blind_commit_tm_is_caught_under_the_same_commit_races() {
 /// Figure 1(b)'s black anchor depends on safety: the §4.1 strategy that
 /// drives `GlobalVersionTm` into a lasso violating (2,2)-freedom, on two
 /// processes and on three with p3 crashed first, loses once commits stop
-/// validating reads, because the victim commits: the strategy halts and
-/// no lasso closes.
+/// validating reads, because the victim commits: the strategy halts.
 #[test]
 fn starvation_strategy_loses_against_the_blind_commit_tm() {
     let two_two = LkFreedom::new(2, 2);
@@ -173,14 +174,18 @@ fn starvation_strategy_loses_against_the_blind_commit_tm() {
         let lasso = starvation_lasso(&mut sys, &others_crashed(n), normalized_starvation_key);
         assert_eq!(lasso.verdict(&two_two), Some(false), "n={n}: {lasso}");
 
-        // The raw configuration is an exact key: were the victim starved
-        // with values climbing, the budget would run out with no commit.
+        // The raw configuration is a key that never repeats while values
+        // climb: were the victim starved, the search would end at the key
+        // cap, not in a halt.
         let mut sys = BlindCommitTm::system(n, 1);
         let raw = |sys: &System<TmWord, BlindCommitTm>, adv: &TmStarvation| {
             (sys.digest128(), adv.clone())
         };
         let lasso = starvation_lasso(&mut sys, &others_crashed(n), raw);
-        assert!(lasso.witness.is_none(), "n={n}: {lasso}");
+        assert!(
+            matches!(lasso.outcome(), Err(NoLasso::Halted { .. })),
+            "n={n}: {lasso}"
+        );
         let victim = sys.history().responses_of(p(0));
         assert_eq!(
             victim.last(),

@@ -133,6 +133,6 @@ fn lock_free_tm_survivor_keeps_committing_after_crashes() {
 
 #[test]
 fn blocking_demo_contrast() {
-    let demo = safety_liveness_exclusion::blocking::blocking_demo(2000);
+    let demo = safety_liveness_exclusion::blocking::blocking_demo();
     assert!(demo.establishes_contrast(), "{demo:?}");
 }
