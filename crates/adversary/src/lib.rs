@@ -22,11 +22,11 @@
 //!   ([`TripleRoundAdversary`]) showing (1,3)-freedom excludes property
 //!   `S`.
 //!
-//! Beside each strategy lives its cycle-detection key for the algorithm it
-//! starves ([`normalized_of_consensus_key`], [`normalized_starvation_key`],
-//! [`normalized_starvation_agp_key`], [`normalized_triple_round_key`]):
-//! the one function drivers, examples and tests hand to
-//! `slx_explorer::run_until_cycle_keyed`.
+//! Beside the consensus and §5.3 strategies lives the cycle-detection key
+//! for the algorithm each starves ([`normalized_of_consensus_key`],
+//! [`normalized_triple_round_key`]). The §4.1 TM strategy runs against
+//! every TM, so its driver (`slx_core::grid::starvation_lasso`) joins the
+//! TM's normalizer with [`TmStarvation::normalized_state`].
 
 #![warn(missing_docs)]
 
@@ -41,4 +41,4 @@ pub use bivalence::{
 };
 pub use consensus_sets::{consensus_f1, consensus_f2, gmax_of};
 pub use counterexample_s::{normalized_triple_round_key, TripleRoundAdversary};
-pub use tm_starvation::{normalized_starvation_agp_key, normalized_starvation_key, TmStarvation};
+pub use tm_starvation::TmStarvation;

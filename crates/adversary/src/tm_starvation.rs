@@ -2,8 +2,7 @@
 
 use slx_history::{Operation, ProcessId, Response, Value, VarId};
 use slx_memory::{Decision, Process, Scheduler, System};
-use slx_tm::normalize::{committed_shift, normalized_agp_among, normalized_global_version};
-use slx_tm::{AgpTm, GlobalVersionTm, TmWord};
+use slx_tm::TmWord;
 
 /// Phase of the strategy (names follow the paper's Steps 1–3). Exposed
 /// because it is part of the normalized cycle-detection key.
@@ -41,9 +40,9 @@ pub enum Phase {
 ///
 /// The strategy is a [`Scheduler`]: it chooses both invocations and steps,
 /// exactly matching Definition 4.3's adversary. Run it with the keyed
-/// cycle detector (`slx_explorer::run_until_cycle_keyed`) under
-/// [`normalized_starvation_key`] (or [`normalized_starvation_agp_key`])
-/// to obtain a lasso — a proof that the starvation continues forever.
+/// cycle detector (`slx_explorer::run_until_cycle_keyed`) under the TM's
+/// normalized configuration and [`TmStarvation::normalized_state`] to
+/// obtain a lasso — a proof that the starvation continues forever.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TmStarvation {
     victim: ProcessId,
@@ -197,43 +196,14 @@ impl<P: Process<TmWord>> Scheduler<TmWord, P> for TmStarvation {
     }
 }
 
-/// The §4.1 cycle-detection key for [`TmStarvation`] on a
-/// [`GlobalVersionTm`] with any number of processes: the configuration
-/// with versions and values rebased to the committed state over the
-/// strategy's two processes ([`normalized_global_version`]; the strategy
-/// never invokes the others, so they never step), and the strategy state
-/// with its stored read value rebased by the same amount. The version
-/// counter climbs by one per round, so raw configurations never repeat;
-/// by the shift-invariance argument of `slx_tm::normalize`, a repeat of
-/// this key witnesses an infinite execution.
-#[must_use]
-pub fn normalized_starvation_key(
-    sys: &System<TmWord, GlobalVersionTm>,
-    adv: &TmStarvation,
-) -> (System<TmWord, GlobalVersionTm>, (Phase, bool, i64)) {
-    let dval = committed_shift(sys).dval;
-    let norm = normalized_global_version(sys, &[adv.victim, adv.committer]);
-    (norm, adv.normalized_state(dval))
-}
-
-/// [`normalized_starvation_key`] for an [`AgpTm`]: the configuration is
-/// rebased over the strategy's two processes by [`normalized_agp_among`].
-#[must_use]
-pub fn normalized_starvation_agp_key(
-    sys: &System<TmWord, AgpTm>,
-    adv: &TmStarvation,
-) -> (System<TmWord, AgpTm>, (Phase, bool, i64)) {
-    let dval = committed_shift(sys).dval;
-    let norm = normalized_agp_among(sys, &[adv.victim, adv.committer]);
-    (norm, adv.normalized_state(dval))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use slx_history::{TransactionStatus, TxnView};
     use slx_liveness::{LkFreedom, Lmax, ProgressKind};
     use slx_safety::{certify_unique_writes, SafetyProperty, StrictSerializability};
+    use slx_tm::normalize::{committed_shift, normalized_global_version};
+    use slx_tm::GlobalVersionTm;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -277,9 +247,15 @@ mod tests {
         // the infinite execution stem·cycle^ω starves the victim forever.
         let mut sys = GlobalVersionTm::system(2, 1);
         let mut adv = TmStarvation::new(p(0), p(1), x0());
-        let witness =
-            slx_explorer::run_until_cycle_keyed(&mut sys, &[], &mut adv, normalized_starvation_key)
-                .expect("starvation loop must cycle");
+        let key = |sys: &System<TmWord, GlobalVersionTm>, adv: &TmStarvation| {
+            let dval = committed_shift(sys).dval;
+            (
+                normalized_global_version(sys, &[p(0), p(1)]),
+                adv.normalized_state(dval),
+            )
+        };
+        let witness = slx_explorer::run_until_cycle_keyed(&mut sys, &[], &mut adv, key)
+            .expect("starvation loop must cycle");
         // The cycle has both processes stepping and no victim commit.
         assert_eq!(witness.cycle_steppers(), vec![p(0), p(1)]);
         let victim_commits_in_cycle = witness.cycle.iter().any(

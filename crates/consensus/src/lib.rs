@@ -12,10 +12,10 @@
 //!   witness for the *white* point (1,1) in Figure 1a;
 //! - [`CasConsensus`] — wait-free consensus from a single compare-and-swap
 //!   object: the contrast showing the exclusion is about the base-object
-//!   model, not consensus per se;
-//! - [`TrivialNoResponse`] — the process-level version of Theorem 4.9's
-//!   `It` (it and `Ib` are automata in `slx-automata`), usable inside the
-//!   simulator.
+//!   model, not consensus per se.
+//!
+//! Theorem 4.9's trivial implementations `It` and `Ib` are automata in
+//! `slx-automata` (`trivial_it`, `single_response_ib`).
 
 #![warn(missing_docs)]
 
@@ -24,7 +24,6 @@ mod cas_consensus;
 mod kset;
 mod normalize;
 mod of_consensus;
-mod trivial;
 mod word;
 
 pub use adopt_commit::{AcNormalizedState, AcOutcome, AdoptCommit};
@@ -34,5 +33,4 @@ pub use normalize::{
     canonical_of_digest, permutation_safe, permuted_of_system, round_shift_key, OfRoundShiftKey,
 };
 pub use of_consensus::{Layout as OfLayout, ObstructionFreeConsensus, OfNormalizedState};
-pub use trivial::TrivialNoResponse;
 pub use word::ConsWord;

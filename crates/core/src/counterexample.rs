@@ -1,17 +1,15 @@
 //! The Section 5.3 counterexample: property `S` has no weakest excluding
 //! (l,k)-freedom property.
 
-use slx_adversary::{
-    normalized_starvation_agp_key, normalized_triple_round_key, TripleRoundAdversary,
-};
+use slx_adversary::{normalized_triple_round_key, TripleRoundAdversary};
 use slx_explorer::{run_until_cycle_keyed, Lasso};
-use slx_history::{ProcessId, TransactionStatus, TxnView, Value, VarId};
+use slx_history::{ProcessId, Value};
 use slx_liveness::{LkFreedom, ProgressKind};
-use slx_memory::{FairRandom, RepeatTxn, WorkloadScheduler};
 use slx_safety::PropertyS;
+use slx_tm::normalize::normalized_agp_among;
 use slx_tm::AgpTm;
 
-use crate::grid::{others_crashed, starvation_lasso};
+use crate::grid::{others_crashed, starvation_lasso, workload_lasso, STARVATION_ROLES};
 
 /// Outcome of the Section 5.3 experiment.
 #[derive(Debug, Clone)]
@@ -28,10 +26,12 @@ pub struct CounterexampleReport {
     /// (2,2)-freedom excludes `S`: it fails on leg 2's lasso (S includes
     /// opacity, so the §4.1 exclusion applies).
     pub starvation_violates_22: bool,
-    /// (1,2)-freedom does **not** exclude `S`: commits by each of the two
-    /// active processes of Algorithm I(1,2) under a fair 2-stepper
-    /// schedule.
-    pub duo_commits: [u64; 2],
+    /// Leg 3's lasso: both correct processes of Algorithm I(1,2) on three
+    /// processes, the third crashed first, loop a read-write transaction
+    /// round-robin.
+    pub duo_lasso: Lasso,
+    /// (1,2)-freedom does **not** exclude `S`: it holds on leg 3's lasso.
+    pub duo_satisfies_12: bool,
     /// Whether every checked I(1,2) history satisfied property `S`'s
     /// abort rule.
     pub s_holds: bool,
@@ -47,16 +47,13 @@ impl CounterexampleReport {
         let one_two = LkFreedom::new(1, 2);
         self.triple_violates_13
             && self.starvation_violates_22
-            && self.duo_commits.iter().all(|&c| c > 0)
+            && self.duo_satisfies_12
             && self.s_holds
             && one_three.is_stronger_or_equal(&one_two)
             && two_two.is_stronger_or_equal(&one_two)
             && one_three.partial_cmp_strength(&two_two).is_none()
     }
 }
-
-/// Events of leg 3's fair two-stepper run.
-const DUO_EVENTS: u64 = 4_000;
 
 /// Runs the three legs of the Section 5.3 experiment against Algorithm
 /// I(1,2) on three processes:
@@ -69,9 +66,11 @@ const DUO_EVENTS: u64 = 4_000;
 ///    exclusion carries over). The crash matters: with the third process
 ///    correct and never invoked, it counts as progressing, so the
 ///    committer and it make two and the run *satisfies* (2,2)-freedom;
-/// 3. a fair two-stepper workload of `DUO_EVENTS` events showing both
-///    processes commit ((1,2)-freedom holds) while property `S` is
-///    preserved (Lemma 5.4).
+/// 3. Figure 1(b)'s white-anchor search ([`workload_lasso`]) with the
+///    third process crashed first: the two others loop a transaction
+///    round-robin, someone commits on every cycle ((1,2)-freedom holds)
+///    and property `S` is preserved (Lemma 5.4). Round-robin starves one
+///    of the two, so (2,2)-freedom fails on the same lasso.
 pub fn run_counterexample_s() -> CounterexampleReport {
     // Leg 1: (1,3) excluded.
     let mut sys = AgpTm::system(3, 1);
@@ -84,25 +83,17 @@ pub fn run_counterexample_s() -> CounterexampleReport {
 
     // Leg 2: (2,2) excluded.
     let mut sys = AgpTm::system(3, 1);
-    let starvation = starvation_lasso(&mut sys, &others_crashed(3), normalized_starvation_agp_key);
+    let (starvation, _) = starvation_lasso(
+        &mut sys,
+        &others_crashed(3),
+        STARVATION_ROLES,
+        normalized_agp_among,
+    );
     s_holds &= PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
 
     // Leg 3: (1,2) implementable.
     let mut sys = AgpTm::system(3, 1);
-    let workload = RepeatTxn::new(3, vec![VarId::new(0)], vec![VarId::new(0)], None);
-    let mut sched = WorkloadScheduler::new(
-        3,
-        workload,
-        FairRandom::restricted(13, vec![ProcessId::new(0), ProcessId::new(1)]),
-    );
-    sys.run(&mut sched, DUO_EVENTS);
-    let view = TxnView::parse(sys.history());
-    let commits = |i: usize| {
-        view.of_process(ProcessId::new(i))
-            .iter()
-            .filter(|t| t.status() == TransactionStatus::Committed)
-            .count() as u64
-    };
+    let duo = workload_lasso(&mut sys, &others_crashed(3), normalized_agp_among);
     s_holds &= PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
     s_holds &= slx_safety::certify_unique_writes(sys.history(), Value::new(0));
 
@@ -111,7 +102,8 @@ pub fn run_counterexample_s() -> CounterexampleReport {
         triple_lasso,
         starvation_violates_22: starvation.verdict(&LkFreedom::new(2, 2)) == Some(false),
         starvation_lasso: starvation,
-        duo_commits: [commits(0), commits(1)],
+        duo_satisfies_12: duo.verdict(&LkFreedom::new(1, 2)) == Some(true),
+        duo_lasso: duo,
         s_holds,
     }
 }
@@ -129,15 +121,17 @@ mod tests {
     #[test]
     fn leg_2_excludes_22_freedom_only_with_the_idle_process_crashed() {
         let (two_two, one_two) = (LkFreedom::new(2, 2), LkFreedom::new(1, 2));
-        let key = normalized_starvation_agp_key;
+        let roles = STARVATION_ROLES;
         // The idle p3 is correct and has nothing pending: it counts as
         // progressing beside the committer, so (2,2)-freedom holds.
-        let idle = starvation_lasso(&mut AgpTm::system(3, 1), &[], key);
+        let (idle, _) =
+            starvation_lasso(&mut AgpTm::system(3, 1), &[], roles, normalized_agp_among);
         assert_eq!(idle.verdict(&two_two), Some(true));
         assert_eq!(idle.verdict(&one_two), Some(true));
         // With p3 crashed in the stem only the committer progresses.
         let mut sys = AgpTm::system(3, 1);
-        let crashed = starvation_lasso(&mut sys, &others_crashed(3), key);
+        let (crashed, _) =
+            starvation_lasso(&mut sys, &others_crashed(3), roles, normalized_agp_among);
         assert_eq!(crashed.verdict(&two_two), Some(false));
         assert_eq!(crashed.verdict(&one_two), Some(true));
         assert!(PropertyS::new(Value::new(0)).abort_rule_holds(sys.history()));
@@ -148,6 +142,21 @@ mod tests {
             slx_memory::Event::Crashed(ProcessId::new(2))
         );
         assert_eq!(crashed.cycle, idle.cycle);
+    }
+
+    /// Leg 3 on Algorithm I(1,2), p3 crashed: someone commits on every
+    /// cycle, so (1,2)-freedom holds; round-robin starves one of the two
+    /// steppers, so (2,2)-freedom fails.
+    #[test]
+    fn leg_3_satisfies_12_freedom_and_not_22_freedom() {
+        let mut sys = AgpTm::system(3, 1);
+        let duo = workload_lasso(&mut sys, &others_crashed(3), normalized_agp_among);
+        assert_eq!(duo.verdict(&LkFreedom::new(1, 2)), Some(true), "{duo}");
+        assert_eq!(duo.verdict(&LkFreedom::new(2, 2)), Some(false), "{duo}");
+        assert!(PropertyS::new(Value::new(0)).abort_rule_holds(sys.history()));
+        let duo = duo.witness().unwrap();
+        assert_eq!(duo.stem[0], slx_memory::Event::Crashed(ProcessId::new(2)));
+        assert_eq!(duo.cycle_steppers(), [ProcessId::new(0), ProcessId::new(1)]);
     }
 
     #[test]

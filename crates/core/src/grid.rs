@@ -4,18 +4,19 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
 
-use slx_adversary::{
-    normalized_of_consensus_key, normalized_starvation_key, BivalenceScheduler, TmStarvation,
-};
+use slx_adversary::{normalized_of_consensus_key, BivalenceScheduler, TmStarvation};
 use slx_automata::{extract, Automaton, NotClosed, StateId, Step};
 use slx_consensus::{round_shift_key, ObstructionFreeConsensus};
 use slx_engine::DeltaCodec;
 use slx_explorer::{run_until_cycle_keyed, Lasso, NoLasso};
 use slx_history::{Action, ProcessId, Response, Value, VarId};
 use slx_liveness::{LkFreedom, ProgressKind};
-use slx_memory::{Decision, FairRandom, Process, RepeatTxn, System, Word, WorkloadScheduler};
+use slx_memory::{Decision, Process, RepeatTxn, RoundRobin, System, Word, WorkloadScheduler};
 use slx_safety::{ConsensusSafety, SafetyProperty};
-use slx_tm::{GlobalVersionTm, TmWord};
+use slx_tm::normalize::{committed_shift, normalized_global_version};
+use slx_tm::{GlobalVersionTm, LockTm, TmWord};
+
+use crate::blocking::CRASH_PREFIX;
 
 /// Classification of one (l,k) point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,10 +127,6 @@ impl fmt::Display for Grid {
 // in seconds.
 /// Configuration budget per valence query.
 const VALENCE_BUDGET: usize = 40_000;
-/// Events of the white TM anchor's seeded contention run.
-const TM_EVENTS: u64 = 2_000;
-/// Seed of the `FairRandom` scheduler behind the white TM anchor.
-const TM_WHITE_SEED: u64 = 7;
 // A lasso search holds as many distinct keys as an extraction holds states.
 const _: () = assert!(slx_explorer::MAX_KEYS == slx_automata::MAX_STATES);
 
@@ -318,37 +315,46 @@ fn solo_cycle<W: Word, P: Process<W>>(
 /// **Figure 1(b)**: transactional memory with opacity. White iff `l = 1`
 /// (Theorem 5.3: strongest implementable (1,n), weakest excluded (2,2)).
 ///
-/// - *(1,n) white*: `GlobalVersionTm` commits under full contention
-///   (lock-freedom: a failed CAS certifies someone else's commit), and its
-///   runs certify opaque;
+/// - *(1,n) white*: on the pane's `n` processes, each looping a
+///   read-write transaction round-robin, `GlobalVersionTm` closes a lasso
+///   modulo the version shift on which someone commits every cycle
+///   ([`workload_lasso`]; lock-freedom: a failed CAS certifies someone
+///   else's commit), and its history certifies opaque. The control is
+///   `LockTm` with its lock holder crashed mid-transaction: the same
+///   driver closes a lasso on which nobody commits;
 /// - *(2,2) black*: the Section 4.1 starvation strategy drives any
 ///   single-winner TM into a two-stepper run with one process starving;
 ///   against `GlobalVersionTm` on the pane's `n` processes, the others
 ///   crashed first, the run closes a lasso modulo the version shift
 ///   ([`starvation_lasso`]). Every l ≥ 2 point inherits the exclusion.
 pub fn tm_grid(n: usize) -> Grid {
-    // White anchor: lock-freedom of GlobalVersionTm under full contention.
-    let (procs, x) = (n.max(2), vec![VarId::new(0)]);
+    // White anchor (1,n): every process loops a transaction, round-robin.
+    let (procs, white) = (n.max(2), LkFreedom::new(1, n));
     let mut sys = GlobalVersionTm::system(procs, 1);
-    let workload = RepeatTxn::new(procs, x.clone(), x, None);
-    let mut sched = WorkloadScheduler::new(procs, workload, FairRandom::new(TM_WHITE_SEED));
-    sys.run(&mut sched, TM_EVENTS);
-    let commits = sys
-        .history()
-        .iter()
-        .filter(|a| a.as_respond().is_some_and(|r| r.is_commit()))
-        .count();
+    let lasso = workload_lasso(&mut sys, &[], normalized_global_version);
     let opaque = slx_safety::certify_unique_writes(sys.history(), Value::new(0));
-    let white_ok = commits > 0 && opaque;
+    let mut lock = LockTm::system(procs, 1);
+    let control = workload_lasso(&mut lock, &CRASH_PREFIX, exact_configuration);
+    let holds = lasso.verdict(&white) == Some(true);
+    let caught = control.verdict(&white) == Some(false);
+    let white_ok = holds && opaque && caught;
     let white_basis = format!(
-        "GlobalVersionTm under full {procs}-process contention (one FairRandom({TM_WHITE_SEED}) \
-         run of {TM_EVENTS} events): {commits} commits, opacity certified: {opaque}"
+        "{white} {} on a lasso of every process looping a read-write transaction, round-robin, \
+         against GlobalVersionTm ({lasso}), opacity certified: {opaque}; control, LockTm with its \
+         lock holder crashed mid-transaction: {white} {} ({control})",
+        if holds { "holds" } else { "does not hold" },
+        if caught { "violated" } else { "not violated" },
     );
 
     // Black anchor (2,2): the §4.1 starvation strategy.
     let anchor = LkFreedom::new(2, 2);
     let mut sys = GlobalVersionTm::system(procs, 1);
-    let lasso = starvation_lasso(&mut sys, &others_crashed(n), normalized_starvation_key);
+    let (lasso, _) = starvation_lasso(
+        &mut sys,
+        &others_crashed(n),
+        STARVATION_ROLES,
+        normalized_global_version,
+    );
     let (black_ok, black_basis) = black_anchor(
         anchor,
         &lasso,
@@ -356,7 +362,7 @@ pub fn tm_grid(n: usize) -> Grid {
         "the committer commits on every cycle, the victim never; every other process crashes \
          first",
     );
-    let white = (LkFreedom::new(1, n), white_ok, white_basis.as_str());
+    let white = (white, white_ok, white_basis.as_str());
     let black = (anchor, black_ok, black_basis.as_str());
     let points = classify(n, |lk| lk.l() == 1, white, black);
 
@@ -397,21 +403,85 @@ where
     (Lasso::new(outcome, ProgressKind::AnyResponse), sched)
 }
 
-/// Figure 1(b)'s black-anchor search: the §4.1 strategy
-/// ([`TmStarvation`], victim `p1` and committer `p2` on `x1`) against the
-/// TM `sys`, after `prefix`, until `key` repeats. Section 5.3's leg 2
-/// runs the same search on Algorithm I(1,2).
-pub fn starvation_lasso<P, K: Hash + Eq>(
+/// Figure 1(b)'s §4.1 roles: victim `p1`, committer `p2`.
+pub const STARVATION_ROLES: (ProcessId, ProcessId) = (ProcessId::new(0), ProcessId::new(1));
+
+/// The §4.1 lasso search: the strategy ([`TmStarvation`] on `x1`, roles
+/// `(victim, committer)`) against the TM `sys`, after `prefix`, until the
+/// key repeats, and the strategy as it was left. The key is the
+/// configuration `normalize`d over the two roles, the only processes the
+/// strategy invokes, and its state rebased by the same value shift
+/// ([`committed_shift`]). Figure 1(b)'s black anchor, §5.3's leg 2 and
+/// Corollary 4.6 run it.
+pub fn starvation_lasso<P, N: Hash + Eq>(
     sys: &mut System<TmWord, P>,
     prefix: &[Decision],
-    key: impl Fn(&System<TmWord, P>, &TmStarvation) -> K,
+    (victim, committer): (ProcessId, ProcessId),
+    normalize: impl Fn(&System<TmWord, P>, &[ProcessId]) -> N,
+) -> (Lasso, TmStarvation)
+where
+    P: Process<TmWord>,
+{
+    let mut adv = TmStarvation::new(victim, committer, VarId::new(0));
+    let key = |sys: &System<TmWord, P>, adv: &TmStarvation| {
+        let dval = committed_shift(sys).dval;
+        (
+            normalize(sys, &[victim, committer]),
+            adv.normalized_state(dval),
+        )
+    };
+    let outcome = run_until_cycle_keyed(sys, prefix, &mut adv, key);
+    (Lasso::new(outcome, ProgressKind::CommitOnly), adv)
+}
+
+/// The fair-workload lasso search: after `prefix`, every correct process
+/// of the TM `sys` loops `start(); read(x1); write(x1, v); tryC()`,
+/// retrying after each abort, stepped round-robin ([`RepeatTxn`] under
+/// [`RoundRobin`]), until the key repeats. Figure 1(b)'s white anchor and
+/// its control, §5.3's leg 3 and the blocking contrast run it; the lasso
+/// is judged on commits.
+///
+/// The key is the configuration `normalize`d over the correct processes,
+/// each one's workload state with its next write value rebased by the same
+/// value shift ([`committed_shift`]), and the round-robin cursor. The
+/// workload scheduler's other bookkeeping stays out: it only carries a
+/// process's last response until that process's next invocation and counts
+/// the responses it has read, and with unbounded commits an abort and a
+/// commit advance the workload alike.
+pub fn workload_lasso<P, N: Hash + Eq>(
+    sys: &mut System<TmWord, P>,
+    prefix: &[Decision],
+    normalize: impl Fn(&System<TmWord, P>, &[ProcessId]) -> N,
 ) -> Lasso
 where
     P: Process<TmWord>,
 {
-    let mut adv = TmStarvation::new(ProcessId::new(0), ProcessId::new(1), VarId::new(0));
-    let outcome = run_until_cycle_keyed(sys, prefix, &mut adv, key);
+    let (n, x) = (sys.n(), vec![VarId::new(0)]);
+    let workload = RepeatTxn::new(n, x.clone(), x, None);
+    let mut sched = WorkloadScheduler::new(n, workload, RoundRobin::new());
+    let key = |sys: &System<TmWord, P>, sched: &WorkloadScheduler<RepeatTxn, RoundRobin>| {
+        let dval = committed_shift(sys).dval;
+        let correct: Vec<_> = ProcessId::all(n).filter(|&p| !sys.is_crashed(p)).collect();
+        let states = correct
+            .iter()
+            .map(|&p| sched.workload().normalized_state(p, dval));
+        (
+            normalize(sys, &correct),
+            states.collect::<Vec<_>>(),
+            sched.inner().clone(),
+        )
+    };
+    let outcome = run_until_cycle_keyed(sys, prefix, &mut sched, key);
     Lasso::new(outcome, ProgressKind::CommitOnly)
+}
+
+/// The configuration, history dropped: [`workload_lasso`]'s normalizer for
+/// a TM in which nothing climbs (`LockTm` once its lock holder crashed).
+pub fn exact_configuration<P: Process<TmWord> + Clone>(
+    sys: &System<TmWord, P>,
+    _: &[ProcessId],
+) -> System<TmWord, P> {
+    sys.transformed(Clone::clone, Clone::clone)
 }
 
 /// One anchor experiment: the point it classifies, whether it came out as
@@ -526,10 +596,19 @@ mod tests {
     #[test]
     fn starvation_lasso_excludes_22_freedom_only_with_the_idle_process_crashed() {
         let (two_two, one_two) = (LkFreedom::new(2, 2), LkFreedom::new(1, 2));
-        let key = normalized_starvation_key;
-        let idle = starvation_lasso(&mut GlobalVersionTm::system(3, 1), &[], key);
+        let search = |prefix: &[Decision]| {
+            let mut sys = GlobalVersionTm::system(3, 1);
+            starvation_lasso(
+                &mut sys,
+                prefix,
+                STARVATION_ROLES,
+                normalized_global_version,
+            )
+            .0
+        };
+        let idle = search(&[]);
         assert_eq!(idle.verdict(&two_two), Some(true));
-        let crashed = starvation_lasso(&mut GlobalVersionTm::system(3, 1), &others_crashed(3), key);
+        let crashed = search(&others_crashed(3));
         assert_eq!(crashed.verdict(&two_two), Some(false));
         assert_eq!(crashed.verdict(&one_two), Some(true));
         let (idle, crashed) = (idle.witness().unwrap(), crashed.witness().unwrap());

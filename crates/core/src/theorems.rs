@@ -2,14 +2,13 @@
 
 use std::hash::Hash;
 
-use slx_adversary::{
-    consensus_f1, consensus_f2, gmax_of, normalized_starvation_agp_key, normalized_starvation_key,
-    TmStarvation,
-};
-use slx_explorer::run_until_cycle_keyed;
-use slx_history::{History, HistorySet, ProcessId, Value, VarId};
+use slx_adversary::{consensus_f1, consensus_f2, gmax_of};
+use slx_history::{History, HistorySet, ProcessId, Value};
 use slx_memory::{Process, System};
+use slx_tm::normalize::{normalized_agp_among, normalized_global_version};
 use slx_tm::{AgpTm, GlobalVersionTm, TmWord};
+
+use crate::grid::starvation_lasso;
 
 /// Outcome of a `Gmax = ∅` demonstration.
 #[derive(Debug, Clone)]
@@ -66,9 +65,9 @@ pub fn tm_gmax_demo() -> GmaxDemo {
             starvation_history(
                 GlobalVersionTm::system(2, 1),
                 roles,
-                normalized_starvation_key,
+                normalized_global_version,
             ),
-            starvation_history(AgpTm::system(2, 1), roles, normalized_starvation_agp_key),
+            starvation_history(AgpTm::system(2, 1), roles, normalized_agp_among),
         ]
         // A search that closes no lasso empties the set: no corollary.
         .into_iter()
@@ -86,17 +85,18 @@ pub fn tm_gmax_demo() -> GmaxDemo {
     }
 }
 
-/// The history of the §4.1 strategy's lasso search on `sys`, the search
-/// `grid::starvation_lasso` runs, with the roles given, run one cycle
-/// past the close; `None` if no lasso closed.
-fn starvation_history<P: Process<TmWord>, K: Hash + Eq>(
+/// The history of the §4.1 strategy's lasso search on `sys`
+/// ([`starvation_lasso`], with the roles given and the configuration
+/// `normalize`d over them), run one cycle past the close; `None` if no
+/// lasso closed.
+fn starvation_history<P: Process<TmWord>, N: Hash + Eq>(
     mut sys: System<TmWord, P>,
-    (victim, committer): (ProcessId, ProcessId),
-    key: impl Fn(&System<TmWord, P>, &TmStarvation) -> K,
+    roles: (ProcessId, ProcessId),
+    normalize: impl Fn(&System<TmWord, P>, &[ProcessId]) -> N,
 ) -> Option<History> {
-    let mut adv = TmStarvation::new(victim, committer, VarId::new(0));
-    let witness = run_until_cycle_keyed(&mut sys, &[], &mut adv, key).ok()?;
-    sys.run(&mut adv, witness.cycle.len() as u64);
+    let (lasso, mut adv) = starvation_lasso(&mut sys, &[], roles, normalize);
+    let cycle = lasso.witness()?.cycle.len();
+    sys.run(&mut adv, cycle as u64);
     Some(sys.history().clone())
 }
 

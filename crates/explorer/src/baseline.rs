@@ -77,7 +77,7 @@ where
     outcome
 }
 
-/// Seed implementation of [`crate::decidable_values`]: sequential BFS over
+/// Seed implementation of [`crate::decidable_values_with`]: sequential BFS over
 /// retained `System` clones.
 pub fn decidable_values_retained<W, P>(
     sys: &System<W, P>,

@@ -8,7 +8,7 @@
 //!   history (configurations are memoized together with a caller-supplied
 //!   history digest, so the enumeration is exact for properties that
 //!   depend on history only through the digest);
-//! - [`decidable_values`] computes which consensus values are reachable
+//! - [`decidable_values_with`] computes which consensus values are reachable
 //!   decisions from a configuration — the valence analysis that powers the
 //!   bivalence adversary (Corollary 4.5 / Figure 1a's black points);
 //! - [`run_until_cycle_keyed`] runs a *deterministic* scheduler, after
@@ -23,7 +23,7 @@
 //!   it ends in a lasso, in [`NoLasso::Halted`] when the scheduler halts,
 //!   or in [`NoLasso::NotClosed`] at the [`MAX_KEYS`] cap.
 //!
-//! The enumerating checkers ([`explore_safety`], [`decidable_values`])
+//! The enumerating checkers ([`explore_safety`], [`decidable_values_with`])
 //! run on the shared exploration kernel: a fingerprint-only visited set
 //! (no retained configuration clones) under a parallel frontier BFS with
 //! deterministic merging. The seed's retained-clone loops survive in
@@ -43,4 +43,4 @@ pub use explore::{
     explore_safety, explore_safety_observed, explore_safety_with, history_digest, ExploreOutcome,
 };
 pub use lasso::{run_until_cycle_keyed, CycleWitness, Lasso, NoLasso, MAX_KEYS};
-pub use valence::{decidable_values, decidable_values_with, DecidableSet};
+pub use valence::{decidable_values_with, DecidableSet};

@@ -92,22 +92,9 @@ where
 /// bivalent configuration the adversary steps whichever process keeps the
 /// successor bivalent, and this function supplies the bivalence witnesses.
 /// BFS order matters: solo runs decide quickly, so both witnesses are
-/// usually found within a few hundred configurations.
-pub fn decidable_values<W, P>(
-    sys: &System<W, P>,
-    active: &[ProcessId],
-    budget: usize,
-) -> DecidableSet
-where
-    W: Word + DeltaCodec + Send + Sync,
-    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
-{
-    decidable_values_with(&Checker::auto(), sys, active, budget)
-}
-
-/// [`decidable_values`] on an explicit checker. The
-/// bivalence adversary reuses one checker across its thousands of valence
-/// queries.
+/// usually found within a few hundred configurations. The `checker` is
+/// the caller's: the bivalence adversary reuses one across its thousands
+/// of valence queries.
 pub fn decidable_values_with<W, P>(
     checker: &Checker,
     sys: &System<W, P>,
@@ -172,7 +159,7 @@ mod tests {
         let mut sys = System::new(mem, vec![CasConsensus::new(obj), CasConsensus::new(obj)]);
         sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
         sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
-        let d = decidable_values(&sys, &[p(0), p(1)], 10_000);
+        let d = decidable_values_with(&Checker::auto(), &sys, &[p(0), p(1)], 10_000);
         assert!(d.bivalent(), "{d:?}");
     }
 
@@ -184,7 +171,7 @@ mod tests {
         sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
         sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
         sys.step(p(0)).unwrap(); // p1's CAS decides the outcome
-        let d = decidable_values(&sys, &[p(0), p(1)], 10_000);
+        let d = decidable_values_with(&Checker::auto(), &sys, &[p(0), p(1)], 10_000);
         assert_eq!(d.values, BTreeSet::from([v(1)]));
         assert!(!d.bivalent());
         assert!(!d.truncated);
@@ -193,7 +180,7 @@ mod tests {
     #[test]
     fn of_consensus_initial_config_is_bivalent() {
         let sys = ObstructionFreeConsensus::proposers(&[1, 2], 32);
-        let d = decidable_values(&sys, &[p(0), p(1)], 50_000);
+        let d = decidable_values_with(&Checker::auto(), &sys, &[p(0), p(1)], 50_000);
         assert!(d.bivalent(), "{d:?}");
     }
 
@@ -204,7 +191,7 @@ mod tests {
         let mut sys = System::new(mem, vec![CasConsensus::new(obj), CasConsensus::new(obj)]);
         sys.invoke(p(0), Operation::Propose(v(5))).unwrap();
         sys.invoke(p(1), Operation::Propose(v(5))).unwrap();
-        let d = decidable_values(&sys, &[p(0), p(1)], 10_000);
+        let d = decidable_values_with(&Checker::auto(), &sys, &[p(0), p(1)], 10_000);
         assert_eq!(d.values, BTreeSet::from([v(5)]));
     }
 }

@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use crate::action::{Action, Operation, Response};
-use crate::calls::{CallStatus, OpCall};
+use crate::action::{Action, Response};
+use crate::calls::OpCall;
 use crate::ids::ProcessId;
 
 /// A finite history: the subsequence of an execution consisting only of
@@ -209,31 +209,12 @@ impl History {
         calls
     }
 
-    /// Completed calls only (those that received a response).
-    pub fn completed_calls(&self) -> Vec<OpCall> {
-        self.calls()
-            .into_iter()
-            .filter(|c| c.status() == CallStatus::Completed)
-            .collect()
-    }
-
     /// All responses received by `proc`, in order.
     pub fn responses_of(&self, proc: ProcessId) -> Vec<Response> {
         self.actions
             .iter()
             .filter_map(|a| match a {
                 Action::Respond { proc: q, resp } if *q == proc => Some(*resp),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// All operations invoked by `proc`, in order.
-    pub fn invocations_of(&self, proc: ProcessId) -> Vec<Operation> {
-        self.actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Invoke { proc: q, op } if *q == proc => Some(*op),
                 _ => None,
             })
             .collect()
@@ -320,6 +301,8 @@ impl<'a> IntoIterator for &'a History {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Operation;
+    use crate::calls::CallStatus;
     use crate::ids::{Value, VarId};
 
     fn p(i: usize) -> ProcessId {
@@ -431,7 +414,6 @@ mod tests {
         assert_eq!(calls[0].status(), CallStatus::Completed);
         assert_eq!(calls[1].resp, None);
         assert_eq!(calls[1].status(), CallStatus::Pending);
-        assert_eq!(h.completed_calls().len(), 1);
     }
 
     #[test]
@@ -485,11 +467,10 @@ mod tests {
     }
 
     #[test]
-    fn responses_and_invocations_of() {
+    fn responses_of() {
         let h = sample();
         assert_eq!(h.responses_of(p(0)), vec![Response::Decided(v(1))]);
         assert!(h.responses_of(p(1)).is_empty());
-        assert_eq!(h.invocations_of(p(1)), vec![Operation::Propose(v(2))]);
     }
 
     #[test]

@@ -280,21 +280,6 @@ impl<W> PrimOutcome<W> {
         }
     }
 
-    /// Extracts a snapshot vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the outcome is not [`PrimOutcome::Snapshot`].
-    pub fn expect_snapshot(self) -> Vec<W> {
-        match self {
-            PrimOutcome::Snapshot(v) => v,
-            other => panic!(
-                "expected Snapshot outcome, got {other:?}",
-                other = kind(&other)
-            ),
-        }
-    }
-
     /// Extracts a counter value.
     ///
     /// # Panics
@@ -1181,10 +1166,6 @@ mod tests {
         assert_eq!(PrimOutcome::<i64>::Value(4).expect_value(), 4);
         assert!(PrimOutcome::<i64>::Flag(true).expect_flag());
         assert_eq!(PrimOutcome::<i64>::Int(2).expect_int(), 2);
-        assert_eq!(
-            PrimOutcome::<i64>::Snapshot(vec![1]).expect_snapshot(),
-            vec![1]
-        );
     }
 
     #[test]

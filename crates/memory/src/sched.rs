@@ -36,7 +36,7 @@ pub trait Scheduler<W: Word, P: Process<W>> {
 /// Round-robin over steppable processes; halts when the system is
 /// quiescent. Delivers no invocations (pair with explicit
 /// [`System::invoke`] calls or a [`crate::WorkloadScheduler`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct RoundRobin {
     next: usize,
 }

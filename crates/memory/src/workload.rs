@@ -154,6 +154,11 @@ impl<L: Workload, S> WorkloadScheduler<L, S> {
     pub fn workload(&self) -> &L {
         &self.workload
     }
+
+    /// Access to the inner step scheduler.
+    pub fn inner(&self) -> &S {
+        &self.inner
+    }
 }
 
 impl<W, P, L, S> Scheduler<W, P> for WorkloadScheduler<L, S>

@@ -8,13 +8,16 @@
 //! - (2,2)-freedom excludes `S` (the §4.1 starvation strategy, with the
 //!   third process crashed — idle but correct, it would count as
 //!   progressing and the run would satisfy (2,2)-freedom);
-//! - (1,2)-freedom does **not** exclude `S` (Algorithm I(1,2) under any
-//!   two-stepper schedule keeps committing, Lemma 5.4);
+//! - (1,2)-freedom does **not** exclude `S` (Algorithm I(1,2) keeps
+//!   committing under two steppers, Lemma 5.4: with the third process
+//!   crashed, the two others loop a transaction round-robin, and someone
+//!   commits on every cycle of the lasso they close);
 //! - (1,3) and (2,2) are incomparable and their common weakening (1,2) is
 //!   implementable ⇒ **no weakest excluding (l,k)-freedom exists for S**.
 //!
-//! Both exclusions are judged on lassos: infinite executions
-//! `stem · cycle^ω` the adversaries drive Algorithm I(1,2) into.
+//! All three legs are judged on lassos: infinite executions
+//! `stem · cycle^ω` that the adversaries, and the round-robin workload,
+//! drive Algorithm I(1,2) into.
 //!
 //! Run with: `cargo run --release --example counterexample_s`
 
@@ -43,7 +46,11 @@ fn main() {
     );
 
     println!("(1,2)-freedom implementable (Algorithm I(1,2), Lemma 5.4):");
-    println!("  commits by the two steppers   : {:?}", report.duo_commits);
+    println!("  round-robin workload lasso    : {}", report.duo_lasso);
+    println!(
+        "  (1,2)-freedom holds on it?    : {}",
+        report.duo_satisfies_12
+    );
     println!("  property S held throughout    : {}", report.s_holds);
 
     let a = LkFreedom::new(1, 3);

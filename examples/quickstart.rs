@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use safety_liveness_exclusion::consensus::{ConsWord, ObstructionFreeConsensus, TrivialNoResponse};
+use safety_liveness_exclusion::automata::{trivial_it, Execution, StateId};
+use safety_liveness_exclusion::consensus::{ConsWord, ObstructionFreeConsensus};
 use safety_liveness_exclusion::history::{Action, History, Operation, ProcessId, Response, Value};
 use safety_liveness_exclusion::liveness::{
     ExecutionView, KObstructionFreedom, LivenessProperty, ProgressKind,
@@ -81,20 +82,23 @@ fn main() {
     // 3. Theorem 4.9's trivial implementation: never responds, ensures
     //    every safety property, and its finite runs are fair.
     // ------------------------------------------------------------------
-    let mem: Memory<ConsWord> = Memory::new();
-    let mut trivial = System::new(mem, vec![TrivialNoResponse::new(); 2]);
-    trivial
-        .invoke(p1, Operation::Propose(Value::new(1)))
-        .unwrap();
-    trivial
-        .invoke(p2, Operation::Propose(Value::new(2)))
-        .unwrap();
-    trivial.run(&mut RoundRobin::new(), 1000);
+    let ops = [1, 2].map(|v| Operation::Propose(Value::new(v)));
+    let resps = [1, 2].map(|v| Response::Decided(Value::new(v)));
+    let it = trivial_it(2, &ops, &resps);
+    let mut exec = Execution {
+        states: vec![StateId(0)],
+        actions: vec![],
+    };
+    for invocation in [Action::invoke(p1, ops[0]), Action::invoke(p2, ops[1])] {
+        let to = it.successors(exec.last_state(), &invocation)[0];
+        exec = exec.extended(invocation, to);
+    }
+    let history = History::from_actions(exec.actions.iter().copied());
     println!("trivial implementation It:");
-    println!("history       : {}", trivial.history());
-    println!("safe (A&V)    : {}", safety.allows(trivial.history()));
+    println!("history       : {history}");
+    println!("safe (A&V)    : {}", safety.allows(&history));
     println!(
-        "quiescent     : {} (finite fair execution)",
-        trivial.quiescent()
+        "fair          : {} (only crashes are enabled: a finite fair execution)",
+        it.is_fair_finite(&exec)
     );
 }

@@ -9,12 +9,12 @@
 //!
 //! Run with: `cargo run --release --example tm_starvation`
 
-use safety_liveness_exclusion::adversary::normalized_starvation_key;
-use safety_liveness_exclusion::grid::starvation_lasso;
+use safety_liveness_exclusion::grid::{starvation_lasso, STARVATION_ROLES};
 use safety_liveness_exclusion::history::Value;
 use safety_liveness_exclusion::liveness::{LivenessProperty, LkFreedom, Lmax};
 use safety_liveness_exclusion::safety::certify_unique_writes;
 use safety_liveness_exclusion::theorems::tm_gmax_demo;
+use safety_liveness_exclusion::tm::normalize::normalized_global_version;
 use safety_liveness_exclusion::tm::GlobalVersionTm;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     // ------------------------------------------------------------------
     println!("=== §4.1 starvation strategy vs lock-free opaque TM ===");
     let mut sys = GlobalVersionTm::system(2, 1);
-    let lasso = starvation_lasso(&mut sys, &[], normalized_starvation_key);
+    let (lasso, _) = starvation_lasso(&mut sys, &[], STARVATION_ROLES, normalized_global_version);
     println!(
         "run certified opaque      : {}",
         certify_unique_writes(sys.history(), Value::new(0))

@@ -312,7 +312,29 @@ fn theorem_5_3_figure_1b() {
             );
         }
         assert_black_anchor_is_a_lasso_on_n_processes(&g, LkFreedom::new(2, 2));
+        assert_white_anchor_is_a_lasso_on_n_processes(&g, LkFreedom::new(1, n));
     }
+}
+
+/// Figure 1(b)'s white anchor's basis names a lasso closed on the pane's
+/// own `n` processes, and its control's lasso, on which the anchor failed.
+fn assert_white_anchor_is_a_lasso_on_n_processes(g: &Grid, anchor: LkFreedom) {
+    let point = g
+        .point(anchor.l(), anchor.k())
+        .expect("the anchor is on the grid");
+    let Verdict::Implementable { basis } = &point.verdict else {
+        panic!("n={}: {anchor} is not white", g.n);
+    };
+    let closed = format!("{anchor} holds on a lasso ");
+    assert!(basis.starts_with(&closed), "n={}: {basis}", g.n);
+    let against = format!("against GlobalVersionTm ({} processes; stem ", g.n);
+    assert!(basis.contains(&against), "n={}: {basis}", g.n);
+    let control = format!(
+        "control, LockTm with its lock holder crashed mid-transaction: {anchor} violated ({} \
+         processes; stem ",
+        g.n
+    );
+    assert!(basis.contains(&control), "n={}: {basis}", g.n);
 }
 
 #[test]

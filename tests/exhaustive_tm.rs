@@ -8,16 +8,16 @@
 //! never validates its reads: the same exploration must catch it, and the
 //! §4.1 starvation strategy must lose against it.
 
-use safety_liveness_exclusion::adversary::{normalized_starvation_key, TmStarvation};
 use safety_liveness_exclusion::engine::{DeltaCodec, StateCodec};
 use safety_liveness_exclusion::explorer::{
     explore_safety, history_digest, ExploreOutcome, NoLasso,
 };
-use safety_liveness_exclusion::grid::{others_crashed, starvation_lasso};
+use safety_liveness_exclusion::grid::{others_crashed, starvation_lasso, STARVATION_ROLES};
 use safety_liveness_exclusion::history::{Operation, ProcessId, Response, Value, VarId};
 use safety_liveness_exclusion::liveness::LkFreedom;
 use safety_liveness_exclusion::memory::{Memory, ObjId, Primitive, Process, StepEffect, System};
 use safety_liveness_exclusion::safety::Opacity;
+use safety_liveness_exclusion::tm::normalize::normalized_global_version;
 use safety_liveness_exclusion::tm::{AgpTm, GlobalVersionTm, TmWord};
 
 fn p(i: usize) -> ProcessId {
@@ -171,17 +171,21 @@ fn starvation_strategy_loses_against_the_blind_commit_tm() {
     let two_two = LkFreedom::new(2, 2);
     for n in [2, 3] {
         let mut sys = GlobalVersionTm::system(n, 1);
-        let lasso = starvation_lasso(&mut sys, &others_crashed(n), normalized_starvation_key);
+        let crashed = others_crashed(n);
+        let (lasso, _) = starvation_lasso(
+            &mut sys,
+            &crashed,
+            STARVATION_ROLES,
+            normalized_global_version,
+        );
         assert_eq!(lasso.verdict(&two_two), Some(false), "n={n}: {lasso}");
 
         // The raw configuration is a key that never repeats while values
         // climb: were the victim starved, the search would end at the key
         // cap, not in a halt.
         let mut sys = BlindCommitTm::system(n, 1);
-        let raw = |sys: &System<TmWord, BlindCommitTm>, adv: &TmStarvation| {
-            (sys.digest128(), adv.clone())
-        };
-        let lasso = starvation_lasso(&mut sys, &others_crashed(n), raw);
+        let raw = |sys: &System<TmWord, BlindCommitTm>, _: &[ProcessId]| sys.digest128();
+        let (lasso, _) = starvation_lasso(&mut sys, &crashed, STARVATION_ROLES, raw);
         assert!(
             matches!(lasso.outcome(), Err(NoLasso::Halted { .. })),
             "n={n}: {lasso}"
