@@ -5,7 +5,7 @@ use slx_adversary::{normalized_triple_round_key, TripleRoundAdversary};
 use slx_explorer::{run_until_cycle_keyed, Lasso};
 use slx_history::{ProcessId, Value};
 use slx_liveness::{LkFreedom, ProgressKind};
-use slx_safety::PropertyS;
+use slx_safety::{certify_unique_writes, Opacity, PropertyS, SafetyProperty};
 use slx_tm::normalize::normalized_agp_among;
 use slx_tm::AgpTm;
 
@@ -94,8 +94,9 @@ pub fn run_counterexample_s() -> CounterexampleReport {
     // Leg 3: (1,2) implementable.
     let mut sys = AgpTm::system(3, 1);
     let duo = workload_lasso(&mut sys, &others_crashed(3), normalized_agp_among);
-    s_holds &= PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
-    s_holds &= slx_safety::certify_unique_writes(sys.history(), Value::new(0));
+    let (h, init) = (sys.history(), Value::new(0));
+    s_holds &= PropertyS::new(init).abort_rule_holds(h);
+    s_holds &= certify_unique_writes(h, init) || Opacity::new(init).allows(h);
 
     CounterexampleReport {
         triple_violates_13: triple_lasso.verdict(&LkFreedom::new(1, 3)) == Some(false),

@@ -12,7 +12,7 @@ use slx_explorer::{run_until_cycle_keyed, Lasso, NoLasso};
 use slx_history::{Action, ProcessId, Response, Value, VarId};
 use slx_liveness::{LkFreedom, ProgressKind};
 use slx_memory::{Decision, Process, RepeatTxn, RoundRobin, System, Word, WorkloadScheduler};
-use slx_safety::{ConsensusSafety, SafetyProperty};
+use slx_safety::{certify_unique_writes, ConsensusSafety, Opacity, SafetyProperty};
 use slx_tm::normalize::{committed_shift, normalized_global_version};
 use slx_tm::{GlobalVersionTm, LockTm, TmWord};
 
@@ -319,7 +319,8 @@ fn solo_cycle<W: Word, P: Process<W>>(
 ///   read-write transaction round-robin, `GlobalVersionTm` closes a lasso
 ///   modulo the version shift on which someone commits every cycle
 ///   ([`workload_lasso`]; lock-freedom: a failed CAS certifies someone
-///   else's commit), and its history certifies opaque. The control is
+///   else's commit), and its history is opaque (the unique-write
+///   certifier, or [`Opacity`] where it is inconclusive). The control is
 ///   `LockTm` with its lock holder crashed mid-transaction: the same
 ///   driver closes a lasso on which nobody commits;
 /// - *(2,2) black*: the Section 4.1 starvation strategy drives any
@@ -332,7 +333,8 @@ pub fn tm_grid(n: usize) -> Grid {
     let (procs, white) = (n.max(2), LkFreedom::new(1, n));
     let mut sys = GlobalVersionTm::system(procs, 1);
     let lasso = workload_lasso(&mut sys, &[], normalized_global_version);
-    let opaque = slx_safety::certify_unique_writes(sys.history(), Value::new(0));
+    let (h, init) = (sys.history(), Value::new(0));
+    let opaque = certify_unique_writes(h, init) || Opacity::new(init).allows(h);
     let mut lock = LockTm::system(procs, 1);
     let control = workload_lasso(&mut lock, &CRASH_PREFIX, exact_configuration);
     let holds = lasso.verdict(&white) == Some(true);

@@ -18,13 +18,13 @@
 //!   (1,2)) by Algorithm I(1,2), so even within (l,k)-freedom no weakest
 //!   excluding property exists;
 //! - [`sect6`] — the **Section 6** remarks on S-freedom and
-//!   (n,x)-liveness.
-//!
-//! Each driver has one printer, a root-package example: `lk_lattice`
-//! (Figure 1 and Section 6), `consensus_adversary` (Corollary 4.5),
-//! `tm_starvation` (Corollary 4.6), `counterexample_s` (Section 5.3) and
-//! `automata_tour` (Lemma 4.8 and Theorem 4.9's constructions). Run one
-//! with `cargo run --release --example <name>`.
+//!   (n,x)-liveness;
+//! - [`claims::ledger`] — these verdicts, Corollary 4.10 and the
+//!   [`blocking`] contrast as one ledger of claims with their evidence,
+//!   printed by `cargo run --release --example claims` and checked in as
+//!   `CLAIMS.txt`. Lemma 4.8 and Theorem 4.9's constructions are not
+//!   experiments here; `cargo run --release --example automata_tour`
+//!   prints them.
 //!
 //! # Quickstart
 //!
@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod blocking;
+pub mod claims;
 pub mod counterexample;
 pub mod grid;
 pub mod sect6;

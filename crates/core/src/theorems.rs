@@ -19,8 +19,6 @@ pub struct GmaxDemo {
     pub f2: HistorySet,
     /// `F1 ∩ F2`.
     pub gmax: HistorySet,
-    /// Names the corollary demonstrated.
-    pub corollary: String,
 }
 
 impl GmaxDemo {
@@ -41,12 +39,7 @@ pub fn consensus_gmax_demo() -> GmaxDemo {
     let f1 = consensus_f1(Value::new(1), Value::new(2));
     let f2 = consensus_f2(Value::new(1), Value::new(2));
     let gmax = gmax_of(&[f1.clone(), f2.clone()]);
-    GmaxDemo {
-        f1,
-        f2,
-        gmax,
-        corollary: "Corollary 4.5 (no weakest liveness excluding consensus safety)".to_owned(),
-    }
+    GmaxDemo { f1, f2, gmax }
 }
 
 /// **Corollary 4.6**: the TM adversary sets, sampled by the Section 4.1
@@ -77,12 +70,7 @@ pub fn tm_gmax_demo() -> GmaxDemo {
     let f1 = HistorySet::from_histories(histories(0, 1));
     let f2 = HistorySet::from_histories(histories(1, 0));
     let gmax = gmax_of(&[f1.clone(), f2.clone()]);
-    GmaxDemo {
-        f1,
-        f2,
-        gmax,
-        corollary: "Corollary 4.6 (no weakest liveness excluding opacity)".to_owned(),
-    }
+    GmaxDemo { f1, f2, gmax }
 }
 
 /// The history of the §4.1 strategy's lasso search on `sys`

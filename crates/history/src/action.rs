@@ -51,11 +51,6 @@ impl Operation {
                 | Operation::TxCommit
         )
     }
-
-    /// Returns `true` for the consensus `propose` operation.
-    pub fn is_propose(&self) -> bool {
-        matches!(self, Operation::Propose(_))
-    }
 }
 
 impl fmt::Display for Operation {
@@ -96,11 +91,6 @@ pub enum Response {
 }
 
 impl Response {
-    /// Returns `true` for the TM abort event `A`.
-    pub fn is_abort(&self) -> bool {
-        matches!(self, Response::Aborted)
-    }
-
     /// Returns `true` for the TM commit event `C`.
     pub fn is_commit(&self) -> bool {
         matches!(self, Response::Committed)
@@ -232,16 +222,12 @@ mod tests {
         assert!(Operation::TxWrite(VarId::new(0), Value::new(1)).is_transactional());
         assert!(Operation::TxCommit.is_transactional());
         assert!(!Operation::Propose(Value::new(0)).is_transactional());
-        assert!(Operation::Propose(Value::new(0)).is_propose());
-        assert!(!Operation::Read(VarId::new(0)).is_propose());
     }
 
     #[test]
     fn response_classification() {
-        assert!(Response::Aborted.is_abort());
         assert!(!Response::Aborted.is_commit());
         assert!(Response::Committed.is_commit());
-        assert!(!Response::Ok.is_abort());
     }
 
     #[test]

@@ -229,30 +229,6 @@ impl History {
         }
     }
 
-    /// Whether the history is *sequential*: every invocation is immediately
-    /// followed by its response (no interleaving).
-    pub fn is_sequential(&self) -> bool {
-        let mut pending_proc: Option<ProcessId> = None;
-        for a in &self.actions {
-            match a {
-                Action::Invoke { proc, .. } => {
-                    if pending_proc.is_some() {
-                        return false;
-                    }
-                    pending_proc = Some(*proc);
-                }
-                Action::Respond { proc, .. } => {
-                    if pending_proc != Some(*proc) {
-                        return false;
-                    }
-                    pending_proc = None;
-                }
-                Action::Crash { .. } => {}
-            }
-        }
-        true
-    }
-
     /// Equivalence in the paper's sense: two histories are equivalent if
     /// every per-process projection agrees.
     pub fn equivalent(&self, other: &History, n: usize) -> bool {
@@ -427,18 +403,6 @@ mod tests {
         let calls = h.calls();
         assert!(h.precedes(&calls[0], &calls[1]));
         assert!(!h.precedes(&calls[1], &calls[0]));
-    }
-
-    #[test]
-    fn sequential_detection() {
-        let h = History::from_actions([
-            Action::invoke(p(0), Operation::TxStart),
-            Action::respond(p(0), Response::Ok),
-            Action::invoke(p(1), Operation::TxStart),
-            Action::respond(p(1), Response::Ok),
-        ]);
-        assert!(h.is_sequential());
-        assert!(!sample().is_sequential());
     }
 
     #[test]

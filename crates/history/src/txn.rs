@@ -5,7 +5,7 @@
 //! TM history into per-process sequences of transactions with their events,
 //! boundaries and statuses, exposing exactly the notions the paper uses:
 //! per-process transaction sequence numbers (`Ti is the t-th transaction in
-//! h|pi`), real-time precedence between transactions, concurrency, read and
+//! h|pi`), real-time precedence between transactions, concurrency and
 //! write sets.
 
 use std::collections::BTreeMap;
@@ -100,62 +100,6 @@ impl Transaction {
         self.events
             .iter()
             .any(|e| matches!(e, TxnEvent::TryCommit { .. }))
-    }
-
-    /// Whether the transaction's `start()` received a (non-abort) response
-    /// at or before history index `idx`.
-    ///
-    /// Used by property `S` (Section 5.3): "after at least two other
-    /// transactions receive a response for a `start()` operation".
-    pub fn start_responded_by(&self, idx: usize, history: &History) -> bool {
-        // The start() response, if present, is the first response of the
-        // transaction; locate it in the history.
-        let mut seen_start_invoke = false;
-        for (i, a) in history.actions().iter().enumerate() {
-            if i < self.start_index {
-                continue;
-            }
-            if a.proc() != self.id.proc {
-                continue;
-            }
-            match a {
-                Action::Invoke {
-                    op: Operation::TxStart,
-                    ..
-                } if i == self.start_index => {
-                    seen_start_invoke = true;
-                }
-                Action::Respond { .. } if seen_start_invoke => {
-                    return i <= idx;
-                }
-                _ => {}
-            }
-        }
-        false
-    }
-
-    /// The read set: for each variable, the first value returned by a read
-    /// of that variable *before* the transaction wrote it.
-    pub fn read_set(&self) -> BTreeMap<VarId, Value> {
-        let mut reads = BTreeMap::new();
-        let mut written: Vec<VarId> = Vec::new();
-        for e in &self.events {
-            match e {
-                TxnEvent::Read {
-                    var,
-                    resp: Some(Response::ValueReturned(v)),
-                } if !written.contains(var) => {
-                    reads.entry(*var).or_insert(*v);
-                }
-                TxnEvent::Write { var, resp, .. } => {
-                    if matches!(resp, Some(Response::Ok)) {
-                        written.push(*var);
-                    }
-                }
-                _ => {}
-            }
-        }
-        reads
     }
 
     /// The write set: for each variable, the last value successfully
@@ -357,27 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn read_and_write_sets() {
+    fn write_set() {
         let view = TxnView::parse(&committed_then_open());
         let t1 = &view.of_process(p(0))[0].clone();
-        assert_eq!(t1.read_set().get(&x(0)), Some(&v(0)));
         assert_eq!(t1.write_set().get(&x(0)), Some(&v(5)));
-    }
-
-    #[test]
-    fn read_after_own_write_not_in_read_set() {
-        let h = History::from_actions([
-            Action::invoke(p(0), Operation::TxStart),
-            Action::respond(p(0), Response::Ok),
-            Action::invoke(p(0), Operation::TxWrite(x(0), v(9))),
-            Action::respond(p(0), Response::Ok),
-            Action::invoke(p(0), Operation::TxRead(x(0))),
-            Action::respond(p(0), Response::ValueReturned(v(9))),
-        ]);
-        let view = TxnView::parse(&h);
-        let t = &view.transactions()[0];
-        assert!(t.read_set().is_empty());
-        assert_eq!(t.write_set().get(&x(0)), Some(&v(9)));
     }
 
     #[test]
@@ -415,16 +342,5 @@ mod tests {
         ]);
         assert!(bad.is_well_formed());
         assert!(!TxnView::parse(&bad).client_well_formed());
-    }
-
-    #[test]
-    fn start_responded_by_index() {
-        let h = committed_then_open();
-        let view = TxnView::parse(&h);
-        let t1 = view.of_process(p(0))[0].clone();
-        // start() response is at index 1.
-        assert!(!t1.start_responded_by(0, &h));
-        assert!(t1.start_responded_by(1, &h));
-        assert!(t1.start_responded_by(5, &h));
     }
 }

@@ -53,11 +53,6 @@ impl RepeatTxn {
         }
     }
 
-    /// Number of transactions committed by `proc` so far.
-    pub fn committed(&self, proc: ProcessId) -> u64 {
-        self.committed[proc.index()]
-    }
-
     /// `proc`'s state with its next write value rebased by `dval`:
     /// `(script position, next write value − dval, commits left)`. Its
     /// future invocations depend on nothing else, and its attempt counter
@@ -236,7 +231,6 @@ mod tests {
         assert_eq!(w.next_op(p, None), Some(Operation::TxStart));
         assert_eq!(w.next_op(p, Some(Response::Ok)), Some(Operation::TxCommit));
         assert_eq!(w.next_op(p, Some(Response::Committed)), None);
-        assert_eq!(w.committed(p), 1);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! through the public API of the root crate.
 
 use safety_liveness_exclusion::consensus::{round_shift_key, ConsWord, ObstructionFreeConsensus};
-use safety_liveness_exclusion::counterexample::run_counterexample_s;
 use safety_liveness_exclusion::grid::{
     consensus_grid, consensus_white_check, tm_grid, Grid, Verdict,
 };
@@ -12,7 +11,6 @@ use safety_liveness_exclusion::memory::{
     Memory, ObjId, ObjRun, Primitive, Process, StepEffect, System,
 };
 use safety_liveness_exclusion::sect6::{nx_report, s_freedom_report};
-use safety_liveness_exclusion::theorems::{consensus_gmax_demo, tm_gmax_demo};
 
 #[test]
 fn theorem_5_2_figure_1a() {
@@ -335,17 +333,6 @@ fn assert_white_anchor_is_a_lasso_on_n_processes(g: &Grid, anchor: LkFreedom) {
         g.n
     );
     assert!(basis.contains(&control), "n={}: {basis}", g.n);
-}
-
-#[test]
-fn corollaries_4_5_and_4_6() {
-    assert!(consensus_gmax_demo().establishes_corollary());
-    assert!(tm_gmax_demo().establishes_corollary());
-}
-
-#[test]
-fn section_5_3_counterexample() {
-    assert!(run_counterexample_s().establishes_section_5_3());
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! `System::run_logged` is, event for event, the log `System` used to keep
 //! inside every configuration: the pins below were taken from that
 //! in-`System` log, so every lasso a driver cuts from its log
-//! (`tm_starvation`, `counterexample_s`, `blocking`, `sect6`, the
-//! examples) holds the events it held before.
+//! (`tm_starvation`, `counterexample_s`, `blocking`, `sect6`, the claims
+//! ledger) holds the events it held before.
 
 use safety_liveness_exclusion::adversary::{TmStarvation, TripleRoundAdversary};
 use safety_liveness_exclusion::consensus::{ConsWord, ObstructionFreeConsensus};

@@ -130,9 +130,3 @@ fn lock_free_tm_survivor_keeps_committing_after_crashes() {
     assert_eq!(commits, 5);
     assert!(certify_unique_writes(sys.history(), Value::new(0)));
 }
-
-#[test]
-fn blocking_demo_contrast() {
-    let demo = safety_liveness_exclusion::blocking::blocking_demo();
-    assert!(demo.establishes_contrast(), "{demo:?}");
-}
