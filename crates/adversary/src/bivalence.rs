@@ -13,7 +13,7 @@ use slx_explorer::decidable_values_with;
 use slx_history::{History, ProcessId, Value};
 use slx_memory::{Decision, Process, Scheduler, StepEffect, System, Word};
 
-/// Report of a [`run_bivalence_adversary`] run.
+/// Report of a [`run_bivalence_adversary_with`] run.
 #[derive(Debug, Clone)]
 pub struct BivalenceReport {
     /// Steps the adversary scheduled.
@@ -48,30 +48,17 @@ impl BivalenceReport {
 /// *different* values) for `budget` steps: the strategy of
 /// [`BivalenceScheduler`], with the proposals already issued.
 ///
+/// The inner valence queries run on `checker` — so the adversary's
+/// thousands of model-checking runs can be pinned to a thread/shard
+/// configuration or to a frontier memory budget (any spill codec,
+/// including replay recompute-from-parent; the replay differential test
+/// drives exactly that); `Checker::auto()` is the default.
+///
 /// If no bivalence-preserving step is found within the valence budget the
 /// run stops and reports `bivalent_throughout = false` (which would
 /// falsify the experiment loudly rather than silently). The run is a
 /// finite prefix; the scheduler under `slx_explorer::run_until_cycle_keyed`
 /// is what proves the starvation eternal.
-pub fn run_bivalence_adversary<W, P>(
-    sys: &mut System<W, P>,
-    active: &[ProcessId],
-    budget: u64,
-    valence_budget: usize,
-) -> BivalenceReport
-where
-    W: Word + DeltaCodec + Send + Sync,
-    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
-{
-    run_bivalence_adversary_with(&Checker::auto(), sys, active, budget, valence_budget)
-}
-
-/// [`run_bivalence_adversary`] on an explicit exploration-kernel checker
-/// for the inner valence queries — so the adversary's thousands of
-/// model-checking runs can be pinned to a thread/shard configuration or
-/// to a frontier memory budget (any spill codec, including replay
-/// recompute-from-parent; the replay differential test drives exactly
-/// that).
 pub fn run_bivalence_adversary_with<W, P>(
     checker: &Checker,
     sys: &mut System<W, P>,
@@ -290,7 +277,8 @@ mod tests {
         // the obstruction-free register consensus undecided for the whole
         // budget, with both processes stepping.
         let mut sys = ObstructionFreeConsensus::proposers(&[1, 2], 64);
-        let report = run_bivalence_adversary(&mut sys, &[p(0), p(1)], 150, 60_000);
+        let report =
+            run_bivalence_adversary_with(&Checker::auto(), &mut sys, &[p(0), p(1)], 150, 60_000);
         assert!(
             report.adversary_won(),
             "decided={} bivalent={} counts={:?}",
@@ -414,7 +402,8 @@ mod tests {
         let mut sys = cas_system();
         sys.invoke(p(0), Operation::Propose(v(1))).unwrap();
         sys.invoke(p(1), Operation::Propose(v(2))).unwrap();
-        let report = run_bivalence_adversary(&mut sys, &[p(0), p(1)], 50, 10_000);
+        let report =
+            run_bivalence_adversary_with(&Checker::auto(), &mut sys, &[p(0), p(1)], 50, 10_000);
         assert!(!report.adversary_won());
         assert!(!report.bivalent_throughout);
         // The control for the (1,2) lasso: once both proposals are
@@ -436,7 +425,8 @@ mod tests {
         // With equal proposals the configuration is univalent from the
         // start; the adversary has nothing to preserve.
         let mut sys = ObstructionFreeConsensus::proposers(&[5, 5], 64);
-        let report = run_bivalence_adversary(&mut sys, &[p(0), p(1)], 50, 20_000);
+        let report =
+            run_bivalence_adversary_with(&Checker::auto(), &mut sys, &[p(0), p(1)], 50, 20_000);
         assert!(!report.adversary_won());
     }
 }

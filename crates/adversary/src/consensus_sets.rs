@@ -18,7 +18,7 @@ use slx_history::{Action, History, HistorySet, Operation, ProcessId, Response, V
 ///
 /// Existence of a fair continuation of one of these into an infinite
 /// no-decision execution is the Chor–Israeli–Li impossibility; the
-/// [`crate::run_bivalence_adversary`] half of this crate produces such
+/// [`crate::run_bivalence_adversary_with`] half of this crate produces such
 /// continuations mechanically.
 pub fn consensus_f1(v: Value, v_prime: Value) -> HistorySet {
     two_proposal_set(ProcessId::new(0), ProcessId::new(1), v, v_prime)

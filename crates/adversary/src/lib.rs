@@ -14,7 +14,7 @@
 //!   `Gmax = ∅` and Corollary 4.5, and the constructive
 //!   [`BivalenceScheduler`] — *computing* the Chor–Israeli–Li schedule
 //!   against any deterministic register-based consensus implementation
-//!   ([`run_bivalence_adversary`] drives it for a fixed budget);
+//!   ([`run_bivalence_adversary_with`] drives it for a fixed budget);
 //! - §4.1 TM: the three-step starvation strategy ([`TmStarvation`]) and
 //!   its role-swapped twin, behind Corollary 4.6 and the black point
 //!   `(2,2)` of Figure 1b;
@@ -36,8 +36,7 @@ mod counterexample_s;
 mod tm_starvation;
 
 pub use bivalence::{
-    normalized_of_consensus_key, run_bivalence_adversary, run_bivalence_adversary_with,
-    BivalenceReport, BivalenceScheduler,
+    normalized_of_consensus_key, run_bivalence_adversary_with, BivalenceReport, BivalenceScheduler,
 };
 pub use consensus_sets::{consensus_f1, consensus_f2, gmax_of};
 pub use counterexample_s::{normalized_triple_round_key, TripleRoundAdversary};

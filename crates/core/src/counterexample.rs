@@ -3,60 +3,19 @@
 
 use slx_adversary::{normalized_triple_round_key, TripleRoundAdversary};
 use slx_explorer::{run_until_cycle_keyed, Lasso};
-use slx_history::{ProcessId, Value};
+use slx_history::{History, ProcessId, Value};
 use slx_liveness::{LkFreedom, ProgressKind};
 use slx_safety::{certify_unique_writes, Opacity, PropertyS, SafetyProperty};
 use slx_tm::normalize::normalized_agp_among;
 use slx_tm::AgpTm;
 
+use crate::claims::{lasso_line, Claim};
 use crate::grid::{others_crashed, starvation_lasso, workload_lasso, STARVATION_ROLES};
 
-/// Outcome of the Section 5.3 experiment.
-#[derive(Debug, Clone)]
-pub struct CounterexampleReport {
-    /// Leg 1's lasso: the triple-round adversary against Algorithm
-    /// I(1,2) on three processes.
-    pub triple_lasso: Lasso,
-    /// (1,3)-freedom excludes `S`: it fails on leg 1's lasso (three
-    /// steppers abort forever).
-    pub triple_violates_13: bool,
-    /// Leg 2's lasso: the §4.1 starvation strategy against I(1,2) on
-    /// three processes, the third crashed first.
-    pub starvation_lasso: Lasso,
-    /// (2,2)-freedom excludes `S`: it fails on leg 2's lasso (S includes
-    /// opacity, so the §4.1 exclusion applies).
-    pub starvation_violates_22: bool,
-    /// Leg 3's lasso: both correct processes of Algorithm I(1,2) on three
-    /// processes, the third crashed first, loop a read-write transaction
-    /// round-robin.
-    pub duo_lasso: Lasso,
-    /// (1,2)-freedom does **not** exclude `S`: it holds on leg 3's lasso.
-    pub duo_satisfies_12: bool,
-    /// Whether every checked I(1,2) history satisfied property `S`'s
-    /// abort rule.
-    pub s_holds: bool,
-}
-
-impl CounterexampleReport {
-    /// Whether the experiment reproduces the section's conclusion: both
-    /// (1,3) and (2,2) exclude `S`, (1,2) does not, and (1,2) is weaker
-    /// than both — so no weakest excluding (l,k)-freedom exists.
-    pub fn establishes_section_5_3(&self) -> bool {
-        let one_three = LkFreedom::new(1, 3);
-        let two_two = LkFreedom::new(2, 2);
-        let one_two = LkFreedom::new(1, 2);
-        self.triple_violates_13
-            && self.starvation_violates_22
-            && self.duo_satisfies_12
-            && self.s_holds
-            && one_three.is_stronger_or_equal(&one_two)
-            && two_two.is_stronger_or_equal(&one_two)
-            && one_three.partial_cmp_strength(&two_two).is_none()
-    }
-}
-
-/// Runs the three legs of the Section 5.3 experiment against Algorithm
-/// I(1,2) on three processes:
+/// **Section 5.3**: property `S` is excluded by both (1,3)- and
+/// (2,2)-freedom yet implemented at (1,2), which is weaker than both, so
+/// even within (l,k)-freedom no weakest excluding property exists. The
+/// three legs run against Algorithm I(1,2) on three processes:
 ///
 /// 1. the three-process synchronized-round adversary (excludes
 ///    (1,3)-freedom);
@@ -71,15 +30,18 @@ impl CounterexampleReport {
 ///    round-robin, someone commits on every cycle ((1,2)-freedom holds)
 ///    and property `S` is preserved (Lemma 5.4). Round-robin starves one
 ///    of the two, so (2,2)-freedom fails on the same lasso.
-pub fn run_counterexample_s() -> CounterexampleReport {
+pub fn section_5_3() -> Claim {
+    let lk = LkFreedom::new;
+    let s = |h: &History| PropertyS::new(Value::new(0)).abort_rule_holds(h);
+
     // Leg 1: (1,3) excluded.
     let mut sys = AgpTm::system(3, 1);
     let mut triple =
         TripleRoundAdversary::new([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
     let key = normalized_triple_round_key;
     let outcome = run_until_cycle_keyed(&mut sys, &[], &mut triple, key);
-    let triple_lasso = Lasso::new(outcome, ProgressKind::CommitOnly);
-    let mut s_holds = PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
+    let triple = Lasso::new(outcome, ProgressKind::CommitOnly);
+    let mut s_holds = s(sys.history());
 
     // Leg 2: (2,2) excluded.
     let mut sys = AgpTm::system(3, 1);
@@ -89,35 +51,39 @@ pub fn run_counterexample_s() -> CounterexampleReport {
         STARVATION_ROLES,
         normalized_agp_among,
     );
-    s_holds &= PropertyS::new(Value::new(0)).abort_rule_holds(sys.history());
+    s_holds &= s(sys.history());
 
     // Leg 3: (1,2) implementable.
     let mut sys = AgpTm::system(3, 1);
     let duo = workload_lasso(&mut sys, &others_crashed(3), normalized_agp_among);
     let (h, init) = (sys.history(), Value::new(0));
-    s_holds &= PropertyS::new(init).abort_rule_holds(h);
-    s_holds &= certify_unique_writes(h, init) || Opacity::new(init).allows(h);
+    s_holds &= s(h) && (certify_unique_writes(h, init) || Opacity::new(init).allows(h));
 
-    CounterexampleReport {
-        triple_violates_13: triple_lasso.verdict(&LkFreedom::new(1, 3)) == Some(false),
-        triple_lasso,
-        starvation_violates_22: starvation.verdict(&LkFreedom::new(2, 2)) == Some(false),
-        starvation_lasso: starvation,
-        duo_satisfies_12: duo.verdict(&LkFreedom::new(1, 2)) == Some(true),
-        duo_lasso: duo,
-        s_holds,
+    // (1,2) is weaker than both, which are incomparable: no weakest
+    // excluding (l,k)-freedom exists.
+    let order = lk(1, 3).is_stronger_or_equal(&lk(1, 2))
+        && lk(2, 2).is_stronger_or_equal(&lk(1, 2))
+        && lk(1, 3).partial_cmp_strength(&lk(2, 2)).is_none();
+    let holds = triple.verdict(&lk(1, 3)) == Some(false)
+        && starvation.verdict(&lk(2, 2)) == Some(false)
+        && duo.verdict(&lk(1, 2)) == Some(true)
+        && s_holds
+        && order;
+    Claim {
+        id: "Section 5.3 (property S)",
+        holds,
+        evidence: vec![
+            lasso_line(lk(1, 3), &triple, "triple-round adversary"),
+            lasso_line(lk(2, 2), &starvation, "§4.1 strategy, p3 crashed"),
+            lasso_line(lk(1, 2), &duo, "round-robin workload, p3 crashed"),
+            format!("property S held on all three: {s_holds}"),
+        ],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn section_5_3_reproduced() {
-        let report = run_counterexample_s();
-        assert!(report.establishes_section_5_3(), "report: {report:?}");
-    }
 
     #[test]
     fn leg_2_excludes_22_freedom_only_with_the_idle_process_crashed() {

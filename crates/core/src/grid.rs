@@ -48,6 +48,12 @@ impl GridPoint {
     pub fn implementable(&self) -> bool {
         matches!(self.verdict, Verdict::Implementable { .. })
     }
+
+    /// How the verdict was established.
+    pub fn basis(&self) -> &str {
+        let (Verdict::Implementable { basis } | Verdict::Excluded { basis }) = &self.verdict;
+        basis
+    }
 }
 
 /// A full Figure-1 pane.
@@ -101,7 +107,8 @@ impl Grid {
 impl fmt::Display for Grid {
     /// Renders the pane in the style of Figure 1: `k` on the horizontal
     /// axis, `l` on the vertical, `○` white (implementable), `●` black
-    /// (excluded), blank where `l > k`.
+    /// (excluded), blank where `l > k`; each `k` sits under its own
+    /// column (for `n ≤ 9`, where every `k` is one digit).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "S = {} (n = {})", self.safety, self.n)?;
         for l in (1..=self.n).rev() {
@@ -115,9 +122,9 @@ impl fmt::Display for Grid {
             }
             writeln!(f)?;
         }
-        write!(f, "     ")?;
+        write!(f, "    k")?;
         for k in 1..=self.n {
-            write!(f, "k={k}")?;
+            write!(f, " {k}")?;
         }
         Ok(())
     }
@@ -666,10 +673,18 @@ mod tests {
 
     #[test]
     fn grid_display_renders() {
-        let g = tm_grid(3);
+        let anchor = |l, k| (LkFreedom::new(l, k), true, "");
+        let points = classify(4, |lk| lk.l() == 1, anchor(1, 4), anchor(2, 2));
+        let g = Grid {
+            safety: "TM opacity".to_owned(),
+            n: 4,
+            points,
+        };
         let s = g.to_string();
-        assert!(s.contains("○"));
-        assert!(s.contains("●"));
-        assert!(s.contains("l=1"));
+        let lines: Vec<Vec<char>> = s.lines().map(|l| l.chars().collect()).collect();
+        let (l1, axis) = (&lines[4], &lines[5]);
+        // Each glyph of the `l=1` row has its `k` right under it.
+        let under = (0..l1.len()).filter(|&i| "○●".contains(l1[i]));
+        assert_eq!(under.map(|i| axis[i]).collect::<String>(), "1234", "{s}");
     }
 }

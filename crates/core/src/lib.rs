@@ -3,28 +3,31 @@
 //! This crate is the public façade of the workspace. It re-exports the
 //! building blocks (histories, the simulator, safety and liveness
 //! properties, the implementations, the adversaries, the explorer) and
-//! adds the *experiment drivers* that regenerate the paper's figure and
-//! corollaries:
+//! adds the *experiment drivers* that regenerate the paper's figure,
+//! corollaries and constructions. Each claim is one function that runs its
+//! experiment and returns its [`claims::Claim`] row:
 //!
 //! - [`grid::consensus_grid`] / [`grid::tm_grid`] — **Figure 1(a)/(b)**:
 //!   classify every (l,k)-freedom point as implementable (white) or
 //!   excluded (black) with a machine-checked witness for the anchor
 //!   points;
-//! - [`theorems::consensus_gmax_demo`] / [`theorems::tm_gmax_demo`] —
+//! - [`theorems::corollary_4_5`] / [`theorems::corollary_4_6`] —
 //!   **Corollaries 4.5 / 4.6** via Theorem 4.4: two disjoint adversary
 //!   sets, hence `Gmax = ∅`, hence no weakest excluding liveness;
-//! - [`counterexample::run_counterexample_s`] — **Section 5.3**: property
-//!   `S` is excluded by both (1,3)- and (2,2)-freedom yet implemented (at
-//!   (1,2)) by Algorithm I(1,2), so even within (l,k)-freedom no weakest
+//! - [`counterexample::section_5_3`] — **Section 5.3**: property `S` is
+//!   excluded by both (1,3)- and (2,2)-freedom yet implemented (at (1,2))
+//!   by Algorithm I(1,2), so even within (l,k)-freedom no weakest
 //!   excluding property exists;
-//! - [`sect6`] — the **Section 6** remarks on S-freedom and
+//! - [`sect6::section_6`] — the **Section 6** remarks on S-freedom and
 //!   (n,x)-liveness;
-//! - [`claims::ledger`] — these verdicts, Corollary 4.10 and the
-//!   [`blocking`] contrast as one ledger of claims with their evidence,
-//!   printed by `cargo run --release --example claims` and checked in as
-//!   `CLAIMS.txt`. Lemma 4.8 and Theorem 4.9's constructions are not
-//!   experiments here; `cargo run --release --example automata_tour`
-//!   prints them.
+//! - [`blocking::non_blocking`] — the **non-blocking motivation**: a
+//!   crashed lock holder starves the lock TM, not the lock-free one;
+//! - [`theorems::lemma_4_8`] / [`theorems::theorem_4_9`] — **Lemma 4.8**'s
+//!   strongest ensured property and **Theorem 4.9**'s automata `It` and
+//!   `Ib`, at bounded scope;
+//! - [`claims::ledger`] — every row above, Corollary 4.10 too, each
+//!   experiment run once: printed by `cargo run --release --example
+//!   claims` and checked in as `CLAIMS.txt`.
 //!
 //! # Quickstart
 //!

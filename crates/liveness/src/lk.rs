@@ -12,9 +12,9 @@ use crate::property::LivenessProperty;
 ///   progress;
 /// - otherwise all correct processes make progress.
 ///
-/// Special points (Section 5.1/5.2): `(1,1)` is obstruction-freedom,
-/// `(1,n)` is lock-freedom, `(n,n)` is `Lmax` (wait-freedom / local
-/// progress).
+/// Special points (Section 5.1/5.2): `(1,1)` is obstruction-freedom (which
+/// Section 5.2 identifies with it for consensus), `(1,n)` is lock-freedom,
+/// `(n,n)` is `Lmax` (wait-freedom / local progress).
 ///
 /// # Examples
 ///
@@ -73,23 +73,6 @@ impl LkFreedom {
             self.partial_cmp_strength(other),
             Some(Ordering::Greater | Ordering::Equal)
         )
-    }
-
-    /// Obstruction-freedom: `(1,1)`-freedom (Section 5.2 identifies the
-    /// two for consensus).
-    pub fn obstruction_freedom() -> LkFreedom {
-        LkFreedom::new(1, 1)
-    }
-
-    /// Lock-freedom in an `n`-process system: `(1,n)`-freedom.
-    pub fn lock_freedom(n: usize) -> LkFreedom {
-        LkFreedom::new(1, n)
-    }
-
-    /// Wait-freedom / local progress in an `n`-process system:
-    /// `(n,n)`-freedom, which coincides with `Lmax`.
-    pub fn wait_freedom(n: usize) -> LkFreedom {
-        LkFreedom::new(n, n)
     }
 
     /// All (l,k)-freedom properties on the `n × n` grid of Figure 1.
@@ -398,14 +381,15 @@ mod tests {
 
     #[test]
     fn named_points() {
-        assert_eq!(LkFreedom::obstruction_freedom(), LkFreedom::new(1, 1));
-        assert_eq!(LkFreedom::lock_freedom(4), LkFreedom::new(1, 4));
-        assert_eq!(LkFreedom::wait_freedom(4), LkFreedom::new(4, 4));
-        // Standard strength chain: wait-freedom ⊐ lock-freedom;
-        // obstruction-freedom is weaker than both on the product order's
-        // comparable pairs.
-        assert!(LkFreedom::wait_freedom(4).is_stronger_or_equal(&LkFreedom::lock_freedom(4)));
-        assert!(LkFreedom::lock_freedom(4).is_stronger_or_equal(&LkFreedom::obstruction_freedom()));
+        // Standard strength chain at n = 4: wait-freedom (4,4) ⊐
+        // lock-freedom (1,4) ⊐ obstruction-freedom (1,1).
+        let (obstruction, lock, wait) = (
+            LkFreedom::new(1, 1),
+            LkFreedom::new(1, 4),
+            LkFreedom::new(4, 4),
+        );
+        assert!(wait.is_stronger_or_equal(&lock));
+        assert!(lock.is_stronger_or_equal(&obstruction));
     }
 
     #[test]

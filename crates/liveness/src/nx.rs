@@ -132,10 +132,12 @@ mod tests {
 
     #[test]
     fn total_order_by_x() {
-        let props: Vec<NxLiveness> = (0..=3).map(|x| NxLiveness::new(3, x)).collect();
-        for i in 0..props.len() {
-            for j in 0..props.len() {
-                assert_eq!(props[i].cmp_strength(&props[j]), i.cmp(&j));
+        for n in [3, 5] {
+            let props: Vec<NxLiveness> = (0..=n).map(|x| NxLiveness::new(n, x)).collect();
+            for i in 0..props.len() {
+                for j in 0..props.len() {
+                    assert_eq!(props[i].cmp_strength(&props[j]), i.cmp(&j));
+                }
             }
         }
     }

@@ -126,8 +126,8 @@ mod tests {
     #[test]
     fn singletons_pairwise_incomparable() {
         // The Section 6 fact behind "no strongest implementable S-freedom".
-        for a in 1..=4usize {
-            for b in 1..=4usize {
+        for a in 1..=5usize {
+            for b in 1..=5usize {
                 if a != b {
                     assert!(SFreedom::new([a]).incomparable(&SFreedom::new([b])));
                 }

@@ -10,7 +10,6 @@ use safety_liveness_exclusion::liveness::LkFreedom;
 use safety_liveness_exclusion::memory::{
     Memory, ObjId, ObjRun, Primitive, Process, StepEffect, System,
 };
-use safety_liveness_exclusion::sect6::{nx_report, s_freedom_report};
 
 #[test]
 fn theorem_5_2_figure_1a() {
@@ -333,17 +332,6 @@ fn assert_white_anchor_is_a_lasso_on_n_processes(g: &Grid, anchor: LkFreedom) {
         g.n
     );
     assert!(basis.contains(&control), "n={}: {basis}", g.n);
-}
-
-#[test]
-fn section_6_structures() {
-    let s = s_freedom_report(5);
-    assert!(s.pairwise_incomparable);
-    assert_eq!(s.singletons.len(), 5);
-    let nx = nx_report(5);
-    assert!(nx.totally_ordered);
-    assert_eq!(nx.strongest_implementable.x(), 0);
-    assert_eq!(nx.weakest_non_implementable.x(), 1);
 }
 
 #[test]
