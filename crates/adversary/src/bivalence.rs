@@ -1,13 +1,13 @@
-//! The valence-computing adversary against register-based consensus.
+//! The Chor–Israeli–Li adversary against register-based consensus.
 //!
-//! The adversary's inner loop is thousands of valence model-checking
-//! queries; since the `slx-engine` refactor they run on the shared
-//! fingerprint-based exploration kernel (one [`slx_engine::Checker`] is
-//! reused across the whole run).
+//! The adversary steers by a bivalence oracle. `slx_core::grid::bivalence_lasso`
+//! reads valence off the consensus's extracted graph, one lookup per
+//! candidate step; [`run_bivalence_adversary_with`] asks the exploration
+//! kernel instead, one [`decidable_values_with`] query per candidate step,
+//! and is the reference the graph is checked against.
 
 use std::hash::Hash;
 
-use slx_consensus::{ConsWord, ObstructionFreeConsensus, OfNormalizedState};
 use slx_engine::{Checker, DeltaCodec};
 use slx_explorer::decidable_values_with;
 use slx_history::{History, ProcessId, Value};
@@ -42,23 +42,17 @@ impl BivalenceReport {
     }
 }
 
-/// Runs the **Chor–Israeli–Li adversary** against an arbitrary
-/// deterministic consensus implementation (provided as a configured
+/// Runs the **Chor–Israeli–Li adversary** ([`BivalenceScheduler`]) for
+/// `budget` steps against a deterministic consensus implementation: a
 /// [`System`] whose two `active` processes have already proposed two
-/// *different* values) for `budget` steps: the strategy of
-/// [`BivalenceScheduler`], with the proposals already issued.
+/// *different* values. Valence is a [`decidable_values_with`] query of up
+/// to `valence_budget` configurations on `checker`, which can pin the
+/// queries to a thread/shard configuration or a frontier memory budget
+/// (`Checker::auto()` is the default).
 ///
-/// The inner valence queries run on `checker` — so the adversary's
-/// thousands of model-checking runs can be pinned to a thread/shard
-/// configuration or to a frontier memory budget (any spill codec,
-/// including replay recompute-from-parent; the replay differential test
-/// drives exactly that); `Checker::auto()` is the default.
-///
-/// If no bivalence-preserving step is found within the valence budget the
-/// run stops and reports `bivalent_throughout = false` (which would
-/// falsify the experiment loudly rather than silently). The run is a
-/// finite prefix; the scheduler under `slx_explorer::run_until_cycle_keyed`
-/// is what proves the starvation eternal.
+/// If no step is witnessed to keep the configuration bivalent the run
+/// stops and reports `bivalent_throughout = false`. The run is a finite
+/// prefix; `slx_core::grid::bivalence_lasso` proves the starvation eternal.
 pub fn run_bivalence_adversary_with<W, P>(
     checker: &Checker,
     sys: &mut System<W, P>,
@@ -70,14 +64,16 @@ where
     W: Word + DeltaCodec + Send + Sync,
     P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
 {
+    let mut valence_configs = 0;
     let mut sched = BivalenceScheduler {
         proposals: Vec::new(),
         active: active.to_vec(),
         step_counts: vec![0; sys.n()],
-        checker: checker.clone(),
-        valence_budget,
-        valence_configs: 0,
-        truncated: false,
+        bivalent: |next: &System<W, P>| {
+            let d = decidable_values_with(checker, next, active, valence_budget);
+            valence_configs += d.configs as u64;
+            d.bivalent()
+        },
     };
     let run = sys.run(&mut sched, budget);
     BivalenceReport {
@@ -89,71 +85,43 @@ where
             .any(|a| matches!(a, slx_history::Action::Respond { .. })),
         bivalent_throughout: !run.halted,
         history: sys.history().clone(),
-        valence_configs: sched.valence_configs,
+        valence_configs,
     }
 }
 
 /// The Chor–Israeli–Li adversary as a deterministic [`Scheduler`]: it
 /// first issues each configured proposal, then at every decision clones
-/// the system, model-checks each candidate step with
-/// [`decidable_values_with`], and steps the least-stepped process whose
-/// step keeps the configuration bivalent (halting if none exists — which,
-/// against register-based consensus, the CIL theorem rules out — or if
-/// any process ever decides, which means the adversary lost).
-/// Issuing the invocations from inside the scheduler puts them *in the
-/// detected lasso's stem*, so liveness evaluation on the cycle sees the
-/// processes as pending-and-denied rather than inactive.
-///
-/// Under the keyed cycle detector (`slx_explorer::run_until_cycle_keyed`)
-/// with [`normalized_of_consensus_key`], a run yields a **lasso**: an
-/// infinite execution in which both processes step forever and nobody
-/// ever decides — the (1,2)-freedom violation of Theorem 5.2 with no
-/// finite-run approximation left, matching the TM starvation lasso of
-/// Section 4.1.
-///
-/// Its decisions depend on its step counters only through their relative
-/// order, so [`BivalenceScheduler::normalized_counts`] (counters rebased
-/// to their minimum) is the right cycle-detection key component.
+/// the system, steps each candidate process in the clone, and steps the
+/// least-stepped process after whose step its oracle calls the
+/// configuration bivalent (halting if none exists — which, against
+/// register-based consensus, the CIL theorem rules out — or if any
+/// process ever decides, which means the adversary lost). Issuing the
+/// invocations from inside the scheduler puts them *in the detected
+/// lasso's stem*, so liveness evaluation on the cycle sees the processes
+/// as pending-and-denied rather than inactive.
 #[derive(Debug, Clone)]
-pub struct BivalenceScheduler {
+pub struct BivalenceScheduler<V> {
     proposals: Vec<(ProcessId, Value)>,
     active: Vec<ProcessId>,
     step_counts: Vec<u64>,
-    checker: Checker,
-    valence_budget: usize,
-    /// Configurations model-checked across all valence queries so far.
-    valence_configs: u64,
-    /// Whether a valence query was truncated at its last halt.
-    truncated: bool,
+    bivalent: V,
 }
 
-impl BivalenceScheduler {
+impl<V> BivalenceScheduler<V> {
     /// Creates the scheduler: it will invoke `Propose(v)` for each
     /// `(process, v)` pair (the values should differ, or there is nothing
-    /// to keep bivalent), then schedule bivalence-preserving steps, with
-    /// a per-query valence budget.
+    /// to keep bivalent), then schedule the steps after which `bivalent`
+    /// holds of the configuration.
     #[must_use]
-    pub fn new(proposals: Vec<(ProcessId, Value)>, valence_budget: usize) -> Self {
+    pub fn new(proposals: Vec<(ProcessId, Value)>, bivalent: V) -> Self {
         let active: Vec<ProcessId> = proposals.iter().map(|&(p, _)| p).collect();
         let slots = active.iter().map(|p| p.index() + 1).max().unwrap_or(0);
         BivalenceScheduler {
             proposals,
             step_counts: vec![0; slots],
             active,
-            checker: Checker::auto(),
-            valence_budget,
-            valence_configs: 0,
-            truncated: false,
+            bivalent,
         }
-    }
-
-    /// Whether the scheduler halted after a truncated valence query
-    /// ([`slx_explorer::DecidableSet::truncated`]), so that a bivalent
-    /// step may exist past the budget. A halt without one means no step
-    /// keeps the configuration bivalent.
-    #[must_use]
-    pub fn halted_truncated(&self) -> bool {
-        self.truncated
     }
 
     /// The **active** processes' step counters (in proposal order),
@@ -180,10 +148,11 @@ impl BivalenceScheduler {
     }
 }
 
-impl<W, P> Scheduler<W, P> for BivalenceScheduler
+impl<W, P, V> Scheduler<W, P> for BivalenceScheduler<V>
 where
-    W: Word + DeltaCodec + Send + Sync,
-    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
+    W: Word,
+    P: Process<W> + Clone,
+    V: FnMut(&System<W, P>) -> bool,
 {
     fn decide(&mut self, sys: &System<W, P>) -> Decision {
         // The adversary lost the moment anyone decided.
@@ -208,7 +177,6 @@ where
             .filter(|&p| sys.can_step(p))
             .collect();
         candidates.sort_by_key(|p| self.step_counts[p.index()]);
-        let mut truncated = false;
         for p in candidates {
             let mut next = sys.clone();
             let effect = next.step(p).expect("steppable");
@@ -217,49 +185,21 @@ where
                 // adversary never takes that edge.
                 continue;
             }
-            let d = decidable_values_with(&self.checker, &next, &self.active, self.valence_budget);
-            self.valence_configs += d.configs as u64;
-            if d.bivalent() {
+            if (self.bivalent)(&next) {
                 self.step_counts[p.index()] += 1;
                 return Decision::Step(p);
             }
-            truncated |= d.truncated;
         }
-        // No bivalence-preserving step within budget: the adversary is
-        // beaten, or the valence budget too small — halt, and say which.
-        self.truncated = truncated;
+        // No step keeps the configuration bivalent: the adversary is
+        // beaten.
         Decision::Halt
     }
-}
-
-/// The round-shift-normalized cycle-detection key for an
-/// [`ObstructionFreeConsensus`] system driven by a
-/// [`BivalenceScheduler`]: the algorithm-side
-/// [`slx_consensus::round_shift_key`] (which owns the normalization —
-/// the round-shift invariance is a property of the consensus algorithm,
-/// not of this adversary) joined with the scheduler's
-/// [`BivalenceScheduler::normalized_counts`].
-///
-/// Raw configurations never repeat under the adversary: processes adopt
-/// forever and climb through fresh commit-adopt rounds. A repeat of this
-/// key witnesses a genuine infinite execution — under the scheduler
-/// every proposal is issued up front, so no later invocation can
-/// re-enter a round below the key's window base — provided the layout
-/// has round headroom left (the detector's run would panic on exhaustion
-/// rather than mis-report).
-#[must_use]
-pub fn normalized_of_consensus_key(
-    sys: &System<ConsWord, ObstructionFreeConsensus>,
-    sched: &BivalenceScheduler,
-) -> (Vec<OfNormalizedState>, Vec<ConsWord>, ConsWord, Vec<u64>) {
-    let (states, window, decision) = slx_consensus::round_shift_key(sys);
-    (states, window, decision, sched.normalized_counts())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slx_consensus::CasConsensus;
+    use slx_consensus::{round_shift_key, CasConsensus, ConsWord, ObstructionFreeConsensus};
     use slx_explorer::NoLasso;
     use slx_history::{Operation, Value};
     use slx_memory::Memory;
@@ -339,8 +279,21 @@ mod tests {
         witness.cycle.iter().any(decision)
     }
 
-    fn cil_scheduler() -> BivalenceScheduler {
-        BivalenceScheduler::new(vec![(p(0), v(1)), (p(1), v(2))], 60_000)
+    /// The scheduler proposing 1 by `a` and 2 by `b`, deciding valence by
+    /// kernel queries over `a` and `b`.
+    fn cil_scheduler<W, P>(
+        a: ProcessId,
+        b: ProcessId,
+    ) -> BivalenceScheduler<impl FnMut(&System<W, P>) -> bool>
+    where
+        W: Word + DeltaCodec + Send + Sync,
+        P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
+    {
+        let checker = Checker::auto();
+        let oracle = move |next: &System<W, P>| {
+            decidable_values_with(&checker, next, &[a, b], 60_000).bivalent()
+        };
+        BivalenceScheduler::new(vec![(a, v(1)), (b, v(2))], oracle)
     }
 
     #[test]
@@ -351,13 +304,10 @@ mod tests {
         // `stem · cycle^ω` with both processes stepping forever and no
         // response ever issued, violating (1,2)-freedom exactly.
         let mut sys = of_system(64);
-        let mut sched = cil_scheduler();
-        let witness = slx_explorer::run_until_cycle_keyed(
-            &mut sys,
-            &[],
-            &mut sched,
-            normalized_of_consensus_key,
-        )
+        let mut sched = cil_scheduler(p(0), p(1));
+        let witness = slx_explorer::run_until_cycle_keyed(&mut sys, &[], &mut sched, |s, sched| {
+            (round_shift_key(s), sched.normalized_counts())
+        })
         .expect("the CIL adversary must drive a round-shift cycle");
         assert_eq!(witness.cycle_steppers(), vec![p(0), p(1)]);
         assert!(!decides_on_cycle(&witness), "no decisions");
@@ -376,13 +326,10 @@ mod tests {
         // a phantom zero would pin the minimum, the rebased counters
         // would grow forever, and the cycle key would never repeat.
         let mut sys = ObstructionFreeConsensus::system(3, 64);
-        let mut sched = BivalenceScheduler::new(vec![(p(1), v(1)), (p(2), v(2))], 60_000);
-        let witness = slx_explorer::run_until_cycle_keyed(
-            &mut sys,
-            &[],
-            &mut sched,
-            normalized_of_consensus_key,
-        )
+        let mut sched = cil_scheduler(p(1), p(2));
+        let witness = slx_explorer::run_until_cycle_keyed(&mut sys, &[], &mut sched, |s, sched| {
+            (round_shift_key(s), sched.normalized_counts())
+        })
         .expect("cycle must close despite the phantom p0 counter slot");
         assert_eq!(witness.cycle_steppers(), vec![p(1), p(2)]);
         assert!(!decides_on_cycle(&witness));
@@ -409,15 +356,11 @@ mod tests {
         // The control for the (1,2) lasso: once both proposals are
         // issued the scheduler halts, beaten, before any step.
         let mut sys = cas_system();
-        let mut sched = cil_scheduler();
-        let outcome = slx_explorer::run_until_cycle_keyed(
-            &mut sys,
-            &[],
-            &mut sched,
-            |sys, sched: &BivalenceScheduler| (sys.digest128(), sched.normalized_counts()),
-        );
+        let mut sched = cil_scheduler(p(0), p(1));
+        let outcome = slx_explorer::run_until_cycle_keyed(&mut sys, &[], &mut sched, |s, sched| {
+            (s.digest128(), sched.normalized_counts())
+        });
         assert_eq!(outcome.unwrap_err(), NoLasso::Halted { events: 2 });
-        assert!(!sched.halted_truncated());
     }
 
     #[test]

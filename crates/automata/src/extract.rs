@@ -12,7 +12,7 @@ use crate::automaton::{Automaton, StateId};
 
 /// The most states [`extract`] holds. A key that does not close stops
 /// here with [`NotClosed`] instead of exhausting memory.
-pub const MAX_STATES: usize = 100_000;
+pub const MAX_STATES: usize = 1 << 17;
 
 /// A transition of an extracted automaton: one computation step of a
 /// process, named by the response it produced, or `τ_p` if none.

@@ -4,8 +4,7 @@
 
 use std::fmt;
 
-use slx_adversary::{normalized_of_consensus_key, BivalenceScheduler};
-use slx_consensus::{CasConsensus, ObstructionFreeConsensus};
+use slx_consensus::{round_shift_key, CasConsensus, ObstructionFreeConsensus};
 use slx_explorer::{Lasso, NoLasso};
 use slx_liveness::{LivenessProperty, LkFreedom};
 use slx_memory::{Memory, System};
@@ -47,7 +46,8 @@ pub fn ledger() -> Vec<Claim> {
     let fig_1a = consensus_grid(N);
     let white = fig_1a.point(1, 1).expect("(1,1) is on every pane");
     let mut sys = ObstructionFreeConsensus::system(2, 64);
-    let (lasso, _) = bivalence_lasso(&mut sys, &[], normalized_of_consensus_key);
+    let lasso = bivalence_lasso(&mut sys, &[], round_shift_key)
+        .expect("the two-process valence graph is the white check's, which closes");
     vec![
         pane("Figure 1(a)", &fig_1a, lk(1, 1), lk(1, 2)),
         pane("Figure 1(b)", &tm_grid(N), lk(1, N), lk(2, 2)),
@@ -86,20 +86,19 @@ fn pane(id: &'static str, g: &Grid, strongest: LkFreedom, weakest: LkFreedom) ->
 
 /// Corollary 4.10: the bivalence adversary closes `lasso` on the
 /// two-process register consensus, and (1,2)-freedom fails on it; against
-/// CAS consensus, under an exact key, it halts with no bivalent step to
-/// take.
+/// CAS consensus, keyed by the exact configuration, it halts with no
+/// bivalent step to take.
 fn corollary_4_10(lasso: &Lasso) -> Claim {
     let one_two = LkFreedom::new(1, 2);
     let mut mem = Memory::new();
     let obj = CasConsensus::alloc(&mut mem);
     let mut cas = System::new(mem, vec![CasConsensus::new(obj); 2]);
-    let exact =
-        |sys: &System<_, _>, sched: &BivalenceScheduler| (sys.clone(), sched.normalized_counts());
-    let (control, sched) = bivalence_lasso(&mut cas, &[], exact);
+    let control =
+        bivalence_lasso(&mut cas, &[], System::clone).expect("CAS consensus's graph is finite");
     let halted = matches!(control.outcome(), Err(NoLasso::Halted { .. }));
     Claim {
         id: "Corollary 4.10",
-        holds: lasso.verdict(&one_two) == Some(false) && halted && !sched.halted_truncated(),
+        holds: lasso.verdict(&one_two) == Some(false) && halted,
         evidence: vec![
             lasso_line(one_two, lasso, "bivalence adversary, registers"),
             format!("control, the same adversary against CAS consensus: {control}"),

@@ -1,15 +1,15 @@
 //! Figure 1: classification of (l,k)-freedom points.
 
 use std::collections::BTreeSet;
-use std::fmt;
+use std::fmt::{self, Debug};
 use std::hash::Hash;
 
-use slx_adversary::{normalized_of_consensus_key, BivalenceScheduler, TmStarvation};
+use slx_adversary::{BivalenceScheduler, TmStarvation};
 use slx_automata::{extract, Automaton, NotClosed, StateId, Step};
 use slx_consensus::{round_shift_key, ObstructionFreeConsensus};
-use slx_engine::DeltaCodec;
+use slx_engine::DetHashMap;
 use slx_explorer::{run_until_cycle_keyed, Lasso, NoLasso};
-use slx_history::{Action, ProcessId, Response, Value, VarId};
+use slx_history::{Action, Operation, ProcessId, Response, Value, VarId};
 use slx_liveness::{LkFreedom, ProgressKind};
 use slx_memory::{Decision, Process, RepeatTxn, RoundRobin, System, Word, WorkloadScheduler};
 use slx_safety::{certify_unique_writes, ConsensusSafety, Opacity, SafetyProperty};
@@ -130,10 +130,6 @@ impl fmt::Display for Grid {
     }
 }
 
-// The anchor experiments' scope, fixed: they regenerate the paper's figure
-// in seconds.
-/// Configuration budget per valence query.
-const VALENCE_BUDGET: usize = 40_000;
 // A lasso search holds as many distinct keys as an extraction holds states.
 const _: () = assert!(slx_explorer::MAX_KEYS == slx_automata::MAX_STATES);
 
@@ -154,23 +150,23 @@ const _: () = assert!(slx_explorer::MAX_KEYS == slx_automata::MAX_STATES);
 ///   not merely unwitnessed. Every (l,k) ≥ (1,2) inherits the exclusion
 ///   (a stronger property excludes whenever a weaker one does).
 ///
-/// The one budget is `VALENCE_BUDGET` per valence query: the pane is
-/// right at every n measured up to 43 (n = 14: stem 14, cycle 62 events),
-/// and from n = 44 on a query is truncated, the adversary halts, and the
-/// failed black basis says so.
+/// The one bound is the valence graph's [`slx_automata::MAX_STATES`]: at
+/// about 65·n² states it closes, and the pane is right, at every n
+/// measured up to 45 (n = 14: stem 14, cycle 62 events), not from 46 on.
 pub fn consensus_grid(n: usize) -> Grid {
     // White anchor (1,1): safety and solo progress on the extracted graph.
     let (white_ok, white_basis) = consensus_white_check(
         &ObstructionFreeConsensus::proposers(&[1, 2], 64),
         round_shift_key,
     );
-    let white_basis = format!("obstruction-free consensus from registers: {white_basis}");
+    let white_basis =
+        format!("obstruction-free consensus from registers, 2 processes: {white_basis}");
 
     // Black anchor (1,2): the bivalence adversary starves two steppers
     // forever.
     let mut sys = ObstructionFreeConsensus::system(n.max(2), 64);
-    let (lasso, sched) = bivalence_lasso(&mut sys, &others_crashed(n), normalized_of_consensus_key);
-    let (black_ok, black_basis) = bivalence_basis(&lasso, &sched);
+    let search = bivalence_lasso(&mut sys, &others_crashed(n), round_shift_key);
+    let (black_ok, black_basis) = bivalence_basis(search);
     let white = (LkFreedom::new(1, 1), white_ok, white_basis.as_str());
     let black = (LkFreedom::new(1, 2), black_ok, black_basis.as_str());
     let points = classify(n, |lk| lk == white.0, white, black);
@@ -183,19 +179,23 @@ pub fn consensus_grid(n: usize) -> Grid {
 }
 
 /// Figure 1(a)'s black-anchor verdict and basis from its search. A failed
-/// basis says how the search ended and, after a halt, why the adversary
-/// halted.
-fn bivalence_basis(lasso: &Lasso, sched: &BivalenceScheduler) -> (bool, String) {
+/// basis says how the search ended: no valence graph, or the adversary
+/// halted with no bivalent step to take.
+fn bivalence_basis(search: Result<Lasso, NotClosed>) -> (bool, String) {
+    let lasso = match search {
+        Ok(lasso) => lasso,
+        Err(NotClosed { states }) => {
+            let why = format!("the valence graph has no fixpoint within {states} states");
+            return (false, format!("(1,2)-freedom not judged: {why}"));
+        }
+    };
     let (ok, basis) = black_anchor(
         LkFreedom::new(1, 2),
-        lasso,
+        &lasso,
         "the bivalence adversary against the same consensus",
         "p1 and p2 step forever and neither decides; every other process crashes first",
     );
     let why = match lasso.outcome() {
-        Err(NoLasso::Halted { .. }) if sched.halted_truncated() => {
-            ": a valence query was truncated"
-        }
         Err(NoLasso::Halted { .. }) => ": no step keeps the configuration bivalent",
         _ => "",
     };
@@ -319,6 +319,34 @@ fn solo_cycle<W: Word, P: Process<W>>(
     eliminated < states.len()
 }
 
+/// Which states are bivalent: from each, states deciding two distinct
+/// values are reachable. One backward search per decided value marks the
+/// states that reach it.
+fn bivalent_states<W: Word, P: Process<W>>(
+    automaton: &Automaton<Step>,
+    states: &[System<W, P>],
+) -> Vec<bool> {
+    let mut preds = vec![Vec::new(); states.len()];
+    for (from, _, to) in automaton.transitions() {
+        preds[to.0].push(from.0);
+    }
+    let decided: Vec<_> = states.iter().map(decisions).collect();
+    let mut reached = vec![0; states.len()];
+    for v in decided.iter().flatten().collect::<BTreeSet<_>>() {
+        let mut seen = vec![false; states.len()];
+        let mut todo: Vec<_> = (0..states.len())
+            .filter(|&s| decided[s].contains(v))
+            .collect();
+        while let Some(s) = todo.pop() {
+            if !std::mem::replace(&mut seen[s], true) {
+                reached[s] += 1;
+                todo.extend(&preds[s]);
+            }
+        }
+    }
+    reached.into_iter().map(|r| r >= 2).collect()
+}
+
 /// **Figure 1(b)**: transactional memory with opacity. White iff `l = 1`
 /// (Theorem 5.3: strongest implementable (1,n), weakest excluded (2,2)).
 ///
@@ -392,24 +420,60 @@ pub fn others_crashed(n: usize) -> Vec<Decision> {
 /// Figure 1(a)'s black-anchor search: the Chor–Israeli–Li adversary
 /// ([`BivalenceScheduler`], which issues the proposals 1 by `p1` and 2 by
 /// `p2` itself) against the consensus `sys`, after `prefix`, until `key`
-/// repeats, and the scheduler as the search left it. Section 6's excluded
-/// members are judged on the same lasso.
-pub fn bivalence_lasso<W, P, K: Hash + Eq>(
+/// joined with the scheduler's normalized counts repeats. Section 6's
+/// excluded members are judged on the same lasso.
+///
+/// The adversary reads valence off the graph [`extract`]ed over `p1` and
+/// `p2` from `sys` after `prefix` and the proposals, under `key` joined
+/// with the [`decisions`]: a state is bivalent when it reaches decisions
+/// of two values. A configuration the graph lacks means `key` is no sound
+/// quotient, and panics naming it. Valence only steers the adversary; the
+/// verdict is judged exactly on the lasso, so a wrong valence can fail the
+/// anchor but never make it black. A repeat is an infinite execution when
+/// `key` is sound: the scheduler decides by its counters' order alone, and
+/// it issues every proposal up front, so no later invocation re-enters a
+/// round below `round_shift_key`'s window (given round headroom: running
+/// out of rounds panics rather than mis-reports).
+///
+/// # Errors
+///
+/// [`NotClosed`] when the valence graph does not close.
+pub fn bivalence_lasso<W, P, K>(
     sys: &mut System<W, P>,
     prefix: &[Decision],
-    key: impl Fn(&System<W, P>, &BivalenceScheduler) -> K,
-) -> (Lasso, BivalenceScheduler)
+    key: impl Fn(&System<W, P>) -> K,
+) -> Result<Lasso, NotClosed>
 where
-    W: Word + DeltaCodec + Send + Sync,
-    P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
+    W: Word,
+    P: Process<W> + Clone,
+    K: Hash + Eq + Debug,
 {
-    let proposals = vec![
-        (ProcessId::new(0), Value::new(1)),
-        (ProcessId::new(1), Value::new(2)),
-    ];
-    let mut sched = BivalenceScheduler::new(proposals, VALENCE_BUDGET);
-    let outcome = run_until_cycle_keyed(sys, prefix, &mut sched, key);
-    (Lasso::new(outcome, ProgressKind::AnyResponse), sched)
+    let (p1, p2) = (ProcessId::new(0), ProcessId::new(1));
+    let proposals = vec![(p1, Value::new(1)), (p2, Value::new(2))];
+    let valence_key = |s: &System<W, P>| (key(s), decisions(s));
+    let mut proposed = sys.clone();
+    let invokes = proposals
+        .iter()
+        .map(|&(p, v)| Decision::Invoke(p, Operation::Propose(v)));
+    for decision in prefix.iter().cloned().chain(invokes) {
+        proposed
+            .apply(decision, &mut Vec::new())
+            .expect("the prefix and proposals apply");
+    }
+    let graph = extract(&proposed, &[p1, p2], valence_key)?;
+    let bivalent = bivalent_states(&graph.automaton, &graph.states);
+    let valence: DetHashMap<_, bool> = graph.states.iter().map(valence_key).zip(bivalent).collect();
+    drop(graph);
+    let mut sched = BivalenceScheduler::new(proposals, |s: &System<W, P>| {
+        let k = valence_key(s);
+        *valence
+            .get(&k)
+            .unwrap_or_else(|| panic!("the valence graph lacks the unsound key {k:?}"))
+    });
+    let lasso_key =
+        |s: &System<W, P>, sched: &BivalenceScheduler<_>| (key(s), sched.normalized_counts());
+    let outcome = run_until_cycle_keyed(sys, prefix, &mut sched, lasso_key);
+    Ok(Lasso::new(outcome, ProgressKind::AnyResponse))
 }
 
 /// Figure 1(b)'s §4.1 roles: victim `p1`, committer `p2`.
@@ -537,8 +601,11 @@ fn classify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slx_automata::MAX_STATES;
     use slx_consensus::{CasConsensus, ConsWord};
-    use slx_memory::{Event, Memory};
+    use slx_engine::Checker;
+    use slx_explorer::decidable_values_with;
+    use slx_memory::{Event, Memory, StepEffect};
 
     #[test]
     fn figure_1a_shape() {
@@ -586,11 +653,11 @@ mod tests {
     #[test]
     fn bivalence_lasso_excludes_12_freedom_only_with_the_idle_process_crashed() {
         let (one_two, one_one) = (LkFreedom::new(1, 2), LkFreedom::new(1, 1));
-        let key = normalized_of_consensus_key;
-        let (idle, _) = bivalence_lasso(&mut ObstructionFreeConsensus::system(3, 64), &[], key);
+        let mut sys = ObstructionFreeConsensus::system(3, 64);
+        let idle = bivalence_lasso(&mut sys, &[], round_shift_key).unwrap();
         assert_eq!(idle.verdict(&one_two), Some(true));
         let mut sys = ObstructionFreeConsensus::system(3, 64);
-        let (crashed, _) = bivalence_lasso(&mut sys, &others_crashed(3), key);
+        let crashed = bivalence_lasso(&mut sys, &others_crashed(3), round_shift_key).unwrap();
         assert_eq!(crashed.verdict(&one_two), Some(false));
         assert_eq!(crashed.verdict(&one_one), Some(true));
         assert!(ConsensusSafety::new().allows(sys.history()));
@@ -625,50 +692,110 @@ mod tests {
         assert_eq!(crashed.cycle, idle.cycle);
     }
 
+    /// The black-anchor point of a two-process pane whose white anchor
+    /// holds, from Figure 1(a)'s black-anchor search.
+    fn black_point(search: Result<Lasso, NotClosed>) -> GridPoint {
+        let (ok, basis) = bivalence_basis(search);
+        let black = (LkFreedom::new(1, 2), ok, basis.as_str());
+        let white = (LkFreedom::new(1, 1), true, "");
+        classify(2, |lk| lk.k() == 1, white, black).remove(1)
+    }
+
     /// The (1,2) control at three processes, p3 crashed: against CAS
     /// consensus the scheduler halts once both proposals are issued,
-    /// before any step.
+    /// before any step, and the failed anchor turns (1,2) white naming
+    /// why.
     #[test]
     fn bivalence_lasso_closes_on_no_cas_consensus() {
         let mut mem: Memory<ConsWord> = Memory::new();
         let obj = CasConsensus::alloc(&mut mem);
         let mut sys = System::new(mem, vec![CasConsensus::new(obj); 3]);
-        let raw = |sys: &System<ConsWord, CasConsensus>, sched: &BivalenceScheduler| {
-            (sys.digest128(), sched.normalized_counts())
-        };
-        let (lasso, sched) = bivalence_lasso(&mut sys, &others_crashed(3), raw);
+        let lasso = bivalence_lasso(&mut sys, &others_crashed(3), System::clone).unwrap();
         // The crash and the two proposals; every step would decide.
         assert_eq!(lasso.outcome().unwrap_err(), NoLasso::Halted { events: 3 });
-        assert_eq!(lasso.to_string(), "halted after 3 events");
         assert!(sys.is_pending(ProcessId::new(0)) && sys.is_pending(ProcessId::new(1)));
-        assert!(!sched.halted_truncated());
-    }
-
-    /// Figure 1(a)'s black anchor at n = 2 with a valence budget too small
-    /// to witness bivalence: the adversary halts, and the failed basis
-    /// names the truncated query, not the consensus, as the reason.
-    #[test]
-    fn a_failed_black_anchor_names_how_its_search_ended() {
-        let proposals = vec![
-            (ProcessId::new(0), Value::new(1)),
-            (ProcessId::new(1), Value::new(2)),
-        ];
-        let mut sched = BivalenceScheduler::new(proposals, 8);
-        let mut sys = ObstructionFreeConsensus::system(2, 64);
-        let outcome = run_until_cycle_keyed(&mut sys, &[], &mut sched, normalized_of_consensus_key);
-        let lasso = Lasso::new(outcome, ProgressKind::AnyResponse);
-        let (ok, basis) = bivalence_basis(&lasso, &sched);
-        let black = (LkFreedom::new(1, 2), ok, basis.as_str());
-        let points = classify(2, |lk| lk.k() == 1, (LkFreedom::new(1, 1), true, ""), black);
         assert_eq!(
-            points[1].verdict,
+            black_point(Ok(lasso)).verdict,
             Verdict::Implementable {
                 basis: "black-anchor experiment FAILED: (1,2)-freedom not violated by the \
-                        bivalence adversary against the same consensus (halted after 2 \
-                        events): a valence query was truncated"
+                        bivalence adversary against the same consensus (halted after 3 \
+                        events): no step keeps the configuration bivalent"
                     .to_owned()
             }
         );
+    }
+
+    /// Counts its steps forever: no key that holds the count closes.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Counter(u64);
+
+    impl<W: Word> Process<W> for Counter {
+        fn on_invoke(&mut self, _op: Operation) {}
+
+        fn has_step(&self) -> bool {
+            true
+        }
+
+        fn step(&mut self, _mem: &mut Memory<W>) -> StepEffect {
+            self.0 += 1;
+            StepEffect::Ran
+        }
+    }
+
+    /// A consensus whose valence graph never closes turns (1,2) white,
+    /// not judged, before the adversary takes a step.
+    #[test]
+    fn a_valence_graph_that_never_closes_leaves_the_anchor_unjudged() {
+        let mut sys: System<ConsWord, Counter> = System::new(Memory::new(), vec![Counter(0); 2]);
+        let search = bivalence_lasso(&mut sys, &[], System::clone);
+        assert_eq!(
+            search.as_ref().err(),
+            Some(&NotClosed { states: MAX_STATES })
+        );
+        assert!(
+            !sys.is_pending(ProcessId::new(0)),
+            "the search took no step"
+        );
+        let basis = format!(
+            "black-anchor experiment FAILED: (1,2)-freedom not judged: the valence graph has no \
+             fixpoint within {MAX_STATES} states"
+        );
+        assert_eq!(
+            black_point(search).verdict,
+            Verdict::Implementable { basis }
+        );
+    }
+
+    /// The graph's valence is the kernel's: at every state of the
+    /// two-process graph, and of the four-process one with p3 and p4
+    /// crashed, at which an active process is pending, the lookup the
+    /// adversary steers by equals an untruncated kernel query.
+    #[test]
+    fn graph_valence_is_the_kernels() {
+        for (n, states, pending) in [(2, 594, 590), (4, 1_612, 1_608)] {
+            let mut sys = ObstructionFreeConsensus::system(n, 64);
+            for decision in others_crashed(n) {
+                sys.apply(decision, &mut Vec::new()).unwrap();
+            }
+            let active = [ProcessId::new(0), ProcessId::new(1)];
+            sys.invoke(active[0], Operation::Propose(Value::new(1)))
+                .unwrap();
+            sys.invoke(active[1], Operation::Propose(Value::new(2)))
+                .unwrap();
+            let graph = extract(&sys, &active, |s| (round_shift_key(s), decisions(s))).unwrap();
+            assert_eq!(graph.states.len(), states);
+            let bivalent = bivalent_states(&graph.automaton, &graph.states);
+            let mut checked = 0;
+            for (s, bivalent) in graph.states.iter().zip(bivalent) {
+                if active.iter().any(|&p| s.is_pending(p)) {
+                    let kernel = decidable_values_with(&Checker::auto(), s, &active, 40_000);
+                    assert!(!kernel.truncated, "n = {n}: truncated at {s:?}");
+                    assert_eq!(bivalent, kernel.bivalent(), "n = {n}: {s:?}");
+                    checked += 1;
+                }
+            }
+            assert_eq!(checked, pending, "n = {n}");
+        }
     }
 
     #[test]

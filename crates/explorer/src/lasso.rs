@@ -58,7 +58,7 @@ impl CycleWitness {
 
 /// The most distinct keys [`run_until_cycle_keyed`] holds (the cap
 /// `slx_automata::extract` holds its states to) before it gives up.
-pub const MAX_KEYS: usize = 100_000;
+pub const MAX_KEYS: usize = 1 << 17;
 
 /// How a lasso search ended without a lasso.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,14 +139,6 @@ impl fmt::Display for Lasso {
 ///
 /// Keys are recorded from the end of the prefix on. The scheduler must be
 /// deterministic for the witness to be meaningful.
-///
-/// The cap is the only bound, so a key that stops repeating fails slowly:
-/// the search runs [`MAX_KEYS`] decisions first, each costing the
-/// scheduler's decision and the key. The bivalence adversary decides by
-/// valence queries of up to 40,000 configurations, about 17 ms an event
-/// at 14 processes in a debug build on a 2-core Xeon VM, so its search
-/// would take about half an hour to end in [`NoLasso::NotClosed`]: a
-/// Figure 1(a) search that hangs is a key that stopped repeating.
 ///
 /// Every key is kept and compared exactly: a repeat is a repeat, never a
 /// fingerprint collision between two distinct keys.
@@ -364,6 +356,6 @@ mod tests {
             lasso.outcome().unwrap_err(),
             NoLasso::NotClosed { keys: MAX_KEYS }
         );
-        assert_eq!(lasso.to_string(), "no repeat within 100000 keys");
+        assert_eq!(lasso.to_string(), "no repeat within 131072 keys");
     }
 }

@@ -9,8 +9,9 @@
 //!   history digest, so the enumeration is exact for properties that
 //!   depend on history only through the digest);
 //! - [`decidable_values_with`] computes which consensus values are reachable
-//!   decisions from a configuration — the valence analysis that powers the
-//!   bivalence adversary (Corollary 4.5 / Figure 1a's black points);
+//!   decisions from a configuration — the valence analysis that
+//!   `slx_adversary::run_bivalence_adversary_with` steers by, and the
+//!   reference Figure 1(a)'s graph valence is checked against;
 //! - [`run_until_cycle_keyed`] runs a *deterministic* scheduler, after
 //!   an optional prefix of decisions such as a crash, and detects a
 //!   repeated (system, scheduler) key — kept and compared exactly, never
