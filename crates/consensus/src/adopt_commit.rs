@@ -87,9 +87,10 @@ impl AcSlot {
 ///
 /// The two optional values the collects gather are stored as a value and
 /// a presence flag each, with an absent value held at zero, so `Eq` is
-/// still the wide `Option` comparison; `Hash` and the codecs write the
-/// `Option`s back. Together with the 32-bit collect position that keeps
-/// the state at 40 bytes, and a consensus process at 72.
+/// still the wide `Option` comparison; the codecs write the `Option`s
+/// back, and `Hash` writes the packed fields as they are. Together with
+/// the 32-bit collect position that keeps the state at 40 bytes, and a
+/// consensus process at 72.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AcState {
     input: Value,
@@ -284,29 +285,25 @@ impl AcState {
 }
 
 impl Hash for AcState {
-    /// The sequence the wide participant's derived `Hash` wrote after its
-    /// index: a digest keys on it, so the packed fields widen back.
+    /// Four words: input, the two collected values (zero when absent),
+    /// and one holding the pc tag, the collect position and the five
+    /// flags.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.input.hash(state);
-        // A derived enum hash: the discriminant as `isize`, then the
-        // payload.
-        match self.pc {
-            Pc::WriteA => state.write_isize(0),
-            Pc::CollectA(j) => {
-                state.write_isize(1);
-                (j as usize).hash(state);
-            }
-            Pc::WriteB => state.write_isize(2),
-            Pc::CollectB(j) => {
-                state.write_isize(3);
-                (j as usize).hash(state);
-            }
-        }
-        self.all_a_equal.hash(state);
-        self.committed_seen().hash(state);
-        self.all_b_commit.hash(state);
-        self.any_b.hash(state);
-        self.min_b_seen().hash(state);
+        let (tag, j) = match self.pc {
+            Pc::WriteA => (0, 0),
+            Pc::CollectA(j) => (1, j),
+            Pc::WriteB => (2, 0),
+            Pc::CollectB(j) => (3, j),
+        };
+        let flags = u64::from(self.all_a_equal)
+            | u64::from(self.has_committed) << 1
+            | u64::from(self.all_b_commit) << 2
+            | u64::from(self.any_b) << 3
+            | u64::from(self.has_min_b) << 4;
+        state.write_i64(self.input.raw());
+        state.write_i64(self.committed.raw());
+        state.write_i64(self.min_b.raw());
+        state.write_u64(tag | flags << 8 | u64::from(j) << 32);
     }
 }
 

@@ -23,8 +23,9 @@ use crate::word::ConsWord;
 /// array) and round `r`'s arrays are offsets into it.
 ///
 /// Every process carries a copy, so the ids are held as 32 bits (16
-/// bytes where an `ObjId` and an `ObjRun` take 32); `Hash` and the codecs
-/// widen them back to the words they always wrote.
+/// bytes where an `ObjId` and an `ObjRun` take 32). The codecs widen them
+/// back to the full-width bytes they always wrote; `Hash` packs them into
+/// two words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
     decision: u32,
@@ -101,11 +102,10 @@ impl Layout {
 }
 
 impl Hash for Layout {
-    /// The full-width fields' derived sequence.
+    /// Two words: decision register and `n`, then the rounds' run.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.decision().hash(state);
-        self.n().hash(state);
-        self.regs().hash(state);
+        state.write_u64(u64::from(self.decision) | u64::from(self.n) << 32);
+        state.write_u64(u64::from(self.regs_first) | u64::from(self.regs_len) << 32);
     }
 }
 
@@ -145,8 +145,10 @@ enum Pc {
 /// A process stores only what varies within a run plus its layout and
 /// id in 32-bit form: 72 bytes. Its participant count is the layout's,
 /// and its in-round registers are derived from the layout, the round and
-/// the id. `Eq`, `Hash` and both codecs see the full-width process the
-/// type always described — the same bytes and the same digests.
+/// the id. Both codecs write the full-width process the type always
+/// described, byte for byte, and `Eq` draws the same lines it did; `Hash`
+/// packs the stored fields into a few words and leaves out what they
+/// imply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObstructionFreeConsensus {
     layout: Layout,
@@ -381,28 +383,26 @@ impl DeltaCodec for Layout {
 }
 
 impl Hash for ObstructionFreeConsensus {
-    /// The sequence the full-width process's derived `Hash` wrote:
-    /// layout, `me`, `n`, estimate, round, then the control state with an
-    /// in-round sub-machine's registers and index.
+    /// Packed words of the stored fields: the layout's two, `me` and the
+    /// round in one, the estimate, then the control state's tag and its
+    /// payload. `n` and an in-round sub-machine's registers and index
+    /// follow from the layout, the round and `me`, so they are not
+    /// written; the tag fixes how many words follow, so the sequence is
+    /// injective.
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.layout.hash(state);
-        self.me().hash(state);
-        self.layout.n().hash(state);
-        self.est.hash(state);
-        self.round().hash(state);
-        // A derived enum hash: the discriminant as `isize`, then the
-        // payload.
+        state.write_u64(u64::from(self.me) | u64::from(self.round) << 32);
+        state.write_i64(self.est.raw());
         match &self.pc {
-            Pc::Idle => state.write_isize(0),
-            Pc::CheckDecision => state.write_isize(1),
+            Pc::Idle => state.write_u64(0),
+            Pc::CheckDecision => state.write_u64(1),
             Pc::Round(ac) => {
-                state.write_isize(2);
-                self.ac_slot().hash(state);
+                state.write_u64(2);
                 ac.hash(state);
             }
             Pc::WriteDecision(v) => {
-                state.write_isize(3);
-                v.hash(state);
+                state.write_u64(3);
+                state.write_i64(v.raw());
             }
         }
     }

@@ -13,7 +13,7 @@
 //! performed* and may legitimately differ across a resume: the rebuilt
 //! frontier re-chunks from scratch.
 //!
-//! # On-disk layout (format version 7)
+//! # On-disk layout (format version 8)
 //!
 //! A store directory holds two files: a small **image**,
 //! `slx-checkpoint.bin`, rewritten whole at every commit, and an
@@ -48,10 +48,11 @@
 //!                      committed length in bytes, and the checksum
 //!                      (u128) of that prefix, record by record (format
 //!                      version 7: the visited and exact-seen sets moved
-//!                      out of the image into the log; format version 6
-//!                      changed what a digest means — a
+//!                      out of the image into the log; format versions
+//!                      6 and 8 changed what a digest means — a
 //!                      `slx_memory::Memory` contributes its slot fold to
-//!                      a state key)
+//!                      a state key, and an obstruction-free-consensus
+//!                      process hashes packed words)
 //! frontier             count, then records in push order reusing the
 //!                      run's SpillCodec arm: Delta chains each record
 //!                      against its predecessor (first self-contained);
@@ -144,8 +145,11 @@ const MAGIC: &[u8; 8] = b"SLXCKPT\0";
 /// byte: a `slx_memory::Memory` contributes its slot fold to a state
 /// key, so a version-5 visited set would dedup nothing a version-6 run
 /// computes. Version 7 moved the visited and exact-seen sets out of the
-/// image into the append-only visited log the image names.
-const FORMAT_VERSION: u64 = 7;
+/// image into the append-only visited log the image names. Version 8,
+/// like 6, changed what a digest means, not a byte: an
+/// obstruction-free-consensus process hashes packed words, so a
+/// version-7 visited log would dedup nothing a version-8 run computes.
+const FORMAT_VERSION: u64 = 8;
 
 /// The image file inside a store directory.
 const FILE_NAME: &str = "slx-checkpoint.bin";

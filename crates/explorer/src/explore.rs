@@ -17,12 +17,13 @@ use slx_safety::SafetyProperty;
 ///
 /// This is the workspace-wide history digest (re-exported by
 /// `slx_core::explorer`); it is sound for *any* safety property because it
-/// captures the entire history. Callers with cheaper faithful digests
-/// (e.g. just the decided values for consensus agreement) can still pass
-/// their own.
+/// captures the entire history. It is [`History::digest64`], which the
+/// history keeps up to date as it grows, so reading it is O(1) whatever
+/// the history's length. Callers with other faithful digests (e.g. just
+/// the decided values for consensus agreement) can still pass their own.
 #[must_use]
 pub fn history_digest(h: &History) -> u64 {
-    slx_engine::digest64_of_iter(h.iter())
+    h.digest64()
 }
 
 /// Result of an [`explore_safety`] run.

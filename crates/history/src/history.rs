@@ -1,6 +1,10 @@
 //! Finite histories and their structural operations.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+use slx_engine::Fingerprinter;
 
 use crate::action::{Action, Response};
 use crate::calls::OpCall;
@@ -25,9 +29,16 @@ use crate::ids::ProcessId;
 /// assert!(h.is_well_formed());
 /// assert!(!h.pending(p1));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// A history carries the running fold of its [`History::digest64`], kept
+/// up to date by every append, so a state key reads the history's digest
+/// in O(1) instead of walking it. `Eq`, `Ord` and `Hash` see the actions
+/// only.
+#[derive(Clone, Default)]
 pub struct History {
     actions: Vec<Action>,
+    /// `slx_engine::digest64_of_iter` over `actions`, not yet finalized.
+    fold: Fingerprinter,
 }
 
 impl History {
@@ -42,19 +53,32 @@ impl History {
     pub fn with_capacity(capacity: usize) -> Self {
         History {
             actions: Vec::with_capacity(capacity),
+            fold: Fingerprinter::new(),
         }
     }
 
     /// Creates a history from a sequence of actions.
     pub fn from_actions<I: IntoIterator<Item = Action>>(actions: I) -> Self {
-        History {
-            actions: actions.into_iter().collect(),
+        let actions: Vec<Action> = actions.into_iter().collect();
+        let mut fold = Fingerprinter::new();
+        for (i, action) in actions.iter().enumerate() {
+            fold_action(&mut fold, i, action);
         }
+        History { actions, fold }
     }
 
     /// Appends an action.
     pub fn push(&mut self, action: Action) {
+        fold_action(&mut self.fold, self.actions.len(), &action);
         self.actions.push(action);
+    }
+
+    /// The order-sensitive 64-bit digest of the whole history, equal to
+    /// `slx_engine::digest64_of_iter(self.iter())`, read off the fold the
+    /// appends keep.
+    #[must_use]
+    pub fn digest64(&self) -> u64 {
+        self.fold.finish()
     }
 
     /// Number of actions in the history.
@@ -172,9 +196,9 @@ impl History {
 
     /// Concatenation `self · other`.
     pub fn concat(&self, other: &History) -> History {
-        let mut actions = self.actions.clone();
-        actions.extend_from_slice(&other.actions);
-        History { actions }
+        let mut h = self.clone();
+        h.extend(other.iter().copied());
+        h
     }
 
     /// Matches invocations with their responses, in invocation order.
@@ -236,6 +260,46 @@ impl History {
     }
 }
 
+/// One step of `slx_engine::digest64_of_iter`: the index, then the item.
+fn fold_action(fold: &mut Fingerprinter, index: usize, action: &Action) {
+    fold.write_usize(index);
+    action.hash(fold);
+}
+
+impl PartialEq for History {
+    fn eq(&self, other: &Self) -> bool {
+        self.actions == other.actions
+    }
+}
+
+impl Eq for History {}
+
+impl PartialOrd for History {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for History {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.actions.cmp(&other.actions)
+    }
+}
+
+impl Hash for History {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.actions.hash(state);
+    }
+}
+
+impl fmt::Debug for History {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("History")
+            .field("actions", &self.actions)
+            .finish()
+    }
+}
+
 impl fmt::Display for History {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.actions.is_empty() {
@@ -261,7 +325,11 @@ impl FromIterator<Action> for History {
 
 impl Extend<Action> for History {
     fn extend<I: IntoIterator<Item = Action>>(&mut self, iter: I) {
-        self.actions.extend(iter);
+        let iter = iter.into_iter();
+        self.actions.reserve(iter.size_hint().0);
+        for action in iter {
+            self.push(action);
+        }
     }
 }
 
