@@ -42,14 +42,17 @@ impl fmt::Display for Step {
     }
 }
 
-/// An extracted automaton and one representative configuration per state.
+/// An extracted automaton, one representative configuration per state,
+/// and each state's key.
 #[derive(Debug, Clone)]
-pub struct Extraction<W: Word, P> {
+pub struct Extraction<W: Word, P, K> {
     /// The states are the distinct keys, numbered in BFS order from the
     /// initial configuration's, `s0`.
     pub automaton: Automaton<Step>,
     /// `states[i]` is the first configuration reached with state `i`'s key.
     pub states: Vec<System<W, P>>,
+    /// The state of each distinct key: `ids[&key(&states[i])]` is `StateId(i)`.
+    pub ids: DetHashMap<K, StateId>,
 }
 
 /// [`extract`] reached [`MAX_STATES`] distinct keys without a fixpoint.
@@ -80,7 +83,7 @@ pub fn extract<W, P, K>(
     initial: &System<W, P>,
     active: &[ProcessId],
     key: impl Fn(&System<W, P>) -> K,
-) -> Result<Extraction<W, P>, NotClosed>
+) -> Result<Extraction<W, P, K>, NotClosed>
 where
     W: Word,
     P: Process<W> + Clone,
@@ -128,5 +131,9 @@ where
     for (from, step, to) in edges {
         automaton.add_transition(from, step, to);
     }
-    Ok(Extraction { automaton, states })
+    Ok(Extraction {
+        automaton,
+        states,
+        ids,
+    })
 }

@@ -5,9 +5,8 @@ use std::fmt::{self, Debug};
 use std::hash::Hash;
 
 use slx_adversary::{BivalenceScheduler, TmStarvation};
-use slx_automata::{extract, Automaton, NotClosed, StateId, Step};
+use slx_automata::{extract, Automaton, Extraction, NotClosed, StateId, Step};
 use slx_consensus::{round_shift_key, ObstructionFreeConsensus};
-use slx_engine::DetHashMap;
 use slx_explorer::{run_until_cycle_keyed, Lasso, NoLasso};
 use slx_history::{Action, Operation, ProcessId, Response, Value, VarId};
 use slx_liveness::{LkFreedom, ProgressKind};
@@ -460,15 +459,19 @@ where
             .apply(decision, &mut Vec::new())
             .expect("the prefix and proposals apply");
     }
-    let graph = extract(&proposed, &[p1, p2], valence_key)?;
-    let bivalent = bivalent_states(&graph.automaton, &graph.states);
-    let valence: DetHashMap<_, bool> = graph.states.iter().map(valence_key).zip(bivalent).collect();
-    drop(graph);
+    let Extraction {
+        automaton,
+        states,
+        ids,
+    } = extract(&proposed, &[p1, p2], valence_key)?;
+    let bivalent = bivalent_states(&automaton, &states);
+    drop((automaton, states));
     let mut sched = BivalenceScheduler::new(proposals, |s: &System<W, P>| {
         let k = valence_key(s);
-        *valence
+        let id = ids
             .get(&k)
-            .unwrap_or_else(|| panic!("the valence graph lacks the unsound key {k:?}"))
+            .unwrap_or_else(|| panic!("the valence graph lacks the unsound key {k:?}"));
+        bivalent[id.0]
     });
     let lasso_key =
         |s: &System<W, P>, sched: &BivalenceScheduler<_>| (key(s), sched.normalized_counts());

@@ -149,7 +149,11 @@ const MAGIC: &[u8; 8] = b"SLXCKPT\0";
 /// like 6, changed what a digest means, not a byte: an
 /// obstruction-free-consensus process hashes packed words, so a
 /// version-7 visited log would dedup nothing a version-8 run computes.
-const FORMAT_VERSION: u64 = 8;
+/// Version 9 took the commit and abort counters out of both
+/// transactional-memory processes (`GlobalVersionTm`, `AgpTm`): each
+/// record is one zero byte shorter per counter while the counter is
+/// zero, a delta record is the plain one, and their digests moved.
+const FORMAT_VERSION: u64 = 9;
 
 /// The image file inside a store directory.
 const FILE_NAME: &str = "slx-checkpoint.bin";

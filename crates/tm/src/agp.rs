@@ -1,6 +1,6 @@
 //! Algorithm I(1,2) — the paper's Algorithm 1, step for step.
 
-use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
+use slx_engine::{DeltaCodec, StateCodec};
 use slx_history::{Operation, ProcessId, Response, Value};
 use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect, System};
 
@@ -50,10 +50,6 @@ pub struct AgpTm {
     old_values: Vec<Value>,
     values: Vec<Value>,
     pc: Pc,
-    /// Aborts caused by the timestamp rule (`count ≥ 3`), for the benches.
-    ts_aborts: u64,
-    /// Aborts caused by a failed CAS, for the benches.
-    cas_aborts: u64,
 }
 
 impl AgpTm {
@@ -90,19 +86,7 @@ impl AgpTm {
             old_values: vec![Value::new(0); nvars],
             values: vec![Value::new(0); nvars],
             pc: Pc::Idle,
-            ts_aborts: 0,
-            cas_aborts: 0,
         }
-    }
-
-    /// Aborts caused by the timestamp rule so far.
-    pub fn ts_aborts(&self) -> u64 {
-        self.ts_aborts
-    }
-
-    /// Aborts caused by a failed commit CAS so far.
-    pub fn cas_aborts(&self) -> u64 {
-        self.cas_aborts
     }
 
     /// A copy of this instance re-indexed to `me` (same shared objects,
@@ -116,10 +100,10 @@ impl AgpTm {
         AgpTm { me, ..self.clone() }
     }
 
-    /// A copy with timestamps, versions and values uniformly shifted, and
-    /// statistics counters zeroed — the per-process half of
-    /// [`crate::normalize::normalized_agp`]. Behaviour-preserving by the
-    /// shift-invariance argument documented there.
+    /// A copy with timestamps, versions and values uniformly shifted — the
+    /// per-process half of [`crate::normalize::normalized_agp`].
+    /// Behaviour-preserving by the shift-invariance argument documented
+    /// there.
     pub fn shifted(&self, s: crate::normalize::Shift) -> AgpTm {
         let shift_vals = |vals: &Vec<Value>| -> Vec<Value> {
             vals.iter().map(|v| Value::new(v.raw() - s.dval)).collect()
@@ -135,8 +119,6 @@ impl AgpTm {
             old_values: shift_vals(&self.old_values),
             values: shift_vals(&self.values),
             pc: self.pc.clone(),
-            ts_aborts: 0,
-            cas_aborts: 0,
         }
     }
 }
@@ -163,8 +145,6 @@ impl StateCodec for AgpTm {
                 resp.encode(out);
             }
         }
-        self.ts_aborts.encode(out);
-        self.cas_aborts.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
@@ -197,101 +177,11 @@ impl StateCodec for AgpTm {
             old_values,
             values,
             pc,
-            ts_aborts: u64::decode(input)?,
-            cas_aborts: u64::decode(input)?,
         })
     }
 }
 
-impl DeltaCodec for AgpTm {
-    /// Same shape as `GlobalVersionTm`'s hooks: the value vectors
-    /// collapse to a flag byte when unchanged, everything else is
-    /// scalar-sized.
-    fn encode_delta(&self, prev: Option<&Self>, out: &mut Vec<u8>) {
-        let Some(prev) = prev else {
-            return self.encode(out);
-        };
-        let old_changed = self.old_values != prev.old_values;
-        let values_changed = self.values != prev.values;
-        out.push(u8::from(old_changed) | u8::from(values_changed) << 1);
-        self.c.encode(out);
-        self.r.encode(out);
-        self.me.encode(out);
-        self.n.encode(out);
-        self.nvars.encode(out);
-        self.timestamp.encode(out);
-        self.version.encode(out);
-        if old_changed {
-            self.old_values.encode_delta(Some(&prev.old_values), out);
-        }
-        if values_changed {
-            self.values.encode_delta(Some(&prev.values), out);
-        }
-        match &self.pc {
-            Pc::Idle => out.push(0),
-            Pc::StartAnnounce => out.push(1),
-            Pc::StartReadC => out.push(2),
-            Pc::CommitScan => out.push(3),
-            Pc::CommitCas => out.push(4),
-            Pc::LocalRespond(resp) => {
-                out.push(5);
-                resp.encode(out);
-            }
-        }
-        self.ts_aborts.encode(out);
-        self.cas_aborts.encode(out);
-    }
-
-    fn decode_delta(prev: Option<&Self>, input: &mut &[u8], ctx: &mut DeltaCtx) -> Option<Self> {
-        let Some(prev) = prev else {
-            return Self::decode(input);
-        };
-        let flags = u8::decode(input)?;
-        if flags >= 1 << 2 {
-            return None;
-        }
-        let c = ObjId::decode(input)?;
-        let r = ObjId::decode(input)?;
-        let me = ProcessId::decode(input)?;
-        let n = usize::decode(input)?;
-        let nvars = usize::decode(input)?;
-        let timestamp = u64::decode(input)?;
-        let version = Option::decode(input)?;
-        let old_values = if flags & 1 != 0 {
-            Vec::decode_delta(Some(&prev.old_values), input, ctx)?
-        } else {
-            prev.old_values.clone()
-        };
-        let values = if flags & 2 != 0 {
-            Vec::decode_delta(Some(&prev.values), input, ctx)?
-        } else {
-            prev.values.clone()
-        };
-        let pc = match u8::decode(input)? {
-            0 => Pc::Idle,
-            1 => Pc::StartAnnounce,
-            2 => Pc::StartReadC,
-            3 => Pc::CommitScan,
-            4 => Pc::CommitCas,
-            5 => Pc::LocalRespond(Response::decode(input)?),
-            _ => return None,
-        };
-        Some(AgpTm {
-            c,
-            r,
-            me,
-            n,
-            nvars,
-            timestamp,
-            version,
-            old_values,
-            values,
-            pc,
-            ts_aborts: u64::decode(input)?,
-            cas_aborts: u64::decode(input)?,
-        })
-    }
-}
+impl DeltaCodec for AgpTm {}
 
 impl Process<TmWord> for AgpTm {
     fn has_symmetry_reduction() -> bool {
@@ -362,7 +252,6 @@ impl Process<TmWord> for AgpTm {
                     .filter(|w| w.expect_ts() >= self.timestamp)
                     .count();
                 if count >= 3 {
-                    self.ts_aborts += 1;
                     self.version = None;
                     return StepEffect::Responded(Response::Aborted);
                 }
@@ -388,12 +277,11 @@ impl Process<TmWord> for AgpTm {
                     })
                     .expect("C allocated")
                     .expect_flag();
-                if ok {
-                    StepEffect::Responded(Response::Committed)
+                StepEffect::Responded(if ok {
+                    Response::Committed
                 } else {
-                    self.cas_aborts += 1;
-                    StepEffect::Responded(Response::Aborted)
-                }
+                    Response::Aborted
+                })
             }
         }
     }
@@ -403,7 +291,9 @@ impl Process<TmWord> for AgpTm {
 mod tests {
     use super::*;
     use slx_history::{History, TransactionStatus, TxnView, VarId};
-    use slx_memory::{FairRandom, RepeatTxn, RoundRobin, System, WorkloadScheduler};
+    use slx_memory::{
+        Decision, Event, FairRandom, RepeatTxn, RoundRobin, Scheduler, System, WorkloadScheduler,
+    };
     use slx_safety::{certify_unique_writes, Opacity, PropertyS, SafetyProperty};
 
     fn p(i: usize) -> ProcessId {
@@ -501,14 +391,15 @@ mod tests {
             &[Operation::TxWrite(x0(), v(1)), Operation::TxCommit],
         );
         assert_eq!(r1[1], Response::Committed);
-        // p2's commit must fail the CAS.
-        let r2 = run_txn(
-            &mut sys,
-            p(1),
-            &[Operation::TxWrite(x0(), v(2)), Operation::TxCommit],
+        // p2's commit passes the timestamp rule and must fail the CAS.
+        run_txn(&mut sys, p(1), &[Operation::TxWrite(x0(), v(2))]);
+        sys.invoke(p(1), Operation::TxCommit).unwrap();
+        assert_eq!(sys.step(p(1)).unwrap(), StepEffect::Ran, "the scan");
+        assert_eq!(
+            sys.step(p(1)).unwrap(),
+            StepEffect::Responded(Response::Aborted),
+            "the CAS"
         );
-        assert_eq!(r2[1], Response::Aborted);
-        assert_eq!(sys.process(p(1)).unwrap().cas_aborts(), 1);
         assert!(Opacity::new(v(0)).allows(sys.history()));
     }
 
@@ -539,7 +430,6 @@ mod tests {
                 StepEffect::Responded(Response::Aborted),
                 "process {i} escaped the timestamp rule"
             );
-            assert_eq!(sys.process(p(i)).unwrap().ts_aborts(), 1);
         }
         assert!(PropertyS::new(v(0)).allows(sys.history()));
     }
@@ -547,15 +437,32 @@ mod tests {
     #[test]
     fn two_processes_never_hit_timestamp_rule() {
         // Lemma 5.4's (1,2)-freedom argument: with only two processes
-        // taking steps, count < 3 always, so aborts come only from CAS
-        // races — and a failed CAS means the other process committed.
+        // taking steps, count < 3 always, so no scan — the first step
+        // after `tryC()` — aborts; aborts come only from CAS races, and a
+        // failed CAS means the other process committed.
         let workload = RepeatTxn::new(2, vec![x0()], vec![x0()], None);
         let mut sched = WorkloadScheduler::new(2, workload, FairRandom::new(11));
         let mut sys = AgpTm::system(2, 1);
-        sys.run(&mut sched, 4000);
-        for i in 0..2 {
-            assert_eq!(sys.process(p(i)).unwrap().ts_aborts(), 0);
+        let mut scans = 0;
+        for _ in 0..4000 {
+            let decision = sched.decide(&sys);
+            let scanner = match decision {
+                Decision::Step(q) if sys.process(q).unwrap().pc == Pc::CommitScan => Some(q),
+                _ => None,
+            };
+            let mut events = Vec::new();
+            if !sys.apply(decision, &mut events).unwrap() {
+                break;
+            }
+            if let Some(q) = scanner {
+                scans += 1;
+                assert!(
+                    !events.contains(&Event::Responded(q, Response::Aborted)),
+                    "{q}'s scan hit the timestamp rule"
+                );
+            }
         }
+        assert!(scans > 0, "no tryC() was scanned");
         // Somebody committed (in fact both, with overwhelming probability
         // under a fair schedule of this length).
         let view = TxnView::parse(sys.history());

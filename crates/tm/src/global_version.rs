@@ -1,7 +1,7 @@
 //! The opaque, lock-free ((1,n)-free) TM: Algorithm 1 without the
 //! timestamp rule.
 
-use slx_engine::{DeltaCodec, DeltaCtx, StateCodec};
+use slx_engine::{DeltaCodec, StateCodec};
 use slx_history::{Operation, Response, Value};
 use slx_memory::{Memory, ObjId, PrimOutcome, Primitive, Process, StepEffect, System};
 
@@ -41,8 +41,6 @@ pub struct GlobalVersionTm {
     old_values: Vec<Value>,
     values: Vec<Value>,
     pc: Pc,
-    commits: u64,
-    aborts: u64,
 }
 
 impl GlobalVersionTm {
@@ -60,8 +58,6 @@ impl GlobalVersionTm {
             old_values: vec![Value::new(0); nvars],
             values: vec![Value::new(0); nvars],
             pc: Pc::Idle,
-            commits: 0,
-            aborts: 0,
         }
     }
 
@@ -74,18 +70,8 @@ impl GlobalVersionTm {
         System::new(mem, procs)
     }
 
-    /// Committed transactions of this process.
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Aborted transactions of this process.
-    pub fn aborts(&self) -> u64 {
-        self.aborts
-    }
-
-    /// A copy with versions and values uniformly shifted and statistics
-    /// counters zeroed — the per-process half of
+    /// A copy with versions and values uniformly shifted — the
+    /// per-process half of
     /// [`crate::normalize::normalized_global_version`].
     pub fn shifted(&self, s: crate::normalize::Shift) -> GlobalVersionTm {
         let shift_vals = |vals: &Vec<Value>| -> Vec<Value> {
@@ -98,8 +84,6 @@ impl GlobalVersionTm {
             old_values: shift_vals(&self.old_values),
             values: shift_vals(&self.values),
             pc: self.pc.clone(),
-            commits: 0,
-            aborts: 0,
         }
     }
 }
@@ -120,8 +104,6 @@ impl StateCodec for GlobalVersionTm {
                 resp.encode(out);
             }
         }
-        self.commits.encode(out);
-        self.aborts.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
@@ -144,85 +126,11 @@ impl StateCodec for GlobalVersionTm {
             old_values,
             values,
             pc,
-            commits: u64::decode(input)?,
-            aborts: u64::decode(input)?,
         })
     }
 }
 
-impl DeltaCodec for GlobalVersionTm {
-    /// The transaction-local value vectors — the only fields that grow
-    /// with the variable count — usually match the predecessor's and
-    /// collapse to one flag byte; the scalar locals re-encode plainly.
-    fn encode_delta(&self, prev: Option<&Self>, out: &mut Vec<u8>) {
-        let Some(prev) = prev else {
-            return self.encode(out);
-        };
-        let old_changed = self.old_values != prev.old_values;
-        let values_changed = self.values != prev.values;
-        out.push(u8::from(old_changed) | u8::from(values_changed) << 1);
-        self.c.encode(out);
-        self.nvars.encode(out);
-        self.version.encode(out);
-        if old_changed {
-            self.old_values.encode_delta(Some(&prev.old_values), out);
-        }
-        if values_changed {
-            self.values.encode_delta(Some(&prev.values), out);
-        }
-        match &self.pc {
-            Pc::Idle => out.push(0),
-            Pc::StartReadC => out.push(1),
-            Pc::CommitCas => out.push(2),
-            Pc::LocalRespond(resp) => {
-                out.push(3);
-                resp.encode(out);
-            }
-        }
-        self.commits.encode(out);
-        self.aborts.encode(out);
-    }
-
-    fn decode_delta(prev: Option<&Self>, input: &mut &[u8], ctx: &mut DeltaCtx) -> Option<Self> {
-        let Some(prev) = prev else {
-            return Self::decode(input);
-        };
-        let flags = u8::decode(input)?;
-        if flags >= 1 << 2 {
-            return None;
-        }
-        let c = ObjId::decode(input)?;
-        let nvars = usize::decode(input)?;
-        let version = Option::decode(input)?;
-        let old_values = if flags & 1 != 0 {
-            Vec::decode_delta(Some(&prev.old_values), input, ctx)?
-        } else {
-            prev.old_values.clone()
-        };
-        let values = if flags & 2 != 0 {
-            Vec::decode_delta(Some(&prev.values), input, ctx)?
-        } else {
-            prev.values.clone()
-        };
-        let pc = match u8::decode(input)? {
-            0 => Pc::Idle,
-            1 => Pc::StartReadC,
-            2 => Pc::CommitCas,
-            3 => Pc::LocalRespond(Response::decode(input)?),
-            _ => return None,
-        };
-        Some(GlobalVersionTm {
-            c,
-            nvars,
-            version,
-            old_values,
-            values,
-            pc,
-            commits: u64::decode(input)?,
-            aborts: u64::decode(input)?,
-        })
-    }
-}
+impl DeltaCodec for GlobalVersionTm {}
 
 impl Process<TmWord> for GlobalVersionTm {
     fn has_symmetry_reduction() -> bool {
@@ -269,7 +177,6 @@ impl Process<TmWord> for GlobalVersionTm {
             }
             Pc::CommitCas => {
                 let Some(version) = self.version.take() else {
-                    self.aborts += 1;
                     return StepEffect::Responded(Response::Aborted);
                 };
                 let ok = mem
@@ -286,13 +193,11 @@ impl Process<TmWord> for GlobalVersionTm {
                     })
                     .expect("C allocated")
                     .expect_flag();
-                if ok {
-                    self.commits += 1;
-                    StepEffect::Responded(Response::Committed)
+                StepEffect::Responded(if ok {
+                    Response::Committed
                 } else {
-                    self.aborts += 1;
-                    StepEffect::Responded(Response::Aborted)
-                }
+                    Response::Aborted
+                })
             }
         }
     }
@@ -302,7 +207,7 @@ impl Process<TmWord> for GlobalVersionTm {
 mod tests {
     use super::*;
     use slx_history::{ProcessId, TransactionStatus, TxnView, VarId};
-    use slx_memory::{FairRandom, RepeatTxn, System, WorkloadScheduler};
+    use slx_memory::{BaseObject, FairRandom, RepeatTxn, System, WorkloadScheduler};
     use slx_safety::{certify_unique_writes, Opacity, SafetyProperty};
 
     fn p(i: usize) -> ProcessId {
@@ -339,19 +244,25 @@ mod tests {
             let mut sys = GlobalVersionTm::system(n, 1);
             sys.run(&mut sched, 3000);
             let view = TxnView::parse(sys.history());
-            let commits = view
-                .transactions()
-                .iter()
-                .filter(|t| t.status() == TransactionStatus::Committed)
-                .count();
-            assert!(commits > 0, "n={n}: no commits under contention");
-            // Accounting invariant: every abort is a CAS lost to a commit,
-            // so commits must be at least ... 1 whenever aborts > 0.
-            let aborts: u64 = (0..n).map(|i| sys.process(p(i)).unwrap().aborts()).sum();
-            let commits_ctr: u64 = (0..n).map(|i| sys.process(p(i)).unwrap().commits()).sum();
-            assert_eq!(commits_ctr as usize, commits);
-            if aborts > 0 {
-                assert!(commits_ctr > 0);
+            let with_status = |status| {
+                view.transactions()
+                    .iter()
+                    .filter(move |t| t.status() == status)
+            };
+            assert!(
+                with_status(TransactionStatus::Committed).count() > 0,
+                "n={n}: no commits under contention"
+            );
+            // Accounting: every abort is a CAS lost to a commit that
+            // responded while the aborted transaction was running.
+            for t in with_status(TransactionStatus::Aborted) {
+                let end = t.end_index.expect("an aborted transaction ended");
+                assert!(
+                    with_status(TransactionStatus::Committed)
+                        .any(|u| u.end_index.is_some_and(|e| t.start_index < e && e < end)),
+                    "n={n}: {:?} aborted with no commit in between",
+                    t.id
+                );
             }
         }
     }
@@ -403,7 +314,12 @@ mod tests {
             sys.step(p(1)).unwrap(),
             StepEffect::Responded(Response::Aborted)
         );
-        assert_eq!(sys.process(p(1)).unwrap().aborts(), 1);
+        // The CAS failed because p1's commit advanced `C` to version 2.
+        let c = sys.process(p(1)).unwrap().c;
+        assert!(matches!(
+            sys.memory().object(c),
+            Some(BaseObject::Cas(TmWord::Versioned { version: 2, .. }))
+        ));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   progress whatever the contention — (1,n)-freedom, the white point of
 //!   Figure 1b (standing in for Fraser's OSTM, which the paper cites).
 //! - [`LockTm`] — a global test-and-set-lock TM: opaque and deadlock-free
-//!   but *blocking*; a crashed lock holder starves everyone. The contrast
-//!   baseline for the benches and the non-blocking discussion.
+//!   but *blocking*; a crashed lock holder starves everyone. Figure 1b's
+//!   white-anchor control (the fair workload stops committing once the
+//!   holder crashes) and the blocking leg of the non-blocking claim.
 
 #![warn(missing_docs)]
 

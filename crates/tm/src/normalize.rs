@@ -149,10 +149,8 @@ pub fn normalized_agp_among(
 /// and holds no identity-dependent state, so permuting processes is
 /// behaviour-preserving at *every* program counter — the sorted
 /// per-process signature multiset quotients the full permutation orbit.
-/// The shift and the statistics-counter erasure come from
-/// [`normalized_global_version`] (whose `shifted` halves zero
-/// `commits`/`aborts`), collapsing states that differ only in scheduling
-/// history.
+/// The shift comes from [`normalized_global_version`], collapsing states
+/// that differ only by a uniform version and value shift.
 pub fn canonical_global_version_digest(sys: &System<TmWord, GlobalVersionTm>) -> Digest {
     let all: Vec<ProcessId> = (0..sys.n()).map(ProcessId::new).collect();
     let norm = normalized_global_version(sys, &all);

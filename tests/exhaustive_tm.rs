@@ -7,6 +7,10 @@
 //! discharged by enumeration. Its control is [`BlindCommitTm`], a TM that
 //! never validates its reads: the same exploration must catch it, and the
 //! §4.1 starvation strategy must lose against it.
+//!
+//! Each exploration's configuration count is pinned, so that a change to
+//! what a TM configuration holds cannot silently move the explored
+//! quotient.
 
 use safety_liveness_exclusion::engine::{DeltaCodec, StateCodec};
 use safety_liveness_exclusion::explorer::{
@@ -152,6 +156,7 @@ fn global_version_tm_opaque_under_all_commit_races() {
     let out = explore_commit_race(GlobalVersionTm::system(2, 1));
     assert!(out.holds(), "violations: {:?}", out.violations);
     assert!(!out.truncated);
+    assert_eq!(out.configs, 5);
 }
 
 /// The control flips the verdict above: both transactions read 0 and
@@ -221,6 +226,7 @@ fn agp_tm_opaque_under_all_start_and_commit_races() {
     );
     assert!(out.holds(), "violations: {:?}", out.violations);
     assert!(!out.truncated);
+    assert_eq!(out.configs, 10);
 }
 
 #[test]
@@ -254,6 +260,7 @@ fn agp_tm_commit_race_after_symmetric_start() {
     );
     assert!(out.holds(), "violations: {:?}", out.violations);
     assert!(!out.truncated);
+    assert_eq!(out.configs, 10);
     // In every interleaving at most one of the two CASes succeeds — i.e.
     // never two commits. Check on a canonical run: step p1 fully, then p2.
     let mut sys2 = sys.clone();
