@@ -105,10 +105,12 @@ const BLOCK_PARENTS: usize = 64;
 const WINDOW_BLOCKS_PER_THREAD: usize = 4;
 
 /// Minimum chunk size before it is worth spawning workers for: two
-/// blocks, since one block is one worker's work. At that size the scope
-/// (≈ 80 µs to spawn and join) breaks even on states costing ≈ 2 µs to
-/// expand and wins 1.5x at the ≈ 6 µs of the consensus spaces; cheaper
-/// states only lose microseconds on levels this small.
+/// blocks, since one block is one worker's work. The scope costs ≈ 80 µs
+/// to spawn and join. The threshold was set when two threads won 1.5x on
+/// the consensus spaces; they no longer win: traced `deep-par` runs (2
+/// threads on a 2-core VM) read `par_speedup_x` 0.57–0.82 and
+/// `par_cpu_x` 2.0–2.6, a slower run for twice the CPU. ROADMAP item 4's
+/// PR B deletes the threaded path, and this constant with it.
 const PAR_MIN_FRONTIER: usize = 2 * BLOCK_PARENTS;
 
 impl Checker {

@@ -42,14 +42,113 @@ fn avalanche(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The word encoding every hasher here shares: an integer is one word
+/// (tagged with its width below 64 bits), bytes go in 8 at a time with a
+/// short tail's length folded in. `$t` provides `mix(word)`.
+macro_rules! word_hasher {
+    ($t:ty) => {
+        impl Hasher for $t {
+            #[inline]
+            fn finish(&self) -> u64 {
+                self.finish64()
+            }
+
+            #[inline]
+            fn write(&mut self, bytes: &[u8]) {
+                let mut chunks = bytes.chunks_exact(8);
+                for chunk in &mut chunks {
+                    self.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+                }
+                let rem = chunks.remainder();
+                if !rem.is_empty() {
+                    let mut buf = [0u8; 8];
+                    buf[..rem.len()].copy_from_slice(rem);
+                    // Fold the length in so "ab" + "" and "a" + "b" differ.
+                    self.mix(u64::from_le_bytes(buf) ^ ((rem.len() as u64) << 56));
+                }
+            }
+
+            #[inline]
+            fn write_u8(&mut self, i: u8) {
+                self.mix(u64::from(i) | 1 << 8);
+            }
+
+            #[inline]
+            fn write_u16(&mut self, i: u16) {
+                self.mix(u64::from(i) | 1 << 16);
+            }
+
+            #[inline]
+            fn write_u32(&mut self, i: u32) {
+                self.mix(u64::from(i) | 1 << 32);
+            }
+
+            #[inline]
+            fn write_u64(&mut self, i: u64) {
+                self.mix(i);
+            }
+
+            #[inline]
+            fn write_u128(&mut self, i: u128) {
+                self.mix(i as u64);
+                self.mix((i >> 64) as u64);
+            }
+
+            #[inline]
+            fn write_usize(&mut self, i: usize) {
+                self.mix(i as u64);
+            }
+        }
+    };
+}
+
+/// One-lane single-pass hasher: the 64-bit fold that is
+/// [`Fingerprinter`]'s first lane, so its `finish()` equals a
+/// [`Fingerprinter`]'s over the same writes in 8 bytes instead of 16.
+/// [`digest64_of_iter`] is this fold; a value that keeps such a digest up
+/// to date as it grows keeps one of these.
+#[derive(Debug, Clone, Copy)]
+pub struct Fold64 {
+    lane: u64,
+}
+
+impl Fold64 {
+    /// A fresh fold with the fixed seed of [`Fingerprinter`]'s first lane.
+    #[must_use]
+    pub const fn new() -> Self {
+        Fold64 {
+            lane: 0x6a_09_e6_67_f3_bc_c9_08, // frac(sqrt(2))
+        }
+    }
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.lane = (self.lane.rotate_left(5) ^ word).wrapping_mul(LANE_A_MUL);
+    }
+
+    #[inline]
+    fn finish64(&self) -> u64 {
+        avalanche(self.lane)
+    }
+}
+
+impl Default for Fold64 {
+    fn default() -> Self {
+        Fold64::new()
+    }
+}
+
+word_hasher!(Fold64);
+
 /// Two-lane single-pass hasher producing a 128-bit [`Digest`].
 ///
 /// Implements [`std::hash::Hasher`], so any `#[derive(Hash)]` type can be
 /// fingerprinted: `finish()` yields the finalized first lane (a plain fast
-/// 64-bit hash), [`Fingerprinter::digest`] both lanes.
+/// 64-bit hash, the [`Fold64`] of the same writes), [`Fingerprinter::digest`]
+/// both lanes.
 #[derive(Debug, Clone)]
 pub struct Fingerprinter {
-    lane_a: u64,
+    lane_a: Fold64,
     lane_b: u64,
 }
 
@@ -58,22 +157,28 @@ impl Fingerprinter {
     #[must_use]
     pub fn new() -> Self {
         Fingerprinter {
-            lane_a: 0x6a_09_e6_67_f3_bc_c9_08, // frac(sqrt(2))
+            lane_a: Fold64::new(),
             lane_b: 0xbb_67_ae_85_84_ca_a7_3b, // frac(sqrt(3))
         }
     }
 
     #[inline]
     fn mix(&mut self, word: u64) {
-        self.lane_a = (self.lane_a.rotate_left(5) ^ word).wrapping_mul(LANE_A_MUL);
+        self.lane_a.mix(word);
         self.lane_b = (self.lane_b.rotate_left(7) ^ word).wrapping_mul(LANE_B_MUL);
+    }
+
+    #[inline]
+    fn finish64(&self) -> u64 {
+        self.lane_a.finish64()
     }
 
     /// Finalizes both lanes into the 128-bit digest.
     #[must_use]
     pub fn digest(&self) -> Digest {
-        let hi = avalanche(self.lane_a);
-        let lo = avalanche(self.lane_b.rotate_left(32) ^ self.lane_a);
+        let lane_a = self.lane_a.lane;
+        let hi = avalanche(lane_a);
+        let lo = avalanche(self.lane_b.rotate_left(32) ^ lane_a);
         Digest(((hi as u128) << 64) | lo as u128)
     }
 }
@@ -84,58 +189,7 @@ impl Default for Fingerprinter {
     }
 }
 
-impl Hasher for Fingerprinter {
-    #[inline]
-    fn finish(&self) -> u64 {
-        avalanche(self.lane_a)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            // Fold the length in so "ab" + "" and "a" + "b" differ.
-            self.mix(u64::from_le_bytes(buf) ^ ((rem.len() as u64) << 56));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.mix(u64::from(i) | 1 << 8);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.mix(u64::from(i) | 1 << 16);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.mix(u64::from(i) | 1 << 32);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.mix(i);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.mix(i as u64);
-        self.mix((i >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.mix(i as u64);
-    }
-}
+word_hasher!(Fingerprinter);
 
 /// 128-bit fingerprint of any hashable value.
 #[must_use]
@@ -152,7 +206,7 @@ where
     I: IntoIterator,
     I::Item: Hash,
 {
-    let mut fp = Fingerprinter::new();
+    let mut fp = Fold64::new();
     for (i, item) in items.into_iter().enumerate() {
         fp.write_usize(i);
         item.hash(&mut fp);
@@ -180,6 +234,28 @@ mod tests {
         assert_ne!(digest64_of_iter([1u8, 2]), digest64_of_iter([2u8, 1]));
         // Length folding distinguishes concatenation splits.
         assert_ne!(digest128_of("ab"), digest128_of("a"));
+    }
+
+    #[test]
+    fn the_one_lane_fold_is_the_first_lane() {
+        let mut one = Fold64::new();
+        let mut two = Fingerprinter::new();
+        for hasher in [&mut one as &mut dyn Hasher, &mut two] {
+            hasher.write_u8(7);
+            hasher.write_u32(9);
+            hasher.write_usize(3);
+            hasher.write_u128(u128::MAX / 3);
+            hasher.write(b"eleven bytes");
+        }
+        assert_eq!(one.finish(), two.finish());
+        assert_eq!(digest64_of_iter("abc".bytes()), {
+            let mut fp = Fingerprinter::new();
+            for (i, b) in "abc".bytes().enumerate() {
+                fp.write_usize(i);
+                b.hash(&mut fp);
+            }
+            fp.finish()
+        });
     }
 
     #[test]

@@ -45,6 +45,8 @@
 //!   produces the 128-bit digests in one pass (replacing the SipHash
 //!   `DefaultHasher` helpers that used to be copy-pasted across the
 //!   workspace — use [`digest128_of`] / [`digest64_of_iter`] instead);
+//!   [`Fold64`] is its first lane alone, for a 64-bit digest a value
+//!   keeps up to date as it grows;
 //! - [`ExploreStats`] — built-in exploration statistics: states visited,
 //!   transitions generated, dedup hit rate, peak frontier size,
 //!   states/sec, and truncation accounting;
@@ -100,7 +102,7 @@ pub use codec::{
     DeltaCodec, DeltaCtx, StateCodec,
 };
 pub use detmap::{DetBuildHasher, DetHashMap, DetHashSet};
-pub use digest::{digest128_of, digest64_of_iter, Digest, Fingerprinter};
+pub use digest::{digest128_of, digest64_of_iter, Digest, Fingerprinter, Fold64};
 pub use fault::{EngineError, FaultKind, FaultOp, FaultPlan, FaultPlane};
 pub use space::{Expansion, StateSpace};
 pub use spill::SpillCodec;

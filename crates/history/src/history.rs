@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use slx_engine::Fingerprinter;
+use slx_engine::Fold64;
 
 use crate::action::{Action, Response};
 use crate::calls::OpCall;
@@ -38,7 +38,7 @@ use crate::ids::ProcessId;
 pub struct History {
     actions: Vec<Action>,
     /// `slx_engine::digest64_of_iter` over `actions`, not yet finalized.
-    fold: Fingerprinter,
+    fold: Fold64,
 }
 
 impl History {
@@ -53,14 +53,14 @@ impl History {
     pub fn with_capacity(capacity: usize) -> Self {
         History {
             actions: Vec::with_capacity(capacity),
-            fold: Fingerprinter::new(),
+            fold: Fold64::new(),
         }
     }
 
     /// Creates a history from a sequence of actions.
     pub fn from_actions<I: IntoIterator<Item = Action>>(actions: I) -> Self {
         let actions: Vec<Action> = actions.into_iter().collect();
-        let mut fold = Fingerprinter::new();
+        let mut fold = Fold64::new();
         for (i, action) in actions.iter().enumerate() {
             fold_action(&mut fold, i, action);
         }
@@ -261,7 +261,7 @@ impl History {
 }
 
 /// One step of `slx_engine::digest64_of_iter`: the index, then the item.
-fn fold_action(fold: &mut Fingerprinter, index: usize, action: &Action) {
+fn fold_action(fold: &mut Fold64, index: usize, action: &Action) {
     fold.write_usize(index);
     action.hash(fold);
 }

@@ -357,39 +357,90 @@ const CHUNK: usize = 16;
 /// memory that has not written into it since it was cloned.
 type Chunk<W> = Arc<[BaseObject<W>]>;
 
-/// The object pool of a [`Memory`]: object `i` is `chunks[i / CHUNK][i %
-/// CHUNK]`, so every chunk but the last holds exactly [`CHUNK`] objects
-/// and the last at least one. Spine and chunks are shared copy-on-write;
-/// this `impl` is the only code that un-shares either.
+/// The object pool of a [`Memory`]: object `i` is slot `i % CHUNK` of
+/// chunk `i / CHUNK`, so every chunk but the last holds exactly [`CHUNK`]
+/// objects and the last at least one — which is how the pool knows its
+/// length, from the spine alone. Spine and chunks are shared
+/// copy-on-write; this `impl` is the only code that un-shares either.
+///
+/// A memory that writes while it still shares its parent's spine keeps
+/// the one chunk it writes into beside the spine, as its **open chunk**,
+/// and reads it in place of the spine's: a successor that writes pays for
+/// one chunk, not for a spine copy. Only a write into a second chunk
+/// copies the spine, folding the open chunk into it; from then on the
+/// spine is this memory's own and writes go straight into it.
 #[derive(Debug, Clone)]
 struct Pool<W> {
     chunks: Arc<[Chunk<W>]>,
-    len: usize,
+    /// `(c, chunk)`: chunk `c` as this memory holds it, `chunks[c]` being
+    /// stale. Opened only by a write while `chunks` is shared.
+    open: Option<(usize, Chunk<W>)>,
+}
+
+impl<W> Pool<W> {
+    /// Number of objects.
+    fn len(&self) -> usize {
+        match self.chunks.last() {
+            Some(last) => (self.chunks.len() - 1) * CHUNK + last.len(),
+            None => 0,
+        }
+    }
+
+    /// Chunk `c`: the open chunk if it is `c`, else the spine's. Every
+    /// read of the pool goes through here.
+    ///
+    /// # Panics
+    /// If `c` is not a chunk of the pool.
+    fn chunk(&self, c: usize) -> &Chunk<W> {
+        match &self.open {
+            Some((open, chunk)) if *open == c => chunk,
+            _ => &self.chunks[c],
+        }
+    }
 }
 
 impl<W: Clone> Pool<W> {
     fn empty() -> Self {
         Pool {
             chunks: Arc::default(),
-            len: 0,
+            open: None,
         }
     }
 
     fn get(&self, index: usize) -> Option<&BaseObject<W>> {
-        self.chunks.get(index / CHUNK)?.get(index % CHUNK)
+        let c = index / CHUNK;
+        (c < self.chunks.len())
+            .then(|| self.chunk(c))?
+            .get(index % CHUNK)
     }
 
     fn iter(&self) -> impl Iterator<Item = &BaseObject<W>> {
-        self.chunks.iter().flat_map(|chunk| chunk.iter())
+        (0..self.chunks.len()).flat_map(|c| self.chunk(c).iter())
     }
 
-    /// Slot `index` for writing: un-shares the spine and the one chunk
-    /// holding the slot, nothing else.
+    /// Slot `index` for writing. While the spine is shared, the first
+    /// write opens the chunk holding the slot beside it and later writes
+    /// into that chunk go there; a write into any other chunk folds the
+    /// open chunk into the spine — the one spine copy — and from then on
+    /// writes go into the spine, which is this pool's own. Either way the
+    /// chunk written into is copied only if it is still shared.
     ///
     /// # Panics
     /// If `index` is not allocated.
     fn slot_mut(&mut self, index: usize) -> &mut BaseObject<W> {
-        let chunk = &mut Arc::make_mut(&mut self.chunks)[index / CHUNK];
+        let c = index / CHUNK;
+        if self.open.as_ref().is_none_or(|&(open, _)| open != c) {
+            if self.open.is_none() && Arc::get_mut(&mut self.chunks).is_none() {
+                self.open = Some((c, Arc::clone(&self.chunks[c])));
+            } else {
+                let spine = Arc::make_mut(&mut self.chunks);
+                if let Some((open, chunk)) = self.open.take() {
+                    spine[open] = chunk;
+                }
+                return &mut Arc::make_mut(&mut spine[c])[index % CHUNK];
+            }
+        }
+        let (_, chunk) = self.open.as_mut().expect("chunk `c` is open");
         &mut Arc::make_mut(chunk)[index % CHUNK]
     }
 
@@ -409,28 +460,28 @@ impl<W: Clone> Pool<W> {
         W: Hash,
     {
         let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK));
-        let mut open = Vec::with_capacity(CHUNK);
+        let mut filling = Vec::with_capacity(CHUNK);
         let mut fold = 0;
         for c in 0..len.div_ceil(CHUNK) {
             let slots = c * CHUNK..len.min((c + 1) * CHUNK);
-            match self.chunks.get(c) {
+            match (c < self.chunks.len()).then(|| self.chunk(c)) {
                 Some(kept) if kept.len() == slots.len() => chunks.push(Arc::clone(kept)),
                 kept => {
                     let kept = kept.map_or(&[][..], |kept| &kept[..]);
-                    open.extend(kept.iter().take(slots.len()).cloned());
-                    let taken_over = open.len();
-                    while open.len() < slots.len() {
-                        open.push(new.next()?);
+                    filling.extend(kept.iter().take(slots.len()).cloned());
+                    let taken_over = filling.len();
+                    while filling.len() < slots.len() {
+                        filling.push(new.next()?);
                     }
-                    for (index, object) in slots.zip(&open).skip(taken_over) {
+                    for (index, object) in slots.zip(&filling).skip(taken_over) {
                         fold ^= slot_term(index, object);
                     }
-                    chunks.push(open.drain(..).collect());
+                    chunks.push(filling.drain(..).collect());
                 }
             }
         }
         let chunks = chunks.into();
-        Some((Pool { chunks, len }, fold))
+        Some((Pool { chunks, open: None }, fold))
     }
 }
 
@@ -438,18 +489,19 @@ impl<W> std::ops::Index<usize> for Pool<W> {
     type Output = BaseObject<W>;
 
     fn index(&self, index: usize) -> &BaseObject<W> {
-        &self.chunks[index / CHUNK][index % CHUNK]
+        &self.chunk(index / CHUNK)[index % CHUNK]
     }
 }
 
 impl<W: PartialEq> PartialEq for Pool<W> {
     /// Exact, object by object — except where the two pools hold the very
-    /// same spine or chunk. Equal lengths mean equal chunk extents.
+    /// same chunk. Equal lengths mean equal chunk extents.
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len
-            && (Arc::ptr_eq(&self.chunks, &other.chunks)
-                || (self.chunks.iter().zip(other.chunks.iter()))
-                    .all(|(a, b)| Arc::ptr_eq(a, b) || a == b))
+        self.len() == other.len()
+            && (0..self.chunks.len()).all(|c| {
+                let (a, b) = (self.chunk(c), other.chunk(c));
+                Arc::ptr_eq(a, b) || a == b
+            })
     }
 }
 
@@ -462,13 +514,15 @@ impl<W: PartialEq> PartialEq for Pool<W> {
 /// object, and the type is built so that it costs that much:
 ///
 /// - **`clone`** bumps one reference count (the pool's spine) whatever the
-///   pool holds.
+///   pool holds, and a second one if the memory has an open chunk.
 /// - **A primitive that changes nothing** — a read, a scan, a failed
 ///   compare-and-swap, an error return — un-shares nothing.
-/// - **A primitive that changes an object** copies the spine (one pointer
-///   pair per 16 objects) and the one 16-object chunk holding the object,
-///   if they are still shared; every other chunk stays the parent's. All
-///   such writes go through the private `set`.
+/// - **A primitive that changes an object** copies the one 16-object
+///   chunk holding the object, if it is still shared, and keeps it beside
+///   the parent's spine as the memory's open chunk; every other chunk
+///   stays the parent's. Only a memory that writes into a second chunk
+///   while it shares its spine copies the spine (one pointer pair per 16
+///   objects), once. All such writes go through the private `set`.
 /// - **`Hash`** is O(1) in the pool size. The fingerprint is maintained,
 ///   not recomputed: `fold` is the XOR, over slots, of
 ///   `digest128_of(&(index, object))`; `set` XORs the slot's old term out
@@ -579,12 +633,12 @@ impl<W: Word> Memory<W> {
 
     /// Number of base objects allocated.
     pub fn len(&self) -> usize {
-        self.objects.len
+        self.objects.len()
     }
 
     /// Whether no objects are allocated.
     pub fn is_empty(&self) -> bool {
-        self.objects.len == 0
+        self.objects.chunks.is_empty()
     }
 
     /// Total number of primitives applied since creation. The [`crate::System`]
@@ -612,13 +666,21 @@ impl<W: Word> Memory<W> {
         self.fold == walked.fold(0, |fold, term| fold ^ term)
     }
 
+    /// Whether this memory's pool still stands on `other`'s spine: neither
+    /// has copied it since one was cloned from the other. The test suites'
+    /// handle on what a write copies.
+    #[doc(hidden)]
+    pub fn shares_spine_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.objects.chunks, &other.objects.chunks)
+    }
+
     /// The chunks of this memory's pool that are not the very allocation
     /// `other` holds at the same position.
     #[cfg(test)]
     pub(crate) fn unshared_chunks(&self, other: &Self) -> Vec<usize> {
-        let (ours, theirs) = (&self.objects.chunks, &other.objects.chunks);
-        (0..ours.len())
-            .filter(|&c| !theirs.get(c).is_some_and(|old| Arc::ptr_eq(&ours[c], old)))
+        let (ours, theirs) = (&self.objects, &other.objects);
+        (0..ours.chunks.len())
+            .filter(|&c| c >= theirs.chunks.len() || !Arc::ptr_eq(ours.chunk(c), theirs.chunk(c)))
             .collect()
     }
 
@@ -764,7 +826,7 @@ impl<W: Eq> Eq for Memory<W> {}
 
 impl<W> Hash for Memory<W> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.objects.len.hash(state);
+        self.objects.len().hash(state);
         self.fold.hash(state);
         self.applied.hash(state);
     }
@@ -815,10 +877,11 @@ impl<W: Word + DeltaCodec> DeltaCodec for Memory<W> {
         // memories differ in zero or one entry of the object pool — and
         // share every chunk neither has written since their common
         // ancestor, which is skipped without a look inside.
-        let (ours, theirs) = (&self.objects.chunks, &prev.objects.chunks);
-        let unshared = (ours.iter().zip(theirs.iter()).enumerate())
-            .filter(|(_, (chunk, old))| !Arc::ptr_eq(chunk, old))
-            .map(|(c, (chunk, old))| (c * CHUNK, &chunk[..], &old[..]));
+        let (ours, theirs) = (&self.objects, &prev.objects);
+        let unshared = (0..ours.chunks.len().min(theirs.chunks.len()))
+            .map(|c| (c, ours.chunk(c), theirs.chunk(c)))
+            .filter(|(_, chunk, old)| !Arc::ptr_eq(chunk, old))
+            .map(|(c, chunk, old)| (c * CHUNK, &chunk[..], &old[..]));
         let tail = (prev.len()..self.len()).map(|index| &self.objects[index]);
         encode_slice_delta_runs(self.len(), unshared, tail, out);
         // `applied` drifts by a handful of steps between siblings; the
@@ -1027,7 +1090,8 @@ mod tests {
 
     /// The collect loops of commit-adopt are n reads per write: a chain of
     /// successors must stay on one pool until something is written, and
-    /// then part from it by the one chunk written into.
+    /// then part from it by the one chunk written into, still on the
+    /// parent's spine.
     #[test]
     fn a_primitive_unshares_the_chunk_it_writes_and_nothing_else() {
         let mut parent: Memory<i64> = Memory::new();
@@ -1042,6 +1106,7 @@ mod tests {
         parent.alloc_registers(2 * CHUNK, 0);
         assert_eq!(parent.objects.chunks.len(), 4);
         parent.apply(Primitive::Tas(set)).unwrap();
+        let untouched: Vec<_> = parent.iter_objects().map(|(_, o)| o.clone()).collect();
         let cas = |expected| Primitive::Cas {
             obj: c,
             expected,
@@ -1064,10 +1129,8 @@ mod tests {
         ] {
             let mut child = parent.clone();
             let _ = child.apply(inert.clone());
-            assert!(
-                Arc::ptr_eq(&child.objects.chunks, &parent.objects.chunks),
-                "{inert:?}"
-            );
+            assert!(child.shares_spine_with(&parent), "{inert:?}");
+            assert!(child.objects.open.is_none(), "{inert:?}");
             assert_eq!(child.fold, parent.fold, "{inert:?}");
         }
         for writing in [
@@ -1081,16 +1144,68 @@ mod tests {
             let mut child = parent.clone();
             child.apply(writing.clone()).unwrap();
             assert_eq!(child.unshared_chunks(&parent), [1], "{writing:?}");
+            assert!(child.shares_spine_with(&parent), "{writing:?}");
         }
-        // A second write into the chunk a memory already owns copies
-        // nothing further; one into another chunk parts with that one too.
+
+        // A chain of writes into one chunk copies that chunk once and
+        // keeps the parent's spine.
         let mut child = parent.clone();
         child.apply(Primitive::Write(r, 5)).unwrap();
-        let owned = Arc::as_ptr(&child.objects.chunks[1]);
+        let owned = Arc::as_ptr(child.objects.chunk(1));
         child.apply(Primitive::Write(r, 6)).unwrap();
-        assert_eq!(Arc::as_ptr(&child.objects.chunks[1]), owned);
+        child.apply(Primitive::FetchAdd(k, 2)).unwrap();
+        child.apply(snap_update(s, 0)).unwrap();
+        assert!(child.shares_spine_with(&parent));
+        assert_eq!(Arc::as_ptr(child.objects.chunk(1)), owned);
+        assert_eq!(child.unshared_chunks(&parent), [1]);
+
+        // A write into a second chunk copies the spine, once: later writes
+        // into any chunk, the first included, land in that copy.
         child.apply(Primitive::Write(ObjId(3 * CHUNK), 6)).unwrap();
-        assert_eq!(child.unshared_chunks(&parent), [1, 3]);
+        assert!(!child.shares_spine_with(&parent));
+        assert!(child.objects.open.is_none());
+        let spine = Arc::as_ptr(&child.objects.chunks);
+        for (obj, val) in [(0, 1), (r.0, 7), (3 * CHUNK, 8), (CHUNK - 1, 2)] {
+            child.apply(Primitive::Write(ObjId(obj), val)).unwrap();
+        }
+        assert_eq!(Arc::as_ptr(&child.objects.chunks), spine);
+        assert_eq!(Arc::as_ptr(child.objects.chunk(1)), owned);
+        assert_eq!(child.unshared_chunks(&parent), [0, 1, 3]);
+
+        // A clone of a memory with an open chunk that writes elsewhere
+        // takes the open chunk along into its own spine.
+        let mut opened = parent.clone();
+        opened.apply(Primitive::Write(r, 4)).unwrap();
+        let mut switched = opened.clone();
+        switched
+            .apply(Primitive::Write(ObjId(2 * CHUNK), 3))
+            .unwrap();
+        assert!(Arc::ptr_eq(
+            switched.objects.chunk(1),
+            opened.objects.chunk(1)
+        ));
+        assert_eq!(switched.unshared_chunks(&opened), [2]);
+        assert_eq!(switched.object(r), Some(&BaseObject::Register(4)));
+
+        // Whatever the route, each is the memory built afresh from its
+        // objects: equal, an exact fold, the same plain and delta bytes.
+        let record = |memory: &Memory<i64>, prev: Option<&Memory<i64>>| {
+            let mut bytes = Vec::new();
+            memory.encode_delta(prev, &mut bytes);
+            bytes
+        };
+        for memory in [&child, &opened, &switched] {
+            let mut rebuilt = memory.map_objects(|_, o| o.clone());
+            rebuilt.applied = memory.applied;
+            assert!(memory.fold_is_exact());
+            assert_eq!((memory, memory.fold), (&rebuilt, rebuilt.fold));
+            assert_eq!(record(memory, None), record(&rebuilt, None));
+            for prev in [&parent, &opened] {
+                assert_eq!(record(memory, Some(prev)), record(&rebuilt, Some(prev)));
+            }
+        }
+        // None of it reached the parent.
+        assert!(parent.iter_objects().map(|(_, o)| o).eq(&untouched));
     }
 
     #[test]

@@ -111,8 +111,9 @@ struct External {
 /// - **`clone`** copies `procs` and bumps two reference counts: the
 ///   memory's pool and the block of flags and history.
 /// - **A step that reads** — or is idle, or fails — un-shares nothing.
-/// - **A step that writes** copies the 16-object chunk it writes into and
-///   the pool's spine (see [`Memory`]), not the pool.
+/// - **A step that writes** copies the 16-object chunk it writes into,
+///   not the pool, and keeps the parent's spine unless the memory already
+///   holds another chunk of its own beside it (see [`Memory`]).
 /// - **An external action** — [`System::invoke`], a step that responds,
 ///   the first [`System::crash`] of a process — copies the flags and the
 ///   history once, if they are still shared, and appends to the copy,

@@ -19,6 +19,12 @@
 //! digest against a memory rebuilt from the model in one go, and the bytes
 //! of the plain and the delta record against what the flat slice codec
 //! writes for the model. A failing case there prints its seed too.
+//!
+//! The last test grows a family of clones that write into chunks picked
+//! at random, so a write often lands in another chunk than the memory's
+//! own last write or its parent's: each member is held to its flat model
+//! after every write, and every member's delta record against every
+//! other to the flat codec's.
 
 use slx_engine::{digest128_of, encode_slice_delta, DeltaCodec, DeltaCtx, StateCodec};
 use slx_memory::{BaseObject, Memory, MemoryError, ObjId, PrimOutcome, Primitive, SmallRng};
@@ -641,6 +647,67 @@ fn delta_records_that_resize_the_pool_across_a_chunk_boundary() {
             grown_model.agrees_with(&grown);
             grown_model.deltas_like(&grown, &model, &memory);
             model.deltas_like(&memory, &grown_model, &grown);
+        }
+    });
+}
+
+/// A primitive that changes object `slot` of a pool holding `model`.
+fn writing_primitive(rng: &mut SmallRng, model: &Flat, slot: usize) -> Primitive<i64> {
+    let obj = ObjId::new(slot);
+    let val = arb_val(rng);
+    match &model.objects[slot] {
+        BaseObject::Register(_) => Primitive::Write(obj, val),
+        &BaseObject::Cas(expected) => Primitive::Cas {
+            obj,
+            expected,
+            new: val,
+        },
+        BaseObject::Tas(true) => Primitive::TasReset(obj),
+        BaseObject::Tas(false) => Primitive::Tas(obj),
+        BaseObject::Counter(_) => Primitive::FetchAdd(obj, val),
+        BaseObject::Snapshot(v) => Primitive::SnapUpdate {
+            obj,
+            index: rng.gen_index(v.len()),
+            val,
+        },
+    }
+}
+
+/// A family of memories cloned from one another, each writing into a
+/// chunk it picks at random — often not the one it last wrote, nor the
+/// one its parent did — and every member delta-encoded against every
+/// other. Each must stay its flat model throughout, whatever its
+/// relatives write.
+#[test]
+fn clones_that_switch_chunks_agree_with_the_flat_model() {
+    for_each_seed(|rng| {
+        let len = [CHUNK + 1, 3 * CHUNK + 5][rng.gen_index(2)];
+        let chunks = len.div_ceil(CHUNK);
+        let mut family = vec![arb_pool(rng, len)];
+        for _ in 0..24 {
+            let i = rng.gen_index(family.len());
+            if rng.gen_index(3) == 0 {
+                let relative = family[i].clone();
+                family.push(relative);
+                continue;
+            }
+            let (memory, model) = &mut family[i];
+            for _ in 0..1 + rng.gen_index(3) {
+                let c = rng.gen_index(chunks);
+                let slot = c * CHUNK + rng.gen_index(CHUNK.min(len - c * CHUNK));
+                let primitive = writing_primitive(rng, model, slot);
+                let outcome = memory.apply(primitive.clone()).ok();
+                assert!(outcome.is_some(), "{primitive:?}");
+                assert_eq!(outcome, model.apply(&primitive), "{primitive:?}");
+            }
+            for (memory, model) in &family {
+                model.agrees_with(memory);
+            }
+        }
+        for (memory, model) in &family {
+            for (prev, prev_model) in &family {
+                model.deltas_like(memory, prev_model, prev);
+            }
         }
     });
 }

@@ -2,7 +2,8 @@
 //! `Clone` bumps a thread-local counter. A successor configuration pays
 //! for the chunk of the pool it writes into, not for the pool — on the
 //! 513-register memory of the bivalence adversary a write used to clone
-//! 513 words.
+//! 513 words — and keeps standing on its parent's spine, so the write
+//! costs the same whatever the pool's size.
 
 use std::cell::Cell;
 
@@ -68,4 +69,26 @@ fn a_write_clones_one_chunk_of_words_and_a_read_one_word() {
         .iter_objects()
         .all(|(_, o)| *o == BaseObject::Register(Counted(0))));
     assert_eq!(child.len(), 513);
+}
+
+#[test]
+fn a_write_costs_the_same_in_any_pool_and_copies_no_spine() {
+    // The `deep-*` rows' 97 registers, and Figure 1(a)'s pane at n = 43
+    // rounded up to whole chunks: 5,505 registers, 345 chunks.
+    let write_into = |len: usize| {
+        let mut parent: Memory<Counted> = Memory::new();
+        let regs = parent.alloc_registers(len, Counted(0));
+        let mut child = parent.clone();
+        let words = clones_during(|| {
+            child
+                .apply(Primitive::Write(regs.at(CHUNK + 3), Counted(1)))
+                .unwrap();
+        });
+        assert!(child.shares_spine_with(&parent), "{len} registers");
+        assert!(child.fold_is_exact());
+        words
+    };
+    let (small, large) = (write_into(97), write_into(5_505));
+    assert!((1..=CHUNK).contains(&small), "{small} words cloned");
+    assert!(large <= small, "{large} words cloned, against {small}");
 }

@@ -249,7 +249,8 @@ fn an_external_action_on_a_shared_block_does_not_reallocate() {
 fn a_consensus_transition_stays_within_its_allocation_budget() {
     // The `deep-resident` benchmark request. A successor is a `System`
     // clone (the process states), a step (a write copies one 16-object
-    // chunk and the pool's spine, a read nothing) and a digest (nothing);
+    // chunk, and the pool's spine only if another chunk of the parent's
+    // own is open; a read nothing) and a digest (nothing);
     // the 61 % of successors that dedup discards cost what the kept ones
     // do. A per-successor allocation added to any of that is one more
     // per transition, far past this limit.
