@@ -40,12 +40,114 @@ impl AcOutcome {
     }
 }
 
+/// Where a participant is, in one byte. A commit-adopt participant runs
+/// through the four in-round phases; a
+/// [`crate::ObstructionFreeConsensus`] process adds the three around its
+/// rounds and keeps all seven in the same byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pc {
+pub(crate) enum Phase {
+    Idle,
+    CheckDecision,
     WriteA,
-    CollectA(u32),
+    CollectA,
     WriteB,
-    CollectB(u32),
+    CollectB,
+    WriteDecision,
+}
+
+impl Phase {
+    /// Whether this is one of a commit-adopt participant's phases.
+    pub(crate) fn in_round(self) -> bool {
+        matches!(
+            self,
+            Phase::WriteA | Phase::CollectA | Phase::WriteB | Phase::CollectB
+        )
+    }
+}
+
+// The five flags a participant's collects keep, one bit each, in the
+// order `Hash` writes them.
+const ALL_A_EQUAL: u8 = 1;
+const HAS_COMMITTED: u8 = 1 << 1;
+const ALL_B_COMMIT: u8 = 1 << 2;
+const ANY_B: u8 = 1 << 3;
+const HAS_MIN_B: u8 = 1 << 4;
+
+/// The two values the B collect gathers, each held at zero while absent
+/// (the cursor's flags say which are present), so that comparing them
+/// beside the flags compares the two `Option`s the codecs write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Seen {
+    /// The value of a flagged `b` entry.
+    pub(crate) committed: Value,
+    /// The least value of any `b` entry.
+    pub(crate) min_b: Value,
+}
+
+/// Where a participant is and what its collects have found, in four
+/// bytes: the phase, the five flags and the collect position (zero
+/// outside a collect).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cursor {
+    pub(crate) phase: Phase,
+    flags: u8,
+    j: u16,
+}
+
+impl Cursor {
+    /// At `phase` with nothing collected: how a consensus process sits
+    /// outside its rounds.
+    pub(crate) fn at(phase: Phase) -> Self {
+        Cursor {
+            phase,
+            flags: 0,
+            j: 0,
+        }
+    }
+
+    /// About to write `a`: every `a` entry seen so far agrees and every
+    /// `b` entry seen so far commits, since there are none.
+    pub(crate) fn opening() -> Self {
+        Cursor {
+            phase: Phase::WriteA,
+            flags: ALL_A_EQUAL | ALL_B_COMMIT,
+            j: 0,
+        }
+    }
+
+    fn has(self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    fn set(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
+        }
+    }
+
+    /// `v` if `flag` says it was seen.
+    fn present(self, flag: u8, v: Value) -> Option<Value> {
+        self.has(flag).then_some(v)
+    }
+
+    /// The in-round program counter as (tag, collect position): where
+    /// the phase byte and `j` read as `CollectA(j)` / `CollectB(j)`.
+    ///
+    /// # Panics
+    /// Outside a round.
+    fn pc(self) -> (u8, usize) {
+        match self.phase {
+            Phase::WriteA => (0, 0),
+            Phase::CollectA => (1, self.j.into()),
+            Phase::WriteB => (2, 0),
+            Phase::CollectB => (3, self.j.into()),
+            Phase::Idle | Phase::CheckDecision | Phase::WriteDecision => {
+                unreachable!("a commit-adopt participant is inside its round")
+            }
+        }
+    }
 }
 
 /// Which registers a participant runs on and which column it owns: the
@@ -64,7 +166,7 @@ impl AcSlot {
     ///
     /// # Panics
     /// If the arrays differ in length, `me` is out of range, or the
-    /// arrays are too long for a 32-bit collect position.
+    /// arrays are too long for a 16-bit collect position.
     fn new(a: ObjRun, b: ObjRun, me: usize) -> Self {
         assert_eq!(a.len(), b.len(), "register arrays must have equal length");
         assert!(me < a.len(), "participant index out of range");
@@ -74,7 +176,7 @@ impl AcSlot {
     /// [`AcSlot::new`]'s checks as a decode rule: `None` instead of a
     /// panic.
     fn checked(a: ObjRun, b: ObjRun, me: usize) -> Option<Self> {
-        (b.len() == a.len() && me < a.len() && u32::try_from(a.len()).is_ok()).then_some(AcSlot {
+        (b.len() == a.len() && me < a.len() && u16::try_from(a.len()).is_ok()).then_some(AcSlot {
             a,
             b,
             me,
@@ -82,167 +184,67 @@ impl AcSlot {
     }
 }
 
-/// What varies while a participant runs: input, program counter and the
-/// collected flags.
+/// What varies while a participant runs: its input, the two collected
+/// values and its cursor, 32 bytes. [`AdoptCommit`] stores one; a
+/// consensus process stores the collected values and the cursor as
+/// fields of its own, its estimate being the input, and reads them back
+/// as one of these.
 ///
-/// The two optional values the collects gather are stored as a value and
-/// a presence flag each, with an absent value held at zero, so `Eq` is
-/// still the wide `Option` comparison; the codecs write the `Option`s
-/// back, and `Hash` writes the packed fields as they are. Together with
-/// the 32-bit collect position that keeps the state at 40 bytes, and a
-/// consensus process at 72.
+/// `Eq` compares what the wide state (an `Option` per collected value)
+/// compares; the codecs write the `Option`s, and `Hash` writes the
+/// stored fields as they are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AcState {
-    input: Value,
-    committed: Value,
-    min_b: Value,
-    pc: Pc,
-    all_a_equal: bool,
-    has_committed: bool,
-    all_b_commit: bool,
-    any_b: bool,
-    has_min_b: bool,
-}
-
-/// An optional value as `(present, value)`, absent at zero.
-fn packed(v: Option<Value>) -> (bool, Value) {
-    (v.is_some(), v.unwrap_or_default())
+    pub(crate) input: Value,
+    pub(crate) seen: Seen,
+    pub(crate) at: Cursor,
 }
 
 impl AcState {
     /// A participant about to write `a` with input `input`.
-    pub(crate) fn new(input: Value) -> Self {
+    fn new(input: Value) -> Self {
         AcState {
             input,
-            committed: Value::default(),
-            min_b: Value::default(),
-            pc: Pc::WriteA,
-            all_a_equal: true,
-            has_committed: false,
-            all_b_commit: true,
-            any_b: false,
-            has_min_b: false,
+            seen: Seen::default(),
+            at: Cursor::opening(),
         }
     }
 
     fn committed_seen(&self) -> Option<Value> {
-        self.has_committed.then_some(self.committed)
+        self.at.present(HAS_COMMITTED, self.seen.committed)
     }
 
     fn min_b_seen(&self) -> Option<Value> {
-        self.has_min_b.then_some(self.min_b)
+        self.at.present(HAS_MIN_B, self.seen.min_b)
     }
 
     /// See [`AdoptCommit::normalized_state`].
     pub(crate) fn normalized_state(&self, me: usize) -> AcNormalizedState {
-        let pc = match self.pc {
-            Pc::WriteA => (0, 0),
-            Pc::CollectA(j) => (1, j as usize),
-            Pc::WriteB => (2, 0),
-            Pc::CollectB(j) => (3, j as usize),
-        };
         (
-            pc,
+            self.at.pc(),
             me,
             self.input,
-            self.all_a_equal,
+            self.at.has(ALL_A_EQUAL),
             self.committed_seen(),
-            self.all_b_commit,
-            self.any_b,
+            self.at.has(ALL_B_COMMIT),
+            self.at.has(ANY_B),
             self.min_b_seen(),
         )
-    }
-
-    /// Performs one primitive of participant `slot`. Returns
-    /// `Some(outcome)` when finished.
-    pub(crate) fn step(&mut self, slot: AcSlot, mem: &mut Memory<ConsWord>) -> Option<AcOutcome> {
-        let n = slot.a.len();
-        match self.pc {
-            Pc::WriteA => {
-                mem.apply(Primitive::Write(
-                    slot.a.at(slot.me),
-                    ConsWord::Val(self.input),
-                ))
-                .expect("register allocated");
-                self.pc = Pc::CollectA(0);
-                None
-            }
-            Pc::CollectA(j) => {
-                let w = read(mem, slot.a.at(j as usize));
-                if let Some(v) = w.value() {
-                    if v != self.input {
-                        self.all_a_equal = false;
-                    }
-                }
-                self.pc = if (j as usize) + 1 < n {
-                    Pc::CollectA(j + 1)
-                } else {
-                    Pc::WriteB
-                };
-                None
-            }
-            Pc::WriteB => {
-                let entry = ConsWord::Flagged(self.all_a_equal, self.input);
-                mem.apply(Primitive::Write(slot.b.at(slot.me), entry))
-                    .expect("register allocated");
-                self.pc = Pc::CollectB(0);
-                None
-            }
-            Pc::CollectB(j) => {
-                let w = read(mem, slot.b.at(j as usize));
-                if let ConsWord::Flagged(flag, v) = w {
-                    self.any_b = true;
-                    let min = match self.min_b_seen() {
-                        Some(m) if m <= v => m,
-                        _ => v,
-                    };
-                    (self.has_min_b, self.min_b) = (true, min);
-                    if flag {
-                        (self.has_committed, self.committed) = (true, v);
-                    } else {
-                        self.all_b_commit = false;
-                    }
-                }
-                if (j as usize) + 1 < n {
-                    self.pc = Pc::CollectB(j + 1);
-                    return None;
-                }
-                // Finished the B collect: compute the outcome. With no
-                // commit in sight, adopt the *minimum* value seen, so that
-                // symmetric (e.g. lockstep) schedules converge to a common
-                // estimate instead of livelocking. Validity is preserved —
-                // every seen value is some participant's input.
-                Some(
-                    match (self.all_b_commit && self.any_b, self.committed_seen()) {
-                        (true, Some(v)) => AcOutcome::Commit(v),
-                        (_, Some(v)) => AcOutcome::Adopt(v),
-                        (_, None) => AcOutcome::Adopt(self.min_b_seen().unwrap_or(self.input)),
-                    },
-                )
-            }
-        }
     }
 
     /// Encodes everything after the participant index — the shared tail
     /// of both the self-contained and the delta encodings.
     fn encode(&self, out: &mut Vec<u8>) {
         self.input.encode(out);
-        match self.pc {
-            Pc::WriteA => out.push(0),
-            Pc::CollectA(j) => {
-                out.push(1);
-                (j as usize).encode(out);
-            }
-            Pc::WriteB => out.push(2),
-            Pc::CollectB(j) => {
-                out.push(3);
-                (j as usize).encode(out);
-            }
+        let (tag, j) = self.at.pc();
+        out.push(tag);
+        if matches!(self.at.phase, Phase::CollectA | Phase::CollectB) {
+            j.encode(out);
         }
-        self.all_a_equal.encode(out);
+        self.at.has(ALL_A_EQUAL).encode(out);
         self.committed_seen().encode(out);
-        self.all_b_commit.encode(out);
-        self.any_b.encode(out);
+        self.at.has(ALL_B_COMMIT).encode(out);
+        self.at.has(ANY_B).encode(out);
         self.min_b_seen().encode(out);
     }
 
@@ -250,60 +252,133 @@ impl AcState {
     /// length `n`.
     fn decode(n: usize, bytes: &mut &[u8]) -> Option<AcState> {
         let input = Value::decode(bytes)?;
-        // What `step` indexes by.
+        // What `step_participant` indexes by.
         let position = |bytes: &mut &[u8]| {
             let j = usize::decode(bytes)?;
             if j >= n {
                 return None;
             }
-            u32::try_from(j).ok()
+            u16::try_from(j).ok()
         };
-        let pc = match u8::decode(bytes)? {
-            0 => Pc::WriteA,
-            1 => Pc::CollectA(position(bytes)?),
-            2 => Pc::WriteB,
-            3 => Pc::CollectB(position(bytes)?),
+        let (phase, j) = match u8::decode(bytes)? {
+            0 => (Phase::WriteA, 0),
+            1 => (Phase::CollectA, position(bytes)?),
+            2 => (Phase::WriteB, 0),
+            3 => (Phase::CollectB, position(bytes)?),
             _ => return None,
         };
         let all_a_equal = bool::decode(bytes)?;
-        let (has_committed, committed) = packed(Option::decode(bytes)?);
+        let committed: Option<Value> = Option::decode(bytes)?;
         let all_b_commit = bool::decode(bytes)?;
         let any_b = bool::decode(bytes)?;
-        let (has_min_b, min_b) = packed(Option::decode(bytes)?);
+        let min_b: Option<Value> = Option::decode(bytes)?;
+        let mut at = Cursor { phase, flags: 0, j };
+        at.set(ALL_A_EQUAL, all_a_equal);
+        at.set(HAS_COMMITTED, committed.is_some());
+        at.set(ALL_B_COMMIT, all_b_commit);
+        at.set(ANY_B, any_b);
+        at.set(HAS_MIN_B, min_b.is_some());
         Some(AcState {
             input,
-            committed,
-            min_b,
-            pc,
-            all_a_equal,
-            has_committed,
-            all_b_commit,
-            any_b,
-            has_min_b,
+            seen: Seen {
+                committed: committed.unwrap_or_default(),
+                min_b: min_b.unwrap_or_default(),
+            },
+            at,
         })
     }
 }
 
 impl Hash for AcState {
     /// Four words: input, the two collected values (zero when absent),
-    /// and one holding the pc tag, the collect position and the five
-    /// flags.
+    /// and one holding the pc tag, the five flags and the collect
+    /// position.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let (tag, j) = match self.pc {
-            Pc::WriteA => (0, 0),
-            Pc::CollectA(j) => (1, j),
-            Pc::WriteB => (2, 0),
-            Pc::CollectB(j) => (3, j),
-        };
-        let flags = u64::from(self.all_a_equal)
-            | u64::from(self.has_committed) << 1
-            | u64::from(self.all_b_commit) << 2
-            | u64::from(self.any_b) << 3
-            | u64::from(self.has_min_b) << 4;
+        let (tag, j) = self.at.pc();
         state.write_i64(self.input.raw());
-        state.write_i64(self.committed.raw());
-        state.write_i64(self.min_b.raw());
-        state.write_u64(tag | flags << 8 | u64::from(j) << 32);
+        state.write_i64(self.seen.committed.raw());
+        state.write_i64(self.seen.min_b.raw());
+        state.write_u64(u64::from(tag) | u64::from(self.at.flags) << 8 | (j as u64) << 32);
+    }
+}
+
+/// Performs one primitive of participant `slot` with input `input` on
+/// its collected values and cursor, wherever its owner keeps them: the
+/// one commit-adopt step, run by [`AdoptCommit::step`] and by a
+/// consensus process inside a round. Returns `Some(outcome)` when
+/// finished.
+pub(crate) fn step_participant(
+    slot: AcSlot,
+    input: Value,
+    seen: &mut Seen,
+    at: &mut Cursor,
+    mem: &mut Memory<ConsWord>,
+) -> Option<AcOutcome> {
+    let last = usize::from(at.j) + 1 == slot.a.len();
+    match at.phase {
+        Phase::WriteA => {
+            mem.apply(Primitive::Write(slot.a.at(slot.me), ConsWord::Val(input)))
+                .expect("register allocated");
+            at.phase = Phase::CollectA;
+            None
+        }
+        Phase::CollectA => {
+            if let Some(v) = read(mem, slot.a.at(at.j.into())).value() {
+                if v != input {
+                    at.set(ALL_A_EQUAL, false);
+                }
+            }
+            if last {
+                (at.phase, at.j) = (Phase::WriteB, 0);
+            } else {
+                at.j += 1;
+            }
+            None
+        }
+        Phase::WriteB => {
+            let entry = ConsWord::Flagged(at.has(ALL_A_EQUAL), input);
+            mem.apply(Primitive::Write(slot.b.at(slot.me), entry))
+                .expect("register allocated");
+            at.phase = Phase::CollectB;
+            None
+        }
+        Phase::CollectB => {
+            if let ConsWord::Flagged(flag, v) = read(mem, slot.b.at(at.j.into())) {
+                at.set(ANY_B, true);
+                if !at.has(HAS_MIN_B) || v < seen.min_b {
+                    seen.min_b = v;
+                }
+                at.set(HAS_MIN_B, true);
+                if flag {
+                    seen.committed = v;
+                    at.set(HAS_COMMITTED, true);
+                } else {
+                    at.set(ALL_B_COMMIT, false);
+                }
+            }
+            if !last {
+                at.j += 1;
+                return None;
+            }
+            // Finished the B collect: compute the outcome. With no
+            // commit in sight, adopt the *minimum* value seen, so that
+            // symmetric (e.g. lockstep) schedules converge to a common
+            // estimate instead of livelocking. Validity is preserved —
+            // every seen value is some participant's input.
+            let all_commit = at.has(ALL_B_COMMIT) && at.has(ANY_B);
+            Some(
+                match (all_commit, at.present(HAS_COMMITTED, seen.committed)) {
+                    (true, Some(v)) => AcOutcome::Commit(v),
+                    (_, Some(v)) => AcOutcome::Adopt(v),
+                    (_, None) => {
+                        AcOutcome::Adopt(at.present(HAS_MIN_B, seen.min_b).unwrap_or(input))
+                    }
+                },
+            )
+        }
+        Phase::Idle | Phase::CheckDecision | Phase::WriteDecision => {
+            unreachable!("a commit-adopt participant is inside its round")
+        }
     }
 }
 
@@ -382,7 +457,8 @@ impl AdoptCommit {
 
     /// Performs one primitive. Returns `Some(outcome)` when finished.
     pub fn step(&mut self, mem: &mut Memory<ConsWord>) -> Option<AcOutcome> {
-        self.state.step(self.slot, mem)
+        let AcState { input, seen, at } = &mut self.state;
+        step_participant(self.slot, *input, seen, at, mem)
     }
 }
 

@@ -9,7 +9,7 @@ use slx_memory::{Memory, ObjId, ObjRun, PrimOutcome, Primitive, Process, StepEff
 
 use crate::adopt_commit::{
     decode_participant, decode_participant_delta, encode_participant, encode_participant_delta,
-    AcNormalizedState, AcOutcome, AcSlot, AcState,
+    step_participant, AcNormalizedState, AcOutcome, AcSlot, AcState, Cursor, Phase, Seen,
 };
 use crate::word::ConsWord;
 
@@ -19,49 +19,59 @@ use crate::word::ConsWord;
 ///
 /// Which registers round `r` uses is part of the program, not of the
 /// configuration, so the table is not stored: the rounds' registers are
-/// one consecutive run (`2n` per round: the `a` array then the `b`
-/// array) and round `r`'s arrays are offsets into it.
+/// one consecutive run right after the decision register (`2n` per
+/// round: the `a` array then the `b` array) and round `r`'s arrays are
+/// offsets into it.
 ///
-/// Every process carries a copy, so the ids are held as 32 bits (16
-/// bytes where an `ObjId` and an `ObjRun` take 32). The codecs widen them
-/// back to the full-width bytes they always wrote; `Hash` packs them into
-/// two words.
+/// Every process carries a copy, so it is 8 bytes: the run's first
+/// register in 32 bits, `n` and the round count in 16 each. The codecs
+/// write the full-width decision register, `n` and run they always
+/// wrote, and `Hash` the same two words; a record this form cannot hold
+/// does not decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
-    decision: u32,
+    /// The first round register; the decision register is the one
+    /// before it.
+    first: u32,
     /// Participants per commit-adopt object.
-    n: u32,
-    /// `a`-then-`b` registers, `2n` per round, from `regs_first` on.
-    regs_first: u32,
-    regs_len: u32,
+    n: u16,
+    /// Pre-allocated rounds.
+    rounds: u16,
 }
 
 impl Layout {
     /// The layout of decision register `decision` and round registers
     /// `regs` for `n` participants, or `None` if `regs` is not whole
-    /// rounds or an id does not fit in 32 bits.
+    /// rounds, does not start right after `decision`, or is too long or
+    /// too far out for the compact form (`n` and the round count in 16
+    /// bits, the run's start and length in 32).
     fn new(decision: ObjId, n: usize, regs: ObjRun) -> Option<Layout> {
-        if n > 0 && !regs.len().is_multiple_of(n.checked_mul(2)?) {
+        if decision.index().checked_add(1)? != regs.first().index() {
             return None;
         }
-        let narrow = |x: usize| u32::try_from(x).ok();
-        Some(Layout {
-            decision: narrow(decision.index())?,
-            n: narrow(n)?,
-            regs_first: narrow(regs.first().index())?,
-            regs_len: narrow(regs.len())?,
-        })
+        let n = u16::try_from(n).ok()?;
+        let rounds = match n {
+            0 => 0,
+            _ => regs.len() / (2 * usize::from(n)),
+        };
+        let layout = Layout {
+            first: u32::try_from(regs.first().index()).ok()?,
+            n,
+            rounds: u16::try_from(rounds).ok()?,
+        };
+        let len_fits = u32::try_from(regs.len()).is_ok();
+        (len_fits && layout.regs_len() == regs.len()).then_some(layout)
     }
 
     /// The decision register.
     #[must_use]
     pub fn decision(&self) -> ObjId {
-        ObjId::new(self.decision as usize)
+        ObjId::new(self.first as usize - 1)
     }
 
     /// Participants per commit-adopt object.
     fn n(&self) -> usize {
-        self.n as usize
+        self.n.into()
     }
 
     /// `me` as a participant index: every process owns one column of
@@ -69,13 +79,17 @@ impl Layout {
     ///
     /// # Panics
     /// If `me` is not below `n`.
-    fn participant(&self, me: ProcessId) -> u32 {
+    fn participant(&self, me: ProcessId) -> u16 {
         assert!(me.index() < self.n(), "participant index out of range");
-        me.index() as u32
+        me.index() as u16
+    }
+
+    fn regs_len(&self) -> usize {
+        2 * self.n() * self.max_rounds()
     }
 
     fn regs(&self) -> ObjRun {
-        ObjRun::new(ObjId::new(self.regs_first as usize), self.regs_len as usize)
+        ObjRun::new(ObjId::new(self.first as usize), self.regs_len())
             .expect("two 32-bit numbers add below the wrap")
     }
 
@@ -93,19 +107,15 @@ impl Layout {
     /// Pre-allocated rounds.
     #[must_use]
     pub fn max_rounds(&self) -> usize {
-        if self.n == 0 {
-            0
-        } else {
-            self.regs().len() / (2 * self.n())
-        }
+        self.rounds.into()
     }
 }
 
 impl Hash for Layout {
     /// Two words: decision register and `n`, then the rounds' run.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(u64::from(self.decision) | u64::from(self.n) << 32);
-        state.write_u64(u64::from(self.regs_first) | u64::from(self.regs_len) << 32);
+        state.write_u64(u64::from(self.first - 1) | u64::from(self.n) << 32);
+        state.write_u64(u64::from(self.first) | (self.regs_len() as u64) << 32);
     }
 }
 
@@ -113,16 +123,6 @@ impl Hash for Layout {
 /// round rebased to the caller's base, and the control state with
 /// register identities erased.
 pub type OfNormalizedState = (Value, usize, (u8, Option<AcNormalizedState>, Option<Value>));
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pc {
-    Idle,
-    CheckDecision,
-    /// Inside round `round`'s commit-adopt object, whose registers and
-    /// column follow from the layout, the round and `me`.
-    Round(AcState),
-    WriteDecision(Value),
-}
 
 /// The register-only consensus used for Figure 1a's white point:
 /// **obstruction-free** ((1,1)-free) and safe (agreement + validity).
@@ -142,20 +142,26 @@ enum Pc {
 /// `max_rounds` (the run panics if an execution exceeds it, which bounds
 /// experiments honestly instead of silently mis-deciding).
 ///
-/// A process stores only what varies within a run plus its layout and
-/// id in 32-bit form: 72 bytes. Its participant count is the layout's,
-/// and its in-round registers are derived from the layout, the round and
-/// the id. Both codecs write the full-width process the type always
-/// described, byte for byte, and `Eq` draws the same lines it did; `Hash`
-/// packs the stored fields into a few words and leaves out what they
-/// imply.
+/// A process stores only what varies within a run plus its layout, in
+/// plain fields: 40 bytes. Its participant count is the layout's, its
+/// in-round registers follow from the layout, the round and its id, and
+/// a round's commit-adopt input is its estimate. Both codecs write the
+/// full-width process the type always described, byte for byte, and
+/// `Eq` draws the same lines it did; `Hash` packs the stored fields into
+/// a few words and leaves out what they imply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObstructionFreeConsensus {
     layout: Layout,
-    me: u32,
-    round: u32,
     est: Value,
-    pc: Pc,
+    /// Inside a round, what its B collect has gathered; in
+    /// `WriteDecision`, `committed` is the value being written (the one
+    /// the round committed). Zero elsewhere.
+    seen: Seen,
+    me: u16,
+    round: u16,
+    /// The phase; inside a round also the collect position and flags,
+    /// which are zero elsewhere.
+    at: Cursor,
 }
 
 impl ObstructionFreeConsensus {
@@ -163,11 +169,12 @@ impl ObstructionFreeConsensus {
     /// `max_rounds` commit-adopt objects of `2n` registers each.
     ///
     /// # Panics
-    /// If a register id does not fit in 32 bits.
+    /// If the layout does not fit its compact form: `n` or `max_rounds`
+    /// past 65,535, or a register id past 32 bits.
     pub fn layout(mem: &mut Memory<ConsWord>, n: usize, max_rounds: usize) -> Layout {
         let decision = mem.alloc_register(ConsWord::Bot);
         let regs = mem.alloc_registers(max_rounds * 2 * n, ConsWord::Bot);
-        Layout::new(decision, n, regs).expect("register ids fit in 32 bits")
+        Layout::new(decision, n, regs).expect("the layout fits its compact form")
     }
 
     /// Creates the algorithm instance of process `me` (of `n`).
@@ -182,7 +189,8 @@ impl ObstructionFreeConsensus {
             me: layout.participant(me),
             est: Value::new(0),
             round: 0,
-            pc: Pc::Idle,
+            seen: Seen::default(),
+            at: Cursor::at(Phase::Idle),
         }
     }
 
@@ -207,10 +215,11 @@ impl ObstructionFreeConsensus {
     /// configuration and its successors, so never-written `⊥` registers
     /// are neither copied by a step nor compared by the delta spill
     /// codec; a writing step copies one pointer pair per chunk of them.
-    /// The processes are a fixed cost whatever `max_rounds` is: 72 bytes
+    /// The processes are a fixed cost whatever `max_rounds` is: 40 bytes
     /// each, copied with every successor, since a process keeps its
-    /// layout in 32-bit ids and derives its participant count and its
-    /// in-round registers instead of storing them.
+    /// layout in 8 bytes and its phase, counters and collected values in
+    /// plain fields, and derives its participant count, its in-round
+    /// registers and its commit-adopt input instead of storing them.
     /// What still grows with `max_rounds` is building the system, a
     /// self-contained record (the first of each spill chunk and of a
     /// checkpoint image: every object, written and read back one by one)
@@ -227,7 +236,7 @@ impl ObstructionFreeConsensus {
     /// The round this process is currently working in.
     #[must_use]
     pub fn round(&self) -> usize {
-        self.round as usize
+        self.round.into()
     }
 
     /// The shared register layout this process runs over.
@@ -237,7 +246,7 @@ impl ObstructionFreeConsensus {
     }
 
     fn me(&self) -> ProcessId {
-        ProcessId::new(self.me as usize)
+        ProcessId::new(self.me.into())
     }
 
     /// The registers and column of this process's commit-adopt object in
@@ -258,13 +267,29 @@ impl ObstructionFreeConsensus {
         AcSlot {
             a,
             b,
-            me: self.me as usize,
+            me: self.me.into(),
         }
     }
 
     /// [`Self::ac_slot`], if the process is inside a round.
     fn round_slot(&self) -> Option<AcSlot> {
-        matches!(self.pc, Pc::Round(_)).then(|| self.ac_slot())
+        self.at.phase.in_round().then(|| self.ac_slot())
+    }
+
+    /// The in-round sub-machine's state: the estimate is its input.
+    fn ac_state(&self) -> AcState {
+        AcState {
+            input: self.est,
+            seen: self.seen,
+            at: self.at,
+        }
+    }
+
+    /// Leaves the current phase for `phase`, outside a round, with
+    /// nothing collected.
+    fn enter(&mut self, phase: Phase) {
+        self.seen = Seen::default();
+        self.at = Cursor::at(phase);
     }
 
     /// The process state normalized **modulo a round shift**: estimate,
@@ -284,11 +309,15 @@ impl ObstructionFreeConsensus {
     /// If `base_round` exceeds the current round.
     #[must_use]
     pub fn normalized_state(&self, base_round: usize) -> OfNormalizedState {
-        let pc = match &self.pc {
-            Pc::Idle => (0, None, None),
-            Pc::CheckDecision => (1, None, None),
-            Pc::Round(ac) => (2, Some(ac.normalized_state(self.me as usize)), None),
-            Pc::WriteDecision(v) => (3, None, Some(*v)),
+        let pc = match self.at.phase {
+            Phase::Idle => (0, None, None),
+            Phase::CheckDecision => (1, None, None),
+            Phase::WriteA | Phase::CollectA | Phase::WriteB | Phase::CollectB => (
+                2,
+                Some(self.ac_state().normalized_state(self.me.into())),
+                None,
+            ),
+            Phase::WriteDecision => (3, None, Some(self.seen.committed)),
         };
         (self.est, self.round() - base_round, pc)
     }
@@ -321,19 +350,12 @@ impl ObstructionFreeConsensus {
         n: usize,
         est: Value,
         round: usize,
-        pc: Pc,
+        (seen, at): (Seen, Cursor),
         slot: Option<AcSlot>,
     ) -> Option<Self> {
         if n != layout.n() || me.index() >= n {
             return None;
         }
-        let p = ObstructionFreeConsensus {
-            layout,
-            me: me.index() as u32,
-            round: u32::try_from(round).ok()?,
-            est,
-            pc,
-        };
         let derived = layout.round_registers(round).map(|(a, b)| AcSlot {
             a,
             b,
@@ -342,7 +364,14 @@ impl ObstructionFreeConsensus {
         if slot.is_some() && slot != derived {
             return None;
         }
-        Some(p)
+        Some(ObstructionFreeConsensus {
+            layout,
+            me: layout.participant(me),
+            round: u16::try_from(round).ok()?,
+            est,
+            seen,
+            at,
+        })
     }
 }
 
@@ -385,24 +414,25 @@ impl DeltaCodec for Layout {
 impl Hash for ObstructionFreeConsensus {
     /// Packed words of the stored fields: the layout's two, `me` and the
     /// round in one, the estimate, then the control state's tag and its
-    /// payload. `n` and an in-round sub-machine's registers and index
-    /// follow from the layout, the round and `me`, so they are not
-    /// written; the tag fixes how many words follow, so the sequence is
-    /// injective.
+    /// payload. `n` and an in-round sub-machine's registers, index and
+    /// input follow from the layout, the round, `me` and the estimate,
+    /// so they are not written (the sub-machine's words still start with
+    /// its input); the tag fixes how many words follow, so the sequence
+    /// is injective.
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.layout.hash(state);
         state.write_u64(u64::from(self.me) | u64::from(self.round) << 32);
         state.write_i64(self.est.raw());
-        match &self.pc {
-            Pc::Idle => state.write_u64(0),
-            Pc::CheckDecision => state.write_u64(1),
-            Pc::Round(ac) => {
+        match self.at.phase {
+            Phase::Idle => state.write_u64(0),
+            Phase::CheckDecision => state.write_u64(1),
+            Phase::WriteA | Phase::CollectA | Phase::WriteB | Phase::CollectB => {
                 state.write_u64(2);
-                ac.hash(state);
+                self.ac_state().hash(state);
             }
-            Pc::WriteDecision(v) => {
+            Phase::WriteDecision => {
                 state.write_u64(3);
-                state.write_i64(v.raw());
+                state.write_i64(self.seen.committed.raw());
             }
         }
     }
@@ -420,22 +450,24 @@ impl ObstructionFreeConsensus {
         self.layout.n().encode(out);
         self.est.encode(out);
         self.round().encode(out);
-        match &self.pc {
-            Pc::Idle => out.push(0),
-            Pc::CheckDecision => out.push(1),
-            Pc::Round(ac) => {
+        match self.at.phase {
+            Phase::Idle => out.push(0),
+            Phase::CheckDecision => out.push(1),
+            Phase::WriteA | Phase::CollectA | Phase::WriteB | Phase::CollectB => {
                 out.push(2);
-                participant(self.ac_slot(), ac, out);
+                participant(self.ac_slot(), &self.ac_state(), out);
             }
-            Pc::WriteDecision(v) => {
+            Phase::WriteDecision => {
                 out.push(3);
-                v.encode(out);
+                self.seen.committed.encode(out);
             }
         }
     }
 
     /// Reads [`Self::encode_tail`]'s bytes over `layout`; an in-round
-    /// sub-machine is read by `participant`.
+    /// sub-machine is read by `participant`, and must run on the
+    /// estimate: a record whose sub-machine input differs is no process
+    /// this type can hold.
     fn decode_tail(
         layout: Layout,
         input: &mut &[u8],
@@ -445,17 +477,25 @@ impl ObstructionFreeConsensus {
         let n = usize::decode(input)?;
         let est = Value::decode(input)?;
         let round = usize::decode(input)?;
-        let (pc, slot) = match u8::decode(input)? {
-            0 => (Pc::Idle, None),
-            1 => (Pc::CheckDecision, None),
+        let outside = |phase| (Seen::default(), Cursor::at(phase));
+        let (state, slot) = match u8::decode(input)? {
+            0 => (outside(Phase::Idle), None),
+            1 => (outside(Phase::CheckDecision), None),
             2 => {
                 let (slot, ac) = participant(input)?;
-                (Pc::Round(ac), Some(slot))
+                if ac.input != est {
+                    return None;
+                }
+                ((ac.seen, ac.at), Some(slot))
             }
-            3 => (Pc::WriteDecision(Value::decode(input)?), None),
+            3 => {
+                let (mut seen, at) = outside(Phase::WriteDecision);
+                seen.committed = Value::decode(input)?;
+                ((seen, at), None)
+            }
             _ => return None,
         };
-        Self::assemble(layout, me, n, est, round, pc, slot)
+        Self::assemble(layout, me, n, est, round, state, slot)
     }
 }
 
@@ -515,17 +555,17 @@ impl Process<ConsWord> for ObstructionFreeConsensus {
         };
         self.est = v;
         self.round = 0;
-        self.pc = Pc::CheckDecision;
+        self.enter(Phase::CheckDecision);
     }
 
     fn has_step(&self) -> bool {
-        !matches!(self.pc, Pc::Idle)
+        self.at.phase != Phase::Idle
     }
 
     fn step(&mut self, mem: &mut Memory<ConsWord>) -> StepEffect {
-        match std::mem::replace(&mut self.pc, Pc::Idle) {
-            Pc::Idle => StepEffect::Idle,
-            Pc::CheckDecision => {
+        match self.at.phase {
+            Phase::Idle => StepEffect::Idle,
+            Phase::CheckDecision => {
                 let d = match mem
                     .apply(Primitive::Read(self.layout.decision()))
                     .expect("decision register allocated")
@@ -534,28 +574,35 @@ impl Process<ConsWord> for ObstructionFreeConsensus {
                     _ => unreachable!("registers return values"),
                 };
                 if let ConsWord::Val(v) = d {
+                    self.enter(Phase::Idle);
                     return StepEffect::Responded(Response::Decided(v));
                 }
                 // Opening the round checks that it was pre-allocated.
                 self.ac_slot();
-                self.pc = Pc::Round(AcState::new(self.est));
+                self.at = Cursor::opening();
                 StepEffect::Ran
             }
-            Pc::Round(mut ac) => {
-                match ac.step(self.ac_slot(), mem) {
-                    None => self.pc = Pc::Round(ac),
-                    Some(AcOutcome::Commit(v)) => self.pc = Pc::WriteDecision(v),
+            Phase::WriteA | Phase::CollectA | Phase::WriteB | Phase::CollectB => {
+                let slot = self.ac_slot();
+                match step_participant(slot, self.est, &mut self.seen, &mut self.at, mem) {
+                    None => {}
+                    Some(AcOutcome::Commit(v)) => {
+                        self.enter(Phase::WriteDecision);
+                        self.seen.committed = v;
+                    }
                     Some(AcOutcome::Adopt(v)) => {
                         self.est = v;
                         self.round += 1;
-                        self.pc = Pc::CheckDecision;
+                        self.enter(Phase::CheckDecision);
                     }
                 }
                 StepEffect::Ran
             }
-            Pc::WriteDecision(v) => {
+            Phase::WriteDecision => {
+                let v = self.seen.committed;
                 mem.apply(Primitive::Write(self.layout.decision(), ConsWord::Val(v)))
                     .expect("decision register allocated");
+                self.enter(Phase::Idle);
                 StepEffect::Responded(Response::Decided(v))
             }
         }
@@ -613,6 +660,15 @@ mod tests {
         built.encode(&mut built_bytes);
         sys.encode(&mut sys_bytes);
         assert_eq!(built_bytes, sys_bytes);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_process_is_forty_bytes() {
+        // Every successor copies its processes: a field that comes back
+        // shows here before it shows as resident memory.
+        assert_eq!(std::mem::size_of::<Layout>(), 8);
+        assert_eq!(std::mem::size_of::<ObstructionFreeConsensus>(), 40);
     }
 
     #[test]

@@ -439,10 +439,17 @@ fn register_runs_that_cannot_exist_do_not_decode() {
     let run = decode_parts::<ObjRun>(&[usize::MAX - 2, 2]).expect("ends below the wrap");
     assert_eq!(run.at(1).index(), usize::MAX - 1);
 
-    // A layout is (decision, n, run): the run is `2n` registers a round.
+    // A layout is (decision, n, run): the run is `2n` registers a round
+    // and starts right after the decision register, and `n` and the
+    // round count fit in 16 bits.
     assert!(decode_parts::<OfLayout>(&[1, 3, 2, 12]).is_some());
     assert!(decode_parts::<OfLayout>(&[1, 3, 2, 13]).is_none());
     assert!(decode_parts::<OfLayout>(&[1, usize::MAX, 2, 12]).is_none());
+    assert!(decode_parts::<OfLayout>(&[1, 3, 3, 12]).is_none());
+    assert!(decode_parts::<OfLayout>(&[1, 65_535, 2, 131_070]).is_some());
+    assert!(decode_parts::<OfLayout>(&[1, 65_536, 2, 131_072]).is_none());
+    assert!(decode_parts::<OfLayout>(&[1, 1, 2, 131_070]).is_some());
+    assert!(decode_parts::<OfLayout>(&[1, 1, 2, 131_072]).is_none());
 
     // A commit-adopt participant is (a, b, me, input, pc, flags…) and
     // indexes both runs by `me` and by its collect position.
@@ -473,10 +480,11 @@ fn register_runs_that_cannot_exist_do_not_decode() {
 #[test]
 fn consensus_records_whose_stored_copies_disagree_do_not_decode() {
     // A consensus process stores its participant count only in its
-    // layout and derives its in-round registers and index from the
-    // layout, the round and its id. A record whose written copies of
-    // those disagree is no process: decoding it must fail rather than
-    // keep one copy and silently become a different state.
+    // layout, derives its in-round registers and index from the layout,
+    // the round and its id, and runs a round on its estimate. A record
+    // whose written copies of those disagree is no process: decoding it
+    // must fail rather than keep one copy and silently become a
+    // different state.
     let mut sys = off_base_proposers(&[1, 2], 2);
     sys.step(p(1)).unwrap(); // CheckDecision -> Round(WriteA)
     sys.step(p(1)).unwrap(); // WriteA -> CollectA(0)
@@ -515,6 +523,15 @@ fn consensus_records_whose_stored_copies_disagree_do_not_decode() {
         "me is not the sub-machine's index"
     );
     assert!(patched(&[(4, 0), (13, 0)]).is_some(), "process 0's column");
+    assert_eq!(
+        patched(&[(14, 2)]),
+        None,
+        "the round's input is not the estimate"
+    );
+    assert!(
+        patched(&[(6, 2), (14, 2)]).is_some(),
+        "input and estimate 1"
+    );
     assert!(
         patched(&[(7, 1), (9, 6), (11, 8)]).is_some(),
         "round 1 on round 1's registers"
@@ -544,9 +561,9 @@ fn consensus_records_whose_stored_copies_disagree_do_not_decode() {
     let mut delta = Vec::new();
     next.encode_delta(Some(&prev), &mut delta);
     assert_eq!(
-        delta[..8],
-        [1, 1, 2, 4, 0, 2, 1, 1],
-        "layout marker, me, n, est, round, pc, same regs, me"
+        delta[..9],
+        [1, 1, 2, 4, 0, 2, 1, 1, 4],
+        "layout marker, me, n, est, round, pc, same regs, me, input"
     );
     let replayed = |delta: &[u8]| {
         ObstructionFreeConsensus::decode_delta(Some(&prev), &mut &delta[..], &mut DeltaCtx::new())
@@ -558,5 +575,12 @@ fn consensus_records_whose_stored_copies_disagree_do_not_decode() {
         replayed(&moved),
         None,
         "round 1 on the predecessor's round 0 registers"
+    );
+    let mut other_input = delta.clone();
+    other_input[8] = 2;
+    assert_eq!(
+        replayed(&other_input),
+        None,
+        "the round's input is not the estimate"
     );
 }

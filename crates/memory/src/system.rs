@@ -108,8 +108,11 @@ struct External {
 ///
 /// What each operation costs, beside the process states:
 ///
-/// - **`clone`** copies `procs` and bumps two reference counts: the
-///   memory's pool and the block of flags and history.
+/// - **`clone`** copies `procs` into one new block and bumps two
+///   reference counts: the memory's pool and the block of flags and
+///   history. The block is what a successor owns beside a chunk it
+///   writes; an obstruction-free consensus process is 40 bytes, so
+///   three of them ask for 120.
 /// - **A step that reads** — or is idle, or fails — un-shares nothing.
 /// - **A step that writes** copies the 16-object chunk it writes into,
 ///   not the pool, and keeps the parent's spine unless the memory already
