@@ -109,7 +109,7 @@ const WINDOW_BLOCKS_PER_THREAD: usize = 4;
 /// to spawn and join. The threshold was set when two threads won 1.5x on
 /// the consensus spaces; they no longer win: traced `deep-par` runs (2
 /// threads on a 2-core VM) read `par_speedup_x` 0.57–0.82 and
-/// `par_cpu_x` 2.0–2.6, a slower run for twice the CPU. ROADMAP item 4's
+/// `par_cpu_x` 2.0–2.6, a slower run for twice the CPU. ROADMAP item 7's
 /// PR B deletes the threaded path, and this constant with it.
 const PAR_MIN_FRONTIER: usize = 2 * BLOCK_PARENTS;
 

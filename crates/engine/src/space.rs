@@ -1,5 +1,7 @@
 //! The [`StateSpace`] abstraction checkers implement.
 
+use std::any::Any;
+
 use crate::digest::Digest;
 
 /// A transition system the [`crate::Checker`] can explore.
@@ -98,7 +100,9 @@ pub trait StateSpace {
 /// rather than on the one thread that merges — whose share of a level is
 /// then a set insert per successor. A checker keeps one `Expansion` per
 /// thread and resets or drains it between parents (the BFS window), so
-/// the vectors are allocated once, not per state.
+/// the vectors are allocated once, not per state; it lives for one chunk
+/// of a level (the whole level in a resident run) with one thread, for
+/// one block of parents with more.
 pub struct Expansion<'sp, Sp: StateSpace + ?Sized> {
     space: &'sp Sp,
     pub(crate) succs: Vec<(Sp::State, Digest)>,
@@ -115,6 +119,8 @@ pub struct Expansion<'sp, Sp: StateSpace + ?Sized> {
     /// active, so orbit collapse happens at push time — on the expanding
     /// worker — like ordinary digesting.
     canonical: bool,
+    /// What [`Expansion::scratch`] hands out, kept across parents.
+    scratch: Option<Box<dyn Any + Send>>,
 }
 
 impl<'sp, Sp: StateSpace + ?Sized> Expansion<'sp, Sp> {
@@ -126,6 +132,7 @@ impl<'sp, Sp: StateSpace + ?Sized> Expansion<'sp, Sp> {
             truncated: false,
             digests: true,
             canonical: false,
+            scratch: None,
         }
     }
 
@@ -152,6 +159,25 @@ impl<'sp, Sp: StateSpace + ?Sized> Expansion<'sp, Sp> {
         self.succs.clear();
         self.findings.clear();
         self.truncated = false;
+    }
+
+    /// A value the space keeps while this expansion lasts: across every
+    /// parent of the chunk or block it serves, then dropped with it. The
+    /// first call, or a call for another type, starts from
+    /// `T::default()`.
+    ///
+    /// An expansion belongs to one worker, so this needs no lock. It is
+    /// for sharing storage between successors of different parents,
+    /// never for changing what is pushed: `expand` stays a pure function
+    /// of `(state, depth)`.
+    pub fn scratch<T: Default + Send + 'static>(&mut self) -> &mut T {
+        if !self.scratch.as_ref().is_some_and(|held| held.is::<T>()) {
+            self.scratch = Some(Box::new(T::default()));
+        }
+        self.scratch
+            .as_mut()
+            .and_then(|held| held.downcast_mut())
+            .expect("holds a `T` since just above")
     }
 
     /// Pre-allocates room for at least `additional` more successors.

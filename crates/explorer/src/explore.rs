@@ -8,9 +8,11 @@
 
 use std::hash::Hash;
 
-use slx_engine::{Checker, DeltaCodec, Digest, Expansion, ExploreStats, Fingerprinter, StateSpace};
+use slx_engine::{
+    digest128_of, Checker, DeltaCodec, Digest, Expansion, ExploreStats, Fingerprinter, StateSpace,
+};
 use slx_history::{History, ProcessId};
-use slx_memory::{Process, StepEffect, System, Word};
+use slx_memory::{Memory, Process, StepEffect, System, Word};
 use slx_safety::SafetyProperty;
 
 /// Fast digest of a full external history, order-sensitive.
@@ -48,6 +50,45 @@ impl ExploreOutcome {
     }
 }
 
+/// Slots of a [`WrittenMemories`] table. Swept over {64, 128, 256}
+/// (EXPERIMENTS.md, "Equal memories are one memory"): more slots find
+/// more equal memories on `deep-resident` and pin more chunks on
+/// `deep-spill`, whose chunks are small.
+const MEMORY_SLOTS: usize = 128;
+
+/// The memories written while expanding one chunk of a level (a resident
+/// run's whole level) or one block of parents, direct-mapped by their
+/// `Hash`: SPIN's COLLAPSE idea, with the memory as the shared component.
+/// Each process writes only its own registers, so interleavings that
+/// differ only in the order of writes reach equal memories from
+/// different parents; a successor whose memory is already in the table
+/// takes that memory's copies of the chunks it wrote and frees its own
+/// ([`System::share_memory`]). It lives in the worker's
+/// [`Expansion::scratch`] and goes with it.
+struct WrittenMemories<W> {
+    slots: Vec<Option<Memory<W>>>,
+}
+
+impl<W> Default for WrittenMemories<W> {
+    fn default() -> Self {
+        let slots = (0..MEMORY_SLOTS).map(|_| None).collect();
+        WrittenMemories { slots }
+    }
+}
+
+impl<W: Word> WrittenMemories<W> {
+    /// Lets `next` share the chunks of the equal memory its slot holds,
+    /// or else puts a clone of `next`'s memory in the slot.
+    fn share<P: Process<W>>(&mut self, next: &mut System<W, P>) {
+        let key = digest128_of(next.memory()).0 as usize;
+        let slot = &mut self.slots[key % MEMORY_SLOTS];
+        match slot {
+            Some(memory) if next.share_memory(memory) => {}
+            _ => *slot = Some(next.memory().clone()),
+        }
+    }
+}
+
 /// The safety-exploration state space: all schedules of the active
 /// processes to a depth bound, pruning below violations.
 struct SafetySpace<'a, W, P, S, D> {
@@ -76,7 +117,7 @@ pub(crate) fn covers_all_processes(active: &[ProcessId], n: usize) -> bool {
 
 impl<W, P, S, D> StateSpace for SafetySpace<'_, W, P, S, D>
 where
-    W: Word + DeltaCodec + Send + Sync,
+    W: Word + DeltaCodec + Send + Sync + 'static,
     P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
     S: SafetyProperty + Sync,
     D: Fn(&History) -> u64 + Sync,
@@ -130,6 +171,10 @@ where
                 ctx.finding(next.history().clone());
                 continue; // prune below the violation
             }
+            // A step that only read still shares every chunk with `sys`.
+            if !next.memory().shares_chunks_with(sys.memory()) {
+                ctx.scratch::<WrittenMemories<W>>().share(&mut next);
+            }
             ctx.push(next);
         }
     }
@@ -145,6 +190,11 @@ where
 /// on a fingerprint of `(configuration, digest(history))`; with a faithful
 /// digest the search is exact, not heuristic.
 ///
+/// A successor whose step wrote may end up holding an equal memory that
+/// another successor from the same chunk of its level wrote first (see
+/// [`System::share_memory`]): one copy of the chunks, the same
+/// configuration, digests and verdicts.
+///
 /// Runs on [`Checker::auto`] (parallel BFS sized to the machine); use
 /// [`explore_safety_with`] to pin a checker.
 pub fn explore_safety<W, P, S>(
@@ -155,7 +205,7 @@ pub fn explore_safety<W, P, S>(
     digest: impl Fn(&History) -> u64 + Copy + Send + Sync,
 ) -> ExploreOutcome
 where
-    W: Word + DeltaCodec + Send + Sync,
+    W: Word + DeltaCodec + Send + Sync + 'static,
     P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
     S: SafetyProperty + Sync,
 {
@@ -174,7 +224,7 @@ pub fn explore_safety_with<W, P, S>(
     digest: impl Fn(&History) -> u64 + Copy + Send + Sync,
 ) -> ExploreOutcome
 where
-    W: Word + DeltaCodec + Send + Sync,
+    W: Word + DeltaCodec + Send + Sync + 'static,
     P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
     S: SafetyProperty + Sync,
 {
@@ -197,7 +247,7 @@ pub fn explore_safety_observed<W, P, S>(
     progress: impl FnMut(usize, &ExploreStats) -> bool,
 ) -> ExploreOutcome
 where
-    W: Word + DeltaCodec + Send + Sync,
+    W: Word + DeltaCodec + Send + Sync + 'static,
     P: Process<W> + DeltaCodec + Clone + Eq + Hash + Send + Sync,
     S: SafetyProperty + Sync,
 {
@@ -316,6 +366,40 @@ mod tests {
             consensus_digest,
         );
         assert!(!out.holds(), "disagreement must be found");
+    }
+
+    #[test]
+    fn successors_of_two_parents_that_write_equal_memories_share_one() {
+        let sys = ObstructionFreeConsensus::proposers(&[1, 2], 8);
+        let step = |sys: &System<ConsWord, ObstructionFreeConsensus>, i| {
+            let mut next = sys.clone();
+            next.step(p(i)).unwrap();
+            next
+        };
+        // Both processes read the decision register; then each writes its
+        // own register, in either order: two parents, one depth, and
+        // successors whose memories are equal.
+        let read = step(&sys, 0);
+        assert!(read.memory().shares_chunks_with(sys.memory()));
+        let base = step(&read, 1);
+        let (a, b) = (step(&base, 0), step(&base, 1));
+        let (mut ab, mut ba) = (step(&a, 1), step(&b, 0));
+        assert!(!ab.memory().shares_chunks_with(a.memory()));
+        assert!(!ba.memory().shares_chunks_with(b.memory()));
+        assert!(ab.memory() == ba.memory() && !ba.memory().shares_chunks_with(ab.memory()));
+        let digest = digest128_of(&ba);
+
+        let mut table = WrittenMemories::default();
+        table.share(&mut ab);
+        table.share(&mut ba);
+        assert!(ba.memory().shares_chunks_with(ab.memory()));
+        assert_eq!(digest128_of(&ba), digest);
+        assert!(ba.memory().fold_is_exact());
+        // A memory that is not the slot's keeps its own copy.
+        let mut aa = step(&a, 0);
+        assert!(!aa.share_memory(ab.memory()));
+        table.share(&mut aa);
+        assert!(!aa.memory().shares_chunks_with(ab.memory()));
     }
 
     #[test]

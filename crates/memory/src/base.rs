@@ -674,6 +674,50 @@ impl<W: Word> Memory<W> {
         Arc::ptr_eq(&self.objects.chunks, &other.objects.chunks)
     }
 
+    /// Whether every chunk of this memory's pool is the very allocation
+    /// `other` reads at the same position: a memory cloned from `other`
+    /// that has changed no object since. Storage, not content — an equal
+    /// memory built elsewhere shares nothing.
+    pub fn shares_chunks_with(&self, other: &Self) -> bool {
+        let (ours, theirs) = (&self.objects, &other.objects);
+        Arc::ptr_eq(&ours.chunks, &theirs.chunks)
+            && match (&ours.open, &theirs.open) {
+                (None, None) => true,
+                (Some((c, ours)), Some((d, theirs))) => c == d && Arc::ptr_eq(ours, theirs),
+                _ => false,
+            }
+    }
+
+    /// Holds `other`'s allocation in place of each chunk that only this
+    /// memory holds — its open chunk, or the chunks of a spine of its own
+    /// — and drops those copies. Every chunk it shares stays where it is,
+    /// so the memory still differs from its siblings only in the chunks
+    /// it wrote.
+    ///
+    /// `other` must be equal to this memory ([`crate::System::share_memory`]
+    /// checks): the objects stay what they were, and so do the fold and
+    /// `applied`.
+    pub(crate) fn share_written_chunks(&mut self, other: &Self) {
+        // A pool makes no `Weak`, so one strong count is one owner: a
+        // load, where `Arc::get_mut` takes the count's line for writing.
+        fn alone<T: ?Sized>(arc: &Arc<T>) -> bool {
+            Arc::strong_count(arc) == 1
+        }
+        let pool = &mut self.objects;
+        if let Some((c, chunk)) = &mut pool.open {
+            if alone(chunk) {
+                *chunk = Arc::clone(other.objects.chunk(*c));
+            }
+        } else if alone(&pool.chunks) {
+            let spine = Arc::get_mut(&mut pool.chunks).expect("one owner");
+            for (c, chunk) in spine.iter_mut().enumerate() {
+                if alone(chunk) {
+                    *chunk = Arc::clone(other.objects.chunk(c));
+                }
+            }
+        }
+    }
+
     /// The chunks of this memory's pool that are not the very allocation
     /// `other` holds at the same position.
     #[cfg(test)]
@@ -1206,6 +1250,36 @@ mod tests {
         }
         // None of it reached the parent.
         assert!(parent.iter_objects().map(|(_, o)| o).eq(&untouched));
+    }
+
+    /// Two memories that wrote the same objects in a different order
+    /// from one parent: the second takes the first's copies of what it
+    /// wrote, and still shares every other chunk with the parent.
+    #[test]
+    fn an_equal_memory_lends_the_chunks_a_write_copied() {
+        let mut parent: Memory<i64> = Memory::new();
+        parent.alloc_registers(3 * CHUNK, 0);
+        let written = |writes: &[(usize, i64)]| {
+            let mut memory = parent.clone();
+            for &(obj, val) in writes {
+                memory.apply(Primitive::Write(ObjId(obj), val)).unwrap();
+            }
+            memory
+        };
+        // One chunk written: an open chunk beside the parent's spine.
+        let (one, two) = ([(1, 5), (2, 6)], [(2, 6), (1, 5)]);
+        // Two chunks written: a spine of each memory's own.
+        let (far, near) = ([(1, 5), (CHUNK, 6)], [(CHUNK, 6), (1, 5)]);
+        for ((lender, mut borrower), own) in [
+            ((written(&one), written(&two)), vec![0]),
+            ((written(&far), written(&near)), vec![0, 1]),
+        ] {
+            assert_eq!(borrower.unshared_chunks(&lender), own);
+            borrower.share_written_chunks(&lender);
+            assert!(borrower.unshared_chunks(&lender).is_empty());
+            assert_eq!(borrower.unshared_chunks(&parent), own);
+            assert!(borrower == lender && borrower.fold_is_exact());
+        }
     }
 
     #[test]

@@ -116,7 +116,11 @@ struct External {
 /// - **A step that reads** — or is idle, or fails — un-shares nothing.
 /// - **A step that writes** copies the 16-object chunk it writes into,
 ///   not the pool, and keeps the parent's spine unless the memory already
-///   holds another chunk of its own beside it (see [`Memory`]).
+///   holds another chunk of its own beside it (see [`Memory`]). A
+///   written memory may then be traded for an equal one another
+///   successor already holds ([`System::share_memory`]; the safety
+///   explorer does this across the parents of one chunk of a level), and
+///   the copied chunk is freed.
 /// - **An external action** — [`System::invoke`], a step that responds,
 ///   the first [`System::crash`] of a process — copies the flags and the
 ///   history once, if they are still shared, and appends to the copy,
@@ -159,6 +163,21 @@ impl<W: Word, P: Process<W>> System<W, P> {
     /// Read-only view of the shared memory.
     pub fn memory(&self) -> &Memory<W> {
         &self.memory
+    }
+
+    /// If `other` equals this system's memory ([`Memory`]'s exact `Eq`),
+    /// holds `other`'s chunks in place of the ones this memory alone
+    /// holds — the copies its writes made — and frees those; returns
+    /// whether the two were equal. The configuration, its `Hash` and its
+    /// encoded bytes stay what they were; only storage changes hands, so
+    /// systems that reached one memory along different schedules hold
+    /// one copy of the chunks they wrote.
+    pub fn share_memory(&mut self, other: &Memory<W>) -> bool {
+        let equal = self.memory == *other;
+        if equal {
+            self.memory.share_written_chunks(other);
+        }
+        equal
     }
 
     /// Read-only view of process `p`'s algorithm state.

@@ -14,7 +14,10 @@
 //! the history at `len`, the append reallocated it.
 //!
 //! The counters are per thread, so the tests of this binary do not see
-//! each other and every counted run pins one kernel thread.
+//! each other and every counted run pins one kernel thread. Beside the
+//! calls, the allocator keeps the thread's live bytes (allocated minus
+//! freed) and their running maximum, which is what a run holds at its
+//! peak: the number a memory regression moves.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAllocator};
 use std::cell::Cell;
@@ -33,6 +36,8 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static REALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// `try_with`: the allocator also runs while a thread's locals are being
@@ -40,6 +45,16 @@ thread_local! {
 /// so touching them never allocates.
 fn bump(counter: &'static LocalKey<Cell<u64>>, by: usize) {
     let _ = counter.try_with(|c| c.set(c.get() + by as u64));
+}
+
+/// Moves the thread's live bytes by `delta` and its peak after them. A
+/// block freed on another thread than the one that allocated it moves
+/// each thread's count one way only; the counted runs are one thread.
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 struct Counting;
@@ -50,11 +65,13 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(&ALLOCS, 1);
         bump(&BYTES, layout.size());
+        live(layout.size() as i64);
         // SAFETY: the caller's contract for `alloc`, passed on as is.
         unsafe { SystemAllocator.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through `alloc` / `realloc`
         // above with this `layout`, which is the caller's contract here.
         unsafe { SystemAllocator.dealloc(ptr, layout) }
@@ -63,6 +80,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(&REALLOCS, 1);
         bump(&BYTES, new_size);
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's contract for `realloc`, passed on as is.
         unsafe { SystemAllocator.realloc(ptr, layout, new_size) }
     }
@@ -79,6 +97,8 @@ struct Cost {
     /// Requested, not resident: the size of every `alloc` plus the new
     /// size of every `realloc`.
     bytes: u64,
+    /// The most bytes live at once beyond what was live at the start.
+    peak_live: u64,
 }
 
 impl Cost {
@@ -87,6 +107,7 @@ impl Cost {
             allocs: ALLOCS.with(Cell::get),
             reallocs: REALLOCS.with(Cell::get),
             bytes: BYTES.with(Cell::get),
+            peak_live: 0,
         }
     }
 
@@ -102,6 +123,8 @@ impl Cost {
 
 /// Runs `f` and returns what it made this thread allocate.
 fn cost_of<T>(f: impl FnOnce() -> T) -> (T, Cost) {
+    let live_before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live_before));
     let before = Cost::now();
     let out = f();
     let after = Cost::now();
@@ -109,6 +132,8 @@ fn cost_of<T>(f: impl FnOnce() -> T) -> (T, Cost) {
         allocs: after.allocs - before.allocs,
         reallocs: after.reallocs - before.reallocs,
         bytes: after.bytes - before.bytes,
+        peak_live: u64::try_from(PEAK.with(Cell::get) - live_before)
+            .expect("the peak starts at what was live"),
     };
     (out, cost)
 }
@@ -250,7 +275,9 @@ fn a_consensus_transition_stays_within_its_allocation_budget() {
     // The `deep-resident` benchmark request. A successor is a `System`
     // clone (the process states), a step (a write copies one 16-object
     // chunk, and the pool's spine only if another chunk of the parent's
-    // own is open; a read nothing) and a digest (nothing);
+    // own is open; a read nothing; the explorer's table of the level's
+    // written memories, one allocation a level, may then free the copy)
+    // and a digest (nothing);
     // the 61 % of successors that dedup discards cost what the kept ones
     // do. A per-successor allocation added to any of that is one more
     // per transition, far past this limit.
@@ -266,12 +293,17 @@ fn a_consensus_transition_stays_within_its_allocation_budget() {
         (151_960, 389_728)
     );
     let (allocs, reallocs, bytes) = cost.per(out.stats.transitions);
+    let peak_mib = cost.peak_live as f64 / f64::from(1 << 20);
     println!(
         "explore_safety_with: {allocs:.3} allocations, {reallocs:.4} reallocations, \
-         {bytes:.0} requested bytes per transition"
+         {bytes:.0} requested bytes per transition; {peak_mib:.2} MiB live at the peak"
     );
     assert!(allocs <= 1.7, "{allocs:.3} allocations per transition");
     // 351 bytes with 40-byte processes, 447 while each was 72: the
     // successor's block of three processes is most of what it asks for.
     assert!(bytes <= 400.0, "{bytes:.0} requested bytes per transition");
+    // 16.2 MiB while every successor that wrote kept its own copy of
+    // the chunk it wrote; 13.3 since the successors of one level that
+    // write equal memories hold one copy of the chunks they wrote.
+    assert!(peak_mib < 14.5, "{peak_mib:.2} MiB live at the peak");
 }
