@@ -212,6 +212,18 @@ mod tests {
     }
 
     #[test]
+    fn the_scheduler_is_its_schedule_and_its_oracle() {
+        // Valence comes from the oracle the caller passes. A scheduler
+        // that asked the kernel itself would carry a `Checker`, and with
+        // it the budget and truncation flag a capped query needs: any
+        // such field shows here, beside the three vectors of the schedule.
+        let oracle = |_: &System<ConsWord, ObstructionFreeConsensus>| true;
+        let scheduler = BivalenceScheduler::new(vec![(p(0), v(1)), (p(1), v(2))], oracle);
+        let schedule = 3 * std::mem::size_of::<Vec<u64>>();
+        assert_eq!(std::mem::size_of_val(&scheduler), schedule);
+    }
+
+    #[test]
     fn adversary_starves_register_consensus() {
         // Corollary 4.5 / Theorem 5.2, excluded side: the adversary keeps
         // the obstruction-free register consensus undecided for the whole

@@ -669,6 +669,11 @@ mod tests {
         // shows here before it shows as resident memory.
         assert_eq!(std::mem::size_of::<Layout>(), 8);
         assert_eq!(std::mem::size_of::<ObstructionFreeConsensus>(), 40);
+        // The other consensus states: a commit-adopt participant on its
+        // own (two register runs, its column, its state) and a CAS
+        // process (its object, its pc). None holds a table of ids.
+        assert_eq!(std::mem::size_of::<crate::AdoptCommit>(), 72);
+        assert_eq!(std::mem::size_of::<crate::CasConsensus>(), 24);
     }
 
     #[test]

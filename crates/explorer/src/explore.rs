@@ -413,4 +413,22 @@ mod tests {
         assert_ne!(history_digest(&a), history_digest(&b));
         assert_eq!(history_digest(&a), history_digest(&a.clone()));
     }
+
+    /// Every generated successor is fingerprinted, so `history_digest`
+    /// must cost the same at any length: it reads the fold the appends
+    /// keep and walks no action. Handed histories whose fold was taken
+    /// from another, it answers that one's digest at every length — the
+    /// number of actions it read is zero.
+    #[test]
+    fn history_digest_reads_no_action_at_any_length() {
+        let other: History = [Action::crash(p(2))].into_iter().collect();
+        for len in [1, 100, 10_000] {
+            let long: History = (0..len)
+                .map(|i| Action::invoke(p(i % 2), Operation::Propose(v(i as i64))))
+                .collect();
+            assert_ne!(history_digest(&long), other.digest64());
+            let stale = long.with_fold_of(&other);
+            assert_eq!(history_digest(&stale), other.digest64(), "{len} actions");
+        }
+    }
 }
